@@ -108,10 +108,12 @@ bench-stream:
 stream-check:
 	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf' ./internal/pipeline ./internal/tracestore
 
-# One-iteration pipeline benchmark: catches benchmark bit-rot and gross
-# perf/alloc regressions in the pre-submit gate without the full run's cost.
+# One-iteration pipeline and pattern-aggregation benchmarks: catches
+# benchmark bit-rot and gross perf/alloc regressions in the pre-submit gate
+# without the full run's cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
+	$(GO) test -run '^$$' -bench BenchmarkPatternAggregation -benchtime=1x -benchmem .
 
 # Observability hot-path overhead: the disabled path (nil registry) must
 # stay at a few nanoseconds per event with zero allocations, and the

@@ -15,7 +15,6 @@ package autofocus
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"microscope/internal/packet"
 )
@@ -26,7 +25,10 @@ type Item struct {
 	// NF is the component instance ("fw2", "source").
 	NF string
 	// Kind is the component type ("fw"), enabling instance→type rollup.
-	Kind   string
+	// An empty NF or Kind has no level of its own in the NF hierarchy:
+	// the item joins the next more general level only.
+	Kind string
+	// Weight is finite and non-negative.
 	Weight float64
 }
 
@@ -147,19 +149,6 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("%s %s: %.1f", p.Flow, p.NF, p.Weight)
 }
 
-// prefix generalization ladders (most→least specific).
-var prefixLens = [...]uint8{32, 24, 16, 8, 0}
-
-// portRangesFor returns the generalization ladder of a concrete port:
-// exact, its static side of the registered/ephemeral split, any.
-func portRangesFor(p uint16) [3]PortRange {
-	static := PortRange{1024, 65535}
-	if p < 1024 {
-		static = PortRange{0, 1023}
-	}
-	return [3]PortRange{{p, p}, static, {0, 65535}}
-}
-
 // Config tunes aggregation.
 type Config struct {
 	// Threshold is the fraction of total weight an aggregate must
@@ -167,53 +156,6 @@ type Config struct {
 	Threshold float64
 	// MaxPatterns caps the report size (0 = unlimited).
 	MaxPatterns int
-	// Cache memoizes leaf lattice expansions across Aggregate calls.
-	// Callers that aggregate many overlapping item sets (the two-phase
-	// pattern pipeline does) should share one.
-	Cache *Cache
-	// Scratch, when non-nil, is a caller-owned workspace reused across
-	// calls instead of a pool round-trip per call. A worker that issues
-	// many Aggregate calls (the pattern pipeline's per-group fan-outs)
-	// should hold one for its whole run. Never share one Scratch between
-	// concurrent calls.
-	Scratch *Scratch
-}
-
-// Cache memoizes the generalization lattice of leaves across calls. It is
-// safe for concurrent use: the parallel pattern pipeline shares one cache
-// across simultaneous Aggregate calls. Entries are pure functions of the
-// key, so a lost race at worst recomputes a value, never corrupts one.
-type Cache struct {
-	mu sync.RWMutex
-	m  map[cacheKey][]genAgg
-}
-
-type cacheKey struct {
-	flow packet.FiveTuple
-	nf   string
-	kind string
-}
-
-// NewCache creates an empty expansion cache.
-func NewCache() *Cache { return &Cache{m: make(map[cacheKey][]genAgg)} }
-
-func (c *Cache) expansions(lf *leaf) []genAgg {
-	k := cacheKey{flow: lf.flow, nf: lf.nf, kind: lf.kind}
-	c.mu.RLock()
-	g, ok := c.m[k]
-	c.mu.RUnlock()
-	if ok {
-		return g
-	}
-	g = generalizations(lf, nil)
-	c.mu.Lock()
-	if prev, ok := c.m[k]; ok {
-		g = prev // keep the published slice so all callers share one
-	} else {
-		c.m[k] = g
-	}
-	c.mu.Unlock()
-	return g
 }
 
 func (c *Config) setDefaults() {
@@ -222,12 +164,100 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// leaf is a grouped exact item.
+// Stats counts the work of one Aggregate call. Both counts depend on the
+// input alone, so they repeat exactly across runs, hosts and worker counts.
+type Stats struct {
+	// Leaves is the number of distinct <flow, NF> items.
+	Leaves int
+	// Cells is the number of leaf-to-lattice-cell projections computed.
+	// Expanding every leaf's whole lattice would make it 1350 per leaf.
+	Cells int
+}
+
+// The lattice has six dimensions, each a generalization ladder from most to
+// least specific. A lattice node picks one rung per dimension; its generality
+// is the sum of the rung indexes.
+const (
+	dimSrc, dimDst     = 0, 1 // prefix lengths 32, 24, 16, 8, 0
+	dimSport, dimDport = 2, 3 // exact, its side of the registered/ephemeral split, any
+	dimProto           = 4    // exact, any
+	dimNF              = 5    // instance, type, any
+	dims               = 6
+	maxRungs           = 5
+)
+
+var prefixLens = [maxRungs]uint8{32, 24, 16, 8, 0}
+var rungs = [dims]int{len(prefixLens), len(prefixLens), 3, 3, 2, 3}
+
+// portRangesFor returns the generalization ladder of a concrete port.
+func portRangesFor(p uint16) [3]PortRange {
+	static := PortRange{1024, 65535}
+	if p < 1024 {
+		static = PortRange{0, 1023}
+	}
+	return [3]PortRange{{p, p}, static, {0, 65535}}
+}
+
+// node is one lattice node: a rung per dimension.
+type node [dims]uint8
+
+// nodesByLevel[g] lists the lattice nodes of generality g.
+var nodesByLevel = func() (by [][]node) {
+	var walk func(nd node, d, g int)
+	walk = func(nd node, d, g int) {
+		if d == dims {
+			for len(by) <= g {
+				by = append(by, nil)
+			}
+			by[g] = append(by[g], nd)
+			return
+		}
+		for r := 0; r < rungs[d]; r++ {
+			nd[d] = uint8(r)
+			walk(nd, d+1, g+r)
+		}
+	}
+	walk(node{}, 0, 0)
+	return by
+}()
+
+// noLevel marks an NF rung a leaf has no cell on (empty NF or Kind).
+const noLevel = ^uint32(0)
+
+// leaf is a grouped exact item. at[d][r] is its projection on rung r of
+// dimension d as an integer: the masked prefix, the port range's Lo, the
+// protocol, the per-call id of the NF instance or type; 0 on every "any"
+// rung.
 type leaf struct {
-	flow     packet.FiveTuple
-	nf, kind string
-	weight   float64
-	consumed float64
+	weight float64
+	at     [dims][maxRungs]uint32
+	// floor[d] is the first rung of d on which the leaf can still be part
+	// of a cell that reaches the threshold (see setFloors).
+	floor node
+}
+
+// cellKey identifies a lattice cell within one generality level: the node's
+// index in the level and the projection on it. Fixed-size integers only.
+type cellKey struct {
+	at   [dims]uint32
+	node uint32
+}
+
+// cell is one lattice cell of the level being searched; its members are the
+// chain of links from head, in leaf order.
+type cell struct {
+	key        cellKey
+	weight     float64
+	head, tail int32
+}
+
+// link is one leaf's membership of one cell.
+type link struct{ leaf, next int32 }
+
+// heavyCell is a cell that reached the threshold at the start of its level.
+type heavyCell struct {
+	key  aggKey
+	head int32
 }
 
 type aggKey struct {
@@ -235,209 +265,187 @@ type aggKey struct {
 	nf   NFAgg
 }
 
+// leafKey is what makes two items the same leaf.
 type leafKey struct {
 	flow packet.FiveTuple
 	nf   string
-}
-
-// clusterInfo is one lattice cell with members stored as an [off, off+n)
-// span of the scratch arena.
-type clusterInfo struct {
-	key        aggKey
-	generality int
-	total      float64
-	off, n     int32
-}
-
-// aggScratch holds the per-call workspace of Aggregate. The maps and
-// slices are reused across calls (via aggPool), so a steady stream of
-// aggregations — the two-phase pattern pipeline issues thousands —
-// allocates only on high-water-mark growth.
-type aggScratch struct {
-	leafIdx  map[leafKey]int32
-	leaves   []leaf
-	index    map[aggKey]int32
-	clusters []clusterInfo
-	// arena backs all member lists; cursor tracks per-cluster fill.
-	arena  []int32
-	cursor []int32
-	// exps caches per-leaf lattice expansions within the call (shared
-	// Cache slices); genBuf serves the uncached path.
-	exps   [][]genAgg
-	genBuf []genAgg
-}
-
-// Scratch is an exported handle on the Aggregate workspace, for callers
-// that want one long-lived workspace per worker instead of per-call pool
-// traffic (see Config.Scratch).
-type Scratch struct {
-	s aggScratch
-}
-
-var aggPool = sync.Pool{New: func() any {
-	return &Scratch{s: aggScratch{
-		leafIdx: make(map[leafKey]int32),
-		index:   make(map[aggKey]int32),
-	}}
-}}
-
-// GetScratch takes a workspace from the shared pool. Ownership transfers to
-// the caller until PutScratch; each Aggregate call resets it before use.
-func GetScratch() *Scratch {
-	//mslint:allow poolreset ownership transfers to the caller across many Aggregate calls; Aggregate resets before each use and PutScratch returns it
-	return aggPool.Get().(*Scratch)
-}
-
-// PutScratch returns a workspace to the pool.
-func PutScratch(s *Scratch) { aggPool.Put(s) }
-
-func (sc *aggScratch) reset() {
-	clear(sc.leafIdx)
-	clear(sc.index)
-	sc.leaves = sc.leaves[:0]
-	sc.clusters = sc.clusters[:0]
-	sc.exps = sc.exps[:0]
 }
 
 // Aggregate runs the hierarchical heavy-hitter search and returns patterns
 // sorted by descending residual weight (most significant first), most
 // specific first among equals.
 func Aggregate(items []Item, cfg Config) []Pattern {
-	cfg.setDefaults()
-	if len(items) == 0 {
-		return nil
-	}
-	scr := cfg.Scratch
-	if scr == nil {
-		//mslint:allow poolreset reset happens below via sc.reset() on the inner aggScratch
-		scr = aggPool.Get().(*Scratch)
-		defer aggPool.Put(scr)
-	}
-	sc := &scr.s
-	sc.reset()
+	out, _ := AggregateStats(items, cfg)
+	return out
+}
 
-	// Group identical observations into leaves.
+// AggregateStats is Aggregate that also reports how much of the lattice the
+// search touched.
+//
+// The search walks generality levels in order over the leaves no reported
+// pattern has consumed yet. It is the exhaustive search (expand every leaf's
+// lattice, sort all cells by generality, visit each once) with the work that
+// cannot change the answer left out: a cell's residual counts unconsumed
+// members only and only shrinks, so a cell below the threshold at the start
+// of its level is never reported; a consumed member adds an exact 0.0; and
+// once the unconsumed weight is below the threshold no cell at any level can
+// reach it.
+func AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
+	cfg.setDefaults()
+
+	// Group identical observations into leaves, interning NF instances
+	// and types to per-call ids (0 is "any").
 	var total float64
+	leafIdx := make(map[leafKey]int32)
+	var leaves []leaf
+	nfIDs, nfByID := map[NFAgg]uint32{}, []NFAgg{{}}
+	nfID := func(a NFAgg) uint32 {
+		if a.Name == "" && a.Kind == "" {
+			return noLevel
+		}
+		id, ok := nfIDs[a]
+		if !ok {
+			id = uint32(len(nfByID))
+			nfIDs[a], nfByID = id, append(nfByID, a)
+		}
+		return id
+	}
 	for _, it := range items {
 		total += it.Weight
 		k := leafKey{it.Flow, it.NF}
-		if i, ok := sc.leafIdx[k]; ok {
-			sc.leaves[i].weight += it.Weight
+		if i, ok := leafIdx[k]; ok {
+			leaves[i].weight += it.Weight
 			continue
 		}
-		sc.leafIdx[k] = int32(len(sc.leaves))
-		sc.leaves = append(sc.leaves, leaf{flow: it.Flow, nf: it.NF, kind: it.Kind, weight: it.Weight})
+		leafIdx[k] = int32(len(leaves))
+		lf := leaf{weight: it.Weight}
+		for r, l := range prefixLens {
+			lf.at[dimSrc][r], lf.at[dimDst][r] = maskPrefix(it.Flow.SrcIP, l), maskPrefix(it.Flow.DstIP, l)
+		}
+		sp, dp := portRangesFor(it.Flow.SrcPort), portRangesFor(it.Flow.DstPort)
+		for r := range sp {
+			lf.at[dimSport][r], lf.at[dimDport][r] = uint32(sp[r].Lo), uint32(dp[r].Lo)
+		}
+		lf.at[dimProto][0] = uint32(it.Flow.Proto)
+		// An empty name or kind has no rung of its own: its cell
+		// would be the next rung's.
+		lf.at[dimNF][0], lf.at[dimNF][1] = noLevel, nfID(NFAgg{Kind: it.Kind})
+		if it.NF != "" {
+			lf.at[dimNF][0] = nfID(NFAgg{Name: it.NF, Kind: it.Kind})
+		}
+		leaves = append(leaves, lf)
 	}
+	st := Stats{Leaves: len(leaves)}
 	if total <= 0 {
-		return nil
+		return nil, st
 	}
 	minW := cfg.Threshold * total
-	leaves := sc.leaves
 
-	// Pass 1: enumerate every aggregate each leaf belongs to, counting
-	// members per cell so the membership arena is sized exactly.
-	membership := 0
+	// live lists the unconsumed leaves in leaf order. Consuming a leaf
+	// zeroes its weight: it adds 0.0 to every sum from then on and no
+	// longer counts as contributing, as a leaf without weight never does.
+	live := make([]int32, 0, len(leaves))
 	for li := range leaves {
-		lf := &leaves[li]
-		var exp []genAgg
-		if cfg.Cache != nil {
-			exp = cfg.Cache.expansions(lf)
-			sc.exps = append(sc.exps, exp)
-		} else {
-			sc.genBuf = generalizations(lf, sc.genBuf[:0])
-			exp = sc.genBuf
-		}
-		membership += len(exp)
-		for _, agg := range exp {
-			ci, ok := sc.index[agg.key]
-			if !ok {
-				ci = int32(len(sc.clusters))
-				sc.index[agg.key] = ci
-				sc.clusters = append(sc.clusters, clusterInfo{key: agg.key, generality: agg.generality})
+		live = append(live, int32(li))
+	}
+	var (
+		out   []Pattern
+		sums  = make(map[uint64]float64)
+		index = make(map[cellKey]int32)
+		cells []cell
+		links []link
+		heavy []heavyCell
+	)
+	stale := true // live has leaves to drop, floors are out of date
+	for level, nodes := range nodesByLevel {
+		if stale {
+			kept, liveW := live[:0], 0.0
+			for _, li := range live {
+				if w := leaves[li].weight; w > 0 {
+					kept, liveW = append(kept, li), liveW+w
+				}
 			}
-			sc.clusters[ci].n++
-			sc.clusters[ci].total += lf.weight
-		}
-	}
-
-	// Pass 2: lay member lists out in one flat arena. Fill order matches
-	// pass 1 (leaf order within each cell), so reporting below walks
-	// members in the same order the old per-cluster appends produced.
-	if cap(sc.arena) < membership {
-		sc.arena = make([]int32, membership)
-	}
-	arena := sc.arena[:membership]
-	if cap(sc.cursor) < len(sc.clusters) {
-		sc.cursor = make([]int32, len(sc.clusters))
-	}
-	cursor := sc.cursor[:len(sc.clusters)]
-	off := int32(0)
-	for ci := range sc.clusters {
-		sc.clusters[ci].off = off
-		cursor[ci] = off
-		off += sc.clusters[ci].n
-	}
-	for li := range leaves {
-		var exp []genAgg
-		if cfg.Cache != nil {
-			exp = sc.exps[li]
-		} else {
-			sc.genBuf = generalizations(&leaves[li], sc.genBuf[:0])
-			exp = sc.genBuf
-		}
-		for _, agg := range exp {
-			ci := sc.index[agg.key]
-			arena[cursor[ci]] = int32(li)
-			cursor[ci]++
-		}
-	}
-
-	// Prune clusters that can never be reported: residual weight never
-	// exceeds total member weight, so total < minW is a safe exact
-	// filter — and it shrinks the sort set by orders of magnitude on
-	// realistic inputs.
-	kept := sc.clusters[:0]
-	for i := range sc.clusters {
-		if sc.clusters[i].total >= minW {
-			kept = append(kept, sc.clusters[i])
-		}
-	}
-	clusters := kept
-
-	// Order clusters most-specific first; deterministic tiebreak.
-	sort.Slice(clusters, func(i, j int) bool {
-		if clusters[i].generality != clusters[j].generality {
-			return clusters[i].generality < clusters[j].generality
-		}
-		return aggKeyLess(clusters[i].key, clusters[j].key)
-	})
-
-	// Greedy residual reporting: a cluster is reported when its
-	// unconsumed member weight crosses the threshold; reporting consumes
-	// that weight so ancestors only count what remains.
-	var out []Pattern
-	for i := range clusters {
-		ci := &clusters[i]
-		members := arena[ci.off : ci.off+ci.n]
-		var residual float64
-		for _, li := range members {
-			residual += leaves[li].weight - leaves[li].consumed
-		}
-		if residual < minW {
-			continue
-		}
-		contributing := 0
-		for _, li := range members {
-			if leaves[li].weight > leaves[li].consumed {
-				contributing++
+			if live = kept; !(liveW >= minW) {
+				break // no cell of this or any later level can reach minW
 			}
-			leaves[li].consumed = leaves[li].weight
+			if level > 0 { // level 0 is one node: nothing to prune
+				setFloors(leaves, live, minW, sums)
+				stale = false
+			}
 		}
-		out = append(out, Pattern{Flow: ci.key.flow, NF: ci.key.nf, Weight: residual, Leaves: contributing})
+
+		// Project the leaves onto the nodes of the level, summing each
+		// cell's live weight in leaf order.
+		clear(index)
+		cells, links = cells[:0], links[:0]
+		for ni, nd := range nodes {
+		nextLeaf:
+			for _, li := range live {
+				lf := &leaves[li]
+				k := cellKey{node: uint32(ni)}
+				for d, r := range nd {
+					if r < lf.floor[d] {
+						continue nextLeaf
+					}
+					k.at[d] = lf.at[d][r]
+				}
+				if k.at[dimNF] == noLevel {
+					continue
+				}
+				ci, ok := index[k]
+				if !ok {
+					ci = int32(len(cells))
+					index[k] = ci
+					cells = append(cells, cell{key: k, head: -1, tail: -1})
+				}
+				c := &cells[ci]
+				c.weight += lf.weight
+				if c.tail < 0 {
+					c.head = int32(len(links))
+				} else {
+					links[c.tail].next = int32(len(links))
+				}
+				c.tail = int32(len(links))
+				links = append(links, link{leaf: li, next: -1})
+			}
+		}
+		st.Cells += len(links)
+
+		// Only cells that reach minW now can be reported; visit them in
+		// the canonical aggregate order.
+		heavy = heavy[:0]
+		for ci := range cells {
+			if c := &cells[ci]; c.weight >= minW {
+				heavy = append(heavy, heavyCell{key: aggKeyOf(c.key, nodes[c.key.node], nfByID), head: c.head})
+			}
+		}
+		sort.Slice(heavy, func(i, j int) bool { return aggKeyLess(heavy[i].key, heavy[j].key) })
+
+		// Greedy residual reporting: a cell is reported when its
+		// unconsumed member weight crosses the threshold; reporting
+		// consumes that weight so later cells only count what remains.
+		for _, h := range heavy {
+			var residual float64
+			contributing := 0
+			for e := h.head; e >= 0; e = links[e].next {
+				if w := leaves[links[e].leaf].weight; w > 0 {
+					residual += w
+					contributing++
+				}
+			}
+			if residual < minW {
+				continue
+			}
+			for e := h.head; e >= 0; e = links[e].next {
+				leaves[links[e].leaf].weight = 0
+			}
+			out = append(out, Pattern{Flow: h.key.flow, NF: h.key.nf, Weight: residual, Leaves: contributing})
+			stale = true
+		}
 	}
+
 	// Total order: weight desc, then the canonical aggregate-key order, so
-	// the ranking never depends on the (already deterministic) cluster
-	// traversal order above.
+	// the ranking never depends on the level traversal above.
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Weight != out[j].Weight {
 			return out[i].Weight > out[j].Weight
@@ -447,50 +455,55 @@ func Aggregate(items []Item, cfg Config) []Pattern {
 	if cfg.MaxPatterns > 0 && len(out) > cfg.MaxPatterns {
 		out = out[:cfg.MaxPatterns]
 	}
-	return out
+	return out, st
 }
 
-type genAgg struct {
-	key        aggKey
-	generality int
-}
-
-// generalizations appends the aggregate lattice cells of a leaf to dst.
-func generalizations(lf *leaf, dst []genAgg) []genAgg {
-	srcPorts := portRangesFor(lf.flow.SrcPort)
-	dstPorts := portRangesFor(lf.flow.DstPort)
-	nfs := [...]NFAgg{{Name: lf.nf, Kind: lf.kind}, {Kind: lf.kind}, {}}
-	protos := [...]int16{int16(lf.flow.Proto), -1}
-
-	out := dst
-	for si, sl := range prefixLens {
-		for di, dl := range prefixLens {
-			for spi, sp := range srcPorts {
-				for dpi, dp := range dstPorts {
-					for pi, pr := range protos {
-						for ni, nf := range nfs {
-							out = append(out, genAgg{
-								key: aggKey{
-									flow: FlowAgg{
-										SrcPrefix: maskPrefix(lf.flow.SrcIP, sl),
-										SrcLen:    sl,
-										DstPrefix: maskPrefix(lf.flow.DstIP, dl),
-										DstLen:    dl,
-										SrcPort:   sp,
-										DstPort:   dp,
-										Proto:     pr,
-									},
-									nf: nf,
-								},
-								generality: si + di + spi + dpi + pi + ni,
-							})
-						}
-					}
-				}
+// setFloors sets, for every live leaf and dimension, the first rung on which
+// the leaf's one-dimensional aggregate (that rung's projection, every other
+// dimension "any") reaches minW over the live leaves. A cell on a lower rung
+// of that dimension is a subset of an aggregate below minW, and sums of
+// non-negative weights in leaf order never exceed the same sum over a
+// superset, so the leaf can be left out of such cells without changing which
+// cells reach minW.
+func setFloors(leaves []leaf, live []int32, minW float64, sums map[uint64]float64) {
+	key := func(d, r int, v uint32) uint64 { return uint64(d*maxRungs+r)<<32 | uint64(v) }
+	clear(sums)
+	for _, li := range live {
+		lf := &leaves[li]
+		for d := range lf.at {
+			for r := 0; r < rungs[d]-1; r++ { // the last rung is every live leaf
+				sums[key(d, r, lf.at[d][r])] += lf.weight
 			}
 		}
 	}
-	return out
+	for _, li := range live {
+		lf := &leaves[li]
+		for d := range lf.at {
+			r := 0
+			for r < rungs[d]-1 && !(sums[key(d, r, lf.at[d][r])] >= minW) {
+				r++
+			}
+			lf.floor[d] = uint8(r)
+		}
+	}
+}
+
+// aggKeyOf rebuilds the aggregate a cell key stands for at node nd.
+func aggKeyOf(k cellKey, nd node, nfByID []NFAgg) aggKey {
+	proto := int16(-1)
+	if nd[dimProto] == 0 {
+		proto = int16(k.at[dimProto])
+	}
+	return aggKey{
+		flow: FlowAgg{
+			SrcPrefix: k.at[dimSrc], SrcLen: prefixLens[nd[dimSrc]],
+			DstPrefix: k.at[dimDst], DstLen: prefixLens[nd[dimDst]],
+			SrcPort: portRangesFor(uint16(k.at[dimSport]))[nd[dimSport]],
+			DstPort: portRangesFor(uint16(k.at[dimDport]))[nd[dimDport]],
+			Proto:   proto,
+		},
+		nf: nfByID[k.at[dimNF]],
+	}
 }
 
 func aggKeyLess(a, b aggKey) bool {

@@ -1,6 +1,10 @@
 package autofocus
 
 import (
+	"flag"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -257,30 +261,244 @@ func TestMaskPrefix(t *testing.T) {
 	}
 }
 
-// TestCacheEquivalence: aggregation with a shared expansion cache must be
-// byte-for-byte identical to aggregation without one, across repeated and
-// overlapping item sets.
-func TestCacheEquivalence(t *testing.T) {
-	cache := NewCache()
-	for round := 0; round < 5; round++ {
-		var items []Item
-		for i := 0; i < 40; i++ {
-			items = append(items, Item{
-				Flow:   ft(byte((i+round*7)%20), uint16(2000+i%6), uint16(6000+i%3)),
-				NF:     []string{"fw1", "fw2", "nat1"}[i%3],
-				Kind:   []string{"fw", "fw", "nat"}[i%3],
-				Weight: float64(i%9) + 1,
-			})
+// oracleAggregate is the exhaustive reference Aggregate is checked against:
+// every leaf is expanded into its full 5x5x3x3x2x3 lattice, every cell keeps
+// its member list, all cells are sorted by (generality, aggKeyLess) and
+// visited once. Plain maps and slices, no shared state with Aggregate beyond
+// the key order and the rule that an empty NF level is skipped.
+func oracleAggregate(items []Item, cfg Config) []Pattern {
+	cfg.setDefaults()
+	type leafKey struct {
+		flow packet.FiveTuple
+		nf   string
+	}
+	type oleaf struct {
+		flow             packet.FiveTuple
+		nf, kind         string
+		weight, consumed float64
+	}
+	type cell struct {
+		key        aggKey
+		generality int
+		total      float64
+		members    []int
+	}
+	leafIdx := map[leafKey]int{}
+	var leaves []oleaf
+	var total float64
+	for _, it := range items {
+		total += it.Weight
+		k := leafKey{it.Flow, it.NF}
+		if i, ok := leafIdx[k]; ok {
+			leaves[i].weight += it.Weight
+			continue
 		}
-		plain := Aggregate(items, Config{Threshold: 0.02})
-		cached := Aggregate(items, Config{Threshold: 0.02, Cache: cache})
-		if len(plain) != len(cached) {
-			t.Fatalf("round %d: %d vs %d patterns", round, len(plain), len(cached))
-		}
-		for i := range plain {
-			if plain[i] != cached[i] {
-				t.Fatalf("round %d pattern %d: %v vs %v", round, i, plain[i], cached[i])
+		leafIdx[k] = len(leaves)
+		leaves = append(leaves, oleaf{flow: it.Flow, nf: it.NF, kind: it.Kind, weight: it.Weight})
+	}
+	if total <= 0 {
+		return nil
+	}
+	minW := cfg.Threshold * total
+
+	index := map[aggKey]*cell{}
+	var cells []*cell
+	for li, lf := range leaves {
+		srcPorts, dstPorts := portRangesFor(lf.flow.SrcPort), portRangesFor(lf.flow.DstPort)
+		nfs := [...]NFAgg{{Name: lf.nf, Kind: lf.kind}, {Kind: lf.kind}, {}}
+		protos := [...]int16{int16(lf.flow.Proto), -1}
+		for si, sl := range prefixLens {
+			for di, dl := range prefixLens {
+				for spi, sp := range srcPorts {
+					for dpi, dp := range dstPorts {
+						for pi, pr := range protos {
+							for ni, nf := range nfs {
+								if (ni == 0 && lf.nf == "") || (ni == 1 && lf.kind == "") {
+									continue // empty level: the same cell as the next one up
+								}
+								key := aggKey{
+									flow: FlowAgg{
+										SrcPrefix: maskPrefix(lf.flow.SrcIP, sl), SrcLen: sl,
+										DstPrefix: maskPrefix(lf.flow.DstIP, dl), DstLen: dl,
+										SrcPort: sp, DstPort: dp, Proto: pr,
+									},
+									nf: nf,
+								}
+								c := index[key]
+								if c == nil {
+									c = &cell{key: key, generality: si + di + spi + dpi + pi + ni}
+									index[key] = c
+									cells = append(cells, c)
+								}
+								c.members = append(c.members, li)
+								c.total += lf.weight
+							}
+						}
+					}
+				}
 			}
 		}
+	}
+	kept := cells[:0]
+	for _, c := range cells {
+		if c.total >= minW {
+			kept = append(kept, c)
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].generality != kept[j].generality {
+			return kept[i].generality < kept[j].generality
+		}
+		return aggKeyLess(kept[i].key, kept[j].key)
+	})
+	var out []Pattern
+	for _, c := range kept {
+		var residual float64
+		for _, li := range c.members {
+			residual += leaves[li].weight - leaves[li].consumed
+		}
+		if residual < minW {
+			continue
+		}
+		contributing := 0
+		for _, li := range c.members {
+			if leaves[li].weight > leaves[li].consumed {
+				contributing++
+			}
+			leaves[li].consumed = leaves[li].weight
+		}
+		out = append(out, Pattern{Flow: c.key.flow, NF: c.key.nf, Weight: residual, Leaves: contributing})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Weight != out[j].Weight {
+			return out[i].Weight > out[j].Weight
+		}
+		return aggKeyLess(aggKey{out[i].Flow, out[i].NF}, aggKey{out[j].Flow, out[j].NF})
+	})
+	if cfg.MaxPatterns > 0 && len(out) > cfg.MaxPatterns {
+		out = out[:cfg.MaxPatterns]
+	}
+	return out
+}
+
+// genCase draws one differential case from seed: items over address, port
+// and NF universes small enough that prefixes, port classes and NF types
+// collide, and a threshold log-uniform in 0.001-0.5. Sizes are 1-60 items;
+// big asks for 500-1000. Weights mix small integers (exact ties) with
+// arbitrary floats (rounding-order sensitivity), and some items repeat a
+// leaf so grouping is exercised.
+func genCase(seed int64, big bool) ([]Item, Config) {
+	rng := rand.New(rand.NewSource(seed))
+	ip := func() uint32 {
+		return packet.IPFromOctets([]byte{10, 10, 172}[rng.Intn(3)], byte(rng.Intn(2)), byte(rng.Intn(3)), byte(1+rng.Intn(4)))
+	}
+	ports := []uint16{0, 53, 80, 1023, 1024, 2004, 2005, 65535}
+	nfs := []struct{ name, kind string }{
+		{"fw1", "fw"}, {"fw2", "fw"}, {"fw3", "fw"}, {"nat1", "nat"}, {"nat2", "nat"}, {"vpn1", "vpn"}, {"source", "source"},
+	}
+	n := 1 + rng.Intn(60)
+	if big {
+		n = 500 + rng.Intn(501)
+	}
+	items := make([]Item, 0, n)
+	for len(items) < n {
+		if len(items) > 0 && rng.Intn(8) == 0 {
+			it := items[rng.Intn(len(items))]
+			it.Weight = float64(1 + rng.Intn(5))
+			items = append(items, it)
+			continue
+		}
+		nf := nfs[rng.Intn(len(nfs))]
+		w := float64(1 + rng.Intn(9))
+		if rng.Intn(2) == 0 {
+			w = rng.ExpFloat64() * 3.7
+		}
+		items = append(items, Item{
+			Flow: packet.FiveTuple{
+				SrcIP: ip(), DstIP: ip(),
+				SrcPort: ports[rng.Intn(len(ports))], DstPort: ports[rng.Intn(len(ports))],
+				Proto: []uint8{packet.ProtoTCP, packet.ProtoUDP}[rng.Intn(2)],
+			},
+			NF: nf.name, Kind: nf.kind, Weight: w,
+		})
+	}
+	th := 0.001 * math.Pow(500, rng.Float64())
+	return items, Config{Threshold: th, MaxPatterns: []int{0, 0, 0, 5}[rng.Intn(4)]}
+}
+
+// diffAgainstOracle fails t when Aggregate and the oracle disagree on any
+// pattern's aggregate, leaf count or weight bits, or on the order.
+func diffAgainstOracle(t *testing.T, items []Item, cfg Config) {
+	t.Helper()
+	got, want := Aggregate(items, cfg), oracleAggregate(items, cfg)
+	if len(got) != len(want) {
+		t.Fatalf("%d items th=%g: %d patterns, oracle %d", len(items), cfg.Threshold, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Flow != w.Flow || g.NF != w.NF || g.Leaves != w.Leaves || math.Float64bits(g.Weight) != math.Float64bits(w.Weight) {
+			t.Fatalf("%d items th=%g: pattern %d is %v (%d leaves, %x), oracle %v (%d leaves, %x)", len(items), cfg.Threshold,
+				i, g, g.Leaves, math.Float64bits(g.Weight), w, w.Leaves, math.Float64bits(w.Weight))
+		}
+	}
+}
+
+var oracleCases = flag.Int("oracle-cases", 300, "differential cases TestAggregateMatchesOracle runs (the oracle takes about 30 ms a case)")
+
+// TestAggregateMatchesOracle is the differential test of the level-ordered
+// search against the exhaustive one; every 50th case is a big one.
+func TestAggregateMatchesOracle(t *testing.T) {
+	cases := *oracleCases
+	if testing.Short() {
+		cases = min(cases, 50)
+	}
+	for c := 0; c < cases; c++ {
+		items, cfg := genCase(int64(c), c%50 == 49)
+		diffAgainstOracle(t, items, cfg)
+	}
+}
+
+// FuzzAggregate lets the fuzzer pick the generator's seed and mutate the
+// first item, so it also reaches empty NF names and kinds, zero weights and
+// ports and addresses outside the generator's universes.
+func FuzzAggregate(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint32(0), uint16(0), "fw1", "fw", 1.0)
+	}
+	f.Add(int64(3), uint32(0x0a000001), uint16(1024), "", "fw", 2.5)
+	f.Add(int64(4), uint32(0xac100203), uint16(80), "fw9", "", 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, src uint32, sport uint16, nf, kind string, w float64) {
+		if !(w >= 0) || math.IsInf(w, 0) {
+			t.Skip("weights are finite and non-negative")
+		}
+		items, cfg := genCase(seed, false)
+		items[0].Flow.SrcIP, items[0].Flow.SrcPort = src, sport
+		items[0].NF, items[0].Kind, items[0].Weight = nf, kind, w
+		diffAgainstOracle(t, items, cfg)
+	})
+}
+
+// TestAggregateEmptyKindCountedOnce: an item without a Kind (or NF) makes
+// two lattice levels the same aggregate. The leaf joins that cell once: the
+// empty level is skipped, so no pattern can outweigh the input.
+func TestAggregateEmptyKindCountedOnce(t *testing.T) {
+	for _, tc := range []struct{ name, nf, kind string }{
+		{"empty kind", "fw1", ""}, {"empty nf", "", "fw"}, {"both empty", "", ""},
+	} {
+		var items []Item
+		for i := 0; i < 30; i++ {
+			f := ft(byte(i), uint16(1024+i*17), uint16(1024+i*31))
+			f.SrcIP, f.DstIP = uint32(i)*2654435761, uint32(i)*40503+7
+			items = append(items, Item{Flow: f, NF: tc.nf, Kind: tc.kind, Weight: 1})
+		}
+		pats := Aggregate(items, Config{Threshold: 0.5})
+		var sum float64
+		for _, p := range pats {
+			sum += p.Weight
+		}
+		if len(pats) != 1 || sum > 30 {
+			t.Errorf("%s: %d patterns of total weight %v from 30 items of weight 1: %v", tc.name, len(pats), sum, pats)
+		}
+		diffAgainstOracle(t, items, Config{Threshold: 0.5})
 	}
 }

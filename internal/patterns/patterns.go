@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"microscope/internal/autofocus"
@@ -105,11 +106,27 @@ func (c *Config) setDefaults() {
 // packets (the PreSet packets at the culprit NF).
 func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Config) []Relation {
 	cfg.setDefaults()
-	var out []Relation
+	n := 0
+	for di := range diags {
+		for ci := range diags[di].Causes {
+			n += max(1, min(len(diags[di].Causes[ci].CulpritJourneys), cfg.MaxCulpritsPerCause))
+		}
+	}
+	out := make([]Relation, 0, n)
 	for di := range diags {
 		d := &diags[di]
+		// The victim side is fixed per diagnosis and the culprit NF per
+		// cause: look the kinds up there, not per relation.
+		victim := Relation{
+			VictimFlow:    d.Victim.Tuple,
+			VictimHasFlow: d.Victim.HasTuple,
+			VictimNF:      d.Victim.Comp,
+			VictimKind:    st.KindOf(d.Victim.Comp),
+		}
 		for ci := range d.Causes {
 			c := &d.Causes[ci]
+			rel := victim
+			rel.CulpritNF, rel.CulpritKind = c.Comp, st.KindOf(c.Comp)
 			culprits := c.CulpritJourneys
 			if len(culprits) > cfg.MaxCulpritsPerCause {
 				// Deterministic random subsample. A stride sample
@@ -127,34 +144,18 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 			}
 			if len(culprits) == 0 {
 				// Keep the relation with an unknown culprit flow.
-				out = append(out, Relation{
-					CulpritNF:     c.Comp,
-					CulpritKind:   st.KindOf(c.Comp),
-					VictimFlow:    d.Victim.Tuple,
-					VictimHasFlow: d.Victim.HasTuple,
-					VictimNF:      d.Victim.Comp,
-					VictimKind:    st.KindOf(d.Victim.Comp),
-					Score:         c.Score,
-				})
+				rel.Score = c.Score
+				out = append(out, rel)
 				continue
 			}
-			share := c.Score / float64(len(culprits))
+			rel.Score = c.Score / float64(len(culprits))
 			for _, jIdx := range culprits {
 				if jIdx < 0 || jIdx >= len(st.Journeys) {
 					continue
 				}
 				j := &st.Journeys[jIdx]
-				out = append(out, Relation{
-					CulpritFlow:    j.Tuple,
-					CulpritHasFlow: j.HasTuple,
-					CulpritNF:      c.Comp,
-					CulpritKind:    st.KindOf(c.Comp),
-					VictimFlow:     d.Victim.Tuple,
-					VictimHasFlow:  d.Victim.HasTuple,
-					VictimNF:       d.Victim.Comp,
-					VictimKind:     st.KindOf(d.Victim.Comp),
-					Score:          share,
-				})
+				rel.CulpritFlow, rel.CulpritHasFlow = j.Tuple, j.HasTuple
+				out = append(out, rel)
 			}
 		}
 	}
@@ -208,11 +209,6 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 		grand += rels[i].Score
 	}
 
-	// Shared lattice caches: victims repeat across culprit groups and
-	// culprit leaves repeat across victim-aggregate groups.
-	victimCache := autofocus.NewCache()
-	culpritCache := autofocus.NewCache()
-
 	// Phase 1: group by exact culprit <packet flow, NF>; aggregate the
 	// victim dimensions within each group.
 	type culpritGroup struct {
@@ -245,18 +241,18 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 
 	// Phase 1 fan-out: each culprit group's victim-dimension AutoFocus is
 	// independent; results land in group-order slots so the phase-2
-	// assembly below sees exactly the sequential order. Each worker holds
-	// one AutoFocus scratch for its whole share of the groups instead of a
-	// pool round-trip per group.
+	// assembly below sees exactly the sequential order.
 	phase1 := make([][]autofocus.Pattern, len(order))
-	scratches := acquireScratches(par.Workers(cfg.Workers, len(order)))
-	err := par.DoWorkersCtx(ctx, len(order), cfg.Workers, func(worker, gi int) {
-		g := groups[order[gi]]
-		phase1[gi] = autofocus.Aggregate(g.items, autofocus.Config{
-			Threshold: cfg.Phase1Threshold, Cache: victimCache, Scratch: scratches[worker],
-		})
+	var leaves, cells atomic.Int64 // AutoFocus work of both phases, for obs
+	focus := func(items []autofocus.Item, threshold float64) []autofocus.Pattern {
+		pats, st := autofocus.AggregateStats(items, autofocus.Config{Threshold: threshold})
+		leaves.Add(int64(st.Leaves))
+		cells.Add(int64(st.Cells))
+		return pats
+	}
+	err := par.DoCtx(ctx, len(order), cfg.Workers, func(gi int) {
+		phase1[gi] = focus(groups[order[gi]].items, cfg.Phase1Threshold)
 	})
-	releaseScratches(scratches)
 	if err != nil {
 		return nil, err
 	}
@@ -290,11 +286,9 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 	}
 
 	// Phase 2 fan-out: aggregate culprit dimensions per victim aggregate;
-	// apply the global significance threshold. Same slot-merge and
-	// per-worker-scratch discipline as phase 1.
+	// apply the global significance threshold. Same slot merge as phase 1.
 	phase2Out := make([][]autofocus.Pattern, len(vaOrder))
-	scratches = acquireScratches(par.Workers(cfg.Workers, len(vaOrder)))
-	err = par.DoWorkersCtx(ctx, len(vaOrder), cfg.Workers, func(worker, vi int) {
+	err = par.DoCtx(ctx, len(vaOrder), cfg.Workers, func(vi int) {
 		items := phase2[vaOrder[vi]]
 		var groupW float64
 		for i := range items {
@@ -309,11 +303,8 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 		if local > 1 {
 			return // group too light to ever matter
 		}
-		phase2Out[vi] = autofocus.Aggregate(items, autofocus.Config{
-			Threshold: local, Cache: culpritCache, Scratch: scratches[worker],
-		})
+		phase2Out[vi] = focus(items, local)
 	})
-	releaseScratches(scratches)
 	if err != nil {
 		return nil, err
 	}
@@ -329,13 +320,21 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 			})
 		}
 	}
-	// Total order: score desc, then the rendered pattern text — cheap,
-	// unique per pattern, and independent of assembly order.
+	// Total order: score desc, then the rendered pattern text — unique per
+	// pattern and independent of assembly order. Only tied patterns are
+	// rendered, each once.
+	texts := make(map[Pattern]string)
+	text := func(p Pattern) string {
+		if _, ok := texts[p]; !ok {
+			texts[p] = p.String()
+		}
+		return texts[p]
+	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].String() < out[j].String()
+		return text(out[i]) < text(out[j])
 	})
 	if cfg.MaxPatterns > 0 && len(out) > cfg.MaxPatterns {
 		out = out[:cfg.MaxPatterns]
@@ -343,24 +342,11 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 	if reg != nil {
 		reg.Counter("microscope_patterns_groups_total{phase=\"culprits\"}").Add(int64(len(vaOrder)))
 		reg.Counter("microscope_patterns_emitted_total").Add(int64(len(out)))
+		reg.Counter("microscope_patterns_leaves_total").Add(leaves.Load())
+		reg.Counter("microscope_patterns_cells_total").Add(cells.Load())
 		phaseNS("culprits", phaseStart)
 	}
 	return out, nil
-}
-
-// acquireScratches takes one AutoFocus workspace per worker of a fan-out.
-func acquireScratches(workers int) []*autofocus.Scratch {
-	out := make([]*autofocus.Scratch, workers)
-	for i := range out {
-		out[i] = autofocus.GetScratch()
-	}
-	return out
-}
-
-func releaseScratches(ss []*autofocus.Scratch) {
-	for _, s := range ss {
-		autofocus.PutScratch(s)
-	}
 }
 
 func culpritKeyLess(a, b culpritKey) bool {
