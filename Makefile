@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet lint lint-budget build test race race-pipeline race-serve fuzz bench bench-smoke bench-all bench-stream scale-check stream-check obs-smoke soak soak-smoke serve-smoke
+.PHONY: check vet lint lint-budget build test race race-pipeline race-serve fuzz bench bench-smoke bench-test bench-all bench-stream scale-check stream-check obs-smoke soak soak-smoke serve-smoke
 
 # The full pre-submit gate.
-check: vet lint-budget build race race-pipeline race-serve fuzz obs-smoke bench-smoke soak-smoke stream-check serve-smoke
+check: vet lint-budget build race race-pipeline race-serve fuzz obs-smoke bench-smoke bench-test soak-smoke stream-check serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -104,16 +104,29 @@ bench-stream:
 # incremental report must be byte-identical to a cold rebuild of the same
 # window at every worker count, plus the stream-grid unit tests. This is
 # the streaming index's correctness contract; run it before touching
-# tracestore/stream.go or pipeline/stream.go.
+# tracestore/stream.go or pipeline/stream.go. Also under -race here: the
+# seal's reused scratch and recycled shells against a fresh build
+# (TestSealScratchReuseEquivalence), Advance over split spans against the
+# flat slice (TestAdvance*, TestStreamSpans*), and the steady-state
+# allocation bound.
 stream-check:
-	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf' ./internal/pipeline ./internal/tracestore
+	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal' ./internal/pipeline ./internal/tracestore
 
-# One-iteration pipeline and pattern-aggregation benchmarks: catches
-# benchmark bit-rot and gross perf/alloc regressions in the pre-submit gate
-# without the full run's cost.
+# One-iteration pipeline, segment-seal and pattern-aggregation benchmarks:
+# catches benchmark bit-rot and gross perf/alloc regressions in the
+# pre-submit gate without the full run's cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
+	$(GO) test -run '^$$' -bench BenchmarkSeal -benchtime=1x -benchmem ./internal/tracestore
 	$(GO) test -run '^$$' -bench BenchmarkPatternAggregation -benchtime=1x -benchmem .
+
+# bench/ is a module of its own (microscope/bench, `replace microscope =>
+# ../`), so the root `go vet ./...` and `go test ./...` never compile it —
+# and it imports online, pipeline, serve, collector and spec. Vet it and
+# run its own tests at their small size, so a change to one of those entry
+# points breaks here and not in the next benchmark run.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Observability hot-path overhead: the disabled path (nil registry) must
 # stay at a few nanoseconds per event with zero allocations, and the

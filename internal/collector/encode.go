@@ -269,7 +269,7 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 	}
 
 	d := &frameDecoder{}
-	var out []BatchRecord
+	out := make([]BatchRecord, 0, countFrames(data))
 	pos := 4
 	for pos < len(data) {
 		if data[pos] != frameMarker {
@@ -281,7 +281,7 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 			pos = next
 			continue
 		}
-		rec, end, ok := d.frame(data, pos)
+		rec, end, ok := d.frame(data, pos, false)
 		if !ok {
 			next := d.resync(data, pos+1)
 			st.Resyncs++
@@ -298,16 +298,63 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 	return out, st, nil
 }
 
-// frameDecoder carries the string tables across frames.
+// minPayloadBytes is the shortest payload that can parse: a one-byte
+// component reference, the direction, a one-byte time delta and a zero
+// packet count.
+const minPayloadBytes = 4
+
+// countFrames walks the frame headers of an MST2 stream without parsing
+// the payloads: the exact record count of an intact stream, a lower bound
+// for a damaged one (the walk stops at the first bad header). A payload too
+// short to hold a record is a bad header: the count sizes an allocation, and
+// must not be inflated by a body of empty frames.
+func countFrames(data []byte) int {
+	n := 0
+	for pos := 4; pos < len(data) && data[pos] == frameMarker; n++ {
+		plen, k := binary.Uvarint(data[pos+1:])
+		if k <= 0 || plen < minPayloadBytes || plen > maxFrameBytes {
+			break
+		}
+		pos += 1 + k + int(plen)
+	}
+	return n
+}
+
+// ipidChunk and tupleChunk are how many entries a payload slab chunk holds
+// (8 KiB each): large enough that a body of thousands of records costs a
+// handful of allocations, small enough that the last record alive in a
+// chunk pins little.
+const (
+	ipidChunk  = 4096
+	tupleChunk = 512
+)
+
+// frameDecoder carries one stream's decode state across its frames: the
+// string tables, and the slab chunks the records' IPIDs and Tuples are
+// carved from.
 type frameDecoder struct {
 	comps  []string
 	queues []string
+	// inQueues[i] is comps[i] + ".in", the read queue name, built the
+	// first time component i reads.
+	inQueues []string
+	// ipids and tuples are the unused tails of the current chunks. A
+	// record's slices are cut off the front; when a chunk cannot hold the
+	// next record a new one is started — never grown and moved, since
+	// earlier records alias it.
+	ipids  []uint16
+	tuples []packet.FiveTuple
+	// left is how many stream bytes remain from the current payload on: an
+	// upper bound on what is still to be carved, so a short stream gets
+	// short chunks.
+	left int
 }
 
 // frame parses one frame starting at the marker byte. It returns the
 // decoded record, the position after the frame, and whether the payload
-// parsed exactly.
-func (d *frameDecoder) frame(data []byte, pos int) (BatchRecord, int, bool) {
+// parsed exactly. A dry parse only validates: it builds no IPIDs or
+// tuples and leaves the decoder as it found it.
+func (d *frameDecoder) frame(data []byte, pos int, dry bool) (BatchRecord, int, bool) {
 	var rec BatchRecord
 	p := pos + 1 // skip marker
 	plen, n := binary.Uvarint(data[p:])
@@ -321,17 +368,23 @@ func (d *frameDecoder) frame(data []byte, pos int) (BatchRecord, int, bool) {
 	}
 	// Table mutations must not survive a failed parse: stage and commit.
 	compsLen, queuesLen := len(d.comps), len(d.queues)
-	r, ok := d.payload(data[p:end])
-	if !ok {
+	d.left = len(data) - p
+	r, ok := d.payload(data[p:end], dry)
+	if !ok || dry {
 		d.comps = d.comps[:compsLen]
 		d.queues = d.queues[:queuesLen]
+		if len(d.inQueues) > compsLen {
+			d.inQueues = d.inQueues[:compsLen]
+		}
+	}
+	if !ok {
 		return rec, 0, false
 	}
 	return r, end, true
 }
 
 // payload parses one record body; it must consume the slice exactly.
-func (d *frameDecoder) payload(b []byte) (BatchRecord, bool) {
+func (d *frameDecoder) payload(b []byte, dry bool) (BatchRecord, bool) {
 	var rec BatchRecord
 	pos := 0
 	getUvarint := func() (uint64, bool) {
@@ -342,35 +395,36 @@ func (d *frameDecoder) payload(b []byte) (BatchRecord, bool) {
 		pos += n
 		return v, true
 	}
-	getRef := func(table *[]string) (string, bool) {
+	// getRef resolves a flagged table reference to its index.
+	getRef := func(table *[]string) (int, bool) {
 		v, ok := getUvarint()
 		if !ok {
-			return "", false
+			return 0, false
 		}
 		id := v >> 1
 		if v&1 == 0 {
 			if id >= uint64(len(*table)) {
-				return "", false
+				return 0, false
 			}
-			return (*table)[id], true
+			return int(id), true
 		}
 		if id != uint64(len(*table)) {
-			return "", false
+			return 0, false
 		}
 		l, ok := getUvarint()
 		if !ok || l > uint64(len(b)) || pos+int(l) > len(b) {
-			return "", false
+			return 0, false
 		}
-		s := string(b[pos : pos+int(l)])
+		*table = append(*table, string(b[pos:pos+int(l)]))
 		pos += int(l)
-		*table = append(*table, s)
-		return s, true
+		return int(id), true
 	}
 
-	var ok bool
-	if rec.Comp, ok = getRef(&d.comps); !ok {
+	comp, ok := getRef(&d.comps)
+	if !ok {
 		return rec, false
 	}
+	rec.Comp = d.comps[comp]
 	if pos >= len(b) {
 		return rec, false
 	}
@@ -381,11 +435,19 @@ func (d *frameDecoder) payload(b []byte) (BatchRecord, bool) {
 	}
 	switch rec.Dir {
 	case DirWrite:
-		if rec.Queue, ok = getRef(&d.queues); !ok {
+		q, ok := getRef(&d.queues)
+		if !ok {
 			return rec, false
 		}
+		rec.Queue = d.queues[q]
 	case DirRead:
-		rec.Queue = rec.Comp + ".in"
+		for len(d.inQueues) <= comp {
+			d.inQueues = append(d.inQueues, "")
+		}
+		if d.inQueues[comp] == "" {
+			d.inQueues[comp] = rec.Comp + ".in"
+		}
+		rec.Queue = d.inQueues[comp]
 	}
 	at, ok := getUvarint()
 	if !ok {
@@ -400,19 +462,28 @@ func (d *frameDecoder) payload(b []byte) (BatchRecord, bool) {
 	if rec.Dir == DirDeliver {
 		need = int(n) * 15
 	}
-	if n > maxFrameBytes || pos+need > len(b) {
+	// Exact consumption is checked before anything is carved off the
+	// slabs, so a frame that fails to parse never uses them.
+	if n > maxFrameBytes || pos+need != len(b) {
 		return rec, false
 	}
-	rec.IPIDs = make([]uint16, n)
+	if dry {
+		return rec, true
+	}
+	// The nil test keeps an empty batch's slices non-nil, as make gave.
+	if d.ipids == nil || len(d.ipids) < int(n) {
+		d.ipids = make([]uint16, max(int(n), min(ipidChunk, d.left/2)))
+	}
+	rec.IPIDs, d.ipids = d.ipids[:n:n], d.ipids[n:]
 	for i := range rec.IPIDs {
 		rec.IPIDs[i] = uint16(b[pos]) | uint16(b[pos+1])<<8
 		pos += 2
 	}
 	if rec.Dir == DirDeliver {
-		if pos+int(n)*13 > len(b) {
-			return rec, false
+		if d.tuples == nil || len(d.tuples) < int(n) {
+			d.tuples = make([]packet.FiveTuple, max(int(n), min(tupleChunk, d.left/15)))
 		}
-		rec.Tuples = make([]packet.FiveTuple, n)
+		rec.Tuples, d.tuples = d.tuples[:n:n], d.tuples[n:]
 		for i := range rec.Tuples {
 			t := b[pos : pos+13]
 			rec.Tuples[i] = packet.FiveTuple{
@@ -425,21 +496,18 @@ func (d *frameDecoder) payload(b []byte) (BatchRecord, bool) {
 			pos += 13
 		}
 	}
-	return rec, pos == len(b)
+	return rec, true
 }
 
 // resync finds the next frame marker at or after pos whose frame parses
-// against a throwaway copy of the decoder state, or len(data).
+// against the decoder's current tables (a dry parse, which leaves them
+// untouched), or len(data).
 func (d *frameDecoder) resync(data []byte, pos int) int {
 	for ; pos < len(data); pos++ {
 		if data[pos] != frameMarker {
 			continue
 		}
-		trial := frameDecoder{
-			comps:  append([]string(nil), d.comps...),
-			queues: append([]string(nil), d.queues...),
-		}
-		if _, _, ok := trial.frame(data, pos); ok {
+		if _, _, ok := d.frame(data, pos, true); ok {
 			return pos
 		}
 	}

@@ -160,9 +160,12 @@ type Monitor struct {
 
 	// pending is the bounded ingest ring (unbounded when RingCapacity=0).
 	pending *resilience.Ring[collector.BatchRecord]
-	// winScratch is the reusable window-extraction buffer: records
-	// [0, cut) are copied out of the ring here before analysis.
+	// winScratch is the batch path's reusable window-extraction buffer:
+	// records [0, cut) are copied out of the ring here before analysis. The
+	// stream path reads its records straight from the ring (unsealedSpans).
 	winScratch []collector.BatchRecord
+	// spans is unsealedSpans' result buffer.
+	spans [2][]collector.BatchRecord
 	// mem samples the heap against the configured watermarks.
 	mem       *resilience.MemWatcher
 	nextFlush simtime.Time
@@ -540,19 +543,12 @@ func (m *Monitor) flushWindow() []Alert {
 		// watermark must track the flush boundary through overload or the
 		// next diagnosed window would mis-assign the skipped records.
 		if m.stream != nil {
-			m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
-			m.advanceStream(end, m.winScratch)
+			m.advanceStream(end, m.unsealedSpans(cut))
 		}
 		m.retainOverlap(end)
 		return nil
 	}
 
-	// Extract the window into the reusable scratch buffer; nothing that
-	// survives this call aliases it.
-	m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
-	tr := &collector.Trace{Meta: m.meta, Records: m.winScratch}
-	pcfg := m.pcfg
-	pcfg.Degrade = level
 	//mslint:allow ctxflow push-driven monitor owns its window deadline; no caller ctx exists on the feed path
 	ctx := context.Background()
 	cancel := func() {}
@@ -566,10 +562,15 @@ func (m *Monitor) flushWindow() []Alert {
 			m.cfg.ChaosHook("window:" + strconv.Itoa(m.stats.Windows-1))
 		}
 		if m.stream != nil {
-			res, runErr = m.stream.RunWindow(ctx, end, m.winScratch, level)
-		} else {
-			res, runErr = pipeline.RunContext(ctx, tr, pcfg)
+			res, runErr = m.stream.RunWindow(ctx, end, level, m.unsealedSpans(cut)...)
+			return
 		}
+		// Batch path: extract the whole window into the reusable scratch
+		// buffer; nothing that survives this call aliases it.
+		m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
+		pcfg := m.pcfg
+		pcfg.Degrade = level
+		res, runErr = pipeline.RunContext(ctx, &collector.Trace{Meta: m.meta, Records: m.winScratch}, pcfg)
 	}
 	if m.cfg.Resilience.ContainPanics {
 		// Window-granularity containment: a panic anywhere in the
@@ -686,17 +687,35 @@ func (m *Monitor) flushWindow() []Alert {
 // flush boundary. No-op in batch mode. A contained ingest panic
 // quarantines the stream's view of the window; the already-counted skip
 // stands.
-func (m *Monitor) advanceStream(end simtime.Time, recs []collector.BatchRecord) {
+func (m *Monitor) advanceStream(end simtime.Time, spans [][]collector.BatchRecord) {
 	if m.stream == nil {
 		return
 	}
 	//mslint:allow ctxflow push-driven monitor has no caller ctx; window deadlines are applied inside RunWindow
-	if _, err := m.stream.RunWindow(context.Background(), end, recs, resilience.Skipped); err != nil {
+	if _, err := m.stream.RunWindow(context.Background(), end, resilience.Skipped, spans...); err != nil {
 		if resilience.IsPanic(err) {
 			m.stats.WindowsQuarantined++
 			m.obsQuarantined.Inc()
 		}
 	}
+}
+
+// unsealedSpans returns the records the stream has yet to seal — ring
+// positions [first At > SealedTo, cut) — as the ring's own backing slices.
+// The ring still holds the overlap before them (the batch path and late
+// inserts need it), but the stream sealed those records in an earlier
+// window and would only filter them out again. The spans alias the ring:
+// they are valid until the next ring mutation, and the stream copies each
+// record exactly once, into the segment that owns it.
+func (m *Monitor) unsealedSpans(cut int) [][]collector.BatchRecord {
+	sealed := m.stream.Stream().SealedTo()
+	from := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > sealed })
+	if from > cut {
+		from = cut
+	}
+	a, b := m.pending.Spans(from, cut)
+	m.spans[0], m.spans[1] = a, b
+	return m.spans[:]
 }
 
 // StreamStats returns the incremental index's cumulative seal-time

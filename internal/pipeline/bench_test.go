@@ -137,7 +137,7 @@ func BenchmarkStreamingWindows(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, wn := range wins {
-				res, runErr := ss.RunWindow(ctx, wn.end, wn.recs, resilience.Full)
+				res, runErr := ss.RunWindow(ctx, wn.end, resilience.Full, wn.recs)
 				if runErr != nil {
 					b.Fatal(runErr)
 				}

@@ -27,7 +27,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -60,6 +60,8 @@ type StreamState struct {
 	gCarried  *obs.Gauge
 	gHeap     *obs.Gauge
 	cEvicted  *obs.Counter
+	// heapSample is the reused runtime/metrics read behind gHeap.
+	heapSample [1]metrics.Sample
 }
 
 // NewStreamState creates the retained stream state for a deployment. The
@@ -90,6 +92,7 @@ func NewStreamState(meta collector.Meta, window, overlap simtime.Duration, cfg C
 		ss.gBytes = ss.reg.Gauge("microscope_stream_retained_bytes")
 		ss.gCarried = ss.reg.Gauge("microscope_stream_memo_carried")
 		ss.gHeap = ss.reg.Gauge("microscope_stream_heap_bytes")
+		ss.heapSample[0].Name = "/memory/classes/heap/objects:bytes"
 		ss.cEvicted = ss.reg.Counter("microscope_stream_evicted_segments_total")
 	}
 	return ss, nil
@@ -105,36 +108,44 @@ func (ss *StreamState) Stream() *tracestore.Stream { return ss.str }
 // and never double-count overlap records.
 func (ss *StreamState) Stats() tracestore.StreamStats { return ss.str.Stats() }
 
-// RunIncremental advances the stream to the window ending at end — recs is
-// the monitor's pending window slice (retained overlap plus new records;
-// already-sealed prefixes are ignored) — and diagnoses the assembled
-// window at the given degradation rung. The returned Result matches a cold
-// full rebuild of the same window byte for byte.
+// RunIncremental advances the stream to the window ending at end — recs
+// holds the window's new records, time-ordered; records at or before the
+// seal watermark or beyond end are ignored, so a caller may also pass its
+// whole pending slice — and diagnoses the assembled window at the given
+// degradation rung. The returned Result matches a cold full rebuild of the
+// same window byte for byte.
 //
 // At resilience.Skipped the window is still ingested and evicted (stream
 // state must track the watermark through overload) but nothing is
 // diagnosed, mirroring the ladder's contract for the batch path.
 func RunIncremental(ctx context.Context, ss *StreamState, end simtime.Time, recs []collector.BatchRecord, degrade resilience.Level) (*Result, error) {
-	return ss.RunWindow(ctx, end, recs, degrade)
+	return ss.RunWindow(ctx, end, degrade, recs)
 }
 
-// RunWindow is RunIncremental as a method; see there.
-func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, recs []collector.BatchRecord, degrade resilience.Level) (*Result, error) {
+// RunWindow is RunIncremental as a method, taking the records as the
+// consecutive spans of one time-ordered sequence (the monitor passes its
+// ring's backing slices). The spans are only read, and nothing retains
+// them past the call: the stream copies each record once, into the
+// segment that owns it.
+func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade resilience.Level, spans ...[]collector.BatchRecord) (*Result, error) {
 	cfg := ss.cfg
 	cfg.Degrade = degrade
 	//mslint:allow nondet spans and stage timings are observability metadata; diagnosis payloads never read them
 	r := &run{cfg: cfg, reg: ss.reg, res: &Result{}, began: time.Now()}
 
 	if err := r.stage(ctx, "ingest", func() {
-		st := ss.str.Advance(end, recs)
+		st := ss.str.Advance(end, spans...)
 		if ss.reg != nil {
 			ss.gDirty.Set(int64(st.DirtyComps))
 			ss.gSegments.Set(int64(st.RetainedSegments))
 			ss.gBytes.Set(st.RetainedBytes)
 			ss.cEvicted.Add(int64(st.EvictedSegments))
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms) //mslint:allow nondet heap gauge is observability metadata, never diagnosis input
-			ss.gHeap.Set(int64(ms.HeapAlloc))
+			// runtime/metrics, not ReadMemStats: this runs for every
+			// window, and ReadMemStats stops the world.
+			metrics.Read(ss.heapSample[:]) //mslint:allow nondet heap gauge is observability metadata, never diagnosis input
+			if v := ss.heapSample[0].Value; v.Kind() == metrics.KindUint64 {
+				ss.gHeap.Set(int64(v.Uint64()))
+			}
 		}
 	}); err != nil {
 		return r.finish(), err

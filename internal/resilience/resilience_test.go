@@ -175,6 +175,50 @@ func TestRingInsertKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestRingSpans: Spans hands out the ring's own storage — no copy — as at
+// most two runs that, read in order, are exactly items [from, to),
+// wherever the ring has wrapped.
+func TestRingSpans(t *testing.T) {
+	r := NewRing[int](0)
+	next := 0
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 5+round%7; i++ {
+			r.Append(next)
+			next++
+		}
+		r.DropFront(round % 5)
+		for from := 0; from <= r.Len(); from++ {
+			for to := from; to <= r.Len(); to++ {
+				a, b := r.Spans(from, to)
+				if len(a)+len(b) != to-from || (len(a) == 0 && len(b) != 0) {
+					t.Fatalf("Spans(%d,%d) = %v, %v", from, to, a, b)
+				}
+				for i, v := range append(append([]int(nil), a...), b...) {
+					if v != r.At(from+i) {
+						t.Fatalf("Spans(%d,%d) = %v, %v: item %d is %d, want %d", from, to, a, b, i, v, r.At(from+i))
+					}
+				}
+			}
+		}
+	}
+	// The spans alias the ring: a write through one is visible in it.
+	if a, _ := r.Spans(0, 1); len(a) == 1 {
+		a[0] = -7
+		if r.At(0) != -7 {
+			t.Fatal("Spans copied instead of aliasing the ring")
+		}
+	}
+	wrapped := false
+	for from := 0; from < r.Len(); from++ {
+		if _, b := r.Spans(from, r.Len()); len(b) > 0 {
+			wrapped = true
+		}
+	}
+	if !wrapped {
+		t.Fatal("the ring never wrapped: the two-span case went untested")
+	}
+}
+
 func TestRingInsertRespectsCapacity(t *testing.T) {
 	r := NewRing[int](2)
 	r.Append(1)

@@ -150,3 +150,18 @@ func (r *Ring[T]) CopyRange(dst []T, from, to int) []T {
 	}
 	return dst
 }
+
+// Spans returns items [from, to) in place, as the (at most two) contiguous
+// runs of the ring's own storage they occupy, in logical order; b is empty
+// unless the range wraps. Nothing is copied: the slices alias the ring and
+// are valid only until its next Append, Insert or DropFront.
+func (r *Ring[T]) Spans(from, to int) (a, b []T) {
+	if from >= to {
+		return nil, nil
+	}
+	lo, hi := r.idx(from), r.idx(to-1)+1
+	if lo < hi {
+		return r.buf[lo:hi], nil
+	}
+	return r.buf[lo:], r.buf[:hi]
+}

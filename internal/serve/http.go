@@ -162,12 +162,21 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "no such tenant", http.StatusNotFound)
 			return
 		}
+		// Admit before decoding: a tenant that cannot take the chunk
+		// refuses it having read none of the body.
+		if err := t.reserve(); err != nil {
+			writeServeError(w, err)
+			return
+		}
 		recs, stats, err := readRecords(r)
 		if err != nil {
+			t.release()
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := t.Enqueue(recs); err != nil {
+		if len(recs) == 0 {
+			t.release()
+		} else if err := t.fill(feedMsg{recs: recs}); err != nil {
 			writeServeError(w, err)
 			return
 		}

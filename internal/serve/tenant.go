@@ -237,46 +237,77 @@ func (t *Tenant) noteAlerts(alerts []online.Alert) {
 	t.hooks.fire(alerts)
 }
 
+// reserve claims one slot of the ingest queue for a chunk that is still to
+// be read and decoded, so a tenant that cannot take it says so before any
+// of that work is done: a full queue is ErrBackpressure (HTTP 429), a
+// draining tenant ErrStopped (HTTP 503). queued counts reserved slots, the
+// chunks waiting in the queue and the one being fed, and never exceeds
+// feedQueueCap — which is what lets fill's send never block. Every reserve
+// is followed by exactly one fill or release.
+func (t *Tenant) reserve() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped {
+		return ErrStopped
+	}
+	if t.queued >= feedQueueCap {
+		return ErrBackpressure
+	}
+	t.queued++
+	return nil
+}
+
+// release gives back a reserved slot that will not be filled (the body
+// did not decode, or held no records).
+func (t *Tenant) release() {
+	t.mu.Lock()
+	t.queued--
+	t.mu.Unlock()
+}
+
+// fill hands msg to the feed goroutine in the slot reserve claimed. The
+// tenant may have started draining since; the slot is then given back.
+func (t *Tenant) fill(msg feedMsg) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped {
+		t.queued--
+		return ErrStopped
+	}
+	select {
+	case t.in <- msg:
+		return nil
+	default:
+		// Unreachable while every send is reserved for; refuse rather
+		// than block the caller under the lock.
+		t.queued--
+		return ErrBackpressure
+	}
+}
+
 // Enqueue hands a record chunk to the feed goroutine without blocking.
 // A full queue is ErrBackpressure (HTTP 429); a draining tenant is
-// ErrStopped (HTTP 409). The caller must not retain recs.
+// ErrStopped (HTTP 503). The caller must not retain recs.
 func (t *Tenant) Enqueue(recs []collector.BatchRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return ErrStopped
+	if err := t.reserve(); err != nil {
+		return err
 	}
-	select {
-	case t.in <- feedMsg{recs: recs}:
-		t.queued++
-		t.mu.Unlock()
-		return nil
-	default:
-		t.mu.Unlock()
-		return ErrBackpressure
-	}
+	return t.fill(feedMsg{recs: recs})
 }
 
 // Flush requests an end-of-stream flush of the pending partial window
 // and waits for it (bounded by ctx). Used by the smoke flow and tests;
 // a live deployment's windows flush on watermark progress alone.
 func (t *Tenant) Flush(ctx context.Context) error {
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return ErrStopped
+	if err := t.reserve(); err != nil {
+		return err
 	}
 	done := make(chan struct{})
-	select {
-	case t.in <- feedMsg{flush: true, done: done}:
-		t.queued++
-		t.mu.Unlock()
-	default:
-		t.mu.Unlock()
-		return ErrBackpressure
+	if err := t.fill(feedMsg{flush: true, done: done}); err != nil {
+		return err
 	}
 	select {
 	case <-done:

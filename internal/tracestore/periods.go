@@ -38,13 +38,61 @@ func (s *Store) periodIndexOf(v *CompView) *periodIndex {
 	if v.pidx != nil {
 		return v.pidx
 	}
-	pi := &periodIndex{}
-	pi.arrivalTimes = make([]simtime.Time, len(v.Arrivals))
+	nt, nc := periodIndexSize(v)
+	v.pidxBuf.fill(v, make([]simtime.Time, nt), make([]int, nc))
+	v.pidx = &v.pidxBuf
+	return v.pidx
+}
+
+// warmPeriodIndexes builds every view's period index out of the store's
+// own times/cums slabs — what a sealed stream segment does instead of the
+// lazy per-view allocation above, so a recycled store refills them in
+// place.
+func (s *Store) warmPeriodIndexes() {
+	nTimes, nCums := 0, 0
+	for _, v := range s.views {
+		nt, nc := periodIndexSize(v)
+		nTimes += nt
+		nCums += nc
+	}
+	s.times = resize(s.times, nTimes)
+	s.cums = resize(s.cums, nCums)
+	times, cums := s.times, s.cums
+	for _, v := range s.views {
+		nt, nc := periodIndexSize(v)
+		v.pidxBuf.fill(v, times[:nt], cums[:nc])
+		v.pidx = &v.pidxBuf
+		times, cums = times[nt:], cums[nc:]
+	}
+}
+
+// periodIndexSize is how many times and cumulative counts v's period
+// index holds.
+func periodIndexSize(v *CompView) (times, cums int) {
+	drained := 0
+	for i := range v.Reads {
+		if v.Reads[i].Drained {
+			drained++
+		}
+	}
+	return len(v.Arrivals) + len(v.Reads) + drained, len(v.Reads) + 1
+}
+
+// fill builds the index over v in the given storage, which must have
+// exactly periodIndexSize(v) elements.
+func (pi *periodIndex) fill(v *CompView, times []simtime.Time, cums []int) {
+	na, nr := len(v.Arrivals), len(v.Reads)
+	pi.arrivalTimes, times = times[:na:na], times[na:]
+	pi.readTimes, times = times[:nr:nr], times[nr:]
+	pi.drainTimes = nil
+	if len(times) > 0 {
+		pi.drainTimes = times[:0]
+	}
+	pi.readCum = cums
 	for i := range v.Arrivals {
 		pi.arrivalTimes[i] = v.Arrivals[i].At
 	}
-	pi.readTimes = make([]simtime.Time, len(v.Reads))
-	pi.readCum = make([]int, len(v.Reads)+1)
+	pi.readCum[0] = 0
 	for i := range v.Reads {
 		pi.readTimes[i] = v.Reads[i].At
 		pi.readCum[i+1] = pi.readCum[i] + v.Reads[i].N
@@ -52,8 +100,6 @@ func (s *Store) periodIndexOf(v *CompView) *periodIndex {
 			pi.drainTimes = append(pi.drainTimes, v.Reads[i].At)
 		}
 	}
-	v.pidx = pi
-	return pi
 }
 
 func searchTimes(ts []simtime.Time, t simtime.Time) int {

@@ -1,8 +1,6 @@
 package tracestore
 
 import (
-	"sort"
-
 	"microscope/internal/packet"
 	"microscope/internal/simtime"
 )
@@ -76,32 +74,6 @@ func (j *Journey) Latency() simtime.Duration {
 	return j.Hops[len(j.Hops)-1].DepartAt.Sub(j.EmittedAt)
 }
 
-// reconCtx holds per-reconstruction indexes that do not belong in the
-// long-lived store. Every table is a slice indexed by CompID.
-type reconCtx struct {
-	// deqOfArrival[comp][arrivalIdx] = index into ReadEntries, or -1.
-	deqOfArrival [][]int32
-	// outOfRead[comp][readEntryIdx] = index into the merged out-entry
-	// list, or -1.
-	outOfRead [][]int32
-	// outEntries[comp] is the merged (write ∪ deliver) entry list; for
-	// each, origin says whether it is a write (index into WriteEntries)
-	// or a deliver (index into DeliverEntries).
-	outEntries [][]outEntry
-	// readEventIdx[comp][readEntryIdx] = index into Reads.
-	readEventIdx [][]int32
-	// upSlot is matchQueue's upstream→stream-slot scratch, reused across
-	// components.
-	upSlot []int32
-}
-
-type outEntry struct {
-	at      simtime.Time
-	ipid    uint16
-	write   int32 // index into WriteEntries, -1 if deliver
-	deliver int32 // index into DeliverEntries, -1 if write
-}
-
 // lookaheadDepth is how many future dequeue entries the order side channel
 // inspects when several upstream heads share an IPID.
 const lookaheadDepth = 4
@@ -110,31 +82,45 @@ const lookaheadDepth = 4
 // upstream head matches (same-instant write interleaving).
 const reorderSearchBound = 64
 
-// Reconstruct matches records across components and builds journeys.
+// Reconstruct matches records across components and builds journeys. It
+// consumes the scratch Build left on the store; the views' build-only
+// tables stay readable, the matching tables are released.
 func (s *Store) Reconstruct() {
-	n := len(s.views)
-	ctx := &reconCtx{
-		deqOfArrival: make([][]int32, n),
-		outOfRead:    make([][]int32, n),
-		outEntries:   make([][]outEntry, n),
-		readEventIdx: make([][]int32, n),
-		upSlot:       make([]int32, n),
+	sc := s.sc
+	if sc == nil {
+		return
 	}
-	s.indexReads(ctx)
+	s.indexReads(sc)
 	for _, v := range s.views {
-		s.matchQueue(ctx, v)
-		s.threadInternal(ctx, v)
+		s.matchQueue(sc, v)
+		s.threadInternal(sc, v)
 	}
-	s.buildJourneys(ctx)
+	s.buildJourneys(sc)
+	s.sc = nil
 }
 
 // indexReads sizes the per-component match tables and builds the
 // read-entry→read-event index.
-func (s *Store) indexReads(ctx *reconCtx) {
+func (s *Store) indexReads(sc *scratch) {
+	n := len(s.views)
+	sc.deqOfArrival = resize(sc.deqOfArrival, n)
+	sc.outOfRead = resize(sc.outOfRead, n)
+	sc.readEventIdx = resize(sc.readEventIdx, n)
+	sc.upSlot = resize(sc.upSlot, n)
+	nArr, nReadPk := 0, 0
 	for _, v := range s.views {
-		ctx.deqOfArrival[v.ID] = fillNeg(len(v.Arrivals))
-		ctx.outOfRead[v.ID] = fillNeg(len(v.ReadEntries))
-		ev := make([]int32, len(v.ReadEntries))
+		nArr += len(v.Arrivals)
+		nReadPk += len(v.ReadEntries)
+	}
+	sc.arrIdx = resize(sc.arrIdx, nArr)
+	sc.readIdx = resize(sc.readIdx, 2*nReadPk)
+	arrIdx, readIdx := sc.arrIdx, sc.readIdx
+	for _, v := range s.views {
+		na, nr := len(v.Arrivals), len(v.ReadEntries)
+		sc.deqOfArrival[v.ID], arrIdx = fillNeg(arrIdx[:na]), arrIdx[na:]
+		sc.outOfRead[v.ID], readIdx = fillNeg(readIdx[:nr]), readIdx[nr:]
+		ev := readIdx[:nr]
+		readIdx = readIdx[nr:]
 		for ei := range v.Reads {
 			end := len(v.ReadEntries)
 			if ei+1 < len(v.Reads) {
@@ -144,12 +130,11 @@ func (s *Store) indexReads(ctx *reconCtx) {
 				ev[k] = int32(ei)
 			}
 		}
-		ctx.readEventIdx[v.ID] = ev
+		sc.readEventIdx[v.ID] = ev
 	}
 }
 
-func fillNeg(n int) []int32 {
-	out := make([]int32, n)
+func fillNeg(out []int32) []int32 {
 	for i := range out {
 		out[i] = -1
 	}
@@ -158,30 +143,43 @@ func fillNeg(n int) []int32 {
 
 // matchQueue resolves which arrival each dequeued packet corresponds to,
 // using the three side channels of §5.
-func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
+func (s *Store) matchQueue(sc *scratch, v *CompView) {
 	if len(v.ReadEntries) == 0 || len(v.Arrivals) == 0 {
 		return
 	}
-	// Per-upstream arrival streams; upSlot maps a CompID to its stream.
-	for i := range ctx.upSlot {
-		ctx.upSlot[i] = -1
+	// Per-upstream arrival streams, in first-appearance order of the
+	// upstream: count, carve streamIdx, fill.
+	for i := range sc.upSlot {
+		sc.upSlot[i] = -1
 	}
-	var ups []CompID
-	var streams [][]int
+	ptr := sc.ptr[:0] // per-stream arrival counts first, heads afterwards
 	for ai := range v.Arrivals {
 		u := v.Arrivals[ai].From
-		k := ctx.upSlot[u]
+		k := sc.upSlot[u]
 		if k < 0 {
-			k = int32(len(ups))
-			ctx.upSlot[u] = k
-			ups = append(ups, u)
-			streams = append(streams, nil)
+			k = int32(len(ptr))
+			sc.upSlot[u] = k
+			ptr = append(ptr, 0)
 		}
-		streams[k] = append(streams[k], ai)
+		ptr[k]++
 	}
-	consumed := make([]bool, len(v.Arrivals))
-	ptr := make([]int, len(ups))
-	deqMatch := ctx.deqOfArrival[v.ID]
+	sc.ptr = ptr
+	sc.streamIdx = resize(sc.streamIdx, len(v.Arrivals))
+	streams := resize(sc.streams, len(ptr))
+	sc.streams = streams
+	rest := sc.streamIdx
+	for k := range streams {
+		streams[k], rest = carve(rest, ptr[k])
+		ptr[k] = 0
+	}
+	for ai := range v.Arrivals {
+		k := sc.upSlot[v.Arrivals[ai].From]
+		streams[k] = append(streams[k], int32(ai))
+	}
+	sc.consumed = resize(sc.consumed, len(v.Arrivals))
+	consumed := sc.consumed
+	clear(consumed)
+	deqMatch := sc.deqOfArrival[v.ID]
 
 	advance := func(u int) int {
 		for ptr[u] < len(streams[u]) && consumed[streams[u][ptr[u]]] {
@@ -190,7 +188,7 @@ func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
 		if ptr[u] >= len(streams[u]) {
 			return -1
 		}
-		return streams[u][ptr[u]]
+		return int(streams[u][ptr[u]])
 	}
 
 	// greedyOK reports whether, in a tentative world where extraConsumed
@@ -213,15 +211,15 @@ func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
 		for step := 1; step <= lookaheadDepth && k+step < len(v.ReadEntries); step++ {
 			d := v.ReadEntries[k+step]
 			found := false
-			for u := range ups {
+			for u := range streams {
 				p := ptr[u]
-				for p < len(streams[u]) && (consumed[streams[u][p]] || isTaken(streams[u][p])) {
+				for p < len(streams[u]) && (consumed[streams[u][p]] || isTaken(int(streams[u][p]))) {
 					p++
 				}
 				if p >= len(streams[u]) {
 					continue
 				}
-				ai := streams[u][p]
+				ai := int(streams[u][p])
 				if v.Arrivals[ai].At <= d.At && v.Arrivals[ai].IPID == d.IPID {
 					taken[nt] = ai
 					nt++
@@ -242,13 +240,14 @@ func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
 		// Side channel 1 (paths): only immediate upstream heads are
 		// candidates. Side channel 2 (timing): arrival must precede
 		// the dequeue.
-		var cands []int // arrival indices
-		for u := range ups {
+		cands := sc.cands[:0] // arrival indices, at most one per upstream
+		for u := range streams {
 			ai := advance(u)
 			if ai >= 0 && v.Arrivals[ai].At <= d.At && v.Arrivals[ai].IPID == d.IPID {
 				cands = append(cands, ai)
 			}
 		}
+		sc.cands = cands
 		switch {
 		case len(cands) == 1:
 			consumed[cands[0]] = true
@@ -260,11 +259,11 @@ func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
 			// consistent; prefer the earliest-written on ties.
 			best, bestScore, ties := -1, -1, 0
 			for _, ai := range cands {
-				sc := greedyOK(k, ai)
+				score := greedyOK(k, ai)
 				switch {
-				case sc > bestScore:
-					best, bestScore, ties = ai, sc, 1
-				case sc == bestScore:
+				case score > bestScore:
+					best, bestScore, ties = ai, score, 1
+				case score == bestScore:
 					ties++
 					if best >= 0 && v.Arrivals[ai].At < v.Arrivals[best].At {
 						best = ai
@@ -286,11 +285,11 @@ func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
 			// the true arrival slightly deeper; search a bounded
 			// window.
 			best := -1
-			for u := range ups {
+			for u := range streams {
 				p := ptr[u]
 				scanned := 0
 				for p < len(streams[u]) && scanned < reorderSearchBound {
-					ai := streams[u][p]
+					ai := int(streams[u][p])
 					p++
 					if consumed[ai] {
 						continue
@@ -319,35 +318,53 @@ func (s *Store) matchQueue(ctx *reconCtx, v *CompView) {
 }
 
 // threadInternal links each component's read entries to its write/deliver
-// entries by per-IPID FIFO order.
-func (s *Store) threadInternal(ctx *reconCtx, v *CompView) {
-	outs := make([]outEntry, 0, len(v.WriteEntries)+len(v.DeliverEntries))
-	for i := range v.WriteEntries {
-		outs = append(outs, outEntry{at: v.WriteEntries[i].At, ipid: v.WriteEntries[i].IPID, write: int32(i), deliver: -1})
+// entries by per-IPID FIFO order. The out entries are visited in the order
+// a stable sort by time of (writes, then delivers) would give: both lists
+// are already time-ordered, so that is their two-way merge with writes
+// first on equal times.
+func (s *Store) threadInternal(sc *scratch, v *CompView) {
+	reads, writes, delivers := v.ReadEntries, v.WriteEntries, v.DeliverEntries
+	if len(reads) == 0 || len(writes)+len(delivers) == 0 {
+		return
 	}
-	for i := range v.DeliverEntries {
-		outs = append(outs, outEntry{at: v.DeliverEntries[i].At, ipid: v.DeliverEntries[i].IPID, write: -1, deliver: int32(i)})
+	// Per-IPID FIFO of read entries, as chains through next. Built back to
+	// front so every chain ends up in dequeue order.
+	base := sc.reserveIPIDs(len(reads))
+	head := sc.ipidHead
+	sc.next = resize(sc.next, len(reads))
+	next := sc.next
+	for k := len(reads) - 1; k >= 0; k-- {
+		id := reads[k].IPID
+		next[k] = -1
+		if h := head[id]; h >= base {
+			next[k] = h - base
+		}
+		head[id] = base + int32(k)
 	}
-	sort.SliceStable(outs, func(i, j int) bool { return outs[i].at < outs[j].at })
-	ctx.outEntries[v.ID] = outs
-
-	// Per-IPID FIFO of read entries.
-	buckets := make(map[uint16][]int32)
-	for k := range v.ReadEntries {
-		id := v.ReadEntries[k].IPID
-		buckets[id] = append(buckets[id], int32(k))
-	}
-	heads := make(map[uint16]int)
-	outOfRead := ctx.outOfRead[v.ID]
-	for oi := range outs {
-		id := outs[oi].ipid
-		lst := buckets[id]
-		h := heads[id]
+	outOfRead := sc.outOfRead[v.ID]
+	for wi, di := 0, 0; wi < len(writes) || di < len(delivers); {
+		var out *Entry
+		var ref int32
+		if di == len(delivers) || (wi < len(writes) && writes[wi].At <= delivers[di].At) {
+			out, ref = &writes[wi], int32(wi)
+			wi++
+		} else {
+			out, ref = &delivers[di], deliverRef(di)
+			di++
+		}
 		// Reads precede writes of the same packet, so the FIFO head is
 		// the match unless the streams are inconsistent.
-		if h < len(lst) && v.ReadEntries[lst[h]].At <= outs[oi].at {
-			outOfRead[lst[h]] = int32(oi)
-			heads[id] = h + 1
+		h := head[out.IPID]
+		if h < base {
+			continue
+		}
+		k := h - base
+		if reads[k].At <= out.At {
+			outOfRead[k] = ref
+			head[out.IPID] = 0
+			if next[k] >= 0 {
+				head[out.IPID] = base + next[k]
+			}
 		}
 	}
 }
@@ -357,20 +374,16 @@ func (s *Store) threadInternal(ctx *reconCtx, v *CompView) {
 // bound: every hop consumes one arrival) and each journey's Hops becomes a
 // [start,end) span of it, so a million-packet trace costs one hop
 // allocation instead of a million.
-func (s *Store) buildJourneys(ctx *reconCtx) {
+func (s *Store) buildJourneys(sc *scratch) {
 	src := s.ViewID(s.srcID)
 	if src == nil {
 		return
 	}
-	totalArrivals := 0
-	for _, v := range s.views {
-		totalArrivals += len(v.Arrivals)
-	}
-	arena := make([]JourneyHop, 0, totalArrivals)
+	arena := resize(s.hopArena, len(s.arrivals))[:0]
 	// Journeys are built sequentially, so span i is
 	// [starts[i], starts[i+1]).
-	starts := make([]int32, 1, len(src.WriteEntries)+1)
-	s.Journeys = make([]Journey, 0, len(src.WriteEntries))
+	starts := append(resize(sc.starts, len(src.WriteEntries)+1)[:0], 0)
+	s.Journeys = resize(s.Journeys, len(src.WriteEntries))[:0]
 	for wi := range src.WriteEntries {
 		j := Journey{
 			IPID:      src.WriteEntries[wi].IPID,
@@ -378,7 +391,7 @@ func (s *Store) buildJourneys(ctx *reconCtx) {
 		}
 		comp := src.WriteDest[wi]
 		// Arrival index of this write entry at its destination.
-		ai := s.arrivalIndexOf(src, wi)
+		ai := sc.arrivalIndexOf(src, wi)
 		for ai >= 0 && comp != NoComp {
 			v := s.views[comp]
 			hop := JourneyHop{
@@ -392,7 +405,7 @@ func (s *Store) buildJourneys(ctx *reconCtx) {
 			if v.Arrivals[ai].Quarantined {
 				j.Quarantined = true
 			}
-			k := ctx.deqOfArrival[comp][ai]
+			k := sc.deqOfArrival[comp][ai]
 			if k < 0 {
 				// Never read: resident at trace end or
 				// overwritten; journey ends here.
@@ -400,29 +413,30 @@ func (s *Store) buildJourneys(ctx *reconCtx) {
 				break
 			}
 			hop.ReadAt = v.ReadEntries[k].At
-			hop.ReadEvent = int(ctx.readEventIdx[comp][k])
-			oi := ctx.outOfRead[comp][k]
-			if oi < 0 {
+			hop.ReadEvent = int(sc.readEventIdx[comp][k])
+			out := sc.outOfRead[comp][k]
+			if out == noOut {
 				// Read but never emitted: dropped at a
 				// downstream enqueue or in flight at trace end.
 				arena = append(arena, hop)
 				break
 			}
-			out := ctx.outEntries[comp][oi]
-			hop.DepartAt = out.at
-			arena = append(arena, hop)
-			if out.deliver >= 0 {
+			if out < noOut {
+				di := deliverIndex(out)
+				hop.DepartAt = v.DeliverEntries[di].At
+				arena = append(arena, hop)
 				j.Delivered = true
-				j.Tuple = v.Tuples[out.deliver]
+				j.Tuple = v.Tuples[di]
 				// A zero tuple is the damaged-record pad, not real
 				// traffic: delivered, but with unknown five-tuple.
 				j.HasTuple = j.Tuple != (packet.FiveTuple{})
 				break
 			}
+			hop.DepartAt = v.WriteEntries[out].At
+			arena = append(arena, hop)
 			// Continue downstream.
-			next := v.WriteDest[out.write]
-			ai = s.arrivalIndexOf(v, int(out.write))
-			comp = next
+			comp = v.WriteDest[out]
+			ai = sc.arrivalIndexOf(v, int(out))
 		}
 		starts = append(starts, int32(len(arena)))
 		if j.Quarantined {
@@ -430,6 +444,7 @@ func (s *Store) buildJourneys(ctx *reconCtx) {
 		}
 		s.Journeys = append(s.Journeys, j)
 	}
+	sc.starts = starts
 	s.hopArena = arena
 	// Fix the spans up after the walk: three-index subslices so an
 	// accidental caller append cannot stomp a neighbouring journey.
@@ -441,9 +456,8 @@ func (s *Store) buildJourneys(ctx *reconCtx) {
 // arrivalIndexOf maps a component's write entry to the arrival index at the
 // destination view. Arrivals of one write record are contiguous at the
 // destination, so the record's base index plus the batch position suffices.
-func (s *Store) arrivalIndexOf(v *CompView, wi int) int {
-	rec := v.WriteEntries[wi].Rec
-	base := s.arrBase[rec]
+func (sc *scratch) arrivalIndexOf(v *CompView, wi int) int {
+	base := sc.arrBase[v.WriteEntries[wi].Rec]
 	if base < 0 {
 		return -1
 	}

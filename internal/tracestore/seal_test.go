@@ -1,0 +1,327 @@
+package tracestore
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"microscope/internal/collector"
+	"microscope/internal/faults"
+	"microscope/internal/simtime"
+)
+
+// storeDiff names the first field in which two reconstructed stores
+// differ ("" when none): interner, arrivals, reads, period index,
+// journeys with their hops, reconstruction counters, health.
+func storeDiff(a, b *Store) string {
+	if !slices.Equal(a.names, b.names) {
+		return fmt.Sprintf("names: %v vs %v", a.names, b.names)
+	}
+	for id := range a.views {
+		va, vb := a.views[id], b.views[id]
+		if !slices.Equal(va.Arrivals, vb.Arrivals) {
+			return fmt.Sprintf("%s: arrivals differ (%d vs %d)", va.Name, len(va.Arrivals), len(vb.Arrivals))
+		}
+		if !slices.Equal(va.Reads, vb.Reads) {
+			return fmt.Sprintf("%s: reads differ (%d vs %d)", va.Name, len(va.Reads), len(vb.Reads))
+		}
+		pa, pb := a.periodIndexOf(va), b.periodIndexOf(vb)
+		if !slices.Equal(pa.arrivalTimes, pb.arrivalTimes) || !slices.Equal(pa.drainTimes, pb.drainTimes) ||
+			!slices.Equal(pa.readTimes, pb.readTimes) || !slices.Equal(pa.readCum, pb.readCum) {
+			return fmt.Sprintf("%s: period index differs", va.Name)
+		}
+	}
+	if len(a.Journeys) != len(b.Journeys) {
+		return fmt.Sprintf("journeys: %d vs %d", len(a.Journeys), len(b.Journeys))
+	}
+	for i := range a.Journeys {
+		if !reflect.DeepEqual(a.Journeys[i], b.Journeys[i]) {
+			return fmt.Sprintf("journey %d: %+v vs %+v", i, a.Journeys[i], b.Journeys[i])
+		}
+	}
+	if a.recon != b.recon {
+		return fmt.Sprintf("recon: %+v vs %+v", a.recon, b.recon)
+	}
+	if ha, hb := a.Health(), b.Health(); ha != hb {
+		return fmt.Sprintf("health: %+v vs %+v", ha, hb)
+	}
+	return ""
+}
+
+// wrapTrace is a source→nf chain whose IPIDs run 65 530 … 65 535, 0 … and
+// repeat every 12 packets, in batches of three: the counter wraps inside
+// the trace and every IPID value recurs, so the per-IPID FIFOs hold
+// several entries each.
+func wrapTrace(packets int) *collector.Trace {
+	tr := &collector.Trace{Meta: chainMetaTS()}
+	for p := 0; p < packets; p += 3 {
+		var ids []uint16
+		for k := p; k < p+3 && k < packets; k++ {
+			ids = append(ids, uint16(65530+k%12))
+		}
+		at := simtime.Time(100 + 40*p)
+		tr.Records = append(tr.Records,
+			collector.BatchRecord{Comp: collector.SourceName, Queue: "nf.in", At: at, Dir: collector.DirWrite, IPIDs: ids},
+			collector.BatchRecord{Comp: "nf", Queue: "nf.in", At: at + 30, Dir: collector.DirRead, IPIDs: ids},
+			collector.BatchRecord{Comp: "nf", At: at + 60, Dir: collector.DirDeliver, IPIDs: ids},
+		)
+	}
+	return tr
+}
+
+// TestSealScratchReuseEquivalence: the stream seals every segment through
+// one long-lived scratch and recycled store shells; a cold Build gets a
+// fresh scratch and a fresh store. Both run the same code, and nothing may
+// carry over from one use to the next: traces of different shapes — clean,
+// with duplicated, reordered, truncated and lost records, an undeclared
+// component, IPIDs that wrap and recur — built in sequence through one
+// scratch come out field for field as each does built alone.
+func TestSealScratchReuseEquivalence(t *testing.T) {
+	sched := cbr(simtime.MPPS(0.4), simtime.Duration(2*simtime.Millisecond), 23)
+	_, chainSt := runChain(t, sched, simtime.MPPS(1), simtime.MPPS(0.9), simtime.MPPS(0.8))
+	chain := chainSt.Trace
+	eval := evalTrace(t, 3, simtime.MPPS(1.2), simtime.Duration(simtime.Millisecond))
+
+	var traces []*collector.Trace
+	add := func(tr *collector.Trace, cfgs ...faults.Config) {
+		traces = append(traces, tr)
+		for _, cfg := range cfgs {
+			damaged, _ := faults.Inject(tr, cfg)
+			traces = append(traces, damaged)
+		}
+	}
+	add(chain,
+		faults.Config{Seed: 1, DupRate: 0.05},
+		faults.Config{Seed: 2, ReorderRate: 0.05},
+		faults.Config{Seed: 3, TruncateRate: 0.1},
+		faults.Config{Seed: 4, DropRate: 0.03, BurstDropRate: 0.005},
+	)
+	add(eval,
+		faults.Config{Seed: 5, DupRate: 0.02, ReorderRate: 0.02, TruncateRate: 0.02, DropRate: 0.01},
+	)
+	rogue := *chain
+	rogue.Records = append(append([]collector.BatchRecord(nil), chain.Records[:200]...),
+		collector.BatchRecord{Comp: "rogue", Queue: "ghost.in", At: chain.Records[199].At, Dir: collector.DirWrite, IPIDs: []uint16{9, 9}})
+	add(&rogue)
+	add(wrapTrace(600))
+	add(&collector.Trace{Meta: chain.Meta}) // no records at all
+	// Largest first, smallest last, then the lot again in reverse: every
+	// table is reused both shrinking and growing.
+	for i := len(traces) - 1; i >= 0; i-- {
+		traces = append(traces, traces[i])
+	}
+
+	sc := &scratch{}
+	shells := make(map[string]*Store) // one recycled store per deployment
+	for i, tr := range traces {
+		key := fmt.Sprint(tr.Meta.Components)
+		shell := shells[key]
+		if shell == nil {
+			shell = &Store{}
+			shells[key] = shell
+		}
+		if i == len(traces)/2 {
+			// Force the per-IPID head table's stamp space to run out
+			// mid-sequence.
+			sc.reserveIPIDs(0)
+			sc.ipidNext = math.MaxInt32 - 7
+		}
+		shell.build(sortedTrace(tr), sc)
+		shell.Reconstruct()
+		shell.warmPeriodIndexes()
+
+		cold := Build(tr)
+		cold.Reconstruct()
+		if d := storeDiff(shell, cold); d != "" {
+			t.Fatalf("trace %d (%d records): shared scratch vs fresh: %s", i, len(tr.Records), d)
+		}
+	}
+}
+
+// TestThreadInternalMatchesSort checks the merge-and-chains linking of
+// reads to writes and delivers against the definition it replaced: a
+// stable sort of the out entries by time, and per-IPID FIFOs of read
+// entries held in maps.
+func TestThreadInternalMatchesSort(t *testing.T) {
+	for _, tr := range []*collector.Trace{
+		wrapTrace(600),
+		evalTrace(t, 9, simtime.MPPS(1.2), simtime.Duration(simtime.Millisecond)),
+	} {
+		s := &Store{}
+		s.build(sortedTrace(tr), &scratch{})
+		sc := s.sc
+		s.indexReads(sc)
+		for _, v := range s.views {
+			s.threadInternal(sc, v)
+			want := threadBySort(v)
+			if !slices.Equal(sc.outOfRead[v.ID], want) {
+				t.Fatalf("%s: outOfRead differs from the sort-based linking", v.Name)
+			}
+		}
+	}
+}
+
+// threadBySort is threadInternal as first written: sort.SliceStable over
+// writes-then-delivers, map-held FIFOs.
+func threadBySort(v *CompView) []int32 {
+	type out struct {
+		at   simtime.Time
+		ipid uint16
+		ref  int32
+	}
+	var outs []out
+	for i, e := range v.WriteEntries {
+		outs = append(outs, out{e.At, e.IPID, int32(i)})
+	}
+	for i, e := range v.DeliverEntries {
+		outs = append(outs, out{e.At, e.IPID, deliverRef(i)})
+	}
+	// Insertion sort: stable, and independent of package sort.
+	for i := 1; i < len(outs); i++ {
+		for j := i; j > 0 && outs[j].at < outs[j-1].at; j-- {
+			outs[j], outs[j-1] = outs[j-1], outs[j]
+		}
+	}
+	buckets := make(map[uint16][]int)
+	for k, e := range v.ReadEntries {
+		buckets[e.IPID] = append(buckets[e.IPID], k)
+	}
+	heads := make(map[uint16]int)
+	res := fillNeg(make([]int32, len(v.ReadEntries)))
+	for _, o := range outs {
+		lst, h := buckets[o.ipid], heads[o.ipid]
+		if h < len(lst) && v.ReadEntries[lst[h]].At <= o.at {
+			res[lst[h]] = o.ref
+			heads[o.ipid] = h + 1
+		}
+	}
+	return res
+}
+
+// windowRecords returns the records of tr in (lo, hi], shifted by d.
+func windowRecords(tr *collector.Trace, lo, hi simtime.Time, d simtime.Duration) []collector.BatchRecord {
+	var out []collector.BatchRecord
+	for _, r := range tr.Records {
+		if r.At > lo && r.At <= hi {
+			r.At = r.At.Add(d)
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// segmentDiff compares the sealed segments of two streams.
+func segmentDiff(a, b *Stream) string {
+	if len(a.segs) != len(b.segs) {
+		return fmt.Sprintf("%d vs %d segments", len(a.segs), len(b.segs))
+	}
+	for i := range a.segs {
+		ga, gb := a.segs[i], b.segs[i]
+		if ga.lo != gb.lo || ga.hi != gb.hi || ga.point != gb.point {
+			return fmt.Sprintf("segment %d: [%d,%d] point=%v vs [%d,%d] point=%v", i, ga.lo, ga.hi, ga.point, gb.lo, gb.hi, gb.point)
+		}
+		if !reflect.DeepEqual(ga.records, gb.records) {
+			return fmt.Sprintf("segment %d: records differ (%d vs %d)", i, len(ga.records), len(gb.records))
+		}
+		if d := storeDiff(ga.st, gb.st); d != "" {
+			return fmt.Sprintf("segment %d: %s", i, d)
+		}
+		if !slices.Equal(ga.moments, gb.moments) || !slices.Equal(ga.latencies, gb.latencies) || ga.traceEnd != gb.traceEnd || ga.bytes != gb.bytes {
+			return fmt.Sprintf("segment %d: summaries differ", i)
+		}
+	}
+	return ""
+}
+
+// TestAdvanceSpansEqualFlat: the monitor hands Advance its ring's two
+// backing slices, and where the ring wraps is arbitrary. A window fed as
+// two spans split at any index — mid-segment, on a grid boundary, before
+// the first record or after the last — seals the same segments with the
+// same contents, stats and merged window as the window fed flat.
+func TestAdvanceSpansEqualFlat(t *testing.T) {
+	sched := cbr(simtime.MPPS(0.05), simtime.Duration(3*simtime.Millisecond), 5)
+	_, st := runChain(t, sched, simtime.MPPS(1), simtime.MPPS(0.9), simtime.MPPS(0.8))
+	tr := st.Trace
+	const w, o = simtime.Millisecond, 250 * simtime.Microsecond
+	first := windowRecords(tr, -1, simtime.Time(w), 0)
+	second := windowRecords(tr, simtime.Time(w), simtime.Time(2*w), 0)
+	if len(second) < 40 {
+		t.Fatalf("second window has only %d records", len(second))
+	}
+	newStream := func() *Stream {
+		s, err := NewStream(tr.Meta, StreamConfig{Window: w, Overlap: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Advance(simtime.Time(w), first)
+		return s
+	}
+	flat := newStream()
+	flatStats := flat.Advance(simtime.Time(2*w), second)
+	if flatStats.SealedSegments < 2 {
+		t.Fatalf("window sealed %d segments; the split must be able to fall on a grid boundary", flatStats.SealedSegments)
+	}
+	flatWin, _ := flat.Window(simtime.Time(2 * w))
+	for i := 0; i <= len(second); i++ {
+		split := newStream()
+		stats := split.Advance(simtime.Time(2*w), second[:i], second[i:])
+		if !reflect.DeepEqual(stats, flatStats) {
+			t.Fatalf("split at %d: stats %+v, flat %+v", i, stats, flatStats)
+		}
+		if d := segmentDiff(split, flat); d != "" {
+			t.Fatalf("split at %d: %s", i, d)
+		}
+		win, _ := split.Window(simtime.Time(2 * w))
+		if d := storeDiff(win, flatWin); d != "" {
+			t.Fatalf("split at %d: merged window: %s", i, d)
+		}
+	}
+}
+
+// TestAdvanceSteadyStateAllocs: once the shells and the scratch have grown
+// to size, sealing allocates a small constant per segment — nothing per
+// record. The same count holds with eight times the records per segment.
+func TestAdvanceSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement; skipped in -short mode")
+	}
+	const w, o = 2 * simtime.Millisecond, simtime.Millisecond
+	var perSegment [2]float64
+	var records [2]int
+	for i, rate := range []float64{0.1, 0.8} {
+		tr := evalTrace(t, 1, simtime.MPPS(rate), simtime.Duration(w))
+		seg := windowRecords(tr, 0, simtime.Time(w), 0)
+		s, err := NewStream(tr.Meta, StreamConfig{Window: w, Overlap: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []collector.BatchRecord
+		k, sealed := simtime.Time(0), 0
+		advance := func() {
+			recs = shiftedRecords(recs, seg, simtime.Duration(k)*w)
+			k++
+			sealed += s.Advance(k*simtime.Time(w), recs).SealedSegments
+		}
+		// Warm up past the retention horizon, so shells come back off
+		// the free list.
+		for s.Stats().EvictedTotal < 4 {
+			advance()
+		}
+		sealed = 0
+		avg := testing.AllocsPerRun(20, advance)
+		perSegment[i] = avg / (float64(sealed) / 21) // AllocsPerRun adds one warm-up run
+		records[i] = len(seg)
+		t.Logf("%d records per window, %d segments per advance: %.2f allocs per Advance", len(seg), sealed/21, avg)
+		if perSegment[i] > 8 {
+			t.Errorf("%d records per window: %.1f allocs per sealed segment (%.0f per Advance), budget 8", len(seg), perSegment[i], avg)
+		}
+	}
+	if records[1] < 6*records[0] {
+		t.Fatalf("record counts %v: want the second about eight times the first", records)
+	}
+	if perSegment[1] > perSegment[0]+1 {
+		t.Errorf("allocations grow with the segment: %.1f per segment at %d records, %.1f at %d", perSegment[0], records[0], perSegment[1], records[1])
+	}
+}

@@ -68,6 +68,10 @@ type CompView struct {
 
 	// Reads are batch read events in time order.
 	Reads []ReadEvent
+	// ReadEntries, WriteEntries/WriteDest and DeliverEntries/Tuples are
+	// build-only: spans of the scratch the store was built through, needed
+	// until Reconstruct has run. A sealed stream segment drops them.
+	//
 	// ReadEntries are per-packet read entries in dequeue order.
 	ReadEntries []Entry
 	// WriteEntries are per-packet write entries in transmit order
@@ -82,11 +86,17 @@ type CompView struct {
 	// order as reconstructed (time-merged upstream writes).
 	Arrivals []Arrival
 
-	// pidx caches the queuing-period search index.
-	pidx *periodIndex
+	// pidx caches the queuing-period search index; pidxBuf is its storage.
+	pidx    *periodIndex
+	pidxBuf periodIndex
 	// tl caches the reconstructed queue-length timeline (§7 threshold
 	// periods).
 	tl *qlenTimeline
+
+	// Build's count pass: how many read events, read/write/deliver packet
+	// entries and arrivals this view is about to hold, so every table is
+	// carved at its exact size before the fill pass.
+	nReads, nReadPk, nWritePk, nDeliverPk, nArrivals int
 }
 
 // Store indexes a trace and holds the reconstructed journeys.
@@ -106,17 +116,31 @@ type Store struct {
 	ups    [][]CompID
 	srcID  CompID
 
-	// recDest[rec] is the interned write destination of each record
-	// (NoComp for non-writes); arrBase[rec] is the arrival index at that
-	// destination of the record's first packet. Together they replace the
-	// per-reconstruction record→arrival map.
-	recDest []CompID
-	arrBase []int32
+	// nDecl is how many leading views are the declared components: the
+	// part of the interner a recycled segment store keeps. metaFor is the
+	// view count peaks/kinds/downs/ups were built for.
+	nDecl   int
+	metaFor int
+
+	// sc holds the build-only tables (scratch.go) from Build until
+	// Reconstruct returns.
+	sc *scratch
 
 	// Journeys are the reconstructed packet traces, in source-emission
 	// order. Every Journey's Hops slice is a span of the shared hopArena.
 	Journeys []Journey
 	hopArena []JourneyHop
+
+	// The retained slabs: every view's Arrivals, Reads and period-index
+	// arrays are exact-size spans of these, so a store costs a handful of
+	// allocations whatever its component count, and a recycled segment
+	// store (Stream) refills them in place.
+	arrivals []Arrival
+	reads    []ReadEvent
+	times    []simtime.Time
+	cums     []int
+	// traceBuf is Trace's storage for segment stores.
+	traceBuf collector.Trace
 
 	recon ReconStats
 
@@ -217,31 +241,104 @@ func (s *Store) view(name string) *CompView {
 // Build indexes the trace. Reconstruct must be called afterwards to
 // populate journeys and arrival links.
 func Build(tr *collector.Trace) *Store {
-	tr = sortedTrace(tr)
-	s := &Store{
-		Trace:    tr,
-		MaxBatch: tr.Meta.MaxBatch,
-		byName:   make(map[string]CompID, len(tr.Meta.Components)+1), //mslint:allow compid this IS the interner: the one sanctioned name-to-CompID map
-		srcID:    NoComp,
-	}
+	s := &Store{}
+	s.build(sortedTrace(tr), &scratch{})
+	return s
+}
+
+// build indexes tr, whose records must be in time order, through sc. It is
+// the one implementation behind the cold Build (zero Store, fresh scratch)
+// and the stream's seal (the segment's recycled Store, the stream's
+// long-lived scratch); a recycled s must have been built for the same Meta.
+//
+// Two passes over the records: the first interns components and counts
+// what every view will hold, the second fills tables carved at exactly
+// that size — no table is ever grown.
+func (s *Store) build(tr *collector.Trace, sc *scratch) {
+	s.Trace = tr
+	s.MaxBatch = tr.Meta.MaxBatch
 	if s.MaxBatch <= 0 {
 		s.MaxBatch = 32
 	}
-	// Ensure every declared component has a view (and a stable CompID)
-	// even if silent; undeclared components that only appear in records
-	// are interned in first-appearance record order.
-	for i := range tr.Meta.Components {
-		s.view(tr.Meta.Components[i].Name)
+	s.sc = sc
+	if s.byName == nil {
+		s.byName = make(map[string]CompID, len(tr.Meta.Components)+1) //mslint:allow compid this IS the interner: the one sanctioned name-to-CompID map
+		s.srcID = NoComp
+		// Ensure every declared component has a view (and a stable CompID)
+		// even if silent; undeclared components that only appear in records
+		// are interned in first-appearance record order.
+		for i := range tr.Meta.Components {
+			s.view(tr.Meta.Components[i].Name)
+		}
+		s.nDecl = len(s.views)
+	} else {
+		s.recycle()
 	}
-	s.recDest = make([]CompID, len(tr.Records))
-	s.arrBase = make([]int32, len(tr.Records))
-	for ri := range tr.Records {
-		r := &tr.Records[ri]
-		s.recDest[ri] = NoComp
-		s.arrBase[ri] = -1
+
+	recs := tr.Records
+	sc.recComp = resize(sc.recComp, len(recs))
+	sc.recDest = resize(sc.recDest, len(recs))
+	sc.arrBase = resize(sc.arrBase, len(recs))
+	for ri := range recs {
+		r := &recs[ri]
+		n := len(r.IPIDs)
 		switch r.Dir {
 		case collector.DirRead:
 			v := s.view(r.Comp)
+			sc.recComp[ri] = v.ID
+			v.nReads++
+			v.nReadPk += n
+		case collector.DirWrite:
+			v := s.view(r.Comp)
+			dv := s.view(consumerOf(r.Queue))
+			sc.recComp[ri], sc.recDest[ri] = v.ID, dv.ID
+			v.nWritePk += n
+			dv.nArrivals += n
+		case collector.DirDeliver:
+			v := s.view(r.Comp)
+			sc.recComp[ri] = v.ID
+			v.nDeliverPk += n
+		}
+	}
+	// Intern edge endpoints too, so the downstream adjacency can name
+	// declared-but-silent neighbours, then freeze the per-component meta
+	// tables the diagnosis reads by ID.
+	for _, e := range tr.Meta.Edges {
+		s.view(e.From)
+		s.view(e.To)
+	}
+	s.buildMetaTables()
+
+	var nReads, nArr, nEntries, nWritePk, nDeliverPk int
+	for _, v := range s.views {
+		nReads += v.nReads
+		nArr += v.nArrivals
+		nEntries += v.nReadPk + v.nWritePk + v.nDeliverPk
+		nWritePk += v.nWritePk
+		nDeliverPk += v.nDeliverPk
+	}
+	s.reads = resize(s.reads, nReads)
+	s.arrivals = resize(s.arrivals, nArr)
+	sc.entries = resize(sc.entries, nEntries)
+	sc.dests = resize(sc.dests, nWritePk)
+	sc.tuples = resize(sc.tuples, nDeliverPk)
+	reads, arrivals, entries, dests, tuples := s.reads, s.arrivals, sc.entries, sc.dests, sc.tuples
+	for _, v := range s.views {
+		v.Reads, reads = carve(reads, v.nReads)
+		v.Arrivals, arrivals = carve(arrivals, v.nArrivals)
+		v.ReadEntries, entries = carve(entries, v.nReadPk)
+		v.WriteEntries, entries = carve(entries, v.nWritePk)
+		v.DeliverEntries, entries = carve(entries, v.nDeliverPk)
+		v.WriteDest, dests = carve(dests, v.nWritePk)
+		v.Tuples, tuples = carve(tuples, v.nDeliverPk)
+	}
+
+	for ri := range recs {
+		r := &recs[ri]
+		sc.arrBase[ri] = -1
+		switch r.Dir {
+		case collector.DirRead:
+			v := s.views[sc.recComp[ri]]
 			v.Reads = append(v.Reads, ReadEvent{
 				At:         r.At,
 				N:          len(r.IPIDs),
@@ -252,10 +349,8 @@ func Build(tr *collector.Trace) *Store {
 				v.ReadEntries = append(v.ReadEntries, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
 			}
 		case collector.DirWrite:
-			v := s.view(r.Comp)
-			dv := s.view(consumerOf(r.Queue))
-			s.recDest[ri] = dv.ID
-			s.arrBase[ri] = int32(len(dv.Arrivals))
+			v, dv := s.views[sc.recComp[ri]], s.views[sc.recDest[ri]]
+			sc.arrBase[ri] = int32(len(dv.Arrivals))
 			for pos, id := range r.IPIDs {
 				v.WriteEntries = append(v.WriteEntries, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
 				v.WriteDest = append(v.WriteDest, dv.ID)
@@ -265,7 +360,7 @@ func Build(tr *collector.Trace) *Store {
 				dv.Arrivals = append(dv.Arrivals, Arrival{At: r.At, IPID: id, From: v.ID, Journey: -1})
 			}
 		case collector.DirDeliver:
-			v := s.view(r.Comp)
+			v := s.views[sc.recComp[ri]]
 			for pos, id := range r.IPIDs {
 				v.DeliverEntries = append(v.DeliverEntries, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
 				// A damaged record can carry fewer five-tuples than
@@ -278,14 +373,38 @@ func Build(tr *collector.Trace) *Store {
 			}
 		}
 	}
-	// Intern edge endpoints too, so the downstream adjacency can name
-	// declared-but-silent neighbours, then freeze the per-component meta
-	// tables the diagnosis reads by ID.
-	for _, e := range tr.Meta.Edges {
-		s.view(e.From)
-		s.view(e.To)
+}
+
+// recycle prepares a store that already served a build (of the same Meta)
+// for the next one: the interner keeps its declared prefix — and with it
+// the views and, while no other component shows up, the meta tables — and
+// everything derived from records is dropped. Views past the prefix are
+// re-interned in record order, exactly as a fresh store would.
+func (s *Store) recycle() {
+	for _, name := range s.names[s.nDecl:] {
+		delete(s.byName, name)
 	}
+	s.names = s.names[:s.nDecl]
+	s.views = s.views[:s.nDecl]
+	for _, v := range s.views {
+		*v = CompView{ID: v.ID, Name: v.Name, Meta: v.Meta}
+	}
+	s.Journeys = s.Journeys[:0]
+	s.hopArena = s.hopArena[:0]
+	s.recon = ReconStats{}
+	s.recCount = 0
+	s.indexes, s.flowIdx = nil, nil
+}
+
+// buildMetaTables freezes peaks/kinds/downs/ups/srcID for the interned
+// components. A recycled store that again holds only the declared
+// components keeps the tables it has.
+func (s *Store) buildMetaTables() {
 	n := len(s.views)
+	if s.metaFor == n && n == s.nDecl {
+		return
+	}
+	s.metaFor = n
 	s.peaks = make([]simtime.Rate, n)
 	s.kinds = make([]string, n)
 	s.downs = make([][]CompID, n)
@@ -299,15 +418,15 @@ func Build(tr *collector.Trace) *Store {
 			}
 		}
 	}
-	for _, e := range tr.Meta.Edges {
+	for _, e := range s.Trace.Meta.Edges {
 		from, to := s.byName[e.From], s.byName[e.To]
 		s.downs[from] = append(s.downs[from], to)
 		s.ups[to] = append(s.ups[to], from)
 	}
+	s.srcID = NoComp
 	if id, ok := s.byName[collector.SourceName]; ok {
 		s.srcID = id
 	}
-	return s
 }
 
 // sortedTrace returns tr unchanged when its records are already in time

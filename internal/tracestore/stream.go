@@ -2,6 +2,7 @@ package tracestore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"microscope/internal/collector"
@@ -31,12 +32,17 @@ import (
 // window retires whole segments in O(1) — no survivor copying, ever.
 //
 // Each segment is sealed exactly once, when the watermark passes it: its
-// records are copied, Build+Reconstruct runs over just those records, and
-// mergeable summaries (exact per-NF delay moments, sorted delivered
-// latencies, trace end, queuing-period search arrays) are computed and
-// frozen. A window is then assembled by a pure concatenation merge of its
-// sealed segments — per-record work happens once per record, not once per
-// window it slides through.
+// records are copied — the one copy a record gets between the monitor's
+// ingest ring and here — the same build+reconstruct a cold Build runs goes
+// over just those records, and mergeable summaries (exact per-NF delay
+// moments, sorted delivered latencies, trace end, queuing-period search
+// arrays) are computed and frozen. Everything a segment retains lives in
+// its shell and is refilled in place when the shell is recycled; everything
+// needed only while sealing lives in one stream-owned scratch, so sealing
+// allocates nothing once the shells and the scratch have grown to size. A
+// window is then assembled by a pure concatenation merge of its sealed
+// segments — per-record work happens once per record, not once per window
+// it slides through.
 //
 // Window-assembly semantics: journeys are reconstructed within a segment,
 // so a packet whose hops straddle a segment boundary contributes one
@@ -63,10 +69,9 @@ type StreamConfig struct {
 }
 
 // Segment is one sealed grid segment: an owned copy of its records, the
-// per-segment reconstructed store (compacted after sealing), and the
-// mergeable summaries the window assembly consumes. Shells are recycled
-// through the stream's free list; reset restamps the epoch and truncates
-// every buffer before reuse.
+// per-segment reconstructed store, and the mergeable summaries the window
+// assembly consumes. Shells are recycled through the stream's free list;
+// reset restamps the epoch and truncates every buffer before reuse.
 type Segment struct {
 	// epoch is the generation stamp: monotonically increasing across the
 	// stream's lifetime, rewritten on every reuse so a stale reference to
@@ -79,11 +84,13 @@ type Segment struct {
 
 	// records is the owned copy of the segment's records, time-sorted.
 	records []collector.BatchRecord
-	// st is the segment-local reconstructed store. After sealing it is
-	// compacted: build-only tables (read/write/deliver entries, tuples,
-	// record→arrival maps) are dropped; journeys, arrivals, reads, and
-	// the warmed period index survive for the window merge.
-	st *Store
+	// st is the segment-local reconstructed store: journeys, arrivals,
+	// reads and the warmed period index, what the window merge reads. The
+	// build-only tables belonged to the stream's scratch and are gone. It
+	// points at store while the segment is live and is nil on the free
+	// list; store keeps its arrays across recycling (Store.recycle).
+	st    *Store
+	store Store
 
 	// Mergeable summaries, frozen at seal time.
 	moments   []stats.Moments // per segment-local CompID queue-delay moments
@@ -166,6 +173,11 @@ type Stream struct {
 	free  []*Segment
 	epoch uint64
 
+	// sc is the build scratch every seal runs through; dirty is Advance's
+	// reused set of component names that received records.
+	sc    scratch
+	dirty map[string]struct{} //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
+
 	// sealedTo is the high watermark: records at or before it are sealed
 	// (flush-boundary typed: At == sealedTo belongs to sealed history).
 	sealedTo simtime.Time
@@ -203,7 +215,8 @@ func NewStream(meta collector.Meta, cfg StreamConfig) (*Stream, error) {
 		// window has ever flushed), and Advance's already-sealed guard
 		// is boundary-typed (At <= sealedTo).
 		sealedTo:     -1,
-		pendArrShift: make(map[string]int), //mslint:allow compid remap bookkeeping across windows; keyed by name so deltas survive interner changes
+		dirty:        make(map[string]struct{}), //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
+		pendArrShift: make(map[string]int),      //mslint:allow compid remap bookkeeping across windows; keyed by name so deltas survive interner changes
 	}, nil
 }
 
@@ -277,57 +290,53 @@ func nextBoundary(tt, w, o int64) int64 {
 // Advance seals every record with sealedTo < At ≤ end into grid segments,
 // moves the watermark to end, and retires segments that fell wholly below
 // the retention horizon end − W − O. end must be a flush boundary (a
-// multiple of W); records already at or before the watermark are ignored
-// (they were sealed by an earlier Advance — the monitor's retained overlap
-// re-presents them every flush).
-func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamStats {
+// multiple of W). spans are the consecutive pieces of one record sequence
+// (the monitor passes its ring's two backing slices); they are only read,
+// and each record is copied once, into the segment that owns it. Time-
+// ordered input is sealed in place; records at or before the watermark
+// (sealed by an earlier Advance) or beyond end (a later window's) are
+// ignored. Input that is not time-ordered is first filtered and stably
+// sorted into a copy, and the inversions counted as resorts.
+func (s *Stream) Advance(end simtime.Time, spans ...[]collector.BatchRecord) StreamStats {
 	s.last.SealedSegments = 0
 	s.last.DirtyComps = 0
 	s.last.EvictedSegments = 0
 
-	// Drop the already-sealed prefix/stragglers and anything beyond end.
-	live := recs[:0:0]
-	sorted := true
-	var prev simtime.Time
-	for i := range recs {
-		r := &recs[i]
-		if r.At <= s.sealedTo || r.At > end {
-			continue
-		}
-		if r.At < prev {
-			sorted = false
-		}
-		prev = r.At
-		live = append(live, *r)
+	if !timeOrdered(spans) {
+		spans = [][]collector.BatchRecord{s.filterSorted(end, spans)}
 	}
-	if !sorted {
-		// Mirror sortedTrace: stable by At, counting inversions as
-		// resorts so the cumulative integrity stays meaningful.
-		n := 0
-		for i := 1; i < len(live); i++ {
-			if live[i].At < live[i-1].At {
-				n++
+	clear(s.dirty)
+	var g *Segment // the segment being filled
+fill:
+	for _, sp := range spans {
+		for i := 0; i < len(sp); {
+			at := sp[i].At
+			if at <= s.sealedTo {
+				i++
+				continue
 			}
-		}
-		sort.SliceStable(live, func(i, j int) bool { return live[i].At < live[j].At })
-		s.last.Integrity.Resorted += n
-	}
-
-	dirty := make(map[string]struct{}) //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
-	for start := 0; start < len(live); {
-		lo, hi, point := s.segOf(live[start].At)
-		stop := start + 1
-		for stop < len(live) {
-			l2, _, p2 := s.segOf(live[stop].At)
-			if l2 != lo || p2 != point {
-				break
+			if at > end {
+				break fill
 			}
-			stop++
+			if g == nil || !s.owns(g, at) {
+				if g != nil {
+					s.seal(g)
+				}
+				g = s.takeSegment()
+				g.lo, g.hi, g.point = s.segOf(at)
+			}
+			j := i + 1
+			for j < len(sp) && sp[j].At <= end && s.owns(g, sp[j].At) {
+				j++
+			}
+			g.records = append(g.records, sp[i:j]...)
+			i = j
 		}
-		s.seal(lo, hi, point, live[start:stop], dirty)
-		start = stop
 	}
-	s.last.DirtyComps = len(dirty)
+	if g != nil {
+		s.seal(g)
+	}
+	s.last.DirtyComps = len(s.dirty)
 
 	if end > s.sealedTo {
 		s.sealedTo = end
@@ -342,15 +351,63 @@ func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamS
 	return s.last
 }
 
-// seal builds one segment from its owned record copy and freezes its
-// mergeable summaries.
-func (s *Stream) seal(lo, hi simtime.Time, point bool, recs []collector.BatchRecord, dirty map[string]struct{}) { //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
-	g := s.takeSegment()
-	g.lo, g.hi, g.point = lo, hi, point
-	g.records = append(g.records, recs...)
+// timeOrdered reports whether the concatenation of spans is in
+// non-decreasing time order.
+func timeOrdered(spans [][]collector.BatchRecord) bool {
+	prev := simtime.Time(math.MinInt64)
+	for _, sp := range spans {
+		for i := range sp {
+			if sp[i].At < prev {
+				return false
+			}
+			prev = sp[i].At
+		}
+	}
+	return true
+}
 
-	tr := &collector.Trace{Meta: s.meta, Records: g.records}
-	st := Build(tr)
+// filterSorted is Advance's path for input that is not time-ordered: copy
+// out the records in (sealedTo, end] and, mirroring sortedTrace, sort them
+// stably by At, counting inversions as resorts so the cumulative integrity
+// stays meaningful.
+func (s *Stream) filterSorted(end simtime.Time, spans [][]collector.BatchRecord) []collector.BatchRecord {
+	var live []collector.BatchRecord
+	for _, sp := range spans {
+		for i := range sp {
+			if r := &sp[i]; r.At > s.sealedTo && r.At <= end {
+				live = append(live, *r)
+			}
+		}
+	}
+	n := 0
+	for i := 1; i < len(live); i++ {
+		if live[i].At < live[i-1].At {
+			n++
+		}
+	}
+	if n > 0 {
+		sort.SliceStable(live, func(i, j int) bool { return live[i].At < live[j].At })
+		s.last.Integrity.Resorted += n
+	}
+	return live
+}
+
+// owns reports whether grid segment g owns time t. Anything strictly
+// inside (lo, hi) does; a boundary instant goes by segOf's typing.
+func (s *Stream) owns(g *Segment, t simtime.Time) bool {
+	if t > g.lo && t < g.hi {
+		return true
+	}
+	lo, _, point := s.segOf(t)
+	return lo == g.lo && point == g.point
+}
+
+// seal reconstructs a segment from the records Advance copied into it and
+// freezes its mergeable summaries.
+func (s *Stream) seal(g *Segment) {
+	st := &g.store
+	st.traceBuf = collector.Trace{Meta: s.meta, Records: g.records}
+	st.build(&st.traceBuf, &s.sc)
 	st.Reconstruct()
 	g.st = st
 
@@ -378,12 +435,12 @@ func (s *Stream) seal(lo, hi simtime.Time, point bool, recs []collector.BatchRec
 	}
 	sort.Float64s(g.latencies)
 
-	// Warm the queuing-period search arrays, then compact: build-only
-	// tables are dead weight once journeys and the period index exist.
+	// Warm the queuing-period search arrays, then let go of the scratch:
+	// the next seal overwrites the build-only tables the views point into.
+	st.warmPeriodIndexes()
 	for _, v := range st.views {
-		st.periodIndexOf(v)
 		if len(v.Arrivals) > 0 || len(v.Reads) > 0 {
-			dirty[v.Name] = struct{}{}
+			s.dirty[v.Name] = struct{}{}
 		}
 		v.ReadEntries = nil
 		v.WriteEntries = nil
@@ -391,8 +448,6 @@ func (s *Stream) seal(lo, hi simtime.Time, point bool, recs []collector.BatchRec
 		v.DeliverEntries = nil
 		v.Tuples = nil
 	}
-	st.recDest = nil
-	st.arrBase = nil
 
 	g.bytes = g.sizeBytes()
 	s.segs = append(s.segs, g)
@@ -451,9 +506,12 @@ func (s *Stream) evict(start simtime.Time) {
 	}
 }
 
-// retire drops a segment's store and parks the shell on the free list.
+// retire parks the shell on the free list. Its store's arrays wait there
+// for the next seal; its records are zeroed so the IPID and tuple payloads
+// they point to are released now, not when the shell is next filled.
 func (s *Stream) retire(g *Segment) {
 	g.st = nil
+	clear(g.records)
 	s.free = append(s.free, g)
 }
 
