@@ -107,17 +107,22 @@ bench-stream:
 # tracestore/stream.go or pipeline/stream.go. Also under -race here: the
 # seal's reused scratch and recycled shells against a fresh build
 # (TestSealScratchReuseEquivalence), Advance over split spans against the
-# flat slice (TestAdvance*, TestStreamSpans*), and the steady-state
-# allocation bound.
+# flat slice (TestAdvance*, TestStreamSpans*), the steady-state allocation
+# bounds, and the window store (TestWindow*): updated in place against
+# assembled from scratch, column by column, over generated schedules —
+# skipped rungs, gaps, undeclared components coming and going, contained
+# faults half-way through an update.
 stream-check:
-	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal' ./internal/pipeline ./internal/tracestore
+	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
 
-# One-iteration pipeline, segment-seal and pattern-aggregation benchmarks:
-# catches benchmark bit-rot and gross perf/alloc regressions in the
-# pre-submit gate without the full run's cost.
+# One-iteration pipeline, segment-seal, window-assembly and
+# pattern-aggregation benchmarks: catches benchmark bit-rot and gross
+# perf/alloc regressions in the pre-submit gate without the full run's
+# cost. BenchmarkWindow gates itself: it fails when a window's cost moves
+# with its span (1.5, 20 and 80 slides at one slide).
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
-	$(GO) test -run '^$$' -bench BenchmarkSeal -benchtime=1x -benchmem ./internal/tracestore
+	$(GO) test -run '^$$' -bench 'BenchmarkSeal|BenchmarkWindow' -benchtime=1x -benchmem ./internal/tracestore
 	$(GO) test -run '^$$' -bench BenchmarkPatternAggregation -benchtime=1x -benchmem .
 
 # bench/ is a module of its own (microscope/bench, `replace microscope =>

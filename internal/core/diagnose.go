@@ -25,6 +25,7 @@ type Engine struct {
 	// mu guards the per-store memo below (see memo.go).
 	mu        sync.Mutex
 	memoStore *tracestore.Store
+	memoGen   uint64
 	memo      *diagMemo
 
 	// panics counts victims quarantined by the ContainPanics boundary.
@@ -660,9 +661,15 @@ func (d *diagnoser) diagnoseVictim(v Victim, a *workerArena) Diagnosis {
 		if acc.score < d.cfg.MinScore {
 			continue
 		}
+		// The recursion collects journey references (stream-absolute); the
+		// report carries indices into the store's Journeys.
 		var js []int
 		if len(acc.journeys) > 0 {
-			js = append(make([]int, 0, len(acc.journeys)), acc.journeys...)
+			first := d.st.FirstJourney()
+			js = make([]int, len(acc.journeys))
+			for k, ref := range acc.journeys {
+				js[k] = ref - first
+			}
 		}
 		causes = append(causes, Cause{
 			Comp:            d.st.CompName(acc.key.comp),
@@ -821,18 +828,15 @@ func (d *diagnoser) diagnoseAtPeriod(comp tracestore.CompID, qp *tracestore.Queu
 	}
 }
 
-// periodJourneys lists the journeys of a queuing period's arrivals,
-// memoized per (NF, period). Callers treat the result as read-only.
+// periodJourneys lists the journeys of a queuing period's arrivals (as
+// journey references), memoized per (NF, period). Callers treat the result
+// as read-only.
 func (d *diagnoser) periodJourneys(comp tracestore.CompID, qp *tracestore.QueuingPeriod) []int {
 	return d.memo.periodJ.do(periodKey{comp: comp, start: qp.Start, end: qp.End}, d.memoHits, d.memoMisses, d.memoReused, func() []int {
-		v := d.st.ViewID(comp)
-		if v == nil {
-			return nil
-		}
 		var out []int
-		for ai := qp.ArrivalFirst; ai <= qp.ArrivalLast && ai < len(v.Arrivals); ai++ {
-			if j := v.Arrivals[ai].Journey; j >= 0 {
-				out = append(out, j)
+		for _, arr := range d.st.PeriodArrivals(qp) {
+			if arr.Journey >= 0 {
+				out = append(out, arr.Journey)
 			}
 		}
 		return out

@@ -32,11 +32,12 @@ import (
 //
 // Cross-window carry: the streaming path keeps the memo alive across
 // sliding windows. Between two windows (single-threaded — the previous
-// window's workers have all joined), Engine.CarryMemo walks the tables,
-// evicts entries whose periods reach into evicted history, and remaps the
-// survivors' journey/arrival indices onto the new window's merged store.
-// Survivors are stamped carried, so the reused-hit counter can report how
-// much work the carry actually saved.
+// window's workers have all joined), Engine.CarryMemo walks the tables and
+// evicts entries whose periods reach into evicted history. The survivors
+// need no translation: the journey and arrival references they hold are
+// stream-absolute (tracestore/reconstruct.go) and name the same rows in
+// the new window. They are stamped carried, so the reused-hit counter can
+// report how much work the carry actually saved.
 
 // periodKey identifies a queuing period at a component. For a fixed store
 // and queue threshold, (comp, start, end) uniquely determines the period.
@@ -145,12 +146,11 @@ func (f *flight[V]) await(c *flightCall[V], hits, reused *obs.Counter, fn func()
 }
 
 // rebind walks every completed entry, applying keep: entries it rejects
-// are deleted, survivors get their (possibly remapped) value written back
-// in place and are stamped carried. In-flight or poisoned entries are
-// dropped. Returns the survivor count. Must only be called between window
-// runs — it mutates cached values without synchronization beyond the
+// are deleted, survivors are stamped carried. In-flight or poisoned entries
+// are dropped. Returns the survivor count. Must only be called between
+// window runs — it stamps entries without synchronization beyond the
 // caller's single-threadedness.
-func (f *flight[V]) rebind(keep func(k periodKey, v V) (V, bool)) int {
+func (f *flight[V]) rebind(keep func(k periodKey, v V) bool) int {
 	kept := 0
 	for i := range f.shards {
 		sh := &f.shards[i]
@@ -160,12 +160,10 @@ func (f *flight[V]) rebind(keep func(k periodKey, v V) (V, bool)) int {
 				sh.m.Delete(key)
 				return true
 			}
-			nv, ok := keep(key.(periodKey), c.val)
-			if !ok {
+			if !keep(key.(periodKey), c.val) {
 				sh.m.Delete(key)
 				return true
 			}
-			c.val = nv
 			c.carried = true
 			kept++
 			return true
@@ -203,123 +201,73 @@ type diagMemo struct {
 }
 
 // memoFor returns the engine's diagnosis cache for st, creating it when the
-// engine sees st for the first time. Engines are typically bound to one
-// store for their lifetime (the experiments' rank-scoring loops, the
-// pipeline); a store switch just drops the old cache — unless the caller
-// re-bound it explicitly with CarryMemo (the streaming path).
+// engine sees st — or, for a stream's window store, this window of it —
+// for the first time. Engines are typically bound to one store for their
+// lifetime (the experiments' rank-scoring loops, the pipeline); a store
+// switch just drops the old cache — unless the caller re-bound it
+// explicitly with CarryMemo (the streaming path).
 func (e *Engine) memoFor(st *tracestore.Store) *diagMemo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.memoStore != st || e.memo == nil {
-		e.memoStore = st
-		e.memo = &diagMemo{}
+	if e.memoStore != st || e.memoGen != st.Generation() || e.memo == nil {
+		e.bindMemo(st, &diagMemo{})
 	}
 	return e.memo
 }
 
-// MemoRemap describes how the previous window's merged store maps onto the
-// new one, so cached journey/arrival indices can be shifted instead of
-// recomputed. The shifts are uniform because eviction only ever removes
-// whole segments from the *front* of the window: every evicted journey and
-// arrival precedes every retained one in the merged arrays.
-type MemoRemap struct {
-	// NewStart is the new window's data start. Cached entries whose
-	// period starts before it may reference evicted history and must go.
-	NewStart simtime.Time
-	// JourneyShift is how many journeys were evicted since the previous
-	// window.
-	JourneyShift int
-	// ArrivalShift[comp], indexed by previous-window CompID (valid for
-	// the new window too — CarryMemo requires the interner be a prefix),
-	// is how many arrivals at comp were evicted.
-	ArrivalShift []int32
+// bindMemo points the engine at st as it stands. A window store keeps its
+// address from one window to the next, so the binding includes the store's
+// generation: a cache is never served to a window it was not carried to.
+// The caller holds e.mu.
+func (e *Engine) bindMemo(st *tracestore.Store, memo *diagMemo) {
+	e.memoStore, e.memoGen, e.memo = st, st.Generation(), memo
 }
 
 // ResetMemo binds the engine to st with a fresh, empty diagnosis cache,
 // dropping anything carried. The streaming path calls it when carry is
-// unsound: the interner changed shape, or a nonzero queue threshold makes
-// cached periods depend on the (moving) window start.
+// unsound: the window store was assembled from scratch, or a nonzero queue
+// threshold makes cached periods depend on the (moving) window start.
 func (e *Engine) ResetMemo(st *tracestore.Store) {
 	e.mu.Lock()
-	e.memoStore = st
-	e.memo = &diagMemo{}
+	e.bindMemo(st, &diagMemo{})
 	e.mu.Unlock()
 }
 
-// CarryMemo rebinds the engine's diagnosis cache onto the next window's
-// merged store: entries whose periods live entirely in retained history
-// survive with their journey/arrival indices shifted per rm; the rest are
-// evicted. Returns the survivor count. Call only between window runs, and
-// only when the previous window's CompIDs remain valid for st (interner
-// prefix property) and the queue threshold is zero — otherwise ResetMemo.
+// CarryMemo rebinds the engine's diagnosis cache onto the next window of
+// the stream's window store: entries whose periods live entirely in
+// retained history — at or after newStart, the new window's data start —
+// survive as they are; the rest are evicted. Returns the survivor count.
+// Call only between window runs, and only when the window store was
+// brought up to date in place (tracestore.WindowRemap.Compatible) and the
+// queue threshold is zero — otherwise ResetMemo.
 //
 // Validity argument, per table:
 //   - prop/periodJ keys are (comp, period start, period end). A period
 //     starting at or after the new data start saw identical arrivals and
 //     reads in both windows (eviction removes only whole leading
-//     segments), so its decomposition is unchanged up to the uniform
-//     index shifts applied here.
+//     segments), so its decomposition is unchanged, and the journey
+//     references it lists still resolve to the same journeys.
 //   - split keys are (comp, anchor). A surviving entry's period (when
 //     non-nil) must itself start in retained history; a nil entry records
 //     "no queuing period at this anchor", which eviction cannot falsify —
 //     removing older arrivals never creates a period where none was — so
 //     nil entries survive on the anchor check alone.
-func (e *Engine) CarryMemo(st *tracestore.Store, rm MemoRemap) int {
+func (e *Engine) CarryMemo(st *tracestore.Store, newStart simtime.Time) int {
 	e.mu.Lock()
 	memo := e.memo
-	prev := e.memoStore
-	e.memoStore = st
 	if memo == nil {
 		memo = &diagMemo{}
-		e.memo = memo
 	}
+	e.bindMemo(st, memo)
 	e.mu.Unlock()
-	if prev == nil || prev == st {
-		return 0
-	}
-	arrShift := func(comp tracestore.CompID) int {
-		if comp >= 0 && int(comp) < len(rm.ArrivalShift) {
-			return int(rm.ArrivalShift[comp])
-		}
-		return 0
-	}
-	kept := memo.prop.rebind(func(k periodKey, v []propPath) ([]propPath, bool) {
-		if k.start < rm.NewStart {
-			return nil, false
-		}
-		for i := range v {
-			// Each cached []propPath owns its pathStats (collectPaths
-			// allocates fresh per decomposition), so the in-place shift
-			// runs exactly once per entry.
-			js := v[i].path.journeys
-			for j := range js {
-				js[j] -= rm.JourneyShift
-			}
-		}
-		return v, true
+	kept := memo.prop.rebind(func(k periodKey, _ []propPath) bool {
+		return k.start >= newStart
 	})
-	kept += memo.split.rebind(func(k periodKey, v *splitResult) (*splitResult, bool) {
-		if k.end < rm.NewStart {
-			return nil, false
-		}
-		if v != nil && v.qp != nil {
-			if v.qp.Start < rm.NewStart {
-				return nil, false
-			}
-			d := arrShift(v.qp.Comp)
-			v.qp.ArrivalFirst -= d
-			v.qp.ArrivalLast -= d
-		}
-		return v, true
+	kept += memo.split.rebind(func(k periodKey, v *splitResult) bool {
+		return k.end >= newStart && (v == nil || v.qp == nil || v.qp.Start >= newStart)
 	})
-	kept += memo.periodJ.rebind(func(k periodKey, v []int) ([]int, bool) {
-		if k.start < rm.NewStart {
-			return nil, false
-		}
-		for i := range v {
-			v[i] -= rm.JourneyShift
-		}
-		return v, true
+	kept += memo.periodJ.rebind(func(k periodKey, _ []int) bool {
+		return k.start >= newStart
 	})
 	return kept
 }

@@ -195,21 +195,16 @@ func TestFlightReadContention(t *testing.T) {
 	}
 }
 
-// TestFlightRebind: rebind keeps entries the callback accepts (remapping
-// their values and marking them carried, so later hits count as reused),
-// evicts the rest, and drops never-completed entries unconditionally.
+// TestFlightRebind: rebind keeps entries the callback accepts (marking
+// them carried, so later hits count as reused), evicts the rest, and drops
+// never-completed entries unconditionally.
 func TestFlightRebind(t *testing.T) {
 	var f flight[int]
 	for i := 0; i < 10; i++ {
 		k := periodKey{comp: 1, start: simtime.Time(i), end: simtime.Time(i + 1)}
 		f.do(k, nil, nil, nil, func() int { return i })
 	}
-	kept := f.rebind(func(k periodKey, v int) (int, bool) {
-		if k.start < 5 {
-			return 0, false
-		}
-		return v + 100, true
-	})
+	kept := f.rebind(func(k periodKey, _ int) bool { return k.start >= 5 })
 	if kept != 5 {
 		t.Fatalf("rebind kept %d entries, want 5", kept)
 	}
@@ -222,8 +217,8 @@ func TestFlightRebind(t *testing.T) {
 			if v != -i {
 				t.Fatalf("evicted key %d not recomputed: %d", i, v)
 			}
-		} else if v != i+100 {
-			t.Fatalf("kept key %d lost its remapped value: %d", i, v)
+		} else if v != i {
+			t.Fatalf("kept key %d lost its value: %d", i, v)
 		}
 	}
 	if hits.Value() != 5 || misses.Value() != 5 {

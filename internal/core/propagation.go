@@ -14,7 +14,7 @@ type pathStats struct {
 	// an opaque map/sort key, not for display; see diagnoser.pathLabel.
 	key   string
 	comps []tracestore.CompID // upstream components in order, comps[0] is the source
-	// journeys of the subset (journey indices), for culprit reporting.
+	// journeys of the subset (journey references), for culprit reporting.
 	journeys []int
 	n        int
 	// spans[i] is the subset's timespan at comps[i]: the interval between
@@ -180,18 +180,18 @@ type collectScratch struct {
 // collectPaths groups the PreSet(p) arrivals of the queuing period by the
 // upstream path their journeys took to f, and computes per-path timespans.
 func (d *diagnoser) collectPaths(f tracestore.CompID, qp *tracestore.QueuingPeriod, cs *collectScratch) []*pathStats {
-	v := d.st.ViewID(f)
-	if v == nil {
+	arrivals := d.st.PeriodArrivals(qp)
+	if arrivals == nil {
 		return nil
 	}
 	//mslint:allow compid the key is a byte-encoded CompID sequence (allocation-free lookup), not a component name
 	byKey := make(map[string]*pathStats)
-	for ai := qp.ArrivalFirst; ai <= qp.ArrivalLast && ai < len(v.Arrivals); ai++ {
-		arr := &v.Arrivals[ai]
-		if arr.Journey < 0 || arr.Journey >= len(d.st.Journeys) {
+	for ai := range arrivals {
+		arr := &arrivals[ai]
+		j := d.st.JourneyAt(arr.Journey)
+		if j == nil {
 			continue
 		}
-		j := &d.st.Journeys[arr.Journey]
 		// Upstream path: source plus the journey's hops before f.
 		cs.comps = append(cs.comps[:0], d.src)
 		cs.departs = append(cs.departs[:0], j.EmittedAt)

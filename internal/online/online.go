@@ -79,7 +79,11 @@ type Config struct {
 	// alert merging. Called synchronously from the feed goroutine — the
 	// serving tier captures per-window reports (and their fingerprints)
 	// here. Skipped and quarantined windows never fire it; they produce
-	// no Result.
+	// no Result. On the incremental path res.Store and res.Index are the
+	// stream's window store, lent for the duration of the call
+	// (pipeline.Result.Store): the next window overwrites them in place,
+	// so the callback must take what it wants to keep and not the
+	// pointers.
 	OnWindow func(end simtime.Time, res *pipeline.Result)
 	// ChaosHook, when non-nil, fires with scope "window:<n>" before each
 	// window's analysis and is forwarded into the per-window pipeline
@@ -609,15 +613,18 @@ func (m *Monitor) flushWindow() []Alert {
 		m.cfg.OnWindow(end, res)
 	}
 
-	// Merge culprits across the window's victims.
+	// Merge culprits across the window's victims. A culprit counts a victim
+	// once however many of that victim's causes name it: counted holds the
+	// last diagnosis (1-based, so the zero value is "none") already added
+	// to victims.
 	type acc struct {
 		score   float64
 		victims int
+		counted int
 		onset   simtime.Time
 	}
 	merged := make(map[alertKey]*acc)
 	for i := range diags {
-		seen := make(map[alertKey]bool)
 		for _, c := range diags[i].Causes {
 			k := alertKey{c.Comp, c.Kind}
 			a := merged[k]
@@ -629,9 +636,9 @@ func (m *Monitor) flushWindow() []Alert {
 			if c.At < a.onset {
 				a.onset = c.At
 			}
-			if !seen[k] {
+			if a.counted != i+1 {
 				a.victims++
-				seen[k] = true
+				a.counted = i + 1
 			}
 		}
 	}

@@ -92,8 +92,18 @@ type StageTiming struct {
 // Result is the full output of a pipeline run.
 type Result struct {
 	// Store is the reconstructed trace backing everything downstream.
+	//
+	// In a Result from StreamState.RunWindow (RunIncremental, the online
+	// monitor's windows) Store and Index are lent, not given: they are the
+	// stream's own window store, the same pointers every window, updated in
+	// place when the next RunWindow on that stream starts. Read them until
+	// then; keep what must outlive that — a count, a hash, a copied journey
+	// — not the pointers. Store.Generation tells a stale holder apart. The
+	// rest of the Result (Victims, Diagnoses, Patterns, Health, ...) is the
+	// caller's to keep. Results of Run/RunStore own their Store outright.
 	Store *tracestore.Store
-	// Index is the shared immutable trace index the diagnosis ran over.
+	// Index is the shared trace index the diagnosis ran over (immutable
+	// while the run's Store is valid).
 	Index *tracestore.Index
 	// Victims is the stage-3 selection, in canonical victim order.
 	Victims []core.Victim

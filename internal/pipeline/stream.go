@@ -10,11 +10,19 @@
 //	ingest → merge → index → victims → diagnose [→ patterns]
 //
 // ingest seals the window's new records into grid segments and evicts
-// expired ones (O(new records)); merge assembles the fresh window store by
-// concatenating sealed segments with the diagnosis index preset from
-// per-segment summaries; the remaining stages are the classic tail,
-// running over an engine whose memoized upstream decompositions survive
-// from the previous window wherever eviction left them valid.
+// expired ones (O(new records)); merge brings the stream's one window store
+// up to date in place — evicted segments' rows leave, newly sealed
+// segments' rows are appended, and the diagnosis index follows from their
+// summaries (O(rows entering and leaving)); the remaining stages are the
+// classic tail, running over an engine whose memoized upstream
+// decompositions survive from the previous window wherever eviction left
+// them valid.
+//
+// Lifetime: Result.Store and Result.Index of a window run are lent. They
+// are the stream's own window store, the same pointers every window, and
+// describe this window only until the next RunWindow on the same
+// StreamState begins. Whatever outlives that — a summary, a hash, a copied
+// journey — must be taken before then.
 //
 // Equivalence contract: for every window, the Result here is byte-
 // identical (Fingerprint) to a cold full rebuild of the same window
@@ -26,9 +34,8 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"runtime/metrics"
-	"strings"
+	"strconv"
 	"time"
 
 	"microscope/internal/collector"
@@ -164,18 +171,14 @@ func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade 
 	if err := r.stage(ctx, "merge", func() {
 		st, rm := ss.str.Window(end)
 		carried := 0
-		if rm.First || !rm.Compatible || cfg.Diagnosis.QueueThreshold > 0 {
-			// No previous window, an interner shape change (a component
-			// evicted wholesale or renamed under corruption), or §7
-			// threshold periods — whose timelines are clamped to the
-			// moving window start — make carried entries unsound.
+		if !rm.Compatible || cfg.Diagnosis.QueueThreshold > 0 {
+			// A window store assembled from scratch (the first window, an
+			// interner shape change, a contained panic), or §7 threshold
+			// periods — whose timelines are clamped to the moving window
+			// start — make carried entries unsound.
 			ss.eng.ResetMemo(st)
 		} else {
-			carried = ss.eng.CarryMemo(st, core.MemoRemap{
-				NewStart:     rm.NewStart,
-				JourneyShift: rm.JourneyShift,
-				ArrivalShift: rm.ArrivalShift,
-			})
+			carried = ss.eng.CarryMemo(st, rm.NewStart)
 		}
 		ss.gCarried.Set(int64(carried))
 		r.res.Store = st
@@ -200,21 +203,69 @@ func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade 
 // determinism and incremental-equivalence contracts) exactly when their
 // fingerprints match. Timings, spans, and scheduling stats are excluded —
 // they are observability metadata.
-func (res *Result) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "level=%v victims=%d diagnoses=%d contained=%d relations=%d\n",
-		res.Degradation, len(res.Victims), len(res.Diagnoses), res.ContainedPanics, res.Relations)
-	fmt.Fprintf(&b, "health %s\n", res.Health.String())
-	for _, v := range res.Victims {
-		fmt.Fprintf(&b, "victim %d %s %s %d %d\n", v.Journey, v.Comp, v.Kind, v.ArriveAt, v.QueueDelay)
+func (res *Result) Fingerprint() string { return string(res.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the fingerprint's bytes to dst, for a caller
+// that hashes every window and keeps its buffer. The serving tier renders
+// some hundred lines per window here, so the lines are put together with
+// strconv: %d is AppendInt, %.17g is AppendFloat('g', 17), and a journey
+// list is fmt's %v form of an []int.
+func (res *Result) AppendFingerprint(dst []byte) []byte {
+	dst = append(dst, "level="...)
+	dst = append(dst, res.Degradation.String()...)
+	dst = append(dst, " victims="...)
+	dst = strconv.AppendInt(dst, int64(len(res.Victims)), 10)
+	dst = append(dst, " diagnoses="...)
+	dst = strconv.AppendInt(dst, int64(len(res.Diagnoses)), 10)
+	dst = append(dst, " contained="...)
+	dst = strconv.AppendInt(dst, res.ContainedPanics, 10)
+	dst = append(dst, " relations="...)
+	dst = strconv.AppendInt(dst, int64(res.Relations), 10)
+	dst = append(dst, "\nhealth "...)
+	dst = res.Health.AppendString(dst)
+	dst = append(dst, '\n')
+	for i := range res.Victims {
+		v := &res.Victims[i]
+		dst = append(dst, "victim "...)
+		dst = strconv.AppendInt(dst, int64(v.Journey), 10)
+		dst = append(dst, ' ')
+		dst = append(dst, v.Comp...)
+		dst = append(dst, ' ')
+		dst = append(dst, v.Kind.String()...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(v.ArriveAt), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(v.QueueDelay), 10)
+		dst = append(dst, '\n')
 	}
 	for i := range res.Diagnoses {
-		for _, c := range res.Diagnoses[i].Causes {
-			fmt.Fprintf(&b, "  cause %s %s %.17g %d %v\n", c.Comp, c.Kind, c.Score, c.At, c.CulpritJourneys)
+		for k := range res.Diagnoses[i].Causes {
+			c := &res.Diagnoses[i].Causes[k]
+			dst = append(dst, "  cause "...)
+			dst = append(dst, c.Comp...)
+			dst = append(dst, ' ')
+			dst = append(dst, c.Kind.String()...)
+			dst = append(dst, ' ')
+			dst = strconv.AppendFloat(dst, c.Score, 'g', 17, 64)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(c.At), 10)
+			dst = append(dst, " ["...)
+			for n, j := range c.CulpritJourneys {
+				if n > 0 {
+					dst = append(dst, ' ')
+				}
+				dst = strconv.AppendInt(dst, int64(j), 10)
+			}
+			dst = append(dst, "]\n"...)
 		}
 	}
-	for _, p := range res.Patterns {
-		fmt.Fprintf(&b, "pattern %s score=%.17g\n", p.String(), p.Score)
+	for i := range res.Patterns {
+		p := &res.Patterns[i]
+		dst = append(dst, "pattern "...)
+		dst = append(dst, p.String()...)
+		dst = append(dst, " score="...)
+		dst = strconv.AppendFloat(dst, p.Score, 'g', 17, 64)
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
 }

@@ -27,6 +27,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -205,12 +206,12 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "no such tenant", http.StatusNotFound)
 			return
 		}
-		rep, ok := t.LatestReport()
+		doc, ok := t.LatestReportJSON()
 		if !ok {
 			http.Error(w, "no window diagnosed yet", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		writeJSONBytes(w, http.StatusOK, doc)
 	})
 
 	mux.HandleFunc("GET /tenants/{id}/reports", func(w http.ResponseWriter, r *http.Request) {
@@ -228,7 +229,7 @@ func Handler(s *Server) http.Handler {
 			}
 			n = v
 		}
-		writeJSON(w, http.StatusOK, t.Reports(n))
+		writeJSONBytes(w, http.StatusOK, t.ReportsJSON(n))
 	})
 
 	mux.HandleFunc("GET /tenants/{id}/alerts", func(w http.ResponseWriter, r *http.Request) {
@@ -308,11 +309,24 @@ func readRecords(r *http.Request) ([]collector.BatchRecord, collector.DecodeStat
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	writeJSONBytes(w, code, encodeJSON(v))
+}
+
+// encodeJSON renders v the way every JSON reply is: two-space indent, a
+// trailing newline.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // reply types are plain data; a failure leaves a short reply
+	return buf.Bytes()
+}
+
+// writeJSONBytes sends an encodeJSON document.
+func writeJSONBytes(w http.ResponseWriter, code int, doc []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
+	w.Write(doc) //nolint:errcheck // client went away; nothing to do
 }
 
 // writeServeError maps the serving tier's sentinel errors onto status

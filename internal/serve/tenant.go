@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -124,10 +125,20 @@ type Tenant struct {
 
 	budget int64 // spec max_mem_bytes
 
-	mu        sync.Mutex
-	stopped   bool
-	queued    int
-	reports   []WindowReport
+	// fpBuf is the feed goroutine's fingerprint buffer: each window's
+	// canonical bytes are rendered into it, hashed, and overwritten by the
+	// next window's.
+	fpBuf []byte
+
+	mu      sync.Mutex
+	stopped bool
+	queued  int
+	// reports is a ring of the last maxRetainedReports window reports,
+	// oldest at reportAt(0); nReports counts every report ever retained.
+	reports  [maxRetainedReports]retainedReport
+	nReports int
+	// latestDoc is the /report reply for the newest report.
+	latestDoc []byte
 	alerts    []online.Alert
 	health    tracestore.Health
 	hasHealth bool
@@ -166,10 +177,22 @@ func newTenant(id string, rs *spec.PipelineSpec, hookEnv hookEnv) (*Tenant, erro
 	return t, nil
 }
 
+// retainedReport is one slot of the report ring: the report and the bytes
+// a /reports reply carries for it as an element of the array, encoded once
+// when the window closed — so a poll costs a copy of what it returns, not
+// an encode.
+type retainedReport struct {
+	rep  WindowReport
+	elem []byte
+}
+
 // onWindow runs on the feed goroutine for every diagnosed window and
-// retains its report summary.
+// retains its report summary. Nothing of res outlives the call: the
+// window's store is lent (pipeline.Result.Store), so what is kept is the
+// hash, the counts and the health line.
 func (t *Tenant) onWindow(end simtime.Time, res *pipeline.Result) {
-	sum := sha256.Sum256([]byte(res.Fingerprint()))
+	t.fpBuf = res.AppendFingerprint(t.fpBuf[:0])
+	sum := sha256.Sum256(t.fpBuf)
 	rep := WindowReport{
 		End:         end,
 		Fingerprint: hex.EncodeToString(sum[:]),
@@ -179,13 +202,34 @@ func (t *Tenant) onWindow(end simtime.Time, res *pipeline.Result) {
 		Patterns:    len(res.Patterns),
 		Health:      res.Health.String(),
 	}
+	// The array form of one report is "[\n" + element + "\n]\n".
+	arr := encodeJSON([]WindowReport{rep})
 	t.mu.Lock()
-	t.reports = append(t.reports, rep)
-	if len(t.reports) > maxRetainedReports {
-		t.reports = append(t.reports[:0], t.reports[len(t.reports)-maxRetainedReports:]...)
-	}
+	slot := &t.reports[t.nReports%maxRetainedReports]
+	slot.rep = rep
+	slot.elem = append(slot.elem[:0], arr[2:len(arr)-3]...)
+	t.latestDoc = append(t.latestDoc[:0], encodeJSON(rep)...)
+	t.nReports++
 	t.health, t.hasHealth = res.Health, true
 	t.mu.Unlock()
+}
+
+// retained returns how many reports the ring holds; reportAt(i) is the
+// i-th oldest of them. The caller holds t.mu.
+func (t *Tenant) retained() int { return min(t.nReports, maxRetainedReports) }
+
+func (t *Tenant) reportAt(i int) *retainedReport {
+	return &t.reports[(t.nReports-t.retained()+i)%maxRetainedReports]
+}
+
+// lastN returns the reportAt range [lo, hi) of the newest n retained
+// reports (n <= 0 = all retained). The caller holds t.mu.
+func (t *Tenant) lastN(n int) (lo, hi int) {
+	hi = t.retained()
+	if n <= 0 || n > hi {
+		n = hi
+	}
+	return hi - n, hi
 }
 
 // feedLoop is the tenant's single consumer: the online monitor is not
@@ -347,7 +391,7 @@ func (t *Tenant) Status() TenantStatus {
 		ID:             t.ID,
 		Draining:       t.stopped,
 		QueuedChunks:   t.queued,
-		Reports:        len(t.reports),
+		Reports:        t.retained(),
 		Alerts:         len(t.alerts),
 		MemBudgetBytes: t.budget,
 		Stats:          t.stats,
@@ -364,21 +408,56 @@ func (t *Tenant) Status() TenantStatus {
 func (t *Tenant) Reports(n int) []WindowReport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	reps := t.reports
-	if n > 0 && len(reps) > n {
-		reps = reps[len(reps)-n:]
+	var reps []WindowReport
+	for i, hi := t.lastN(n); i < hi; i++ {
+		reps = append(reps, t.reportAt(i).rep)
 	}
-	return append([]WindowReport(nil), reps...)
+	return reps
+}
+
+// ReportsJSON returns the JSON document writeJSON would send for
+// Reports(n), stitched from the bytes each report was encoded to when its
+// window closed.
+func (t *Tenant) ReportsJSON(n int) []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lo, hi := t.lastN(n)
+	if lo == hi {
+		return []byte("null\n") // how a nil []WindowReport encodes
+	}
+	size := len("[\n") + len("\n]\n")
+	for i := lo; i < hi; i++ {
+		size += len(t.reportAt(i).elem) + len(",\n")
+	}
+	out := append(make([]byte, 0, size), "[\n"...)
+	for i := lo; i < hi; i++ {
+		if i > lo {
+			out = append(out, ",\n"...)
+		}
+		out = append(out, t.reportAt(i).elem...)
+	}
+	return append(out, "\n]\n"...)
 }
 
 // LatestReport returns the most recent window report.
 func (t *Tenant) LatestReport() (WindowReport, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.reports) == 0 {
+	if t.nReports == 0 {
 		return WindowReport{}, false
 	}
-	return t.reports[len(t.reports)-1], true
+	return t.reportAt(t.retained() - 1).rep, true
+}
+
+// LatestReportJSON returns the JSON document writeJSON would send for
+// LatestReport.
+func (t *Tenant) LatestReportJSON() ([]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.nReports == 0 {
+		return nil, false
+	}
+	return bytes.Clone(t.latestDoc), true
 }
 
 // Alerts returns the retained alerts, oldest first.

@@ -88,3 +88,15 @@ func (m *Moments) Abnormal(x float64, k float64, minSamples int64) bool {
 	}
 	return x > m.Mean()+k*sd
 }
+
+// Unmerge takes a summary back out: after Merge(o), Unmerge(o) restores m
+// exactly (the moments are integers under 128-bit modular arithmetic), so
+// a sliding window can subtract the segment that left instead of
+// re-merging the ones that stayed.
+func (m *Moments) Unmerge(o Moments) {
+	m.n -= o.n
+	m.sum -= o.sum
+	var borrow uint64
+	m.sqLo, borrow = bits.Sub64(m.sqLo, o.sqLo, 0)
+	m.sqHi, _ = bits.Sub64(m.sqHi, o.sqHi, borrow)
+}

@@ -131,3 +131,29 @@ func TestMomentsHugeSquares(t *testing.T) {
 		t.Fatalf("stddev degenerate: %v", sd)
 	}
 }
+
+// TestMomentsUnmerge: taking a summary back out restores the one it was
+// merged into exactly, across the 64-bit carry of the square sum and for
+// negative samples.
+func TestMomentsUnmerge(t *testing.T) {
+	var base, other Moments
+	for _, d := range []int64{5, -7, 1 << 40, -(1 << 41), 3, 1<<62 - 1} {
+		base.Add(d)
+	}
+	for _, d := range []int64{1 << 62, -(1 << 62), 11, 0, -1} {
+		other.Add(d)
+	}
+	merged := base
+	merged.Merge(other)
+	if merged == base {
+		t.Fatal("merge changed nothing")
+	}
+	merged.Unmerge(other)
+	if merged != base {
+		t.Fatalf("Merge then Unmerge = %+v, want %+v", merged, base)
+	}
+	merged.Unmerge(base)
+	if merged != (Moments{}) {
+		t.Fatalf("unmerging everything leaves %+v", merged)
+	}
+}

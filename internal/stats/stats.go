@@ -28,17 +28,23 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
+	return sorted[percentileIndex(len(sorted), p)]
+}
+
+// percentileIndex is the nearest-rank position of the p-th percentile among
+// n > 0 ascending samples.
+func percentileIndex(n int, p float64) int {
 	if p <= 0 {
-		return sorted[0]
+		return 0
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return n - 1
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	rank := int(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
-	return sorted[rank-1]
+	return rank - 1
 }
 
 // Mean returns the arithmetic mean, or 0 for empty input.

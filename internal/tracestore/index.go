@@ -14,7 +14,10 @@ import (
 // warms every per-component lazy structure (queuing-period search index,
 // queue-length timeline), so any number of goroutines may afterwards query
 // queuing periods concurrently without synchronization — the contract the
-// parallel diagnosis stage relies on.
+// parallel diagnosis stage relies on. A stream's window store keeps one
+// Index for its lifetime and brings it up to date, together with the
+// store, between windows (window.go); while a window is being diagnosed it
+// is as immutable as any other.
 type Index struct {
 	store *Store
 	// QueueThreshold is the §7 period threshold the timelines were warmed
@@ -28,9 +31,11 @@ type Index struct {
 	// full sequential scan. An entry with N()==0 means the component had
 	// no read hops.
 	delayStats []stats.Moments
-	// sortedLatencies are delivered-journey latencies, ascending, for
-	// percentile thresholds.
-	sortedLatencies []float64
+	// latencies are delivered-journey latencies, ascending, for percentile
+	// thresholds. A cold index wraps the one sorted slice its scan produced;
+	// a stream's window index adds and removes a segment's sorted run per
+	// slide.
+	latencies stats.SortedBag
 	// traceEnd is the latest hop departure in the trace.
 	traceEnd simtime.Time
 	// closures[comp] is the upstream closure of each component (see
@@ -61,7 +66,7 @@ func (ix *Index) DelayStatsID(comp CompID) *stats.Moments {
 
 // LatencyPercentile returns the p-th percentile of delivered latencies.
 func (ix *Index) LatencyPercentile(p float64) float64 {
-	return stats.PercentileSorted(ix.sortedLatencies, p)
+	return ix.latencies.Percentile(p)
 }
 
 // TraceEnd returns the latest hop departure observed in the trace.
@@ -111,7 +116,7 @@ func (s *Store) buildIndex(queueThreshold int) *Index {
 		}
 	}
 	sort.Float64s(latencies)
-	ix.sortedLatencies = latencies
+	ix.latencies = stats.SortedBagOf(latencies)
 	ix.closures = s.buildClosures()
 
 	// Warm every lazy per-component structure so post-build queries are

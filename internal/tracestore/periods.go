@@ -13,9 +13,11 @@ type QueuingPeriod struct {
 	Comp  CompID
 	Start simtime.Time
 	End   simtime.Time
-	// ArrivalFirst..ArrivalLast (inclusive) index CompView.Arrivals for
-	// the packets that arrived during the period — PreSet(p) plus the
-	// victim itself.
+	// ArrivalFirst..ArrivalLast (inclusive) are the arrivals at Comp
+	// during the period — PreSet(p) plus the victim itself — as
+	// stream-absolute arrival indices: Store.PeriodArrivals resolves them.
+	// They stay valid while the arrivals stay retained, however many rows
+	// a window store has since dropped from the front.
 	ArrivalFirst, ArrivalLast int
 	// NIn is n_i(T): packets arriving during the period.
 	NIn int
@@ -25,6 +27,27 @@ type QueuingPeriod struct {
 
 // T returns the period length.
 func (qp *QueuingPeriod) T() simtime.Duration { return qp.End.Sub(qp.Start) }
+
+// PeriodArrivals returns the arrivals of a queuing period computed over
+// this store, in arrival order. The slice is shared and must not be
+// mutated.
+func (s *Store) PeriodArrivals(qp *QueuingPeriod) []Arrival {
+	v := s.ViewID(qp.Comp)
+	if v == nil {
+		return nil
+	}
+	lo, hi := qp.ArrivalFirst-v.firstArrival, qp.ArrivalLast+1-v.firstArrival
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > len(v.Arrivals) {
+		hi = len(v.Arrivals)
+	}
+	if lo >= hi {
+		return nil
+	}
+	return v.Arrivals[lo:hi]
+}
 
 // periodIndex caches per-component arrays for O(log n) period queries.
 type periodIndex struct {
@@ -145,8 +168,8 @@ func (s *Store) QueuingPeriodAtID(comp CompID, t simtime.Time) *QueuingPeriod {
 		Comp:         comp,
 		Start:        start,
 		End:          t,
-		ArrivalFirst: first,
-		ArrivalLast:  last,
+		ArrivalFirst: v.firstArrival + first,
+		ArrivalLast:  v.firstArrival + last,
 		NIn:          last - first + 1,
 		NProc:        nProc,
 	}

@@ -37,11 +37,53 @@ type JourneyHop struct {
 	ArriveAt simtime.Time // upstream write into this comp's queue
 	ReadAt   simtime.Time // dequeue time (zero if never read)
 	DepartAt simtime.Time // this comp's write/deliver time (zero if none)
-	// ReadEvent indexes CompView.Reads for the dequeuing batch, -1 when
-	// the packet was never read.
+	// ReadEvent is the dequeuing batch's stream-absolute index into
+	// CompView.Reads (Store.HopRead resolves it), -1 when the packet was
+	// never read.
 	ReadEvent int
-	// Arrival indexes CompView.Arrivals for this hop.
+	// Arrival is this hop's stream-absolute index into CompView.Arrivals
+	// (Store.HopArrival resolves it).
 	Arrival int
+}
+
+// Row references between a store's tables — Arrival.Journey,
+// JourneyHop.Arrival/ReadEvent, ReadEvent.FirstEntry and a QueuingPeriod's
+// arrival range — are stream-absolute: they count rows since the table
+// was last emptied, not positions in the slices as they stand. For every
+// store but a stream's window store the two are the same. A window store
+// drops rows from the front of its tables as the window slides, and the
+// references into the rows that stay keep their values; the accessors
+// below subtract how many rows have left.
+
+// FirstJourney returns the stream-absolute index of Journeys[0]. Journey
+// indices handed out with results (Victim.Journey, CulpritJourneys) index
+// Journeys directly; Arrival.Journey is FirstJourney() higher.
+func (s *Store) FirstJourney() int { return s.firstJourney }
+
+// JourneyAt resolves an Arrival.Journey reference, nil when the arrival
+// was never linked or the journey is not in the store.
+func (s *Store) JourneyAt(ref int) *Journey {
+	i := ref - s.firstJourney
+	if ref < 0 || i < 0 || i >= len(s.Journeys) {
+		return nil
+	}
+	return &s.Journeys[i]
+}
+
+// HopArrival returns the arrival row behind a journey hop.
+func (s *Store) HopArrival(hop *JourneyHop) *Arrival {
+	v := s.views[hop.Comp]
+	return &v.Arrivals[hop.Arrival-v.firstArrival]
+}
+
+// HopRead returns the read event that dequeued a journey hop, nil when the
+// packet was never read.
+func (s *Store) HopRead(hop *JourneyHop) *ReadEvent {
+	if hop.ReadEvent < 0 {
+		return nil
+	}
+	v := s.views[hop.Comp]
+	return &v.Reads[hop.ReadEvent-v.firstRead]
 }
 
 // LastCompID returns the last component the packet was observed at

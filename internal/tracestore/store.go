@@ -17,6 +17,7 @@ package tracestore
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -43,7 +44,8 @@ type ReadEvent struct {
 	// than MaxBatch, §5).
 	Drained bool
 	// FirstEntry indexes the first packet of this batch in the
-	// component's flattened read entries.
+	// component's flattened read entries (stream-absolute, like every row
+	// reference; see reconstruct.go).
 	FirstEntry int
 }
 
@@ -51,13 +53,15 @@ type ReadEvent struct {
 // inside an upstream write batch).
 type Arrival struct {
 	At      simtime.Time
-	IPID    uint16
+	Journey int    // journey reference (Store.JourneyAt), -1 until reconstruction links it
 	From    CompID // writing component
-	Journey int    // journey index, -1 until reconstruction links it
+	IPID    uint16
 	// Quarantined marks an arrival whose dequeue match was ambiguous
 	// (duplicate-IPID collision the side channels could not break);
 	// journeys through it are flagged rather than trusted.
 	Quarantined bool
+	// (Fields are ordered so that a row is 24 bytes: arrivals are the
+	// most numerous rows a store and a stream's window hold.)
 }
 
 // CompView is the per-component index the diagnosis consumes.
@@ -85,6 +89,12 @@ type CompView struct {
 	// Arrivals are packets entering this component's queue, in enqueue
 	// order as reconstructed (time-merged upstream writes).
 	Arrivals []Arrival
+
+	// firstArrival and firstRead are the stream-absolute indices of
+	// Arrivals[0] and Reads[0]: what JourneyHop.Arrival/ReadEvent and a
+	// QueuingPeriod's arrival range count from. Zero except in a stream's
+	// window store, where rows leave from the front (window.go).
+	firstArrival, firstRead int
 
 	// pidx caches the queuing-period search index; pidxBuf is its storage.
 	pidx    *periodIndex
@@ -130,6 +140,12 @@ type Store struct {
 	// order. Every Journey's Hops slice is a span of the shared hopArena.
 	Journeys []Journey
 	hopArena []JourneyHop
+	// firstJourney is the stream-absolute index of Journeys[0], what
+	// Arrival.Journey counts from (zero except in a window store).
+	firstJourney int
+	// gen counts the windows a stream's window store has been brought up
+	// to date for (Generation); zero for every other store.
+	gen uint64
 
 	// The retained slabs: every view's Arrivals, Reads and period-index
 	// arrays are exact-size spans of these, so a store costs a handful of
@@ -144,9 +160,9 @@ type Store struct {
 
 	recon ReconStats
 
-	// recCount overrides the Health record count for merged window
-	// stores, whose Trace carries no records of its own (the stream
-	// keeps records per segment; the merge only sums their counts).
+	// recCount overrides the Health record count for a stream's window
+	// store, whose Trace carries no records of its own (the stream keeps
+	// records per segment; the window store only sums their counts).
 	recCount int
 
 	// mu guards the lazily built shared indexes below. The per-threshold
@@ -209,20 +225,37 @@ func (h Health) Degraded() bool {
 }
 
 // String renders a one-line health summary.
-func (h Health) String() string {
-	s := fmt.Sprintf("health: %d records, %d journeys, %.2f%% unmatched",
-		h.Records, h.Journeys, h.UnmatchedFrac()*100)
+func (h Health) String() string { return string(h.AppendString(nil)) }
+
+// AppendString appends String's text to dst. It is on the per-window path
+// of the serving tier (every window's report and fingerprint carry the
+// line), so it formats with strconv rather than fmt.
+func (h Health) AppendString(dst []byte) []byte {
+	dst = append(dst, "health: "...)
+	dst = strconv.AppendInt(dst, int64(h.Records), 10)
+	dst = append(dst, " records, "...)
+	dst = strconv.AppendInt(dst, int64(h.Journeys), 10)
+	dst = append(dst, " journeys, "...)
+	dst = strconv.AppendFloat(dst, h.UnmatchedFrac()*100, 'f', 2, 64)
+	dst = append(dst, "% unmatched"...)
 	if h.Integrity.Damaged() {
-		s += fmt.Sprintf(", damaged (%d dropped, %d skipped, %d truncated)",
-			h.Integrity.DroppedRecords, h.Integrity.DecodeSkipped, h.Integrity.TruncatedRecords)
+		dst = append(dst, ", damaged ("...)
+		dst = strconv.AppendInt(dst, int64(h.Integrity.DroppedRecords), 10)
+		dst = append(dst, " dropped, "...)
+		dst = strconv.AppendInt(dst, int64(h.Integrity.DecodeSkipped), 10)
+		dst = append(dst, " skipped, "...)
+		dst = strconv.AppendInt(dst, int64(h.Integrity.TruncatedRecords), 10)
+		dst = append(dst, " truncated)"...)
 	}
 	if h.Recon.Quarantined > 0 {
-		s += fmt.Sprintf(", %d journeys quarantined", h.Recon.Quarantined)
+		dst = append(dst, ", "...)
+		dst = strconv.AppendInt(dst, int64(h.Recon.Quarantined), 10)
+		dst = append(dst, " journeys quarantined"...)
 	}
 	if h.Degraded() {
-		s += " [degraded]"
+		dst = append(dst, " [degraded]"...)
 	}
-	return s
+	return dst
 }
 
 // view interns name, creating its (empty) per-component view on first use.

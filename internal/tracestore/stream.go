@@ -40,9 +40,11 @@ import (
 // its shell and is refilled in place when the shell is recycled; everything
 // needed only while sealing lives in one stream-owned scratch, so sealing
 // allocates nothing once the shells and the scratch have grown to size. A
-// window is then assembled by a pure concatenation merge of its sealed
-// segments — per-record work happens once per record, not once per window
-// it slides through.
+// window is then assembled in the stream's one window store (window.go) by
+// appending the segments sealed since the last window and dropping the ones
+// evicted since — per-record work happens once when a record is sealed,
+// once when its segment enters the window and once when it leaves, not
+// once per window it slides through.
 //
 // Window-assembly semantics: journeys are reconstructed within a segment,
 // so a packet whose hops straddle a segment boundary contributes one
@@ -69,9 +71,10 @@ type StreamConfig struct {
 }
 
 // Segment is one sealed grid segment: an owned copy of its records, the
-// per-segment reconstructed store, and the mergeable summaries the window
-// assembly consumes. Shells are recycled through the stream's free list;
-// reset restamps the epoch and truncates every buffer before reuse.
+// per-segment reconstructed store, and the summaries the window store adds
+// when the segment enters the window and subtracts when it leaves. Shells
+// are recycled through the stream's free list; reset restamps the epoch and
+// truncates every buffer before reuse.
 type Segment struct {
 	// epoch is the generation stamp: monotonically increasing across the
 	// stream's lifetime, rewritten on every reuse so a stale reference to
@@ -85,14 +88,15 @@ type Segment struct {
 	// records is the owned copy of the segment's records, time-sorted.
 	records []collector.BatchRecord
 	// st is the segment-local reconstructed store: journeys, arrivals,
-	// reads and the warmed period index, what the window merge reads. The
-	// build-only tables belonged to the stream's scratch and are gone. It
+	// reads and the warmed period index, what the window store copies its
+	// rows from. The build-only tables belonged to the stream's scratch
+	// and are gone. It
 	// points at store while the segment is live and is nil on the free
 	// list; store keeps its arrays across recycling (Store.recycle).
 	st    *Store
 	store Store
 
-	// Mergeable summaries, frozen at seal time.
+	// Summaries, frozen at seal time.
 	moments   []stats.Moments // per segment-local CompID queue-delay moments
 	latencies []float64       // delivered latencies, ascending
 	traceEnd  simtime.Time    // latest non-skipped hop departure
@@ -140,24 +144,22 @@ type StreamStats struct {
 	Integrity collector.Integrity
 }
 
-// WindowRemap tells a memo holder how to translate state cached against
-// the previous Window() result onto the new one, or that it cannot.
+// WindowRemap tells a memo holder whether state cached against the
+// previous Window() result still describes the new one. Nothing needs
+// translating: row references and component ids in a carried entry mean
+// the same rows and components in the new window, as long as the rows are
+// still there.
 type WindowRemap struct {
-	// First marks the stream's first assembled window (nothing to carry).
-	First bool
-	// Compatible reports that the previous window's interner is a prefix
-	// of the new one, so previous CompIDs remain valid. When false,
-	// carried state must be dropped wholesale.
+	// Compatible reports that the window store was brought up to date in
+	// place, so component ids and row references handed out for the
+	// previous window remain valid. When false — the first window, one
+	// assembled from scratch after the interner changed shape, after
+	// nothing of the previous window was retained, or after a contained
+	// panic — carried state must be dropped wholesale.
 	Compatible bool
 	// NewStart is the new window's data start (end − W − O): cached
 	// periods starting before it may reference evicted history.
 	NewStart simtime.Time
-	// JourneyShift is how many journeys were evicted since the previous
-	// window: carried journey indices shift down by it.
-	JourneyShift int
-	// ArrivalShift[comp] (indexed by *previous-window* CompID) is how
-	// many arrivals at comp were evicted since the previous window.
-	ArrivalShift []int32
 }
 
 // Stream is the retained sliding-window state: sealed segments in time
@@ -184,14 +186,17 @@ type Stream struct {
 
 	last StreamStats
 
-	// Pending remap deltas accumulated by evictions since the last
-	// Window() call, keyed by component name so they survive interner
-	// changes between windows.
-	pendJourneyShift int
-	pendArrShift     map[string]int //mslint:allow compid remap bookkeeping across windows; keyed by name so deltas survive interner changes
-	prevNames        []string
-	prevByName       map[string]CompID //mslint:allow compid remap bookkeeping across windows; resolved once per window, not hot-path
-	havePrev         bool
+	// win is the window store, what Window hands out. The first applied
+	// segments of segs are in it; dropped are the segments evicted since
+	// the last Window that still are, in eviction order. A dropped
+	// segment's shell is kept off the free list until Window has taken its
+	// rows back out, because that is done by reading how many there were.
+	// Segments sealed and evicted between two Window calls never enter the
+	// window store, so an ingest-only Advance (a skipped or empty window, a
+	// gap drain) does no window work at all.
+	win     window
+	applied int
+	dropped []*Segment
 }
 
 // NewStream creates an empty stream for the given deployment meta and
@@ -214,9 +219,9 @@ func NewStream(meta collector.Meta, cfg StreamConfig) (*Stream, error) {
 		// -1, not 0: a record at exactly t=0 is not yet sealed (no
 		// window has ever flushed), and Advance's already-sealed guard
 		// is boundary-typed (At <= sealedTo).
-		sealedTo:     -1,
-		dirty:        make(map[string]struct{}), //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
-		pendArrShift: make(map[string]int),      //mslint:allow compid remap bookkeeping across windows; keyed by name so deltas survive interner changes
+		sealedTo: -1,
+		dirty:    make(map[string]struct{}), //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
+		win:      window{summaries: true},
 	}, nil
 }
 
@@ -454,8 +459,8 @@ func (s *Stream) seal(g *Segment) {
 	s.last.SealedSegments++
 	s.last.Records += int64(len(g.records))
 	s.last.Journeys += int64(len(st.Journeys))
-	addRecon(&s.last.Recon, st.recon)
-	addIntegrity(&s.last.Integrity, st.Trace.Integrity)
+	addRecon(&s.last.Recon, st.recon, +1)
+	addIntegrity(&s.last.Integrity, st.Trace.Integrity, +1)
 }
 
 // takeSegment pops a recycled shell (or allocates one) and stamps it with
@@ -474,11 +479,12 @@ func (s *Stream) takeSegment() *Segment {
 }
 
 // evict retires segments wholly below start (the retention horizon) in
-// O(1) per segment, accumulating the remap deltas the next Window() call
-// hands to memo holders. start is always a grid boundary, so segments are
-// never split: a non-point segment survives iff any of it lies strictly
-// above start (its lo is then ≥ start by grid alignment), a point segment
-// iff its instant is still in [start, ...].
+// O(1) per segment. start is always a grid boundary, so segments are never
+// split: a non-point segment survives iff any of it lies strictly above
+// start (its lo is then ≥ start by grid alignment), a point segment iff its
+// instant is still in [start, ...]. A segment the window store holds rows
+// of waits in dropped for the next Window; any other goes straight back to
+// the free list.
 func (s *Stream) evict(start simtime.Time) {
 	n := 0
 	for n < len(s.segs) {
@@ -490,13 +496,12 @@ func (s *Stream) evict(start simtime.Time) {
 		if keep {
 			break
 		}
-		s.pendJourneyShift += len(g.st.Journeys)
-		for _, v := range g.st.views {
-			if len(v.Arrivals) > 0 {
-				s.pendArrShift[v.Name] += len(v.Arrivals)
-			}
+		if s.applied > 0 {
+			s.applied--
+			s.dropped = append(s.dropped, g)
+		} else {
+			s.retire(g)
 		}
-		s.retire(g)
 		n++
 	}
 	if n > 0 {
@@ -515,331 +520,97 @@ func (s *Stream) retire(g *Segment) {
 	s.free = append(s.free, g)
 }
 
-// Window assembles the merged store for the window ending at end from the
-// retained sealed segments, with the diagnosis index preset from the
-// per-segment summaries (no re-scan of history), and returns the remap
-// that carries memo state forward from the previous Window() call.
+// Window brings the stream's window store up to date for the window ending
+// at end — the rows of the segments evicted since the last call leave from
+// the front, the rows of the segments sealed since are appended, and the
+// diagnosis index follows from their seal-time summaries, so the work is
+// proportional to what entered and left, not to the span — and reports
+// whether state cached against the previous window carries over.
+//
+// The store is lent: it is the same *Store every call, valid until the
+// next one, and its Generation tells a stale holder apart. When it cannot
+// be updated in place it is emptied and every retained segment appended
+// (the one other way to assemble it, also how the first window is).
 func (s *Stream) Window(end simtime.Time) (*Store, WindowRemap) {
-	stores := make([]*Store, len(s.segs))
-	for i, g := range s.segs {
-		stores[i] = g.st
+	w := &s.win
+	rm := WindowRemap{
+		Compatible: w.valid && s.applied > 0 && s.internerIntact(),
+		NewStart:   end - simtime.Time(s.w+s.o),
 	}
-	m := s.mergeStores(stores, s.segs)
-
-	rm := WindowRemap{NewStart: end - simtime.Time(s.w+s.o)}
-	if !s.havePrev {
-		rm.First = true
+	w.valid = false
+	if rm.Compatible {
+		for _, g := range s.dropped {
+			w.drop(g)
+		}
 	} else {
-		rm.Compatible = namesPrefix(s.prevNames, m.names)
-		if rm.Compatible {
-			rm.JourneyShift = s.pendJourneyShift
-			rm.ArrivalShift = make([]int32, len(s.prevNames))
-			for name, d := range s.pendArrShift {
-				if id, ok := s.prevByName[name]; ok {
-					rm.ArrivalShift[id] = int32(d)
-				} else {
-					// An evicted component the previous window never
-					// interned cannot be remapped; drop wholesale.
-					rm.Compatible = false
-				}
+		w.reset(s.meta, s.thr)
+		s.applied = 0
+	}
+	for i, g := range s.dropped {
+		s.retire(g)
+		s.dropped[i] = nil
+	}
+	s.dropped = s.dropped[:0]
+	var traceEnd simtime.Time
+	for i, g := range s.segs {
+		if i >= s.applied {
+			w.append(g.st, g)
+		}
+		if g.traceEnd > traceEnd {
+			traceEnd = g.traceEnd
+		}
+	}
+	s.applied = len(s.segs)
+	st := w.publish(traceEnd)
+	w.valid = true
+	return st, rm
+}
+
+// internerIntact reports whether taking the dropped segments out leaves
+// the window store's interner as assembling the retained segments from
+// scratch would build it: components the meta does not declare are interned
+// in the order the segments first mention them, so one leaving with its
+// only (or first) mention changes the ids of those after it.
+func (s *Stream) internerIntact() bool {
+	w := &s.win
+	undeclared := false
+	for _, g := range s.dropped {
+		// A segment store interns every declared component and edge
+		// endpoint; anything beyond is a component only records named.
+		undeclared = undeclared || len(g.st.views) != w.nStatic
+	}
+	if !undeclared {
+		return true
+	}
+	next := w.nStatic
+	for _, g := range s.segs[:s.applied] {
+		for _, v := range g.st.views {
+			switch id := int(w.st.byName[v.Name]); {
+			case id < next: // declared, or already met
+			case id == next:
+				next++
+			default:
+				return false
 			}
 		}
 	}
-	s.pendJourneyShift = 0
-	clear(s.pendArrShift)
-	s.prevNames = m.names
-	s.prevByName = m.byName
-	s.havePrev = true
-	return m, rm
+	return next == len(w.st.views)
 }
 
 // RebuildWindow is the cold reference path: re-run Build+Reconstruct over
-// every retained segment's records and merge, with no summary reuse and
-// no preset index. The equivalence suite holds the incremental Window()
-// output to byte-identical reports against this.
+// every retained segment's records and append the stores to a fresh window
+// store, with no summary reuse — its diagnosis index and period search
+// arrays are derived by scanning, like any cold store's. The equivalence
+// suite holds the Window() output to byte-identical reports against this.
 func (s *Stream) RebuildWindow() *Store {
-	stores := make([]*Store, len(s.segs))
-	for i, g := range s.segs {
-		tr := &collector.Trace{Meta: s.meta, Records: g.records}
-		st := Build(tr)
+	var w window
+	w.reset(s.meta, s.thr)
+	for _, g := range s.segs {
+		st := Build(&collector.Trace{Meta: s.meta, Records: g.records})
 		st.Reconstruct()
-		stores[i] = st
+		w.append(st, nil)
 	}
-	return s.mergeStores(stores, nil)
-}
-
-// namesPrefix reports whether prev is a prefix of cur.
-func namesPrefix(prev, cur []string) bool {
-	if len(prev) > len(cur) {
-		return false
-	}
-	for i := range prev {
-		if prev[i] != cur[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeStores concatenates per-segment stores into one fresh window store.
-// When segs is non-nil the diagnosis index is preset from the sealed
-// summaries (incremental path); when nil the merged store is left to build
-// its index by scanning (cold reference path). Both paths produce
-// identical journeys/arrivals/reads tables, and the preset index is
-// bit-identical to the scanned one: delay moments merge exactly
-// (stats.Moments), sorted-latency k-way merge equals sort-of-concat, and
-// the period arrays concatenate positionally.
-func (s *Stream) mergeStores(stores []*Store, segs []*Segment) *Store {
-	maxBatch := s.meta.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 32
-	}
-	m := &Store{
-		Trace:    &collector.Trace{Meta: s.meta},
-		MaxBatch: maxBatch,
-		byName:   make(map[string]CompID, len(s.meta.Components)+1), //mslint:allow compid this IS the merged-store interner, mirroring Build
-		srcID:    NoComp,
-	}
-	// Interner: declared components first (Build's stable order), then
-	// each segment's undeclared components in segment order — which is
-	// exactly the record-appearance order Build would intern them in.
-	for i := range s.meta.Components {
-		m.view(s.meta.Components[i].Name)
-	}
-	for _, e := range s.meta.Edges {
-		m.view(e.From)
-		m.view(e.To)
-	}
-	for _, st := range stores {
-		for _, v := range st.views {
-			m.view(v.Name)
-		}
-	}
-	n := len(m.views)
-
-	// Per-component meta tables, mirroring Build.
-	m.peaks = make([]simtime.Rate, n)
-	m.kinds = make([]string, n)
-	m.downs = make([][]CompID, n)
-	m.ups = make([][]CompID, n)
-	for id, v := range m.views {
-		m.kinds[id] = v.Name
-		if v.Meta != nil {
-			m.peaks[id] = v.Meta.PeakRate
-			if v.Meta.Kind != "" {
-				m.kinds[id] = v.Meta.Kind
-			}
-		}
-	}
-	for _, e := range s.meta.Edges {
-		from, to := m.byName[e.From], m.byName[e.To]
-		m.downs[from] = append(m.downs[from], to)
-		m.ups[to] = append(m.ups[to], from)
-	}
-	if id, ok := m.byName[collector.SourceName]; ok {
-		m.srcID = id
-	}
-
-	// Remap and offset tables: remap[k] maps segment-k CompIDs to merged
-	// ones; arrOff/readsOff[k][mid] are the merged-array positions where
-	// segment k's arrivals/reads at merged comp mid land; journeyOff[k]
-	// rebases journey indices.
-	K := len(stores)
-	remap := make([][]CompID, K)
-	arrOff := make([][]int32, K)
-	readsOff := make([][]int32, K)
-	entryOff := make([][]int, K)
-	journeyOff := make([]int, K)
-	arrCount := make([]int, n)
-	readCount := make([]int, n)
-	entryCount := make([]int, n)
-	totalJ, totalH, totalRec := 0, 0, 0
-	for k, st := range stores {
-		remap[k] = make([]CompID, len(st.views))
-		arrOff[k] = make([]int32, n)
-		readsOff[k] = make([]int32, n)
-		entryOff[k] = make([]int, n)
-		for _, v := range st.views {
-			mid := m.byName[v.Name]
-			remap[k][v.ID] = mid
-			arrOff[k][mid] = int32(arrCount[mid])
-			readsOff[k][mid] = int32(readCount[mid])
-			entryOff[k][mid] = entryCount[mid]
-			arrCount[mid] += len(v.Arrivals)
-			readCount[mid] += len(v.Reads)
-			for i := range v.Reads {
-				entryCount[mid] += v.Reads[i].N
-			}
-		}
-		journeyOff[k] = totalJ
-		totalJ += len(st.Journeys)
-		totalH += len(st.hopArena)
-		totalRec += len(st.Trace.Records)
-	}
-
-	for mid, mv := range m.views {
-		if arrCount[mid] > 0 {
-			mv.Arrivals = make([]Arrival, arrCount[mid])
-		}
-		if readCount[mid] > 0 {
-			mv.Reads = make([]ReadEvent, readCount[mid])
-		}
-	}
-	for k, st := range stores {
-		for _, v := range st.views {
-			mid := remap[k][v.ID]
-			mv := m.views[mid]
-			base := int(arrOff[k][mid])
-			for i, a := range v.Arrivals {
-				if a.From >= 0 {
-					a.From = remap[k][a.From]
-				}
-				if a.Journey >= 0 {
-					a.Journey += journeyOff[k]
-				}
-				mv.Arrivals[base+i] = a
-			}
-			rbase := int(readsOff[k][mid])
-			eoff := entryOff[k][mid]
-			for i, r := range v.Reads {
-				r.FirstEntry += eoff
-				mv.Reads[rbase+i] = r
-			}
-		}
-	}
-
-	// Journeys: concat into a fresh arena, remapping comp IDs and the
-	// arrival/read-event back-references onto the merged arrays.
-	m.Journeys = make([]Journey, 0, totalJ)
-	m.hopArena = make([]JourneyHop, totalH)
-	pos := 0
-	for k, st := range stores {
-		for i := range st.Journeys {
-			j := st.Journeys[i]
-			start := pos
-			for h := range j.Hops {
-				hop := j.Hops[h]
-				mid := remap[k][hop.Comp]
-				hop.Comp = mid
-				hop.Arrival += int(arrOff[k][mid])
-				if hop.ReadEvent >= 0 {
-					hop.ReadEvent += int(readsOff[k][mid])
-				}
-				m.hopArena[pos] = hop
-				pos++
-			}
-			j.Hops = m.hopArena[start:pos:pos]
-			m.Journeys = append(m.Journeys, j)
-		}
-		addRecon(&m.recon, st.recon)
-		addIntegrity(&m.Trace.Integrity, st.Trace.Integrity)
-	}
-	m.recCount = totalRec
-
-	if segs == nil {
-		return m
-	}
-
-	// Incremental extras: preset the queuing-period search arrays and the
-	// diagnosis index from the sealed summaries.
-	for mid, mv := range m.views {
-		pi := &periodIndex{readCum: make([]int, 0, readCount[mid]+1)}
-		pi.readCum = append(pi.readCum, 0)
-		if arrCount[mid] > 0 {
-			pi.arrivalTimes = make([]simtime.Time, 0, arrCount[mid])
-		}
-		if readCount[mid] > 0 {
-			pi.readTimes = make([]simtime.Time, 0, readCount[mid])
-		}
-		for _, st := range stores {
-			v := st.ViewID(compIDIn(st, m.names[mid]))
-			if v == nil {
-				continue
-			}
-			vp := v.pidx // warmed at seal time
-			if vp == nil {
-				vp = st.periodIndexOf(v)
-			}
-			pi.arrivalTimes = append(pi.arrivalTimes, vp.arrivalTimes...)
-			pi.drainTimes = append(pi.drainTimes, vp.drainTimes...)
-			pi.readTimes = append(pi.readTimes, vp.readTimes...)
-			for i := 1; i < len(vp.readCum); i++ {
-				pi.readCum = append(pi.readCum, pi.readCum[len(pi.readCum)-1]+vp.readCum[i]-vp.readCum[i-1])
-			}
-		}
-		mv.pidx = pi
-	}
-
-	ix := &Index{store: m, QueueThreshold: s.thr, delayStats: make([]stats.Moments, n)}
-	lats := make([][]float64, 0, K)
-	for k, g := range segs {
-		for c := range g.moments {
-			ix.delayStats[remap[k][c]].Merge(g.moments[c])
-		}
-		if g.traceEnd > ix.traceEnd {
-			ix.traceEnd = g.traceEnd
-		}
-		if len(g.latencies) > 0 {
-			lats = append(lats, g.latencies)
-		}
-	}
-	ix.sortedLatencies = mergeSortedFloats(lats)
-	ix.closures = m.buildClosures()
-	m.indexes = map[int]*Index{s.thr: ix}
-	if s.thr > 0 {
-		for _, mv := range m.views {
-			tl := m.timelineOf(mv)
-			tl.lastLEFor(s.thr)
-		}
-	}
-	return m
-}
-
-// compIDIn resolves name in a segment store (NoComp when absent).
-func compIDIn(st *Store, name string) CompID {
-	if id, ok := st.byName[name]; ok {
-		return id
-	}
-	return NoComp
-}
-
-// mergeSortedFloats k-way merges ascending runs into one ascending slice;
-// equal multisets make it value-identical to sorting the concatenation.
-func mergeSortedFloats(runs [][]float64) []float64 {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		out := make([]float64, len(runs[0]))
-		copy(out, runs[0])
-		return out
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	cur := make([]float64, 0, total)
-	cur = append(cur, runs[0]...)
-	buf := make([]float64, 0, total)
-	for _, r := range runs[1:] {
-		buf = buf[:0]
-		i, j := 0, 0
-		for i < len(cur) && j < len(r) {
-			if cur[i] <= r[j] {
-				buf = append(buf, cur[i])
-				i++
-			} else {
-				buf = append(buf, r[j])
-				j++
-			}
-		}
-		buf = append(buf, cur[i:]...)
-		buf = append(buf, r[j:]...)
-		cur, buf = buf, cur
-	}
-	out := make([]float64, len(cur))
-	copy(out, cur)
-	return out
+	return w.publish(0)
 }
 
 // sizeBytes estimates the segment's retained footprint (records + the
@@ -864,21 +635,4 @@ func (g *Segment) sizeBytes() int64 {
 	b += int64(len(g.latencies)) * 8
 	b += int64(len(g.moments)) * 32
 	return b
-}
-
-func addRecon(dst *ReconStats, src ReconStats) {
-	dst.Matched += src.Matched
-	dst.Reordered += src.Reordered
-	dst.LookaheadFix += src.LookaheadFix
-	dst.Unmatched += src.Unmatched
-	dst.DupCollisions += src.DupCollisions
-	dst.Quarantined += src.Quarantined
-}
-
-func addIntegrity(dst *collector.Integrity, src collector.Integrity) {
-	dst.DecodeSkipped += src.DecodeSkipped
-	dst.DecodeResyncs += src.DecodeResyncs
-	dst.Resorted += src.Resorted
-	dst.DroppedRecords += src.DroppedRecords
-	dst.TruncatedRecords += src.TruncatedRecords
 }

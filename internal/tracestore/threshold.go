@@ -131,8 +131,8 @@ func (s *Store) QueuingPeriodThresholdID(comp CompID, t simtime.Time, k int) *Qu
 		Comp:         comp,
 		Start:        start,
 		End:          t,
-		ArrivalFirst: first,
-		ArrivalLast:  last,
+		ArrivalFirst: v.firstArrival + first,
+		ArrivalLast:  v.firstArrival + last,
 		NIn:          last - first + 1,
 		NProc:        nProc,
 	}

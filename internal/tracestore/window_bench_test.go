@@ -1,0 +1,172 @@
+package tracestore
+
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"microscope/internal/collector"
+	"microscope/internal/simtime"
+)
+
+// windowSlide is the slide the window-cost measurements hold fixed while
+// they vary the span: the serving tier's fine-paced cadence.
+const windowSlide = 250 * simtime.Microsecond
+
+// slidingStream feeds one slide of the 16-NF topology at 1.2 Mpps to a
+// stream over and over, each time one slide later, at a span of spanSlides
+// slides.
+type slidingStream struct {
+	s    *Stream
+	seg  []collector.BatchRecord
+	recs []collector.BatchRecord
+	k    simtime.Time
+}
+
+func newSlidingStream(tb testing.TB, spanSlides float64) *slidingStream {
+	tb.Helper()
+	tr := evalTrace(tb, 1, simtime.MPPS(0.3), windowSlide)
+	d := &slidingStream{}
+	for _, r := range tr.Records {
+		if r.At > 0 && r.At < simtime.Time(windowSlide) {
+			d.seg = append(d.seg, r)
+		}
+	}
+	overlap := simtime.Duration((spanSlides - 1) * float64(windowSlide))
+	var err error
+	if d.s, err = NewStream(tr.Meta, StreamConfig{Window: windowSlide, Overlap: overlap}); err != nil {
+		tb.Fatal(err)
+	}
+	// Two spans in: every column has been through a compaction, shells are
+	// coming off the free list.
+	for i := 0; i < int(4*spanSlides)+4; i++ {
+		d.slide()
+	}
+	return d
+}
+
+// advance seals the next slide; slide also assembles its window.
+func (d *slidingStream) advance() simtime.Time {
+	d.recs = shiftedRecords(d.recs, d.seg, simtime.Duration(d.k)*windowSlide)
+	d.k++
+	end := d.k * simtime.Time(windowSlide)
+	d.s.Advance(end, d.recs)
+	return end
+}
+
+func (d *slidingStream) slide() *Store {
+	st, _ := d.s.Window(d.advance())
+	return st
+}
+
+// windowCost is what one Window call costs, averaged over n slides.
+type windowCost struct {
+	ns, p50, bytes, allocs float64
+	rows                   int
+}
+
+func (d *slidingStream) measure(n int) windowCost {
+	var c windowCost
+	var before, after runtime.MemStats
+	each := make([]float64, n)
+	for i := 0; i < n; i++ {
+		end := d.advance()
+		runtime.ReadMemStats(&before)
+		t := time.Now()
+		st, _ := d.s.Window(end)
+		each[i] = float64(time.Since(t).Nanoseconds())
+		c.ns += each[i]
+		runtime.ReadMemStats(&after)
+		c.bytes += float64(after.TotalAlloc - before.TotalAlloc)
+		c.allocs += float64(after.Mallocs - before.Mallocs)
+		c.rows = len(st.Journeys)
+	}
+	sort.Float64s(each)
+	c.p50 = each[n/2]
+	c.ns /= float64(n)
+	c.bytes /= float64(n)
+	c.allocs /= float64(n)
+	return c
+}
+
+// TestWindowSteadyStateAllocs: once a stream's window store has grown to
+// its window, assembling the next window allocates next to nothing, and
+// the same next-to-nothing whether the window spans 20 slides or 80 — what
+// it allocates cannot be proportional to the span.
+func TestWindowSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement; skipped in -short mode")
+	}
+	var cost [2]windowCost
+	for i, span := range []float64{20, 80} {
+		cost[i] = newSlidingStream(t, span).measure(60)
+		t.Logf("span %gx slide: %d journeys, %.2f allocs and %.0f B per window", span, cost[i].rows, cost[i].allocs, cost[i].bytes)
+		if cost[i].allocs > 2 || cost[i].bytes > 2048 {
+			t.Errorf("span %gx slide: a window allocates %.2f objects, %.0f B; budget 2 objects, 2 KiB", span, cost[i].allocs, cost[i].bytes)
+		}
+	}
+	if cost[1].rows < 3*cost[0].rows {
+		t.Fatalf("the wide window holds %d journeys, the narrow one %d: not a span comparison", cost[1].rows, cost[0].rows)
+	}
+	if d := cost[1].allocs - cost[0].allocs; d > 0.5 || d < -0.5 {
+		t.Errorf("allocations per window move with the span: %.2f at 20x, %.2f at 80x", cost[0].allocs, cost[1].allocs)
+	}
+	if d := cost[1].bytes - cost[0].bytes; d > 512 || d < -512 {
+		t.Errorf("bytes per window move with the span: %.0f at 20x, %.0f at 80x", cost[0].bytes, cost[1].bytes)
+	}
+}
+
+// BenchmarkWindow is Stream.Window alone — the seal is outside the
+// measurement — at one slide and three spans: a slide and a half
+// (serve-bulk-sat's shape: most of each window is new), twenty slides
+// (serve-fine-paced) and eighty. A window costs its slide, not its span:
+// the typical window (p50) may not differ by more than 1.5x between the
+// three, nor the mean — which also carries each column's once-per-span
+// compaction, a copy of the rows that entered since the last one, and the
+// cache misses of a store eighty slides deep — by more than 2x. Assembled
+// by a fresh merge per window, the means were 1 : 10 : 37 (57, 545 and
+// 2128 us, and 0.09, 0.98 and 3.8 MB allocated).
+func BenchmarkWindow(b *testing.B) {
+	// Windows per measurement: three spans of the widest window, so each
+	// averages over several compactions of every column. An op is three
+	// measurements and reports the quietest, so that -benchtime=1x on a
+	// shared host is still a measurement.
+	const perOp, tries = 240, 3
+	spans := []float64{1.5, 20, 80}
+	cost := make([]windowCost, len(spans))
+	for i, span := range spans {
+		b.Run(fmt.Sprintf("span=%gx", span), func(b *testing.B) {
+			d := newSlidingStream(b, span)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				c := d.measure(perOp)
+				for t := 1; t < tries; t++ {
+					again := d.measure(perOp)
+					c.ns, c.p50 = min(c.ns, again.ns), min(c.p50, again.p50)
+				}
+				cost[i] = c
+			}
+			c := cost[i]
+			b.ReportMetric(c.ns, "ns/window")
+			b.ReportMetric(c.p50, "p50-ns/window")
+			b.ReportMetric(c.bytes, "B/window")
+			b.ReportMetric(c.allocs, "allocs/window")
+			b.ReportMetric(float64(c.rows), "journeys")
+		})
+	}
+	spread := func(of func(windowCost) float64) float64 {
+		lo, hi := of(cost[0]), of(cost[0])
+		for _, c := range cost {
+			lo, hi = min(lo, of(c)), max(hi, of(c))
+		}
+		if lo <= 0 {
+			return 1 // a sub-benchmark was filtered out
+		}
+		return hi / lo
+	}
+	if p50, mean := spread(func(c windowCost) float64 { return c.p50 }), spread(func(c windowCost) float64 { return c.ns }); p50 > 1.5 || mean > 2 {
+		b.Fatalf("ns/window at spans %v: %+v — p50 %.2fx apart (bound 1.5), mean %.2fx (bound 2): window assembly is paying for the span", spans, cost, p50, mean)
+	}
+}
