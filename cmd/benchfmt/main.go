@@ -17,35 +17,26 @@
 // non-alphanumerics mapped to "_", so custom testing.B ReportMetric
 // units (like victims/s) need no special cases here.
 //
-// With -prev it also diffs this run against a previously written summary
-// and reports every metric that regressed beyond -max-regress (rates like
-// victims/s regress downward, costs like ns/op upward). -gate turns those
-// reports into a non-zero exit, so `make bench` can refuse to promote a
-// regressed baseline:
+// Two self-contained gates compare cases within the one run, so machine
+// speed cancels out and no stored baseline is involved; -gate turns a miss
+// into a non-zero exit. -min-speedup requires the widest workers=N case to
+// beat the narrowest (exit 3), and -min-stream-speedup requires the run's
+// mode=full ns/op to exceed mode=incr ns/op by the given factor (exit 4):
 //
-//	go test -bench ... -json | benchfmt -prev BENCH_pipeline.json -gate
-//
-// -min-stream-speedup gates the paired streaming benchmark instead: the
-// run's mode=full ns/op must exceed mode=incr ns/op by the given factor
-// (exit 4 under -gate), with no baseline involved — both sides come from
-// the same run, so machine speed cancels out.
+//	go test -bench BenchmarkStreamingWindows -json ... | benchfmt -gate -min-stream-speedup 3.0
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 )
 
 func main() {
 	var (
-		prev       = flag.String("prev", "", "previous benchfmt summary to diff against (missing or empty file = no comparison)")
-		gate       = flag.Bool("gate", false, "exit non-zero when any metric regresses beyond -max-regress or scaling misses -min-speedup")
-		maxRegress = flag.Float64("max-regress", 0.25, "tolerated fractional worsening per metric before it counts as a regression")
+		gate       = flag.Bool("gate", false, "exit non-zero when scaling misses -min-speedup or streaming misses -min-stream-speedup")
 		minSpeedup = flag.Float64("min-speedup", 1.0, "required ns/op speedup of the widest workers=N case over the narrowest within this run (<=0 disables; skipped automatically at GOMAXPROCS=1)")
 		minStream  = flag.Float64("min-stream-speedup", 0, "required ns/op speedup of mode=incr over mode=full within this run (<=0 disables; skipped when the run has no such pair)")
 	)
@@ -70,35 +61,7 @@ func main() {
 	if badScaling(sum, *minSpeedup) && *gate {
 		exit = 3
 	}
-	if *prev != "" && regressed(sum, *prev, *maxRegress) && *gate {
-		exit = 2
-	}
 	os.Exit(exit)
-}
-
-// regressed diffs sum against the baseline at path and reports whether any
-// metric regressed beyond maxRegress. A missing or empty baseline is a
-// first run: it passes with a note, so `make bench` promotes the fresh
-// summary into place instead of dying before a baseline can ever exist.
-func regressed(sum *Summary, path string, maxRegress float64) bool {
-	base, err := loadSummary(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errNoBaseline) {
-			fmt.Fprintf(os.Stderr, "benchfmt: no baseline at %s, skipping comparison (this run becomes the baseline)\n", path)
-			return false
-		}
-		fmt.Fprintf(os.Stderr, "benchfmt: %v\n", err)
-		os.Exit(1)
-	}
-	regs := compare(base, sum, maxRegress)
-	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "benchfmt: no regressions beyond %.0f%% vs %s\n", 100*maxRegress, path)
-		return false
-	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "benchfmt: regression: %s\n", r)
-	}
-	return true
 }
 
 // badStream runs the full-vs-incremental streaming check and reports

@@ -1,12 +1,6 @@
 package main
 
-import (
-	"errors"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func scaleRes(name string, workers, maxprocs int, nsPerOp float64) Result {
 	return Result{
@@ -107,49 +101,5 @@ func TestCheckScalingGroupsFamiliesSeparately(t *testing.T) {
 	}
 	if outs[1].Speedup < 4.99 || outs[1].Speedup > 5.01 {
 		t.Errorf("plain speedup = %v, want 5.0", outs[1].Speedup)
-	}
-}
-
-// TestLoadSummaryEmptyBaseline: a missing baseline and an empty baseline
-// both read as "no baseline" (first-run pass), while a corrupt one stays an
-// error — the gate must not silently accept garbage.
-func TestLoadSummaryEmptyBaseline(t *testing.T) {
-	dir := t.TempDir()
-
-	if _, err := loadSummary(filepath.Join(dir, "absent.json")); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("missing file: err = %v, want fs.ErrNotExist", err)
-	}
-
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSummary(empty); !errors.Is(err, errNoBaseline) {
-		t.Errorf("empty file: err = %v, want errNoBaseline", err)
-	}
-
-	blank := filepath.Join(dir, "blank.json")
-	if err := os.WriteFile(blank, []byte("  \n\t\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSummary(blank); !errors.Is(err, errNoBaseline) {
-		t.Errorf("whitespace file: err = %v, want errNoBaseline", err)
-	}
-
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSummary(corrupt); err == nil || errors.Is(err, errNoBaseline) || errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("corrupt file: err = %v, want a real parse error", err)
-	}
-
-	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(`{"benchmark":"B","results":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := loadSummary(good)
-	if err != nil || s.Benchmark != "B" {
-		t.Errorf("good file: %v %v", s, err)
 	}
 }

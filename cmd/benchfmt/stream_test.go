@@ -22,7 +22,7 @@ func TestCheckStreamPassAndFail(t *testing.T) {
 		t.Errorf("speedup = %v, want 4.5", out.Speedup)
 	}
 
-	// Incremental slower than the gate demands: the miss must surface.
+	// mode=incr slower than the gate demands: the miss must surface.
 	slow := &Summary{Results: []Result{
 		modeRes("mode=full", 9000),
 		modeRes("mode=incr", 4000),

@@ -4,10 +4,12 @@
 //
 //	msdiag -trace /tmp/trace -threshold 0.01 -percentile 99
 //
-// Engine knobs can also come from a declarative pipeline spec (the same
-// document msserve tenants are created from): -spec file.json loads it,
-// and any flag given explicitly on the command line overrides the spec's
-// value. -dump-spec prints the fully resolved spec for the effective
+// The engine configuration is a declarative pipeline spec (the same
+// document msserve tenants are created from), lowered by
+// PipelineSpec.PipelineConfig. The engine flags are fields of that spec:
+// without -spec they fill an empty one, with -spec file.json only the
+// flags given explicitly on the command line override the file.
+// -dump-spec prints the fully resolved spec for the effective
 // configuration and exits — the round trip from flags to a document a
 // tenant can be created with.
 //
@@ -63,43 +65,37 @@ func main() {
 	)
 	flag.Parse()
 
-	// Spec-or-flags precedence: the spec supplies defaults, any flag the
-	// user typed wins. flag.Visit only sees explicitly-set flags.
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	sp := &spec.PipelineSpec{Version: spec.Version}
+	// Every engine flag fills an empty spec; over a -spec file only the
+	// flags the user typed (flag.Visit) override it.
+	sp, visit := &spec.PipelineSpec{}, flag.VisitAll
 	if *specPath != "" {
-		loaded, err := spec.Load(*specPath)
-		if err != nil {
+		var err error
+		if sp, err = spec.Load(*specPath); err != nil {
 			log.Fatal(err)
 		}
-		sp = loaded.Resolved()
-		if !set["percentile"] {
-			*percentile = sp.Diagnosis.VictimPercentile
-		}
-		if !set["max-victims"] {
-			*maxVictims = sp.Diagnosis.MaxVictims
-		}
-		if !set["threshold"] {
-			*threshold = sp.Diagnosis.PatternThreshold
-		}
-		if !set["workers"] {
-			*workers = sp.Diagnosis.Workers
-		}
-		if !set["force-loss"] {
-			*forceLoss = sp.Diagnosis.LossVictimsWhenDegraded
-		}
+		visit = flag.Visit
 	}
-	if *dumpSpec {
-		sp.Diagnosis.VictimPercentile = *percentile
-		sp.Diagnosis.MaxVictims = *maxVictims
-		sp.Diagnosis.PatternThreshold = *threshold
-		sp.Diagnosis.Workers = *workers
-		sp.Diagnosis.LossVictimsWhenDegraded = *forceLoss
-		if err := sp.Validate(); err != nil {
-			log.Fatal(err)
+	d := &sp.Diagnosis
+	visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "percentile":
+			d.VictimPercentile = *percentile
+		case "max-victims":
+			d.MaxVictims = *maxVictims
+		case "threshold":
+			d.PatternThreshold = *threshold
+		case "workers":
+			d.Workers = *workers
+		case "force-loss":
+			d.LossVictimsWhenDegraded = *forceLoss
 		}
-		doc, err := sp.Resolved().Encode()
+	})
+	if err := sp.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	sp = sp.Resolved()
+	if *dumpSpec {
+		doc, err := sp.Encode()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -172,7 +168,7 @@ func main() {
 	fmt.Printf("%s (%v)\n", st.String(), time.Since(start).Round(time.Millisecond))
 	health := st.Health()
 	fmt.Println(health)
-	if health.Degraded() && !*forceLoss {
+	if health.Degraded() && !sp.Diagnosis.LossVictimsWhenDegraded {
 		fmt.Println("trace degraded: loss diagnosis suppressed (use -force-loss to keep it)")
 	}
 
@@ -180,19 +176,8 @@ func main() {
 	if *metricsOut != "" {
 		reg = obs.New()
 	}
-	dcfg := core.Config{
-		VictimPercentile:        *percentile,
-		MaxVictims:              *maxVictims,
-		LossVictimsWhenDegraded: *forceLoss,
-		Workers:                 *workers,
-		Obs:                     reg,
-	}
-	res := pipeline.RunStore(st, pipeline.Config{
-		Workers:   *workers,
-		Diagnosis: dcfg,
-		Patterns:  patterns.Config{Threshold: *threshold},
-		Obs:       reg,
-	})
+	pcfg := sp.PipelineConfig(reg)
+	res := pipeline.RunStore(st, pcfg)
 	if reg != nil {
 		defer func() {
 			f, err := os.Create(*metricsOut)
@@ -213,7 +198,7 @@ func main() {
 	for _, s := range res.Stages {
 		stages = append(stages, fmt.Sprintf("%s %v", s.Name, s.Elapsed.Round(time.Millisecond)))
 	}
-	fmt.Printf("pipeline (%d workers): %s\n", *workers, strings.Join(stages, " | "))
+	fmt.Printf("pipeline (%d workers): %s\n", pcfg.Workers, strings.Join(stages, " | "))
 	fmt.Printf("diagnosed %d victims\n", len(diags))
 
 	flowIdx := st.FlowIndex()
@@ -237,7 +222,7 @@ func main() {
 		fmt.Printf("\ncausal tree for victim #%d:\n", *explain)
 		// The engine shares the store's cached index, so this costs one
 		// victim's recursion, not a trace rescan.
-		fmt.Print(core.NewEngine(dcfg).Explain(st, diags[*explain].Victim).Render())
+		fmt.Print(core.NewEngine(pcfg.Diagnosis).Explain(st, diags[*explain].Victim).Render())
 	}
 
 	pats := res.Patterns

@@ -18,10 +18,11 @@
 // pending windows are flushed, final stats printed, and the HTTP server
 // shut down gracefully.
 //
-// Streaming geometry, alerting, and resilience knobs can also come from
-// a declarative pipeline spec (the same document msserve tenants use):
-// -spec file.json loads it, and any flag given explicitly on the command
-// line overrides the spec's value.
+// The monitor's configuration is a declarative pipeline spec (the same
+// document msserve tenants use), lowered by the same conversion msserve
+// runs (PipelineSpec.MonitorConfig). The configuration flags are fields of
+// that spec: without -spec they fill an empty one, with -spec file.json
+// only the flags given explicitly on the command line override the file.
 //
 //	mslive -dur 500ms -window 100ms
 //	mslive -dur 2s -listen :9090 -hold 30s -ring-cap 200000 -window-deadline 2s
@@ -69,8 +70,7 @@ func main() {
 		shedPol  = flag.String("shed-policy", "drop-oldest", "what a full ingest ring sheds: drop-oldest (windows) or reject-new (arrivals)")
 		deadline = flag.Duration("window-deadline", 0, "wall-clock budget per analysis window; an overrunning window is skipped and counted (0 = none)")
 		maxMem   = flag.Int64("max-mem", 0, "heap hard watermark in MiB; crossing half of it degrades diagnosis one rung, crossing it two (0 = off)")
-		incr     = flag.Bool("incremental", true, "use the incremental sliding-window index (seal each record once, carry the diagnosis memo) instead of rebuilding every window")
-		specPath = flag.String("spec", "", "load streaming/resilience knobs from this pipeline spec (explicit flags override it)")
+		specPath = flag.String("spec", "", "load the monitor's configuration from this pipeline spec (explicit flags override it)")
 		contend  = flag.Bool("contention-profile", false, "sample mutex/block contention so /debug/pprof/mutex and /debug/pprof/block on -listen carry data")
 	)
 	flag.Parse()
@@ -79,54 +79,42 @@ func main() {
 		obs.EnableContentionProfiling(0, 0)
 	}
 
+	// Every flag fills an empty spec; over a -spec file only the flags
+	// given explicitly (flag.Visit) override it.
+	sp, visit := &spec.PipelineSpec{}, flag.VisitAll
 	if *specPath != "" {
-		sp, err := spec.Load(*specPath)
-		if err != nil {
+		var err error
+		if sp, err = spec.Load(*specPath); err != nil {
 			log.Fatal(err)
 		}
-		rs := sp.Resolved()
-		set := make(map[string]bool)
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["window"] {
-			// The monitor's analysis window is the spec's flush cadence.
-			*window = rs.Stream.Slide.Std()
-		}
-		if !set["min-score"] {
-			*minScore = rs.Stream.MinScore
-		}
-		if !set["workers"] {
-			*workers = rs.Diagnosis.Workers
-		}
-		if !set["incremental"] && rs.Stream.Incremental != nil {
-			*incr = *rs.Stream.Incremental
-		}
-		if !set["ring-cap"] {
-			*ringCap = rs.Resilience.RingCapacity
-		}
-		if !set["shed-policy"] && rs.Resilience.ShedPolicy != "" {
-			*shedPol = rs.Resilience.ShedPolicy
-		}
-		if !set["window-deadline"] {
-			*deadline = rs.Resilience.WindowDeadline.Std()
-		}
-		if !set["max-mem"] {
-			*maxMem = rs.Resilience.MaxMemBytes >> 20
-		}
+		visit = flag.Visit
 	}
-
-	policy, err := resilience.ParseShedPolicy(*shedPol)
-	if err != nil {
+	visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "window":
+			// The monitor's analysis window is the spec's flush cadence;
+			// the spec's overlap, however it was stated, is kept.
+			sp.Stream.Overlap = sp.Resolved().Stream.Overlap
+			sp.Stream.Slide, sp.Stream.Window = spec.D(*window), 0
+		case "min-score":
+			sp.Stream.MinScore = *minScore
+		case "workers":
+			sp.Diagnosis.Workers = *workers
+		case "ring-cap":
+			// A bounded ring arms the whole defense set: the ladder
+			// derived from the capacity, and panic containment.
+			sp.Resilience.RingCapacity, sp.Resilience.Ladder = *ringCap, nil
+			sp.Stages.ContainPanics = *ringCap > 0
+		case "shed-policy":
+			sp.Resilience.ShedPolicy = *shedPol
+		case "window-deadline":
+			sp.Resilience.WindowDeadline = spec.D(*deadline)
+		case "max-mem":
+			sp.Resilience.MaxMemBytes, sp.Resilience.SoftMemBytes = *maxMem<<20, 0
+		}
+	})
+	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
-	}
-	rcfg := resilience.Config{}
-	if *ringCap > 0 {
-		rcfg = resilience.Auto(*ringCap)
-	}
-	rcfg.Policy = policy
-	rcfg.WindowDeadline = *deadline
-	if *maxMem > 0 {
-		rcfg.MemHardBytes = *maxMem << 20
-		rcfg.MemSoftBytes = rcfg.MemHardBytes / 2
 	}
 
 	// One registry spans the whole daemon: collector ingest, per-window
@@ -140,14 +128,8 @@ func main() {
 	simDur := simtime.Duration(dur.Nanoseconds())
 	meta := collector.MetaFor(topo)
 
-	mon := online.New(meta, online.Config{
-		Window:      simtime.Duration(window.Nanoseconds()),
-		MinScore:    *minScore,
-		Workers:     *workers,
-		Obs:         reg,
-		Resilience:  rcfg,
-		Incremental: *incr,
-	})
+	mcfg := sp.Resolved().MonitorConfig(reg)
+	mon := online.New(meta, mcfg)
 
 	// SIGINT/SIGTERM end the stream early but cleanly: the drain loop
 	// stops at the next chunk boundary and the HTTP server is shut down
@@ -222,12 +204,11 @@ func main() {
 	st := mon.Stats()
 	fmt.Printf("\nmonitor: %d windows, %d victims diagnosed, %d alerts\n",
 		st.Windows, st.Victims, st.Alerts)
-	if ss, ok := mon.StreamStats(); ok {
-		fmt.Printf("stream: %d segments sealed (%d evicted, %d retained, %.1f MiB), %d records, %d journeys\n",
-			ss.EvictedTotal+ss.RetainedSegments, ss.EvictedTotal, ss.RetainedSegments,
-			float64(ss.RetainedBytes)/(1<<20), ss.Records, ss.Journeys)
-	}
-	if rcfg.Enabled() {
+	ss, _ := mon.StreamStats()
+	fmt.Printf("stream: %d segments sealed (%d evicted, %d retained, %.1f MiB), %d records, %d journeys\n",
+		ss.EvictedTotal+ss.RetainedSegments, ss.EvictedTotal, ss.RetainedSegments,
+		float64(ss.RetainedBytes)/(1<<20), ss.Records, ss.Journeys)
+	if mcfg.Resilience.Enabled() {
 		fmt.Printf("resilience: degradation=%s degraded=%d shed=%d records (%d windows), skipped=%d, quarantined=%d, deadline-exceeded=%d\n",
 			mon.LastDegradation(), st.Degraded, st.RecordsShed, st.WindowsShed,
 			st.WindowsSkipped, st.WindowsQuarantined, st.DeadlineExceeded)

@@ -1,9 +1,13 @@
 // Package online runs Microscope continuously: the collector's record
 // stream is consumed in windows, each window is reconstructed and diagnosed
 // like a small offline trace, and significant culprits surface as alerts.
-// The paper's tool is offline (§5); this is the thin incremental shell an
+// The paper's tool is offline (§5); this is the thin streaming shell an
 // operator deploys so that "run Microscope over the timeframe" (§4.4)
-// happens on its own.
+// happens on its own. Every window runs on one retained stream
+// (pipeline.StreamState): each record is sealed once into an epoch
+// segment, expired segments are evicted wholesale, the diagnosis memo is
+// carried, and each window's report is byte-identical to a cold rebuild of
+// the same window (DESIGN.md §11).
 package online
 
 import (
@@ -27,7 +31,8 @@ type Config struct {
 	// Window is the analysis chunk length (default 100 ms).
 	Window simtime.Duration
 	// Overlap is carried from the previous window so queuing periods
-	// that straddle the boundary stay intact (default 20 ms).
+	// that straddle the boundary stay intact (default 20 ms). Must be
+	// >= 0; New panics on a negative value.
 	Overlap simtime.Duration
 	// MaxLookahead bounds how far beyond the current watermark a record's
 	// timestamp may plausibly land: anything further is a corrupt
@@ -79,24 +84,16 @@ type Config struct {
 	// alert merging. Called synchronously from the feed goroutine — the
 	// serving tier captures per-window reports (and their fingerprints)
 	// here. Skipped and quarantined windows never fire it; they produce
-	// no Result. On the incremental path res.Store and res.Index are the
-	// stream's window store, lent for the duration of the call
-	// (pipeline.Result.Store): the next window overwrites them in place,
-	// so the callback must take what it wants to keep and not the
-	// pointers.
+	// no Result. res.Store and res.Index are the stream's window store,
+	// lent for the duration of the call (pipeline.Result.Store): the next
+	// window overwrites them in place, so the callback must take what it
+	// wants to keep and not the pointers.
 	OnWindow func(end simtime.Time, res *pipeline.Result)
 	// ChaosHook, when non-nil, fires with scope "window:<n>" before each
 	// window's analysis and is forwarded into the per-window pipeline
 	// (scopes "stage:<name>" and "victim:<i>"). The chaos harness injects
 	// deterministic faults through it; never set in production.
 	ChaosHook func(scope string)
-	// Incremental routes window analysis through the retained streaming
-	// index (pipeline.StreamState): records are sealed into epoch segments
-	// once, expired segments are evicted wholesale, and the diagnosis memo
-	// is carried across windows. Every window's report is byte-identical
-	// to a cold segment-wise rebuild of the same window (DESIGN.md §11);
-	// the win is not re-reconstructing the overlap every window.
-	Incremental bool
 }
 
 func (c *Config) setDefaults() {
@@ -150,31 +147,22 @@ func (a Alert) String() string {
 // Monitor consumes records incrementally. Not safe for concurrent use; a
 // collector drain loop feeds it from one goroutine.
 type Monitor struct {
-	cfg  Config
-	meta collector.Meta
-	// pcfg is the per-window pipeline configuration: each window runs the
-	// shared staged pipeline with patterns skipped (the monitor merges raw
-	// causes itself).
-	pcfg pipeline.Config
+	cfg Config
 
-	// stream is the retained incremental index (nil in batch mode). It is
-	// advanced on every flush — including skipped rungs and empty windows —
-	// so its watermark and eviction horizon track the monitor's.
+	// stream is the retained window index. It is advanced on every flush —
+	// including skipped rungs and empty windows — so its watermark and
+	// eviction horizon track the monitor's.
 	stream *pipeline.StreamState
 
 	// pending is the bounded ingest ring (unbounded when RingCapacity=0).
 	pending *resilience.Ring[collector.BatchRecord]
-	// winScratch is the batch path's reusable window-extraction buffer:
-	// records [0, cut) are copied out of the ring here before analysis. The
-	// stream path reads its records straight from the ring (unsealedSpans).
-	winScratch []collector.BatchRecord
 	// spans is unsealedSpans' result buffer.
 	spans [2][]collector.BatchRecord
 	// mem samples the heap against the configured watermarks.
 	mem       *resilience.MemWatcher
 	nextFlush simtime.Time
-	// flushedTo is the end of the last diagnosed window; records older
-	// than this are too late to analyse.
+	// flushedTo is the end of the last flushed window; records at or
+	// before it (closed) are too late to analyse.
 	flushedTo simtime.Time
 	// lastAlert remembers alerted onsets per culprit for hold-off.
 	lastAlert map[alertKey]simtime.Time
@@ -231,8 +219,10 @@ type Stats struct {
 	// LateDropped counts records that arrived after their window was
 	// already diagnosed and had to be discarded.
 	LateDropped int
-	// Unmatched and Quarantined accumulate per-window reconstruction
-	// damage across the monitor's lifetime.
+	// Unmatched and Quarantined are the stream's seal-time
+	// reconstruction totals: each record is reconstructed once, so they
+	// are monotone — across watermark resyncs too — and never count the
+	// overlap twice.
 	Unmatched, Quarantined int
 	// RecordsShed counts records discarded by the bounded-ingest shed
 	// policy (rejected arrivals under ShedRejectNew, or arrivals whose
@@ -273,36 +263,37 @@ type Stats struct {
 	WatermarkResyncs int
 }
 
-// New creates a monitor for a deployment described by meta.
+// New creates a monitor for a deployment described by meta. It panics on
+// a negative Config.Overlap, or a window geometry the stream grid cannot
+// express: a misconfiguration, not a runtime condition.
 func New(meta collector.Meta, cfg Config) *Monitor {
+	if cfg.Overlap < 0 {
+		panic(fmt.Sprintf("online: Config.Overlap must be >= 0, got %v", cfg.Overlap))
+	}
 	cfg.setDefaults()
 	dcfg := cfg.Diagnosis
 	dcfg.MaxVictims = cfg.MaxVictims
 	if cfg.Workers != 0 {
 		dcfg.Workers = cfg.Workers
 	}
+	// Each window runs the shared staged pipeline with patterns skipped:
+	// the monitor merges raw causes itself.
+	ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, pipeline.Config{
+		Diagnosis:     dcfg,
+		SkipPatterns:  true,
+		Obs:           cfg.Obs,
+		ContainPanics: cfg.Resilience.ContainPanics,
+		ChaosHook:     cfg.ChaosHook,
+	})
+	if err != nil {
+		panic("online: " + err.Error())
+	}
 	m := &Monitor{
-		cfg:  cfg,
-		meta: meta,
-		pcfg: pipeline.Config{
-			Diagnosis:     dcfg,
-			SkipPatterns:  true,
-			Obs:           cfg.Obs,
-			ContainPanics: cfg.Resilience.ContainPanics,
-			ChaosHook:     cfg.ChaosHook,
-		},
+		cfg:       cfg,
+		stream:    ss,
 		pending:   resilience.NewRing[collector.BatchRecord](cfg.Resilience.RingCapacity),
 		lastAlert: make(map[alertKey]simtime.Time),
 		nextFlush: simtime.Time(cfg.Window),
-	}
-	if cfg.Incremental {
-		ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, m.pcfg)
-		if err != nil {
-			// Geometry the stream grid cannot express (nonpositive window,
-			// negative overlap); a misconfiguration, not a runtime condition.
-			panic("online: incremental mode: " + err.Error())
-		}
-		m.stream = ss
 	}
 	reg := obs.Or(cfg.Obs)
 	if cfg.Resilience.MemSoftBytes > 0 || cfg.Resilience.MemHardBytes > 0 {
@@ -366,7 +357,7 @@ func (m *Monitor) Health() (h tracestore.Health, ok bool) {
 func (m *Monitor) Feed(recs []collector.BatchRecord) []Alert {
 	var out []Alert
 	for _, r := range recs {
-		if r.At < m.flushedTo {
+		if m.closed(r.At) {
 			m.stats.LateDropped++
 			m.obsLateDropped.Inc()
 			continue
@@ -418,7 +409,7 @@ func (m *Monitor) Feed(recs []collector.BatchRecord) []Alert {
 			for m.pending.Full() {
 				m.shedOldestWindow()
 			}
-			if r.At < m.flushedTo {
+			if m.closed(r.At) {
 				m.stats.RecordsShed++
 				m.obsRecordsShed.Inc()
 				continue
@@ -438,6 +429,14 @@ func (m *Monitor) Feed(recs []collector.BatchRecord) []Alert {
 		m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
 	}
 	return out
+}
+
+// closed reports whether at falls in an already-flushed window. A window
+// closes including records at its end (flushWindow cuts at At > end), and
+// the stream has sealed that instant with it, so a record arriving at
+// exactly flushedTo is as late as one before it.
+func (m *Monitor) closed(at simtime.Time) bool {
+	return at < m.flushedTo || (at == m.flushedTo && at > 0)
 }
 
 // noteImplausible books one beyond-horizon timestamp and decides whether
@@ -516,9 +515,9 @@ func (m *Monitor) flushWindow() []Alert {
 	// Records in the window (all pending up to end).
 	cut := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > end })
 	if cut == 0 {
-		// Nothing new and no retained overlap records: the incremental
-		// index still has to see the boundary so eviction keeps pace with
-		// the watermark (a stream gap must drain retained segments).
+		// Nothing new and no retained overlap records: the stream still
+		// has to see the boundary so eviction keeps pace with the
+		// watermark (a stream gap must drain retained segments).
 		m.advanceStream(end, nil)
 		return nil
 	}
@@ -543,12 +542,10 @@ func (m *Monitor) flushWindow() []Alert {
 	if level >= resilience.Skipped {
 		m.stats.WindowsSkipped++
 		m.obsSkipped.Inc()
-		// A skipped window is still ingested: the streaming index's
-		// watermark must track the flush boundary through overload or the
-		// next diagnosed window would mis-assign the skipped records.
-		if m.stream != nil {
-			m.advanceStream(end, m.unsealedSpans(cut))
-		}
+		// A skipped window is still ingested: the stream's watermark must
+		// track the flush boundary through overload or the next diagnosed
+		// window would mis-assign the skipped records.
+		m.advanceStream(end, m.unsealedSpans(cut))
 		m.retainOverlap(end)
 		return nil
 	}
@@ -565,16 +562,7 @@ func (m *Monitor) flushWindow() []Alert {
 		if m.cfg.ChaosHook != nil {
 			m.cfg.ChaosHook("window:" + strconv.Itoa(m.stats.Windows-1))
 		}
-		if m.stream != nil {
-			res, runErr = m.stream.RunWindow(ctx, end, level, m.unsealedSpans(cut)...)
-			return
-		}
-		// Batch path: extract the whole window into the reusable scratch
-		// buffer; nothing that survives this call aliases it.
-		m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
-		pcfg := m.pcfg
-		pcfg.Degrade = level
-		res, runErr = pipeline.RunContext(ctx, &collector.Trace{Meta: m.meta, Records: m.winScratch}, pcfg)
+		res, runErr = m.stream.RunWindow(ctx, end, level, m.unsealedSpans(cut)...)
 	}
 	if m.cfg.Resilience.ContainPanics {
 		// Window-granularity containment: a panic anywhere in the
@@ -594,18 +582,9 @@ func (m *Monitor) flushWindow() []Alert {
 	m.stats.ContainedPanics += int(res.ContainedPanics)
 	health := res.Health
 	m.lastHealth, m.hasHealth = health, true
-	if m.stream != nil {
-		// Seal-time totals from the stream: each record is reconstructed
-		// exactly once, so the counters are monotone across watermark
-		// resyncs and never double-count the overlap region (the batch
-		// path re-reconstructs it every window and inflates both).
-		sst := m.stream.Stats()
-		m.stats.Unmatched = sst.Recon.Unmatched
-		m.stats.Quarantined = sst.Recon.Quarantined
-	} else {
-		m.stats.Unmatched += health.Recon.Unmatched
-		m.stats.Quarantined += health.Recon.Quarantined
-	}
+	sst := m.stream.Stats()
+	m.stats.Unmatched = sst.Recon.Unmatched
+	m.stats.Quarantined = sst.Recon.Quarantined
 	diags := res.Diagnoses
 	m.stats.Victims += len(diags)
 	m.obsVictims.Add(int64(len(diags)))
@@ -688,16 +667,12 @@ func (m *Monitor) flushWindow() []Alert {
 	return out
 }
 
-// advanceStream runs an ingest-only advance of the incremental index (no
-// diagnosis): the Skipped rung seals recs into grid segments and evicts
-// the expired horizon, keeping the stream's watermark on the monitor's
-// flush boundary. No-op in batch mode. A contained ingest panic
-// quarantines the stream's view of the window; the already-counted skip
-// stands.
+// advanceStream runs an ingest-only advance of the stream (no diagnosis):
+// the Skipped rung seals recs into grid segments and evicts the expired
+// horizon, keeping the stream's watermark on the monitor's flush boundary.
+// A contained ingest panic quarantines the stream's view of the window;
+// the already-counted skip stands.
 func (m *Monitor) advanceStream(end simtime.Time, spans [][]collector.BatchRecord) {
-	if m.stream == nil {
-		return
-	}
 	//mslint:allow ctxflow push-driven monitor has no caller ctx; window deadlines are applied inside RunWindow
 	if _, err := m.stream.RunWindow(context.Background(), end, resilience.Skipped, spans...); err != nil {
 		if resilience.IsPanic(err) {
@@ -709,11 +684,12 @@ func (m *Monitor) advanceStream(end simtime.Time, spans [][]collector.BatchRecor
 
 // unsealedSpans returns the records the stream has yet to seal — ring
 // positions [first At > SealedTo, cut) — as the ring's own backing slices.
-// The ring still holds the overlap before them (the batch path and late
-// inserts need it), but the stream sealed those records in an earlier
-// window and would only filter them out again. The spans alias the ring:
-// they are valid until the next ring mutation, and the stream copies each
-// record exactly once, into the segment that owns it.
+// The ring still holds the overlap before them (the ladder's pressure
+// signal counts it, and late inserts land among it), but the stream sealed
+// those records in an earlier window and would only filter them out again.
+// The spans alias the ring: they are valid until the next ring mutation,
+// and the stream copies each record exactly once, into the segment that
+// owns it.
 func (m *Monitor) unsealedSpans(cut int) [][]collector.BatchRecord {
 	sealed := m.stream.Stream().SealedTo()
 	from := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > sealed })
@@ -725,12 +701,10 @@ func (m *Monitor) unsealedSpans(cut int) [][]collector.BatchRecord {
 	return m.spans[:]
 }
 
-// StreamStats returns the incremental index's cumulative seal-time
-// accounting; ok is false in batch mode.
+// StreamStats returns the stream's cumulative seal-time accounting. ok is
+// always true: every monitor runs the stream (the result is kept for
+// existing callers).
 func (m *Monitor) StreamStats() (st tracestore.StreamStats, ok bool) {
-	if m.stream == nil {
-		return tracestore.StreamStats{}, false
-	}
 	return m.stream.Stats(), true
 }
 

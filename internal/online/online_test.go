@@ -1,6 +1,9 @@
 package online
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"microscope/internal/collector"
@@ -8,6 +11,7 @@ import (
 	"microscope/internal/leakcheck"
 	"microscope/internal/nfsim"
 	"microscope/internal/packet"
+	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
 	"microscope/internal/traffic"
@@ -187,6 +191,14 @@ func TestWindowBoundaryRecord(t *testing.T) {
 	if h, ok := m.Health(); !ok || h.Records != 2 {
 		t.Fatalf("closing window analysed %d records (ok=%v), want 2 — boundary record excluded", h.Records, ok)
 	}
+	// A record arriving at exactly the closed window's end is late: the
+	// stream sealed that instant with the window.
+	m.Feed([]collector.BatchRecord{
+		{Comp: "nf1", At: simtime.Time(w), Dir: collector.DirRead, IPIDs: []uint16{4}},
+	})
+	if st := m.Stats(); st.LateDropped != 1 || st.LateAccepted != 0 {
+		t.Fatalf("record at the closed boundary not dropped as late: %+v", st)
+	}
 }
 
 // TestWatermarkResyncAfterGap: a stream gap longer than MaxLookahead must
@@ -248,74 +260,37 @@ func TestWatermarkResyncAfterGap(t *testing.T) {
 	}
 }
 
-// TestMonitorIncremental: the incremental monitor must detect the same
-// interrupt episodes the batch monitor does over the same feed, while the
-// streaming index tracks every flush (including gaps) and its seal-time
-// health counters stay monotone.
-func TestMonitorIncremental(t *testing.T) {
+// TestMonitorEvictionKeepsPace: the stream ingests every flush (gaps
+// included) and evicts expired segments as the watermark moves, so its
+// retained set stays bounded by the window span however long the feed.
+func TestMonitorEvictionKeepsPace(t *testing.T) {
 	leakcheck.Check(t)
 	tr := monitoredRun(t, []simtime.Time{
 		simtime.Time(150 * simtime.Millisecond),
 		simtime.Time(400 * simtime.Millisecond),
 	})
-	run := func(incremental bool) ([]Alert, Stats) {
-		m := New(tr.Meta, Config{Incremental: incremental})
-		var alerts []Alert
-		const chunk = 5000
-		for i := 0; i < len(tr.Records); i += chunk {
-			end := i + chunk
-			if end > len(tr.Records) {
-				end = len(tr.Records)
-			}
-			alerts = append(alerts, m.Feed(tr.Records[i:end])...)
-		}
-		alerts = append(alerts, m.Flush()...)
-		if incremental {
-			st, ok := m.StreamStats()
-			if !ok {
-				t.Fatal("incremental monitor has no stream stats")
-			}
-			if st.Records == 0 || st.SealedSegments == 0 {
-				t.Fatalf("stream never ingested: %+v", st)
-			}
-			if st.RetainedSegments > 8 {
-				t.Fatalf("eviction not keeping pace: %+v", st)
-			}
-		} else if _, ok := m.StreamStats(); ok {
-			t.Fatal("batch monitor reports stream stats")
-		}
-		return alerts, m.Stats()
+	m := New(tr.Meta, Config{})
+	const chunk = 5000
+	for i := 0; i < len(tr.Records); i += chunk {
+		m.Feed(tr.Records[i:min(i+chunk, len(tr.Records))])
 	}
-	countFW := func(alerts []Alert) int {
-		n := 0
-		for _, a := range alerts {
-			if a.Comp == "fw1" && a.Kind == core.CulpritLocalProcessing {
-				n++
-			}
-		}
-		return n
+	m.Flush()
+	st, _ := m.StreamStats()
+	if st.Records == 0 || st.SealedSegments == 0 {
+		t.Fatalf("stream never ingested: %+v", st)
 	}
-	ba, bs := run(false)
-	ia, is := run(true)
-	if got, want := countFW(ia), countFW(ba); got != want {
-		t.Errorf("incremental found %d fw1 episodes, batch found %d\nincremental: %v\nbatch: %v", got, want, ia, ba)
+	if st.RetainedSegments > 8 {
+		t.Fatalf("eviction not keeping pace: %+v", st)
 	}
-	if is.Windows != bs.Windows || is.Records != bs.Records {
-		t.Errorf("ingest accounting diverged: incremental %+v, batch %+v", is, bs)
-	}
-	// The batch path re-reconstructs the overlap every window and inflates
-	// unmatched counts; the stream seals each record once, so its total
-	// can only be lower or equal.
-	if is.Unmatched > bs.Unmatched {
-		t.Errorf("seal-once unmatched %d exceeds batch double-counted %d", is.Unmatched, bs.Unmatched)
+	if ms := m.Stats(); ms.Records != len(tr.Records) || ms.Windows < 5 {
+		t.Fatalf("ingest accounting: %+v", ms)
 	}
 }
 
-// TestMonitorIncrementalMonotoneCounters: Unmatched/Quarantined come from
-// the stream's seal-time totals in incremental mode, so they stay monotone
-// across watermark resyncs (the batch path's per-window += could replay
-// overlap damage after a resync jump).
-func TestMonitorIncrementalMonotoneCounters(t *testing.T) {
+// TestMonitorMonotoneCounters: Unmatched/Quarantined are the stream's
+// seal-time totals, so they stay monotone across watermark resyncs and
+// never replay overlap damage after a resync jump.
+func TestMonitorMonotoneCounters(t *testing.T) {
 	w := simtime.Duration(100 * simtime.Microsecond)
 	m := New(collector.Meta{
 		Components: []collector.ComponentMeta{
@@ -329,7 +304,6 @@ func TestMonitorIncrementalMonotoneCounters(t *testing.T) {
 		Overlap:      w / 5,
 		MaxLookahead: 4 * w,
 		ResyncAfter:  2,
-		Incremental:  true,
 	})
 	// Each burst leaves one unmatched read (dequeue IPID matches no
 	// arrival), straddling flush boundaries via the overlap.
@@ -386,5 +360,192 @@ func TestMonitorDropsAncientRecords(t *testing.T) {
 	}
 	if st.Records != before {
 		t.Fatal("dropped record still counted as fed")
+	}
+}
+
+// TestNewOverlapValidation: a negative Overlap is a misconfiguration New
+// refuses by name (retainOverlap would otherwise keep records from beyond
+// the window end and drop the next window's buffered records); zero takes
+// the default.
+func TestNewOverlapValidation(t *testing.T) {
+	meta := collector.Meta{MaxBatch: 32}
+	if m := New(meta, Config{}); m.cfg.Overlap != 20*simtime.Millisecond {
+		t.Fatalf("zero Overlap resolved to %v, want the 20ms default", m.cfg.Overlap)
+	}
+	neg := -simtime.Millisecond
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Config.Overlap") || !strings.Contains(msg, fmt.Sprint(neg)) {
+			t.Fatalf("panic %q does not name Config.Overlap and %v", msg, neg)
+		}
+	}()
+	New(meta, Config{Overlap: neg})
+	t.Fatal("negative Overlap accepted")
+}
+
+// rebuildWatch is a monitor whose OnWindow holds every reported window to
+// the equivalence contract (DESIGN.md §11): its fingerprint must equal a
+// fresh engine's run over the stream's cold rebuild of the same window.
+// With tally on, it also checks the ring→stream handoff the rebuild alone
+// cannot see: the window holds exactly the records the monitor accepted in
+// its span [end−Window−Overlap, end].
+type rebuildWatch struct {
+	m        *Monitor
+	tally    bool
+	accepted []collector.BatchRecord
+	ends     []simtime.Time
+	victims  int
+}
+
+func watchRebuild(t *testing.T, meta collector.Meta, cfg Config, tally bool) *rebuildWatch {
+	t.Helper()
+	wt := &rebuildWatch{tally: tally}
+	cfg.OnWindow = func(end simtime.Time, res *pipeline.Result) {
+		m := wt.m
+		dcfg := m.cfg.Diagnosis
+		dcfg.MaxVictims = m.cfg.MaxVictims
+		ref, err := pipeline.RunStoreContext(context.Background(), m.stream.Stream().RebuildWindow(),
+			pipeline.Config{Diagnosis: dcfg, SkipPatterns: true, Degrade: res.Degradation})
+		if err != nil {
+			t.Fatalf("window ending %v: rebuild: %v", end, err)
+		}
+		if got, want := res.Fingerprint(), ref.Fingerprint(); got != want {
+			t.Fatalf("window ending %v: monitor and cold rebuild differ\n--- monitor ---\n%s\n--- rebuild ---\n%s", end, got, want)
+		}
+		if wt.tally {
+			from, n := end-simtime.Time(m.cfg.Window+m.cfg.Overlap), 0
+			for _, r := range wt.accepted {
+				if r.At >= from && r.At <= end {
+					n++
+				}
+			}
+			if ref.Health.Records != n {
+				t.Fatalf("window ending %v holds %d records; the monitor accepted %d in its span", end, ref.Health.Records, n)
+			}
+		}
+		wt.ends = append(wt.ends, end)
+		wt.victims += len(res.Diagnoses)
+	}
+	wt.m = New(meta, cfg)
+	return wt
+}
+
+// feed hands the monitor one record at a time, as a drain loop might,
+// noting which ones it accepted, then flushes.
+func (wt *rebuildWatch) feed(recs []collector.BatchRecord) {
+	for i := range recs {
+		before := wt.m.Stats().Records
+		wt.m.Feed(recs[i : i+1])
+		if wt.m.Stats().Records > before {
+			wt.accepted = append(wt.accepted, recs[i])
+		}
+	}
+	wt.m.Flush()
+}
+
+// TestMonitorWindowsMatchRebuild covers the monitor's ring→stream handoff
+// (unsealedSpans over a ring that late inserts, sheds, skips, gaps and
+// resyncs have reshaped): every window OnWindow reports must equal a cold
+// rebuild of that window from the stream's segments.
+func TestMonitorWindowsMatchRebuild(t *testing.T) {
+	const (
+		w = 5 * simtime.Millisecond
+		o = simtime.Millisecond
+	)
+	ms := func(v int) simtime.Time { return simtime.Time(simtime.Duration(v) * simtime.Millisecond) }
+	tr := monitoredRun(t, []simtime.Time{ms(12), ms(60)})
+	// base is the first 80 ms with the window (15,20] carrying every
+	// record twice: past the ladder's MaxRecords and the ring's capacity
+	// below, where every other window fits.
+	var base []collector.BatchRecord
+	for _, r := range tr.Records {
+		if r.At < ms(80) {
+			base = append(base, r)
+			if r.At > ms(15) && r.At <= ms(20) {
+				base = append(base, r)
+			}
+		}
+	}
+	// The ladder's input per window: its records plus the overlap tail.
+	peak := 0
+	for end := simtime.Time(w); end <= ms(80); end += simtime.Time(w) {
+		if end == ms(20) {
+			continue
+		}
+		n := 0
+		for _, r := range base {
+			if r.At >= end-simtime.Time(w+o) && r.At <= end {
+				n++
+			}
+		}
+		peak = max(peak, n)
+	}
+	limit := peak + peak/10
+
+	t.Run("plain", func(t *testing.T) {
+		wt := watchRebuild(t, tr.Meta, Config{}, true)
+		wt.feed(tr.Records)
+		if len(wt.ends) < 5 || wt.victims == 0 {
+			t.Fatalf("vacuous: %d windows, %d victims", len(wt.ends), wt.victims)
+		}
+	})
+
+	t.Run("late/skip/gap/resync", func(t *testing.T) {
+		// The doubled window (15,20] is skipped by the ladder. (25,42) is a
+		// stream gap: the windows ending at 35 and 40 ms are empty. From
+		// 50 ms on the stream jumps 200 ms ahead, past MaxLookahead, and
+		// resyncs.
+		var recs []collector.BatchRecord
+		for _, r := range base {
+			switch {
+			case r.At > ms(25) && r.At < ms(42):
+				continue
+			case r.At >= ms(50):
+				r.At += ms(200)
+			}
+			recs = append(recs, r)
+		}
+		// Adjacent swaps: late but still inside the open window.
+		for i := 1; i < len(recs); i += 7 {
+			recs[i-1], recs[i] = recs[i], recs[i-1]
+		}
+		wt := watchRebuild(t, tr.Meta, Config{
+			Window:       w,
+			Overlap:      o,
+			MaxLookahead: 8 * w,
+			ResyncAfter:  4,
+			Resilience:   resilience.Config{Ladder: resilience.LadderConfig{MaxRecords: limit}},
+		}, true)
+		wt.feed(recs)
+		st := wt.m.Stats()
+		if st.LateAccepted == 0 || st.WindowsSkipped == 0 || st.WatermarkResyncs == 0 {
+			t.Fatalf("schedule did not exercise late inserts, a skip and a resync: %+v", st)
+		}
+		reported := make(map[simtime.Time]bool)
+		for _, e := range wt.ends {
+			reported[e] = true
+		}
+		if reported[ms(20)] || reported[ms(35)] || reported[ms(40)] || !reported[ms(45)] {
+			t.Fatalf("skipped/empty windows reported or the window after the gap missing: %v", wt.ends)
+		}
+		if wt.victims == 0 {
+			t.Fatal("no victims in any checked window")
+		}
+	})
+
+	for _, policy := range []resilience.ShedPolicy{resilience.ShedDropOldest, resilience.ShedRejectNew} {
+		t.Run(policy.String(), func(t *testing.T) {
+			// Drop-oldest discards records it had accepted (a shed window's
+			// overlap tail included), so only reject-new keeps the tally.
+			wt := watchRebuild(t, tr.Meta, Config{
+				Window:     w,
+				Overlap:    o,
+				Resilience: resilience.Config{RingCapacity: limit, Policy: policy},
+			}, policy == resilience.ShedRejectNew)
+			wt.feed(base)
+			if st := wt.m.Stats(); st.RecordsShed == 0 || len(wt.ends) < 10 {
+				t.Fatalf("the doubled window shed nothing, or too few windows checked: %d windows, %+v", len(wt.ends), st)
+			}
+		})
 	}
 }

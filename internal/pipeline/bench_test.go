@@ -34,7 +34,7 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 		})
 	}
 	// The same pipeline with a live metrics registry attached: the
-	// BENCH_pipeline.json delta between workers=N and observed/workers=N
+	// delta between workers=N and observed/workers=N
 	// quantifies the enabled-observability cost (the disabled cost is the
 	// plain rows staying flat release over release).
 	for _, w := range []int{1, 8} {
@@ -59,13 +59,14 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 // modes over the same sliding-window geometry: a 0.25 ms reporting
 // cadence over 5 ms of retained analysis context (span/slide = 20, the
 // fast-alert regime the streaming index exists for — overlap spans many
-// slides, so the batch path re-reconstructs each record ~20 times while
-// the incremental path seals it into its grid segment exactly once).
+// slides, so a cold rebuild re-reconstructs each record ~20 times while
+// the stream seals it into its grid segment exactly once).
 //
-//	mode=full — the pre-streaming monitor path: every flush re-runs the
-//	            whole pipeline (sort, Build, Reconstruct, Index, fresh-
-//	            engine diagnosis) over the pending window's records.
-//	mode=incr — RunIncremental over retained stream state: new records
+//	mode=full — the cold reference: every flush re-runs the whole
+//	            pipeline (sort, Build, Reconstruct, Index, fresh-engine
+//	            diagnosis) over the pending window's records.
+//	mode=incr — StreamState.RunWindow over retained stream state (what the
+//	            online monitor runs): new records
 //	            are sealed into grid segments exactly once, the window
 //	            store is assembled by merging sealed segments, and the
 //	            diagnosis memo carries across windows.

@@ -93,8 +93,8 @@ type StageTiming struct {
 type Result struct {
 	// Store is the reconstructed trace backing everything downstream.
 	//
-	// In a Result from StreamState.RunWindow (RunIncremental, the online
-	// monitor's windows) Store and Index are lent, not given: they are the
+	// In a Result from StreamState.RunWindow (every online monitor
+	// window) Store and Index are lent, not given: they are the
 	// stream's own window store, the same pointers every window, updated in
 	// place when the next RunWindow on that stream starts. Read them until
 	// then; keep what must outlive that — a count, a hash, a copied journey

@@ -1,7 +1,7 @@
-// Incremental entry point: the sliding-window streaming counterpart to
+// Streaming entry point: the sliding-window counterpart to
 // RunContext. A StreamState retains the tracestore.Stream (sealed epoch
 // segments, watermark, eviction) and one long-lived diagnosis engine whose
-// sharded memo is carried across windows; RunIncremental advances the
+// sharded memo is carried across windows; RunWindow advances the
 // stream by one window and diagnoses the assembled window store without
 // re-reconstructing retained history.
 //
@@ -73,7 +73,7 @@ type StreamState struct {
 
 // NewStreamState creates the retained stream state for a deployment. The
 // window/overlap geometry must match the caller's flush cadence: every
-// RunIncremental end must be a multiple of window.
+// RunWindow end must be a multiple of window.
 func NewStreamState(meta collector.Meta, window, overlap simtime.Duration, cfg Config) (*StreamState, error) {
 	// Normalize exactly the way a per-run pipeline would, so the injected
 	// engine sees the same diagnosis config a fresh per-window engine
@@ -115,25 +115,19 @@ func (ss *StreamState) Stream() *tracestore.Stream { return ss.str }
 // and never double-count overlap records.
 func (ss *StreamState) Stats() tracestore.StreamStats { return ss.str.Stats() }
 
-// RunIncremental advances the stream to the window ending at end — recs
-// holds the window's new records, time-ordered; records at or before the
-// seal watermark or beyond end are ignored, so a caller may also pass its
-// whole pending slice — and diagnoses the assembled window at the given
-// degradation rung. The returned Result matches a cold full rebuild of the
-// same window byte for byte.
+// RunWindow advances the stream to the window ending at end and diagnoses
+// the assembled window at the given degradation rung. The records are the
+// window's new records, time-ordered, as the consecutive spans of one
+// sequence (the monitor passes its ring's backing slices); records at or
+// before the seal watermark or beyond end are ignored, so a caller may
+// also pass its whole pending slice. The spans are only read, and nothing
+// retains them past the call: the stream copies each record once, into
+// the segment that owns it. The returned Result matches a cold full
+// rebuild of the same window byte for byte.
 //
 // At resilience.Skipped the window is still ingested and evicted (stream
 // state must track the watermark through overload) but nothing is
-// diagnosed, mirroring the ladder's contract for the batch path.
-func RunIncremental(ctx context.Context, ss *StreamState, end simtime.Time, recs []collector.BatchRecord, degrade resilience.Level) (*Result, error) {
-	return ss.RunWindow(ctx, end, degrade, recs)
-}
-
-// RunWindow is RunIncremental as a method, taking the records as the
-// consecutive spans of one time-ordered sequence (the monitor passes its
-// ring's backing slices). The spans are only read, and nothing retains
-// them past the call: the stream copies each record once, into the
-// segment that owns it.
+// diagnosed.
 func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade resilience.Level, spans ...[]collector.BatchRecord) (*Result, error) {
 	cfg := ss.cfg
 	cfg.Degrade = degrade
@@ -160,8 +154,7 @@ func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade 
 	r.res.Degradation = degrade
 	if degrade >= resilience.Skipped {
 		// Ingest-only advance (overload skip or gap drain): the stream
-		// state moved, but no pipeline ran — mirroring the batch monitor,
-		// which never invokes the pipeline for a skipped window.
+		// state moved, but no pipeline ran and no run is counted.
 		return r.finish(), nil
 	}
 	if ss.reg != nil {

@@ -49,7 +49,7 @@ func slideWindows(t *testing.T, tr *collector.Trace, w, o simtime.Duration, work
 				recs = append(recs, r)
 			}
 		}
-		inc, err := pipeline.RunIncremental(ctx, ss, end, recs, rung)
+		inc, err := ss.RunWindow(ctx, end, rung, recs)
 		if err != nil {
 			t.Fatalf("window %d incremental: %v", end, err)
 		}
@@ -162,7 +162,7 @@ func runEdgeCase(t *testing.T, recs []collector.BatchRecord, ends []simtime.Time
 				pend = append(pend, r)
 			}
 		}
-		inc, err := pipeline.RunIncremental(ctx, ss, end, pend, resilience.Full)
+		inc, err := ss.RunWindow(ctx, end, resilience.Full, pend)
 		if err != nil {
 			t.Fatalf("end=%d incremental: %v", end, err)
 		}
@@ -241,7 +241,7 @@ func TestStreamGapLargerThanHorizon(t *testing.T) {
 				pend = append(pend, r)
 			}
 		}
-		inc, err := pipeline.RunIncremental(ctx, ss, end, pend, resilience.Full)
+		inc, err := ss.RunWindow(ctx, end, resilience.Full, pend)
 		if err != nil {
 			t.Fatalf("end=%d: %v", end, err)
 		}
@@ -281,7 +281,7 @@ func TestStreamSteadyStateBounded(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			recs = append(recs, packetAt(end-W+W/8+simtime.Time(i)*W/8, uint16(i+1))...)
 		}
-		if _, err := pipeline.RunIncremental(ctx, ss, end, recs, resilience.Full); err != nil {
+		if _, err := ss.RunWindow(ctx, end, resilience.Full, recs); err != nil {
 			t.Fatal(err)
 		}
 		st := ss.Stats()
@@ -329,7 +329,7 @@ func TestStreamMonotoneHealth(t *testing.T) {
 	ends := []simtime.Time{1 * W, 2 * W, 9 * W, 10 * W}
 	for i, end := range ends {
 		recs := orphan(end-W/2, uint16(i+1))
-		if _, err := pipeline.RunIncremental(ctx, ss, end, recs, resilience.Full); err != nil {
+		if _, err := ss.RunWindow(ctx, end, resilience.Full, recs); err != nil {
 			t.Fatal(err)
 		}
 		um := ss.Stats().Recon.Unmatched

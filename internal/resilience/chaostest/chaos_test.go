@@ -118,22 +118,24 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestChaosSoakIncremental runs the soak through the incremental streaming
-// path: same adversary, same contract. The stream survives to EOF, every
-// fault class fires and is counted, memory stays bounded, and windows
-// outside the blast radius alert byte-identically to a fault-free
-// incremental baseline — carried segments, carried memo, chaos and all.
+// TestChaosSoakIncremental runs the soak for the state the stream carries
+// across windows — sealed epoch segments and the diagnosis memo — with
+// sequential diagnosis, so the memo is filled in window order. Same
+// adversary, same contract: the stream survives to EOF, every fault class
+// fires, segments keep sealing and evicting under chaos, memory stays
+// bounded, and windows outside the blast radius alert byte-identically to
+// a fault-free run.
 func TestChaosSoakIncremental(t *testing.T) {
 	leakcheck.Check(t)
-	cfg := Config{Windows: soakWindows(t), Workers: 8, Incremental: true}
+	cfg := Config{Windows: soakWindows(t), Workers: 1}
 	s := BuildStream(cfg)
 
 	base := s.Run(nil)
 	if base.Err != nil {
-		t.Fatalf("incremental baseline failed: %v", base.Err)
+		t.Fatalf("baseline run failed: %v", base.Err)
 	}
 	if base.Stats.Degraded != 0 || base.Stats.WindowsQuarantined != 0 || base.Stats.WindowsSkipped != 0 {
-		t.Fatalf("incremental baseline must run clean at Full: %+v", base.Stats)
+		t.Fatalf("baseline must run clean at Full: %+v", base.Stats)
 	}
 	const margin = 12
 	outside := 0
@@ -143,20 +145,20 @@ func TestChaosSoakIncremental(t *testing.T) {
 		}
 	}
 	if outside == 0 {
-		t.Fatal("incremental baseline raised no alerts outside the blast radius")
+		t.Fatal("baseline raised no alerts outside the blast radius")
 	}
 
 	chaos := DefaultChaos(cfg.Seed)
 	ch := s.Run(&chaos)
 	if ch.Err != nil {
-		t.Fatalf("incremental chaos run did not survive to EOF: %v", ch.Err)
+		t.Fatalf("chaos run did not survive to EOF: %v", ch.Err)
 	}
 	st := ch.Stats
 	if st.Windows < cfg.Windows {
 		t.Fatalf("drove %d windows, want >= %d", st.Windows, cfg.Windows)
 	}
 	if st.Degraded == 0 || st.WindowsQuarantined == 0 || st.ContainedPanics == 0 {
-		t.Errorf("chaos classes did not all fire through the incremental path: %+v", st)
+		t.Errorf("chaos classes did not all fire through the carried stream: %+v", st)
 	}
 	// The streaming gauges must be live: segments seal and evict under
 	// chaos, and eviction keeps the retained set bounded.
@@ -166,12 +168,13 @@ func TestChaosSoakIncremental(t *testing.T) {
 	if v := ch.Registry.Gauge("microscope_stream_retained_segments").Value(); v > 8 {
 		t.Errorf("retained segments %d at EOF — eviction fell behind", v)
 	}
+
 	const ceiling = 1 << 30
 	if ch.PeakHeap >= ceiling {
 		t.Errorf("peak heap %d exceeds ceiling %d", ch.PeakHeap, int64(ceiling))
 	}
 	if diffs := CompareOutside(s, base, ch, margin); len(diffs) != 0 {
-		t.Errorf("%d windows outside the blast radius diverged from the incremental baseline:", len(diffs))
+		t.Errorf("%d windows outside the blast radius diverged from baseline:", len(diffs))
 		for i, d := range diffs {
 			if i == 5 {
 				t.Errorf("... and %d more", len(diffs)-5)
@@ -183,7 +186,8 @@ func TestChaosSoakIncremental(t *testing.T) {
 }
 
 // TestChaosDeterminism: the same chaos run is bit-identical across worker
-// counts and across repeated runs — faults, panics, degradation and all.
+// counts and across repeated runs — faults, panics, degradation, carried
+// segments and carried memo all.
 func TestChaosDeterminism(t *testing.T) {
 	s := BuildStream(Config{Windows: 240})
 	chaos := DefaultChaos(1)
@@ -207,21 +211,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if w1.Stats.WindowsQuarantined == 0 || w1.Stats.ContainedPanics == 0 {
 		t.Errorf("determinism check ran without chaos actually firing: %+v", w1.Stats)
-	}
-
-	// The incremental path carries state (segments, memo) across windows;
-	// it must be exactly as deterministic across worker counts.
-	si := s.WithIncremental()
-	iw1 := si.WithWorkers(1).Run(&chaos)
-	iw8 := si.WithWorkers(8).Run(&chaos)
-	if iw1.Err != nil || iw8.Err != nil {
-		t.Fatalf("incremental runs failed: %v / %v", iw1.Err, iw8.Err)
-	}
-	if !reflect.DeepEqual(iw1.Stats, iw8.Stats) {
-		t.Errorf("incremental stats diverge across worker counts:\n  w1: %+v\n  w8: %+v", iw1.Stats, iw8.Stats)
-	}
-	if !reflect.DeepEqual(iw1.Fingerprints, iw8.Fingerprints) {
-		t.Error("incremental alert fingerprints diverge across worker counts")
 	}
 }
 

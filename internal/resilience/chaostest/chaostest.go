@@ -48,10 +48,6 @@ type Config struct {
 	Workers int
 	// SegRecords is the encoded-transport segment size (default 2048).
 	SegRecords int
-	// Incremental routes the monitor through the retained streaming index
-	// (online.Config.Incremental) instead of per-window rebuilds; the soak
-	// contract is unchanged.
-	Incremental bool
 }
 
 func (c *Config) setDefaults() {
@@ -137,14 +133,6 @@ func BuildStream(cfg Config) *Stream {
 func (s *Stream) WithWorkers(n int) *Stream {
 	c := *s
 	c.cfg.Workers = n
-	return &c
-}
-
-// WithIncremental returns a copy of the stream whose runs use the
-// incremental streaming path; the simulated records are shared.
-func (s *Stream) WithIncremental() *Stream {
-	c := *s
-	c.cfg.Incremental = true
 	return &c
 }
 
@@ -301,11 +289,10 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 		// A 500us window holds only ~75 packets; the default 99th
 		// percentile would select a single victim. 90 gives each interrupt
 		// episode enough victims to clear MinScore.
-		Diagnosis:   core.Config{VictimPercentile: 90},
-		HoldOff:     1, // suppress only identical onsets: no cross-window state to diverge
-		Workers:     cfg.Workers,
-		Obs:         reg,
-		Incremental: cfg.Incremental,
+		Diagnosis: core.Config{VictimPercentile: 90},
+		HoldOff:   1, // suppress only identical onsets: no cross-window state to diverge
+		Workers:   cfg.Workers,
+		Obs:       reg,
 		Resilience: resilience.Config{
 			Ladder:        ladder,
 			ContainPanics: true,

@@ -214,16 +214,3 @@ func (c Config) Enabled() bool {
 	return c.RingCapacity > 0 || c.Ladder.Enabled() || c.WindowDeadline > 0 ||
 		c.MemSoftBytes > 0 || c.MemHardBytes > 0 || c.ContainPanics
 }
-
-// Auto returns a Config with every defense on, derived from a ring
-// capacity: AutoLadder rungs, drop-oldest shedding, and panic containment.
-// Deadline and memory watermarks stay off (they are wall-clock signals the
-// operator must opt into).
-func Auto(ringCapacity int) Config {
-	return Config{
-		RingCapacity:  ringCapacity,
-		Policy:        ShedDropOldest,
-		Ladder:        AutoLadder(ringCapacity),
-		ContainPanics: true,
-	}
-}

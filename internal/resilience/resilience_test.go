@@ -156,7 +156,7 @@ func TestRingInsertKeepsOrder(t *testing.T) {
 	if !r.Insert(i, 30) {
 		t.Fatal("insert refused")
 	}
-	got := r.CopyRange(nil, 0, r.Len())
+	got := ringItems(r)
 	want := []int{20, 30, 40, 50}
 	for i := range want {
 		if got[i] != want[i] {
@@ -166,13 +166,22 @@ func TestRingInsertKeepsOrder(t *testing.T) {
 	// Insert at the very front and very back.
 	r.Insert(0, 5)
 	r.Insert(r.Len(), 60)
-	got = r.CopyRange(got[:0], 0, r.Len())
+	got = ringItems(r)
 	want = []int{5, 20, 30, 40, 50, 60}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("front/back insert: %v, want %v", got, want)
 		}
 	}
+}
+
+// ringItems reads the ring's items in logical order.
+func ringItems(r *Ring[int]) []int {
+	out := make([]int, r.Len())
+	for i := range out {
+		out[i] = r.At(i)
+	}
+	return out
 }
 
 // TestRingSpans: Spans hands out the ring's own storage — no copy — as at
@@ -391,12 +400,11 @@ func TestConfigEnabledAndAuto(t *testing.T) {
 	if zero.Enabled() {
 		t.Error("zero config reports enabled")
 	}
-	c := Auto(1 << 16)
-	if !c.Enabled() || !c.ContainPanics || c.RingCapacity != 1<<16 {
-		t.Errorf("Auto config: %+v", c)
+	if !(Config{Ladder: AutoLadder(1 << 16)}).Enabled() || (Config{Ladder: AutoLadder(0)}).Enabled() {
+		t.Error("an AutoLadder enables exactly when the ring is bounded")
 	}
-	if !c.Ladder.Enabled() || c.Policy != ShedDropOldest {
-		t.Errorf("Auto ladder/policy: %+v", c)
+	if !(Config{ContainPanics: true}).Enabled() || !(Config{RingCapacity: 1}).Enabled() {
+		t.Error("containment or a bounded ring alone should enable")
 	}
 	if (Config{WindowDeadline: time.Second}).Enabled() == false {
 		t.Error("deadline alone should enable")

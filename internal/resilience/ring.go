@@ -141,16 +141,6 @@ func (r *Ring[T]) Search(pred func(T) bool) int {
 	return lo
 }
 
-// CopyRange appends items [from, to) to dst and returns it — the window
-// extraction primitive. The returned slice shares nothing with the ring's
-// storage beyond the item values themselves.
-func (r *Ring[T]) CopyRange(dst []T, from, to int) []T {
-	for i := from; i < to; i++ {
-		dst = append(dst, r.At(i))
-	}
-	return dst
-}
-
 // Spans returns items [from, to) in place, as the (at most two) contiguous
 // runs of the ring's own storage they occupy, in logical order; b is empty
 // unless the range wraps. Nothing is copied: the slices alias the ring and

@@ -100,27 +100,18 @@ func (s *PipelineSpec) ResilienceConfig() resilience.Config {
 // field); the spec's window = slide + overlap is the analysis span.
 func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 	st := s.Stream
-	incremental := true
-	if st.Incremental != nil {
-		incremental = *st.Incremental
-	}
-	maxVictims := s.Diagnosis.MaxVictims
-	if maxVictims == 0 {
-		maxVictims = DefaultStreamMaxVictims
-	}
 	return online.Config{
 		Window:       st.Slide.Sim(),
 		Overlap:      st.Overlap.Sim(),
 		MaxLookahead: st.MaxLookahead.Sim(),
 		ResyncAfter:  st.ResyncAfter,
 		MinScore:     st.MinScore,
-		MaxVictims:   maxVictims,
+		MaxVictims:   s.Diagnosis.MaxVictims,
 		Diagnosis:    s.CoreConfig(reg),
 		Workers:      s.Diagnosis.Workers,
 		HoldOff:      st.HoldOff.Sim(),
 		Obs:          reg,
 		Resilience:   s.ResilienceConfig(),
-		Incremental:  incremental,
 	}
 }
 

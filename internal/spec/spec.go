@@ -21,10 +21,13 @@ package spec
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -130,7 +133,8 @@ type DiagnosisSpec struct {
 	VictimPercentile float64 `json:"victim_percentile,omitempty"`
 	// MaxRecursionDepth caps the §4.3 recursion (default 5).
 	MaxRecursionDepth int `json:"max_recursion_depth,omitempty"`
-	// MaxVictims caps diagnosed victims per run/window (0 = all).
+	// MaxVictims caps diagnosed victims per run/window (0 = all in a batch
+	// run, the online monitor's default of 200 per window).
 	MaxVictims int `json:"max_victims,omitempty"`
 	// PatternThreshold is the §4.4 significance fraction (default 0.01).
 	PatternThreshold float64 `json:"pattern_threshold,omitempty"`
@@ -167,9 +171,6 @@ type StreamSpec struct {
 	// ResyncAfter is the watermark-jump recovery run length (default 8;
 	// negative disables).
 	ResyncAfter int `json:"resync_after,omitempty"`
-	// Incremental routes windows through the retained streaming index
-	// (default true). Pointer so "absent" and "explicitly false" differ.
-	Incremental *bool `json:"incremental,omitempty"`
 }
 
 // ResilienceSpec arms the overload defenses.
@@ -305,6 +306,14 @@ func Parse(data []byte) (*PipelineSpec, error) {
 	dec.DisallowUnknownFields()
 	var s PipelineSpec
 	if err := dec.Decode(&s); err != nil {
+		// encoding/json names an unknown key but not where it sits; a
+		// second, untyped decode finds its path ("stream.incremental").
+		var doc any
+		if strings.HasPrefix(err.Error(), "json: unknown field") && json.Unmarshal(data, &doc) == nil {
+			if path := unknownField(doc, reflect.TypeOf(s), ""); path != "" {
+				return nil, fmt.Errorf("spec: %s: %w", path, err)
+			}
+		}
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	// A trailing second document is as wrong as an unknown field.
@@ -315,6 +324,47 @@ func Parse(data []byte) (*PipelineSpec, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// unknownField returns the JSON path of the first key in doc (in sorted
+// key order) that type t has no field for, or "" when every key is known.
+// Keys match json names case-insensitively, as encoding/json does.
+func unknownField(doc any, t reflect.Type, path string) string {
+	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+		t = t.Elem()
+	}
+	switch v := doc.(type) {
+	case []any:
+		for i, e := range v {
+			if p := unknownField(e, t, fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case map[string]any:
+		if t.Kind() != reflect.Struct {
+			return ""
+		}
+		fields := reflect.VisibleFields(t)
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			p := strings.TrimPrefix(path+"."+k, ".")
+			i := slices.IndexFunc(fields, func(f reflect.StructField) bool {
+				tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				return strings.EqualFold(cmp.Or(tag, f.Name), k)
+			})
+			if i < 0 {
+				return p
+			}
+			if q := unknownField(v[k], fields[i].Type, p); q != "" {
+				return q
+			}
+		}
+	}
+	return ""
 }
 
 // Load reads and parses a spec file.
@@ -343,10 +393,6 @@ func (s *PipelineSpec) Encode() ([]byte, error) {
 // Clone deep-copies the spec.
 func (s *PipelineSpec) Clone() *PipelineSpec {
 	c := *s
-	if s.Stream.Incremental != nil {
-		v := *s.Stream.Incremental
-		c.Stream.Incremental = &v
-	}
 	if s.Resilience.Ladder != nil {
 		l := *s.Resilience.Ladder
 		c.Resilience.Ladder = &l
@@ -585,7 +631,6 @@ const (
 	DefaultMaxRecursionDepth = 5
 	DefaultPatternThreshold  = 0.01
 	DefaultMinScore          = 100
-	DefaultStreamMaxVictims  = 200
 	DefaultHookTimeout       = 5 * time.Second
 	DefaultHookMaxFailures   = 5
 	DefaultHookCooldown      = 30 * time.Second
@@ -661,10 +706,6 @@ func (s *PipelineSpec) Resolved() *PipelineSpec {
 	}
 	if st.ResyncAfter == 0 {
 		st.ResyncAfter = 8
-	}
-	if st.Incremental == nil {
-		t := true
-		st.Incremental = &t
 	}
 
 	re := &r.Resilience

@@ -18,6 +18,10 @@ func TestParseStrict(t *testing.T) {
 	}{
 		{"unknown field", `{"version":1,"widnow":"1s"}`, "widnow"},
 		{"unknown nested", `{"stream":{"slid":"1s"}}`, "slid"},
+		// The retired window-engine toggle is an unknown field like any
+		// other, named by its path.
+		{"removed field", `{"stream":{"incremental":true}}`, "stream.incremental"},
+		{"unknown in list", `{"hooks":[{"name":"h","type":"exec","command":["x"],"retires":1}]}`, "hooks[0].retires"},
 		{"bad duration", `{"stream":{"slide":"fast"}}`, "invalid duration"},
 		{"duration type", `{"stream":{"slide":true}}`, "duration"},
 		{"trailing doc", `{"version":1}{"version":1}`, "trailing"},
@@ -191,9 +195,6 @@ func TestMonitorConfigConversion(t *testing.T) {
 	if cfg.Diagnosis.VictimPercentile != 95 {
 		t.Errorf("core percentile = %g", cfg.Diagnosis.VictimPercentile)
 	}
-	if !cfg.Incremental {
-		t.Error("incremental should default on")
-	}
 	rc := cfg.Resilience
 	if rc.RingCapacity != 1024 || rc.Policy != resilience.ShedRejectNew ||
 		rc.WindowDeadline != 2*time.Second || !rc.ContainPanics {
@@ -244,18 +245,16 @@ func TestMetaRoundTrip(t *testing.T) {
 // TestCloneIsolation: mutating a clone never touches the original.
 func TestCloneIsolation(t *testing.T) {
 	s := mustParse(t, `{
-		"stream": {"incremental": false},
 		"resilience": {"ladder": {"soft_records": 5}, "retry": {"max_attempts": 2}},
 		"topology": {"components": [{"name": "a"}]},
 		"hooks": [{"name": "h", "type": "exec", "command": ["true"]}]
 	}`)
 	c := s.Clone()
-	*c.Stream.Incremental = true
 	c.Resilience.Ladder.SoftRecords = 99
 	c.Resilience.Retry.MaxAttempts = 99
 	c.Topology.Components[0].Name = "z"
 	c.Hooks[0].Command[0] = "false"
-	if *s.Stream.Incremental || s.Resilience.Ladder.SoftRecords != 5 ||
+	if s.Resilience.Ladder.SoftRecords != 5 ||
 		s.Resilience.Retry.MaxAttempts != 2 || s.Topology.Components[0].Name != "a" ||
 		s.Hooks[0].Command[0] != "true" {
 		t.Fatalf("clone aliases original: %+v", s)

@@ -78,7 +78,8 @@ type (
 	TraceMeta = collector.Meta
 	// Alert is one significant culprit surfaced by the online monitor.
 	Alert = online.Alert
-	// MonitorConfig tunes the online monitor.
+	// MonitorConfig tunes the online monitor; the zero value is a
+	// working streaming monitor with every knob at its default.
 	MonitorConfig = online.Config
 	// Monitor consumes collector records incrementally and raises alerts.
 	Monitor = online.Monitor
@@ -131,35 +132,6 @@ func PPS(v float64) Rate { return simtime.PPS(v) }
 // IP builds an IPv4 address for FiveTuple fields.
 func IP(a, b, c, d byte) uint32 { return packet.IPFromOctets(a, b, c, d) }
 
-// DiagnosisConfig tunes the offline diagnosis (see core.Config).
-//
-// Deprecated: DiagnosisConfig predates the options API and remains only
-// for source compatibility — it still satisfies Option, so existing
-// Diagnose(tr, DiagnosisConfig{...}) call sites keep compiling and behave
-// identically. New code should pass functional options (WithWorkers,
-// WithVictimPercentile, ...) or a declarative PipelineSpec via WithSpec;
-// Options is the canonical resolved form and PipelineSpec the canonical
-// serialized form.
-type DiagnosisConfig struct {
-	// VictimPercentile selects latency victims (default 99).
-	VictimPercentile float64
-	// MaxRecursionDepth caps the §4.3 recursion (default 5).
-	MaxRecursionDepth int
-	// MaxVictims caps how many victims are diagnosed (0 = all).
-	MaxVictims int
-	// PatternThreshold is the §4.4 aggregation threshold (default 1%).
-	PatternThreshold float64
-	// SkipLossVictims disables loss diagnosis.
-	SkipLossVictims bool
-	// LossVictimsWhenDegraded keeps loss diagnosis active even when the
-	// trace health is degraded (see core.Config).
-	LossVictimsWhenDegraded bool
-	// Workers bounds the parallel fan-out of the diagnosis pipeline
-	// (0 = GOMAXPROCS, 1 = fully sequential). The report is byte-for-byte
-	// identical for every value.
-	Workers int
-}
-
 // Report is the full diagnosis output for one trace.
 type Report struct {
 	// Store is the reconstructed trace backing the report.
@@ -190,9 +162,9 @@ type Report struct {
 type PipelineStage = pipeline.StageTiming
 
 // Diagnose reconstructs a trace and runs the complete Microscope pipeline.
-// It accepts either functional options (WithWorkers, WithObserver, ...) or
-// a legacy DiagnosisConfig / Options struct applied wholesale; with no
-// options every knob takes its documented default.
+// It accepts functional options (WithWorkers, WithObserver, ...) or an
+// Options struct applied wholesale; with no options every knob takes its
+// documented default.
 func Diagnose(tr *Trace, opts ...Option) *Report {
 	//mslint:allow ctxflow non-ctx convenience wrapper; cancellable path is DiagnoseContext
 	rep, _ := DiagnoseContext(context.Background(), tr, opts...)
@@ -373,8 +345,12 @@ func ThroughputVictims(st *Store, cfg ThroughputVictimConfig) []Victim {
 }
 
 // NewMonitor creates an online monitor: feed it collector records in time
-// order (Monitor.Feed) and it diagnoses fixed windows incrementally,
-// raising alerts for significant culprits — continuous Microscope.
+// order (Monitor.Feed) and it diagnoses sliding windows over one retained
+// stream — each record sealed once, expired segments evicted, the
+// diagnosis memo carried — raising alerts for significant culprits:
+// continuous Microscope. Every configuration, the zero MonitorConfig
+// included, runs that stream; each window's report equals a cold rebuild
+// of the same window (DESIGN.md §11).
 func NewMonitor(meta TraceMeta, cfg MonitorConfig) *Monitor {
 	return online.New(meta, cfg)
 }

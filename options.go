@@ -3,7 +3,6 @@ package microscope
 import (
 	"microscope/internal/core"
 	"microscope/internal/obs"
-	"microscope/internal/patterns"
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 )
@@ -27,7 +26,7 @@ const (
 // Registry is the observability registry the toolkit reports into:
 // counters, gauges, fixed-bucket latency histograms, and a bounded span
 // tracer. Create one with NewRegistry, attach it with WithObserver (or
-// DiagnosisConfig-less entry points), and serve or dump it via its
+// Options.Metrics), and serve or dump it via its
 // WritePrometheus / WriteJSON methods. All methods on a nil *Registry are
 // no-ops, so "observability disabled" costs a nil check per event.
 type Registry = obs.Registry
@@ -41,10 +40,8 @@ func NewRegistry() *Registry { return obs.New() }
 
 // Option configures a diagnosis entry point (Diagnose, DiagnoseStore,
 // DiagnoseOne, Explain, Victims and their Context variants). Two kinds of
-// value satisfy it: the With* functional options below, and the legacy
-// DiagnosisConfig / Options structs applied wholesale — so pre-options
-// call sites like Diagnose(tr, DiagnosisConfig{Workers: 4}) keep
-// compiling and behave identically.
+// value satisfy it: the With* functional options below, and an Options
+// struct applied wholesale.
 type Option interface {
 	apply(*Options)
 }
@@ -88,20 +85,6 @@ type Options struct {
 
 // apply merges o into dst wholesale, making Options itself an Option.
 func (o Options) apply(dst *Options) { *dst = o }
-
-// apply lets the legacy struct config act as an Option: the struct is the
-// whole configuration, exactly as the pre-options API treated it.
-func (c DiagnosisConfig) apply(dst *Options) {
-	*dst = Options{
-		VictimPercentile:        c.VictimPercentile,
-		MaxRecursionDepth:       c.MaxRecursionDepth,
-		MaxVictims:              c.MaxVictims,
-		PatternThreshold:        c.PatternThreshold,
-		SkipLossVictims:         c.SkipLossVictims,
-		LossVictimsWhenDegraded: c.LossVictimsWhenDegraded,
-		Workers:                 c.Workers,
-	}
-}
 
 // optionFunc adapts a closure to the Option interface.
 type optionFunc func(*Options)
@@ -194,31 +177,16 @@ func resolve(opts []Option) Options {
 	return o
 }
 
-// coreConfig converts the resolved options into the diagnosis-engine
-// configuration.
+// coreConfig lowers the resolved options to the diagnosis-engine
+// configuration through their spec form — the one field-by-field
+// conversion (internal/spec). The spec is not Resolved first: zero values
+// reach the engine as zero and take the engine's own defaults there.
 func (o *Options) coreConfig() core.Config {
-	return core.Config{
-		VictimPercentile:        o.VictimPercentile,
-		MaxRecursionDepth:       o.MaxRecursionDepth,
-		MaxVictims:              o.MaxVictims,
-		SkipLossVictims:         o.SkipLossVictims,
-		LossVictimsWhenDegraded: o.LossVictimsWhenDegraded,
-		QueueThreshold:          o.QueueThreshold,
-		Workers:                 o.Workers,
-		Obs:                     o.Metrics,
-	}
+	return SpecFromOptions(*o).CoreConfig(o.Metrics)
 }
 
-// pipelineConfig converts the resolved options into the staged-pipeline
-// configuration.
+// pipelineConfig lowers the resolved options to the staged-pipeline
+// configuration, the same way coreConfig does.
 func (o *Options) pipelineConfig() pipeline.Config {
-	return pipeline.Config{
-		Workers:       o.Workers,
-		Diagnosis:     o.coreConfig(),
-		Patterns:      patterns.Config{Threshold: o.PatternThreshold, Obs: o.Metrics},
-		SkipPatterns:  o.SkipPatterns,
-		Degrade:       o.Degrade,
-		ContainPanics: o.ContainPanics,
-		Obs:           o.Metrics,
-	}
+	return SpecFromOptions(*o).PipelineConfig(o.Metrics)
 }

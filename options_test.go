@@ -44,14 +44,14 @@ func reportText(r *Report) string {
 	return b.String()
 }
 
-// TestOptionsEquivalence is the facade contract: the legacy struct form
+// TestOptionsEquivalence is the facade contract: the Options struct form
 // and the functional-option form of the same configuration produce
 // byte-identical reports, and the zero-argument call equals the zero
 // struct.
 func TestOptionsEquivalence(t *testing.T) {
 	tr := optionsTrace(t)
 
-	structRep := Diagnose(tr, DiagnosisConfig{
+	structRep := Diagnose(tr, Options{
 		VictimPercentile: 95,
 		MaxVictims:       150,
 		Workers:          4,
@@ -69,20 +69,14 @@ func TestOptionsEquivalence(t *testing.T) {
 	}
 
 	bare := Diagnose(tr)
-	zero := Diagnose(tr, DiagnosisConfig{})
+	zero := Diagnose(tr, Options{})
 	if a, b := reportText(bare), reportText(zero); a != b {
-		t.Fatal("Diagnose(tr) and Diagnose(tr, DiagnosisConfig{}) reports differ")
-	}
-
-	// Options-struct form applied wholesale matches the same With* list.
-	canon := Diagnose(tr, Options{VictimPercentile: 95, MaxVictims: 150, Workers: 4})
-	if a, b := reportText(canon), reportText(optRep); a != b {
-		t.Fatal("Options struct and With* list reports differ")
+		t.Fatal("Diagnose(tr) and Diagnose(tr, Options{}) reports differ")
 	}
 
 	// Victim selection routes through the same resolver.
 	st := Reconstruct(tr)
-	v1 := Victims(st, DiagnosisConfig{VictimPercentile: 95})
+	v1 := Victims(st, Options{VictimPercentile: 95})
 	v2 := Victims(st, WithVictimPercentile(95))
 	if len(v1) != len(v2) {
 		t.Fatalf("Victims struct-form selected %d, option-form %d", len(v1), len(v2))

@@ -37,10 +37,6 @@ func randSpec(rng *rand.Rand) *PipelineSpec {
 		Overlap:  slide / spec.Duration(rng.Intn(4)+2),
 		MinScore: float64(rng.Intn(500)),
 	}
-	if rng.Intn(2) == 0 {
-		inc := rng.Intn(2) == 0
-		s.Stream.Incremental = &inc
-	}
 	s.Resilience = spec.ResilienceSpec{
 		RingCapacity: rng.Intn(3) * 4096,
 		ShedPolicy:   []string{"", "drop-oldest", "reject-new"}[rng.Intn(3)],
