@@ -9,8 +9,8 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific invariants (determinism, sort totality, CompID discipline,
-# obs handle safety, pool reset, lock ordering, goroutine lifetimes,
-# context flow) enforced by the mslint analyzer suite.
+# obs handle safety, lock ordering, goroutine lifetimes, context flow)
+# enforced by the ten analyzers of the mslint suite.
 # Suppress a finding with `//mslint:allow <analyzer> <reason>` on the
 # flagged line or the line above it.
 lint:
@@ -40,8 +40,8 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The parallel diagnosis pipeline must be race-free and deterministic at
-# any GOMAXPROCS; -cpu=1,4,8 runs its tests sequential, moderate, and wider
-# than the partition scheduler's default chunking assumes.
+# any GOMAXPROCS; -cpu=1,4,8 runs its tests sequential, moderate, and wide,
+# so workers claim victims and memo keys in different interleavings.
 race-pipeline:
 	$(GO) test -race -timeout 30m -cpu=1,4,8 ./internal/pipeline
 

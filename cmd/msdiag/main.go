@@ -32,6 +32,7 @@ import (
 	"microscope/internal/faults"
 	"microscope/internal/netmedic"
 	"microscope/internal/obs"
+	"microscope/internal/par"
 	"microscope/internal/patterns"
 	"microscope/internal/pipeline"
 	"microscope/internal/simtime"
@@ -198,7 +199,7 @@ func main() {
 	for _, s := range res.Stages {
 		stages = append(stages, fmt.Sprintf("%s %v", s.Name, s.Elapsed.Round(time.Millisecond)))
 	}
-	fmt.Printf("pipeline (%d workers): %s\n", pcfg.Workers, strings.Join(stages, " | "))
+	fmt.Printf("pipeline (%d workers): %s\n", par.Workers(pcfg.Workers, len(res.Victims)), strings.Join(stages, " | "))
 	fmt.Printf("diagnosed %d victims\n", len(diags))
 
 	flowIdx := st.FlowIndex()

@@ -21,7 +21,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("mslint -list exited %d: %s", code, errb.String())
 	}
-	for _, name := range []string{"compid", "determinism", "obssafe", "poolreset", "sorttotal", "specconfig"} {
+	for _, name := range []string{"compid", "determinism", "obssafe", "sorttotal", "specconfig"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}

@@ -2,7 +2,7 @@ package core
 
 import "testing"
 
-// TestDiagnoseVictimSteadyStateAllocs guards the pooled-scratch design:
+// TestDiagnoseVictimSteadyStateAllocs guards the reused-scratch design:
 // once the store index and memo tables are warm, diagnosing a victim
 // must allocate only the returned Diagnosis (causes slice + journey
 // copies), not per-arrival or per-path scratch. The ceiling is generous;
@@ -20,7 +20,7 @@ func TestDiagnoseVictimSteadyStateAllocs(t *testing.T) {
 		t.Fatal("no victims")
 	}
 	v := victims[0]
-	eng.DiagnoseVictim(st, v) // warm index, memo, and pools
+	eng.DiagnoseVictim(st, v) // warm index, memo, and the spare arena
 
 	avg := testing.AllocsPerRun(20, func() {
 		d := eng.DiagnoseVictim(st, v)
@@ -30,7 +30,8 @@ func TestDiagnoseVictimSteadyStateAllocs(t *testing.T) {
 	})
 	// Steady state re-diagnosis is memo-served: the output Diagnosis and
 	// its cause/journey copies dominate. 200 is ~an order of magnitude
-	// above the observed count and far below the pre-pooling thousands.
+	// above the observed count and far below the thousands that
+	// per-victim scratch allocation cost.
 	if avg > 200 {
 		t.Errorf("DiagnoseVictim steady state allocates %.0f allocs/run, budget 200", avg)
 	}

@@ -1,17 +1,19 @@
 package core
 
 import (
-	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"microscope/internal/obs"
-	"microscope/internal/tracestore"
+	"microscope/internal/simtime"
 )
 
 // TestArenaPerWorkerNotPerVictim: a parallel diagnosis run acquires exactly
-// one scratch arena per worker — not one per victim. The scratch counters
-// (new + reused) tally every acquisition, so their sum is the acquisition
-// count regardless of pool temperature.
+// one scratch arena per worker — not one per victim — and hands them all
+// back to the engine, whose spare list then holds no more than a run's
+// workers. The scratch counters (new + reused) tally every acquisition, so
+// their sum is the acquisition count.
 func TestArenaPerWorkerNotPerVictim(t *testing.T) {
 	st, _ := buildDAGStore(t, true, false)
 
@@ -24,8 +26,17 @@ func TestArenaPerWorkerNotPerVictim(t *testing.T) {
 		}
 		eng.DiagnoseVictims(st, vs)
 		snap := reg.TakeSnapshot()
-		return snap.Counters["microscope_diag_scratch_new_total"] +
-			snap.Counters["microscope_diag_scratch_reused_total"], len(vs)
+		fresh := snap.Counters["microscope_diag_scratch_new_total"]
+		if n := len(eng.spare); int64(n) != fresh || n > workers {
+			t.Errorf("workers=%d: engine keeps %d spare arenas after a run, want the %d it allocated (at most %d)",
+				workers, n, fresh, workers)
+		}
+		// A second run allocates nothing: every arena comes from the spares.
+		eng.DiagnoseVictims(st, vs)
+		if again := reg.TakeSnapshot().Counters["microscope_diag_scratch_new_total"]; again != fresh {
+			t.Errorf("workers=%d: second run allocated %d arenas", workers, again-fresh)
+		}
+		return fresh + snap.Counters["microscope_diag_scratch_reused_total"], len(vs)
 	}
 
 	// FindVictims builds a diagnoser too but never acquires an arena, so
@@ -48,167 +59,68 @@ func TestArenaPerWorkerNotPerVictim(t *testing.T) {
 	}
 }
 
-// TestPartitionVictimsInvariant: the NF partitioner covers every victim
-// exactly once, keeps ascending victim order inside each partition, splits
-// nothing below the chunk floor, and is deterministic.
-func TestPartitionVictimsInvariant(t *testing.T) {
+// TestDiagnoseHotNFAcrossWorkers: one hot NF producing every victim — the
+// shape where all workers contend for the same memo keys at once — must
+// diagnose identically at every worker count.
+func TestDiagnoseHotNFAcrossWorkers(t *testing.T) {
 	st, _ := buildDAGStore(t, true, true)
-	eng := NewEngine(Config{})
-	d := eng.newDiagnoser(st)
-	victims := d.findVictims()
-	if len(victims) < 2 {
-		t.Fatalf("workload too small: %d victims", len(victims))
-	}
 
-	for _, workers := range []int{2, 4, 8} {
-		parts := d.partitionVictims(victims, workers)
-		seen := make([]bool, len(victims))
-		for _, p := range parts {
-			if len(p.victims) == 0 {
-				t.Fatal("empty partition emitted")
-			}
-			for k, vi := range p.victims {
-				if seen[vi] {
-					t.Fatalf("victim %d in two partitions", vi)
-				}
-				seen[vi] = true
-				if k > 0 && p.victims[k-1] >= vi {
-					t.Fatalf("partition victim order not ascending: %v", p.victims)
-				}
-				// Partition membership is by victim NF.
-				if c := st.CompIDOf(victims[vi].Comp); c != p.comp {
-					t.Fatalf("victim at %s landed in partition of comp %d", victims[vi].Comp, p.comp)
-				}
-			}
-		}
-		for vi, ok := range seen {
-			if !ok {
-				t.Fatalf("victim %d never partitioned (workers=%d)", vi, workers)
-			}
-		}
-		// Determinism: same input, same partitioning.
-		again := d.partitionVictims(victims, workers)
-		if len(again) != len(parts) {
-			t.Fatalf("partitioning not deterministic: %d vs %d parts", len(parts), len(again))
-		}
-		for i := range parts {
-			if parts[i].comp != again[i].comp || len(parts[i].victims) != len(again[i].victims) {
-				t.Fatalf("partition %d differs across identical calls", i)
-			}
-		}
-		// LPT order: victim counts never increase.
-		for i := 1; i < len(parts); i++ {
-			if len(parts[i].victims) > len(parts[i-1].victims) {
-				t.Fatalf("partitions not ordered by descending size")
-			}
-		}
-	}
-}
-
-// TestPartitionVictimsChunksOversized: one hot NF producing every victim
-// must still split into enough chunks to keep all workers busy.
-func TestPartitionVictimsChunksOversized(t *testing.T) {
-	st, _ := buildDAGStore(t, true, false)
-	eng := NewEngine(Config{})
-	d := eng.newDiagnoser(st)
-
-	// Synthesize 1000 victims all at one NF.
+	// 1000 victims at f, arriving every 2µs across the interrupt episode
+	// and its drain.
 	victims := make([]Victim, 1000)
 	for i := range victims {
-		victims[i] = Victim{Comp: "f", ArriveAt: 1000, Kind: VictimLatency}
-	}
-	const workers = 4
-	parts := d.partitionVictims(victims, workers)
-	if len(parts) < workers {
-		t.Fatalf("monolithic hot partition: %d parts for %d workers", len(parts), workers)
-	}
-	cap := (len(victims) + workers*maxPartitionFactor - 1) / (workers * maxPartitionFactor)
-	if cap < minPartitionChunk {
-		cap = minPartitionChunk
-	}
-	total := 0
-	for _, p := range parts {
-		if len(p.victims) > cap {
-			t.Fatalf("chunk of %d exceeds cap %d", len(p.victims), cap)
+		victims[i] = Victim{
+			Comp:     "f",
+			ArriveAt: simtime.Time(simtime.Millisecond + simtime.Duration(2*i)*simtime.Microsecond),
+			Kind:     VictimLatency,
 		}
-		total += len(p.victims)
 	}
-	if total != len(victims) {
-		t.Fatalf("chunks cover %d of %d victims", total, len(victims))
+	want := NewEngine(Config{Workers: 1}).DiagnoseVictims(st, victims)
+	blamed := 0
+	for i := range want {
+		if len(want[i].Causes) > 0 {
+			blamed++
+		}
+	}
+	if blamed < len(victims)/4 {
+		t.Fatalf("only %d of %d hot-NF victims have causes: workload degenerate", blamed, len(victims))
+	}
+	for _, workers := range []int{2, 4, 8} {
+		got := NewEngine(Config{Workers: workers}).DiagnoseVictims(st, victims)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d diagnoses differ from workers=1", workers)
+		}
 	}
 }
 
-// TestDiagnoseVictimsStatsReportsScheduling: the stats surface reflects the
-// partitioned run and never changes the diagnoses themselves.
-func TestDiagnoseVictimsStatsReportsScheduling(t *testing.T) {
-	st, _ := buildDAGStore(t, true, false)
-	eng := NewEngine(Config{Workers: 4})
-	vs := eng.FindVictims(st)
-	if len(vs) == 0 {
+// TestEngineConcurrentRuns: one engine serves two concurrent runs over the
+// same store — sharing its memo and its spare arenas — and both produce
+// exactly the output of a fresh sequential engine.
+func TestEngineConcurrentRuns(t *testing.T) {
+	st, _ := buildDAGStore(t, true, true)
+	want := NewEngine(Config{Workers: 1}).Diagnose(st)
+	if len(want) == 0 {
 		t.Fatal("no victims")
 	}
-	out, stats, err := eng.DiagnoseVictimsStats(context.Background(), st, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(vs) {
-		t.Fatalf("%d diagnoses for %d victims", len(out), len(vs))
-	}
-	if stats.Partitions < 1 || stats.LargestPartition < 1 || stats.Workers < 1 {
-		t.Fatalf("stats not populated: %+v", stats)
-	}
-	if stats.LargestPartition > len(vs) {
-		t.Fatalf("largest partition %d exceeds victim count %d", stats.LargestPartition, len(vs))
+	vs := make([]Victim, len(want))
+	for i := range want {
+		vs[i] = want[i].Victim
 	}
 
-	// The sequential engine must produce identical output.
-	seqEng := NewEngine(Config{Workers: 1})
-	seqOut, seqStats, err := seqEng.DiagnoseVictimsStats(context.Background(), st, vs)
-	if err != nil {
-		t.Fatal(err)
+	eng := NewEngine(Config{Workers: 4})
+	var got [2][]Diagnosis
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = eng.DiagnoseVictims(st, vs)
+		}()
 	}
-	if seqStats.Workers != 1 || seqStats.Partitions != 1 {
-		t.Fatalf("sequential stats: %+v", seqStats)
-	}
-	if len(seqOut) != len(out) {
-		t.Fatal("output length differs across worker counts")
-	}
-	for i := range out {
-		if len(out[i].Causes) != len(seqOut[i].Causes) {
-			t.Fatalf("victim %d: cause count differs across worker counts", i)
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("concurrent run %d differs from the sequential engine", g)
 		}
-		for c := range out[i].Causes {
-			if out[i].Causes[c].Score != seqOut[i].Causes[c].Score ||
-				out[i].Causes[c].Comp != seqOut[i].Causes[c].Comp {
-				t.Fatalf("victim %d cause %d differs across worker counts", i, c)
-			}
-		}
-	}
-}
-
-// TestPartitionVictimsUnknownComp: victims at components the store never
-// interned land in the NoComp bucket instead of being dropped or panicking.
-func TestPartitionVictimsUnknownComp(t *testing.T) {
-	st, _ := buildDAGStore(t, true, false)
-	eng := NewEngine(Config{})
-	d := eng.newDiagnoser(st)
-	victims := []Victim{
-		{Comp: "f", ArriveAt: 1000},
-		{Comp: "no-such-nf", ArriveAt: 1000},
-	}
-	parts := d.partitionVictims(victims, 2)
-	total := 0
-	sawNoComp := false
-	for _, p := range parts {
-		total += len(p.victims)
-		if p.comp == tracestore.NoComp {
-			sawNoComp = true
-		}
-	}
-	if total != 2 {
-		t.Fatalf("partitions cover %d of 2 victims", total)
-	}
-	if !sawNoComp {
-		t.Fatal("unknown-comp victim not bucketed under NoComp")
 	}
 }

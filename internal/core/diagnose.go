@@ -17,16 +17,19 @@ import (
 
 // Engine runs Microscope diagnosis over a reconstructed trace store. It is
 // safe for concurrent use; per-victim diagnoses fan out over a bounded
-// worker pool (Config.Workers) with NF-partitioned scheduling and share one
-// sharded memoized view of the trace.
+// worker pool (Config.Workers) and share one memoized view of the trace.
 type Engine struct {
 	cfg Config
 
-	// mu guards the per-store memo below (see memo.go).
+	// mu guards the per-store memo below (see memo.go) and spare.
 	mu        sync.Mutex
 	memoStore *tracestore.Store
 	memoGen   uint64
 	memo      *diagMemo
+	// spare holds the scratch arenas no call is using. A run takes one per
+	// worker and gives them all back when it ends, so the list holds at most
+	// as many arenas as the engine's calls have ever used at once.
+	spare []*workerArena
 
 	// panics counts victims quarantined by the ContainPanics boundary.
 	panics atomic.Int64
@@ -86,16 +89,31 @@ func (e *Engine) newDiagnoser(st *tracestore.Store) *diagnoser {
 	return d
 }
 
-// acquireArena takes a worker arena for the length of a run (or a one-shot
-// call) and records whether the pool recycled a warm one.
-func (d *diagnoser) acquireArena() *workerArena {
-	a, reused := getArena()
-	if reused {
-		d.scratchReused.Add(1)
-	} else {
-		d.scratchNew.Add(1)
+// takeArena lends a caller a scratch arena for the length of a run (or a
+// one-shot call): a spare one when the engine has it, else a new one. The
+// scratch counters record which.
+func (e *Engine) takeArena(d *diagnoser) *workerArena {
+	var a *workerArena
+	e.mu.Lock()
+	if n := len(e.spare); n > 0 {
+		a = e.spare[n-1]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
 	}
+	e.mu.Unlock()
+	if a == nil {
+		d.scratchNew.Add(1)
+		return new(workerArena)
+	}
+	d.scratchReused.Add(1)
 	return a
+}
+
+// putArenas returns lent arenas to the engine's spares.
+func (e *Engine) putArenas(as ...*workerArena) {
+	e.mu.Lock()
+	e.spare = append(e.spare, as...)
+	e.mu.Unlock()
 }
 
 // Diagnose selects victims and produces a ranked diagnosis for each,
@@ -105,7 +123,7 @@ func (d *diagnoser) acquireArena() *workerArena {
 func (e *Engine) Diagnose(st *tracestore.Store) []Diagnosis {
 	d := e.newDiagnoser(st)
 	//mslint:allow ctxflow non-ctx convenience wrapper; cancellable path is DiagnoseVictimsContext
-	out, _, _ := e.diagnosePartitioned(context.Background(), d, d.findVictims())
+	out, _ := e.diagnoseAll(context.Background(), d, d.findVictims())
 	return out
 }
 
@@ -114,7 +132,7 @@ func (e *Engine) Diagnose(st *tracestore.Store) []Diagnosis {
 // fan-out as Diagnose. Output order matches the input victim order.
 func (e *Engine) DiagnoseVictims(st *tracestore.Store, victims []Victim) []Diagnosis {
 	//mslint:allow ctxflow non-ctx convenience wrapper; cancellable path is DiagnoseVictimsContext
-	out, _, _ := e.diagnosePartitioned(context.Background(), e.newDiagnoser(st), victims)
+	out, _ := e.diagnoseAll(context.Background(), e.newDiagnoser(st), victims)
 	return out
 }
 
@@ -123,200 +141,40 @@ func (e *Engine) DiagnoseVictims(st *tracestore.Store, victims []Victim) []Diagn
 // ctx's error alongside the partial output — slots for victims never
 // diagnosed are zero-valued Diagnoses.
 func (e *Engine) DiagnoseVictimsContext(ctx context.Context, st *tracestore.Store, victims []Victim) ([]Diagnosis, error) {
-	out, _, err := e.diagnosePartitioned(ctx, e.newDiagnoser(st), victims)
+	return e.diagnoseAll(ctx, e.newDiagnoser(st), victims)
+}
+
+// diagnoseAll is the diagnosis fan-out: workers claim victims one at a
+// time, each worker reusing one engine-owned scratch arena for its whole
+// share of the run, and every result lands in its victim's slot. Output is
+// byte-identical for every worker count: each victim's diagnosis is a pure
+// function of the victim over the immutable index and memo, and the slot
+// it is written to is the victim's index, whichever worker computed it.
+// At one worker the loop runs inline, in victim order.
+func (e *Engine) diagnoseAll(ctx context.Context, d *diagnoser, victims []Victim) ([]Diagnosis, error) {
+	out := make([]Diagnosis, len(victims))
+	if len(victims) == 0 {
+		return out, ctx.Err()
+	}
+	arenas := make([]*workerArena, par.Workers(e.cfg.Workers, len(victims)))
+	for w := range arenas {
+		arenas[w] = e.takeArena(d)
+	}
+	defer e.putArenas(arenas...)
+	err := par.DoWorkersCtx(ctx, len(victims), len(arenas), func(w, i int) {
+		out[i] = e.diagnoseContained(d, victims, i, arenas[w])
+	})
 	return out, err
 }
 
-// RunStats describes how one diagnosis fan-out was scheduled: the victim
-// partitions built from the deployment graph and the worker count that ran
-// them. Purely observational — the numbers never influence output.
-type RunStats struct {
-	// Partitions is how many NF-subgraph partitions the victims formed
-	// (after oversized partitions were split for load balance).
-	Partitions int
-	// LargestPartition is the victim count of the biggest partition.
-	LargestPartition int
-	// Workers is the resolved worker count that executed the run.
-	Workers int
-}
-
-// DiagnoseVictimsStats is DiagnoseVictimsContext plus the scheduling stats
-// of the run, for pipeline observability.
-func (e *Engine) DiagnoseVictimsStats(ctx context.Context, st *tracestore.Store, victims []Victim) ([]Diagnosis, RunStats, error) {
-	return e.diagnosePartitioned(ctx, e.newDiagnoser(st), victims)
-}
-
-// victimPartition is one schedulable unit of a diagnosis run: victims (by
-// index into the run's victim slice) whose diagnoses walk the same NF
-// subgraph, stolen whole by one worker.
-type victimPartition struct {
-	comp    tracestore.CompID
-	victims []int32
-}
-
-// maxPartitionFactor bounds partition size at roughly
-// len(victims)/(workers*maxPartitionFactor): with a single overloaded NF
-// producing most victims, one monolithic partition would serialize the run,
-// so oversized partitions split into consecutive chunks — enough per worker
-// to balance load, big enough that stealing stays per-partition, not
-// per-victim.
-const maxPartitionFactor = 4
-
-// minPartitionChunk keeps split chunks from degenerating into per-victim
-// stealing on small runs.
-const minPartitionChunk = 32
-
-// partitionVictims groups victim indices by victim NF — the upstream
-// closure of the victim's NF is the region of the memo and index its
-// diagnosis touches, so same-NF victims revisit the same keys and belong on
-// the same worker. Partitions are ordered deterministically for LPT
-// scheduling: descending victim count, then descending upstream-closure
-// size (the per-victim cost proxy), then ascending CompID, then chunk
-// order. Victim order within a partition is ascending, preserving the
-// sequential walk inside each subgraph.
-func (d *diagnoser) partitionVictims(victims []Victim, workers int) []victimPartition {
-	nc := d.st.NumComps()
-	// perComp[nc] buckets victims at components the store never interned
-	// (defensive: externally supplied victim lists).
-	perComp := make([][]int32, nc+1)
-	for i := range victims {
-		c := d.st.CompIDOf(victims[i].Comp)
-		slot := nc
-		if c >= 0 && int(c) < nc {
-			slot = int(c)
-		}
-		perComp[slot] = append(perComp[slot], int32(i))
-	}
-	chunkCap := len(victims)
-	if workers > 1 {
-		chunkCap = (len(victims) + workers*maxPartitionFactor - 1) / (workers * maxPartitionFactor)
-		if chunkCap < minPartitionChunk {
-			chunkCap = minPartitionChunk
-		}
-	}
-	parts := make([]victimPartition, 0, nc/2)
-	for slot, vs := range perComp {
-		if len(vs) == 0 {
-			continue
-		}
-		comp := tracestore.CompID(slot)
-		if slot == nc {
-			comp = tracestore.NoComp
-		}
-		for off := 0; off < len(vs); off += chunkCap {
-			end := off + chunkCap
-			if end > len(vs) {
-				end = len(vs)
-			}
-			parts = append(parts, victimPartition{comp: comp, victims: vs[off:end]})
-		}
-	}
-	sort.SliceStable(parts, func(i, j int) bool {
-		if len(parts[i].victims) != len(parts[j].victims) {
-			return len(parts[i].victims) > len(parts[j].victims)
-		}
-		ci, cj := d.idx.ClosureSizeID(parts[i].comp), d.idx.ClosureSizeID(parts[j].comp)
-		if ci != cj {
-			return ci > cj
-		}
-		if parts[i].comp != parts[j].comp {
-			return parts[i].comp < parts[j].comp
-		}
-		// Same comp: chunks of one NF keep their ascending victim order.
-		return parts[i].victims[0] < parts[j].victims[0]
-	})
-	return parts
-}
-
-// diagnosePartitioned is the diagnosis fan-out: victims grouped into
-// NF-subgraph partitions, partitions stolen whole by workers, each worker
-// reusing one long-lived scratch arena for its entire share of the run, and
-// per-partition result batches merged into victim order once at the end.
-// Output is byte-identical for every worker count: each victim's diagnosis
-// is a pure function of the victim over the immutable index and memo, and
-// the merge writes by victim index regardless of which worker computed it.
-func (e *Engine) diagnosePartitioned(ctx context.Context, d *diagnoser, victims []Victim) ([]Diagnosis, RunStats, error) {
-	out := make([]Diagnosis, len(victims))
-	if len(victims) == 0 {
-		return out, RunStats{}, ctx.Err()
-	}
-	workers := par.Workers(e.cfg.Workers, len(victims))
-	if workers <= 1 {
-		// Sequential: plain victim-order walk with one arena. Same
-		// cancellation granularity (one ctx check per victim) as the
-		// parallel path, and the old per-victim fan-out before it.
-		a := d.acquireArena()
-		defer putArena(a)
-		stats := RunStats{Partitions: 1, LargestPartition: len(victims), Workers: 1}
-		err := par.DoCtx(ctx, len(victims), 1, e.victimTask(d, victims, out, a))
-		return out, stats, err
-	}
-
-	parts := d.partitionVictims(victims, workers)
-	stats := RunStats{Partitions: len(parts), Workers: par.Workers(workers, len(parts))}
-	for i := range parts {
-		if n := len(parts[i].victims); n > stats.LargestPartition {
-			stats.LargestPartition = n
-		}
-	}
-	// One long-lived arena per worker for the whole run — acquired (and
-	// returned) here rather than per victim, so the scratch population is
-	// bounded by the worker count instead of churning through the pool
-	// once per victim.
-	arenas := make([]*workerArena, stats.Workers)
-	for w := range arenas {
-		arenas[w] = d.acquireArena()
-	}
-	defer func() {
-		for _, a := range arenas {
-			putArena(a)
-		}
-	}()
-
-	batches := make([][]Diagnosis, len(parts))
-	err := par.DoWorkersCtx(ctx, len(parts), stats.Workers, func(worker, pi int) {
-		a := arenas[worker]
-		p := parts[pi]
-		batch := make([]Diagnosis, len(p.victims))
-		for k, vi := range p.victims {
-			if ctx.Err() != nil {
-				// Prompt cancellation even inside a stolen partition;
-				// unfilled batch slots merge as zero values (the partial-
-				// output contract).
-				break
-			}
-			batch[k] = e.diagnoseContained(d, victims, int(vi), a)
-		}
-		batches[pi] = batch
-	})
-	// Batched slot merge: one pass in partition order, after every worker
-	// has quiesced — workers never write the shared output slice, so they
-	// cannot false-share output cache lines while diagnosing.
-	for pi := range parts {
-		if batches[pi] == nil {
-			continue
-		}
-		for k, vi := range parts[pi].victims {
-			out[vi] = batches[pi][k]
-		}
-	}
-	return out, stats, err
-}
-
 // diagnoseOne runs one victim's diagnosis (by index, so the chaos hook and
-// containment quarantine stay keyed on the victim, not the worker or
-// partition) against a caller-owned arena.
+// containment quarantine stay keyed on the victim, not the worker) against
+// a caller-owned arena.
 func (e *Engine) diagnoseOne(d *diagnoser, victims []Victim, i int, a *workerArena) Diagnosis {
 	if e.cfg.ChaosHook != nil {
 		e.cfg.ChaosHook("victim:" + strconv.Itoa(i))
 	}
 	return d.diagnoseVictim(victims[i], a)
-}
-
-// victimTask builds the per-victim work function the sequential fan-out
-// runs: diagnose victim i into out[i] against the shared arena.
-func (e *Engine) victimTask(d *diagnoser, victims []Victim, out []Diagnosis, a *workerArena) func(i int) {
-	return func(i int) { out[i] = e.diagnoseContained(d, victims, i, a) }
 }
 
 // diagnoseContained wraps diagnoseOne in the crash-containment boundary
@@ -352,8 +210,8 @@ func (e *Engine) FindVictims(st *tracestore.Store) []Victim {
 // DiagnoseVictim diagnoses a single victim.
 func (e *Engine) DiagnoseVictim(st *tracestore.Store, v Victim) Diagnosis {
 	d := e.newDiagnoser(st)
-	a := d.acquireArena()
-	defer putArena(a)
+	a := e.takeArena(d)
+	defer e.putArenas(a)
 	return d.diagnoseVictim(v, a)
 }
 
@@ -616,32 +474,14 @@ func (sc *victimScratch) add(k causeKey, score float64, at simtime.Time, journey
 
 // workerArena is one worker's long-lived scratch for an entire diagnosis
 // run: the per-victim cause accumulator plus the §4.2 path-walk buffers.
-// Each worker of the partitioned fan-out owns one arena for its whole run
-// instead of round-tripping a sync.Pool per victim, so the scratch
-// population — and with it the run's bytes/op — is bounded by the worker
-// count, not the victim count.
+// Each worker of the fan-out owns one arena for its whole run, and the
+// engine keeps it for the next run, so the scratch population — and with
+// it the run's bytes/op — is bounded by the worker count, not the victim
+// count.
 type workerArena struct {
 	sc victimScratch
 	cs collectScratch
-	// used marks an arena that has been through the pool before, for the
-	// scratch-recycle-rate metrics.
-	used bool
 }
-
-var arenaPool = sync.Pool{New: func() any { return new(workerArena) }}
-
-// getArena takes an arena from the pool and reports whether it is a warm
-// recycle. Ownership transfers to the caller for the length of a run;
-// putArena returns it.
-func getArena() (a *workerArena, reused bool) {
-	//mslint:allow poolreset ownership transfers to the caller for a whole run; every victim resets sc before use and putArena returns the arena
-	a = arenaPool.Get().(*workerArena)
-	reused = a.used
-	a.used = true
-	return a, reused
-}
-
-func putArena(a *workerArena) { arenaPool.Put(a) }
 
 // diagnoseVictim runs §4.1–§4.3 for one victim against the caller's arena.
 func (d *diagnoser) diagnoseVictim(v Victim, a *workerArena) Diagnosis {

@@ -51,8 +51,8 @@ type ExplainShare struct {
 // intermediate quantity. It mirrors DiagnoseVictim's recursion exactly.
 func (e *Engine) Explain(st *tracestore.Store, v Victim) *Explanation {
 	d := e.newDiagnoser(st)
-	a := d.acquireArena()
-	defer putArena(a)
+	a := e.takeArena(d)
+	defer e.putArenas(a)
 	ex := &Explanation{Victim: v}
 	ex.Root = d.explainAt(st.CompIDOf(v.Comp), v.ArriveAt, 1.0, 0, a)
 	return ex

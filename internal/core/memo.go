@@ -17,12 +17,9 @@ import (
 // compute it once and everyone else blocks for the result instead of
 // duplicating the work.
 //
-// The memo is sharded: keys hash onto power-of-two shards, each its own
-// sync.Map, so workers touching different regions of the deployment graph
-// never serialize on one global mutex — and a *completed* entry is served
-// by a single atomic load from the sync.Map's read-only map, no lock at
-// all. The mutex inside each sync.Map is only taken on the miss path
-// (insertion), which happens once per key for the life of the window.
+// Each table is one map behind one mutex, held only for the map lookup or
+// insert and never across a computation: a worker computing one period
+// never blocks a worker after another.
 //
 // Determinism: every cached value is a pure function of its key over the
 // immutable trace index, so the cache's contents never depend on which
@@ -48,37 +45,13 @@ type periodKey struct {
 	start, end simtime.Time
 }
 
-// memoShards is the shard count of every single-flight table. Power of two
-// so shard selection is a mask; 64 shards keep the collision probability
-// negligible at realistic worker counts (≤ GOMAXPROCS) while costing only
-// a few KB per table.
-const memoShards = 64
-
-// shardOf mixes a periodKey into its shard index. The three fields are
-// folded through distinct 64-bit odd multipliers (splitmix64-style) so
-// nearby periods — same comp, adjacent times — spread across shards
-// instead of clustering on one.
-func shardOf(k periodKey) uint32 {
-	h := uint64(uint32(k.comp)) * 0x9E3779B97F4A7C15
-	h ^= uint64(k.start) * 0xBF58476D1CE4E5B9
-	h ^= uint64(k.end) * 0x94D049BB133111EB
-	h ^= h >> 29
-	return uint32(h) & (memoShards - 1)
-}
-
-// flight is a sharded single-flight memo table keyed by periodKey:
-// do(k, fn) returns fn()'s value for k, computing it at most once;
-// concurrent callers of the same key wait for the first computation
-// instead of repeating it.
+// flight is a single-flight memo table keyed by periodKey: do(k, fn)
+// returns fn()'s value for k, computing it at most once; concurrent
+// callers of the same key wait for the first computation instead of
+// repeating it. mu guards m only.
 type flight[V any] struct {
-	shards [memoShards]flightShard[V]
-}
-
-// flightShard is one shard: a sync.Map of periodKey → *flightCall[V].
-// sync.Map fits this workload exactly — per-key write-once, then read-many:
-// after an entry is promoted to the read map, hits cost one atomic load.
-type flightShard[V any] struct {
-	m sync.Map
+	mu sync.Mutex
+	m  map[periodKey]*flightCall[V]
 }
 
 type flightCall[V any] struct {
@@ -98,9 +71,8 @@ type flightCall[V any] struct {
 // do returns fn()'s value for k, computing it at most once. hits/misses/
 // reused are nil-safe observability counters (memo effectiveness is the
 // pipeline's main cache-health signal; reused counts hits on entries
-// carried over from a previous window). The fast path for a completed
-// entry is a lock-free sync.Map load; the per-shard mutex inside sync.Map
-// is only touched on first insertion of a key.
+// carried over from a previous window). The table lock covers the lookup
+// and, on a miss, the insert of the new flight; fn runs outside it.
 //
 // Panic safety: when fn panics, the flight is unpoisoned — the key is
 // removed so later callers recompute, and waiters already blocked on the
@@ -108,20 +80,27 @@ type flightCall[V any] struct {
 // half-built value. The panic itself keeps unwinding to the per-victim
 // containment boundary (resilience.Contain); do never swallows it.
 func (f *flight[V]) do(k periodKey, hits, misses, reused *obs.Counter, fn func() V) V {
-	sh := &f.shards[shardOf(k)]
-	if v, ok := sh.m.Load(k); ok {
-		return f.await(v.(*flightCall[V]), hits, reused, fn)
+	f.mu.Lock()
+	if c, ok := f.m[k]; ok {
+		f.mu.Unlock()
+		return f.await(c, hits, reused, fn)
+	}
+	if f.m == nil {
+		f.m = make(map[periodKey]*flightCall[V])
 	}
 	c := &flightCall[V]{done: make(chan struct{})}
-	if prev, loaded := sh.m.LoadOrStore(k, c); loaded {
-		return f.await(prev.(*flightCall[V]), hits, reused, fn)
-	}
+	f.m[k] = c
+	f.mu.Unlock()
 	misses.Add(1)
 	defer func() {
 		if !c.ok {
-			// fn panicked: unpoison. CompareAndDelete (not Delete) so a
+			// fn panicked: unpoison. Delete only our own flight, so a
 			// racing re-insertion under the same key is never clobbered.
-			sh.m.CompareAndDelete(k, c)
+			f.mu.Lock()
+			if f.m[k] == c {
+				delete(f.m, k)
+			}
+			f.mu.Unlock()
 			close(c.done)
 		}
 	}()
@@ -152,22 +131,13 @@ func (f *flight[V]) await(c *flightCall[V], hits, reused *obs.Counter, fn func()
 // caller's single-threadedness.
 func (f *flight[V]) rebind(keep func(k periodKey, v V) bool) int {
 	kept := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.m.Range(func(key, value any) bool {
-			c := value.(*flightCall[V])
-			if !c.ok {
-				sh.m.Delete(key)
-				return true
-			}
-			if !keep(key.(periodKey), c.val) {
-				sh.m.Delete(key)
-				return true
-			}
-			c.carried = true
-			kept++
-			return true
-		})
+	for k, c := range f.m {
+		if !c.ok || !keep(k, c.val) {
+			delete(f.m, k)
+			continue
+		}
+		c.carried = true
+		kept++
 	}
 	return kept
 }

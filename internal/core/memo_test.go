@@ -47,34 +47,35 @@ func TestFlightComputesOnce(t *testing.T) {
 	}
 }
 
-// TestFlightDistinctKeys: different keys compute independently, even when
-// they land on the same shard.
+// TestFlightDistinctKeys: different keys compute independently, even keys
+// that differ in one field only.
 func TestFlightDistinctKeys(t *testing.T) {
 	var f flight[int]
-	k1 := periodKey{comp: 1, start: 1, end: 2}
-	// Scan for a second key on the same shard as k1 — shard collision must
-	// not conflate keys.
-	k2 := periodKey{comp: 2, start: 1, end: 2}
-	for s := int64(0); shardOf(k2) != shardOf(k1); s++ {
-		k2.start = simtime.Time(s)
+	keys := []periodKey{
+		{comp: 1, start: 1, end: 2},
+		{comp: 2, start: 1, end: 2},
+		{comp: 1, start: 0, end: 2},
+		{comp: 1, start: 1, end: 3},
 	}
-	v1 := f.do(k1, nil, nil, nil, func() int { return 11 })
-	v2 := f.do(k2, nil, nil, nil, func() int { return 22 })
-	if v1 != 11 || v2 != 22 {
-		t.Fatalf("colliding-shard keys conflated: %d %d", v1, v2)
+	for i, k := range keys {
+		if v := f.do(k, nil, nil, nil, func() int { return 10 + i }); v != 10+i {
+			t.Fatalf("key %+v conflated: got %d, want %d", k, v, 10+i)
+		}
+	}
+	for i, k := range keys {
+		if v := f.do(k, nil, nil, nil, func() int { return -1 }); v != 10+i {
+			t.Fatalf("key %+v lost its value: got %d, want %d", k, v, 10+i)
+		}
 	}
 }
 
-// TestFlightSlowComputationDoesNotBlockShard: the shard lock is not held
-// across fn, so a slow computation on one key never blocks another key —
-// even one hashing to the same shard.
-func TestFlightSlowComputationDoesNotBlockShard(t *testing.T) {
+// TestFlightSlowComputationDoesNotBlockOtherKeys: the table lock is not
+// held across fn, so a slow computation on one key never blocks another
+// key.
+func TestFlightSlowComputationDoesNotBlockOtherKeys(t *testing.T) {
 	var f flight[int]
 	k1 := periodKey{comp: 1, start: 1, end: 2}
 	k2 := periodKey{comp: 2, start: 1, end: 2}
-	for s := int64(0); shardOf(k2) != shardOf(k1); s++ {
-		k2.start = simtime.Time(s)
-	}
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -88,9 +89,9 @@ func TestFlightSlowComputationDoesNotBlockShard(t *testing.T) {
 		})
 	}()
 	<-entered
-	// k1's fn is in flight and parked. k2 on the same shard must proceed.
+	// k1's fn is in flight and parked. k2 must proceed.
 	if v := f.do(k2, nil, nil, nil, func() int { return 2 }); v != 2 {
-		t.Fatalf("same-shard key blocked or conflated: %d", v)
+		t.Fatalf("second key blocked or conflated: %d", v)
 	}
 	close(release)
 	<-done
@@ -141,11 +142,10 @@ func TestFlightPanicUnpoisons(t *testing.T) {
 	}
 }
 
-// TestFlightReadContention: completed entries are served through the
-// sync.Map read-only fast path — no shard lock on the hit path. The test
-// hammers a small hot set from many goroutines while cold keys stream in
-// on the side, and checks every read is correct and every call is
-// accounted as exactly one hit or miss.
+// TestFlightReadContention: completed entries are served under the table
+// lock, held only for the lookup. The test hammers a small hot set from
+// many goroutines while cold keys stream in on the side, and checks every
+// read is correct and every call is accounted as exactly one hit or miss.
 func TestFlightReadContention(t *testing.T) {
 	var f flight[int]
 	reg := obs.New()
@@ -234,22 +234,5 @@ func TestFlightRebind(t *testing.T) {
 	f.do(periodKey{comp: 2, start: 0, end: 1}, hits, misses, reused, func() int { return 1 })
 	if reused.Value() != 5 {
 		t.Fatalf("fresh post-rebind entry counted as reused: %d", reused.Value())
-	}
-}
-
-// TestShardOfSpread: adjacent periods at one component — the common
-// workload shape — spread over many shards instead of clustering.
-func TestShardOfSpread(t *testing.T) {
-	seen := make(map[uint32]bool)
-	for i := int64(0); i < 64; i++ {
-		k := periodKey{comp: 5, start: simtime.Time(i * 1000), end: simtime.Time(i*1000 + 500)}
-		s := shardOf(k)
-		if s >= memoShards {
-			t.Fatalf("shard %d out of range", s)
-		}
-		seen[s] = true
-	}
-	if len(seen) < memoShards/4 {
-		t.Errorf("64 adjacent periods hit only %d shards", len(seen))
 	}
 }

@@ -169,7 +169,7 @@ type Config struct {
 	// Never set in production.
 	ChaosHook func(scope string)
 	// Obs receives diagnosis metrics (victims diagnosed, memo hit/miss,
-	// scratch-pool recycling, per-victim latency spans). nil falls back to
+	// scratch-arena reuse, per-victim latency spans). nil falls back to
 	// the process-wide obs.Default(), which is nil — disabled — unless
 	// installed; a disabled registry costs a nil check per event.
 	Obs *obs.Registry

@@ -15,7 +15,6 @@ import (
 	"microscope/internal/lint/golifetime"
 	"microscope/internal/lint/lockorder"
 	"microscope/internal/lint/obssafe"
-	"microscope/internal/lint/poolreset"
 	"microscope/internal/lint/sorttotal"
 	"microscope/internal/lint/specconfig"
 )
@@ -31,7 +30,6 @@ func Analyzers() []*analysis.Analyzer {
 		golifetime.Analyzer,
 		lockorder.Analyzer,
 		obssafe.Analyzer,
-		poolreset.Analyzer,
 		sorttotal.Analyzer,
 		specconfig.Analyzer,
 	}

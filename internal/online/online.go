@@ -59,12 +59,9 @@ type Config struct {
 	MinScore float64
 	// MaxVictims caps diagnosis work per window (default 200).
 	MaxVictims int
-	// Diagnosis passes through engine knobs (victim percentile etc.).
+	// Diagnosis passes through engine knobs (victim percentile, the
+	// per-victim fan-out's Workers, etc.).
 	Diagnosis core.Config
-	// Workers bounds each window's per-victim diagnosis fan-out
-	// (0 = GOMAXPROCS, 1 = sequential); alerts are identical for any
-	// value. Overrides Diagnosis.Workers when nonzero.
-	Workers int
 	// HoldOff suppresses repeated alerts for the same <comp, kind> with
 	// onsets within this duration of an already-alerted onset
 	// (default: one Window).
@@ -273,9 +270,6 @@ func New(meta collector.Meta, cfg Config) *Monitor {
 	cfg.setDefaults()
 	dcfg := cfg.Diagnosis
 	dcfg.MaxVictims = cfg.MaxVictims
-	if cfg.Workers != 0 {
-		dcfg.Workers = cfg.Workers
-	}
 	// Each window runs the shared staged pipeline with patterns skipped:
 	// the monitor merges raw causes itself.
 	ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, pipeline.Config{

@@ -73,9 +73,8 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // worker is a stable index in [0, Workers(workers, n)). A worker processes
 // every item it claims on the same goroutine, so callers may keep
 // per-worker mutable state (long-lived scratch arenas) indexed by the
-// worker id without synchronization. The partitioned diagnosis scheduler
-// passes whole victim partitions as items, so a partition is stolen whole
-// — never split across workers mid-flight.
+// worker id without synchronization: the diagnosis fan-out claims one
+// victim per item and keeps one scratch arena per worker.
 //
 // Identity must never influence results, only reuse: output for a fixed
 // input is required to be byte-identical for every workers value, which

@@ -122,10 +122,6 @@ type Result struct {
 	// ContainedPanics counts victims quarantined by the worker-task
 	// containment boundary during this run (0 unless ContainPanics).
 	ContainedPanics int64
-	// DiagnoseStats records how the diagnose stage's NF-partitioned
-	// fan-out was scheduled (partition counts, resolved workers). Purely
-	// observational; the diagnosis output never depends on it.
-	DiagnoseStats core.RunStats
 	// Stages records per-stage wall-clock timings, in execution order.
 	Stages []StageTiming
 	// Spans is the run's span tree: a root "pipeline" span (ID 0,
@@ -339,13 +335,9 @@ func (r *run) runStoreWith(ctx context.Context, eng *core.Engine) (*Result, erro
 	}
 	var stageErr error
 	err := r.stage(ctx, "diagnose", func() {
-		r.res.Diagnoses, r.res.DiagnoseStats, stageErr = eng.DiagnoseVictimsStats(ctx, st, r.res.Victims)
+		r.res.Diagnoses, stageErr = eng.DiagnoseVictimsContext(ctx, st, r.res.Victims)
 	})
 	r.res.ContainedPanics = eng.ContainedPanics()
-	if r.reg != nil {
-		r.reg.Gauge("microscope_pipeline_diag_partitions").Set(int64(r.res.DiagnoseStats.Partitions))
-		r.reg.Gauge("microscope_pipeline_diag_workers").Set(int64(r.res.DiagnoseStats.Workers))
-	}
 	if err != nil {
 		return r.finish(), err
 	}

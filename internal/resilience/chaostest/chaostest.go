@@ -289,9 +289,8 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 		// A 500us window holds only ~75 packets; the default 99th
 		// percentile would select a single victim. 90 gives each interrupt
 		// episode enough victims to clear MinScore.
-		Diagnosis: core.Config{VictimPercentile: 90},
+		Diagnosis: core.Config{VictimPercentile: 90, Workers: cfg.Workers},
 		HoldOff:   1, // suppress only identical onsets: no cross-window state to diverge
-		Workers:   cfg.Workers,
 		Obs:       reg,
 		Resilience: resilience.Config{
 			Ladder:        ladder,

@@ -108,7 +108,6 @@ func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 		MinScore:     st.MinScore,
 		MaxVictims:   s.Diagnosis.MaxVictims,
 		Diagnosis:    s.CoreConfig(reg),
-		Workers:      s.Diagnosis.Workers,
 		HoldOff:      st.HoldOff.Sim(),
 		Obs:          reg,
 		Resilience:   s.ResilienceConfig(),

@@ -189,7 +189,7 @@ func TestMonitorConfigConversion(t *testing.T) {
 	if cfg.Window != 50*simtime.Millisecond || cfg.Overlap != 10*simtime.Millisecond {
 		t.Errorf("geometry: window=%v overlap=%v", cfg.Window, cfg.Overlap)
 	}
-	if cfg.MinScore != 7 || cfg.Workers != 4 || cfg.MaxVictims != 10 {
+	if cfg.MinScore != 7 || cfg.Diagnosis.Workers != 4 || cfg.MaxVictims != 10 {
 		t.Errorf("knobs: %+v", cfg)
 	}
 	if cfg.Diagnosis.VictimPercentile != 95 {

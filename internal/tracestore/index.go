@@ -38,10 +38,6 @@ type Index struct {
 	latencies stats.SortedBag
 	// traceEnd is the latest hop departure in the trace.
 	traceEnd simtime.Time
-	// closures[comp] is the upstream closure of each component (see
-	// partition.go) — the NF-subgraph metadata the partitioned diagnosis
-	// scheduler reads. Immutable after build.
-	closures [][]CompID
 }
 
 // Store returns the store the index was built over.
@@ -117,7 +113,6 @@ func (s *Store) buildIndex(queueThreshold int) *Index {
 	}
 	sort.Float64s(latencies)
 	ix.latencies = stats.SortedBagOf(latencies)
-	ix.closures = s.buildClosures()
 
 	// Warm every lazy per-component structure so post-build queries are
 	// pure reads: the period search index always, and the queue-length

@@ -123,12 +123,11 @@ type Store struct {
 	peaks  []simtime.Rate
 	kinds  []string
 	downs  [][]CompID
-	ups    [][]CompID
 	srcID  CompID
 
 	// nDecl is how many leading views are the declared components: the
 	// part of the interner a recycled segment store keeps. metaFor is the
-	// view count peaks/kinds/downs/ups were built for.
+	// view count peaks/kinds/downs were built for.
 	nDecl   int
 	metaFor int
 
@@ -429,7 +428,7 @@ func (s *Store) recycle() {
 	s.indexes, s.flowIdx = nil, nil
 }
 
-// buildMetaTables freezes peaks/kinds/downs/ups/srcID for the interned
+// buildMetaTables freezes peaks/kinds/downs/srcID for the interned
 // components. A recycled store that again holds only the declared
 // components keeps the tables it has.
 func (s *Store) buildMetaTables() {
@@ -441,7 +440,6 @@ func (s *Store) buildMetaTables() {
 	s.peaks = make([]simtime.Rate, n)
 	s.kinds = make([]string, n)
 	s.downs = make([][]CompID, n)
-	s.ups = make([][]CompID, n)
 	for id, v := range s.views {
 		s.kinds[id] = v.Name
 		if v.Meta != nil {
@@ -454,7 +452,6 @@ func (s *Store) buildMetaTables() {
 	for _, e := range s.Trace.Meta.Edges {
 		from, to := s.byName[e.From], s.byName[e.To]
 		s.downs[from] = append(s.downs[from], to)
-		s.ups[to] = append(s.ups[to], from)
 	}
 	s.srcID = NoComp
 	if id, ok := s.byName[collector.SourceName]; ok {

@@ -187,14 +187,13 @@ func (vc *viewCols) reset() {
 }
 
 // interned brings everything sized by the component count up to date
-// after the interner grew: the meta tables, the upstream closures, and a
-// set of columns and a moments slot per new component.
+// after the interner grew: the meta tables, and a set of columns and a
+// moments slot per new component.
 func (w *window) interned() {
 	m := &w.st
 	n := len(m.views)
 	m.metaFor = -1
 	m.buildMetaTables()
-	w.ix.closures = m.buildClosures()
 	for len(w.ix.delayStats) < n {
 		w.ix.delayStats = append(w.ix.delayStats, stats.Moments{})
 	}
