@@ -52,10 +52,13 @@ race-pipeline:
 race-serve:
 	$(GO) test -race -timeout 30m -cpu=1,4,8 ./internal/serve/...
 
-# The decoder must survive adversarial bytes; crashers land in
-# internal/collector/testdata/fuzz/ and become regression inputs.
+# The decoders must survive adversarial bytes, and the JSON one must agree
+# with json.Unmarshal on every input; crashers land in
+# internal/collector/testdata/fuzz/ and become regression inputs. -fuzz
+# must match exactly one target, hence the anchors.
 fuzz:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/collector
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/collector
+	$(GO) test -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/collector
 
 # Pipeline throughput (victims/s per worker count), condensed to a compact
 # machine-readable summary (ns/op, victims/s, B/op, allocs/op per worker
@@ -108,12 +111,15 @@ bench-stream:
 stream-check:
 	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
 
-# One-iteration pipeline, segment-seal, window-assembly and
-# pattern-aggregation benchmarks: catches benchmark bit-rot and gross
-# perf/alloc regressions in the pre-submit gate without the full run's
-# cost. BenchmarkWindow gates itself: it fails when a window's cost moves
-# with its span (1.5, 20 and 80 slides at one slide).
+# One-iteration pipeline, segment-seal, window-assembly,
+# pattern-aggregation and JSON-decode benchmarks: catches benchmark bit-rot
+# and gross perf/alloc regressions in the pre-submit gate without the full
+# run's cost. BenchmarkWindow gates itself: it fails when a window's cost
+# moves with its span (1.5, 20 and 80 slides at one slide).
+# BenchmarkDecodeJSON prints ns/record and allocs/record for json.Unmarshal
+# (unmarshal) and collector.DecodeJSON (decode) on the same bodies.
 bench-smoke:
+	$(GO) test -run '^$$' -bench BenchmarkDecodeJSON -benchtime=1x -benchmem ./internal/collector
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench 'BenchmarkSeal|BenchmarkWindow' -benchtime=1x -benchmem ./internal/tracestore
 	$(GO) test -run '^$$' -bench BenchmarkPatternAggregation -benchtime=1x -benchmem .

@@ -329,21 +329,51 @@ const (
 	tupleChunk = 512
 )
 
-// frameDecoder carries one stream's decode state across its frames: the
-// string tables, and the slab chunks the records' IPIDs and Tuples are
-// carved from.
-type frameDecoder struct {
-	comps  []string
-	queues []string
-	// inQueues[i] is comps[i] + ".in", the read queue name, built the
-	// first time component i reads.
-	inQueues []string
+// slab hands out the IPIDs and Tuples of one body's records, carved from
+// shared chunks. Both decoders (MST2 frames and JSON) use it.
+type slab struct {
 	// ipids and tuples are the unused tails of the current chunks. A
 	// record's slices are cut off the front; when a chunk cannot hold the
 	// next record a new one is started — never grown and moved, since
 	// earlier records alias it.
 	ipids  []uint16
 	tuples []packet.FiveTuple
+}
+
+// ipidsOf returns n IPID slots with no spare capacity. bound is how many
+// IPIDs the rest of the input can hold at most, these n included, so a
+// short input gets a short chunk.
+func (s *slab) ipidsOf(n, bound int) []uint16 {
+	return carve(&s.ipids, n, min(ipidChunk, bound))
+}
+
+// tuplesOf is ipidsOf for five-tuples.
+func (s *slab) tuplesOf(n, bound int) []packet.FiveTuple {
+	return carve(&s.tuples, n, min(tupleChunk, bound))
+}
+
+// carve cuts n entries off the front of *chunk, first starting a new chunk
+// of max(n, size) entries when the current one is too short.
+func carve[T any](chunk *[]T, n, size int) []T {
+	// The nil test keeps an empty batch's slices non-nil, as make gave.
+	if *chunk == nil || len(*chunk) < n {
+		*chunk = make([]T, max(n, size))
+	}
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return out
+}
+
+// frameDecoder carries one stream's decode state across its frames: the
+// string tables, and the slab the records' IPIDs and Tuples are carved
+// from.
+type frameDecoder struct {
+	comps  []string
+	queues []string
+	// inQueues[i] is comps[i] + ".in", the read queue name, built the
+	// first time component i reads.
+	inQueues []string
+	slab
 	// left is how many stream bytes remain from the current payload on: an
 	// upper bound on what is still to be carved, so a short stream gets
 	// short chunks.
@@ -470,20 +500,13 @@ func (d *frameDecoder) payload(b []byte, dry bool) (BatchRecord, bool) {
 	if dry {
 		return rec, true
 	}
-	// The nil test keeps an empty batch's slices non-nil, as make gave.
-	if d.ipids == nil || len(d.ipids) < int(n) {
-		d.ipids = make([]uint16, max(int(n), min(ipidChunk, d.left/2)))
-	}
-	rec.IPIDs, d.ipids = d.ipids[:n:n], d.ipids[n:]
+	rec.IPIDs = d.ipidsOf(int(n), d.left/2)
 	for i := range rec.IPIDs {
 		rec.IPIDs[i] = uint16(b[pos]) | uint16(b[pos+1])<<8
 		pos += 2
 	}
 	if rec.Dir == DirDeliver {
-		if d.tuples == nil || len(d.tuples) < int(n) {
-			d.tuples = make([]packet.FiveTuple, max(int(n), min(tupleChunk, d.left/15)))
-		}
-		rec.Tuples, d.tuples = d.tuples[:n:n], d.tuples[n:]
+		rec.Tuples = d.tuplesOf(int(n), d.left/15)
 		for i := range rec.Tuples {
 			t := b[pos : pos+13]
 			rec.Tuples[i] = packet.FiveTuple{

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -291,18 +292,20 @@ func readSpec(w http.ResponseWriter, r *http.Request) (*spec.PipelineSpec, error
 }
 
 // readRecords decodes an ingest body: the collector's binary stream
-// framing for application/octet-stream (resilient to torn frames), JSON
-// array otherwise.
+// framing when the media type is application/octet-stream (resilient to
+// torn frames), a JSON record array otherwise.
 func readRecords(r *http.Request) ([]collector.BatchRecord, collector.DecodeStats, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, collector.DecodeStats{}, err
 	}
-	if r.Header.Get("Content-Type") == "application/octet-stream" {
+	// A malformed parameter still yields the media type; any other parse
+	// failure yields "", which is JSON.
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
 		return collector.DecodeStream(body)
 	}
-	var recs []collector.BatchRecord
-	if err := json.Unmarshal(body, &recs); err != nil {
+	recs, err := collector.DecodeJSON(body)
+	if err != nil {
 		return nil, collector.DecodeStats{}, fmt.Errorf("records body: %w", err)
 	}
 	return recs, collector.DecodeStats{}, nil

@@ -226,7 +226,8 @@ func TestServeHTTPLifecycle(t *testing.T) {
 }
 
 // TestServeBinaryIngest checks the streaming-body path: the collector's
-// binary framing posted as application/octet-stream.
+// binary framing posted as application/octet-stream, under any spelling of
+// that media type.
 func TestServeBinaryIngest(t *testing.T) {
 	tr := chainTrace(t, 5, nil)
 	srv := NewServer(ServerConfig{})
@@ -237,32 +238,70 @@ func TestServeBinaryIngest(t *testing.T) {
 	hs := httptest.NewServer(Handler(srv))
 	defer hs.Close()
 
-	enc := collector.NewEncoder()
-	for i := range tr.Records {
-		enc.Append(&tr.Records[i])
-	}
-	enc.Flush()
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/tenants/bin/records", bytes.NewReader(enc.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := hs.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc struct {
-		Accepted int `json:"accepted"`
-	}
-	mustDecode(t, resp, http.StatusAccepted, &acc)
-	if acc.Accepted != len(tr.Records) {
-		t.Fatalf("accepted %d of %d", acc.Accepted, len(tr.Records))
+	spellings := []string{"application/octet-stream", "application/octet-stream; charset=binary", "Application/Octet-Stream"}
+	part := (len(tr.Records) + len(spellings) - 1) / len(spellings)
+	for i, ct := range spellings {
+		recs := tr.Records[i*part : min((i+1)*part, len(tr.Records))]
+		enc := collector.NewEncoder()
+		for j := range recs {
+			enc.Append(&recs[j])
+		}
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/tenants/bin/records", bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ct)
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc struct {
+			Accepted int `json:"accepted"`
+		}
+		mustDecode(t, resp, http.StatusAccepted, &acc)
+		if acc.Accepted != len(recs) {
+			t.Fatalf("Content-Type %q: accepted %d of %d", ct, acc.Accepted, len(recs))
+		}
 	}
 	if err := tn.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tn.LatestReport(); !ok {
 		t.Fatal("no report after binary ingest + flush")
+	}
+	if got := tn.Status().Stats.Records; got != len(tr.Records) {
+		t.Fatalf("fed %d records, want %d", got, len(tr.Records))
+	}
+}
+
+// TestServeRejectsInvalidDir: a JSON record whose Dir is none of read,
+// write and deliver fails its whole body with 400 naming the record, and
+// nothing of the body is fed.
+func TestServeRejectsInvalidDir(t *testing.T) {
+	tr := chainTrace(t, 5, nil)
+	srv := NewServer(ServerConfig{})
+	tn, err := srv.Create("dir", tenantSpec(tr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(Handler(srv))
+	defer hs.Close()
+
+	recs := append([]collector.BatchRecord(nil), tr.Records[:3]...)
+	recs[2].Dir = 3
+	body, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := doReq(t, hs.Client(), http.MethodPost, hs.URL+"/tenants/dir/records", body)
+	if b := readBody(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(b, "record 2") {
+		t.Fatalf("status %s: %s, want 400 naming record 2", resp.Status, b)
+	}
+	if err := tn.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := tn.Status().Stats.Records; got != 0 {
+		t.Fatalf("fed %d records of a refused body", got)
 	}
 }
 
