@@ -1,28 +1,34 @@
 // Command mslive demonstrates continuous operation: it runs the 16-NF
 // evaluation topology with naturally occurring problems (interrupts,
-// microbursts) and streams the collector's records through the online
-// monitor, printing alerts as each analysis window closes — Microscope as
+// microbursts) and streams the collector's records through a serving-tier
+// tenant, printing the alerts its analysis windows raised — Microscope as
 // a monitoring daemon rather than a post-mortem tool.
 //
-// With -listen it also serves the daemon's runtime introspection surface:
-// Prometheus metrics at /metrics (plus a JSON mirror at /metrics.json),
-// liveness at /healthz (503 while warming up, when the latest window's
-// trace health is degraded, or when the overload ladder skipped the
-// latest window; the body reports the active degradation level and shed/
-// skip/quarantine counts), and the standard Go profiler under
+// mslive is a single-tenant front end over msserve's runtime: it hosts one
+// tenant, "live", in an in-process serve.Server and feeds it the way an
+// msserve client does, in 4096-record chunks that are resent after a pause
+// while the tenant's ingest queue is full, then one flush. The ALERT lines
+// are the tenant's retained alerts (the newest 1024).
+//
+// With -listen it also serves msserve's HTTP API for that server: the
+// tenant routes under /tenants/live/, Prometheus metrics at /metrics (the
+// collector's series plus the tenant's, labeled tenant="live"), liveness
+// at /healthz (503 when the latest window's trace health is degraded or
+// the window ran at the skipped rung), and the standard Go profiler under
 // /debug/pprof/.
 //
 // The overload defenses are armed with -ring-cap (bounded ingest plus the
-// degradation ladder and panic containment), and tuned with -shed-policy,
-// -window-deadline, and -max-mem. SIGINT/SIGTERM stop the stream cleanly:
-// pending windows are flushed, final stats printed, and the HTTP server
-// shut down gracefully.
+// degradation ladder), and tuned with -shed-policy, -window-deadline, and
+// -max-mem; like every tenant, the monitor always contains panics.
+// SIGINT/SIGTERM stop the stream cleanly at the next chunk: the stats so
+// far are printed, then the tenant drains (its queue is fed and its pending
+// window flushed) and the HTTP server shuts down after it.
 //
-// The monitor's configuration is a declarative pipeline spec (the same
-// document msserve tenants use), lowered by the same conversion msserve
-// runs (PipelineSpec.MonitorConfig). The configuration flags are fields of
+// The tenant's configuration is a declarative pipeline spec (the same
+// document msserve tenants use). The configuration flags are fields of
 // that spec: without -spec they fill an empty one, with -spec file.json
 // only the flags given explicitly on the command line override the file.
+// The topology is always the simulated deployment's.
 //
 //	mslive -dur 500ms -window 100ms
 //	mslive -dur 2s -listen :9090 -hold 30s -ring-cap 200000 -window-deadline 2s
@@ -31,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,48 +53,66 @@ import (
 	"microscope/internal/collector"
 	"microscope/internal/nfsim"
 	"microscope/internal/obs"
-	"microscope/internal/online"
-	"microscope/internal/resilience"
+	"microscope/internal/serve"
 	"microscope/internal/simtime"
 	"microscope/internal/spec"
 	"microscope/internal/traffic"
 )
 
+// chunk is how many records one ingest call carries.
+const chunk = 4096
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mslive: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	var (
-		dur      = flag.Duration("dur", 500*time.Millisecond, "simulated duration")
-		window   = flag.Duration("window", 100*time.Millisecond, "monitor analysis window")
-		rateMpps = flag.Float64("rate", 1.2, "offered load in Mpps")
-		seed     = flag.Int64("seed", 1, "random seed")
-		minScore = flag.Float64("min-score", 100, "alert threshold (packets of blame)")
-		workers  = flag.Int("workers", 0, "parallel diagnosis workers per window (0 = GOMAXPROCS, 1 = sequential; alerts are identical)")
-		listen   = flag.String("listen", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)")
-		hold     = flag.Duration("hold", 0, "keep serving the HTTP endpoints this long after the stream ends")
-		ringCap  = flag.Int("ring-cap", 0, "bound the ingest buffer to this many records and arm the degradation ladder + panic containment (0 = unbounded, no defenses)")
-		shedPol  = flag.String("shed-policy", "drop-oldest", "what a full ingest ring sheds: drop-oldest (windows) or reject-new (arrivals)")
-		deadline = flag.Duration("window-deadline", 0, "wall-clock budget per analysis window; an overrunning window is skipped and counted (0 = none)")
-		maxMem   = flag.Int64("max-mem", 0, "heap hard watermark in MiB; crossing half of it degrades diagnosis one rung, crossing it two (0 = off)")
-		specPath = flag.String("spec", "", "load the monitor's configuration from this pipeline spec (explicit flags override it)")
-		contend  = flag.Bool("contention-profile", false, "sample mutex/block contention so /debug/pprof/mutex and /debug/pprof/block on -listen carry data")
-	)
-	flag.Parse()
+// settings are the command-line values that are not spec fields.
+type settings struct {
+	dur, hold time.Duration
+	rateMpps  float64
+	seed      int64
+	listen    string
+	contend   bool
+}
 
-	if *contend {
-		obs.EnableContentionProfiling(0, 0)
+// parse reads the command line into the run's settings and the tenant's
+// pipeline spec (validated, without a topology).
+func parse(args []string) (*settings, *spec.PipelineSpec, error) {
+	fs := flag.NewFlagSet("mslive", flag.ContinueOnError)
+	st := &settings{}
+	fs.DurationVar(&st.dur, "dur", 500*time.Millisecond, "simulated duration")
+	window := fs.Duration("window", 100*time.Millisecond, "monitor analysis window")
+	fs.Float64Var(&st.rateMpps, "rate", 1.2, "offered load in Mpps")
+	fs.Int64Var(&st.seed, "seed", 1, "random seed")
+	minScore := fs.Float64("min-score", 100, "alert threshold (packets of blame)")
+	workers := fs.Int("workers", 0, "parallel diagnosis workers per window (0 = GOMAXPROCS, 1 = sequential; alerts are identical)")
+	fs.StringVar(&st.listen, "listen", "", "serve the tenant API, /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)")
+	fs.DurationVar(&st.hold, "hold", 0, "keep serving the HTTP endpoints this long after the stream ends")
+	ringCap := fs.Int("ring-cap", 0, "bound the ingest buffer to this many records and arm the degradation ladder (0 = unbounded, no ladder)")
+	shedPol := fs.String("shed-policy", "drop-oldest", "what a full ingest ring sheds: drop-oldest (windows) or reject-new (arrivals)")
+	deadline := fs.Duration("window-deadline", 0, "wall-clock budget per analysis window; an overrunning window is skipped and counted (0 = none)")
+	maxMem := fs.Int64("max-mem", 0, "heap hard watermark in MiB; crossing half of it degrades diagnosis one rung, crossing it two (0 = off)")
+	specPath := fs.String("spec", "", "load the monitor's configuration from this pipeline spec (explicit flags override it)")
+	fs.BoolVar(&st.contend, "contention-profile", false, "sample mutex/block contention so /debug/pprof/mutex and /debug/pprof/block on -listen carry data")
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
 	}
 
 	// Every flag fills an empty spec; over a -spec file only the flags
-	// given explicitly (flag.Visit) override it.
-	sp, visit := &spec.PipelineSpec{}, flag.VisitAll
+	// given explicitly (fs.Visit) override it.
+	sp, visit := &spec.PipelineSpec{}, fs.VisitAll
 	if *specPath != "" {
 		var err error
 		if sp, err = spec.Load(*specPath); err != nil {
-			log.Fatal(err)
+			return nil, nil, err
 		}
-		visit = flag.Visit
+		visit = fs.Visit
 	}
 	visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -101,10 +126,8 @@ func main() {
 		case "workers":
 			sp.Diagnosis.Workers = *workers
 		case "ring-cap":
-			// A bounded ring arms the whole defense set: the ladder
-			// derived from the capacity, and panic containment.
+			// A bounded ring arms the ladder derived from its capacity.
 			sp.Resilience.RingCapacity, sp.Resilience.Ladder = *ringCap, nil
-			sp.Stages.ContainPanics = *ringCap > 0
 		case "shed-policy":
 			sp.Resilience.ShedPolicy = *shedPol
 		case "window-deadline":
@@ -114,61 +137,26 @@ func main() {
 		}
 	})
 	if err := sp.Validate(); err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
+	return st, sp, nil
+}
 
-	// One registry spans the whole daemon: collector ingest, per-window
-	// pipeline runs, and monitor alerting all report into it, and the HTTP
-	// listener serves it while the stream is still being analysed.
-	reg := obs.New()
-
+// simulate runs the evaluation topology with natural events, announcing
+// each injected event on stdout, and returns the collected trace. reg (may
+// be nil) receives the collector's metrics.
+func simulate(st *settings, reg *obs.Registry, stdout io.Writer) *collector.Trace {
 	col := collector.New(collector.Config{Obs: reg})
-	topo := nfsim.BuildEvalTopology(col, nfsim.EvalTopologyConfig{Seed: *seed})
+	topo := nfsim.BuildEvalTopology(col, nfsim.EvalTopologyConfig{Seed: st.seed})
 	sim := topo.Sim
-	simDur := simtime.Duration(dur.Nanoseconds())
-	meta := collector.MetaFor(topo)
+	simDur := simtime.Duration(st.dur.Nanoseconds())
 
-	mcfg := sp.Resolved().MonitorConfig(reg)
-	mon := online.New(meta, mcfg)
-
-	// SIGINT/SIGTERM end the stream early but cleanly: the drain loop
-	// stops at the next chunk boundary and the HTTP server is shut down
-	// gracefully.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var srv *http.Server
-	if *listen != "" {
-		handler := obs.Handler(reg, func() (bool, string) {
-			h, ok := mon.Health()
-			if !ok {
-				return false, "warming up: no window diagnosed yet"
-			}
-			st := mon.Stats()
-			deg := mon.LastDegradation()
-			detail := fmt.Sprintf("%s degradation=%s shed=%d skipped=%d quarantined=%d backlog=%d",
-				h, deg, st.RecordsShed, st.WindowsSkipped, st.WindowsQuarantined, mon.Backlog())
-			return !h.Degraded() && deg < resilience.Skipped, detail
-		})
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			log.Fatalf("listen %s: %v", *listen, err)
-		}
-		log.Printf("serving /metrics /healthz /debug/pprof on %s", ln.Addr())
-		srv = &http.Server{Handler: handler}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("http server: %v", err)
-			}
-		}()
-	}
-
-	mix := traffic.NewMix(traffic.MixConfig{Flows: 2048, Seed: *seed + 1})
+	mix := traffic.NewMix(traffic.MixConfig{Flows: 2048, Seed: st.seed + 1})
 	sched := traffic.Generate(mix, traffic.ScheduleConfig{
-		Rate: simtime.MPPS(*rateMpps), Duration: simDur, Seed: *seed + 2,
+		Rate: simtime.MPPS(st.rateMpps), Duration: simDur, Seed: st.seed + 2,
 	})
 	// Natural events: occasional interrupts and microbursts.
-	rng := rand.New(rand.NewSource(*seed + 3))
+	rng := rand.New(rand.NewSource(st.seed + 3))
 	nfs := topo.AllNFs()
 	events := 0
 	for at := simtime.Time(10 * simtime.Millisecond); at < simtime.Time(simDur); at = at.Add(30*simtime.Millisecond + simtime.Duration(rng.Int63n(int64(40*simtime.Millisecond)))) {
@@ -176,12 +164,12 @@ func main() {
 			nf := nfs[rng.Intn(len(nfs))]
 			d := 400*simtime.Microsecond + simtime.Duration(rng.Int63n(int64(simtime.Millisecond)))
 			sim.InjectInterrupt(nf, at, d, "live")
-			fmt.Printf("(injected: %v interrupt at %s at t=%v)\n", d, nf, at)
+			fmt.Fprintf(stdout, "(injected: %v interrupt at %s at t=%v)\n", d, nf, at)
 		} else {
 			flow := mix.Flows[rng.Intn(len(mix.Flows))].Tuple
 			n := 500 + rng.Intn(1500)
 			sched.InjectBurst(traffic.BurstSpec{ID: int32(at / 1000), At: at, Flow: flow, Count: n})
-			fmt.Printf("(injected: burst of %d packets at t=%v)\n", n, at)
+			fmt.Fprintf(stdout, "(injected: burst of %d packets at t=%v)\n", n, at)
 		}
 		events++
 	}
@@ -189,64 +177,122 @@ func main() {
 	sim.LoadSchedule(sched)
 	start := time.Now() //mslint:allow nondet wall-clock progress banner, not diagnosis output
 	sim.Run(simtime.Time(simDur) + simtime.Time(50*simtime.Millisecond))
-	tr := col.Trace(meta)
+	tr := col.Trace(collector.MetaFor(topo))
 	elapsed := time.Since(start).Round(time.Millisecond) //mslint:allow nondet wall-clock progress banner, not diagnosis output
-	fmt.Printf("\nsimulated %v with %d natural events (%d records) in %v\n\n",
+	fmt.Fprintf(stdout, "\nsimulated %v with %d natural events (%d records) in %v\n\n",
 		simDur, events, len(tr.Records), elapsed)
+	return tr
+}
 
-	// Stream records through the monitor's drain loop, as a deployment's
-	// transport shim would, honouring the retry policy and cancellation.
-	if err := online.FeedSource(ctx, mon, &chunkSource{records: tr.Records, chunk: 4096}, func(a online.Alert) {
-		fmt.Println("ALERT", a)
-	}); err != nil {
-		log.Printf("stream stopped: %v", err)
+// run is the testable daemon body. ready (when non-nil, and only with
+// -listen) receives the bound listen address once the stream is diagnosed
+// and its results printed, while the endpoints still serve them; ctx
+// cancellation stops the stream or the -hold early.
+func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- string) error {
+	st, sp, err := parse(args)
+	if err != nil {
+		return err
 	}
-	st := mon.Stats()
-	fmt.Printf("\nmonitor: %d windows, %d victims diagnosed, %d alerts\n",
-		st.Windows, st.Victims, st.Alerts)
-	ss, _ := mon.StreamStats()
-	fmt.Printf("stream: %d segments sealed (%d evicted, %d retained, %.1f MiB), %d records, %d journeys\n",
-		ss.EvictedTotal+ss.RetainedSegments, ss.EvictedTotal, ss.RetainedSegments,
-		float64(ss.RetainedBytes)/(1<<20), ss.Records, ss.Journeys)
-	if mcfg.Resilience.Enabled() {
-		fmt.Printf("resilience: degradation=%s degraded=%d shed=%d records (%d windows), skipped=%d, quarantined=%d, deadline-exceeded=%d\n",
-			mon.LastDegradation(), st.Degraded, st.RecordsShed, st.WindowsShed,
-			st.WindowsSkipped, st.WindowsQuarantined, st.DeadlineExceeded)
+	if st.contend {
+		obs.EnableContentionProfiling(0, 0)
+		defer obs.DisableContentionProfiling()
 	}
 
-	if srv != nil && *hold > 0 {
-		log.Printf("stream finished; holding HTTP endpoints for %v (signal to stop)", *hold)
-		select {
-		case <-time.After(*hold):
-		case <-ctx.Done():
+	// One registry spans the daemon: the collector reports into the
+	// server's registry, the tenant into its own labeled one, and /metrics
+	// serves both while the trace is simulated and analysed.
+	reg := obs.New()
+	srv := serve.NewServer(serve.ServerConfig{Obs: reg})
+	var hs *http.Server
+	var addr string
+	if st.listen != "" {
+		ln, err := net.Listen("tcp", st.listen)
+		if err != nil {
+			return fmt.Errorf("listen %s: %w", st.listen, err)
 		}
+		addr = ln.Addr().String()
+		log.Printf("serving the tenant API, /metrics, /healthz and /debug/pprof on %s", addr)
+		hs = &http.Server{Handler: serve.Handler(srv)}
+		go func() {
+			if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("http server: %v", err)
+			}
+		}()
 	}
-	if srv != nil {
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// As msserve shuts down: the tenant drains first, the HTTP server
+	// closes after it.
+	defer func() {
+		shctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shctx); err != nil {
-			log.Printf("http shutdown: %v", err)
+			log.Printf("drain: %v", err)
+		}
+		if hs != nil {
+			if err := hs.Shutdown(shctx); err != nil {
+				log.Printf("http shutdown: %v", err)
+			}
+		}
+	}()
+
+	tr := simulate(st, reg, stdout)
+	sp.Topology = spec.FromMeta(tr.Meta)
+	tn, err := srv.Create("live", sp)
+	if err != nil {
+		return err
+	}
+	if err := feed(ctx, tn, tr.Records); err != nil {
+		log.Printf("stream stopped: %v", err)
+	}
+	for _, a := range tn.Alerts() {
+		fmt.Fprintln(stdout, "ALERT", a)
+	}
+	status := tn.Status().Stats
+	fmt.Fprintf(stdout, "\nmonitor: %d windows, %d victims diagnosed, %d alerts\n",
+		status.Windows, status.Victims, status.Alerts)
+	if tn.Spec.ResilienceConfig().Enabled() {
+		fmt.Fprintf(stdout, "resilience: degradation=%s degraded=%d shed=%d records (%d windows), skipped=%d, quarantined=%d, deadline-exceeded=%d\n",
+			tn.Degradation(), status.Degraded, status.RecordsShed, status.WindowsShed,
+			status.WindowsSkipped, status.WindowsQuarantined, status.DeadlineExceeded)
+	}
+
+	if hs != nil {
+		if ready != nil {
+			ready <- addr
+		}
+		if st.hold > 0 {
+			log.Printf("stream finished; holding HTTP endpoints for %v (signal to stop)", st.hold)
+			select {
+			case <-time.After(st.hold):
+			case <-ctx.Done():
+			}
 		}
 	}
+	return nil
 }
 
-// chunkSource adapts the in-memory record slice to the monitor's
-// RecordSource, delivering fixed-size chunks like a transport would.
-type chunkSource struct {
-	records []collector.BatchRecord
-	chunk   int
-	pos     int
+// feed hands recs to the tenant the way a client posts them to msserve:
+// chunk records at a time, then one flush. It stops at a chunk boundary
+// when ctx is done.
+func feed(ctx context.Context, tn *serve.Tenant, recs []collector.BatchRecord) error {
+	for i := 0; i < len(recs); i += chunk {
+		part := recs[i:min(i+chunk, len(recs))]
+		if err := resend(ctx, func() error { return tn.Enqueue(part) }); err != nil {
+			return err
+		}
+	}
+	return resend(ctx, func() error { return tn.Flush(ctx) })
 }
 
-func (s *chunkSource) Next() ([]collector.BatchRecord, error) {
-	if s.pos >= len(s.records) {
-		return nil, io.EOF
+// resend calls send until the tenant takes it, pausing while the tenant's
+// ingest queue is full (ErrBackpressure, a 429 over HTTP).
+func resend(ctx context.Context, send func() error) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := send(); !errors.Is(err, serve.ErrBackpressure) {
+			return err
+		}
+		time.Sleep(time.Millisecond)
 	}
-	end := s.pos + s.chunk
-	if end > len(s.records) {
-		end = len(s.records)
-	}
-	out := s.records[s.pos:end]
-	s.pos = end
-	return out, nil
 }

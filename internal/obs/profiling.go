@@ -12,7 +12,7 @@ const (
 
 // EnableContentionProfiling turns on the runtime's mutex and block
 // profilers so the /debug/pprof/mutex and /debug/pprof/block endpoints
-// served by Handler carry real samples. mutexFraction is passed to
+// of the serving tier's HTTP surface carry real samples. mutexFraction is passed to
 // runtime.SetMutexProfileFraction (sample 1/n contention events);
 // blockRateNs to runtime.SetBlockProfileRate (sample blocking events
 // stalling at least that many nanoseconds). Zero or negative values take

@@ -162,11 +162,7 @@ type Monitor struct {
 	// before it (closed) are too late to analyse.
 	flushedTo simtime.Time
 	// lastAlert remembers alerted onsets per culprit for hold-off.
-	lastAlert map[alertKey]simtime.Time
-	// lastHealth is the most recent diagnosed window's trace-quality
-	// summary, served by Health() to liveness endpoints.
-	lastHealth    tracestore.Health
-	hasHealth     bool
+	lastAlert     map[alertKey]simtime.Time
 	lastWatermark simtime.Time
 	// implausibleAt / implausibleRun track the current run of
 	// beyond-horizon timestamps for ResyncAfter: implausibleAt is the most
@@ -180,26 +176,24 @@ type Monitor struct {
 	stats Stats
 
 	// Observability handles, resolved once at New (nil = disabled).
-	obsRecords       *obs.Counter
-	obsWindows       *obs.Counter
-	obsVictims       *obs.Counter
-	obsAlerts        *obs.Counter
-	obsLateAccepted  *obs.Counter
-	obsLateDropped   *obs.Counter
-	obsWatermark     *obs.Gauge
-	obsLag           *obs.Gauge
-	obsPending       *obs.Gauge
-	obsRecordsShed   *obs.Counter
-	obsWindowsShed   *obs.Counter
-	obsSkipped       *obs.Counter
-	obsQuarantined   *obs.Counter
-	obsDeadline      *obs.Counter
-	obsDegradation   *obs.Gauge
-	obsOccupancy     *obs.Gauge
-	obsRetries       *obs.Counter
-	obsChunksDropped *obs.Counter
-	obsImplausible   *obs.Counter
-	obsResyncs       *obs.Counter
+	obsRecords      *obs.Counter
+	obsWindows      *obs.Counter
+	obsVictims      *obs.Counter
+	obsAlerts       *obs.Counter
+	obsLateAccepted *obs.Counter
+	obsLateDropped  *obs.Counter
+	obsWatermark    *obs.Gauge
+	obsLag          *obs.Gauge
+	obsPending      *obs.Gauge
+	obsRecordsShed  *obs.Counter
+	obsWindowsShed  *obs.Counter
+	obsSkipped      *obs.Counter
+	obsQuarantined  *obs.Counter
+	obsDeadline     *obs.Counter
+	obsDegradation  *obs.Gauge
+	obsOccupancy    *obs.Gauge
+	obsImplausible  *obs.Counter
+	obsResyncs      *obs.Counter
 }
 
 type alertKey struct {
@@ -241,12 +235,6 @@ type Stats struct {
 	// ContainedPanics counts victims quarantined inside otherwise-healthy
 	// windows by the worker-task containment boundary.
 	ContainedPanics int
-	// SourceRetries counts backoff-and-retry passes FeedSource made
-	// against a transiently failing record source.
-	SourceRetries int
-	// ChunksDropped counts source chunks abandoned after the retry
-	// budget ran out.
-	ChunksDropped int
 	// ImplausibleDropped counts records discarded by the watermark
 	// plausibility guard: a timestamp more than MaxLookahead beyond the
 	// watermark is corruption, not the future, and must not be allowed to
@@ -316,8 +304,6 @@ func New(meta collector.Meta, cfg Config) *Monitor {
 		m.obsDeadline = reg.Counter("microscope_resilience_deadline_exceeded_total")
 		m.obsDegradation = reg.Gauge("microscope_resilience_degradation_level")
 		m.obsOccupancy = reg.Gauge("microscope_resilience_ring_occupancy_permille")
-		m.obsRetries = reg.Counter("microscope_resilience_source_retries_total")
-		m.obsChunksDropped = reg.Counter("microscope_resilience_chunks_dropped_total")
 		m.obsImplausible = reg.Counter("microscope_resilience_implausible_records_total")
 		m.obsResyncs = reg.Counter("microscope_resilience_watermark_resyncs_total")
 	}
@@ -333,13 +319,6 @@ func (m *Monitor) LastDegradation() resilience.Level { return m.lastDegradation 
 
 // Backlog returns how many buffered records await diagnosis.
 func (m *Monitor) Backlog() int { return m.pending.Len() }
-
-// Health returns the trace-quality summary of the most recently diagnosed
-// window. ok is false until the first window has been analysed — liveness
-// endpoints report "warming up" rather than a zero-valued healthy Health.
-func (m *Monitor) Health() (h tracestore.Health, ok bool) {
-	return m.lastHealth, m.hasHealth
-}
 
 // Feed appends records and diagnoses any windows they complete, returning
 // the alerts raised. Records should arrive roughly in time order; bounded
@@ -486,9 +465,12 @@ func (m *Monitor) shedOldestWindow() {
 	}
 }
 
-// Flush diagnoses whatever remains (end of stream).
+// Flush diagnoses whatever remains (end of stream). When nothing pending
+// is newer than the last flushed window — the ring holds only its overlap
+// tail, already diagnosed — there is no window left and Flush is a no-op,
+// so a second Flush never reports a phantom window.
 func (m *Monitor) Flush() []Alert {
-	if m.pending.Len() == 0 {
+	if n := m.pending.Len(); n == 0 || m.closed(m.pending.At(n-1).At) {
 		return nil
 	}
 	return m.flushWindow()
@@ -575,7 +557,6 @@ func (m *Monitor) flushWindow() []Alert {
 	}
 	m.stats.ContainedPanics += int(res.ContainedPanics)
 	health := res.Health
-	m.lastHealth, m.hasHealth = health, true
 	sst := m.stream.Stats()
 	m.stats.Unmatched = sst.Recon.Unmatched
 	m.stats.Quarantined = sst.Recon.Quarantined

@@ -128,6 +128,39 @@ func TestMonitorEmptyFlush(t *testing.T) {
 	}
 }
 
+// TestMonitorSecondFlushIsNoop: after Flush has diagnosed the last window
+// the ring still holds that window's overlap tail, every record of it
+// already diagnosed. A second Flush (a POST /flush followed by a tenant's
+// drain) must not diagnose that tail again as a phantom window.
+func TestMonitorSecondFlushIsNoop(t *testing.T) {
+	w := simtime.Duration(100 * simtime.Microsecond)
+	var ends []simtime.Time
+	m := New(collector.Meta{MaxBatch: 32}, Config{Window: w, Overlap: w / 2,
+		OnWindow: func(end simtime.Time, _ *pipeline.Result) { ends = append(ends, end) }})
+	var recs []collector.BatchRecord
+	for i := 0; i <= 144; i++ {
+		recs = append(recs, collector.BatchRecord{
+			Comp: "nf1", At: simtime.Time(simtime.Duration(2*i) * simtime.Microsecond),
+			Dir: collector.DirRead, IPIDs: []uint16{uint16(i)},
+		})
+	}
+	m.Feed(recs)
+	m.Flush()
+	st := m.Stats()
+	if st.Windows != 3 || len(ends) != 3 {
+		t.Fatalf("feed+flush: %d windows, %d reported (%v), want 3", st.Windows, len(ends), ends)
+	}
+	if got := m.Flush(); got != nil {
+		t.Errorf("second flush alerted: %v", got)
+	}
+	if again := m.Stats(); again != st {
+		t.Errorf("second flush changed stats:\n  before %+v\n  after  %+v", st, again)
+	}
+	if len(ends) != 3 {
+		t.Errorf("second flush reported a phantom window: ends %v", ends)
+	}
+}
+
 // TestMonitorToleratesLateRecords shuffles bounded lateness into the feed:
 // the monitor must re-sort analysable records, drop only those behind an
 // already-diagnosed window, and still alert on the real interrupt.
@@ -172,7 +205,9 @@ func TestMonitorToleratesLateRecords(t *testing.T) {
 // window out from under it and strand it in the next one.
 func TestWindowBoundaryRecord(t *testing.T) {
 	w := simtime.Duration(100 * simtime.Microsecond)
-	m := New(collector.Meta{MaxBatch: 32}, Config{Window: w, Overlap: 1})
+	var analysed int
+	m := New(collector.Meta{MaxBatch: 32}, Config{Window: w, Overlap: 1,
+		OnWindow: func(_ simtime.Time, res *pipeline.Result) { analysed = res.Health.Records }})
 	m.Feed([]collector.BatchRecord{
 		{Comp: "nf1", At: simtime.Time(w) / 2, Dir: collector.DirRead, IPIDs: []uint16{1}},
 		{Comp: "nf1", At: simtime.Time(w), Dir: collector.DirRead, IPIDs: []uint16{2}},
@@ -188,8 +223,8 @@ func TestWindowBoundaryRecord(t *testing.T) {
 	if st := m.Stats(); st.Windows != 1 {
 		t.Fatalf("strictly-later record did not close the window: %+v", st)
 	}
-	if h, ok := m.Health(); !ok || h.Records != 2 {
-		t.Fatalf("closing window analysed %d records (ok=%v), want 2 — boundary record excluded", h.Records, ok)
+	if analysed != 2 {
+		t.Fatalf("closing window analysed %d records, want 2 — boundary record excluded", analysed)
 	}
 	// A record arriving at exactly the closed window's end is late: the
 	// stream sealed that instant with the window.

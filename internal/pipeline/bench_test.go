@@ -3,6 +3,8 @@ package pipeline_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"microscope"
@@ -13,14 +15,91 @@ import (
 	"microscope/internal/simtime"
 )
 
+// The benchmarks below gate themselves on their own run: each compares its
+// cases with each other, so machine speed cancels out and no stored
+// baseline is involved.
+const (
+	// minScaling is the ns/op speedup the widest worker count of each
+	// BenchmarkDiagnosePipeline family must reach over the narrowest: a
+	// parallel refactor that serializes the hot path (a global lock, an
+	// arena churning through a pool) slows every worker count together and
+	// passes any per-case check, but not this one.
+	minScaling = 1.0
+	// minStreamSpeedup is the ns/op speedup BenchmarkStreamingWindows'
+	// mode=incr must reach over mode=full: the retained stream only earns
+	// its complexity while it beats rebuilding every window by this much.
+	minStreamSpeedup = 3.0
+)
+
+// nsPerOp is the ns/op the testing package reports for b's final run.
+func nsPerOp(b *testing.B) float64 {
+	return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+}
+
+// scaling is one benchmark family's measured speedup.
+type scaling struct {
+	family     string  // "workers", "observed/workers"
+	base, wide int     // the narrowest and widest worker counts
+	speedup    float64 // base ns/op ÷ wide ns/op
+}
+
+func (s scaling) String() string {
+	return fmt.Sprintf("%s=%d -> %s=%d speedup %.2fx (need %.2fx)", s.family, s.base, s.family, s.wide, s.speedup, minScaling)
+}
+
+// checkScaling computes each family's widest-over-narrowest speedup from
+// the ns/op measured per family and worker count. It returns a skip note
+// instead when the gate cannot apply: at GOMAXPROCS=1 parallel speedup is
+// impossible, and a -bench filter may leave no family with two worker
+// counts.
+func checkScaling(ns map[string]map[int]float64, maxprocs int) (outs []scaling, skip string) {
+	if maxprocs <= 1 {
+		return nil, "GOMAXPROCS=1, scaling gate skipped (parallel speedup impossible on one CPU)"
+	}
+	families := make([]string, 0, len(ns))
+	for f := range ns {
+		families = append(families, f)
+	}
+	sort.Strings(families)
+	for _, f := range families {
+		base, wide := 0, 0
+		for w := range ns[f] {
+			if base == 0 || w < base {
+				base = w
+			}
+			wide = max(wide, w)
+		}
+		if base == wide {
+			continue // a -bench filter left one worker count, or none
+		}
+		outs = append(outs, scaling{family: f, base: base, wide: wide, speedup: ns[f][base] / ns[f][wide]})
+	}
+	if len(outs) == 0 {
+		return nil, "no family ran at two worker counts, scaling gate skipped"
+	}
+	return outs, ""
+}
+
+// checkStream computes the mode=full ÷ mode=incr ns/op ratio, or a skip
+// note when a -bench filter left either mode out (0 ns/op).
+func checkStream(fullNS, incrNS float64) (speedup float64, skip string) {
+	if fullNS <= 0 || incrNS <= 0 {
+		return 0, "mode=full or mode=incr did not run, stream gate skipped"
+	}
+	return fullNS / incrNS, ""
+}
+
 // BenchmarkDiagnosePipeline measures the staged pipeline end to end
 // (victims → diagnose → patterns) on the 16-NF evaluation workload at
 // several worker counts. The trace is simulated and reconstructed once;
 // each iteration runs a full diagnosis with a fresh engine, so the
-// single-flight memo cache is measured, not amortized away.
+// single-flight memo cache is measured, not amortized away. It fails when,
+// in either family, the widest worker count misses minScaling over the
+// narrowest.
 func BenchmarkDiagnosePipeline(b *testing.B) {
 	tr := buildTrace(42, 40*simtime.Millisecond)
 	st := microscope.Reconstruct(tr)
+	ns := map[string]map[int]float64{"workers": {}, "observed/workers": {}}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			victims := 0
@@ -31,6 +110,7 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 				victims = len(rep.Diagnoses)
 			}
 			b.ReportMetric(float64(victims)*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
+			ns["workers"][w] = nsPerOp(b)
 		})
 	}
 	// The same pipeline with a live metrics registry attached: the
@@ -51,7 +131,19 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 				victims = len(rep.Diagnoses)
 			}
 			b.ReportMetric(float64(victims)*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
+			ns["observed/workers"][w] = nsPerOp(b)
 		})
+	}
+	outs, skip := checkScaling(ns, runtime.GOMAXPROCS(0))
+	if skip != "" {
+		b.Log(skip)
+	}
+	for _, o := range outs {
+		if o.speedup < minScaling {
+			b.Errorf("scaling failure: %s", o)
+		} else {
+			b.Logf("scaling ok: %s", o)
+		}
 	}
 }
 
@@ -71,9 +163,9 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 //	            store is assembled by merging sealed segments, and the
 //	            diagnosis memo carries across windows.
 //
-// The windows/s ratio between the two modes is what `make bench-stream`
-// gates at >= 3x via benchfmt -min-stream-speedup; retained_bytes records
-// the incremental path's steady-state retained footprint.
+// The benchmark fails when mode=incr misses minStreamSpeedup over mode=full
+// in ns/op (what `make bench-stream` runs); retained_bytes records the
+// incremental path's steady-state retained footprint.
 func BenchmarkStreamingWindows(b *testing.B) {
 	const (
 		w = simtime.Millisecond / 4
@@ -108,6 +200,7 @@ func BenchmarkStreamingWindows(b *testing.B) {
 	// per-window loop stops after diagnosis in both modes.
 	cfg := pipeline.Config{Workers: 1, SkipPatterns: true, Diagnosis: core.Config{MaxVictims: 64}}
 	ctx := context.Background()
+	var fullNS, incrNS float64
 
 	b.Run("mode=full", func(b *testing.B) {
 		b.ReportAllocs()
@@ -126,6 +219,7 @@ func BenchmarkStreamingWindows(b *testing.B) {
 		if victims == 0 {
 			b.Fatal("no victims diagnosed — workload degenerate")
 		}
+		fullNS = nsPerOp(b)
 	})
 	b.Run("mode=incr", func(b *testing.B) {
 		b.ReportAllocs()
@@ -151,5 +245,83 @@ func BenchmarkStreamingWindows(b *testing.B) {
 		if victims == 0 {
 			b.Fatal("no victims diagnosed — workload degenerate")
 		}
+		incrNS = nsPerOp(b)
 	})
+	switch speedup, skip := checkStream(fullNS, incrNS); {
+	case skip != "":
+		b.Log(skip)
+	case speedup < minStreamSpeedup:
+		b.Errorf("stream speedup failure: mode=full -> mode=incr %.2fx (need %.2fx)", speedup, minStreamSpeedup)
+	default:
+		b.Logf("stream speedup ok: mode=full -> mode=incr %.2fx (need %.2fx)", speedup, minStreamSpeedup)
+	}
+}
+
+func TestCheckScalingPassAndFail(t *testing.T) {
+	outs, skip := checkScaling(map[string]map[int]float64{"workers": {1: 1000, 2: 600, 8: 250}}, 8)
+	if skip != "" || len(outs) != 1 {
+		t.Fatalf("want one family, got %v (%q)", outs, skip)
+	}
+	if o := outs[0]; o.base != 1 || o.wide != 8 || o.speedup < 3.99 || o.speedup > 4.01 {
+		t.Errorf("got %+v, want workers=1 -> workers=8 at 4.0x", o)
+	}
+	// Inverted (the widest slower than the narrowest): the miss surfaces.
+	outs, skip = checkScaling(map[string]map[int]float64{"workers": {1: 1000, 8: 1500}}, 8)
+	if skip != "" || len(outs) != 1 || outs[0].speedup >= minScaling {
+		t.Errorf("negative scaling not surfaced: %v (%q)", outs, skip)
+	}
+}
+
+func TestCheckScalingGroupsFamiliesSeparately(t *testing.T) {
+	outs, skip := checkScaling(map[string]map[int]float64{
+		"workers":          {1: 1000, 8: 200},
+		"observed/workers": {1: 1200, 8: 400},
+	}, 8)
+	if skip != "" || len(outs) != 2 {
+		t.Fatalf("want two families, got %v (%q)", outs, skip)
+	}
+	// Sorted by family: observed/workers before workers.
+	if outs[0].family != "observed/workers" || outs[1].family != "workers" {
+		t.Errorf("family grouping wrong: %v", outs)
+	}
+	if outs[0].speedup < 2.99 || outs[0].speedup > 3.01 || outs[1].speedup < 4.99 || outs[1].speedup > 5.01 {
+		t.Errorf("speedups = %v, want 3.0 and 5.0", outs)
+	}
+}
+
+func TestCheckScalingSkipsSingleProc(t *testing.T) {
+	// Slower when wide, but on one CPU: not a failure.
+	if outs, skip := checkScaling(map[string]map[int]float64{"workers": {1: 1000, 8: 1500}}, 1); skip == "" || outs != nil {
+		t.Fatalf("GOMAXPROCS=1 run not skipped: %v %q", outs, skip)
+	}
+}
+
+func TestCheckScalingDegenerate(t *testing.T) {
+	// A -bench filter that left one worker count, or no case at all.
+	for _, ns := range []map[string]map[int]float64{
+		{"workers": {1: 1000}, "observed/workers": {}},
+		{"workers": {}, "observed/workers": {}},
+	} {
+		if outs, skip := checkScaling(ns, 8); skip == "" || outs != nil {
+			t.Errorf("%v not skipped: %v %q", ns, outs, skip)
+		}
+	}
+}
+
+func TestCheckStreamPassAndFail(t *testing.T) {
+	if speedup, skip := checkStream(9000, 2000); skip != "" || speedup < 4.49 || speedup > 4.51 {
+		t.Errorf("speedup = %v (%q), want 4.5", speedup, skip)
+	}
+	if speedup, skip := checkStream(9000, 4000); skip != "" || speedup >= minStreamSpeedup {
+		t.Errorf("insufficient speedup not surfaced: %v (%q)", speedup, skip)
+	}
+}
+
+func TestCheckStreamSkips(t *testing.T) {
+	// Either mode filtered out by -bench measures nothing.
+	for _, pair := range [][2]float64{{9000, 0}, {0, 2000}, {0, 0}} {
+		if _, skip := checkStream(pair[0], pair[1]); skip == "" {
+			t.Errorf("%v not skipped", pair)
+		}
+	}
 }

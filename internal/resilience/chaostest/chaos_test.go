@@ -21,10 +21,10 @@ func soakWindows(t *testing.T) int {
 }
 
 // TestChaosSoak is the headline soak: ≥1000 windows under the full
-// adversary — overload past the ladder rungs, stalled and truncated
+// adversary — overload past the ladder rungs, corrupted and truncated
 // transport segments, a header-dead segment, stage panics, and victim
 // panics — all confined to the middle third of the stream. The contract:
-// the drain loop survives to EOF, every loss is counted and exposed via
+// the stream survives to the end, every loss is counted and exposed via
 // obs, memory stays bounded, and windows outside the blast radius (plus
 // margin) alert byte-identically to a fault-free baseline run.
 func TestChaosSoak(t *testing.T) {
@@ -33,9 +33,6 @@ func TestChaosSoak(t *testing.T) {
 	s := BuildStream(cfg)
 
 	base := s.Run(nil)
-	if base.Err != nil {
-		t.Fatalf("baseline run failed: %v", base.Err)
-	}
 	if base.Stats.Degraded != 0 || base.Stats.WindowsQuarantined != 0 || base.Stats.WindowsSkipped != 0 {
 		t.Fatalf("baseline must run clean at Full: %+v", base.Stats)
 	}
@@ -54,9 +51,6 @@ func TestChaosSoak(t *testing.T) {
 
 	chaos := DefaultChaos(cfg.Seed)
 	ch := s.Run(&chaos)
-	if ch.Err != nil {
-		t.Fatalf("chaos run did not survive to EOF: %v", ch.Err)
-	}
 	if ch.Stats.Windows < cfg.Windows {
 		t.Fatalf("drove %d windows, want >= %d", ch.Stats.Windows, cfg.Windows)
 	}
@@ -72,12 +66,6 @@ func TestChaosSoak(t *testing.T) {
 	if st.ContainedPanics == 0 {
 		t.Errorf("victim panics never contained: %+v", st)
 	}
-	if st.SourceRetries == 0 {
-		t.Errorf("stalls never retried: %+v", st)
-	}
-	if st.ChunksDropped == 0 {
-		t.Errorf("no chunk drop despite a stall outlasting the retry budget: %+v", st)
-	}
 	if ch.Decode.Skipped == 0 {
 		t.Errorf("segment corruption never cost a record: %+v", ch.Decode)
 	}
@@ -89,8 +77,6 @@ func TestChaosSoak(t *testing.T) {
 	for _, m := range []string{
 		"microscope_resilience_windows_quarantined_total",
 		"microscope_resilience_windows_skipped_total",
-		"microscope_resilience_source_retries_total",
-		"microscope_resilience_chunks_dropped_total",
 		"microscope_diag_victim_panics_total",
 	} {
 		if v := ch.Registry.Counter(m).Value(); v == 0 {
@@ -121,7 +107,7 @@ func TestChaosSoak(t *testing.T) {
 // TestChaosSoakIncremental runs the soak for the state the stream carries
 // across windows — sealed epoch segments and the diagnosis memo — with
 // sequential diagnosis, so the memo is filled in window order. Same
-// adversary, same contract: the stream survives to EOF, every fault class
+// adversary, same contract: the stream survives to the end, every fault class
 // fires, segments keep sealing and evicting under chaos, memory stays
 // bounded, and windows outside the blast radius alert byte-identically to
 // a fault-free run.
@@ -131,9 +117,6 @@ func TestChaosSoakIncremental(t *testing.T) {
 	s := BuildStream(cfg)
 
 	base := s.Run(nil)
-	if base.Err != nil {
-		t.Fatalf("baseline run failed: %v", base.Err)
-	}
 	if base.Stats.Degraded != 0 || base.Stats.WindowsQuarantined != 0 || base.Stats.WindowsSkipped != 0 {
 		t.Fatalf("baseline must run clean at Full: %+v", base.Stats)
 	}
@@ -150,9 +133,6 @@ func TestChaosSoakIncremental(t *testing.T) {
 
 	chaos := DefaultChaos(cfg.Seed)
 	ch := s.Run(&chaos)
-	if ch.Err != nil {
-		t.Fatalf("chaos run did not survive to EOF: %v", ch.Err)
-	}
 	st := ch.Stats
 	if st.Windows < cfg.Windows {
 		t.Fatalf("drove %d windows, want >= %d", st.Windows, cfg.Windows)
@@ -195,11 +175,6 @@ func TestChaosDeterminism(t *testing.T) {
 	w1 := s.WithWorkers(1).Run(&chaos)
 	w8 := s.WithWorkers(8).Run(&chaos)
 	again := s.WithWorkers(8).Run(&chaos)
-	for _, r := range []*Result{w1, w8, again} {
-		if r.Err != nil {
-			t.Fatalf("run failed: %v", r.Err)
-		}
-	}
 	if !reflect.DeepEqual(w1.Stats, w8.Stats) {
 		t.Errorf("stats diverge across worker counts:\n  w1: %+v\n  w8: %+v", w1.Stats, w8.Stats)
 	}

@@ -1,24 +1,23 @@
 // Package chaostest soaks the online diagnosis path under injected
-// overload, stalls, truncation, and panics, and asserts the resilience
-// contract: the stream never dies, memory stays bounded, every loss is
-// counted, and windows outside the blast radius produce byte-identical
-// alerts to a fault-free run.
+// overload, transport corruption, truncation, and panics, and asserts the
+// resilience contract: the stream never dies, memory stays bounded, every
+// loss is counted, and windows outside the blast radius produce
+// byte-identical alerts to a fault-free run. The monitor is driven the way
+// a serving-tier tenant's ingest drives it: each transport segment is one
+// binary ingest body, decoded tolerantly and fed, with one flush at the end.
 //
-// The harness is deliberately deterministic: every fault is seeded,
-// retry backoff sleeps are stubbed, and panic injection is keyed on
-// window/victim indices — so a chaos run is reproducible bit-for-bit,
-// for any worker count, and "run twice, compare everything" is itself
-// one of the assertions.
+// The harness is deliberately deterministic: every fault is seeded and
+// panic injection is keyed on window/victim indices — so a chaos run is
+// reproducible bit-for-bit, for any worker count, and "run twice, compare
+// everything" is itself one of the assertions.
 package chaostest
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"microscope/internal/collector"
 	"microscope/internal/core"
@@ -42,7 +41,7 @@ type Config struct {
 	Overlap simtime.Duration
 	// RatePPS is the offered load (default 150_000 pps).
 	RatePPS float64
-	// Seed drives the traffic, the faults, and the retry jitter.
+	// Seed drives the faults.
 	Seed int64
 	// Workers is the per-window diagnosis fan-out.
 	Workers int
@@ -182,15 +181,9 @@ type Chaos struct {
 	// wholly inside the blast radius whose index satisfies idx%3==0.
 	CorruptSegments faults.StreamConfig
 	// BadMagicSegment poisons one in-blast segment's header entirely, so
-	// the source reports a transient decode failure and the segment is
-	// lost whole.
+	// the segment has no usable header and is lost whole (msserve answers
+	// such a body with 400).
 	BadMagicSegment bool
-	// StallEverySegments makes every n-th in-blast segment fail
-	// transiently StallAttempts times before healing (0 = no stalls).
-	StallEverySegments int
-	// StallAttempts is how many consecutive failures each stall injects.
-	// Set it >= the retry budget to force a counted chunk drop.
-	StallAttempts int
 	// QuarantineWindows panics at stage scope in every n-th blast-radius
 	// window (0 = never): the whole window must be quarantined.
 	QuarantineWindows int
@@ -217,10 +210,6 @@ func DefaultChaos(seed int64) Chaos {
 		Overload:           []int{1, 1, 4, 1, 1, 8, 1},
 		CorruptSegments:    faults.StreamConfig{Seed: seed + 200, FlipRate: 0.0005, TruncateFrac: 0.97},
 		BadMagicSegment:    true,
-		StallEverySegments: 7,
-		// Equal to the retry budget: each stall burns one whole retry
-		// cycle and is counted as a dropped chunk before healing.
-		StallAttempts:      3,
 		QuarantineWindows:  11,
 		VictimPanicWindows: 5,
 	}
@@ -239,16 +228,15 @@ type Result struct {
 	PeakHeap int64
 	// Registry holds the run's metrics for exposure assertions.
 	Registry *obs.Registry
-	// Decode accumulates transport-decode damage.
+	// Decode accumulates transport-decode damage; a segment lost whole
+	// counts as one skipped frame and all of its bytes.
 	Decode collector.DecodeStats
-	// Err is the drain loop's terminal error (nil on clean EOF).
-	Err error
 }
 
 // Run drives the stream through a monitor. chaos may be nil for the
-// fault-free baseline; the monitor configuration (ladder, containment,
-// retry) is identical either way, so the only difference between a
-// baseline and a chaos run is the adversary itself.
+// fault-free baseline; the monitor configuration (ladder, containment) is
+// identical either way, so the only difference between a baseline and a
+// chaos run is the adversary itself.
 func (s *Stream) Run(chaos *Chaos) *Result {
 	cfg := s.cfg
 	reg := obs.New()
@@ -270,7 +258,6 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 
 	records := s.Records
 	var chaosHook func(string)
-	var sourceFault func(int) error
 	if chaos != nil {
 		records = s.corruptRecords(chaos)
 	}
@@ -295,25 +282,18 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 		Resilience: resilience.Config{
 			Ladder:        ladder,
 			ContainPanics: true,
-			Retry: resilience.RetryPolicy{
-				MaxAttempts: 3,
-				Seed:        cfg.Seed,
-				Sleep:       func(time.Duration) {}, // stubbed: soaks must not sleep
-			},
 		},
 	}
 
 	segments, segWindows := s.encode(records)
 	if chaos != nil {
 		s.corruptSegments(segments, segWindows, chaos)
-		sourceFault = s.stallFault(segWindows, chaos)
 		chaosHook = s.panicHook(chaos)
 	}
 	mcfg.ChaosHook = chaosHook
 	mon := online.New(s.Meta, mcfg)
 
 	res := &Result{Fingerprints: make(map[int]string), Registry: reg}
-	src := &online.EncodedSource{Segments: segments, Fault: sourceFault}
 	sampleHeap := func() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -321,20 +301,36 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 			res.PeakHeap = h
 		}
 	}
-	seen := 0
-	//mslint:allow ctxflow the chaos harness is the root of its own run; soak cancellation is the test deadline
-	res.Err = online.FeedSource(context.Background(), mon, src, func(a online.Alert) {
-		res.Alerts = append(res.Alerts, a)
-		w := s.windowIndex(a.WindowEnd) - 1 // WindowEnd is exclusive: end of window w is (w+1)*Window
-		res.Fingerprints[w] += a.String() + "\n"
-		if seen++; seen%16 == 0 {
-			sampleHeap()
+	note := func(alerts []online.Alert) {
+		for _, a := range alerts {
+			res.Alerts = append(res.Alerts, a)
+			w := s.windowIndex(a.WindowEnd) - 1 // WindowEnd is exclusive: end of window w is (w+1)*Window
+			res.Fingerprints[w] += a.String() + "\n"
+			if len(res.Alerts)%16 == 0 {
+				sampleHeap()
+			}
 		}
-	})
+	}
+	for _, seg := range segments {
+		recs, st, err := collector.DecodeStream(seg)
+		res.Decode.Records += st.Records
+		res.Decode.Skipped += st.Skipped
+		res.Decode.Resyncs += st.Resyncs
+		res.Decode.Resorted += st.Resorted
+		res.Decode.BytesSkipped += st.BytesSkipped
+		if err != nil {
+			// No usable header: the whole segment is gone, and the
+			// stream goes on with the next one.
+			res.Decode.Skipped++
+			res.Decode.BytesSkipped += len(seg)
+			continue
+		}
+		note(mon.Feed(recs))
+	}
+	note(mon.Flush())
 	sampleHeap()
 	res.Stats = mon.Stats()
 	res.LastDegradation = mon.LastDegradation()
-	res.Decode = src.Decode
 	return res
 }
 
@@ -419,25 +415,6 @@ func (s *Stream) corruptSegments(segs [][]byte, segWindows [][2]int, chaos *Chao
 			c.Seed += int64(i)
 			segs[i] = faults.InjectStream(segs[i], c)
 		}
-	}
-}
-
-// stallFault builds the transient-failure hook: every n-th in-blast
-// segment fails StallAttempts times before healing.
-func (s *Stream) stallFault(segWindows [][2]int, chaos *Chaos) func(int) error {
-	if chaos.StallEverySegments <= 0 {
-		return nil
-	}
-	fails := make(map[int]int)
-	return func(seg int) error {
-		if !s.inBlast(segWindows, seg) || seg%chaos.StallEverySegments != 0 {
-			return nil
-		}
-		if fails[seg] >= chaos.StallAttempts {
-			return nil
-		}
-		fails[seg]++
-		return resilience.Transient(fmt.Errorf("injected stall on segment %d (attempt %d)", seg, fails[seg]))
 	}
 }
 

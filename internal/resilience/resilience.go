@@ -19,7 +19,8 @@
 //     offending window the way reconstruction quarantines ambiguous
 //     journeys, while the stream stays alive;
 //   - bounded retry: capped exponential backoff with deterministic jitter
-//     for transient stream faults (a stalled dumper, a torn read).
+//     (RetryPolicy), which the serving tier applies to remediation-hook
+//     deliveries.
 //
 // Determinism: ladder decisions from record counts and backlog are pure
 // functions of the fed records, so a degraded window's output is
@@ -180,10 +181,10 @@ func AutoLadder(ringCapacity int) LadderConfig {
 	}
 }
 
-// Config bundles the overload defenses a streaming consumer (the online
-// monitor, mslive) threads through its windows. The zero value disables
-// everything — unbounded ingest, no degradation, panics propagate — which
-// is the pre-resilience behaviour.
+// Config bundles the overload defenses the online monitor threads through
+// its windows (a serving-tier tenant's spec lowers to one). The zero value
+// disables everything — unbounded ingest, no degradation, panics
+// propagate — which is the pre-resilience behaviour.
 type Config struct {
 	// RingCapacity bounds the ingest ring, in records (0 = unbounded).
 	RingCapacity int
@@ -205,8 +206,6 @@ type Config struct {
 	// stage and per worker task — into a quarantined window instead of a
 	// dead process.
 	ContainPanics bool
-	// Retry shapes the backoff applied to transient stream-source faults.
-	Retry RetryPolicy
 }
 
 // Enabled reports whether any defense is active.

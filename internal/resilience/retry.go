@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// errTransient is the sentinel transient faults wrap: a stalled stream
-// source, a torn read mid-frame — conditions where retrying after a short
-// backoff is expected to succeed.
+// errTransient is the sentinel transient faults wrap: a refused or timed-out
+// hook delivery — conditions where retrying after a short backoff is
+// expected to succeed.
 var errTransient = errors.New("transient")
 
 // Transient marks err as retryable. Retry backs off and re-attempts
@@ -28,7 +28,7 @@ func IsTransient(err error) bool {
 }
 
 // RetryPolicy shapes the capped exponential backoff applied to transient
-// stream faults. The zero value takes the documented defaults.
+// faults. The zero value takes the documented defaults.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total tries, first included (default 4).
 	MaxAttempts int
@@ -88,7 +88,7 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 // MaxAttempts, or ctx is done. Only errors marked Transient are retried;
 // the last error is returned (wrapped with the attempt count when the
 // budget ran out). onRetry, when non-nil, observes each backoff — the
-// monitor counts retries into its stats there.
+// hook runner counts retries into its metrics there.
 func (p RetryPolicy) Run(ctx context.Context, op string, fn func() error, onRetry func(attempt int, wait time.Duration)) error {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed)) //mslint:allow nondet seeded local source: the jitter schedule is reproducible by construction

@@ -1,6 +1,7 @@
 // HTTP surface of the serving tier. Routes (Go 1.22 method patterns):
 //
-//	GET    /healthz                  aggregate liveness (503 when degraded/draining)
+//	GET    /healthz                  aggregate liveness (503 when draining or
+//	                                 any tenant's is)
 //	GET    /metrics                  global exposition: server + every tenant
 //	GET    /tenants                  list tenant statuses
 //	POST   /tenants                  create tenant (spec body; id = spec.tenant)
@@ -16,7 +17,9 @@
 //	GET    /tenants/{id}/reports?n=N retained window reports
 //	GET    /tenants/{id}/alerts      retained alerts
 //	GET    /tenants/{id}/metrics     this tenant's exposition only
-//	GET    /tenants/{id}/healthz     this tenant's trace-quality liveness
+//	GET    /tenants/{id}/healthz     this tenant's liveness (503 when its latest
+//	                                 window's trace health is degraded or the
+//	                                 window ran at the skipped rung)
 //	GET    /debug/pprof/...          the standard Go profiling endpoints
 //	                                 (mutex/block carry data when the
 //	                                 daemon runs with -contention-profile)
@@ -260,15 +263,11 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "no such tenant", http.StatusNotFound)
 			return
 		}
-		h, seen := t.Health()
-		if !seen {
-			fmt.Fprintln(w, "no window diagnosed yet")
-			return
-		}
-		if h.Degraded() {
+		ok, detail := t.healthz()
+		if !ok {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		fmt.Fprintln(w, h.String())
+		fmt.Fprintln(w, detail)
 	})
 
 	return mux

@@ -93,6 +93,22 @@ func feedAll(t testing.TB, tn *Tenant, recs []collector.BatchRecord, chunk int) 
 	}
 }
 
+// flushAll flushes a tenant, resending the flush while the ingest queue
+// is full, as a client resends a POST /flush refused with 429.
+func flushAll(t testing.TB, tn *Tenant) {
+	t.Helper()
+	for {
+		err := tn.Flush(context.Background())
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrBackpressure) {
+			t.Fatalf("flush: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServeHTTPLifecycle drives the full tenant lifecycle over real HTTP:
 // create from a spec document, ingest JSON records, flush, read reports
 // and alerts, scrape metrics, update, delete.
@@ -455,5 +471,105 @@ func TestShutdownSurvivesDrainPanic(t *testing.T) {
 	bad.drainHook = nil
 	if err := bad.drain(context.Background()); err != nil {
 		t.Fatalf("cleanup drain: %v", err)
+	}
+}
+
+// TestHandlerEndpoints drives the operator surface every daemon serves:
+// /metrics is Prometheus text carrying the tenant's labeled series,
+// /debug/pprof answers, and a newly created tenant — no window diagnosed
+// yet — is live on both /healthz endpoints.
+func TestHandlerEndpoints(t *testing.T) {
+	tr := chainTrace(t, 13, nil)
+	srv := NewServer(ServerConfig{})
+	if _, err := srv.Create("fresh", tenantSpec(tr, nil)); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(Handler(srv))
+	defer hs.Close()
+	defer srv.Shutdown(context.Background())
+
+	resp := doReq(t, hs.Client(), http.MethodGet, hs.URL+"/metrics", nil)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("/metrics content-type = %q", ct)
+	}
+	if b := readBody(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(b, `microscope_monitor_records_total{tenant="fresh"} 0`) {
+		t.Errorf("/metrics = %s:\n%s", resp.Status, b)
+	}
+	resp = doReq(t, hs.Client(), http.MethodGet, hs.URL+"/debug/pprof/", nil)
+	if b := readBody(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(b, "profile") {
+		t.Errorf("/debug/pprof/ = %s", resp.Status)
+	}
+	for _, path := range []string{"/healthz", "/tenants/fresh/healthz"} {
+		resp = doReq(t, hs.Client(), http.MethodGet, hs.URL+path, nil)
+		if b := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s of a fresh tenant = %s %q, want 200", path, resp.Status, b)
+		}
+	}
+}
+
+// TestHealthzSkippedRung: a tenant whose every window overruns its
+// deadline has no trace health to call degraded, yet diagnoses nothing.
+// Both /healthz endpoints answer 503 and name the rung; a healthy tenant
+// beside it stays 200 on its own endpoint.
+func TestHealthzSkippedRung(t *testing.T) {
+	tr := chainTrace(t, 15, nil)
+	srv := NewServer(ServerConfig{})
+	defer srv.Shutdown(context.Background())
+	slow, err := srv.Create("slow", tenantSpec(tr, func(s *spec.PipelineSpec) {
+		s.Resilience.WindowDeadline = 1 // 1ns: every window is skipped
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := srv.Create("good", tenantSpec(tr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range []*Tenant{slow, good} {
+		feedAll(t, tn, tr.Records, 4096)
+		flushAll(t, tn)
+	}
+	if slow.Degradation() != resilience.Skipped {
+		t.Fatalf("slow tenant ran at %v, want skipped", slow.Degradation())
+	}
+	hs := httptest.NewServer(Handler(srv))
+	defer hs.Close()
+	for path, want := range map[string]int{
+		"/healthz":              http.StatusServiceUnavailable,
+		"/tenants/slow/healthz": http.StatusServiceUnavailable,
+		"/tenants/good/healthz": http.StatusOK,
+	} {
+		resp := doReq(t, hs.Client(), http.MethodGet, hs.URL+path, nil)
+		b := readBody(t, resp)
+		if resp.StatusCode != want {
+			t.Errorf("%s = %s %q, want %d", path, resp.Status, b, want)
+		}
+		if want != http.StatusOK && !strings.Contains(b, "degradation=skipped") {
+			t.Errorf("%s does not name the rung: %q", path, b)
+		}
+	}
+}
+
+// TestFlushThenShutdownAddsNoReport: a flush diagnoses the last window;
+// the drain that follows finds only its already-diagnosed overlap tail and
+// must not report it again as one more window.
+func TestFlushThenShutdownAddsNoReport(t *testing.T) {
+	leakcheck.Check(t)
+	tr := chainTrace(t, 17, nil)
+	srv := NewServer(ServerConfig{})
+	tn, err := srv.Create("once", tenantSpec(tr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, tn, tr.Records, 4096)
+	flushAll(t, tn)
+	before := tn.Status()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	after := tn.Status()
+	if after.Reports != before.Reports || after.Stats != before.Stats {
+		t.Fatalf("shutdown after flush changed the tenant:\n  before %d reports %+v\n  after  %d reports %+v",
+			before.Reports, before.Stats, after.Reports, after.Stats)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"microscope/internal/obs"
@@ -233,21 +234,21 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	return nil
 }
 
-// Healthz aggregates liveness: degraded when draining or when any
-// tenant's latest window reports degraded trace health.
+// Healthz aggregates liveness: degraded when draining or when any tenant
+// is (Tenant.healthz), naming each degraded tenant and why.
 func (s *Server) Healthz() (bool, string) {
 	if s.Draining() {
 		return false, "draining"
 	}
 	ts := s.snapshot()
-	degraded := 0
+	var bad []string
 	for _, t := range ts {
-		if h, ok := t.Health(); ok && h.Degraded() {
-			degraded++
+		if ok, detail := t.healthz(); !ok {
+			bad = append(bad, t.ID+": "+detail)
 		}
 	}
-	if degraded > 0 {
-		return false, fmt.Sprintf("%d/%d tenants degraded", degraded, len(ts))
+	if len(bad) > 0 {
+		return false, fmt.Sprintf("%d/%d tenants degraded (%s)", len(bad), len(ts), strings.Join(bad, "; "))
 	}
 	return true, fmt.Sprintf("ok: %d tenants", len(ts))
 }

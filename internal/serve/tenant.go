@@ -467,11 +467,19 @@ func (t *Tenant) Alerts() []online.Alert {
 	return append([]online.Alert(nil), t.alerts...)
 }
 
-// Health returns the latest diagnosed window's trace quality.
-func (t *Tenant) Health() (tracestore.Health, bool) {
+// healthz is the tenant's liveness verdict and the line that explains it:
+// not ok when the latest diagnosed window's trace health is degraded, or
+// when the latest window ran at the skipped rung — the ladder or the window
+// deadline is shedding diagnosis whole. A tenant with no window yet is live.
+func (t *Tenant) healthz() (ok bool, detail string) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.health, t.hasHealth
+	h, seen, deg := t.health, t.hasHealth, t.degradation
+	t.mu.Unlock()
+	detail = "no window diagnosed yet"
+	if seen {
+		detail = h.String()
+	}
+	return !(seen && h.Degraded()) && deg < resilience.Skipped, detail + "; degradation=" + deg.String()
 }
 
 // Degradation returns the rung the most recent window ran at.

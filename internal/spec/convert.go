@@ -50,7 +50,8 @@ func (s *PipelineSpec) PipelineConfig(reg *obs.Registry) pipeline.Config {
 	}
 }
 
-// RetryPolicy converts the retry section (nil = defaults).
+// RetryPolicy converts the retry section (nil = defaults): the backoff the
+// serving tier applies to remediation-hook deliveries.
 func (s *PipelineSpec) RetryPolicy() resilience.RetryPolicy {
 	r := s.Resilience.Retry
 	if r == nil {
@@ -78,7 +79,6 @@ func (s *PipelineSpec) ResilienceConfig() resilience.Config {
 		MemSoftBytes:   r.SoftMemBytes,
 		MemHardBytes:   r.MaxMemBytes,
 		ContainPanics:  s.Stages.ContainPanics,
-		Retry:          s.RetryPolicy(),
 	}
 	switch {
 	case r.Ladder != nil:

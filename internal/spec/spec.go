@@ -190,8 +190,8 @@ type ResilienceSpec struct {
 	// Ladder overrides the degradation thresholds; nil derives
 	// AutoLadder(ring_capacity).
 	Ladder *LadderSpec `json:"ladder,omitempty"`
-	// Retry shapes the backoff for transient faults (stream sources,
-	// remediation hooks).
+	// Retry shapes the backoff for retrying a remediation hook's
+	// transiently failed deliveries (the serving tier's hook runner).
 	Retry *RetrySpec `json:"retry,omitempty"`
 }
 
