@@ -199,7 +199,7 @@ func main() {
 	for _, s := range res.Stages {
 		stages = append(stages, fmt.Sprintf("%s %v", s.Name, s.Elapsed.Round(time.Millisecond)))
 	}
-	fmt.Printf("pipeline (%d workers): %s\n", par.Workers(pcfg.Workers, len(res.Victims)), strings.Join(stages, " | "))
+	fmt.Printf("pipeline (%d workers): %s\n", par.Workers(pcfg.Diagnosis.Workers, len(res.Victims)), strings.Join(stages, " | "))
 	fmt.Printf("diagnosed %d victims\n", len(diags))
 
 	flowIdx := st.FlowIndex()

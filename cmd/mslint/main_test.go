@@ -21,9 +21,19 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("mslint -list exited %d: %s", code, errb.String())
 	}
-	for _, name := range []string{"compid", "determinism", "obssafe", "sorttotal", "specconfig"} {
-		if !strings.Contains(out.String(), name) {
+	listed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		listed[strings.Fields(line)[0]] = true
+	}
+	// Exactly these seven: an analyzer deleted from the suite must not
+	// come back through the list.
+	want := []string{"compid", "containment", "ctxflow", "determinism", "obssafe", "sorttotal", "specconfig"}
+	for _, name := range want {
+		if !listed[name] {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}
+	}
+	if len(listed) != len(want) {
+		t.Errorf("-list prints %d analyzers, want exactly %v:\n%s", len(listed), want, out.String())
 	}
 }

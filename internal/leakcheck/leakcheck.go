@@ -1,7 +1,7 @@
-// Package leakcheck is a test helper that mirrors the golifetime
-// analyzer's static guarantee at runtime: a test that starts goroutines
-// must end with them gone. Check snapshots the live goroutines when
-// called and registers a cleanup that diffs a fresh snapshot against it,
+// Package leakcheck is a test helper for goroutine lifetimes: a test that
+// starts goroutines must end with them gone. Check snapshots the live
+// goroutines when called and registers a cleanup that diffs a fresh
+// snapshot against it,
 // retrying over a grace period so goroutines that are mid-exit (a feed
 // loop observing its closed channel, a drained hook runner) are not
 // false positives. Anything still running after the grace period fails

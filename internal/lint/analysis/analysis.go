@@ -14,8 +14,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"microscope/internal/lint/callgraph"
 )
 
 // Analyzer describes one invariant checker.
@@ -29,11 +27,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: the invariant protected and
 	// why it matters.
 	Doc string
-	// NeedsProgram marks an interprocedural analyzer: the driver builds
-	// one callgraph.Program over every loaded package (summaries
-	// propagated to fixpoint) and shares it across the per-package
-	// passes via Pass.Prog.
-	NeedsProgram bool
 	// Run inspects the package and reports findings via pass.Reportf.
 	Run func(*Pass) error
 }
@@ -45,13 +38,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Prog is the whole-program call graph, set when the analyzer
-	// declares NeedsProgram. It spans every package of the driver run,
-	// so interprocedural facts (a callee three packages away blocks, a
-	// channel is closed by another package) resolve; per-package
-	// fixtures see a single-package program.
-	Prog *callgraph.Program
 
 	// Report receives each diagnostic. The driver installs a collector
 	// here; analyzers call Reportf instead of using it directly.

@@ -4,18 +4,18 @@
 //     context.Background() / context.TODO() belong to main and to tests;
 //     anywhere else they silently detach the callee from the caller's
 //     deadline and the drain/shutdown machinery built on it.
-//  2. A function that receives a ctx must forward it: passing a fresh
-//     Background()/TODO() directly to a blocking callee that accepts a
-//     context drops the caller's cancellation exactly where it matters.
-//     This rule also runs in package main, where rule 1 does not.
+//  2. In package main, where rule 1 does not apply, a function that
+//     receives a ctx must forward it: inside it, and inside any func
+//     literal nested in it, a fresh Background()/TODO() passed directly as
+//     an argument to a callee outside package context is a finding.
 //
-// Rule 2 only fires when the callee's call-graph summary proves it may
-// block — a Background handed to a constructor is not a finding.
+// Deriving from a fresh root (context.WithTimeout(context.Background(),
+// ...)) passes rule 2: its callee is in package context, and it is how a
+// main bounds a drain that must outlive an already-cancelled ctx.
 package ctxflow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"microscope/internal/lint/analysis"
@@ -24,79 +24,32 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:    "ctxflow",
 	Aliases: []string{"ctx"},
-	Doc: "no context.Background()/TODO() in library packages; a function " +
-		"that receives a ctx must forward it to blocking callees instead of " +
-		"minting a fresh root",
-	NeedsProgram: true,
-	Run:          run,
+	Doc: "no context.Background()/TODO() in library packages; in main, a " +
+		"function that receives a ctx must forward it instead of passing a " +
+		"fresh root to a callee",
+	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	isMain := pass.Pkg.Name() == "main"
-	reported := map[token.Pos]bool{}
-
-	// Rule 1: fresh context roots in library code.
-	if !isMain {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(node ast.Node) bool {
-				call, ok := node.(*ast.CallExpr)
-				if !ok {
-					return true
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if root := freshRoot(pass, n); root != "" && !isMain {
+					pass.Reportf(n.Pos(),
+						"context.%s() in a library package: accept a ctx from the caller so cancellation reaches this path", root)
 				}
-				fn := analysis.CalleeFunc(pass.TypesInfo, call)
-				if analysis.IsPkgFunc(fn, "context", "Background") || analysis.IsPkgFunc(fn, "context", "TODO") {
-					reported[call.Pos()] = true
-					pass.Reportf(call.Pos(),
-						"context.%s() in a library package: accept a ctx from the caller so cancellation reaches this path",
-						fn.Name())
+			case *ast.FuncDecl:
+				if isMain && n.Body != nil && hasCtxParam(pass, n.Type) {
+					checkForward(pass, n.Name.Name, n.Body)
+					return false
 				}
-				return true
-			})
-		}
-	}
-
-	// Rule 2: a ctx-receiving function minting a root for a blocking
-	// callee. Each literal is its own node, so nested literals are skipped
-	// here and visited on their own turn (a literal's closure over the
-	// parent's ctx param still counts: hasCtxParam checks the node chain's
-	// own signature only, which is the contract — the literal received no
-	// ctx of its own, but flagging it would re-report the parent's site).
-	for _, n := range pass.Prog.PkgNodes(pass.Pkg) {
-		if n.Body == nil || n.Sig == nil || !hasCtxParam(n.Sig) {
-			continue
-		}
-		ast.Inspect(n.Body, func(node ast.Node) bool {
-			if lit, ok := node.(*ast.FuncLit); ok && lit.Body != n.Body {
-				return false
-			}
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := analysis.CalleeFunc(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			cn := pass.Prog.NodeByFunc(callee)
-			if cn == nil || !cn.Summary.Blocking {
-				return true
-			}
-			for _, arg := range call.Args {
-				root, ok := ast.Unparen(arg).(*ast.CallExpr)
-				if !ok {
-					continue
+			case *ast.FuncLit:
+				if isMain && hasCtxParam(pass, n.Type) {
+					checkForward(pass, "func literal", n.Body)
+					return false
 				}
-				fn := analysis.CalleeFunc(pass.TypesInfo, root)
-				if !analysis.IsPkgFunc(fn, "context", "Background") && !analysis.IsPkgFunc(fn, "context", "TODO") {
-					continue
-				}
-				if reported[root.Pos()] {
-					continue
-				}
-				reported[root.Pos()] = true
-				pass.Reportf(root.Pos(),
-					"%s receives a ctx but passes context.%s() to blocking callee %s: forward the ctx so cancellation propagates",
-					n.Name, fn.Name(), cn.Name)
 			}
 			return true
 		})
@@ -104,11 +57,44 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// hasCtxParam reports whether the signature takes a context.Context.
-func hasCtxParam(sig *types.Signature) bool {
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if analysis.NamedFrom(params.At(i).Type(), "context", "Context") {
+// checkForward applies rule 2 to the body of name, a function that
+// received a ctx, including every func literal nested in it.
+func checkForward(pass *analysis.Pass, name string, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
+			return true
+		}
+		for _, arg := range call.Args {
+			if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+				if root := freshRoot(pass, inner); root != "" {
+					pass.Reportf(inner.Pos(),
+						"%s receives a ctx but passes context.%s() to %s: forward the ctx so cancellation propagates",
+						name, root, types.ExprString(call.Fun))
+				}
+			}
+		}
+		return true
+	})
+}
+
+// freshRoot returns "Background" or "TODO" when call mints a root
+// context, and "" otherwise.
+func freshRoot(pass *analysis.Pass, call *ast.CallExpr) string {
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
+	if analysis.IsPkgFunc(fn, "context", "Background") || analysis.IsPkgFunc(fn, "context", "TODO") {
+		return fn.Name()
+	}
+	return ""
+}
+
+// hasCtxParam reports whether the function type takes a context.Context.
+func hasCtxParam(pass *analysis.Pass, typ *ast.FuncType) bool {
+	for _, field := range typ.Params.List {
+		if analysis.NamedFrom(pass.TypeOf(field.Type), "context", "Context") {
 			return true
 		}
 	}

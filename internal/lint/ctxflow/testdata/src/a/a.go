@@ -26,8 +26,9 @@ func Forward(ctx context.Context, c chan int) int {
 	return recv(ctx, c)
 }
 
-// Drop receives a ctx but mints a root for a blocking callee; in a
-// library package rule 1 already owns the site and rule 2 dedupes.
+// Drop receives a ctx but mints a root for its callee; in a library
+// package rule 1 owns the site and rule 2 does not run, so it is one
+// finding.
 func Drop(ctx context.Context, c chan int) int {
 	return recv(context.Background(), c) // want `context\.Background\(\) in a library package`
 }

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"microscope/internal/lint/analysis"
-	"microscope/internal/lint/callgraph"
 	"microscope/internal/lint/loader"
 )
 
@@ -29,17 +28,9 @@ const MetaName = "mslint"
 // Run executes every analyzer over every package and returns the
 // surviving diagnostics sorted by position.
 func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	// Interprocedural analyzers share one whole-program call graph so
-	// summaries resolve across package boundaries (a blocking callee
-	// three packages away, a channel closed by another package). Built
-	// once, reused by every per-package pass.
-	var prog *callgraph.Program
-	if needsProgram(analyzers) {
-		prog = callgraph.Build(pkgs)
-	}
 	var all []analysis.Diagnostic
 	for _, p := range pkgs {
-		ds, err := runPackage(p, analyzers, prog)
+		ds, err := RunPackage(p, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -62,27 +53,8 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Dia
 }
 
 // RunPackage executes the analyzers over one package, filtering
-// diagnostics through the package's allow comments. Interprocedural
-// analyzers see a single-package program (analysistest fixtures are
-// self-contained, so that is the whole program).
+// diagnostics through the package's allow comments.
 func RunPackage(p *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	var prog *callgraph.Program
-	if needsProgram(analyzers) {
-		prog = callgraph.Build([]*loader.Package{p})
-	}
-	return runPackage(p, analyzers, prog)
-}
-
-func needsProgram(analyzers []*analysis.Analyzer) bool {
-	for _, a := range analyzers {
-		if a.NeedsProgram {
-			return true
-		}
-	}
-	return false
-}
-
-func runPackage(p *loader.Package, analyzers []*analysis.Analyzer, prog *callgraph.Program) ([]analysis.Diagnostic, error) {
 	names := map[string]string{} // accepted token -> canonical name
 	for _, a := range analyzers {
 		names[a.Name] = a.Name
@@ -100,9 +72,6 @@ func runPackage(p *loader.Package, analyzers []*analysis.Analyzer, prog *callgra
 			Files:     p.Files,
 			Pkg:       p.Types,
 			TypesInfo: p.Info,
-		}
-		if a.NeedsProgram {
-			pass.Prog = prog
 		}
 		var raw []analysis.Diagnostic
 		pass.Report = func(d analysis.Diagnostic) { raw = append(raw, d) }

@@ -11,9 +11,6 @@ import (
 	"microscope/internal/lint/containment"
 	"microscope/internal/lint/ctxflow"
 	"microscope/internal/lint/determinism"
-	"microscope/internal/lint/epochstamp"
-	"microscope/internal/lint/golifetime"
-	"microscope/internal/lint/lockorder"
 	"microscope/internal/lint/obssafe"
 	"microscope/internal/lint/sorttotal"
 	"microscope/internal/lint/specconfig"
@@ -26,9 +23,6 @@ func Analyzers() []*analysis.Analyzer {
 		containment.Analyzer,
 		ctxflow.Analyzer,
 		determinism.Analyzer,
-		epochstamp.Analyzer,
-		golifetime.Analyzer,
-		lockorder.Analyzer,
 		obssafe.Analyzer,
 		sorttotal.Analyzer,
 		specconfig.Analyzer,

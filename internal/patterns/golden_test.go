@@ -59,8 +59,8 @@ var goldenTrace = sync.OnceValue(func() *microscope.Trace {
 // goldenRun diagnoses the golden trace and aggregates its patterns.
 func goldenRun(workers int, reg *obs.Registry) *pipeline.Result {
 	return pipeline.Run(goldenTrace(), pipeline.Config{
-		Workers:   workers,
-		Diagnosis: core.Config{MaxVictims: goldenVictims},
+		Diagnosis: core.Config{MaxVictims: goldenVictims, Workers: workers},
+		Patterns:  patterns.Config{Workers: workers},
 		Obs:       reg,
 	})
 }

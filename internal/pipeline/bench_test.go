@@ -198,7 +198,7 @@ func BenchmarkStreamingWindows(b *testing.B) {
 	// SkipPatterns mirrors the online monitor's own configuration: the
 	// monitor merges raw pattern evidence across flushes itself, so the
 	// per-window loop stops after diagnosis in both modes.
-	cfg := pipeline.Config{Workers: 1, SkipPatterns: true, Diagnosis: core.Config{MaxVictims: 64}}
+	cfg := pipeline.Config{SkipPatterns: true, Diagnosis: core.Config{MaxVictims: 64, Workers: 1}}
 	ctx := context.Background()
 	var fullNS, incrNS float64
 

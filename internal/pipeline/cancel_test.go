@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"microscope/internal/core"
+	"microscope/internal/patterns"
 	"microscope/internal/pipeline"
 	"microscope/internal/simtime"
 )
@@ -54,8 +55,8 @@ func TestRunContextCancelMidDiagnose(t *testing.T) {
 	}
 	tr := buildTrace(11, dur)
 	cfg := pipeline.Config{
-		Workers:   1,
-		Diagnosis: core.Config{MaxVictims: 200},
+		Diagnosis: core.Config{MaxVictims: 200, Workers: 1},
+		Patterns:  patterns.Config{Workers: 1},
 	}
 
 	full, err := pipeline.RunContext(context.Background(), tr, cfg)
@@ -103,7 +104,7 @@ func TestRunContextCancelMidDiagnose(t *testing.T) {
 
 	// The same cancellation through the parallel pool: exact slots are
 	// timing-dependent, but the error contract is identical.
-	cfg.Workers = 8
+	cfg.Diagnosis.Workers, cfg.Patterns.Workers = 8, 8
 	res, err = pipeline.RunContext(newCountdown(4+n/2), tr, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel cancel: error %v does not wrap context.Canceled", err)

@@ -143,8 +143,7 @@ func TestPipelineDeterminismDegraded(t *testing.T) {
 		t.Run(lvl.String(), func(t *testing.T) {
 			run := func(workers int) *pipeline.Result {
 				res, err := pipeline.RunContext(context.Background(), tr, pipeline.Config{
-					Workers:   workers,
-					Diagnosis: core.Config{MaxVictims: 300},
+					Diagnosis: core.Config{MaxVictims: 300, Workers: workers},
 					Degrade:   lvl,
 				})
 				if err != nil {
@@ -177,8 +176,7 @@ func TestPipelineDeterminismDegraded(t *testing.T) {
 		}
 		run := func(workers int) *pipeline.Result {
 			res, err := pipeline.RunContext(context.Background(), tr, pipeline.Config{
-				Workers:   workers,
-				Diagnosis: core.Config{MaxVictims: 300},
+				Diagnosis: core.Config{MaxVictims: 300, Workers: workers},
 				// Patterns dominate the wall clock and play no part in
 				// victim-level containment; the rung subtests above cover
 				// pattern-stage determinism.

@@ -121,7 +121,7 @@ func TestAppendFingerprintOnPipelineResults(t *testing.T) {
 		dur = 8 * simtime.Millisecond
 	}
 	tr := buildTrace(7, dur)
-	cfg := pipeline.Config{Workers: 4, Diagnosis: core.Config{MaxVictims: 200}}
+	cfg := pipeline.Config{Diagnosis: core.Config{MaxVictims: 200, Workers: 4}, Patterns: patterns.Config{Workers: 4}}
 	cold := pipeline.Run(tr, cfg)
 	if len(cold.Diagnoses) == 0 || len(cold.Patterns) == 0 {
 		t.Fatalf("cold run has %d diagnoses and %d patterns; the check is vacuous", len(cold.Diagnoses), len(cold.Patterns))

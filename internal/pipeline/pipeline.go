@@ -43,12 +43,9 @@ import (
 
 // Config tunes a pipeline run.
 type Config struct {
-	// Workers bounds the fan-out of the parallel stages (0 = GOMAXPROCS,
-	// 1 = fully sequential). Any value produces identical output. When
-	// nonzero it overrides Diagnosis.Workers and Patterns.Workers.
-	Workers int
 	// Diagnosis passes through the engine knobs (victim percentile,
-	// recursion depth, queue threshold, ...).
+	// recursion depth, queue threshold, the diagnose fan-out's Workers,
+	// ...).
 	Diagnosis core.Config
 	// Patterns tunes the §4.4 aggregation.
 	Patterns patterns.Config
@@ -183,15 +180,11 @@ type run struct {
 	began time.Time
 }
 
-// resolveConfig normalizes a pipeline config — worker-count and
-// containment/chaos fan-out into the stage configs, registry resolution
-// and push-down — without side effects, so holders of long-lived state
-// (the incremental stream) can resolve once without counting a run.
+// resolveConfig normalizes a pipeline config — containment/chaos fan-out
+// into the stage configs, registry resolution and push-down — without
+// side effects, so holders of long-lived state (the incremental stream)
+// can resolve once without counting a run.
 func resolveConfig(cfg Config) (Config, *obs.Registry) {
-	if cfg.Workers != 0 {
-		cfg.Diagnosis.Workers = cfg.Workers
-		cfg.Patterns.Workers = cfg.Workers
-	}
 	if cfg.ContainPanics {
 		cfg.Diagnosis.ContainPanics = true
 	}

@@ -6,6 +6,7 @@ import (
 
 	"microscope/internal/core"
 	"microscope/internal/obs"
+	"microscope/internal/patterns"
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
@@ -23,7 +24,7 @@ func TestStreamSpansEqualFlat(t *testing.T) {
 	}
 	tr := buildTrace(5, 12*simtime.Millisecond)
 	const w, o = 2 * simtime.Millisecond, simtime.Millisecond
-	cfg := pipeline.Config{Workers: 2, Diagnosis: core.Config{MaxVictims: 200}}
+	cfg := pipeline.Config{Diagnosis: core.Config{MaxVictims: 200, Workers: 2}, Patterns: patterns.Config{Workers: 2}}
 	newState := func() *pipeline.StreamState {
 		ss, err := pipeline.NewStreamState(tr.Meta, w, o, cfg)
 		if err != nil {

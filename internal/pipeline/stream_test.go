@@ -7,6 +7,7 @@ import (
 
 	"microscope/internal/collector"
 	"microscope/internal/core"
+	"microscope/internal/patterns"
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
@@ -24,8 +25,8 @@ import (
 func slideWindows(t *testing.T, tr *collector.Trace, w, o simtime.Duration, workers int, rung resilience.Level) {
 	t.Helper()
 	cfg := pipeline.Config{
-		Workers:   workers,
-		Diagnosis: core.Config{MaxVictims: 200},
+		Diagnosis: core.Config{MaxVictims: 200, Workers: workers},
+		Patterns:  patterns.Config{Workers: workers},
 	}
 	ss, err := pipeline.NewStreamState(tr.Meta, w, o, cfg)
 	if err != nil {
@@ -60,8 +61,8 @@ func slideWindows(t *testing.T, tr *collector.Trace, w, o simtime.Duration, work
 			continue
 		}
 		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), pipeline.Config{
-			Workers:   workers,
-			Diagnosis: core.Config{MaxVictims: 200},
+			Diagnosis: core.Config{MaxVictims: 200, Workers: workers},
+			Patterns:  patterns.Config{Workers: workers},
 			Degrade:   rung,
 		})
 		if err != nil {
@@ -149,7 +150,7 @@ func packetAt(t simtime.Time, ipid uint16) []collector.BatchRecord {
 func runEdgeCase(t *testing.T, recs []collector.BatchRecord, ends []simtime.Time, w, o simtime.Duration) {
 	t.Helper()
 	meta := chainMeta()
-	cfg := pipeline.Config{Workers: 1, Diagnosis: core.Config{MaxVictims: 50}}
+	cfg := pipeline.Config{Diagnosis: core.Config{MaxVictims: 50, Workers: 1}, Patterns: patterns.Config{Workers: 1}}
 	ss, err := pipeline.NewStreamState(meta, w, o, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +229,7 @@ func TestStreamGapLargerThanHorizon(t *testing.T) {
 		ends = append(ends, k*W)
 	}
 	meta := chainMeta()
-	cfg := pipeline.Config{Workers: 1, Diagnosis: core.Config{MaxVictims: 50}}
+	cfg := pipeline.Config{Diagnosis: core.Config{MaxVictims: 50, Workers: 1}, Patterns: patterns.Config{Workers: 1}}
 	ss, err := pipeline.NewStreamState(meta, w, o, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +268,7 @@ func TestStreamSteadyStateBounded(t *testing.T) {
 	w, o := simtime.Duration(simtime.Millisecond), 200*simtime.Microsecond
 	W := simtime.Time(w)
 	meta := chainMeta()
-	cfg := pipeline.Config{Workers: 1, Diagnosis: core.Config{MaxVictims: 50}, SkipPatterns: true}
+	cfg := pipeline.Config{Diagnosis: core.Config{MaxVictims: 50, Workers: 1}, SkipPatterns: true}
 	ss, err := pipeline.NewStreamState(meta, w, o, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func TestStreamMonotoneHealth(t *testing.T) {
 	w, o := simtime.Duration(simtime.Millisecond), 200*simtime.Microsecond
 	W := simtime.Time(w)
 	meta := chainMeta()
-	ss, err := pipeline.NewStreamState(meta, w, o, pipeline.Config{Workers: 1})
+	ss, err := pipeline.NewStreamState(meta, w, o, pipeline.Config{Diagnosis: core.Config{Workers: 1}, Patterns: patterns.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

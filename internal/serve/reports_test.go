@@ -113,7 +113,7 @@ func TestOnWindowConsumersRetainNothing(t *testing.T) {
 	defer srv.Shutdown(context.Background()) //nolint:errcheck // test teardown
 
 	w, o := 10*simtime.Millisecond, 2*simtime.Millisecond
-	ss, err := pipeline.NewStreamState(tr.Meta, w, o, pipeline.Config{Workers: 1, SkipPatterns: true})
+	ss, err := pipeline.NewStreamState(tr.Meta, w, o, pipeline.Config{Diagnosis: core.Config{Workers: 1}, SkipPatterns: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -471,6 +472,76 @@ func TestShutdownSurvivesDrainPanic(t *testing.T) {
 	bad.drainHook = nil
 	if err := bad.drain(context.Background()); err != nil {
 		t.Fatalf("cleanup drain: %v", err)
+	}
+}
+
+// TestRegistryAnswersDuringDrain: Delete and Update drain the old tenant
+// outside the server lock, so while one tenant's drain is parked every
+// other registry call — Get, List, Create — still answers promptly.
+func TestRegistryAnswersDuringDrain(t *testing.T) {
+	leakcheck.Check(t)
+	tr := chainTrace(t, 19, nil)
+	sp := tenantSpec(tr, nil)
+	for _, op := range []struct {
+		name string
+		run  func(*Server) error
+	}{
+		{"Delete", func(s *Server) error { return s.Delete(context.Background(), "a") }},
+		{"Update", func(s *Server) error {
+			_, _, err := s.Update(context.Background(), "a", sp)
+			return err
+		}},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			srv := NewServer(ServerConfig{})
+			defer srv.Shutdown(context.Background())
+			a, err := srv.Create("a", sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Create("b", sp); err != nil {
+				t.Fatal(err)
+			}
+			entered, gate := make(chan struct{}), make(chan struct{})
+			a.drainHook = func() { close(entered); <-gate }
+			opErr := make(chan error, 1)
+			go func() { opErr <- op.run(srv) }()
+			<-entered
+			release := sync.OnceFunc(func() { close(gate) })
+			defer release()
+
+			within := func(call string, f func() error) {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() { done <- f() }()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("%s during %s's drain: %v", call, op.name, err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s blocked for 2s behind %s's parked drain: the server lock is held across it", call, op.name)
+				}
+			}
+			within("Get", func() error {
+				if _, ok := srv.Get("b"); !ok {
+					return errors.New("tenant b missing")
+				}
+				return nil
+			})
+			within("List", func() error {
+				if n := len(srv.List()); n != 1 {
+					return fmt.Errorf("%d tenants listed, want 1", n)
+				}
+				return nil
+			})
+			within("Create", func() error { _, err := srv.Create("c", sp); return err })
+
+			release()
+			if err := <-opErr; err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+		})
 	}
 }
 

@@ -120,7 +120,8 @@ type Tenant struct {
 	done  chan struct{} // feed goroutine exited
 
 	// drainHook, when non-nil, runs at the top of drain — tests use it to
-	// inject a drain-time panic. Never set in production paths.
+	// inject a drain-time panic or to park a drain. Never set in
+	// production paths.
 	drainHook func()
 
 	budget int64 // spec max_mem_bytes

@@ -40,9 +40,8 @@ func (s *PipelineSpec) CoreConfig(reg *obs.Registry) core.Config {
 // PipelineConfig converts the spec to the staged-pipeline config.
 func (s *PipelineSpec) PipelineConfig(reg *obs.Registry) pipeline.Config {
 	return pipeline.Config{
-		Workers:       s.Diagnosis.Workers,
 		Diagnosis:     s.CoreConfig(reg),
-		Patterns:      patterns.Config{Threshold: s.Diagnosis.PatternThreshold, Obs: reg},
+		Patterns:      patterns.Config{Threshold: s.Diagnosis.PatternThreshold, Workers: s.Diagnosis.Workers, Obs: reg},
 		SkipPatterns:  s.Stages.SkipPatterns,
 		Degrade:       s.Rung(),
 		ContainPanics: s.Stages.ContainPanics,

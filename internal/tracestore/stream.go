@@ -104,8 +104,9 @@ type Segment struct {
 }
 
 // reset prepares a (possibly recycled) shell for reuse: restamp the
-// generation epoch and truncate every buffer. Reuse without this reset is
-// the bug class the mslint epochstamp analyzer exists to catch.
+// generation epoch and truncate every buffer. Reuse without this reset
+// leaks the previous occupant's rows into the next window, which the
+// incremental-vs-rebuild equivalence suites (make stream-check) catch.
 func (g *Segment) reset(epoch uint64) {
 	g.epoch = epoch
 	g.lo, g.hi, g.point = 0, 0, false

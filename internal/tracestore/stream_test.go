@@ -249,9 +249,8 @@ func TestStreamEvictionKeepRule(t *testing.T) {
 }
 
 // TestStreamSegmentReuseResetsEpoch: shells recycled through the free list
-// come back with a strictly newer generation epoch and no stale data —
-// the bug class the mslint epochstamp check exists to catch. Epochs are
-// never shared between two distinct live shells.
+// come back with a strictly newer generation epoch and no stale data.
+// Epochs are never shared between two distinct live shells.
 func TestStreamSegmentReuseResetsEpoch(t *testing.T) {
 	s, err := NewStream(chainMetaTS(), StreamConfig{Window: segW, Overlap: segO})
 	if err != nil {

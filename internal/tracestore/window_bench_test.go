@@ -130,25 +130,31 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 // 2128 us, and 0.09, 0.98 and 3.8 MB allocated).
 func BenchmarkWindow(b *testing.B) {
 	// Windows per measurement: three spans of the widest window, so each
-	// averages over several compactions of every column. An op is three
-	// measurements and reports the quietest, so that -benchtime=1x on a
-	// shared host is still a measurement.
+	// averages over several compactions of every column. The spans are
+	// measured round-robin, three rounds, each keeping its quietest round:
+	// host drift then lands on every span alike instead of on whichever
+	// ran during it, and -benchtime=1x on a shared host is still a
+	// measurement.
 	const perOp, tries = 240, 3
 	spans := []float64{1.5, 20, 80}
-	cost := make([]windowCost, len(spans))
+	streams := make([]*slidingStream, len(spans))
 	for i, span := range spans {
-		b.Run(fmt.Sprintf("span=%gx", span), func(b *testing.B) {
-			d := newSlidingStream(b, span)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				c := d.measure(perOp)
-				for t := 1; t < tries; t++ {
-					again := d.measure(perOp)
-					c.ns, c.p50 = min(c.ns, again.ns), min(c.p50, again.p50)
-				}
-				cost[i] = c
+		streams[i] = newSlidingStream(b, span)
+	}
+	cost := make([]windowCost, len(spans))
+	runtime.GC() // the streams' construction garbage, as before any benchmark
+	for t := 0; t < tries; t++ {
+		for i, d := range streams {
+			c := d.measure(perOp)
+			if t > 0 {
+				c.ns, c.p50 = min(c.ns, cost[i].ns), min(c.p50, cost[i].p50)
 			}
-			c := cost[i]
+			cost[i] = c
+		}
+	}
+	for i, span := range spans {
+		c := cost[i]
+		b.Run(fmt.Sprintf("span=%gx", span), func(b *testing.B) {
 			b.ReportMetric(c.ns, "ns/window")
 			b.ReportMetric(c.p50, "p50-ns/window")
 			b.ReportMetric(c.bytes, "B/window")
@@ -160,9 +166,6 @@ func BenchmarkWindow(b *testing.B) {
 		lo, hi := of(cost[0]), of(cost[0])
 		for _, c := range cost {
 			lo, hi = min(lo, of(c)), max(hi, of(c))
-		}
-		if lo <= 0 {
-			return 1 // a sub-benchmark was filtered out
 		}
 		return hi / lo
 	}

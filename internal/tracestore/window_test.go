@@ -161,8 +161,8 @@ func runSchedule(t *testing.T, sc schedule, meta collector.Meta, base []collecto
 	if slide == 0 {
 		slide = winMs
 	}
-	cfg := pipeline.Config{Workers: workers, SkipPatterns: true,
-		Diagnosis: core.Config{MaxVictims: 60, QueueThreshold: sc.thr}}
+	cfg := pipeline.Config{SkipPatterns: true,
+		Diagnosis: core.Config{MaxVictims: 60, QueueThreshold: sc.thr, Workers: workers}}
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
@@ -324,7 +324,7 @@ func TestWindowContainment(t *testing.T) {
 // slide that triggered a growth).
 func TestWindowCapacityBounded(t *testing.T) {
 	meta, base := chainRecords(t, 13, 60*winMs)
-	ss, err := pipeline.NewStreamState(meta, winMs, 4*winMs, pipeline.Config{Workers: 1, SkipPatterns: true})
+	ss, err := pipeline.NewStreamState(meta, winMs, 4*winMs, pipeline.Config{Diagnosis: core.Config{Workers: 1}, SkipPatterns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
