@@ -3,60 +3,77 @@
 // victim's causal tree, and reconstructed queue-occupancy charts.
 //
 //	msreport -trace /tmp/trace -o report.html
+//
+// The engine flags are fields of a pipeline spec (the document msdiag
+// and msserve tenants are configured with), lowered by
+// PipelineSpec.PipelineConfig.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"microscope/internal/collector"
 	"microscope/internal/core"
 	"microscope/internal/htmlreport"
-	"microscope/internal/patterns"
+	"microscope/internal/pipeline"
+	"microscope/internal/spec"
 	"microscope/internal/tracestore"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("msreport: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run parses args, diagnoses the trace they name, writes the HTML page
+// and prints a one-line summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("msreport", flag.ContinueOnError)
 	var (
-		traceDir   = flag.String("trace", "trace", "trace directory")
-		out        = flag.String("o", "report.html", "output HTML file")
-		threshold  = flag.Float64("threshold", 0.01, "pattern aggregation threshold")
-		percentile = flag.Float64("percentile", 99, "victim latency percentile")
-		maxVictims = flag.Int("max-victims", 500, "cap on diagnosed victims")
-		title      = flag.String("title", "", "report title")
-		align      = flag.Bool("align", false, "correct per-component clock offsets first")
+		traceDir   = fs.String("trace", "trace", "trace directory")
+		out        = fs.String("o", "report.html", "output HTML file")
+		threshold  = fs.Float64("threshold", 0.01, "pattern aggregation threshold")
+		percentile = fs.Float64("percentile", 99, "victim latency percentile")
+		maxVictims = fs.Int("max-victims", 500, "cap on diagnosed victims")
+		title      = fs.String("title", "", "report title")
+		align      = fs.Bool("align", false, "correct per-component clock offsets first")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sp := &spec.PipelineSpec{Diagnosis: spec.DiagnosisSpec{
+		VictimPercentile: *percentile,
+		MaxVictims:       *maxVictims,
+		PatternThreshold: *threshold,
+	}}
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+	pcfg := sp.Resolved().PipelineConfig(nil)
 
 	tr, err := collector.ReadTrace(*traceDir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *align {
 		_, tr = tracestore.AlignClocks(tr)
 	}
 	st := tracestore.Build(tr)
 	st.Reconstruct()
-
-	eng := core.NewEngine(core.Config{
-		VictimPercentile: *percentile,
-		MaxVictims:       *maxVictims,
-	})
-	diags := eng.Diagnose(st)
-
-	pcfg := patterns.Config{Threshold: *threshold}
-	rels := patterns.RelationsFromDiagnoses(st, diags, pcfg)
-	pats := patterns.Aggregate(rels, pcfg)
+	res := pipeline.RunStore(st, pcfg)
+	diags := res.Diagnoses
 
 	in := htmlreport.Input{
 		Store:     st,
 		Diagnoses: diags,
-		Patterns:  pats,
+		Patterns:  res.Patterns,
 		Title:     *title,
 	}
 	// Explain the worst victim (largest queue delay).
@@ -67,13 +84,14 @@ func main() {
 		}
 	}
 	if worst >= 0 {
-		in.Explanation = eng.Explain(st, diags[worst].Victim)
+		in.Explanation = core.NewEngine(pcfg.Diagnosis).Explain(st, diags[worst].Victim)
 	}
 
 	page := htmlreport.Render(in)
 	if err := os.WriteFile(*out, []byte(page), 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("report: %d victims, %d patterns -> %s (%d bytes)\n",
-		len(diags), len(pats), *out, len(page))
+	fmt.Fprintf(stdout, "report: %d victims, %d patterns -> %s (%d bytes)\n",
+		len(diags), len(res.Patterns), *out, len(page))
+	return nil
 }

@@ -7,22 +7,16 @@ import (
 	"microscope/internal/simtime"
 )
 
+// ringBytes sizes the shared-memory staging ring. When the encoded
+// stream would overflow the ring, the dumper drains it synchronously —
+// mirroring the paper's standalone dumper keeping up with the collector.
+const ringBytes = 1 << 20
+
 // Config tunes the collector.
 type Config struct {
-	// RingBytes sizes the shared-memory staging ring (default 1 MiB).
-	// When the encoded stream would overflow the ring, the dumper
-	// drains it synchronously — mirroring the paper's standalone dumper
-	// keeping up with the collector.
-	RingBytes int
 	// Obs receives ingest volume counters (batches, packets, encoded
 	// bytes). nil falls back to the process default registry.
 	Obs *obs.Registry
-}
-
-func (c *Config) setDefaults() {
-	if c.RingBytes <= 0 {
-		c.RingBytes = 1 << 20
-	}
 }
 
 // Collector implements nfsim.Hooks, staging records through the encoding
@@ -33,7 +27,6 @@ func (c *Config) setDefaults() {
 // CostModel documents the equivalent per-packet cost applied to NFs when
 // measuring the §6.2 overhead.
 type Collector struct {
-	cfg  Config
 	ring *Ring
 
 	records []BatchRecord
@@ -66,11 +59,7 @@ func (s Stats) BytesPerPacket() float64 {
 
 // New creates a Collector.
 func New(cfg Config) *Collector {
-	cfg.setDefaults()
-	c := &Collector{
-		cfg:  cfg,
-		ring: NewRing(cfg.RingBytes),
-	}
+	c := &Collector{ring: NewRing(ringBytes)}
 	if reg := obs.Or(cfg.Obs); reg != nil {
 		c.obsBatches = reg.Counter("microscope_collector_batches_total")
 		c.obsPackets = reg.Counter("microscope_collector_packets_total")

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -182,64 +183,13 @@ func TestDecodeStreamTruncated(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyMST1: traces written by the old unframed encoder remain
-// readable.
-func TestDecodeLegacyMST1(t *testing.T) {
-	// Hand-assemble an MST1 stream: two read records for component "a".
-	b := []byte("MST1")
-	put := func(v uint64) {
-		var tmp [10]byte
-		n := 0
-		for {
-			c := byte(v & 0x7f)
-			v >>= 7
-			if v != 0 {
-				c |= 0x80
-			}
-			tmp[n] = c
-			n++
-			if v == 0 {
-				break
-			}
-		}
-		b = append(b, tmp[:n]...)
-	}
-	put(0) // comp ref: new entry 0
-	put(1) // len "a"
-	b = append(b, 'a')
-	b = append(b, byte(DirRead))
-	put(100) // deltaT
-	put(1)   // n
-	b = append(b, 7, 0)
-	put(0) // comp ref: existing
-	b = append(b, byte(DirRead))
-	put(50) // deltaT
-	put(1)
-	b = append(b, 8, 0)
-
-	got, st, err := DecodeStream(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || st.Skipped != 0 {
-		t.Fatalf("legacy decode: %d records, %+v", len(got), st)
-	}
-	if got[0].Comp != "a" || got[0].At != 100 || got[1].At != 150 {
-		t.Errorf("legacy records wrong: %+v", got)
-	}
-	// Legacy truncation: stop at the damage, keep the prefix.
-	got, st, err = DecodeStream(b[:len(b)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || st.Skipped != 1 {
-		t.Errorf("legacy truncated decode: %d records, %+v", len(got), st)
-	}
-}
-
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("nope")); err == nil {
-		t.Error("bad magic accepted")
+	// MST1, the unframed delta-timestamp layout before MST2, is no longer
+	// read: its header is a bad magic like any other.
+	for _, in := range []string{"nope", "MST1\x00\x01a\x00\x64\x01\x07\x00"} {
+		if _, _, err := DecodeStream([]byte(in)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("DecodeStream(%q) err = %v, want bad magic", in, err)
+		}
 	}
 	enc := NewEncoder()
 	enc.Append(&BatchRecord{Comp: "a", At: 1, Dir: DirRead, IPIDs: []uint16{1, 2}})

@@ -35,13 +35,9 @@ import (
 // Framing plus absolute timestamps are what make the stream corruption-
 // tolerant: a decoder that hits a bad frame skips to the next 0xA5 marker
 // that parses, losing only the damaged records, and record times never
-// depend on a neighbour that may have been lost. The legacy unframed,
-// delta-timestamped "MST1" layout remains decodable.
+// depend on a neighbour that may have been lost.
 
-var (
-	magic       = [4]byte{'M', 'S', 'T', '2'}
-	magicLegacy = [4]byte{'M', 'S', 'T', '1'}
-)
+var magic = [4]byte{'M', 'S', 'T', '2'}
 
 // frameMarker anchors every record frame; resynchronization scans for it.
 const frameMarker = 0xA5
@@ -255,17 +251,8 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 	if len(data) < 4 {
 		return nil, st, errors.New("collector: short stream")
 	}
-	var legacy bool
-	switch {
-	case data[0] == magic[0] && data[1] == magic[1] && data[2] == magic[2] && data[3] == magic[3]:
-	case data[0] == magicLegacy[0] && data[1] == magicLegacy[1] && data[2] == magicLegacy[2] && data[3] == magicLegacy[3]:
-		legacy = true
-	default:
+	if [4]byte(data[:4]) != magic {
 		return nil, st, errors.New("collector: bad magic")
-	}
-	if legacy {
-		recs := decodeLegacy(data[4:], &st)
-		return recs, st, nil
 	}
 
 	d := &frameDecoder{}
@@ -549,113 +536,6 @@ func resort(recs []BatchRecord) int {
 	if out > 0 {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
 	}
-	return out
-}
-
-// decodeLegacy parses the unframed MST1 layout (delta timestamps, unflagged
-// table refs). Without frame boundaries a parse error is unrecoverable, so
-// decoding stops at the first corruption and reports one skip.
-func decodeLegacy(data []byte, st *DecodeStats) []BatchRecord {
-	pos := 0
-	var comps, queues []string
-	var lastT simtime.Time
-	var out []BatchRecord
-
-	fail := func() []BatchRecord {
-		st.Skipped++
-		st.BytesSkipped += len(data) - pos
-		st.Records = len(out)
-		return out
-	}
-	getUvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	getRef := func(table *[]string) (string, bool) {
-		id, ok := getUvarint()
-		if !ok {
-			return "", false
-		}
-		if id < uint64(len(*table)) {
-			return (*table)[id], true
-		}
-		if id != uint64(len(*table)) {
-			return "", false
-		}
-		l, ok := getUvarint()
-		if !ok || l > uint64(len(data)) || pos+int(l) > len(data) {
-			return "", false
-		}
-		s := string(data[pos : pos+int(l)])
-		pos += int(l)
-		*table = append(*table, s)
-		return s, true
-	}
-
-	for pos < len(data) {
-		var r BatchRecord
-		var ok bool
-		if r.Comp, ok = getRef(&comps); !ok {
-			return fail()
-		}
-		if pos >= len(data) {
-			return fail()
-		}
-		r.Dir = Dir(data[pos])
-		pos++
-		if r.Dir > DirDeliver {
-			return fail()
-		}
-		switch r.Dir {
-		case DirWrite:
-			if r.Queue, ok = getRef(&queues); !ok {
-				return fail()
-			}
-		case DirRead:
-			r.Queue = r.Comp + ".in"
-		}
-		dt, ok := getUvarint()
-		if !ok {
-			return fail()
-		}
-		lastT = lastT.Add(simtime.Duration(dt))
-		r.At = lastT
-		n, ok := getUvarint()
-		if !ok {
-			return fail()
-		}
-		if n > uint64(len(data)) || pos+int(n)*2 > len(data) {
-			return fail()
-		}
-		r.IPIDs = make([]uint16, n)
-		for i := range r.IPIDs {
-			r.IPIDs[i] = uint16(data[pos]) | uint16(data[pos+1])<<8
-			pos += 2
-		}
-		if r.Dir == DirDeliver {
-			if pos+int(n)*13 > len(data) {
-				return fail()
-			}
-			r.Tuples = make([]packet.FiveTuple, n)
-			for i := range r.Tuples {
-				b := data[pos : pos+13]
-				r.Tuples[i] = packet.FiveTuple{
-					SrcIP:   uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24,
-					DstIP:   uint32(b[4]) | uint32(b[5])<<8 | uint32(b[6])<<16 | uint32(b[7])<<24,
-					SrcPort: uint16(b[8]) | uint16(b[9])<<8,
-					DstPort: uint16(b[10]) | uint16(b[11])<<8,
-					Proto:   b[12],
-				}
-				pos += 13
-			}
-		}
-		out = append(out, r)
-	}
-	st.Records = len(out)
 	return out
 }
 

@@ -256,7 +256,7 @@ func (d *diagnoser) findVictims() []Victim {
 					lastSeen = t
 				}
 			}
-			if traceEnd.Sub(lastSeen) < d.cfg.TraceEndSlack {
+			if traceEnd.Sub(lastSeen) < traceEndSlack {
 				continue
 			}
 			// A drop happens at the enqueue onto the NEXT queue:
@@ -320,7 +320,7 @@ func (d *diagnoser) victimHops(out []Victim, idx int, j *tracestore.Journey, kin
 			maxHop = hop
 		}
 		w := d.idx.DelayStatsID(hop.Comp)
-		if w != nil && w.Abnormal(float64(delay), d.cfg.AbnormalStdDevs, 32) {
+		if w != nil && w.Abnormal(float64(delay), abnormalStdDevs, 32) {
 			out = append(out, Victim{
 				Journey:    idx,
 				Comp:       d.st.CompName(hop.Comp),
@@ -498,7 +498,7 @@ func (d *diagnoser) diagnoseVictim(v Victim, a *workerArena) Diagnosis {
 	causes := make([]Cause, 0, len(sc.accs))
 	for i := range sc.accs {
 		acc := &sc.accs[i]
-		if acc.score < d.cfg.MinScore {
+		if acc.score < minScore {
 			continue
 		}
 		// The recursion collects journey references (stream-absolute); the

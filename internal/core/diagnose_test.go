@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"microscope/internal/collector"
@@ -421,5 +422,40 @@ func TestDegradedHealthSuppressesLossVictims(t *testing.T) {
 	forced := NewEngine(Config{LossVictimsWhenDegraded: true})
 	if countLoss(forced.FindVictims(dst)) == 0 {
 		t.Fatal("forcing LossVictimsWhenDegraded restored nothing")
+	}
+}
+
+// TestTopCauses: causes merge per <component, kind> with summed scores and
+// the earliest onset, rank by descending score, and tied scores keep the
+// order in which their culprit was first seen.
+func TestTopCauses(t *testing.T) {
+	diags := []Diagnosis{
+		{Causes: []Cause{
+			{Comp: "fw1", Kind: CulpritLocalProcessing, Score: 5, At: 30, CulpritJourneys: []int{1}},
+			{Comp: "nat1", Kind: CulpritLocalProcessing, Score: 4, At: 10},
+		}},
+		{Causes: []Cause{
+			{Comp: "source", Kind: CulpritSourceTraffic, Score: 9, At: 5},
+			{Comp: "fw1", Kind: CulpritLocalProcessing, Score: 4, At: 20},
+			{Comp: "fw1", Kind: CulpritSourceTraffic, Score: 9, At: 40},
+			{Comp: "vpn1", Kind: CulpritLocalProcessing, Score: 4, At: 50},
+		}},
+	}
+	got := TopCauses(diags, 0)
+	want := []Cause{
+		{Comp: "fw1", Kind: CulpritLocalProcessing, Score: 9, At: 20},
+		{Comp: "source", Kind: CulpritSourceTraffic, Score: 9, At: 5},
+		{Comp: "fw1", Kind: CulpritSourceTraffic, Score: 9, At: 40},
+		{Comp: "nat1", Kind: CulpritLocalProcessing, Score: 4, At: 10},
+		{Comp: "vpn1", Kind: CulpritLocalProcessing, Score: 4, At: 50},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopCauses = %+v\nwant %+v", got, want)
+	}
+	if got := TopCauses(diags, 2); !reflect.DeepEqual(got, want[:2]) {
+		t.Errorf("TopCauses(limit 2) = %+v", got)
+	}
+	if diags[0].Causes[0].CulpritJourneys == nil || diags[0].Causes[0].Score != 5 {
+		t.Error("TopCauses modified its input")
 	}
 }

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"microscope/internal/obs"
 	"microscope/internal/packet"
@@ -118,26 +119,72 @@ func (d *Diagnosis) RankOf(match func(Cause) bool) int {
 	return 0
 }
 
+// TopCauses merges every diagnosis's causes into one list of
+// <component, kind> culprits with summed scores and the earliest onset,
+// ranked by descending score (ties keep first-seen order), and cut to
+// limit entries when limit > 0: a deployment-wide "what is wrong right
+// now" view.
+func TopCauses(diags []Diagnosis, limit int) []Cause {
+	type key struct {
+		comp string
+		kind CulpritKind
+	}
+	at := make(map[key]int)
+	var out []Cause
+	for i := range diags {
+		for _, c := range diags[i].Causes {
+			k := key{c.Comp, c.Kind}
+			j, ok := at[k]
+			if !ok {
+				at[k] = len(out)
+				c.CulpritJourneys = nil
+				out = append(out, c)
+				continue
+			}
+			out[j].Score += c.Score
+			out[j].At = min(out[j].At, c.At)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+// Engine defaults for the Config knobs left zero.
+const (
+	// DefaultVictimPercentile selects latency victims above the 99th
+	// percentile of delivered latency.
+	DefaultVictimPercentile = 99
+	// DefaultMaxRecursionDepth is the paper's observed maximum recursion
+	// depth on the 16-NF topology.
+	DefaultMaxRecursionDepth = 5
+)
+
+// Fixed engine parameters.
+const (
+	// abnormalStdDevs is k in the §4.1 abnormality test.
+	abnormalStdDevs = 1
+	// minScore prunes causes below this many packets.
+	minScore = 1
+	// traceEndSlack: journeys truncated within this duration of the last
+	// record are treated as in-flight, not lost.
+	traceEndSlack = 2 * simtime.Millisecond
+)
+
 // Config tunes the diagnosis.
 type Config struct {
 	// VictimPercentile selects latency victims above this percentile of
 	// delivered latency (default 99).
 	VictimPercentile float64
-	// AbnormalStdDevs is k in the §4.1 abnormality test (default 1).
-	AbnormalStdDevs float64
 	// MaxRecursionDepth caps §4.3 recursion (default 5, the paper's
 	// observed maximum on the 16-NF topology).
 	MaxRecursionDepth int
-	// MinScore prunes causes below this many packets (default 1).
-	MinScore float64
 	// MaxVictims caps how many victims are diagnosed, 0 = no cap.
 	MaxVictims int
-	// LossVictims enables diagnosis of lost packets (default true via
-	// setDefaults; set SkipLossVictims to disable).
+	// SkipLossVictims disables diagnosis of lost packets.
 	SkipLossVictims bool
-	// TraceEndSlack: journeys truncated within this duration of the last
-	// record are treated as in-flight, not lost (default 2ms).
-	TraceEndSlack simtime.Duration
 	// LossVictimsWhenDegraded keeps loss-victim classification active
 	// even when the store's health is degraded. By default a
 	// known-damaged trace suppresses loss victims: a journey whose
@@ -177,18 +224,9 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	if c.VictimPercentile == 0 {
-		c.VictimPercentile = 99
-	}
-	if c.AbnormalStdDevs == 0 {
-		c.AbnormalStdDevs = 1
+		c.VictimPercentile = DefaultVictimPercentile
 	}
 	if c.MaxRecursionDepth == 0 {
-		c.MaxRecursionDepth = 5
-	}
-	if c.MinScore == 0 {
-		c.MinScore = 1
-	}
-	if c.TraceEndSlack == 0 {
-		c.TraceEndSlack = 2 * simtime.Millisecond
+		c.MaxRecursionDepth = DefaultMaxRecursionDepth
 	}
 }

@@ -27,22 +27,19 @@ type Input struct {
 	Explanation *core.Explanation
 	// Title heads the page.
 	Title string
-	// QueueChartStep samples reconstructed queue lengths at this
-	// interval for the per-NF charts (default 100 µs).
-	QueueChartStep simtime.Duration
-	// MaxPatterns caps the pattern listing (default 20).
-	MaxPatterns int
 }
+
+const (
+	// queueChartStep samples reconstructed queue lengths at this interval
+	// for the per-NF charts.
+	queueChartStep = 100 * simtime.Microsecond
+	// maxPatterns caps the pattern listing.
+	maxPatterns = 20
+)
 
 func (in *Input) setDefaults() {
 	if in.Title == "" {
 		in.Title = "Microscope diagnosis report"
-	}
-	if in.QueueChartStep == 0 {
-		in.QueueChartStep = 100 * simtime.Microsecond
-	}
-	if in.MaxPatterns == 0 {
-		in.MaxPatterns = 20
 	}
 }
 
@@ -78,7 +75,7 @@ h2 { border-bottom: 1px solid #ddd; padding-bottom: 4px; }
 
 	// Top culprits.
 	b.WriteString("<h2>Top culprits</h2>\n<table><tr><th>component</th><th>kind</th><th>score</th><th>onset</th></tr>\n")
-	for _, c := range topCauses(in.Diagnoses, 10) {
+	for _, c := range core.TopCauses(in.Diagnoses, 10) {
 		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%.1f</td><td>%v</td></tr>\n",
 			html.EscapeString(c.Comp), c.Kind, c.Score, c.At)
 	}
@@ -110,8 +107,8 @@ h2 { border-bottom: 1px solid #ddd; padding-bottom: 4px; }
 	if len(in.Patterns) > 0 {
 		b.WriteString("<h2>Causal patterns (culprit &rarr; victim)</h2>\n<table><tr><th>culprit flows</th><th>culprit NF</th><th>victim flows</th><th>victim NF</th><th>score</th></tr>\n")
 		limit := len(in.Patterns)
-		if limit > in.MaxPatterns {
-			limit = in.MaxPatterns
+		if limit > maxPatterns {
+			limit = maxPatterns
 		}
 		for _, p := range in.Patterns[:limit] {
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%.1f</td></tr>\n",
@@ -131,7 +128,7 @@ h2 { border-bottom: 1px solid #ddd; padding-bottom: 4px; }
 	// Per-NF queue charts from the reconstructed trace.
 	b.WriteString("<h2>Reconstructed queue occupancy</h2>\n<div class=\"charts\">\n")
 	for _, comp := range chartComponents(in.Store) {
-		s := queueSeries(in.Store, comp, in.QueueChartStep)
+		s := queueSeries(in.Store, comp, queueChartStep)
 		if s.Len() == 0 {
 			continue
 		}
@@ -167,41 +164,4 @@ func queueSeries(st *tracestore.Store, comp string, step simtime.Duration) *repo
 		s.Add(t.Millis(), float64(st.QueueLenAt(comp, t)))
 	}
 	return s
-}
-
-// topCauses merges causes across diagnoses (same logic as the public
-// Report.TopCauses, duplicated to keep this package internal-only).
-func topCauses(diags []core.Diagnosis, limit int) []core.Cause {
-	type key struct {
-		comp string
-		kind core.CulpritKind
-	}
-	acc := make(map[key]*core.Cause)
-	var order []key
-	for i := range diags {
-		for _, c := range diags[i].Causes {
-			k := key{c.Comp, c.Kind}
-			e := acc[k]
-			if e == nil {
-				cc := c
-				cc.CulpritJourneys = nil
-				acc[k] = &cc
-				order = append(order, k)
-				continue
-			}
-			e.Score += c.Score
-			if c.At < e.At {
-				e.At = c.At
-			}
-		}
-	}
-	out := make([]core.Cause, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

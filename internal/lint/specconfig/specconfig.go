@@ -1,6 +1,6 @@
 // Package specconfig enforces the configuration-boundary contract that
 // the declarative pipeline spec introduced: library packages are
-// configured by data (spec documents, Options, Config structs), never by
+// configured by data (spec documents and Config structs), never by
 // ambient process state. Only binaries under cmd/ parse the command line
 // and the environment; an internal package that reaches for flag.* or
 // os.Getenv acquires configuration the serving tier cannot express in a
@@ -26,7 +26,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "specconfig",
 	Doc: "flags flag.* and os.Getenv use outside cmd/ binaries; library " +
-		"packages are configured through specs/Options, not ambient process state",
+		"packages are configured through specs and Config structs, not ambient process state",
 	Run: run,
 }
 

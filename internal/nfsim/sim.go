@@ -112,13 +112,6 @@ func (s *Sim) AddNF(cfg NFConfig) *NF {
 // NF returns the named instance, or nil.
 func (s *Sim) NF(name string) *NF { return s.nfs[name] }
 
-// NFNames returns instance names in registration order.
-func (s *Sim) NFNames() []string {
-	out := make([]string, len(s.nfOrder))
-	copy(out, s.nfOrder)
-	return out
-}
-
 // Connect wires an NF's outputs: route selects among the input queues of
 // the named downstream NFs (or returns Egress).
 func (s *Sim) Connect(name string, route RouteFunc, downstream ...string) {
@@ -331,20 +324,4 @@ func FlowHashRoute(n int) RouteFunc {
 	}
 	un := uint64(n)
 	return func(p *packet.Packet) int { return int(p.Flow.Hash() % un) }
-}
-
-// WebElseRoute returns the Firewall routing of Figure 10: flows whose
-// destination port matches the rule set go to output 0 (the Monitor side),
-// everything else to output 1 (the VPN side).
-func WebElseRoute(rulePorts ...uint16) RouteFunc {
-	set := make(map[uint16]bool, len(rulePorts))
-	for _, p := range rulePorts {
-		set[p] = true
-	}
-	return func(p *packet.Packet) int {
-		if set[p.Flow.DstPort] {
-			return 0
-		}
-		return 1
-	}
 }

@@ -286,19 +286,6 @@ func TestFlowHashRouteSplitsTraffic(t *testing.T) {
 	}
 }
 
-func TestWebElseRoute(t *testing.T) {
-	route := WebElseRoute(80, 443)
-	web := &packet.Packet{Flow: packet.FiveTuple{DstPort: 80}}
-	tls := &packet.Packet{Flow: packet.FiveTuple{DstPort: 443}}
-	other := &packet.Packet{Flow: packet.FiveTuple{DstPort: 9999}}
-	if route(web) != 0 || route(tls) != 0 {
-		t.Error("web ports should route to 0")
-	}
-	if route(other) != 1 {
-		t.Error("other ports should route to 1")
-	}
-}
-
 func TestEvalTopologyEndToEnd(t *testing.T) {
 	hooks := &recordingHooks{}
 	topo := BuildEvalTopology(hooks, EvalTopologyConfig{Seed: 42})

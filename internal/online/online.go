@@ -57,10 +57,10 @@ type Config struct {
 	// MinScore is the alert threshold on a window's merged culprit
 	// score, in packets (default 100).
 	MinScore float64
-	// MaxVictims caps diagnosis work per window (default 200).
-	MaxVictims int
 	// Diagnosis passes through engine knobs (victim percentile, the
-	// per-victim fan-out's Workers, etc.).
+	// per-victim fan-out's Workers, etc.). Its MaxVictims caps diagnosis
+	// work per window (default 200). Its ContainPanics and ChaosHook are
+	// ignored: Resilience.ContainPanics and ChaosHook below set them.
 	Diagnosis core.Config
 	// HoldOff suppresses repeated alerts for the same <comp, kind> with
 	// onsets within this duration of an already-alerted onset
@@ -93,24 +93,38 @@ type Config struct {
 	ChaosHook func(scope string)
 }
 
+// Monitor defaults for the Config knobs left zero.
+const (
+	// DefaultWindow is the flush cadence.
+	DefaultWindow = 100 * simtime.Millisecond
+	// DefaultOverlap is the tail carried into the next window.
+	DefaultOverlap = 20 * simtime.Millisecond
+	// DefaultLookaheadWindows is MaxLookahead's default, in windows.
+	DefaultLookaheadWindows = 4096
+	// DefaultResyncAfter is the watermark-jump recovery run length.
+	DefaultResyncAfter = 8
+	// DefaultMinScore is the alert threshold, in packets.
+	DefaultMinScore = 100
+)
+
 func (c *Config) setDefaults() {
 	if c.Window == 0 {
-		c.Window = 100 * simtime.Millisecond
+		c.Window = DefaultWindow
 	}
 	if c.Overlap == 0 {
-		c.Overlap = 20 * simtime.Millisecond
+		c.Overlap = DefaultOverlap
 	}
 	if c.MaxLookahead == 0 {
-		c.MaxLookahead = 4096 * c.Window
+		c.MaxLookahead = DefaultLookaheadWindows * c.Window
 	}
 	if c.ResyncAfter == 0 {
-		c.ResyncAfter = 8
+		c.ResyncAfter = DefaultResyncAfter
 	}
 	if c.MinScore == 0 {
-		c.MinScore = 100
+		c.MinScore = DefaultMinScore
 	}
-	if c.MaxVictims == 0 {
-		c.MaxVictims = 200
+	if c.Diagnosis.MaxVictims == 0 {
+		c.Diagnosis.MaxVictims = 200
 	}
 	if c.HoldOff == 0 {
 		c.HoldOff = c.Window
@@ -256,16 +270,16 @@ func New(meta collector.Meta, cfg Config) *Monitor {
 		panic(fmt.Sprintf("online: Config.Overlap must be >= 0, got %v", cfg.Overlap))
 	}
 	cfg.setDefaults()
-	dcfg := cfg.Diagnosis
-	dcfg.MaxVictims = cfg.MaxVictims
+	// The per-window pipeline reads containment and the chaos hook from
+	// its diagnosis config; the monitor's own switches set them.
+	cfg.Diagnosis.ContainPanics = cfg.Resilience.ContainPanics
+	cfg.Diagnosis.ChaosHook = cfg.ChaosHook
 	// Each window runs the shared staged pipeline with patterns skipped:
 	// the monitor merges raw causes itself.
 	ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, pipeline.Config{
-		Diagnosis:     dcfg,
-		SkipPatterns:  true,
-		Obs:           cfg.Obs,
-		ContainPanics: cfg.Resilience.ContainPanics,
-		ChaosHook:     cfg.ChaosHook,
+		Diagnosis:    cfg.Diagnosis,
+		SkipPatterns: true,
+		Obs:          cfg.Obs,
 	})
 	if err != nil {
 		panic("online: " + err.Error())

@@ -437,10 +437,8 @@ func watchRebuild(t *testing.T, meta collector.Meta, cfg Config, tally bool) *re
 	wt := &rebuildWatch{tally: tally}
 	cfg.OnWindow = func(end simtime.Time, res *pipeline.Result) {
 		m := wt.m
-		dcfg := m.cfg.Diagnosis
-		dcfg.MaxVictims = m.cfg.MaxVictims
 		ref, err := pipeline.RunStoreContext(context.Background(), m.stream.Stream().RebuildWindow(),
-			pipeline.Config{Diagnosis: dcfg, SkipPatterns: true, Degrade: res.Degradation})
+			pipeline.Config{Diagnosis: m.cfg.Diagnosis, SkipPatterns: true, Degrade: res.Degradation})
 		if err != nil {
 			t.Fatalf("window ending %v: rebuild: %v", end, err)
 		}

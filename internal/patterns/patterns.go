@@ -71,11 +71,6 @@ type Config struct {
 	// paper's evaluation setting). Higher values yield fewer, coarser
 	// patterns.
 	Threshold float64
-	// Phase1Threshold is the per-culprit-group victim aggregation
-	// threshold (default 0.05).
-	Phase1Threshold float64
-	// MaxPatterns caps the final report (0 = unlimited).
-	MaxPatterns int
 	// MaxCulpritsPerCause bounds how many culprit packets one cause
 	// contributes relation shares to (default 256), keeping the input
 	// size linear in diagnoses.
@@ -89,12 +84,16 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// DefaultThreshold is the significance fraction th used when
+// Config.Threshold is zero: the paper's evaluation setting.
+const DefaultThreshold = 0.01
+
+// phase1Threshold is the per-culprit-group victim aggregation threshold.
+const phase1Threshold = 0.05
+
 func (c *Config) setDefaults() {
 	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Phase1Threshold == 0 {
-		c.Phase1Threshold = 0.05
+		c.Threshold = DefaultThreshold
 	}
 	if c.MaxCulpritsPerCause == 0 {
 		c.MaxCulpritsPerCause = 256
@@ -251,7 +250,7 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 		return pats
 	}
 	err := par.DoCtx(ctx, len(order), cfg.Workers, func(gi int) {
-		phase1[gi] = focus(groups[order[gi]].items, cfg.Phase1Threshold)
+		phase1[gi] = focus(groups[order[gi]].items, phase1Threshold)
 	})
 	if err != nil {
 		return nil, err
@@ -336,9 +335,6 @@ func AggregateContext(ctx context.Context, rels []Relation, cfg Config) ([]Patte
 		}
 		return text(out[i]) < text(out[j])
 	})
-	if cfg.MaxPatterns > 0 && len(out) > cfg.MaxPatterns {
-		out = out[:cfg.MaxPatterns]
-	}
 	if reg != nil {
 		reg.Counter("microscope_patterns_groups_total{phase=\"culprits\"}").Add(int64(len(vaOrder)))
 		reg.Counter("microscope_patterns_emitted_total").Add(int64(len(out)))

@@ -87,17 +87,14 @@ func TestPipelineDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			tr := buildTrace(seed, dur)
 
-			cfg := microscope.Options{MaxVictims: 300}
-			cfg.Workers = 1
-			seq := microscope.Diagnose(tr, cfg)
+			seq := microscope.Diagnose(tr, microscope.WithMaxVictims(300), microscope.WithWorkers(1))
 			if len(seq.Diagnoses) == 0 {
 				t.Fatalf("workload produced no victims; the determinism check is vacuous")
 			}
 			fseq := fingerprint(seq)
 			// Workers=0 resolves to GOMAXPROCS, whatever this host has.
 			for _, w := range []int{2, 8, 0} {
-				cfg.Workers = w
-				if fpar := fingerprint(microscope.Diagnose(tr, cfg)); fpar != fseq {
+				if fpar := fingerprint(microscope.Diagnose(tr, microscope.WithMaxVictims(300), microscope.WithWorkers(w))); fpar != fseq {
 					t.Fatalf("Workers=1 and Workers=%d reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s", w, fseq, fpar)
 				}
 			}
@@ -176,13 +173,11 @@ func TestPipelineDeterminismDegraded(t *testing.T) {
 		}
 		run := func(workers int) *pipeline.Result {
 			res, err := pipeline.RunContext(context.Background(), tr, pipeline.Config{
-				Diagnosis: core.Config{MaxVictims: 300, Workers: workers},
+				Diagnosis: core.Config{MaxVictims: 300, Workers: workers, ContainPanics: true, ChaosHook: hook},
 				// Patterns dominate the wall clock and play no part in
 				// victim-level containment; the rung subtests above cover
 				// pattern-stage determinism.
-				SkipPatterns:  true,
-				ContainPanics: true,
-				ChaosHook:     hook,
+				SkipPatterns: true,
 			})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)

@@ -45,7 +45,11 @@ import (
 type Config struct {
 	// Diagnosis passes through the engine knobs (victim percentile,
 	// recursion depth, queue threshold, the diagnose fan-out's Workers,
-	// ...).
+	// ...). Its ContainPanics and ChaosHook also govern the stages:
+	// with ContainPanics a panic inside a stage surfaces as a
+	// *resilience.PanicError from RunContext, with the partial Result,
+	// instead of killing the process; ChaosHook also fires at the start
+	// of each stage with scope "stage:<name>".
 	Diagnosis core.Config
 	// Patterns tunes the §4.4 aggregation.
 	Patterns patterns.Config
@@ -60,18 +64,6 @@ type Config struct {
 	// deterministic: the same level over the same input yields
 	// byte-identical output for every Workers value.
 	Degrade resilience.Level
-	// ContainPanics arms the crash-containment boundaries: a panic inside
-	// one victim's diagnosis quarantines that victim, and a panic inside a
-	// stage surfaces as a *resilience.PanicError from RunContext instead of
-	// killing the process. The partial Result holds everything completed
-	// before the crash. Off by default — the offline tools prefer a loud
-	// crash with a full stack.
-	ContainPanics bool
-	// ChaosHook, when non-nil, fires at the start of each stage with scope
-	// "stage:<name>" and is forwarded to the diagnosis engine (scope
-	// "victim:<i>"). The chaos harness injects deterministic faults through
-	// it. Never set in production.
-	ChaosHook func(scope string)
 	// Obs receives pipeline metrics: per-stage latency histograms, run
 	// counts, and the store/diagnosis/pattern instruments of the stages it
 	// is propagated into. nil falls back to the process-wide obs.Default()
@@ -180,17 +172,11 @@ type run struct {
 	began time.Time
 }
 
-// resolveConfig normalizes a pipeline config — containment/chaos fan-out
-// into the stage configs, registry resolution and push-down — without
-// side effects, so holders of long-lived state (the incremental stream)
-// can resolve once without counting a run.
+// resolveConfig normalizes a pipeline config — registry resolution and
+// push-down into the stage configs — without side effects, so holders of
+// long-lived state (the incremental stream) can resolve once without
+// counting a run.
 func resolveConfig(cfg Config) (Config, *obs.Registry) {
-	if cfg.ContainPanics {
-		cfg.Diagnosis.ContainPanics = true
-	}
-	if cfg.ChaosHook != nil {
-		cfg.Diagnosis.ChaosHook = cfg.ChaosHook
-	}
 	reg := obs.Or(cfg.Obs)
 	if reg != nil {
 		// Push the pipeline's registry into the stages so their internal
@@ -225,17 +211,17 @@ func (r *run) stage(ctx context.Context, name string, fn func()) error {
 		return fmt.Errorf("pipeline canceled during %s stage: %w", name, err)
 	}
 	body := fn
-	if r.cfg.ChaosHook != nil {
+	if hook := r.cfg.Diagnosis.ChaosHook; hook != nil {
 		// The hook fires inside the containment boundary so injected
 		// stage panics exercise the same recovery path as real ones.
 		body = func() {
-			r.cfg.ChaosHook("stage:" + name)
+			hook("stage:" + name)
 			fn()
 		}
 	}
 	t := time.Now() //mslint:allow nondet stage timing is observability metadata, not diagnosis output
 	var crashed error
-	if r.cfg.ContainPanics {
+	if r.cfg.Diagnosis.ContainPanics {
 		crashed = resilience.Contain("stage:"+name, body)
 	} else {
 		body()

@@ -97,22 +97,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// MinDur returns the smaller of a and b.
-func MinDur(a, b Duration) Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDur returns the larger of a and b.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Rate describes a packet rate and converts between packets/second and the
 // per-packet service interval used by the event engine.
 type Rate float64

@@ -73,9 +73,6 @@ func TestMinMax(t *testing.T) {
 	if Max(3, 5) != 5 || Max(5, 3) != 5 {
 		t.Error("Max wrong")
 	}
-	if MinDur(3, 5) != 3 || MaxDur(3, 5) != 5 {
-		t.Error("MinDur/MaxDur wrong")
-	}
 }
 
 func TestStrings(t *testing.T) {

@@ -33,6 +33,7 @@ func (s *PipelineSpec) CoreConfig(reg *obs.Registry) core.Config {
 		LossVictimsWhenDegraded: d.LossVictimsWhenDegraded,
 		QueueThreshold:          d.QueueThreshold,
 		Workers:                 d.Workers,
+		ContainPanics:           s.Stages.ContainPanics,
 		Obs:                     reg,
 	}
 }
@@ -40,12 +41,10 @@ func (s *PipelineSpec) CoreConfig(reg *obs.Registry) core.Config {
 // PipelineConfig converts the spec to the staged-pipeline config.
 func (s *PipelineSpec) PipelineConfig(reg *obs.Registry) pipeline.Config {
 	return pipeline.Config{
-		Diagnosis:     s.CoreConfig(reg),
-		Patterns:      patterns.Config{Threshold: s.Diagnosis.PatternThreshold, Workers: s.Diagnosis.Workers, Obs: reg},
-		SkipPatterns:  s.Stages.SkipPatterns,
-		Degrade:       s.Rung(),
-		ContainPanics: s.Stages.ContainPanics,
-		Obs:           reg,
+		Diagnosis: s.CoreConfig(reg),
+		Patterns:  patterns.Config{Threshold: s.Diagnosis.PatternThreshold, Workers: s.Diagnosis.Workers, Obs: reg},
+		Degrade:   s.Rung(),
+		Obs:       reg,
 	}
 }
 
@@ -105,7 +104,6 @@ func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 		MaxLookahead: st.MaxLookahead.Sim(),
 		ResyncAfter:  st.ResyncAfter,
 		MinScore:     st.MinScore,
-		MaxVictims:   s.Diagnosis.MaxVictims,
 		Diagnosis:    s.CoreConfig(reg),
 		HoldOff:      st.HoldOff.Sim(),
 		Obs:          reg,

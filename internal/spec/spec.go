@@ -4,13 +4,11 @@
 // overload resilience, deployment topology, and remediation hooks — as
 // data rather than flags or code.
 //
-// The spec is the canonical config form going forward. Every flag
+// The spec is the library's one configuration form. Every flag
 // combination of the CLIs is expressible (and reproducible) as a spec
 // (`msdiag -dump-spec`), the serving tier (msserve) accepts nothing else,
-// and the facade's functional-options API joins it via WithSpec. The
-// contract with microscope.Options is a lossless round-trip: converting a
-// resolved spec to Options and merging it back reproduces the spec byte
-// for byte, and Options→spec→Options is the identity.
+// and the facade's functional options edit a spec that its entry points
+// lower through the same converters (convert.go) every other caller uses.
 //
 // Parsing is strict: unknown fields, malformed durations, out-of-range
 // knobs, and inconsistent window geometry are rejected with field-path
@@ -32,6 +30,9 @@ import (
 	"strings"
 	"time"
 
+	"microscope/internal/core"
+	"microscope/internal/online"
+	"microscope/internal/patterns"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
 )
@@ -118,10 +119,6 @@ type StagesSpec struct {
 	// "victims-only", or "skipped" (default "full"). Overload may degrade
 	// a window further at runtime; Run is the ceiling.
 	Run string `json:"run,omitempty"`
-	// SkipPatterns stops after per-victim diagnosis (equivalent to
-	// Run="no-patterns" for the batch path, kept distinct because the
-	// facade exposes both knobs).
-	SkipPatterns bool `json:"skip_patterns,omitempty"`
 	// ContainPanics quarantines panicking victims/stages instead of
 	// crashing; the serving tier forces it on.
 	ContainPanics bool `json:"contain_panics,omitempty"`
@@ -624,29 +621,17 @@ func (s *PipelineSpec) Validate() error {
 	return fmt.Errorf("spec: %w", errors.Join(v...))
 }
 
-// Default spec knob values, shared with the engine and monitor defaults
-// they mirror.
+// Default hook delivery knobs, read by the serving tier's hook runner.
 const (
-	DefaultVictimPercentile  = 99
-	DefaultMaxRecursionDepth = 5
-	DefaultPatternThreshold  = 0.01
-	DefaultMinScore          = 100
-	DefaultHookTimeout       = 5 * time.Second
-	DefaultHookMaxFailures   = 5
-	DefaultHookCooldown      = 30 * time.Second
-)
-
-// Default streaming geometry (mirrors online.Config's defaults: a 100ms
-// flush cadence carrying a 20ms tail).
-const (
-	DefaultSlide   = Duration(100 * time.Millisecond)
-	DefaultOverlap = Duration(20 * time.Millisecond)
+	DefaultHookTimeout     = 5 * time.Second
+	DefaultHookMaxFailures = 5
+	DefaultHookCooldown    = 30 * time.Second
 )
 
 // Resolved returns a copy with every default made explicit, so the spec
-// document states the exact configuration a run uses. Resolved is
-// idempotent, and resolved specs are the domain of the Options round-trip
-// identity.
+// document states the exact configuration a run uses. The defaults are
+// the ones the consuming packages (core, patterns, online) apply to a
+// zero knob. Resolved is idempotent.
 func (s *PipelineSpec) Resolved() *PipelineSpec {
 	r := s.Clone()
 	if r.Version == 0 {
@@ -660,18 +645,19 @@ func (s *PipelineSpec) Resolved() *PipelineSpec {
 
 	d := &r.Diagnosis
 	if d.VictimPercentile == 0 {
-		d.VictimPercentile = DefaultVictimPercentile
+		d.VictimPercentile = core.DefaultVictimPercentile
 	}
 	if d.MaxRecursionDepth == 0 {
-		d.MaxRecursionDepth = DefaultMaxRecursionDepth
+		d.MaxRecursionDepth = core.DefaultMaxRecursionDepth
 	}
 	if d.PatternThreshold == 0 {
-		d.PatternThreshold = DefaultPatternThreshold
+		d.PatternThreshold = patterns.DefaultThreshold
 	}
 
 	st := &r.Stream
 	// Any two of window/slide/overlap determine the third; absent all
 	// three, the monitor defaults apply.
+	slide, overlap := Duration(online.DefaultWindow), Duration(online.DefaultOverlap)
 	switch {
 	case st.Slide > 0 && st.Overlap > 0:
 		// window derived (or validated consistent already).
@@ -680,32 +666,32 @@ func (s *PipelineSpec) Resolved() *PipelineSpec {
 	case st.Window > 0 && st.Overlap > 0:
 		st.Slide = st.Window - st.Overlap
 	case st.Slide > 0:
-		st.Overlap = DefaultOverlap
+		st.Overlap = overlap
 	case st.Overlap > 0:
-		st.Slide = DefaultSlide
+		st.Slide = slide
 	case st.Window > 0:
 		// Window alone: keep the default overlap fraction.
-		st.Overlap = DefaultOverlap
+		st.Overlap = overlap
 		if st.Overlap >= st.Window {
 			st.Overlap = st.Window / 5
 		}
 		st.Slide = st.Window - st.Overlap
 	default:
-		st.Slide = DefaultSlide
-		st.Overlap = DefaultOverlap
+		st.Slide = slide
+		st.Overlap = overlap
 	}
 	st.Window = st.Slide + st.Overlap
 	if st.MinScore == 0 {
-		st.MinScore = DefaultMinScore
+		st.MinScore = online.DefaultMinScore
 	}
 	if st.HoldOff == 0 {
 		st.HoldOff = st.Slide
 	}
 	if st.MaxLookahead == 0 {
-		st.MaxLookahead = 4096 * st.Slide
+		st.MaxLookahead = online.DefaultLookaheadWindows * st.Slide
 	}
 	if st.ResyncAfter == 0 {
-		st.ResyncAfter = 8
+		st.ResyncAfter = online.DefaultResyncAfter
 	}
 
 	re := &r.Resilience

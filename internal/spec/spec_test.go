@@ -2,10 +2,16 @@ package spec
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"microscope/internal/core"
+	"microscope/internal/online"
+	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
 )
@@ -148,7 +154,7 @@ func TestResolvedIdempotent(t *testing.T) {
 		t.Fatalf("encode/parse round-trip drifted:\n%s\nvs\n%s", b1, b3)
 	}
 	// Defaults landed.
-	if r1.Stream.Slide != DefaultSlide || r1.Resilience.SoftMemBytes != 1<<19 {
+	if r1.Stream.Slide != Duration(online.DefaultWindow) || r1.Resilience.SoftMemBytes != 1<<19 {
 		t.Errorf("defaults not applied: slide=%v soft=%d", r1.Stream.Slide, r1.Resilience.SoftMemBytes)
 	}
 	if r1.Resilience.Ladder == nil || r1.Resilience.Ladder.SoftRecords != 4096/8 {
@@ -189,7 +195,7 @@ func TestMonitorConfigConversion(t *testing.T) {
 	if cfg.Window != 50*simtime.Millisecond || cfg.Overlap != 10*simtime.Millisecond {
 		t.Errorf("geometry: window=%v overlap=%v", cfg.Window, cfg.Overlap)
 	}
-	if cfg.MinScore != 7 || cfg.Diagnosis.Workers != 4 || cfg.MaxVictims != 10 {
+	if cfg.MinScore != 7 || cfg.Diagnosis.Workers != 4 || cfg.Diagnosis.MaxVictims != 10 {
 		t.Errorf("knobs: %+v", cfg)
 	}
 	if cfg.Diagnosis.VictimPercentile != 95 {
@@ -207,7 +213,7 @@ func TestMonitorConfigConversion(t *testing.T) {
 		t.Errorf("rung = %v", s.Rung())
 	}
 	pc := s.PipelineConfig(nil)
-	if pc.Degrade != resilience.NoPatterns || !pc.ContainPanics {
+	if pc.Degrade != resilience.NoPatterns || !pc.Diagnosis.ContainPanics {
 		t.Errorf("pipeline config: %+v", pc)
 	}
 }
@@ -268,4 +274,244 @@ func mustParse(t *testing.T, in string) *PipelineSpec {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// randSpec draws a random valid spec exercising every section.
+func randSpec(rng *rand.Rand) *PipelineSpec {
+	s := &PipelineSpec{
+		Version: Version,
+		Tenant:  []string{"", "acme", "beta"}[rng.Intn(3)],
+		Stages: StagesSpec{
+			Run:           RungString(resilience.Level(rng.Intn(4))),
+			ContainPanics: rng.Intn(2) == 0,
+		},
+		Diagnosis: DiagnosisSpec{
+			VictimPercentile:        float64(rng.Intn(1000)) / 10, // [0,100)
+			MaxRecursionDepth:       rng.Intn(10),
+			MaxVictims:              rng.Intn(1000),
+			PatternThreshold:        float64(rng.Intn(101)) / 100, // [0,1]
+			QueueThreshold:          rng.Intn(8),
+			SkipLossVictims:         rng.Intn(2) == 0,
+			LossVictimsWhenDegraded: rng.Intn(2) == 0,
+			Workers:                 rng.Intn(16),
+		},
+	}
+	slide := Duration((rng.Intn(20) + 1) * 10_000_000) // 10–200ms
+	s.Stream = StreamSpec{
+		Slide:    slide,
+		Overlap:  slide / Duration(rng.Intn(4)+2),
+		MinScore: float64(rng.Intn(500)),
+	}
+	s.Resilience = ResilienceSpec{
+		RingCapacity: rng.Intn(3) * 4096,
+		ShedPolicy:   []string{"", "drop-oldest", "reject-new"}[rng.Intn(3)],
+		MaxMemBytes:  int64(rng.Intn(2)) << 20,
+	}
+	if rng.Intn(3) == 0 {
+		s.Resilience.Retry = &RetrySpec{MaxAttempts: rng.Intn(5), Seed: rng.Int63n(100)}
+	}
+	if rng.Intn(2) == 0 {
+		s.Topology = &TopologySpec{
+			Components: []ComponentSpec{
+				{Name: "src", Kind: "source"},
+				{Name: "fw", Kind: "fw", PeakRate: float64(rng.Intn(5)+1) * 1e5, Egress: true},
+			},
+			Edges: []EdgeSpec{{From: "src", To: "fw"}},
+		}
+	}
+	if rng.Intn(2) == 0 {
+		s.Hooks = []HookSpec{{
+			Name: "h1", Type: "exec", Command: []string{"true"},
+			MinScore: float64(rng.Intn(100)),
+		}}
+	}
+	return s
+}
+
+// TestSpecRoundTripProperty: over random valid specs, a resolved spec
+// survives encode → parse → resolve byte for byte.
+func TestSpecRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 500; i++ {
+		s := randSpec(rng)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("iteration %d: generator produced an invalid spec: %v", i, err)
+		}
+		rb, err := s.Resolved().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Parse(rb)
+		if err != nil {
+			t.Fatalf("iteration %d: resolved spec failed to parse: %v\n%s", i, err, rb)
+		}
+		pb, err := p.Resolved().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rb, pb) {
+			t.Fatalf("iteration %d: resolved spec drifted through encode/parse:\n--- resolved ---\n%s\n--- reparsed ---\n%s", i, rb, pb)
+		}
+	}
+}
+
+// lowered is a spec lowered through every converter.
+type lowered struct {
+	CoreConfig       core.Config
+	PipelineConfig   pipeline.Config
+	MonitorConfig    online.Config
+	ResilienceConfig resilience.Config
+	RetryPolicy      resilience.RetryPolicy
+}
+
+func lower(s *PipelineSpec) lowered {
+	r := s.Resolved()
+	return lowered{r.CoreConfig(nil), r.PipelineConfig(nil), r.MonitorConfig(nil), r.ResilienceConfig(), r.RetryPolicy()}
+}
+
+// specLeaves lists the JSON paths of every scalar field under t, looking
+// through pointers to structs.
+func specLeaves(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			out = append(out, specLeaves(ft, prefix+tag+".")...)
+		} else {
+			out = append(out, prefix+tag)
+		}
+	}
+	return out
+}
+
+// specField returns the field at a JSON path, allocating nil pointers on
+// the way.
+func specField(v reflect.Value, path string) reflect.Value {
+	for _, name := range strings.Split(path, ".") {
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			v = v.Elem()
+		}
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); tag == name {
+				v = v.Field(i)
+				break
+			}
+		}
+	}
+	return v
+}
+
+// TestEverySpecFieldIsLowered: every knob of the sections the converters
+// read reaches exactly the lowered configs that must carry it. Each leaf
+// is set alone to a valid non-default value on an empty spec, and the
+// configs whose lowering changed must be the ones the table names.
+func TestEverySpecFieldIsLowered(t *testing.T) {
+	const (
+		coreC = "CoreConfig"
+		pipeC = "PipelineConfig"
+		monC  = "MonitorConfig"
+		resC  = "ResilienceConfig"
+		retC  = "RetryPolicy"
+	)
+	diag := []string{coreC, pipeC, monC}
+	res := []string{resC, monC}
+	table := map[string]struct {
+		val  any
+		into []string
+	}{
+		"stages.run":            {RungVictimsOnly, []string{pipeC}},
+		"stages.contain_panics": {true, []string{coreC, pipeC, monC, resC}},
+
+		"diagnosis.victim_percentile":          {95.0, diag},
+		"diagnosis.max_recursion_depth":        {3, diag},
+		"diagnosis.max_victims":                {7, diag},
+		"diagnosis.pattern_threshold":          {0.2, []string{pipeC}},
+		"diagnosis.queue_threshold":            {4, diag},
+		"diagnosis.skip_loss_victims":          {true, diag},
+		"diagnosis.loss_victims_when_degraded": {true, diag},
+		"diagnosis.workers":                    {3, diag},
+
+		"stream.window":        {D(500 * time.Millisecond), []string{monC}},
+		"stream.slide":         {D(50 * time.Millisecond), []string{monC}},
+		"stream.overlap":       {D(5 * time.Millisecond), []string{monC}},
+		"stream.min_score":     {7.0, []string{monC}},
+		"stream.hold_off":      {D(time.Millisecond), []string{monC}},
+		"stream.max_lookahead": {D(time.Second), []string{monC}},
+		"stream.resync_after":  {3, []string{monC}},
+
+		"resilience.ring_capacity":       {1024, res},
+		"resilience.shed_policy":         {"reject-new", res},
+		"resilience.window_deadline":     {D(time.Second), res},
+		"resilience.max_mem_bytes":       {int64(1 << 20), res},
+		"resilience.soft_mem_bytes":      {int64(1 << 19), res},
+		"resilience.ladder.soft_records": {10, res},
+		"resilience.ladder.hard_records": {20, res},
+		"resilience.ladder.max_records":  {30, res},
+		"resilience.ladder.soft_backlog": {1, res},
+		"resilience.ladder.hard_backlog": {2, res},
+		"resilience.retry.max_attempts":  {3, []string{retC}},
+		"resilience.retry.base":          {D(time.Millisecond), []string{retC}},
+		"resilience.retry.max":           {D(time.Second), []string{retC}},
+		"resilience.retry.jitter":        {0.5, []string{retC}},
+		"resilience.retry.seed":          {int64(9), []string{retC}},
+	}
+	// Read elsewhere, not by the converters: the version gates Parse, the
+	// tenant names a serving-tier tenant, the topology is lowered by Meta,
+	// and hooks are run by the serving tier's hook runner.
+	exempt := map[string]bool{"version": true, "tenant": true, "topology": true, "hooks": true}
+
+	seen := make(map[string]bool)
+	st := reflect.TypeOf(PipelineSpec{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if exempt[tag] {
+			continue
+		}
+		if f.Type.Kind() != reflect.Struct {
+			t.Errorf("%s: top-level spec field neither lowered nor exempt", tag)
+			continue
+		}
+		for _, path := range specLeaves(f.Type, tag+".") {
+			seen[path] = true
+			want, ok := table[path]
+			if !ok {
+				t.Errorf("%s: spec field missing from the lowering table", path)
+				continue
+			}
+			var s PipelineSpec
+			specField(reflect.ValueOf(&s).Elem(), path).Set(reflect.ValueOf(want.val))
+			if err := s.Validate(); err != nil {
+				t.Errorf("%s: table value is invalid: %v", path, err)
+				continue
+			}
+			base, got := reflect.ValueOf(lower(&PipelineSpec{})), reflect.ValueOf(lower(&s))
+			var changed []string
+			for j := 0; j < base.NumField(); j++ {
+				if !reflect.DeepEqual(base.Field(j).Interface(), got.Field(j).Interface()) {
+					changed = append(changed, base.Type().Field(j).Name)
+				}
+			}
+			wantInto := slices.Clone(want.into)
+			slices.Sort(changed)
+			slices.Sort(wantInto)
+			if !slices.Equal(changed, wantInto) {
+				t.Errorf("%s = %v reaches %v, want %v", path, want.val, changed, wantInto)
+			}
+		}
+	}
+	for path := range table {
+		if !seen[path] {
+			t.Errorf("%s: table names a field the spec does not have", path)
+		}
+	}
 }

@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit the diagnosis
 // pipeline and the evaluation harness need: percentiles, running
-// mean/stddev histories (for the §4.1 "one standard deviation beyond recent
-// history" abnormality test), empirical CDFs, and rank curves.
+// mean/stddev (for the §4.1 "one standard deviation beyond recent history"
+// abnormality test), empirical CDFs, and histograms.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -119,71 +118,6 @@ func (w *Welford) Abnormal(x, k float64, minSamples int64) bool {
 	return x > w.mean+k*sd
 }
 
-// History is a bounded sliding window of samples supporting the
-// "recent history" abnormality test of §4.1, where old behaviour should age
-// out rather than dominate the baseline forever.
-type History struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-// NewHistory returns a window holding up to n samples. n must be positive.
-func NewHistory(n int) *History {
-	if n <= 0 {
-		panic("stats: history size must be positive")
-	}
-	return &History{buf: make([]float64, n)}
-}
-
-// Add appends a sample, evicting the oldest when full.
-func (h *History) Add(x float64) {
-	h.buf[h.next] = x
-	h.next++
-	if h.next == len(h.buf) {
-		h.next = 0
-		h.full = true
-	}
-}
-
-// Len returns the number of stored samples.
-func (h *History) Len() int {
-	if h.full {
-		return len(h.buf)
-	}
-	return h.next
-}
-
-// Samples returns a copy of the stored samples in arbitrary order.
-func (h *History) Samples() []float64 {
-	out := make([]float64, h.Len())
-	copy(out, h.buf[:h.Len()])
-	return out
-}
-
-// MeanStdDev returns the mean and population stddev of the window.
-func (h *History) MeanStdDev() (mean, sd float64) {
-	n := h.Len()
-	if n == 0 {
-		return 0, 0
-	}
-	xs := h.buf[:n]
-	return Mean(xs), StdDev(xs)
-}
-
-// Abnormal reports whether x exceeds the window mean by more than k
-// standard deviations. Fewer than minSamples samples → never abnormal.
-func (h *History) Abnormal(x, k float64, minSamples int) bool {
-	if h.Len() < minSamples {
-		return false
-	}
-	mean, sd := h.MeanStdDev()
-	if sd == 0 {
-		return x > mean
-	}
-	return x > mean+k*sd
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value
@@ -210,48 +144,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt evaluates an empirical CDF (as returned by CDF) at x.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	lo, hi := 0, len(cdf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid].X <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return cdf[lo-1].F
-}
-
-// RankCurve summarizes a list of per-victim ranks into the paper's
-// Figure 11/12 form: for each cumulative fraction of victims (sorted by
-// rank), the rank needed to cover them. Entry i of the result is the rank
-// of the (i+1)-th best-ranked victim.
-func RankCurve(ranks []int) []int {
-	out := make([]int, len(ranks))
-	copy(out, ranks)
-	sort.Ints(out)
-	return out
-}
-
-// FractionAtRank returns the fraction of victims whose rank is <= r.
-func FractionAtRank(ranks []int, r int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range ranks {
-		if x <= r && x > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ranks))
-}
-
 // Histogram counts xs into nbins equal-width bins over [lo, hi). Values
 // outside the range are clamped into the edge bins.
 func Histogram(xs []float64, lo, hi float64, nbins int) []int {
@@ -272,6 +164,3 @@ func Histogram(xs []float64, lo, hi float64, nbins int) []int {
 	}
 	return bins
 }
-
-// FormatPct renders a fraction as a percentage string like "89.7%".
-func FormatPct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }

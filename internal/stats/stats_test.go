@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -85,49 +84,6 @@ func TestWelfordAbnormal(t *testing.T) {
 	}
 }
 
-func TestHistoryWindowEviction(t *testing.T) {
-	h := NewHistory(3)
-	for _, x := range []float64{1, 2, 3} {
-		h.Add(x)
-	}
-	if h.Len() != 3 {
-		t.Fatalf("Len: got %d", h.Len())
-	}
-	h.Add(100) // evicts 1
-	mean, _ := h.MeanStdDev()
-	if mean != (2+3+100)/3.0 {
-		t.Errorf("windowed mean: got %v", mean)
-	}
-	samples := h.Samples()
-	sort.Float64s(samples)
-	if samples[0] != 2 || samples[2] != 100 {
-		t.Errorf("Samples: got %v", samples)
-	}
-}
-
-func TestHistoryAbnormal(t *testing.T) {
-	h := NewHistory(50)
-	for i := 0; i < 50; i++ {
-		h.Add(100)
-	}
-	// Zero stddev: anything above the mean is abnormal.
-	if !h.Abnormal(101, 1, 10) {
-		t.Error("101 above constant 100 should be abnormal")
-	}
-	if h.Abnormal(100, 1, 10) {
-		t.Error("exactly the mean is not abnormal")
-	}
-}
-
-func TestNewHistoryPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistory(0) should panic")
-		}
-	}()
-	NewHistory(0)
-}
-
 func TestCDF(t *testing.T) {
 	cdf := CDF([]float64{1, 2, 2, 4})
 	if len(cdf) != 3 {
@@ -141,15 +97,6 @@ func TestCDF(t *testing.T) {
 	}
 	if cdf[2].X != 4 || cdf[2].F != 1 {
 		t.Errorf("point 2: %+v", cdf[2])
-	}
-	if got := CDFAt(cdf, 0.5); got != 0 {
-		t.Errorf("CDFAt below min: got %v", got)
-	}
-	if got := CDFAt(cdf, 2); got != 0.75 {
-		t.Errorf("CDFAt(2): got %v", got)
-	}
-	if got := CDFAt(cdf, 100); got != 1 {
-		t.Errorf("CDFAt above max: got %v", got)
 	}
 	if CDF(nil) != nil {
 		t.Error("empty CDF should be nil")
@@ -178,30 +125,6 @@ func TestCDFMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestRankCurveAndFraction(t *testing.T) {
-	ranks := []int{1, 3, 1, 2, 10}
-	curve := RankCurve(ranks)
-	want := []int{1, 1, 2, 3, 10}
-	for i := range want {
-		if curve[i] != want[i] {
-			t.Fatalf("curve: got %v", curve)
-		}
-	}
-	if got := FractionAtRank(ranks, 1); got != 0.4 {
-		t.Errorf("FractionAtRank(1): got %v", got)
-	}
-	if got := FractionAtRank(ranks, 3); got != 0.8 {
-		t.Errorf("FractionAtRank(3): got %v", got)
-	}
-	if got := FractionAtRank(nil, 1); got != 0 {
-		t.Errorf("empty: got %v", got)
-	}
-	// Rank 0 means "not found" and never counts.
-	if got := FractionAtRank([]int{0, 1}, 5); got != 0.5 {
-		t.Errorf("unfound ranks counted: got %v", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	bins := Histogram([]float64{0, 1, 2, 3, 9.9, -5, 100}, 0, 10, 10)
 	// 0 and clamped -5 land in bin 0; 9.9 and clamped 100 in bin 9.
@@ -220,11 +143,5 @@ func TestHistogramClamping(t *testing.T) {
 	}
 	if Histogram(nil, 10, 0, 5) != nil {
 		t.Error("inverted range should be nil")
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if got := FormatPct(0.897); got != "89.7%" {
-		t.Errorf("FormatPct: got %q", got)
 	}
 }

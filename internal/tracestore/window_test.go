@@ -213,7 +213,7 @@ func runSchedule(t *testing.T, sc schedule, meta collector.Meta, base []collecto
 			}
 		}
 		refCfg := cfg
-		refCfg.ChaosHook, refCfg.ContainPanics = nil, false
+		refCfg.Diagnosis.ChaosHook, refCfg.Diagnosis.ContainPanics = nil, false
 		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), refCfg)
 		if err != nil {
 			t.Fatal(err)
@@ -283,8 +283,8 @@ func TestWindowContainment(t *testing.T) {
 	t.Run("stage:merge", func(t *testing.T) {
 		armed := false
 		tally := runSchedule(t, sc, meta, base, 4, func(cfg *pipeline.Config) {
-			cfg.ContainPanics = true
-			cfg.ChaosHook = func(scope string) {
+			cfg.Diagnosis.ContainPanics = true
+			cfg.Diagnosis.ChaosHook = func(scope string) {
 				if armed && scope == "stage:merge" {
 					armed = false
 					panic("chaos: merge stage")
@@ -298,7 +298,7 @@ func TestWindowContainment(t *testing.T) {
 
 	t.Run("mid-append", func(t *testing.T) {
 		tally := runSchedule(t, sc, meta, base, 4, func(cfg *pipeline.Config) {
-			cfg.ContainPanics = true
+			cfg.Diagnosis.ContainPanics = true
 		}, func(n int, ss *pipeline.StreamState) {
 			armed := faultAt[n]
 			ss.Stream().SetAppendHook(func() {

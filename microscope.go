@@ -78,9 +78,6 @@ type (
 	TraceMeta = collector.Meta
 	// Alert is one significant culprit surfaced by the online monitor.
 	Alert = online.Alert
-	// MonitorConfig tunes the online monitor; the zero value is a
-	// working streaming monitor with every knob at its default.
-	MonitorConfig = online.Config
 	// Monitor consumes collector records incrementally and raises alerts.
 	Monitor = online.Monitor
 	// Health is a store's trace-quality summary (integrity + matching).
@@ -162,9 +159,8 @@ type Report struct {
 type PipelineStage = pipeline.StageTiming
 
 // Diagnose reconstructs a trace and runs the complete Microscope pipeline.
-// It accepts functional options (WithWorkers, WithObserver, ...) or an
-// Options struct applied wholesale; with no options every knob takes its
-// documented default.
+// It accepts functional options (WithWorkers, WithObserver, WithSpec,
+// ...); with no options every knob takes its documented default.
 func Diagnose(tr *Trace, opts ...Option) *Report {
 	//mslint:allow ctxflow non-ctx convenience wrapper; cancellable path is DiagnoseContext
 	rep, _ := DiagnoseContext(context.Background(), tr, opts...)
@@ -175,8 +171,8 @@ func Diagnose(tr *Trace, opts ...Option) *Report {
 // context stops the stage fan-out promptly and returns the partial report
 // built so far together with an error wrapping ctx.Err().
 func DiagnoseContext(ctx context.Context, tr *Trace, opts ...Option) (*Report, error) {
-	o := resolve(opts)
-	res, err := pipeline.RunContext(ctx, tr, o.pipelineConfig())
+	c := resolve(opts)
+	res, err := pipeline.RunContext(ctx, tr, c.pipelineConfig())
 	return reportFrom(res), err
 }
 
@@ -198,8 +194,8 @@ func DiagnoseStore(st *Store, opts ...Option) *Report {
 // DiagnoseStoreContext is DiagnoseStore with cooperative cancellation; see
 // DiagnoseContext for the partial-report contract.
 func DiagnoseStoreContext(ctx context.Context, st *Store, opts ...Option) (*Report, error) {
-	o := resolve(opts)
-	res, err := pipeline.RunStoreContext(ctx, st, o.pipelineConfig())
+	c := resolve(opts)
+	res, err := pipeline.RunStoreContext(ctx, st, c.pipelineConfig())
 	return reportFrom(res), err
 }
 
@@ -235,43 +231,7 @@ func ParseFaultSpec(spec string) (FaultConfig, error) {
 // <component, kind> culprits with summed scores — a deployment-wide
 // "what is wrong right now" view.
 func (r *Report) TopCauses(limit int) []Cause {
-	type key struct {
-		comp string
-		kind core.CulpritKind
-	}
-	acc := make(map[key]*Cause)
-	var order []key
-	for i := range r.Diagnoses {
-		for _, c := range r.Diagnoses[i].Causes {
-			k := key{c.Comp, c.Kind}
-			e := acc[k]
-			if e == nil {
-				cc := c
-				cc.CulpritJourneys = nil
-				acc[k] = &cc
-				order = append(order, k)
-				continue
-			}
-			e.Score += c.Score
-			if c.At < e.At {
-				e.At = c.At
-			}
-		}
-	}
-	out := make([]Cause, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
-	}
-	// Insertion sort by score (lists are small).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Score > out[j-1].Score; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return core.TopCauses(r.Diagnoses, limit)
 }
 
 // Render prints a human-readable summary: victim count, top culprits, and
@@ -312,8 +272,8 @@ func NetMedicRank(st *Store, victims []Victim, window Duration) []netmedic.Resul
 // DiagnoseOne diagnoses a single chosen victim — e.g. a specific packet an
 // operator cares about — without global victim selection.
 func DiagnoseOne(st *Store, v Victim, opts ...Option) Diagnosis {
-	o := resolve(opts)
-	return core.NewEngine(o.coreConfig()).DiagnoseVictim(st, v)
+	c := resolve(opts)
+	return core.NewEngine(c.coreConfig()).DiagnoseVictim(st, v)
 }
 
 // Explanation re-exports the causal-tree explanation of one diagnosis.
@@ -323,8 +283,8 @@ type Explanation = core.Explanation
 // (the Figure 7 decomposition): every queuing period, its Si/Sp split, and
 // the timespan attribution of each upstream share.
 func Explain(st *Store, v Victim, opts ...Option) *Explanation {
-	o := resolve(opts)
-	return core.NewEngine(o.coreConfig()).Explain(st, v)
+	c := resolve(opts)
+	return core.NewEngine(c.coreConfig()).Explain(st, v)
 }
 
 // AlignClocks estimates per-component clock offsets from a trace collected
@@ -348,17 +308,19 @@ func ThroughputVictims(st *Store, cfg ThroughputVictimConfig) []Victim {
 // order (Monitor.Feed) and it diagnoses sliding windows over one retained
 // stream — each record sealed once, expired segments evicted, the
 // diagnosis memo carried — raising alerts for significant culprits:
-// continuous Microscope. Every configuration, the zero MonitorConfig
-// included, runs that stream; each window's report equals a cold rebuild
-// of the same window (DESIGN.md §11).
-func NewMonitor(meta TraceMeta, cfg MonitorConfig) *Monitor {
-	return online.New(meta, cfg)
+// continuous Microscope. The monitor runs s's diagnosis, stream and
+// resilience sections and its stages.contain_panics, with every default
+// made explicit (Resolved); the zero spec is a working monitor. Each
+// window's report equals a cold rebuild of the same window (DESIGN.md
+// §11).
+func NewMonitor(meta TraceMeta, s *PipelineSpec) *Monitor {
+	return online.New(meta, s.Resolved().MonitorConfig(nil))
 }
 
 // Victims exposes victim selection without full diagnosis.
 func Victims(st *Store, opts ...Option) []Victim {
-	o := resolve(opts)
-	return core.NewEngine(o.coreConfig()).FindVictims(st)
+	c := resolve(opts)
+	return core.NewEngine(c.coreConfig()).FindVictims(st)
 }
 
 // WorkloadConfig configures background traffic generation.

@@ -1,9 +1,11 @@
 package microscope
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"microscope/internal/online"
 	"microscope/internal/simtime"
 )
 
@@ -165,9 +167,14 @@ func TestOnlineMonitorViaAPI(t *testing.T) {
 	dep.Run(400 * simtime.Millisecond)
 	tr := dep.Trace()
 
-	mon := NewMonitor(tr.Meta, MonitorConfig{})
+	mon := NewMonitor(tr.Meta, &PipelineSpec{})
 	alerts := mon.Feed(tr.Records)
 	alerts = append(alerts, mon.Flush()...)
+	// The zero spec resolves to the monitor's own zero-config defaults.
+	bare := online.New(tr.Meta, online.Config{})
+	if want := append(bare.Feed(tr.Records), bare.Flush()...); fmt.Sprint(alerts) != fmt.Sprint(want) {
+		t.Errorf("NewMonitor(zero spec) alerts differ from online.New(zero config):\n%v\n%v", alerts, want)
+	}
 	found := false
 	for _, a := range alerts {
 		if a.Comp == "fw1" && a.Kind == CulpritLocalProcessing {

@@ -44,42 +44,56 @@ func reportText(r *Report) string {
 	return b.String()
 }
 
-// TestOptionsEquivalence is the facade contract: the Options struct form
-// and the functional-option form of the same configuration produce
-// byte-identical reports, and the zero-argument call equals the zero
-// struct.
+// TestOptionsEquivalence is the facade contract: the functional options
+// and the spec document they edit are one configuration, so both forms
+// produce byte-identical reports and victim selections, and the
+// zero-argument call equals the empty spec.
 func TestOptionsEquivalence(t *testing.T) {
 	tr := optionsTrace(t)
 
-	structRep := Diagnose(tr, Options{
-		VictimPercentile: 95,
-		MaxVictims:       150,
-		Workers:          4,
-	})
+	s := &PipelineSpec{}
+	s.Diagnosis.VictimPercentile, s.Diagnosis.MaxVictims, s.Diagnosis.Workers = 95, 150, 4
+	specRep := Diagnose(tr, WithSpec(s))
 	optRep := Diagnose(tr,
 		WithVictimPercentile(95),
 		WithMaxVictims(150),
 		WithWorkers(4),
 	)
-	if len(structRep.Diagnoses) == 0 {
+	if len(specRep.Diagnoses) == 0 {
 		t.Fatal("no victims diagnosed; equivalence check is vacuous")
 	}
-	if a, b := reportText(structRep), reportText(optRep); a != b {
-		t.Fatalf("struct-form and option-form reports differ:\n--- struct ---\n%s\n--- options ---\n%s", a, b)
+	if a, b := reportText(specRep), reportText(optRep); a != b {
+		t.Fatalf("spec-form and option-form reports differ:\n--- spec ---\n%s\n--- options ---\n%s", a, b)
 	}
 
 	bare := Diagnose(tr)
-	zero := Diagnose(tr, Options{})
+	zero := Diagnose(tr, WithSpec(&PipelineSpec{}))
 	if a, b := reportText(bare), reportText(zero); a != b {
-		t.Fatal("Diagnose(tr) and Diagnose(tr, Options{}) reports differ")
+		t.Fatal("Diagnose(tr) and Diagnose(tr, WithSpec(&PipelineSpec{})) reports differ")
 	}
 
 	// Victim selection routes through the same resolver.
 	st := Reconstruct(tr)
-	v1 := Victims(st, Options{VictimPercentile: 95})
-	v2 := Victims(st, WithVictimPercentile(95))
-	if len(v1) != len(v2) {
-		t.Fatalf("Victims struct-form selected %d, option-form %d", len(v1), len(v2))
+	v1 := Victims(st, WithSpec(s))
+	v2 := Victims(st, WithVictimPercentile(95), WithMaxVictims(150), WithWorkers(4))
+	if len(v1) == 0 || len(v1) != len(v2) {
+		t.Fatalf("Victims spec-form selected %d, option-form %d", len(v1), len(v2))
+	}
+}
+
+// TestPanicContainmentReachesEngine: WithPanicContainment arms the engine
+// configuration DiagnoseOne, Explain and Victims run with, not only the
+// pipeline's.
+func TestPanicContainmentReachesEngine(t *testing.T) {
+	c := resolve([]Option{WithPanicContainment()})
+	if !c.coreConfig().ContainPanics {
+		t.Error("WithPanicContainment did not reach the engine config")
+	}
+	if !c.pipelineConfig().Diagnosis.ContainPanics {
+		t.Error("WithPanicContainment did not reach the pipeline config")
+	}
+	if c := resolve(nil); c.coreConfig().ContainPanics || c.pipelineConfig().Diagnosis.ContainPanics {
+		t.Error("containment armed without WithPanicContainment")
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 // PipelineSpec is the declarative, versioned configuration of one
 // self-contained diagnosis pipeline: stage selection, engine knobs,
 // streaming geometry, resilience, topology, and remediation hooks as
-// JSON-serializable data. It is the canonical config form — every CLI
-// flag set is expressible as a spec (`msdiag -dump-spec`), the serving
-// tier (msserve) accepts nothing else, and WithSpec joins it to the
-// functional-options API. See the internal/spec package for the schema.
+// JSON-serializable data. It is the library's one configuration form —
+// every CLI flag set is expressible as a spec (`msdiag -dump-spec`), the
+// serving tier (msserve) accepts nothing else, the functional options
+// edit one, and WithSpec applies a whole document. See the internal/spec
+// package for the schema.
 type PipelineSpec = spec.PipelineSpec
 
 // ParseSpec strictly decodes and validates a JSON pipeline spec. Unknown
@@ -21,80 +22,15 @@ func ParseSpec(data []byte) (*PipelineSpec, error) { return spec.Parse(data) }
 func LoadSpec(path string) (*PipelineSpec, error) { return spec.Load(path) }
 
 // WithSpec configures an entry point from a declarative spec: the spec's
-// stages and diagnosis sections replace every spec-expressible option,
-// exactly as OptionsFromSpec reads them. An attached metrics registry
-// (WithObserver) is preserved — a registry is a runtime handle no data
-// document can express. Stream, resilience, topology, and hook sections
-// are outside the batch entry points' vocabulary and are ignored here;
-// the monitor and serving tiers consume them.
+// stages and diagnosis sections replace everything the options before it
+// set, except an attached metrics registry (WithObserver) — a registry is
+// a runtime handle no data document can express. Stream, resilience,
+// topology, and hook sections are outside the batch entry points'
+// vocabulary and are ignored here; the monitor and serving tiers consume
+// them.
 func WithSpec(s *PipelineSpec) Option {
-	return optionFunc(func(o *Options) {
-		reg := o.Metrics
-		*o = OptionsFromSpec(s)
-		o.Metrics = reg
-	})
-}
-
-// OptionsFromSpec converts a spec's stage and diagnosis sections to the
-// resolved Options. The Metrics field is always nil: a registry is a
-// runtime handle, not configuration data.
-func OptionsFromSpec(s *PipelineSpec) Options {
-	d := s.Diagnosis
-	return Options{
-		VictimPercentile:        d.VictimPercentile,
-		MaxRecursionDepth:       d.MaxRecursionDepth,
-		MaxVictims:              d.MaxVictims,
-		PatternThreshold:        d.PatternThreshold,
-		SkipLossVictims:         d.SkipLossVictims,
-		LossVictimsWhenDegraded: d.LossVictimsWhenDegraded,
-		Workers:                 d.Workers,
-		QueueThreshold:          d.QueueThreshold,
-		SkipPatterns:            s.Stages.SkipPatterns,
-		Degrade:                 s.Rung(),
-		ContainPanics:           s.Stages.ContainPanics,
+	return func(c *config) {
+		c.spec.Stages = s.Stages
+		c.spec.Diagnosis = s.Diagnosis
 	}
-}
-
-// SpecFromOptions renders Options as a spec document (stages + diagnosis
-// sections; stream, resilience, topology, and hooks are not expressible
-// as Options and come back zero). The rung is always spelled explicitly,
-// so SpecFromOptions(OptionsFromSpec(s)) reproduces s's stage selection
-// and OptionsFromSpec(SpecFromOptions(o)) == o for every o (modulo the
-// Metrics handle).
-func SpecFromOptions(o Options) *PipelineSpec {
-	return &PipelineSpec{
-		Version: spec.Version,
-		Stages: spec.StagesSpec{
-			Run:           spec.RungString(o.Degrade),
-			SkipPatterns:  o.SkipPatterns,
-			ContainPanics: o.ContainPanics,
-		},
-		Diagnosis: spec.DiagnosisSpec{
-			VictimPercentile:        o.VictimPercentile,
-			MaxRecursionDepth:       o.MaxRecursionDepth,
-			MaxVictims:              o.MaxVictims,
-			PatternThreshold:        o.PatternThreshold,
-			QueueThreshold:          o.QueueThreshold,
-			SkipLossVictims:         o.SkipLossVictims,
-			LossVictimsWhenDegraded: o.LossVictimsWhenDegraded,
-			Workers:                 o.Workers,
-		},
-	}
-}
-
-// MergeOptions writes o's spec-expressible fields back into a copy of s,
-// leaving the sections Options cannot express (stream, resilience,
-// topology, hooks, tenant) untouched. This is the inverse direction of
-// OptionsFromSpec: for any resolved spec r,
-// MergeOptions(r, OptionsFromSpec(r)) encodes byte-identically to r — the
-// spec ⇄ Options round-trip is lossless.
-func MergeOptions(s *PipelineSpec, o Options) *PipelineSpec {
-	out := s.Clone()
-	from := SpecFromOptions(o)
-	out.Stages = from.Stages
-	out.Diagnosis = from.Diagnosis
-	if out.Version == 0 {
-		out.Version = spec.Version
-	}
-	return out
 }
