@@ -84,15 +84,18 @@ stream-check:
 	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
 
 # One-iteration pipeline, segment-seal, window-assembly,
-# pattern-aggregation and JSON-decode benchmarks: catches benchmark bit-rot
-# and gross perf/alloc regressions in the pre-submit gate without the full
-# run's cost. BenchmarkWindow gates itself: it fails when a window's cost
-# moves with its span (1.5, 20 and 80 slides at one slide); so does
+# pattern-aggregation, JSON-decode and ingest benchmarks: catches benchmark
+# bit-rot and gross perf/alloc regressions in the pre-submit gate without
+# the full run's cost. BenchmarkWindow gates itself: it fails when a
+# window's cost moves with its span (1.5, 20 and 80 slides at one slide); so does
 # BenchmarkDiagnosePipeline's scaling gate (see bench).
 # BenchmarkDecodeJSON prints ns/record and allocs/record for json.Unmarshal
 # (unmarshal) and collector.DecodeJSON (decode) on the same bodies.
+# BenchmarkIngest prints ns/record, B/record and allocs/body for 2000-record
+# MST2 and JSON bodies posted through serve.Handler to a warm tenant.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkDecodeJSON -benchtime=1x -benchmem ./internal/collector
+	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=1x ./internal/serve
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench 'BenchmarkSeal|BenchmarkWindow' -benchtime=1x -benchmem ./internal/tracestore
 	$(GO) test -run '^$$' -bench BenchmarkPatternAggregation -benchtime=1x -benchmem .

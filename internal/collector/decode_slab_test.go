@@ -1,7 +1,10 @@
 package collector
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"microscope/internal/packet"
@@ -100,5 +103,65 @@ func TestDecodeStreamAllocsPerRecord(t *testing.T) {
 	})
 	if per := avg / float64(len(recs)); per > 0.1 {
 		t.Errorf("DecodeStream allocates %.3f objects per record (%.0f over %d records), budget 0.1", per, avg, len(recs))
+	}
+}
+
+// TestAppendDecodeReusesStorage: decoding into a destination that already
+// has the room allocates exactly one object less than a fresh decode — the
+// record slice — and nothing else changes: the slab chunks and the string
+// tables are the body's own either way.
+func TestAppendDecodeReusesStorage(t *testing.T) {
+	recs, body := slabBody(2000)
+	dst, _, err := DecodeStream(body)
+	if err != nil || len(dst) != len(recs) {
+		t.Fatalf("decode: %d records, %v", len(dst), err)
+	}
+	fresh := testing.AllocsPerRun(10, func() {
+		if _, _, err := DecodeStream(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	reused := testing.AllocsPerRun(10, func() {
+		if dst, _, err = AppendDecodeStream(dst[:0], body); err != nil || len(dst) != len(recs) {
+			t.Fatalf("decode into reused storage: %d records, %v", len(dst), err)
+		}
+	})
+	if fresh-reused != 1 {
+		t.Errorf("a fresh decode allocates %.0f objects, one into reused storage %.0f: want exactly the record slice saved", fresh, reused)
+	}
+}
+
+// TestDecodedRecordsOutliveTheBody: a decoded record holds nothing of the
+// body it came from — strings are copied out and payloads carved from the
+// decoder's own slabs — so the caller may overwrite the body buffer with
+// the next one as soon as the decode returns.
+func TestDecodedRecordsOutliveTheBody(t *testing.T) {
+	recs, body := slabBody(300)
+	jsonBody, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xEE
+		}
+	}
+	got, _, err := DecodeStream(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _ := DecodeStream(bytes.Clone(body))
+	scribble(body)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("MST2 records changed when the body they were decoded from was overwritten")
+	}
+	gotJSON, err := DecodeJSON(jsonBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := DecodeJSON(bytes.Clone(jsonBody))
+	scribble(jsonBody)
+	if !reflect.DeepEqual(gotJSON, wantJSON) {
+		t.Error("JSON records changed when the body they were decoded from was overwritten")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"microscope/internal/packet"
@@ -247,16 +248,30 @@ func Decode(data []byte) ([]BatchRecord, error) {
 // record is returned together with accounting of what was lost. The error
 // is non-nil only when the stream has no usable header at all.
 func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
+	return AppendDecodeStream(nil, data)
+}
+
+// AppendDecodeStream is DecodeStream appending the records to dst, whose
+// spare capacity they are decoded into in place: a caller that decodes
+// body after body into the same dst[:0] allocates no record storage once
+// it is large enough. Every appended slot is overwritten whole, so stale
+// contents never leak into a record. The stats count this stream only; on
+// an error dst is returned as it was given.
+func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeStats, error) {
 	var st DecodeStats
 	if len(data) < 4 {
-		return nil, st, errors.New("collector: short stream")
+		return dst, st, errors.New("collector: short stream")
 	}
 	if [4]byte(data[:4]) != magic {
-		return nil, st, errors.New("collector: bad magic")
+		return dst, st, errors.New("collector: bad magic")
 	}
 
 	d := &frameDecoder{}
-	out := make([]BatchRecord, 0, countFrames(data))
+	start := len(dst)
+	dst = slices.Grow(dst, countFrames(data))
+	if dst == nil {
+		dst = []BatchRecord{} // a stream with a header decodes to a non-nil slice
+	}
 	pos := 4
 	for pos < len(data) {
 		if data[pos] != frameMarker {
@@ -268,7 +283,12 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 			pos = next
 			continue
 		}
-		rec, end, ok := d.frame(data, pos, false)
+		// Decode into the next slot; it joins dst only if the frame parses.
+		n := len(dst)
+		if n == cap(dst) {
+			dst = slices.Grow(dst, 1)
+		}
+		end, ok := d.frame(data, pos, &dst[:n+1][n], false)
 		if !ok {
 			next := d.resync(data, pos+1)
 			st.Resyncs++
@@ -277,12 +297,12 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 			pos = next
 			continue
 		}
-		out = append(out, rec)
+		dst = dst[:n+1]
 		pos = end
 	}
-	st.Records = len(out)
-	st.Resorted = resort(out)
-	return out, st, nil
+	st.Records = len(dst) - start
+	st.Resorted = resort(dst[start:])
+	return dst, st, nil
 }
 
 // minPayloadBytes is the shortest payload that can parse: a one-byte
@@ -367,26 +387,26 @@ type frameDecoder struct {
 	left int
 }
 
-// frame parses one frame starting at the marker byte. It returns the
-// decoded record, the position after the frame, and whether the payload
-// parsed exactly. A dry parse only validates: it builds no IPIDs or
-// tuples and leaves the decoder as it found it.
-func (d *frameDecoder) frame(data []byte, pos int, dry bool) (BatchRecord, int, bool) {
-	var rec BatchRecord
+// frame parses one frame starting at the marker byte into *rec. It
+// returns the position after the frame and whether the payload parsed
+// exactly; a frame that does not parse leaves *rec partly written. A dry
+// parse only validates: it builds no IPIDs or tuples and leaves the
+// decoder as it found it.
+func (d *frameDecoder) frame(data []byte, pos int, rec *BatchRecord, dry bool) (int, bool) {
 	p := pos + 1 // skip marker
 	plen, n := binary.Uvarint(data[p:])
 	if n <= 0 || plen > maxFrameBytes {
-		return rec, 0, false
+		return 0, false
 	}
 	p += n
 	end := p + int(plen)
 	if end > len(data) {
-		return rec, 0, false
+		return 0, false
 	}
 	// Table mutations must not survive a failed parse: stage and commit.
 	compsLen, queuesLen := len(d.comps), len(d.queues)
 	d.left = len(data) - p
-	r, ok := d.payload(data[p:end], dry)
+	ok := d.payload(data[p:end], rec, dry)
 	if !ok || dry {
 		d.comps = d.comps[:compsLen]
 		d.queues = d.queues[:queuesLen]
@@ -395,66 +415,68 @@ func (d *frameDecoder) frame(data []byte, pos int, dry bool) (BatchRecord, int, 
 		}
 	}
 	if !ok {
-		return rec, 0, false
+		return 0, false
 	}
-	return r, end, true
+	return end, true
 }
 
-// payload parses one record body; it must consume the slice exactly.
-func (d *frameDecoder) payload(b []byte, dry bool) (BatchRecord, bool) {
-	var rec BatchRecord
-	pos := 0
-	getUvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
+// wire reads the fields of one payload.
+type wire struct {
+	b   []byte
+	pos int
+}
+
+func (w *wire) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(w.b[w.pos:])
+	if n <= 0 {
+		return 0, false
 	}
-	// getRef resolves a flagged table reference to its index.
-	getRef := func(table *[]string) (int, bool) {
-		v, ok := getUvarint()
-		if !ok {
+	w.pos += n
+	return v, true
+}
+
+// ref resolves a flagged table reference to its index, appending a new
+// string to the table when the reference defines one.
+func (w *wire) ref(table *[]string) (int, bool) {
+	v, ok := w.uvarint()
+	if !ok {
+		return 0, false
+	}
+	id := v >> 1
+	if v&1 == 0 {
+		if id >= uint64(len(*table)) {
 			return 0, false
 		}
-		id := v >> 1
-		if v&1 == 0 {
-			if id >= uint64(len(*table)) {
-				return 0, false
-			}
-			return int(id), true
-		}
-		if id != uint64(len(*table)) {
-			return 0, false
-		}
-		l, ok := getUvarint()
-		if !ok || l > uint64(len(b)) || pos+int(l) > len(b) {
-			return 0, false
-		}
-		*table = append(*table, string(b[pos:pos+int(l)]))
-		pos += int(l)
 		return int(id), true
 	}
+	if id != uint64(len(*table)) {
+		return 0, false
+	}
+	l, ok := w.uvarint()
+	if !ok || l > uint64(len(w.b)) || w.pos+int(l) > len(w.b) {
+		return 0, false
+	}
+	*table = append(*table, string(w.b[w.pos:w.pos+int(l)]))
+	w.pos += int(l)
+	return int(id), true
+}
 
-	comp, ok := getRef(&d.comps)
-	if !ok {
-		return rec, false
+// payload parses one record body into *rec, setting every field; it must
+// consume the slice exactly. A dry parse leaves IPIDs and Tuples unset.
+func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
+	w := wire{b: b}
+	comp, ok := w.ref(&d.comps)
+	if !ok || w.pos >= len(b) {
+		return false
 	}
 	rec.Comp = d.comps[comp]
-	if pos >= len(b) {
-		return rec, false
-	}
-	rec.Dir = Dir(b[pos])
-	pos++
-	if rec.Dir > DirDeliver {
-		return rec, false
-	}
+	rec.Dir = Dir(b[w.pos])
+	w.pos++
 	switch rec.Dir {
 	case DirWrite:
-		q, ok := getRef(&d.queues)
+		q, ok := w.ref(&d.queues)
 		if !ok {
-			return rec, false
+			return false
 		}
 		rec.Queue = d.queues[q]
 	case DirRead:
@@ -465,16 +487,21 @@ func (d *frameDecoder) payload(b []byte, dry bool) (BatchRecord, bool) {
 			d.inQueues[comp] = rec.Comp + ".in"
 		}
 		rec.Queue = d.inQueues[comp]
+	case DirDeliver:
+		rec.Queue = ""
+	default:
+		return false
 	}
-	at, ok := getUvarint()
+	at, ok := w.uvarint()
 	if !ok {
-		return rec, false
+		return false
 	}
 	rec.At = simtime.Time(at)
-	n, ok := getUvarint()
+	n, ok := w.uvarint()
 	if !ok {
-		return rec, false
+		return false
 	}
+	pos := w.pos
 	need := int(n) * 2
 	if rec.Dir == DirDeliver {
 		need = int(n) * 15
@@ -482,16 +509,17 @@ func (d *frameDecoder) payload(b []byte, dry bool) (BatchRecord, bool) {
 	// Exact consumption is checked before anything is carved off the
 	// slabs, so a frame that fails to parse never uses them.
 	if n > maxFrameBytes || pos+need != len(b) {
-		return rec, false
+		return false
 	}
 	if dry {
-		return rec, true
+		return true
 	}
 	rec.IPIDs = d.ipidsOf(int(n), d.left/2)
 	for i := range rec.IPIDs {
 		rec.IPIDs[i] = uint16(b[pos]) | uint16(b[pos+1])<<8
 		pos += 2
 	}
+	rec.Tuples = nil
 	if rec.Dir == DirDeliver {
 		rec.Tuples = d.tuplesOf(int(n), d.left/15)
 		for i := range rec.Tuples {
@@ -506,18 +534,19 @@ func (d *frameDecoder) payload(b []byte, dry bool) (BatchRecord, bool) {
 			pos += 13
 		}
 	}
-	return rec, true
+	return true
 }
 
 // resync finds the next frame marker at or after pos whose frame parses
 // against the decoder's current tables (a dry parse, which leaves them
 // untouched), or len(data).
 func (d *frameDecoder) resync(data []byte, pos int) int {
+	var scratch BatchRecord
 	for ; pos < len(data); pos++ {
 		if data[pos] != frameMarker {
 			continue
 		}
-		if _, _, ok := d.frame(data, pos, true); ok {
+		if _, ok := d.frame(data, pos, &scratch, true); ok {
 			return pos
 		}
 	}

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"microscope/internal/packet"
@@ -101,5 +103,24 @@ func FuzzDecode(f *testing.F) {
 		if err2 != nil || len(recs2) != len(recs) || st2 != st {
 			t.Fatalf("nondeterministic decode: %+v vs %+v", st, st2)
 		}
+		// Decoding into storage that still holds earlier records, after a
+		// kept prefix, appends exactly the fresh decode and leaves the
+		// prefix alone.
+		stale, keep := staleRecords(), len(data)%3
+		prefix := slices.Clone(stale[:keep])
+		got, st3, err3 := AppendDecodeStream(stale[:keep], data)
+		if err3 != nil || st3 != st || !reflect.DeepEqual(got[:keep], prefix) || !reflect.DeepEqual(got[keep:], recs) {
+			t.Fatalf("decode into reused storage differs from a fresh decode: %+v vs %+v, %v", st3, st, err3)
+		}
 	})
+}
+
+// staleRecords returns decoded records with spare capacity behind them, as
+// a destination a previous body was decoded into looks.
+func staleRecords() []BatchRecord {
+	recs, _, err := AppendDecodeStream(make([]BatchRecord, 0, 64), fuzzSeedStream())
+	if err != nil {
+		panic(err)
+	}
+	return recs[:cap(recs)]
 }

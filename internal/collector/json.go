@@ -81,13 +81,22 @@ func newJSONFields(names ...string) *jsonFields {
 // interned per body, and the records' IPIDs and Tuples are carved from
 // shared slab chunks, as DecodeStream does.
 func DecodeJSON(data []byte) ([]BatchRecord, error) {
+	return AppendDecodeJSON(nil, data)
+}
+
+// AppendDecodeJSON is DecodeJSON appending the records to dst, whose spare
+// capacity they are decoded into in place; each appended slot starts from
+// the zero record, as in a fresh decode. An array body returns a non-nil
+// slice even when it appends nothing, and a body of null appends nothing
+// and returns dst as it is. On an error dst is returned as it was given.
+func AppendDecodeJSON(dst []BatchRecord, data []byte) ([]BatchRecord, error) {
 	d := jsonDecoder{data: data}
-	recs, err := d.records()
+	recs, err := d.records(dst)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if d.ws(); d.pos < len(data) {
-		return nil, d.fail("data after the record array")
+		return dst, d.fail("data after the record array")
 	}
 	return recs, nil
 }
@@ -158,27 +167,29 @@ func (d *jsonDecoder) more(closer byte) (bool, error) {
 	return false, d.fail("expected ',' or %q", closer)
 }
 
-// records decodes the top-level value.
-func (d *jsonDecoder) records() ([]BatchRecord, error) {
+// records decodes the top-level value, appending its records to out.
+func (d *jsonDecoder) records(out []BatchRecord) ([]BatchRecord, error) {
 	switch d.ws() {
 	case 'n':
-		return nil, d.literal("null")
+		return out, d.literal("null")
 	case '[':
 	default:
 		return nil, d.fail("records body is not a JSON array")
 	}
 	d.pos++
-	out := []BatchRecord{}
+	if out == nil {
+		out = []BatchRecord{}
+	}
 	if d.ws() == ']' {
 		d.pos++
 		return out, nil
 	}
-	for {
+	for start := len(out); ; {
 		if len(out) == cap(out) {
-			out = slices.Grow(out, d.growth(len(out)))
+			out = slices.Grow(out, d.growth(len(out)-start))
 		}
 		out = append(out, BatchRecord{})
-		if err := d.record(&out[len(out)-1], len(out)-1); err != nil {
+		if err := d.record(&out[len(out)-1], len(out)-1-start); err != nil {
 			return nil, err
 		}
 		if more, err := d.more(']'); err != nil || !more {

@@ -313,6 +313,19 @@ func FuzzDecodeJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := checkJSONParity(t, data)
+		// Decoding into storage that still holds earlier records gives the
+		// fresh decode; a null body, or an error, appends nothing.
+		got, rerr := AppendDecodeJSON(staleRecords()[:0], data)
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("decode into reused storage: error %v, fresh decode error %v", rerr, err)
+		}
+		if recs == nil {
+			if len(got) != 0 {
+				t.Fatalf("decode into reused storage appended %d records where a fresh decode gave nil", len(got))
+			}
+		} else if !reflect.DeepEqual(got, recs) {
+			t.Fatalf("decode into reused storage differs from a fresh decode on %s:\n got %+v\nwant %+v", clip(data), got, recs)
+		}
 		if err != nil {
 			return
 		}

@@ -76,6 +76,11 @@ type Config struct {
 	// pre-resilience behaviour (unbounded buffering, full diagnosis,
 	// panics propagate).
 	Resilience resilience.Config
+	// Degrade is the least degraded rung a window runs at: each window runs
+	// at the more degraded of it and the rung the ladder picks. It carries
+	// the spec's stages.run; the zero value, Full, leaves every window to
+	// the ladder.
+	Degrade resilience.Level
 	// OnWindow, when non-nil, observes every successfully diagnosed
 	// window: the flush boundary and the full pipeline Result, before
 	// alert merging. Called synchronously from the feed goroutine — the
@@ -340,81 +345,146 @@ func (m *Monitor) Backlog() int { return m.pending.Len() }
 // a record older than an already-diagnosed window is dropped and counted.
 // When the ingest ring is full the configured shed policy decides what
 // gives: the arrival (ShedRejectNew) or the oldest un-diagnosed window
-// (ShedDropOldest).
+// (ShedDropOldest). Feed keeps no reference to recs.
+//
+// Each in-order stretch that needs none of that handling is appended to
+// the ring as one run (see runLen); every other record takes feedOne. Either
+// way the monitor's state, counters and gauges when Feed returns are what
+// feeding the records one at a time through feedOne leaves.
 func (m *Monitor) Feed(recs []collector.BatchRecord) []Alert {
 	var out []Alert
-	for _, r := range recs {
-		if m.closed(r.At) {
-			m.stats.LateDropped++
-			m.obsLateDropped.Inc()
+	for len(recs) > 0 {
+		if n := m.runLen(recs); n > 0 {
+			m.appendRun(recs[:n])
+			recs = recs[n:]
 			continue
 		}
-		if m.cfg.MaxLookahead > 0 && m.lastWatermark > 0 &&
-			r.At > m.lastWatermark.Add(m.cfg.MaxLookahead) {
-			if !m.noteImplausible(r.At) {
-				m.stats.ImplausibleDropped++
-				m.obsImplausible.Inc()
-				continue
-			}
-			// Resync: the run proved a genuine stream gap. Fall through
-			// and accept the record; the watermark jumps with it below.
-		} else if m.implausibleRun != 0 {
-			// An in-horizon record breaks any beyond-horizon run: corrupt
-			// timestamps interleaved with live data never accumulate into
-			// a spurious resync.
-			m.implausibleRun = 0
-		}
-		if r.At > m.lastWatermark {
-			m.lastWatermark = r.At
-			m.obsWatermark.Set(int64(r.At))
-			// Lag: how far the newest record runs ahead of the last
-			// diagnosed boundary — bounded backlog under steady state.
-			m.obsLag.Set(int64(r.At.Sub(m.flushedTo)))
-		}
-		// Flush every window this record's timestamp closes before
-		// buffering it. Flushing first (rather than after the insert, as a
-		// purely unbounded consumer could) matters for bounded rings: the
-		// flush retains only the overlap tail, so a boundary-crossing
-		// record still drains the ring even when arrivals are being shed.
-		// Strictly greater: flushWindow's cut predicate (At > end) closes
-		// a window *including* records timestamped exactly at its end, so
-		// an At == nextFlush arrival must be buffered first and flushed
-		// with the window it belongs to — matching offline assignment.
-		for r.At > m.nextFlush {
-			out = append(out, m.flushWindow()...)
-		}
-		if m.pending.Full() {
-			if m.cfg.Resilience.Policy == resilience.ShedRejectNew {
-				m.stats.RecordsShed++
-				m.obsRecordsShed.Inc()
-				continue
-			}
-			// ShedDropOldest: abandon whole un-diagnosed windows until
-			// there is room. Each shed advances the flush boundary, so the
-			// loop strictly progresses; if the arrival's own window is
-			// shed from under it, the arrival is shed with it.
-			for m.pending.Full() {
-				m.shedOldestWindow()
-			}
-			if m.closed(r.At) {
-				m.stats.RecordsShed++
-				m.obsRecordsShed.Inc()
-				continue
-			}
-		}
-		m.stats.Records++
-		m.obsRecords.Inc()
-		if n := m.pending.Len(); n > 0 && r.At < m.pending.At(n-1).At {
-			// Late but still analysable: insert in time order.
-			i := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > r.At })
-			m.pending.Insert(i, r)
-			m.stats.LateAccepted++
-			m.obsLateAccepted.Inc()
-		} else {
-			m.pending.Append(r)
-		}
-		m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
+		out = m.feedOne(&recs[0], out)
+		recs = recs[1:]
 	}
+	return out
+}
+
+// runLen returns how many records from the front of recs form one run:
+// each is in time order behind the ring's tail and the run so far, not in
+// a closed window, inside the lookahead horizon with no resync run open,
+// at or before nextFlush so it closes no window, and has room in the ring.
+// For such a record feedOne does nothing but append it, count it and move
+// the watermark.
+func (m *Monitor) runLen(recs []collector.BatchRecord) int {
+	if m.implausibleRun != 0 {
+		return 0
+	}
+	room := len(recs)
+	if c := m.pending.Cap(); c > 0 {
+		room = min(room, c-m.pending.Len())
+	}
+	var tail simtime.Time
+	if n := m.pending.Len(); n > 0 {
+		tail = m.pending.At(n - 1).At
+	}
+	wm, ahead := m.lastWatermark, m.cfg.MaxLookahead
+	k := 0
+	for ; k < room; k++ {
+		at := recs[k].At
+		if at < tail || at > m.nextFlush || m.closed(at) ||
+			ahead > 0 && wm > 0 && at > wm.Add(ahead) {
+			break
+		}
+		tail = at
+		wm = max(wm, at)
+	}
+	return k
+}
+
+// appendRun buffers a run (see runLen) with one copy, and books it as feedOne
+// would have booked its records one by one.
+func (m *Monitor) appendRun(recs []collector.BatchRecord) {
+	m.pending.AppendRun(recs)
+	m.stats.Records += len(recs)
+	m.obsRecords.Add(int64(len(recs)))
+	// The run is in time order, so its last record carries its newest time.
+	if at := recs[len(recs)-1].At; at > m.lastWatermark {
+		m.lastWatermark = at
+		m.obsWatermark.Set(int64(at))
+		m.obsLag.Set(int64(at.Sub(m.flushedTo)))
+	}
+	m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
+}
+
+// feedOne takes one record through every check Feed applies, appending the
+// alerts of any windows it closes to out.
+func (m *Monitor) feedOne(r *collector.BatchRecord, out []Alert) []Alert {
+	if m.closed(r.At) {
+		m.stats.LateDropped++
+		m.obsLateDropped.Inc()
+		return out
+	}
+	if m.cfg.MaxLookahead > 0 && m.lastWatermark > 0 &&
+		r.At > m.lastWatermark.Add(m.cfg.MaxLookahead) {
+		if !m.noteImplausible(r.At) {
+			m.stats.ImplausibleDropped++
+			m.obsImplausible.Inc()
+			return out
+		}
+		// Resync: the run proved a genuine stream gap. Fall through and
+		// accept the record; the watermark jumps with it below.
+	} else if m.implausibleRun != 0 {
+		// An in-horizon record breaks any beyond-horizon run: corrupt
+		// timestamps interleaved with live data never accumulate into a
+		// spurious resync.
+		m.implausibleRun = 0
+	}
+	if r.At > m.lastWatermark {
+		m.lastWatermark = r.At
+		m.obsWatermark.Set(int64(r.At))
+		// Lag: how far the newest record runs ahead of the last diagnosed
+		// boundary — bounded backlog under steady state.
+		m.obsLag.Set(int64(r.At.Sub(m.flushedTo)))
+	}
+	// Flush every window this record's timestamp closes before buffering
+	// it. Flushing first (rather than after the insert, as a purely
+	// unbounded consumer could) matters for bounded rings: the flush
+	// retains only the overlap tail, so a boundary-crossing record still
+	// drains the ring even when arrivals are being shed. Strictly greater:
+	// flushWindow's cut predicate (At > end) closes a window *including*
+	// records timestamped exactly at its end, so an At == nextFlush arrival
+	// must be buffered first and flushed with the window it belongs to —
+	// matching offline assignment.
+	for r.At > m.nextFlush {
+		out = append(out, m.flushWindow()...)
+	}
+	if m.pending.Full() {
+		if m.cfg.Resilience.Policy == resilience.ShedRejectNew {
+			m.stats.RecordsShed++
+			m.obsRecordsShed.Inc()
+			return out
+		}
+		// ShedDropOldest: abandon whole un-diagnosed windows until there is
+		// room. Each shed advances the flush boundary, so the loop strictly
+		// progresses; if the arrival's own window is shed from under it,
+		// the arrival is shed with it.
+		for m.pending.Full() {
+			m.shedOldestWindow()
+		}
+		if m.closed(r.At) {
+			m.stats.RecordsShed++
+			m.obsRecordsShed.Inc()
+			return out
+		}
+	}
+	m.stats.Records++
+	m.obsRecords.Inc()
+	if n := m.pending.Len(); n > 0 && r.At < m.pending.At(n-1).At {
+		// Late but still analysable: insert in time order.
+		i := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > r.At })
+		m.pending.Insert(i, *r)
+		m.stats.LateAccepted++
+		m.obsLateAccepted.Inc()
+	} else {
+		m.pending.Append(*r)
+	}
+	m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
 	return out
 }
 
@@ -524,7 +594,7 @@ func (m *Monitor) flushWindow() []Alert {
 	if m.mem != nil {
 		memSteps = m.mem.Steps()
 	}
-	level := m.cfg.Resilience.Ladder.Decide(cut, backlog, memSteps)
+	level := max(m.cfg.Resilience.Ladder.Decide(cut, backlog, memSteps), m.cfg.Degrade)
 	m.setDegradation(level)
 	if level > resilience.Full {
 		m.stats.Degraded++

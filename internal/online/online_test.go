@@ -582,3 +582,44 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 		})
 	}
 }
+
+// TestMonitorRunsAtDegrade: Config.Degrade (the spec's stages.run) is the
+// least degraded rung a window runs at. At victims-only every window still
+// selects its victims but diagnoses none, so nothing alerts; at skipped
+// every window is only ingested — sealed into the stream, never run.
+func TestMonitorRunsAtDegrade(t *testing.T) {
+	tr := monitoredRun(t, []simtime.Time{simtime.Time(150 * simtime.Millisecond)})
+	run := func(l resilience.Level) (Stats, []Alert, []*pipeline.Result, *Monitor) {
+		var windows []*pipeline.Result
+		m := New(tr.Meta, Config{Degrade: l, OnWindow: func(_ simtime.Time, res *pipeline.Result) {
+			windows = append(windows, &pipeline.Result{Victims: res.Victims, Diagnoses: res.Diagnoses, Degradation: res.Degradation})
+		}})
+		alerts := append(m.Feed(tr.Records), m.Flush()...)
+		return m.Stats(), alerts, windows, m
+	}
+	full, fullAlerts, _, _ := run(resilience.Full)
+	if len(fullAlerts) == 0 || full.Victims == 0 {
+		t.Fatalf("control run at full raised no alerts: %+v", full)
+	}
+
+	st, alerts, windows, _ := run(resilience.VictimsOnly)
+	victims := 0
+	for _, res := range windows {
+		if res.Degradation != resilience.VictimsOnly || len(res.Diagnoses) != 0 {
+			t.Fatalf("window ran at %v with %d diagnoses, want victims-only with none", res.Degradation, len(res.Diagnoses))
+		}
+		victims += len(res.Victims)
+	}
+	if len(alerts) != 0 || st.Alerts != 0 || victims == 0 || len(windows) != full.Windows || st.Degraded != full.Windows {
+		t.Fatalf("victims-only: %d alerts, %d victims selected over %d windows (want %d), stats %+v",
+			len(alerts), victims, len(windows), full.Windows, st)
+	}
+
+	st, alerts, windows, m := run(resilience.Skipped)
+	sst, _ := m.StreamStats()
+	if len(alerts) != 0 || len(windows) != 0 || st.WindowsSkipped != full.Windows || st.Windows != full.Windows ||
+		st.Records != len(tr.Records) || sst.Records == 0 || sst.SealedSegments == 0 {
+		t.Fatalf("skipped: %d alerts, %d windows run, stats %+v, stream %+v — want every window only ingested",
+			len(alerts), len(windows), st, sst)
+	}
+}

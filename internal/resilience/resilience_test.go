@@ -410,3 +410,64 @@ func TestConfigEnabledAndAuto(t *testing.T) {
 		t.Error("deadline alone should enable")
 	}
 }
+
+// TestRingAppendRunMatchesAppend: AppendRun leaves a ring holding what
+// appending its items one by one does — across wrap-around, growth from
+// empty, and a bounded ring's limit, where a run that does not fit is
+// refused whole — and DropFront, clearing its spans in bulk, still zeroes
+// every slot it releases.
+func TestRingAppendRunMatchesAppend(t *testing.T) {
+	for _, capacity := range []int{0, 100} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			run, ref := NewRing[[]int](capacity), NewRing[[]int](capacity)
+			next, wrapped, grew, refused := 0, false, 0, false
+			for round := 0; round < 300; round++ {
+				vs := make([][]int, (round*7)%23)
+				for i := range vs {
+					vs[i] = []int{next}
+					next++
+				}
+				fits := capacity == 0 || ref.Len()+len(vs) <= capacity
+				if got := run.AppendRun(vs); got != fits {
+					t.Fatalf("round %d: AppendRun of %d onto %d = %v, want %v", round, len(vs), run.Len(), got, fits)
+				}
+				if fits {
+					for _, v := range vs {
+						ref.Append(v)
+					}
+				} else {
+					refused = true
+				}
+				if n := len(run.buf); n > grew {
+					grew = n
+				}
+				if _, b := run.Spans(0, run.Len()); len(b) > 0 {
+					wrapped = true
+				}
+				if run.Len() != ref.Len() {
+					t.Fatalf("round %d: %d items, want %d", round, run.Len(), ref.Len())
+				}
+				for i := 0; i < ref.Len(); i++ {
+					if run.At(i)[0] != ref.At(i)[0] {
+						t.Fatalf("round %d: item %d is %d, want %d", round, i, run.At(i)[0], ref.At(i)[0])
+					}
+				}
+				k := (round * 5) % 17
+				run.DropFront(k)
+				ref.DropFront(k)
+				live := make(map[int]bool)
+				for i := 0; i < run.Len(); i++ {
+					live[run.idx(i)] = true
+				}
+				for i, s := range run.buf {
+					if !live[i] && s != nil {
+						t.Fatalf("round %d: released slot %d still references its payload", round, i)
+					}
+				}
+			}
+			if !wrapped || grew < 64 || (capacity > 0 && !refused) {
+				t.Fatalf("schedule too gentle: wrapped=%v, grew to %d, refused=%v", wrapped, grew, refused)
+			}
+		})
+	}
+}

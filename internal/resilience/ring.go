@@ -58,20 +58,19 @@ func (r *Ring[T]) idx(i int) int {
 	return p
 }
 
-// grow doubles the backing store (respecting the capacity bound) and
-// linearizes the contents.
-func (r *Ring[T]) grow() {
-	newCap := len(r.buf) * 2
-	if newCap < 16 {
-		newCap = 16
+// grow doubles the backing store until it holds at least need items
+// (respecting the capacity bound) and linearizes the contents.
+func (r *Ring[T]) grow(need int) {
+	newCap := max(len(r.buf)*2, 16)
+	for newCap < need {
+		newCap *= 2
 	}
 	if r.capLimit > 0 && newCap > r.capLimit {
 		newCap = r.capLimit
 	}
 	nb := make([]T, newCap)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[r.idx(i)]
-	}
+	a, b := r.Spans(0, r.n)
+	copy(nb[copy(nb, a):], b)
 	r.buf, r.head = nb, 0
 }
 
@@ -82,10 +81,30 @@ func (r *Ring[T]) Append(v T) bool {
 		return false
 	}
 	if r.n == len(r.buf) {
-		r.grow()
+		r.grow(r.n + 1)
 	}
 	r.buf[r.idx(r.n)] = v
 	r.n++
+	return true
+}
+
+// AppendRun adds every item of vs at the back, in order, with one copy per
+// contiguous stretch of storage it lands in. It returns false — and
+// buffers nothing — when a bounded ring has no room for all of them.
+func (r *Ring[T]) AppendRun(vs []T) bool {
+	if r.capLimit > 0 && r.n+len(vs) > r.capLimit {
+		return false
+	}
+	if len(vs) == 0 {
+		return true
+	}
+	if r.n+len(vs) > len(r.buf) {
+		r.grow(r.n + len(vs))
+	}
+	// The free slots run from the tail to the head, wrapping at most once.
+	k := copy(r.buf[r.idx(r.n):], vs)
+	copy(r.buf, vs[k:])
+	r.n += len(vs)
 	return true
 }
 
@@ -97,7 +116,7 @@ func (r *Ring[T]) Insert(i int, v T) bool {
 		return false
 	}
 	if r.n == len(r.buf) {
-		r.grow()
+		r.grow(r.n + 1)
 	}
 	r.n++
 	for j := r.n - 1; j > i; j-- {
@@ -113,14 +132,10 @@ func (r *Ring[T]) DropFront(k int) {
 	if k > r.n {
 		k = r.n
 	}
-	var zero T
-	for i := 0; i < k; i++ {
-		r.buf[r.head] = zero
-		r.head++
-		if r.head == len(r.buf) {
-			r.head = 0
-		}
-	}
+	a, b := r.Spans(0, k)
+	clear(a)
+	clear(b)
+	r.head = r.idx(k)
 	r.n -= k
 }
 
@@ -144,7 +159,7 @@ func (r *Ring[T]) Search(pred func(T) bool) int {
 // Spans returns items [from, to) in place, as the (at most two) contiguous
 // runs of the ring's own storage they occupy, in logical order; b is empty
 // unless the range wraps. Nothing is copied: the slices alias the ring and
-// are valid only until its next Append, Insert or DropFront.
+// are valid only until its next Append, AppendRun, Insert or DropFront.
 func (r *Ring[T]) Spans(from, to int) (a, b []T) {
 	if from >= to {
 		return nil, nil

@@ -38,7 +38,9 @@ import (
 	"mime"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
+	"sync"
 
 	"microscope/internal/collector"
 	"microscope/internal/online"
@@ -173,15 +175,17 @@ func Handler(s *Server) http.Handler {
 			writeServeError(w, err)
 			return
 		}
-		recs, stats, err := readRecords(r)
-		if err != nil {
+		chunk := t.takeChunk()
+		recs, stats, err := readRecords(r, chunk[:0])
+		if err != nil || len(recs) == 0 {
+			t.putChunk(chunk)
 			t.release()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(recs) == 0 {
-			t.release()
-		} else if err := t.fill(feedMsg{recs: recs}); err != nil {
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+		} else if err := t.fill(feedMsg{recs: recs, recycle: true}); err != nil {
+			t.putChunk(recs)
 			writeServeError(w, err)
 			return
 		}
@@ -290,24 +294,69 @@ func readSpec(w http.ResponseWriter, r *http.Request) (*spec.PipelineSpec, error
 	return sp, nil
 }
 
-// readRecords decodes an ingest body: the collector's binary stream
-// framing when the media type is application/octet-stream (resilient to
-// torn frames), a JSON record array otherwise.
-func readRecords(r *http.Request) ([]collector.BatchRecord, collector.DecodeStats, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+// readRecords decodes an ingest body into dst: the collector's binary
+// stream framing when the media type is application/octet-stream
+// (resilient to torn frames), a JSON record array otherwise. The body is
+// read into a pooled buffer and is dead once decoded: both decoders copy
+// out the strings and payloads they keep.
+func readRecords(r *http.Request, dst []collector.BatchRecord) ([]collector.BatchRecord, collector.DecodeStats, error) {
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	body, err := readBodyInto(r, (*buf)[:0])
+	*buf = body
 	if err != nil {
-		return nil, collector.DecodeStats{}, err
+		return dst, collector.DecodeStats{}, err
 	}
 	// A malformed parameter still yields the media type; any other parse
 	// failure yields "", which is JSON.
 	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
-		return collector.DecodeStream(body)
+		return collector.AppendDecodeStream(dst, body)
 	}
-	recs, err := collector.DecodeJSON(body)
+	recs, err := collector.AppendDecodeJSON(dst, body)
 	if err != nil {
-		return nil, collector.DecodeStats{}, fmt.Errorf("records body: %w", err)
+		return dst, collector.DecodeStats{}, fmt.Errorf("records body: %w", err)
 	}
 	return recs, collector.DecodeStats{}, nil
+}
+
+// maxPooledBody is the largest body buffer bodyPool keeps: a buffer that
+// grew past it for one outsized body is left to the GC, not held for the
+// ordinary ones.
+const maxPooledBody = 4 << 20
+
+// bodyPool recycles ingest body buffers across requests and tenants. A
+// buffer is held only while its body is read and decoded, so the pool
+// holds about one per concurrent ingest request.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// readBodyInto reads r's body, capped at maxBodyBytes, into buf's storage,
+// which it first grows to the declared Content-Length so a body arrives in
+// one buffer with no regrowth.
+func readBodyInto(r *http.Request, buf []byte) ([]byte, error) {
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		// One byte more than the body, so the read that sees EOF has room.
+		buf = slices.Grow(buf, int(n)+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -37,6 +37,16 @@ import (
 // ring. A full queue is backpressure (HTTP 429), not silent buffering.
 const feedQueueCap = 64
 
+// maxFreeChunks bounds each tenant's free list of decoded record chunks,
+// and maxFreeChunkRecs the capacity of a chunk the list keeps. The list
+// only has to cover the chunks in flight between the handlers and the
+// feed goroutine at its steady pace; chunks a burst parks in the feed
+// queue beyond that are left to the GC rather than held for good.
+const (
+	maxFreeChunks    = 4
+	maxFreeChunkRecs = 16 << 10
+)
+
 // Bounded retention of per-tenant outputs served over HTTP.
 const (
 	maxRetainedReports = 256
@@ -97,9 +107,13 @@ type TenantStatus struct {
 // chunk, an explicit flush barrier, or both. done (when non-nil) is
 // closed after the message is fully processed.
 type feedMsg struct {
-	recs  []collector.BatchRecord
-	flush bool
-	done  chan struct{}
+	recs []collector.BatchRecord
+	// recycle marks recs as a chunk the HTTP handler decoded into: once fed
+	// it goes back on the tenant's free list. A chunk a caller handed to
+	// Enqueue is never recycled — the caller may send it again.
+	recycle bool
+	flush   bool
+	done    chan struct{}
 	// barrier, when non-nil, stalls the feed goroutine until it closes —
 	// tests use it to fill the queue deterministically. Never set in
 	// production paths.
@@ -134,6 +148,9 @@ type Tenant struct {
 	mu      sync.Mutex
 	stopped bool
 	queued  int
+	// free holds decoded record chunks the feed goroutine is done with,
+	// for the next body to decode into (at most maxFreeChunks).
+	free [][]collector.BatchRecord
 	// reports is a ring of the last maxRetainedReports window reports,
 	// oldest at reportAt(0); nReports counts every report ever retained.
 	reports  [maxRetainedReports]retainedReport
@@ -251,6 +268,9 @@ func (t *Tenant) feedLoop() {
 			t.noteAlerts(t.mon.Flush())
 		}
 		t.mu.Lock()
+		if msg.recycle {
+			t.putChunkLocked(msg.recs)
+		}
 		t.queued--
 		t.stats = t.mon.Stats()
 		t.degradation = t.mon.LastDegradation()
@@ -308,6 +328,36 @@ func (t *Tenant) release() {
 	t.mu.Lock()
 	t.queued--
 	t.mu.Unlock()
+}
+
+// takeChunk returns a record chunk from the free list for a body to be
+// decoded into, or nil (the decoder then allocates one). Its stale records
+// are overwritten by the decode, never read.
+func (t *Tenant) takeChunk() []collector.BatchRecord {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.free)
+	if n == 0 {
+		return nil
+	}
+	c := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return c
+}
+
+// putChunk gives a chunk back to the free list; one the list has no room
+// for, or that grew past maxFreeChunkRecs, is dropped.
+func (t *Tenant) putChunk(c []collector.BatchRecord) {
+	t.mu.Lock()
+	t.putChunkLocked(c)
+	t.mu.Unlock()
+}
+
+func (t *Tenant) putChunkLocked(c []collector.BatchRecord) {
+	if cap(c) > 0 && cap(c) <= maxFreeChunkRecs && len(t.free) < maxFreeChunks {
+		t.free = append(t.free, c[:0])
+	}
 }
 
 // fill hands msg to the feed goroutine in the slot reserve claimed. The

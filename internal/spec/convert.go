@@ -108,6 +108,7 @@ func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 		HoldOff:      st.HoldOff.Sim(),
 		Obs:          reg,
 		Resilience:   s.ResilienceConfig(),
+		Degrade:      s.Rung(),
 	}
 }
 

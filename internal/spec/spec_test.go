@@ -428,7 +428,7 @@ func TestEverySpecFieldIsLowered(t *testing.T) {
 		val  any
 		into []string
 	}{
-		"stages.run":            {RungVictimsOnly, []string{pipeC}},
+		"stages.run":            {RungVictimsOnly, []string{pipeC, monC}},
 		"stages.contain_panics": {true, []string{coreC, pipeC, monC, resC}},
 
 		"diagnosis.victim_percentile":          {95.0, diag},
