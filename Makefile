@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: check vet lint build test race race-pipeline race-serve fuzz bench bench-smoke bench-test bench-all bench-stream scale-check stream-check obs-smoke soak soak-smoke serve-smoke
+.PHONY: check fmt vet lint build test race race-pipeline race-serve fuzz bench bench-smoke bench-test bench-all bench-stream scale-check stream-check obs-smoke soak soak-smoke serve-smoke
 
 # The full pre-submit gate.
-check: vet lint build race race-pipeline race-serve fuzz obs-smoke bench-smoke bench-test soak-smoke stream-check serve-smoke
+check: fmt vet lint build race race-pipeline race-serve fuzz obs-smoke bench-smoke bench-test soak-smoke stream-check serve-smoke
+
+# Every Go file is gofmt-formatted: fails listing the files that are not.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -240,8 +240,9 @@ func BenchmarkNetMedicBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPatternAggregation measures §4.4 aggregation on a realistic
-// relation set.
+// BenchmarkPatternAggregation measures the §4.4 tail on a realistic
+// diagnosis set: relations, their grouping by culprit and both AutoFocus
+// phases, which is everything the patterns stage runs.
 func BenchmarkPatternAggregation(b *testing.B) {
 	tr := benchTrace(24)
 	st := tracestore.Build(tr)
@@ -249,14 +250,18 @@ func BenchmarkPatternAggregation(b *testing.B) {
 	eng := core.NewEngine(core.Config{MaxVictims: 300})
 	diags := eng.Diagnose(st)
 	pcfg := patterns.Config{}
-	rels := patterns.RelationsFromDiagnoses(st, diags, pcfg)
+	b.ReportAllocs()
 	b.ResetTimer()
-	var pats int
+	var rels, pats int
 	for i := 0; i < b.N; i++ {
-		pats = len(patterns.Aggregate(rels, pcfg))
+		r := patterns.RelationsFromDiagnoses(st, diags, pcfg)
+		rels, pats = r.Len(), len(patterns.Aggregate(r, pcfg))
 	}
-	b.ReportMetric(float64(len(rels)), "relations")
+	b.ReportMetric(float64(rels), "relations")
 	b.ReportMetric(float64(pats), "patterns")
+	if rels > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rels), "ns/relation")
+	}
 }
 
 // BenchmarkCollectorEncode measures the compact codec (the runtime

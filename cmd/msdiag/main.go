@@ -202,12 +202,11 @@ func main() {
 	fmt.Printf("pipeline (%d workers): %s\n", par.Workers(pcfg.Diagnosis.Workers, len(res.Victims)), strings.Join(stages, " | "))
 	fmt.Printf("diagnosed %d victims\n", len(diags))
 
-	flowIdx := st.FlowIndex()
 	for i := 0; i < len(diags) && i < *showDiags; i++ {
 		d := &diags[i]
 		flow := "?"
 		if d.Victim.HasTuple {
-			flow = flowIdx.Label(d.Victim.Tuple)
+			flow = d.Victim.Tuple.String()
 		}
 		fmt.Printf("\nvictim #%d: %s at %s flow %s (t=%v, queue delay %v)\n",
 			i, d.Victim.Kind, d.Victim.Comp, flow, d.Victim.ArriveAt, d.Victim.QueueDelay)

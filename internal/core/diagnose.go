@@ -188,31 +188,58 @@ func (e *Engine) diagnoseContained(d *diagnoser, victims []Victim, i int, a *wor
 	if !e.cfg.ContainPanics {
 		return e.diagnoseOne(d, victims, i, a)
 	}
-	var diag Diagnosis
-	if err := resilience.Contain("victim", func() { diag = e.diagnoseOne(d, victims, i, a) }); err != nil {
-		diag = Diagnosis{Victim: victims[i]}
-		e.panics.Add(1)
-		d.victimPanics.Add(1)
-	}
+	diag := Diagnosis{Victim: victims[i]}
+	e.contain(d, "victim", func() { diag = e.diagnoseOne(d, victims, i, a) })
 	return diag
 }
 
-// ContainedPanics returns how many victims this engine quarantined via the
-// ContainPanics boundary over its lifetime.
+// contain runs fn inside the crash-containment boundary when ContainPanics
+// is set, else plainly. A contained panic is counted, and whatever fn had
+// not yet assigned keeps the value the caller gave it.
+func (e *Engine) contain(d *diagnoser, scope string, fn func()) {
+	if !e.cfg.ContainPanics {
+		fn()
+		return
+	}
+	if err := resilience.Contain(scope, fn); err != nil {
+		e.panics.Add(1)
+		d.victimPanics.Add(1)
+	}
+}
+
+// chaos fires the chaos hook, if one is set, with the given scope.
+func (e *Engine) chaos(scope string) {
+	if e.cfg.ChaosHook != nil {
+		e.cfg.ChaosHook(scope)
+	}
+}
+
+// ContainedPanics returns how many panics this engine's ContainPanics
+// boundary caught over its lifetime: one per quarantined victim or
+// explanation, and one per victim selection that came back empty.
 func (e *Engine) ContainedPanics() int64 { return e.panics.Load() }
 
 // FindVictims exposes victim selection on its own (used by tests and by the
-// evaluation harness).
+// evaluation harness). With ContainPanics a panic in it is contained and
+// counted, and no victims are returned.
 func (e *Engine) FindVictims(st *tracestore.Store) []Victim {
-	return e.newDiagnoser(st).findVictims()
+	d := e.newDiagnoser(st)
+	var victims []Victim
+	e.contain(d, "victims", func() {
+		e.chaos("victims")
+		victims = d.findVictims()
+	})
+	return victims
 }
 
-// DiagnoseVictim diagnoses a single victim.
+// DiagnoseVictim diagnoses a single victim, as victim 0 of a one-victim
+// run: with ContainPanics a panic in it is contained and counted, and the
+// victim comes back with no causes.
 func (e *Engine) DiagnoseVictim(st *tracestore.Store, v Victim) Diagnosis {
 	d := e.newDiagnoser(st)
 	a := e.takeArena(d)
 	defer e.putArenas(a)
-	return d.diagnoseVictim(v, a)
+	return e.diagnoseContained(d, []Victim{v}, 0, a)
 }
 
 // findVictims implements the victim selection of §4: delivered packets

@@ -48,13 +48,18 @@ type ExplainShare struct {
 }
 
 // Explain reproduces the diagnosis of one victim while recording every
-// intermediate quantity. It mirrors DiagnoseVictim's recursion exactly.
+// intermediate quantity. It mirrors DiagnoseVictim's recursion exactly,
+// containment included: with ContainPanics a panic in it is contained and
+// counted, and the explanation comes back with no tree.
 func (e *Engine) Explain(st *tracestore.Store, v Victim) *Explanation {
 	d := e.newDiagnoser(st)
 	a := e.takeArena(d)
 	defer e.putArenas(a)
 	ex := &Explanation{Victim: v}
-	ex.Root = d.explainAt(st.CompIDOf(v.Comp), v.ArriveAt, 1.0, 0, a)
+	e.contain(d, "victim", func() {
+		e.chaos("victim:0")
+		ex.Root = d.explainAt(st.CompIDOf(v.Comp), v.ArriveAt, 1.0, 0, a)
+	})
 	return ex
 }
 

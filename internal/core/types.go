@@ -205,14 +205,18 @@ type Config struct {
 	// ContainPanics is the worker-task crash-containment boundary: a panic
 	// inside one victim's diagnosis quarantines that victim (its Diagnosis
 	// carries the Victim and no causes) instead of killing the process.
-	// Contained panics are counted (Engine.ContainedPanics and the
-	// microscope_diag_victim_panics_total counter). Off by default: the
-	// offline tools prefer a loud crash.
+	// The single-victim entry points are bounded the same way: DiagnoseVictim
+	// quarantines its victim, Explain returns the Explanation with no tree
+	// and FindVictims returns no victims. Contained panics are counted
+	// (Engine.ContainedPanics and the microscope_diag_victim_panics_total
+	// counter). Off by default: the offline tools prefer a loud crash.
 	ContainPanics bool
 	// ChaosHook, when non-nil, runs before each victim's diagnosis with
-	// scope "victim:<index>" — the chaos harness injects worker-task
-	// panics and stalls through it. Hook decisions keyed on the index are
-	// identical for every worker count, keeping chaos runs deterministic.
+	// scope "victim:<index>" (DiagnoseVictim and Explain are victim 0) and
+	// before FindVictims' selection with scope "victims" — the chaos
+	// harness injects worker-task panics and stalls through it. Hook
+	// decisions keyed on the index are identical for every worker count,
+	// keeping chaos runs deterministic.
 	// Never set in production.
 	ChaosHook func(scope string)
 	// Obs receives diagnosis metrics (victims diagnosed, memo hit/miss,

@@ -138,7 +138,7 @@ func Figure14(cfg Figure14Config) *Figure14Result {
 
 	res := &Figure14Result{
 		Patterns:        pats,
-		Relations:       len(rels),
+		Relations:       rels.Len(),
 		AggregationTime: elapsed,
 		BugFW:           bugFW,
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sort"
+
 	"microscope/internal/collector"
 	"microscope/internal/core"
 	"microscope/internal/nfsim"
@@ -9,7 +11,6 @@ import (
 	"microscope/internal/report"
 	"microscope/internal/simtime"
 	"microscope/internal/tracestore"
-	"sort"
 	"microscope/internal/traffic"
 )
 

@@ -81,11 +81,8 @@ h2 { border-bottom: 1px solid #ddd; padding-bottom: 4px; }
 	}
 	b.WriteString("</table>\n")
 
-	// Worst victims. Flow labels come from the store's flow index, which
-	// caches each tuple's formatted form, so this table costs no
-	// per-row formatting for known flows.
+	// Worst victims.
 	if len(in.Diagnoses) > 0 {
-		fi := in.Store.FlowIndex()
 		b.WriteString("<h2>Worst victims</h2>\n<table><tr><th>#</th><th>kind</th><th>component</th><th>flow</th><th>arrival</th><th>queue delay</th></tr>\n")
 		limit := len(in.Diagnoses)
 		if limit > 10 {
@@ -94,7 +91,7 @@ h2 { border-bottom: 1px solid #ddd; padding-bottom: 4px; }
 		for i, d := range in.Diagnoses[:limit] {
 			flow := "?"
 			if d.Victim.HasTuple {
-				flow = fi.Label(d.Victim.Tuple)
+				flow = d.Victim.Tuple.String()
 			}
 			fmt.Fprintf(&b, "<tr><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%v</td><td>%v</td></tr>\n",
 				i+1, d.Victim.Kind, html.EscapeString(d.Victim.Comp),

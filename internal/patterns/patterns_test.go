@@ -1,6 +1,9 @@
 package patterns
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -34,37 +37,54 @@ func bgTuple(i int) packet.FiveTuple {
 	}
 }
 
+// fixture is a store of bare journeys over declared components: all
+// RelationsFromDiagnoses reads of a store is its component kinds and its
+// journeys' tuples.
+type fixture struct{ st *tracestore.Store }
+
+func newFixture(comps ...collector.ComponentMeta) *fixture {
+	return &fixture{st: tracestore.Build(&collector.Trace{Meta: collector.Meta{Components: comps}})}
+}
+
+// journey adds a journey and returns its index.
+func (f *fixture) journey(ft packet.FiveTuple, has bool) int {
+	f.st.Journeys = append(f.st.Journeys, tracestore.Journey{Tuple: ft, HasTuple: has})
+	return len(f.st.Journeys) - 1
+}
+
+var fixtureComps = []collector.ComponentMeta{
+	{Name: "source", Kind: "source"},
+	{Name: "fw2", Kind: "fw"},
+	{Name: "nat1", Kind: "nat"},
+	{Name: "vpn1", Kind: "vpn"},
+}
+
 func TestAggregateSyntheticRelations(t *testing.T) {
-	// Bug-triggering flows at fw2 hurt victims at fw2 — the §6.4 shape.
-	var rels []Relation
+	f := newFixture(fixtureComps...)
+	var diags []core.Diagnosis
+	// Bug-triggering flows at fw2 hurt victims at fw2 — the §6.4 shape:
+	// every victim blames each of nine trigger packets.
+	var triggers []int
 	for i := 0; i < 9; i++ {
-		for v := 0; v < 20; v++ {
-			rels = append(rels, Relation{
-				CulpritFlow:    trigTuple(uint16(2000+i), uint16(6000+i)),
-				CulpritHasFlow: true,
-				CulpritNF:      "fw2",
-				CulpritKind:    "fw",
-				VictimFlow:     bgTuple(v),
-				VictimHasFlow:  true,
-				VictimNF:       "fw2",
-				VictimKind:     "fw",
-				Score:          5,
-			})
+		triggers = append(triggers, f.journey(trigTuple(uint16(2000+i), uint16(6000+i)), true))
+	}
+	for v := 0; v < 20; v++ {
+		d := core.Diagnosis{Victim: core.Victim{Comp: "fw2", Tuple: bgTuple(v), HasTuple: true}}
+		for _, j := range triggers {
+			d.Causes = append(d.Causes, core.Cause{Comp: "fw2", Score: 5, CulpritJourneys: []int{j}})
 		}
+		diags = append(diags, d)
 	}
 	// Background noise relations.
 	for i := 0; i < 50; i++ {
-		rels = append(rels, Relation{
-			CulpritFlow:    bgTuple(1000 + i),
-			CulpritHasFlow: true,
-			CulpritNF:      "source",
-			CulpritKind:    "source",
-			VictimFlow:     bgTuple(2000 + i),
-			VictimHasFlow:  true,
-			VictimNF:       "vpn1",
-			VictimKind:     "vpn",
-			Score:          0.5,
+		diags = append(diags, core.Diagnosis{
+			Victim: core.Victim{Comp: "vpn1", Tuple: bgTuple(2000 + i), HasTuple: true},
+			Causes: []core.Cause{{Comp: "source", Score: 0.5, CulpritJourneys: []int{f.journey(bgTuple(1000+i), true)}}},
 		})
+	}
+	rels := RelationsFromDiagnoses(f.st, diags, Config{})
+	if rels.Len() != 9*20+50 {
+		t.Fatalf("relations: got %d, want %d", rels.Len(), 9*20+50)
 	}
 	pats := Aggregate(rels, Config{Threshold: 0.01})
 	if len(pats) == 0 {
@@ -82,8 +102,8 @@ func TestAggregateSyntheticRelations(t *testing.T) {
 		t.Errorf("top culprit flow does not cover 100.0.0.1: %v", top.CulpritFlow)
 	}
 	// Aggregation must compress: far fewer patterns than relations.
-	if len(pats) >= len(rels)/2 {
-		t.Errorf("no compression: %d patterns for %d relations", len(pats), len(rels))
+	if len(pats) >= rels.Len()/2 {
+		t.Errorf("no compression: %d patterns for %d relations", len(pats), rels.Len())
 	}
 }
 
@@ -91,14 +111,27 @@ func TestAggregateEmpty(t *testing.T) {
 	if Aggregate(nil, Config{}) != nil {
 		t.Error("nil relations should aggregate to nil")
 	}
+	f := newFixture(fixtureComps...)
+	diags := []core.Diagnosis{{
+		Victim: core.Victim{Comp: "fw2"},
+		Causes: []core.Cause{{Comp: "fw2", Score: 3, CulpritJourneys: []int{-1, 7}}},
+	}}
+	rels := RelationsFromDiagnoses(f.st, diags, Config{})
+	if rels.Len() != 0 || Aggregate(rels, Config{}) != nil {
+		t.Errorf("out-of-range culprits only: %d relations, want none", rels.Len())
+	}
 }
 
 func TestAggregateUnknownFlows(t *testing.T) {
-	rels := []Relation{
-		{CulpritNF: "nat1", CulpritKind: "nat", VictimNF: "vpn1", VictimKind: "vpn", Score: 10},
-		{CulpritNF: "nat1", CulpritKind: "nat", VictimNF: "vpn1", VictimKind: "vpn", Score: 10},
+	f := newFixture(fixtureComps...)
+	diags := make([]core.Diagnosis, 2)
+	for i := range diags {
+		diags[i] = core.Diagnosis{
+			Victim: core.Victim{Comp: "vpn1"},
+			Causes: []core.Cause{{Comp: "nat1", Score: 10}},
+		}
 	}
-	pats := Aggregate(rels, Config{Threshold: 0.01})
+	pats := Aggregate(RelationsFromDiagnoses(f.st, diags, Config{}), Config{Threshold: 0.01})
 	if len(pats) == 0 {
 		t.Fatal("unknown flows should still aggregate by NF")
 	}
@@ -174,7 +207,7 @@ func TestEndToEndBugPatterns(t *testing.T) {
 		t.Fatal("no diagnoses")
 	}
 	rels := RelationsFromDiagnoses(st, diags, Config{})
-	if len(rels) == 0 {
+	if rels.Len() == 0 {
 		t.Fatal("no relations")
 	}
 	pats := Aggregate(rels, Config{Threshold: 0.01})
@@ -201,8 +234,8 @@ func TestEndToEndBugPatterns(t *testing.T) {
 		t.Errorf("trigger flow not pinpointed by any culprit pattern; top:\n%s", Render(pats[:limit]))
 	}
 	// Compression: the report should be far smaller than the relation set.
-	if len(pats) > len(rels)/4 {
-		t.Errorf("poor compression: %d patterns from %d relations", len(pats), len(rels))
+	if len(pats) > rels.Len()/4 {
+		t.Errorf("poor compression: %d patterns from %d relations", len(pats), rels.Len())
 	}
 }
 
@@ -227,17 +260,19 @@ func TestRelationsFromDiagnosesShares(t *testing.T) {
 		}},
 	}}
 	rels := RelationsFromDiagnoses(store, diags, Config{})
-	if len(rels) != 3 {
-		t.Fatalf("relations: got %d", len(rels))
+	if rels.Len() != 3 {
+		t.Fatalf("relations: got %d", rels.Len())
 	}
 	var sum float64
-	for _, r := range rels {
-		sum += r.Score
-		if r.CulpritNF != "fw1" || r.VictimNF != "fw1" {
-			t.Error("NFs wrong")
+	for _, g := range rels.groups {
+		if g.nf != "fw1" || g.kind != "fw" {
+			t.Errorf("culprit NF, kind: %q, %q", g.nf, g.kind)
 		}
-		if r.CulpritKind != "fw" {
-			t.Errorf("kind: %q", r.CulpritKind)
+		for _, it := range g.items {
+			sum += it.Weight
+			if it.NF != "fw1" || it.Kind != "fw" {
+				t.Errorf("victim NF, kind: %q, %q", it.NF, it.Kind)
+			}
 		}
 	}
 	if sum < 11.99 || sum > 12.01 {
@@ -267,16 +302,91 @@ func TestRelationsSubsampling(t *testing.T) {
 		Causes: []core.Cause{{Comp: "fw1", Kind: core.CulpritLocalProcessing, Score: 100, CulpritJourneys: many}},
 	}}
 	rels := RelationsFromDiagnoses(store, diags, Config{MaxCulpritsPerCause: 64})
-	if len(rels) > 64 {
-		t.Errorf("subsampling failed: %d relations", len(rels))
+	if rels.Len() > 64 {
+		t.Errorf("subsampling failed: %d relations", rels.Len())
 	}
 	var sum float64
-	for _, r := range rels {
-		sum += r.Score
+	for _, g := range rels.groups {
+		for _, it := range g.items {
+			sum += it.Weight
+		}
 	}
-	// Score conservation within the sampled set (each share is
-	// score/len(sampled) — hmm, shares use the sampled count).
+	// Score conservation within the sampled set: each share is the
+	// cause's score over the sampled count.
 	if sum < 99 || sum > 101 {
 		t.Errorf("score sum: %v", sum)
+	}
+}
+
+// TestSamplerMatchesPerm holds the culprit sampler to what it replaces:
+// the first k of rand.New(rand.NewSource(seed)).Perm(n), sorted, for n in
+// (k, 20000]. Each n comes up twice, in a scrambled order, among the
+// causes samplePicks draws for, at one worker and at three, so the
+// reseeded sources serve many n each as a run uses them.
+func TestSamplerMatchesPerm(t *testing.T) {
+	const maxN = 20000
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{1, 2, 7, 256} {
+		ns := []int{k + 1, k + 2, k + 3, 2 * k, 2*k + 1, 4096, maxN - 1, maxN}
+		for len(ns) < 120 {
+			ns = append(ns, k+1+rng.Intn(maxN-k))
+		}
+		ns = append(ns, ns...)
+		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		var d core.Diagnosis
+		for _, n := range ns {
+			d.Causes = append(d.Causes, core.Cause{CulpritJourneys: make([]int, n)}, core.Cause{CulpritJourneys: make([]int, k)})
+		}
+		for _, workers := range []int{1, 3} {
+			picks := samplePicks([]core.Diagnosis{d}, k, workers)
+			for _, n := range ns {
+				want := rand.New(rand.NewSource(int64(n)*2654435761 + 12345)).Perm(n)[:k]
+				sort.Ints(want)
+				if got := picks[n]; !slices.Equal(got, want) {
+					t.Fatalf("k=%d n=%d workers=%d: picks %v, Perm gives %v", k, n, workers, got, want)
+				}
+			}
+			if _, ok := picks[k]; ok {
+				t.Fatalf("k=%d: drew picks for a cause of exactly k culprits", k)
+			}
+		}
+	}
+}
+
+// TestRelationsAllocsBounded is the allocation budget of relation
+// building: its arrays and maps as they grow with the group count, and one
+// pick list per distinct sampled culprit count, but nothing per relation
+// or per cause. The input makes about 43,000 relations of 400 causes in
+// about 6,000 groups, so either would blow the budget.
+func TestRelationsAllocsBounded(t *testing.T) {
+	f := newFixture(fixtureComps...)
+	for i := 0; i < 4000; i++ {
+		f.journey(bgTuple(i%1000), i%7 != 0)
+	}
+	nfs := []string{"source", "fw2", "nat1", "vpn1"}
+	var diags []core.Diagnosis
+	for v := 0; v < 100; v++ {
+		d := core.Diagnosis{Victim: core.Victim{Comp: nfs[v%4], Tuple: bgTuple(v), HasTuple: v%3 != 0}}
+		for c := 0; c < 4; c++ {
+			culprits := make([]int, 40+(v*c)%60)
+			if c == 3 {
+				culprits = make([]int, 300+v%2) // sampled: two distinct counts
+			}
+			for i := range culprits {
+				culprits[i] = (v*97 + c*13 + i*31) % 4000
+			}
+			d.Causes = append(d.Causes, core.Cause{Comp: nfs[c], Score: float64(v + c), CulpritJourneys: culprits})
+		}
+		diags = append(diags, d)
+	}
+	rels := RelationsFromDiagnoses(f.st, diags, Config{})
+	const budget = 150
+	allocs := testing.AllocsPerRun(5, func() { RelationsFromDiagnoses(f.st, diags, Config{}) })
+	t.Logf("%d relations in %d groups: %.0f allocations", rels.Len(), len(rels.groups), allocs)
+	if rels.Len() < 40000 {
+		t.Fatalf("fixture makes %d relations, want at least 40000", rels.Len())
+	}
+	if allocs > budget {
+		t.Errorf("RelationsFromDiagnoses made %.0f allocations for %d relations, budget %d", allocs, rels.Len(), budget)
 	}
 }

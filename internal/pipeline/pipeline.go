@@ -328,7 +328,7 @@ func (r *run) runStoreWith(ctx context.Context, eng *core.Engine) (*Result, erro
 	}
 	if err := r.stage(ctx, "patterns", func() {
 		rels := patterns.RelationsFromDiagnoses(st, r.res.Diagnoses, r.cfg.Patterns)
-		r.res.Relations = len(rels)
+		r.res.Relations = rels.Len()
 		r.res.Patterns, stageErr = patterns.AggregateContext(ctx, rels, r.cfg.Patterns)
 	}); err != nil {
 		return r.finish(), err

@@ -27,6 +27,7 @@ import (
 // for multi-upstream queues the estimator falls back to nearest-read
 // matching, which stays correct as long as the relative skew is smaller
 // than the inter-batch spacing.
+//
 //mslint:allow compid AlignClocks runs on the raw collector trace before the interner exists
 func AlignClocks(tr *collector.Trace) (map[string]simtime.Duration, *collector.Trace) {
 	// maxSkew bounds the relative offset the estimator searches for.
@@ -40,7 +41,7 @@ func AlignClocks(tr *collector.Trace) (map[string]simtime.Duration, *collector.T
 	}
 	//mslint:allow compid clock alignment runs on the raw collector trace before the interner exists
 	writeSeq := make(map[string]map[string][]entry) // dest -> upstream -> entries
-	readSeq := make(map[string][]entry) //mslint:allow compid clock alignment runs on the raw collector trace before the interner exists
+	readSeq := make(map[string][]entry)             //mslint:allow compid clock alignment runs on the raw collector trace before the interner exists
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		switch r.Dir {

@@ -147,20 +147,6 @@ type FlowIndex struct {
 	Deliveries map[packet.FiveTuple][]FlowDelivery
 	// End is the latest delivery time across all flows.
 	End simtime.Time
-
-	// labels caches each flow's formatted form so report/render paths
-	// stop re-formatting the same tuple per table row.
-	labels map[packet.FiveTuple]string
-}
-
-// Label returns the flow's formatted form ("src:port > dst:port proto"),
-// cached for every flow the index knows; unknown tuples are formatted on
-// the fly.
-func (fi *FlowIndex) Label(t packet.FiveTuple) string {
-	if s, ok := fi.labels[t]; ok {
-		return s
-	}
-	return t.String()
 }
 
 // FlowIndex returns the per-flow journey index, building it on first use.
@@ -193,10 +179,6 @@ func (s *Store) FlowIndex() *FlowIndex {
 			}
 			return ds[i].Journey < ds[j].Journey
 		})
-	}
-	fi.labels = make(map[packet.FiveTuple]string, len(fi.Flows))
-	for _, t := range fi.Flows {
-		fi.labels[t] = t.String()
 	}
 	s.flowIdx = fi
 	return fi
