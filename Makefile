@@ -76,16 +76,21 @@ bench-stream:
 # incremental report must be byte-identical to a cold rebuild of the same
 # window at every worker count, plus the stream-grid unit tests. This is
 # the streaming index's correctness contract; run it before touching
-# tracestore/stream.go or pipeline/stream.go. Also under -race here: the
-# seal's reused scratch and recycled shells against a fresh build
-# (TestSealScratchReuseEquivalence), Advance over split spans against the
-# flat slice (TestAdvance*, TestStreamSpans*), the steady-state allocation
-# bounds, and the window store (TestWindow*): updated in place against
-# assembled from scratch, column by column, over generated schedules —
-# skipped rungs, gaps, undeclared components coming and going, contained
-# faults half-way through an update.
+# tracestore/stream.go, pipeline/stream.go or the monitor's handoff in
+# online/online.go. Also under -race here: the seal's reused scratch and
+# recycled shells against a fresh build (TestSealScratchReuseEquivalence),
+# Advance skipping records it already sealed (TestAdvance*), the
+# steady-state allocation bounds, the window store (TestWindow*): updated
+# in place against assembled from scratch, column by column, over
+# generated schedules — skipped rungs, gaps, undeclared components coming
+# and going, contained faults half-way through an update — and the
+# monitor's handoff of its pending buffer to the stream: every reported
+# window against a cold rebuild, runs against one record at a time, every
+# offered record accounted for once, the backlog gauge, and the ladder's
+# whole-window count.
 stream-check:
 	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
+	$(GO) test -race -timeout 30m -run 'TestMonitorWindowsMatchRebuild|TestFeedRuns|TestShedAccounting|TestBacklogCountsUnsealed|TestLadderCountsWholeWindow' ./internal/online
 
 # One-iteration pipeline, segment-seal, window-assembly,
 # pattern-aggregation, JSON-decode and ingest benchmarks: catches benchmark

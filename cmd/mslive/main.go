@@ -94,8 +94,8 @@ func parse(args []string) (*settings, *spec.PipelineSpec, error) {
 	workers := fs.Int("workers", 0, "parallel diagnosis workers per window (0 = GOMAXPROCS, 1 = sequential; alerts are identical)")
 	fs.StringVar(&st.listen, "listen", "", "serve the tenant API, /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)")
 	fs.DurationVar(&st.hold, "hold", 0, "keep serving the HTTP endpoints this long after the stream ends")
-	ringCap := fs.Int("ring-cap", 0, "bound the ingest buffer to this many records and arm the degradation ladder (0 = unbounded, no ladder)")
-	shedPol := fs.String("shed-policy", "drop-oldest", "what a full ingest ring sheds: drop-oldest (windows) or reject-new (arrivals)")
+	ringCap := fs.Int("ring-cap", 0, "bound a window to this many records and arm the degradation ladder (0 = unbounded, no ladder)")
+	shedPol := fs.String("shed-policy", "drop-oldest", "what a full window sheds: drop-oldest (windows) or reject-new (arrivals)")
 	deadline := fs.Duration("window-deadline", 0, "wall-clock budget per analysis window; an overrunning window is skipped and counted (0 = none)")
 	maxMem := fs.Int64("max-mem", 0, "heap hard watermark in MiB; crossing half of it degrades diagnosis one rung, crossing it two (0 = off)")
 	specPath := fs.String("spec", "", "load the monitor's configuration from this pipeline spec (explicit flags override it)")
@@ -126,7 +126,7 @@ func parse(args []string) (*settings, *spec.PipelineSpec, error) {
 		case "workers":
 			sp.Diagnosis.Workers = *workers
 		case "ring-cap":
-			// A bounded ring arms the ladder derived from its capacity.
+			// A bounded window arms the ladder derived from its capacity.
 			sp.Resilience.RingCapacity, sp.Resilience.Ladder = *ringCap, nil
 		case "shed-policy":
 			sp.Resilience.ShedPolicy = *shedPol

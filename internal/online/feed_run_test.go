@@ -44,16 +44,16 @@ func (p *feedProbe) state() string {
 }
 
 // TestFeedRunsMatchOneAtATime: Feed, which appends in-order stretches to
-// the ring as runs, leaves a monitor exactly where feeding the same records
-// one at a time through feedOne (the per-record path, with no runs) does —
-// stats, alerts, window fingerprints, counters and gauges — at the end of
-// every Feed call, over streams cut into chunks of random size. The streams
-// carry late records inside the open window and in closed ones, records
-// out of order by more than a neighbour, lone corrupt far-future times,
-// records early by an eighth of a window, resync runs broken by an
-// in-horizon record, a resync run after a genuine gap, and windows crossed
-// mid-chunk, through unbounded rings, bounded ones under
-// both shed policies, and a lookahead horizon shorter than a window.
+// the pending buffer as runs, leaves a monitor exactly where feeding the
+// same records one at a time through feedOne (the per-record path, with no
+// runs) does — stats, alerts, window fingerprints, counters and gauges — at
+// the end of every Feed call, over streams cut into chunks of random size.
+// The streams carry late records inside the open window and in closed
+// ones, records out of order by more than a neighbour, lone corrupt
+// far-future times, records early by an eighth of a window, resync runs
+// broken by an in-horizon record, a resync run after a genuine gap, and
+// windows crossed mid-chunk, unbounded, bounded by RingCapacity under both
+// shed policies, and with a lookahead horizon shorter than a window.
 func TestFeedRunsMatchOneAtATime(t *testing.T) {
 	const (
 		w = 5 * simtime.Millisecond

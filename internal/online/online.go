@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -170,16 +171,25 @@ type Monitor struct {
 	// eviction horizon track the monitor's.
 	stream *pipeline.StreamState
 
-	// pending is the bounded ingest ring (unbounded when RingCapacity=0).
-	pending *resilience.Ring[collector.BatchRecord]
-	// spans is unsealedSpans' result buffer.
-	spans [2][]collector.BatchRecord
+	// pending holds, in time order, the accepted records the stream has not
+	// sealed: the open window's, plus — after a window whose ingest never
+	// ran — that window's unsealed overlap tail. Each flush hands it to the
+	// stream whole and keeps only what the stream did not seal.
+	pending []collector.BatchRecord
+	// held is how many records the stream has sealed in the open window's
+	// span [nextFlush−Window−Overlap, nextFlush]: held+len(pending) is the
+	// window's record count, what the ladder and RingCapacity bound.
+	held int
 	// mem samples the heap against the configured watermarks.
 	mem       *resilience.MemWatcher
 	nextFlush simtime.Time
-	// flushedTo is the end of the last flushed window; records at or
-	// before it (closed) are too late to analyse.
+	// flushedTo is the end of the last flushed or shed window; records at
+	// or before it (closed) are too late to analyse.
 	flushedTo simtime.Time
+	// ranTo is the end of the last window flushWindow took (diagnosed,
+	// skipped or quarantined): a closed record after it belongs to a window
+	// ShedDropOldest abandoned, and is shed rather than late.
+	ranTo simtime.Time
 	// lastAlert remembers alerted onsets per culprit for hold-off.
 	lastAlert     map[alertKey]simtime.Time
 	lastWatermark simtime.Time
@@ -227,19 +237,21 @@ type Stats struct {
 	// still inside the open window and were re-sorted into place.
 	LateAccepted int
 	// LateDropped counts records that arrived after their window was
-	// already diagnosed and had to be discarded.
+	// already flushed and had to be discarded.
 	LateDropped int
 	// Unmatched and Quarantined are the stream's seal-time
 	// reconstruction totals: each record is reconstructed once, so they
 	// are monotone — across watermark resyncs too — and never count the
 	// overlap twice.
 	Unmatched, Quarantined int
-	// RecordsShed counts records discarded by the bounded-ingest shed
-	// policy (rejected arrivals under ShedRejectNew, or arrivals whose
-	// window was dropped under ShedDropOldest).
+	// RecordsShed counts records the bounded-ingest shed policy kept from
+	// the stream: arrivals rejected under ShedRejectNew; under
+	// ShedDropOldest, the buffered records of an abandoned window and the
+	// arrivals that land in one. Records the stream already sealed are
+	// never counted.
 	RecordsShed int
-	// WindowsShed counts whole un-diagnosed windows abandoned by
-	// ShedDropOldest to make room for fresher records.
+	// WindowsShed counts windows ShedDropOldest abandoned while they held
+	// buffered records.
 	WindowsShed int
 	// Degraded counts windows the ladder ran below Full.
 	Degraded int
@@ -292,7 +304,6 @@ func New(meta collector.Meta, cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:       cfg,
 		stream:    ss,
-		pending:   resilience.NewRing[collector.BatchRecord](cfg.Resilience.RingCapacity),
 		lastAlert: make(map[alertKey]simtime.Time),
 		nextFlush: simtime.Time(cfg.Window),
 	}
@@ -336,21 +347,22 @@ func (m *Monitor) Stats() Stats { return m.stats }
 // (Full before the first window).
 func (m *Monitor) LastDegradation() resilience.Level { return m.lastDegradation }
 
-// Backlog returns how many buffered records await diagnosis.
-func (m *Monitor) Backlog() int { return m.pending.Len() }
+// Backlog returns how many accepted records await their window's seal.
+func (m *Monitor) Backlog() int { return len(m.pending) }
 
 // Feed appends records and diagnoses any windows they complete, returning
 // the alerts raised. Records should arrive roughly in time order; bounded
 // lateness is tolerated (late records are sorted into the open window), but
 // a record older than an already-diagnosed window is dropped and counted.
-// When the ingest ring is full the configured shed policy decides what
-// gives: the arrival (ShedRejectNew) or the oldest un-diagnosed window
-// (ShedDropOldest). Feed keeps no reference to recs.
+// When the open window holds RingCapacity records the configured shed
+// policy decides what gives: the arrival (ShedRejectNew) or the oldest
+// un-diagnosed window (ShedDropOldest). Feed keeps no reference to recs.
 //
 // Each in-order stretch that needs none of that handling is appended to
-// the ring as one run (see runLen); every other record takes feedOne. Either
-// way the monitor's state, counters and gauges when Feed returns are what
-// feeding the records one at a time through feedOne leaves.
+// the pending buffer as one run (see runLen); every other record takes
+// feedOne. Either way the monitor's state, counters and gauges when Feed
+// returns are what feeding the records one at a time through feedOne
+// leaves.
 func (m *Monitor) Feed(recs []collector.BatchRecord) []Alert {
 	var out []Alert
 	for len(recs) > 0 {
@@ -366,9 +378,10 @@ func (m *Monitor) Feed(recs []collector.BatchRecord) []Alert {
 }
 
 // runLen returns how many records from the front of recs form one run:
-// each is in time order behind the ring's tail and the run so far, not in
-// a closed window, inside the lookahead horizon with no resync run open,
-// at or before nextFlush so it closes no window, and has room in the ring.
+// each is in time order behind the buffer's tail and the run so far, not
+// in a closed window, inside the lookahead horizon with no resync run
+// open, at or before nextFlush so it closes no window, and has room under
+// RingCapacity.
 // For such a record feedOne does nothing but append it, count it and move
 // the watermark.
 func (m *Monitor) runLen(recs []collector.BatchRecord) int {
@@ -376,12 +389,12 @@ func (m *Monitor) runLen(recs []collector.BatchRecord) int {
 		return 0
 	}
 	room := len(recs)
-	if c := m.pending.Cap(); c > 0 {
-		room = min(room, c-m.pending.Len())
+	if c := m.cfg.Resilience.RingCapacity; c > 0 {
+		room = min(room, c-m.held-len(m.pending))
 	}
 	var tail simtime.Time
-	if n := m.pending.Len(); n > 0 {
-		tail = m.pending.At(n - 1).At
+	if n := len(m.pending); n > 0 {
+		tail = m.pending[n-1].At
 	}
 	wm, ahead := m.lastWatermark, m.cfg.MaxLookahead
 	k := 0
@@ -400,7 +413,12 @@ func (m *Monitor) runLen(recs []collector.BatchRecord) int {
 // appendRun buffers a run (see runLen) with one copy, and books it as feedOne
 // would have booked its records one by one.
 func (m *Monitor) appendRun(recs []collector.BatchRecord) {
-	m.pending.AppendRun(recs)
+	if n := len(m.pending) + len(recs); n > cap(m.pending) {
+		// At least double: a long window's buffer reaches its size in a few
+		// reallocations, each of which copies every record it holds.
+		m.pending = slices.Grow(m.pending, n)
+	}
+	m.pending = append(m.pending, recs...)
 	m.stats.Records += len(recs)
 	m.obsRecords.Add(int64(len(recs)))
 	// The run is in time order, so its last record carries its newest time.
@@ -409,15 +427,19 @@ func (m *Monitor) appendRun(recs []collector.BatchRecord) {
 		m.obsWatermark.Set(int64(at))
 		m.obsLag.Set(int64(at.Sub(m.flushedTo)))
 	}
-	m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
+	m.setPending()
 }
 
 // feedOne takes one record through every check Feed applies, appending the
 // alerts of any windows it closes to out.
 func (m *Monitor) feedOne(r *collector.BatchRecord, out []Alert) []Alert {
 	if m.closed(r.At) {
-		m.stats.LateDropped++
-		m.obsLateDropped.Inc()
+		if r.At > m.ranTo {
+			m.shedArrival()
+		} else {
+			m.stats.LateDropped++
+			m.obsLateDropped.Inc()
+		}
 		return out
 	}
 	if m.cfg.MaxLookahead > 0 && m.lastWatermark > 0 &&
@@ -444,9 +466,9 @@ func (m *Monitor) feedOne(r *collector.BatchRecord, out []Alert) []Alert {
 	}
 	// Flush every window this record's timestamp closes before buffering
 	// it. Flushing first (rather than after the insert, as a purely
-	// unbounded consumer could) matters for bounded rings: the flush
-	// retains only the overlap tail, so a boundary-crossing record still
-	// drains the ring even when arrivals are being shed. Strictly greater:
+	// unbounded consumer could) matters under RingCapacity: the flush
+	// empties the buffer, so a boundary-crossing record still makes room
+	// even when arrivals are being shed. Strictly greater:
 	// flushWindow's cut predicate (At > end) closes a window *including*
 	// records timestamped exactly at its end, so an At == nextFlush arrival
 	// must be buffered first and flushed with the window it belongs to —
@@ -454,38 +476,50 @@ func (m *Monitor) feedOne(r *collector.BatchRecord, out []Alert) []Alert {
 	for r.At > m.nextFlush {
 		out = append(out, m.flushWindow()...)
 	}
-	if m.pending.Full() {
+	if m.full() {
 		if m.cfg.Resilience.Policy == resilience.ShedRejectNew {
-			m.stats.RecordsShed++
-			m.obsRecordsShed.Inc()
+			m.shedArrival()
 			return out
 		}
 		// ShedDropOldest: abandon whole un-diagnosed windows until there is
-		// room. Each shed advances the flush boundary, so the loop strictly
-		// progresses; if the arrival's own window is shed from under it,
-		// the arrival is shed with it.
-		for m.pending.Full() {
+		// room. Each shed advances the flush boundary past the sealed
+		// records it counted, so the loop strictly progresses; if the
+		// arrival's own window is shed from under it, the arrival is shed
+		// with it.
+		for m.full() {
 			m.shedOldestWindow()
 		}
 		if m.closed(r.At) {
-			m.stats.RecordsShed++
-			m.obsRecordsShed.Inc()
+			m.shedArrival()
 			return out
 		}
 	}
 	m.stats.Records++
 	m.obsRecords.Inc()
-	if n := m.pending.Len(); n > 0 && r.At < m.pending.At(n-1).At {
+	if n := len(m.pending); n > 0 && r.At < m.pending[n-1].At {
 		// Late but still analysable: insert in time order.
-		i := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > r.At })
-		m.pending.Insert(i, *r)
+		i := sort.Search(n, func(i int) bool { return m.pending[i].At > r.At })
+		m.pending = slices.Insert(m.pending, i, *r)
 		m.stats.LateAccepted++
 		m.obsLateAccepted.Inc()
 	} else {
-		m.pending.Append(*r)
+		m.pending = append(m.pending, *r)
 	}
-	m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
+	m.setPending()
 	return out
+}
+
+// full reports whether the open window holds RingCapacity records, sealed
+// and pending together.
+func (m *Monitor) full() bool {
+	c := m.cfg.Resilience.RingCapacity
+	return c > 0 && m.held+len(m.pending) >= c
+}
+
+// shedArrival counts one arrival the shed policy kept from the stream.
+func (m *Monitor) shedArrival() {
+	m.stats.RecordsShed++
+	m.obsRecordsShed.Inc()
 }
 
 // closed reports whether at falls in an already-flushed window. A window
@@ -530,55 +564,72 @@ func (m *Monitor) noteImplausible(at simtime.Time) (resync bool) {
 	return true
 }
 
-// shedOldestWindow abandons the oldest un-diagnosed window: its records
-// are discarded, the flush boundary advances as if it had been analysed,
-// and nothing downstream ever sees it. Fresh data wins, history loses.
+// shedOldestWindow abandons the oldest un-diagnosed window: its buffered
+// records are discarded, the flush boundary advances as if it had been
+// analysed, and the stream never sees them. Fresh data wins, history
+// loses. What the stream sealed before stays sealed and is not counted.
 func (m *Monitor) shedOldestWindow() {
-	end := m.nextFlush
-	cut := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > end })
-	m.pending.DropFront(cut)
-	m.flushedTo = end
-	m.nextFlush = end.Add(m.cfg.Window)
-	if cut > 0 {
-		// Boundary advances past empty stretches don't count as shed
-		// windows — nothing was lost there.
+	// Every buffered record is at or before nextFlush.
+	n := len(m.pending)
+	m.flushedTo = m.nextFlush
+	m.nextFlush = m.nextFlush.Add(m.cfg.Window)
+	m.dropFront(n)
+	if n > 0 {
+		// Boundary advances past windows with nothing buffered don't count
+		// as shed windows — nothing was lost there.
 		m.stats.WindowsShed++
 		m.obsWindowsShed.Inc()
-		m.stats.RecordsShed += cut
-		m.obsRecordsShed.Add(int64(cut))
+		m.stats.RecordsShed += n
+		m.obsRecordsShed.Add(int64(n))
 	}
 }
 
-// Flush diagnoses whatever remains (end of stream). When nothing pending
-// is newer than the last flushed window — the ring holds only its overlap
-// tail, already diagnosed — there is no window left and Flush is a no-op,
-// so a second Flush never reports a phantom window.
+// windowStart is the start of the open window's span, nextFlush − Window −
+// Overlap: the horizon the stream evicts to when it seals the window.
+func (m *Monitor) windowStart() simtime.Time {
+	return m.nextFlush - simtime.Time(m.cfg.Window+m.cfg.Overlap)
+}
+
+// setPending publishes the buffer's size and the open window's fill.
+func (m *Monitor) setPending() {
+	m.obsPending.Set(int64(len(m.pending)))
+	if c := m.cfg.Resilience.RingCapacity; c > 0 {
+		m.obsOccupancy.Set(int64((m.held + len(m.pending)) * 1000 / c))
+	}
+}
+
+// Flush diagnoses whatever remains (end of stream). When nothing buffered
+// is newer than the last flushed window there is no window left and Flush
+// is a no-op, so a second Flush never reports a phantom window.
 func (m *Monitor) Flush() []Alert {
-	if n := m.pending.Len(); n == 0 || m.closed(m.pending.At(n-1).At) {
+	if n := len(m.pending); n == 0 || m.closed(m.pending[n-1].At) {
 		return nil
 	}
 	return m.flushWindow()
 }
 
-// flushWindow diagnoses records up to nextFlush and retains the overlap
-// tail for the next window. Under pressure it runs the window at the rung
-// the degradation ladder picks; a window that overruns its deadline or
-// panics is abandoned whole — counted, never half-reported — and the
-// stream lives on.
+// flushWindow hands the buffered records up to nextFlush to the stream and
+// diagnoses the window. Under pressure it runs the window at the rung the
+// degradation ladder picks; a window that overruns its deadline or panics
+// is abandoned whole — counted, never half-reported — and the stream lives
+// on.
 func (m *Monitor) flushWindow() []Alert {
 	end := m.nextFlush
+	// The window's records: the sealed overlap it carries and the buffer,
+	// every record of which is at or before end.
+	n := m.held + len(m.pending)
 	m.nextFlush = end.Add(m.cfg.Window)
 	m.flushedTo = end
+	m.ranTo = end
 	m.stats.Windows++
 	m.obsWindows.Inc()
+	defer m.settle(end)
 
-	// Records in the window (all pending up to end).
-	cut := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > end })
-	if cut == 0 {
-		// Nothing new and no retained overlap records: the stream still
-		// has to see the boundary so eviction keeps pace with the
-		// watermark (a stream gap must drain retained segments).
-		m.advanceStream(end, nil)
+	if n == 0 {
+		// An empty window: the stream still has to see the boundary so
+		// eviction keeps pace with the watermark (a stream gap must drain
+		// retained segments).
+		m.advanceStream(end)
 		return nil
 	}
 
@@ -594,7 +645,7 @@ func (m *Monitor) flushWindow() []Alert {
 	if m.mem != nil {
 		memSteps = m.mem.Steps()
 	}
-	level := max(m.cfg.Resilience.Ladder.Decide(cut, backlog, memSteps), m.cfg.Degrade)
+	level := max(m.cfg.Resilience.Ladder.Decide(n, backlog, memSteps), m.cfg.Degrade)
 	m.setDegradation(level)
 	if level > resilience.Full {
 		m.stats.Degraded++
@@ -605,8 +656,7 @@ func (m *Monitor) flushWindow() []Alert {
 		// A skipped window is still ingested: the stream's watermark must
 		// track the flush boundary through overload or the next diagnosed
 		// window would mis-assign the skipped records.
-		m.advanceStream(end, m.unsealedSpans(cut))
-		m.retainOverlap(end)
+		m.advanceStream(end)
 		return nil
 	}
 
@@ -622,7 +672,7 @@ func (m *Monitor) flushWindow() []Alert {
 		if m.cfg.ChaosHook != nil {
 			m.cfg.ChaosHook("window:" + strconv.Itoa(m.stats.Windows-1))
 		}
-		res, runErr = m.stream.RunWindow(ctx, end, level, m.unsealedSpans(cut)...)
+		res, runErr = m.stream.RunWindow(ctx, end, level, m.pending)
 	}
 	if m.cfg.Resilience.ContainPanics {
 		// Window-granularity containment: a panic anywhere in the
@@ -636,7 +686,6 @@ func (m *Monitor) flushWindow() []Alert {
 	cancel()
 	if runErr != nil {
 		m.quarantineOrSkip(runErr)
-		m.retainOverlap(end)
 		return nil
 	}
 	m.stats.ContainedPanics += int(res.ContainedPanics)
@@ -721,43 +770,22 @@ func (m *Monitor) flushWindow() []Alert {
 		m.stats.Alerts++
 		m.obsAlerts.Inc()
 	}
-
-	m.retainOverlap(end)
 	return out
 }
 
 // advanceStream runs an ingest-only advance of the stream (no diagnosis):
-// the Skipped rung seals recs into grid segments and evicts the expired
-// horizon, keeping the stream's watermark on the monitor's flush boundary.
-// A contained ingest panic quarantines the stream's view of the window;
-// the already-counted skip stands.
-func (m *Monitor) advanceStream(end simtime.Time, spans [][]collector.BatchRecord) {
+// the Skipped rung seals the buffer into grid segments and evicts the
+// expired horizon, keeping the stream's watermark on the monitor's flush
+// boundary. A contained ingest panic quarantines the stream's view of the
+// window; the already-counted skip stands.
+func (m *Monitor) advanceStream(end simtime.Time) {
 	//mslint:allow ctxflow push-driven monitor has no caller ctx; window deadlines are applied inside RunWindow
-	if _, err := m.stream.RunWindow(context.Background(), end, resilience.Skipped, spans...); err != nil {
+	if _, err := m.stream.RunWindow(context.Background(), end, resilience.Skipped, m.pending); err != nil {
 		if resilience.IsPanic(err) {
 			m.stats.WindowsQuarantined++
 			m.obsQuarantined.Inc()
 		}
 	}
-}
-
-// unsealedSpans returns the records the stream has yet to seal — ring
-// positions [first At > SealedTo, cut) — as the ring's own backing slices.
-// The ring still holds the overlap before them (the ladder's pressure
-// signal counts it, and late inserts land among it), but the stream sealed
-// those records in an earlier window and would only filter them out again.
-// The spans alias the ring: they are valid until the next ring mutation,
-// and the stream copies each record exactly once, into the segment that
-// owns it.
-func (m *Monitor) unsealedSpans(cut int) [][]collector.BatchRecord {
-	sealed := m.stream.Stream().SealedTo()
-	from := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > sealed })
-	if from > cut {
-		from = cut
-	}
-	a, b := m.pending.Spans(from, cut)
-	m.spans[0], m.spans[1] = a, b
-	return m.spans[:]
 }
 
 // StreamStats returns the stream's cumulative seal-time accounting. ok is
@@ -767,15 +795,28 @@ func (m *Monitor) StreamStats() (st tracestore.StreamStats, ok bool) {
 	return m.stream.Stats(), true
 }
 
-// retainOverlap drops buffered records before the overlap tail of the
-// window ending at end, keeping boundary-straddling queuing periods
-// intact for the next window.
-func (m *Monitor) retainOverlap(end simtime.Time) {
-	keepFrom := end.Add(-m.cfg.Overlap)
-	start := m.pending.Search(func(p collector.BatchRecord) bool { return p.At >= keepFrom })
-	m.pending.DropFront(start)
-	m.obsPending.Set(int64(m.pending.Len()))
-	m.obsOccupancy.Set(int64(m.pending.Occupancy() * 1000))
+// settle drops from the buffer what the stream sealed for the window
+// ending at end — normally all of it. A window whose ingest never ran (a
+// contained panic before the seal) keeps its unsealed records from end −
+// Overlap on, so boundary-straddling queuing periods reach the stream with
+// the next window; older ones are lost with the window.
+func (m *Monitor) settle(end simtime.Time) {
+	sealed, keepFrom := m.stream.Stream().SealedTo(), end.Add(-m.cfg.Overlap)
+	m.dropFront(sort.Search(len(m.pending), func(i int) bool {
+		at := m.pending[i].At
+		return at > sealed && at >= keepFrom
+	}))
+}
+
+// dropFront drops the first n buffered records, zeroing their slots so the
+// payloads they reference are released, and takes the sealed part of the
+// open window from the stream again.
+func (m *Monitor) dropFront(n int) {
+	k := copy(m.pending, m.pending[n:])
+	clear(m.pending[k:])
+	m.pending = m.pending[:k]
+	m.held = m.stream.Stream().RecordsFrom(m.windowStart())
+	m.setPending()
 }
 
 // setDegradation records the rung the current window runs at.

@@ -129,9 +129,10 @@ func TestMonitorEmptyFlush(t *testing.T) {
 }
 
 // TestMonitorSecondFlushIsNoop: after Flush has diagnosed the last window
-// the ring still holds that window's overlap tail, every record of it
-// already diagnosed. A second Flush (a POST /flush followed by a tenant's
-// drain) must not diagnose that tail again as a phantom window.
+// the stream still holds that window's overlap tail, every record of it
+// already diagnosed, and the monitor buffers nothing. A second Flush (a
+// POST /flush followed by a tenant's drain) must not diagnose that tail
+// again as a phantom window.
 func TestMonitorSecondFlushIsNoop(t *testing.T) {
 	w := simtime.Duration(100 * simtime.Microsecond)
 	var ends []simtime.Time
@@ -399,9 +400,9 @@ func TestMonitorDropsAncientRecords(t *testing.T) {
 }
 
 // TestNewOverlapValidation: a negative Overlap is a misconfiguration New
-// refuses by name (retainOverlap would otherwise keep records from beyond
-// the window end and drop the next window's buffered records); zero takes
-// the default.
+// refuses by name (the stream grid has no boundaries for it, and a window
+// held back by a contained panic would keep records from beyond its end);
+// zero takes the default.
 func TestNewOverlapValidation(t *testing.T) {
 	meta := collector.Meta{MaxBatch: 32}
 	if m := New(meta, Config{}); m.cfg.Overlap != 20*simtime.Millisecond {
@@ -421,8 +422,8 @@ func TestNewOverlapValidation(t *testing.T) {
 // rebuildWatch is a monitor whose OnWindow holds every reported window to
 // the equivalence contract (DESIGN.md §11): its fingerprint must equal a
 // fresh engine's run over the stream's cold rebuild of the same window.
-// With tally on, it also checks the ring→stream handoff the rebuild alone
-// cannot see: the window holds exactly the records the monitor accepted in
+// With tally on, it also checks the monitor→stream handoff the rebuild
+// alone cannot see: the window holds exactly the records the monitor accepted in
 // its span [end−Window−Overlap, end].
 type rebuildWatch struct {
 	m        *Monitor
@@ -476,10 +477,10 @@ func (wt *rebuildWatch) feed(recs []collector.BatchRecord) {
 	wt.m.Flush()
 }
 
-// TestMonitorWindowsMatchRebuild covers the monitor's ring→stream handoff
-// (unsealedSpans over a ring that late inserts, sheds, skips, gaps and
-// resyncs have reshaped): every window OnWindow reports must equal a cold
-// rebuild of that window from the stream's segments.
+// TestMonitorWindowsMatchRebuild covers the monitor's handoff of its
+// pending buffer to the stream (a buffer that late inserts, sheds, skips,
+// gaps and resyncs have reshaped): every window OnWindow reports must
+// equal a cold rebuild of that window from the stream's segments.
 func TestMonitorWindowsMatchRebuild(t *testing.T) {
 	const (
 		w = 5 * simtime.Millisecond
@@ -488,7 +489,7 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 	ms := func(v int) simtime.Time { return simtime.Time(simtime.Duration(v) * simtime.Millisecond) }
 	tr := monitoredRun(t, []simtime.Time{ms(12), ms(60)})
 	// base is the first 80 ms with the window (15,20] carrying every
-	// record twice: past the ladder's MaxRecords and the ring's capacity
+	// record twice: past the ladder's MaxRecords and the RingCapacity
 	// below, where every other window fits.
 	var base []collector.BatchRecord
 	for _, r := range tr.Records {
@@ -569,7 +570,7 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 	for _, policy := range []resilience.ShedPolicy{resilience.ShedDropOldest, resilience.ShedRejectNew} {
 		t.Run(policy.String(), func(t *testing.T) {
 			// Drop-oldest discards records it had accepted (a shed window's
-			// overlap tail included), so only reject-new keeps the tally.
+			// buffered ones), so only reject-new keeps the tally.
 			wt := watchRebuild(t, tr.Meta, Config{
 				Window:     w,
 				Overlap:    o,

@@ -12,12 +12,11 @@ import (
 	"microscope/internal/simtime"
 )
 
-// TestStreamSpansEqualFlat: RunWindow takes a window's new records as the
-// consecutive spans of one sequence — the monitor's ring hands over its
-// two backing slices, split wherever the ring happens to wrap. However a
-// window is cut into spans, and whether or not the caller also passes the
-// already-sealed prefix, every window's fingerprint is that of the same
-// records passed as one slice.
+// TestStreamSpansEqualFlat: RunWindow ignores records the stream has
+// already sealed, so a caller passing every record so far — the sealed
+// prefix and the window's new records in one slice — gets each window's
+// fingerprint and the stream's stats exactly as a caller passing only the
+// window's new records does.
 func TestStreamSpansEqualFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 16-NF topology; skipped in -short")
@@ -32,9 +31,9 @@ func TestStreamSpansEqualFlat(t *testing.T) {
 		}
 		return ss
 	}
-	flat, split, whole := newState(), newState(), newState()
+	flat, whole := newState(), newState()
 	ctx := context.Background()
-	lo, n, withVictims := 0, 0, 0
+	lo, withVictims := 0, 0
 	for end := simtime.Time(w); end <= simtime.Time(14*simtime.Millisecond); end += simtime.Time(w) {
 		hi := lo
 		for hi < len(tr.Records) && tr.Records[hi].At <= end {
@@ -45,36 +44,24 @@ func TestStreamSpansEqualFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Three spans, cut at points that move from window to window
-		// (the middle one sometimes empty).
-		a := len(fresh) * (n % 4) / 4
-		b := a + (len(fresh)-a)*(n%3)/3
-		got, err := split.RunWindow(ctx, end, resilience.Full, fresh[:a], fresh[a:b], fresh[b:])
+		got, err := whole.RunWindow(ctx, end, resilience.Full, tr.Records)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Fingerprint() != want.Fingerprint() {
-			t.Fatalf("window ending %d: spans cut at %d and %d of %d differ from the flat slice\n--- spans ---\n%s\n--- flat ---\n%s",
-				end, a, b, len(fresh), got.Fingerprint(), want.Fingerprint())
-		}
-		// Sealed prefix and all, in two spans.
-		got, err = whole.RunWindow(ctx, end, resilience.Full, tr.Records[:lo], tr.Records[lo:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Fingerprint() != want.Fingerprint() {
-			t.Fatalf("window ending %d: whole-trace spans differ from the window's own records", end)
+			t.Fatalf("window ending %d: the whole trace differs from the window's own records\n--- whole ---\n%s\n--- window ---\n%s",
+				end, got.Fingerprint(), want.Fingerprint())
 		}
 		if len(want.Victims) > 0 {
 			withVictims++
 		}
-		lo, n = hi, n+1
+		lo = hi
 	}
 	if withVictims < 3 {
 		t.Fatalf("only %d windows with victims — trace too quiet for the comparison to mean anything", withVictims)
 	}
-	if fs, ss := flat.Stats(), split.Stats(); fs != ss {
-		t.Fatalf("stream stats differ:\n spans %+v\n flat  %+v", ss, fs)
+	if fs, ws := flat.Stats(), whole.Stats(); fs != ws {
+		t.Fatalf("stream stats differ:\n whole  %+v\n window %+v", ws, fs)
 	}
 }
 
@@ -87,7 +74,7 @@ func TestStreamHeapGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.RunWindow(context.Background(), 1000, resilience.Skipped); err != nil {
+	if _, err := ss.RunWindow(context.Background(), 1000, resilience.Skipped, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v := reg.Gauge("microscope_stream_heap_bytes").Value(); v <= 0 {

@@ -116,26 +116,25 @@ func (ss *StreamState) Stream() *tracestore.Stream { return ss.str }
 func (ss *StreamState) Stats() tracestore.StreamStats { return ss.str.Stats() }
 
 // RunWindow advances the stream to the window ending at end and diagnoses
-// the assembled window at the given degradation rung. The records are the
-// window's new records, time-ordered, as the consecutive spans of one
-// sequence (the monitor passes its ring's backing slices); records at or
-// before the seal watermark or beyond end are ignored, so a caller may
-// also pass its whole pending slice. The spans are only read, and nothing
-// retains them past the call: the stream copies each record once, into
-// the segment that owns it. The returned Result matches a cold full
-// rebuild of the same window byte for byte.
+// the assembled window at the given degradation rung. recs are the
+// window's new records, time-ordered (the monitor passes its pending
+// buffer); records at or before the seal watermark or beyond end are
+// ignored, so a caller may also pass its whole history. recs is only read,
+// and nothing retains it past the call: the stream copies each record
+// once, into the segment that owns it. The returned Result matches a cold
+// full rebuild of the same window byte for byte.
 //
 // At resilience.Skipped the window is still ingested and evicted (stream
 // state must track the watermark through overload) but nothing is
 // diagnosed.
-func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade resilience.Level, spans ...[]collector.BatchRecord) (*Result, error) {
+func (ss *StreamState) RunWindow(ctx context.Context, end simtime.Time, degrade resilience.Level, recs []collector.BatchRecord) (*Result, error) {
 	cfg := ss.cfg
 	cfg.Degrade = degrade
 	//mslint:allow nondet spans and stage timings are observability metadata; diagnosis payloads never read them
 	r := &run{cfg: cfg, reg: ss.reg, res: &Result{}, began: time.Now()}
 
 	if err := r.stage(ctx, "ingest", func() {
-		st := ss.str.Advance(end, spans...)
+		st := ss.str.Advance(end, recs)
 		if ss.reg != nil {
 			ss.gDirty.Set(int64(st.DirtyComps))
 			ss.gSegments.Set(int64(st.RetainedSegments))

@@ -5,9 +5,11 @@
 // that is itself the outage is worse than no monitor, so the streaming
 // shell wraps every window in four independent defenses:
 //
-//   - bounded ingest: a fixed-capacity record ring with watermark-based
-//     backpressure and an explicit load-shedding policy (drop the oldest
-//     un-diagnosed window vs reject new arrivals), every shed counted;
+//   - bounded ingest: a record capacity per window (the sealed overlap a
+//     window carries plus the records the monitor buffers until its seal)
+//     and an explicit load-shedding policy (drop the oldest un-diagnosed
+//     window vs reject new arrivals), every record kept from the stream
+//     counted;
 //   - a degradation ladder: each window runs at the cheapest rung the
 //     current pressure allows — full diagnosis → skip AutoFocus patterns →
 //     victims-only → window skipped — decided deterministically from the
@@ -80,7 +82,7 @@ func (l Level) escalate(steps int) Level {
 	return Level(v)
 }
 
-// ShedPolicy selects what a full ingest ring sacrifices.
+// ShedPolicy selects what a window at RingCapacity sacrifices.
 type ShedPolicy uint8
 
 const (
@@ -88,7 +90,7 @@ const (
 	// for new records: fresh data wins, history loses. This is the default
 	// — a monitor's value is in the present.
 	ShedDropOldest ShedPolicy = iota
-	// ShedRejectNew refuses new arrivals while the ring is full: queued
+	// ShedRejectNew refuses new arrivals while the window is full: queued
 	// history wins, fresh data loses.
 	ShedRejectNew
 )
@@ -165,9 +167,9 @@ func (c LadderConfig) Decide(records, backlogWindows int, memSteps int) Level {
 	return base.escalate(steps)
 }
 
-// AutoLadder derives a ladder from an ingest-ring capacity: the rungs are
-// fractions of the ring, so degradation begins well before shedding does
-// and the ladder scales with whatever bound the operator chose.
+// AutoLadder derives a ladder from a RingCapacity: the rungs are fractions
+// of it, so degradation begins well before shedding does and the ladder
+// scales with whatever bound the operator chose.
 func AutoLadder(ringCapacity int) LadderConfig {
 	if ringCapacity <= 0 {
 		return LadderConfig{}
@@ -186,9 +188,12 @@ func AutoLadder(ringCapacity int) LadderConfig {
 // disables everything — unbounded ingest, no degradation, panics
 // propagate — which is the pre-resilience behaviour.
 type Config struct {
-	// RingCapacity bounds the ingest ring, in records (0 = unbounded).
+	// RingCapacity bounds a window's records (0 = unbounded): the sealed
+	// overlap the window carries plus the records the monitor buffers
+	// until its seal — the count the ladder reads. The name is the spec's
+	// ring_capacity.
 	RingCapacity int
-	// Policy selects what a full ring sheds.
+	// Policy selects what a full window sheds.
 	Policy ShedPolicy
 	// Ladder sets the degradation thresholds (zero = never degrade).
 	Ladder LadderConfig

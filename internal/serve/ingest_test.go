@@ -101,8 +101,9 @@ func TestIngestAllocsPerBody(t *testing.T) {
 		}
 		ih.settle()
 	}
-	// Warm up: the free list, the body pool and the monitor's ring (grown
-	// past what the measured bodies add) reach their steady sizes.
+	// Warm up: the free list, the body pool and the monitor's pending
+	// buffer (grown past what the measured bodies add) reach their steady
+	// sizes.
 	const warm, runs = 17, 10
 	for range warm {
 		post(shifted())

@@ -33,8 +33,9 @@ import (
 )
 
 // feedQueueCap bounds each tenant's ingest chunk queue. The queue is the
-// HTTP-to-feed handoff; the real record bound is the monitor's resilience
-// ring. A full queue is backpressure (HTTP 429), not silent buffering.
+// HTTP-to-feed handoff; the real record bound is the monitor's
+// resilience.RingCapacity. A full queue is backpressure (HTTP 429), not
+// silent buffering.
 const feedQueueCap = 64
 
 // maxFreeChunks bounds each tenant's free list of decoded record chunks,
@@ -54,7 +55,7 @@ const (
 )
 
 // ErrBackpressure is returned by Enqueue when the tenant's ingest queue
-// is full (or its ring is rejecting): the client should back off and
+// is full (or its monitor is rejecting): the client should back off and
 // retry. The HTTP layer maps it to 429 + Retry-After.
 var ErrBackpressure = errors.New("serve: tenant ingest backlogged")
 

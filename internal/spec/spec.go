@@ -172,9 +172,10 @@ type StreamSpec struct {
 
 // ResilienceSpec arms the overload defenses.
 type ResilienceSpec struct {
-	// RingCapacity bounds the ingest ring in records (0 = unbounded).
+	// RingCapacity bounds a window's records — the sealed overlap it
+	// carries plus the records buffered until its seal — (0 = unbounded).
 	RingCapacity int `json:"ring_capacity,omitempty"`
-	// ShedPolicy selects what a full ring sheds: "drop-oldest" (default)
+	// ShedPolicy selects what a full window sheds: "drop-oldest" (default)
 	// or "reject-new".
 	ShedPolicy string `json:"shed_policy,omitempty"`
 	// WindowDeadline is the wall-clock budget per window (0 = none).

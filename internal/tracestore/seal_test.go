@@ -235,11 +235,11 @@ func segmentDiff(a, b *Stream) string {
 	return ""
 }
 
-// TestAdvanceSpansEqualFlat: the monitor hands Advance its ring's two
-// backing slices, and where the ring wraps is arbitrary. A window fed as
-// two spans split at any index — mid-segment, on a grid boundary, before
-// the first record or after the last — seals the same segments with the
-// same contents, stats and merged window as the window fed flat.
+// TestAdvanceSpansEqualFlat: Advance skips the records at or before its
+// seal watermark. A window fed with any tail of the already-sealed window
+// before its own records — from none of them to all, the records at
+// exactly the watermark included — seals the same segments with the same
+// contents, stats and merged window as the window fed its records alone.
 func TestAdvanceSpansEqualFlat(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.05), simtime.Duration(3*simtime.Millisecond), 5)
 	_, st := runChain(t, sched, simtime.MPPS(1), simtime.MPPS(0.9), simtime.MPPS(0.8))
@@ -250,6 +250,10 @@ func TestAdvanceSpansEqualFlat(t *testing.T) {
 	if len(second) < 40 {
 		t.Fatalf("second window has only %d records", len(second))
 	}
+	// A record at exactly the watermark is sealed with the first window.
+	edge := first[len(first)-1]
+	edge.At = simtime.Time(w)
+	first = append(first, edge)
 	newStream := func() *Stream {
 		s, err := NewStream(tr.Meta, StreamConfig{Window: w, Overlap: o})
 		if err != nil {
@@ -261,21 +265,21 @@ func TestAdvanceSpansEqualFlat(t *testing.T) {
 	flat := newStream()
 	flatStats := flat.Advance(simtime.Time(2*w), second)
 	if flatStats.SealedSegments < 2 {
-		t.Fatalf("window sealed %d segments; the split must be able to fall on a grid boundary", flatStats.SealedSegments)
+		t.Fatalf("window sealed %d segments; want a grid boundary inside it", flatStats.SealedSegments)
 	}
 	flatWin, _ := flat.Window(simtime.Time(2 * w))
-	for i := 0; i <= len(second); i++ {
-		split := newStream()
-		stats := split.Advance(simtime.Time(2*w), second[:i], second[i:])
+	for i := 0; i <= len(first); i++ {
+		fed := newStream()
+		stats := fed.Advance(simtime.Time(2*w), append(slices.Clip(first[i:]), second...))
 		if !reflect.DeepEqual(stats, flatStats) {
-			t.Fatalf("split at %d: stats %+v, flat %+v", i, stats, flatStats)
+			t.Fatalf("sealed tail from %d: stats %+v, flat %+v", i, stats, flatStats)
 		}
-		if d := segmentDiff(split, flat); d != "" {
-			t.Fatalf("split at %d: %s", i, d)
+		if d := segmentDiff(fed, flat); d != "" {
+			t.Fatalf("sealed tail from %d: %s", i, d)
 		}
-		win, _ := split.Window(simtime.Time(2 * w))
+		win, _ := fed.Window(simtime.Time(2 * w))
 		if d := storeDiff(win, flatWin); d != "" {
-			t.Fatalf("split at %d: merged window: %s", i, d)
+			t.Fatalf("sealed tail from %d: merged window: %s", i, d)
 		}
 	}
 }

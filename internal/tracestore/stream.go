@@ -2,7 +2,6 @@ package tracestore
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"microscope/internal/collector"
@@ -33,8 +32,8 @@ import (
 //
 // Each segment is sealed exactly once, when the watermark passes it: its
 // records are copied — the one copy a record gets between the monitor's
-// ingest ring and here — the same build+reconstruct a cold Build runs goes
-// over just those records, and mergeable summaries (exact per-NF delay
+// pending buffer and here — the same build+reconstruct a cold Build runs
+// goes over just those records, and mergeable summaries (exact per-NF delay
 // moments, sorted delivered latencies, trace end, queuing-period search
 // arrays) are computed and frozen. Everything a segment retains lives in
 // its shell and is refilled in place when the shell is recycled; everything
@@ -296,48 +295,38 @@ func nextBoundary(tt, w, o int64) int64 {
 // Advance seals every record with sealedTo < At ≤ end into grid segments,
 // moves the watermark to end, and retires segments that fell wholly below
 // the retention horizon end − W − O. end must be a flush boundary (a
-// multiple of W). spans are the consecutive pieces of one record sequence
-// (the monitor passes its ring's two backing slices); they are only read,
-// and each record is copied once, into the segment that owns it. Time-
-// ordered input is sealed in place; records at or before the watermark
-// (sealed by an earlier Advance) or beyond end (a later window's) are
-// ignored. Input that is not time-ordered is first filtered and stably
-// sorted into a copy, and the inversions counted as resorts.
-func (s *Stream) Advance(end simtime.Time, spans ...[]collector.BatchRecord) StreamStats {
+// multiple of W). recs is only read, and each record is copied once, into
+// the segment that owns it. Time-ordered input is sealed in place; records
+// at or before the watermark (sealed by an earlier Advance) or beyond end
+// (a later window's) are ignored. Input that is not time-ordered is first
+// filtered and stably sorted into a copy, and the inversions counted as
+// resorts.
+func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamStats {
 	s.last.SealedSegments = 0
 	s.last.DirtyComps = 0
 	s.last.EvictedSegments = 0
 
-	if !timeOrdered(spans) {
-		spans = [][]collector.BatchRecord{s.filterSorted(end, spans)}
+	if !timeOrdered(recs) {
+		recs = s.filterSorted(end, recs)
 	}
 	clear(s.dirty)
 	var g *Segment // the segment being filled
-fill:
-	for _, sp := range spans {
-		for i := 0; i < len(sp); {
-			at := sp[i].At
-			if at <= s.sealedTo {
-				i++
-				continue
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].At > s.sealedTo })
+	for i < len(recs) && recs[i].At <= end {
+		at := recs[i].At
+		if g == nil || !s.owns(g, at) {
+			if g != nil {
+				s.seal(g)
 			}
-			if at > end {
-				break fill
-			}
-			if g == nil || !s.owns(g, at) {
-				if g != nil {
-					s.seal(g)
-				}
-				g = s.takeSegment()
-				g.lo, g.hi, g.point = s.segOf(at)
-			}
-			j := i + 1
-			for j < len(sp) && sp[j].At <= end && s.owns(g, sp[j].At) {
-				j++
-			}
-			g.records = append(g.records, sp[i:j]...)
-			i = j
+			g = s.takeSegment()
+			g.lo, g.hi, g.point = s.segOf(at)
 		}
+		j := i + 1
+		for j < len(recs) && recs[j].At <= end && s.owns(g, recs[j].At) {
+			j++
+		}
+		g.records = append(g.records, recs[i:j]...)
+		i = j
 	}
 	if g != nil {
 		s.seal(g)
@@ -357,16 +346,11 @@ fill:
 	return s.last
 }
 
-// timeOrdered reports whether the concatenation of spans is in
-// non-decreasing time order.
-func timeOrdered(spans [][]collector.BatchRecord) bool {
-	prev := simtime.Time(math.MinInt64)
-	for _, sp := range spans {
-		for i := range sp {
-			if sp[i].At < prev {
-				return false
-			}
-			prev = sp[i].At
+// timeOrdered reports whether recs is in non-decreasing time order.
+func timeOrdered(recs []collector.BatchRecord) bool {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].At < recs[i-1].At {
+			return false
 		}
 	}
 	return true
@@ -376,13 +360,11 @@ func timeOrdered(spans [][]collector.BatchRecord) bool {
 // out the records in (sealedTo, end] and, mirroring sortedTrace, sort them
 // stably by At, counting inversions as resorts so the cumulative integrity
 // stays meaningful.
-func (s *Stream) filterSorted(end simtime.Time, spans [][]collector.BatchRecord) []collector.BatchRecord {
+func (s *Stream) filterSorted(end simtime.Time, recs []collector.BatchRecord) []collector.BatchRecord {
 	var live []collector.BatchRecord
-	for _, sp := range spans {
-		for i := range sp {
-			if r := &sp[i]; r.At > s.sealedTo && r.At <= end {
-				live = append(live, *r)
-			}
+	for i := range recs {
+		if r := &recs[i]; r.At > s.sealedTo && r.At <= end {
+			live = append(live, *r)
 		}
 	}
 	n := 0
@@ -396,6 +378,20 @@ func (s *Stream) filterSorted(end simtime.Time, spans [][]collector.BatchRecord)
 		s.last.Integrity.Resorted += n
 	}
 	return live
+}
+
+// RecordsFrom returns how many records the retained segments hold at or
+// after t, a retain boundary (k·W − O, or before the first): the sealed
+// part of the window that starts at t. No segment straddles a boundary, so
+// a segment counts whole or not at all.
+func (s *Stream) RecordsFrom(t simtime.Time) int {
+	n := 0
+	for _, g := range s.segs {
+		if g.lo >= t {
+			n += len(g.records)
+		}
+	}
+	return n
 }
 
 // owns reports whether grid segment g owns time t. Anything strictly
