@@ -77,19 +77,23 @@ bench-stream:
 # window at every worker count, plus the stream-grid unit tests. This is
 # the streaming index's correctness contract; run it before touching
 # tracestore/stream.go, pipeline/stream.go or the monitor's handoff in
-# online/online.go. Also under -race here: the seal's reused scratch and
-# recycled shells against a fresh build (TestSealScratchReuseEquivalence),
-# Advance skipping records it already sealed (TestAdvance*), the
-# steady-state allocation bounds, the window store (TestWindow*): updated
-# in place against assembled from scratch, column by column, over
-# generated schedules — skipped rungs, gaps, undeclared components coming
-# and going, contained faults half-way through an update — and the
+# online/online.go. Also under -race here: derive, the one step that makes
+# a store, called through the seal's reused scratch and recycled shells
+# against a cold Build's fresh ones (TestSealScratchReuseEquivalence), its
+# summaries and period search arrays against a test-only scan
+# (TestDeriveSummariesMatchScan), the segment size estimate
+# (TestSegmentSizeBytes), Advance skipping records it already sealed
+# (TestAdvance*), the steady-state allocation bounds, the window store
+# (TestWindow*): updated in place against assembled from scratch, column by
+# column, and its index against the same scan, over generated schedules —
+# skipped rungs, gaps, undeclared components coming and going, contained
+# faults half-way through an update — and the
 # monitor's handoff of its pending buffer to the stream: every reported
 # window against a cold rebuild, runs against one record at a time, every
 # offered record accounted for once, the backlog gauge, and the ladder's
 # whole-window count.
 stream-check:
-	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
+	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestDerive|TestSegmentSize|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
 	$(GO) test -race -timeout 30m -run 'TestMonitorWindowsMatchRebuild|TestFeedRuns|TestShedAccounting|TestBacklogCountsUnsealed|TestLadderCountsWholeWindow' ./internal/online
 
 # One-iteration pipeline, segment-seal, window-assembly,

@@ -207,7 +207,6 @@ func BenchmarkReconstruction(b *testing.B) {
 	var journeys int
 	for i := 0; i < b.N; i++ {
 		st := tracestore.Build(tr)
-		st.Reconstruct()
 		journeys = len(st.Journeys)
 	}
 	b.ReportMetric(float64(journeys)/1000, "kjourneys")
@@ -217,7 +216,6 @@ func BenchmarkReconstruction(b *testing.B) {
 func BenchmarkDiagnosis(b *testing.B) {
 	tr := benchTrace(22)
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	eng := core.NewEngine(core.Config{})
 	victims := eng.FindVictims(st)
 	if len(victims) == 0 {
@@ -233,7 +231,6 @@ func BenchmarkDiagnosis(b *testing.B) {
 func BenchmarkNetMedicBuild(b *testing.B) {
 	tr := benchTrace(23)
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		netmedic.New(st, netmedic.Config{})
@@ -246,7 +243,6 @@ func BenchmarkNetMedicBuild(b *testing.B) {
 func BenchmarkPatternAggregation(b *testing.B) {
 	tr := benchTrace(24)
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	eng := core.NewEngine(core.Config{MaxVictims: 300})
 	diags := eng.Diagnose(st)
 	pcfg := patterns.Config{}
@@ -334,7 +330,6 @@ func BenchmarkPerfSightComparison(b *testing.B) {
 func BenchmarkExplain(b *testing.B) {
 	tr := benchTrace(32)
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	eng := core.NewEngine(core.Config{})
 	victims := eng.FindVictims(st)
 	if len(victims) == 0 {

@@ -164,7 +164,6 @@ func main() {
 
 	start := time.Now() //mslint:allow nondet wall-clock progress banner, not diagnosis output
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	//mslint:allow nondet wall-clock progress banner, not diagnosis output
 	fmt.Printf("%s (%v)\n", st.String(), time.Since(start).Round(time.Millisecond))
 	health := st.Health()

@@ -66,7 +66,6 @@ func run(args []string, stdout io.Writer) error {
 		_, tr = tracestore.AlignClocks(tr)
 	}
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	res := pipeline.RunStore(st, pcfg)
 	diags := res.Diagnoses
 

@@ -45,7 +45,6 @@ func TestReportMatchesPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := tracestore.Build(tr)
-	st.Reconstruct()
 	sp := &spec.PipelineSpec{Diagnosis: spec.DiagnosisSpec{VictimPercentile: 95, MaxVictims: 100, PatternThreshold: 0.02}}
 	res := pipeline.RunStore(st, sp.Resolved().PipelineConfig(nil))
 	if len(res.Diagnoses) == 0 || len(res.Patterns) == 0 {

@@ -301,7 +301,7 @@ func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeSt
 		pos = end
 	}
 	st.Records = len(dst) - start
-	st.Resorted = resort(dst[start:])
+	st.Resorted = SortByTime(dst[start:])
 	return dst, st, nil
 }
 
@@ -553,19 +553,27 @@ func (d *frameDecoder) resync(data []byte, pos int) int {
 	return len(data)
 }
 
-// resort restores time order after late-arrival frames, returning how many
-// records were out of order.
-func resort(recs []BatchRecord) int {
-	out := 0
+// Inversions counts the adjacent pairs of recs that are out of time order:
+// zero means recs is in time order.
+func Inversions(recs []BatchRecord) int {
+	n := 0
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
-			out++
+			n++
 		}
 	}
-	if out > 0 {
+	return n
+}
+
+// SortByTime restores time order in place — stably, so records at one
+// instant keep their stream order — and returns how many adjacent pairs
+// were out of order: what an Integrity counts as Resorted.
+func SortByTime(recs []BatchRecord) int {
+	n := Inversions(recs)
+	if n > 0 {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
 	}
-	return out
+	return n
 }
 
 // Ring emulates the shared-memory staging buffer between the collector's

@@ -37,7 +37,6 @@ func cbr(rate simtime.Rate, dur simtime.Duration, nflows int) *traffic.Schedule 
 func buildStore(sim *nfsim.Sim, col *collector.Collector, names []string, until simtime.Time) *tracestore.Store {
 	sim.Run(until)
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, names)))
-	st.Reconstruct()
 	return st
 }
 
@@ -286,7 +285,6 @@ func TestVictimSelectionLoss(t *testing.T) {
 		Edges: []collector.Edge{{From: "source", To: "a"}, {From: "a", To: "b"}},
 	}
 	st := tracestore.Build(col.Trace(meta))
-	st.Reconstruct()
 
 	eng := NewEngine(Config{})
 	victims := eng.FindVictims(st)
@@ -404,7 +402,6 @@ func TestDegradedHealthSuppressesLossVictims(t *testing.T) {
 	}
 
 	clean := tracestore.Build(tr)
-	clean.Reconstruct()
 	if countLoss(NewEngine(Config{}).FindVictims(clean)) == 0 {
 		t.Fatal("pristine trace produced no loss victims")
 	}
@@ -412,7 +409,6 @@ func TestDegradedHealthSuppressesLossVictims(t *testing.T) {
 	damaged := *tr
 	damaged.Integrity.DroppedRecords = 50
 	dst := tracestore.Build(&damaged)
-	dst.Reconstruct()
 	if !dst.Health().Degraded() {
 		t.Fatalf("marked-damaged store not degraded: %v", dst.Health())
 	}

@@ -23,7 +23,6 @@ func TestExplainPropagatedVictim(t *testing.T) {
 	sim.InjectInterrupt("nat1", simtime.Time(simtime.Millisecond), 800*simtime.Microsecond, "x")
 	sim.Run(simtime.Time(100 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"nat1", "vpn1"})))
-	st.Reconstruct()
 
 	// Find a vpn-queued victim after the interrupt.
 	var victim *Victim
@@ -91,7 +90,6 @@ func TestExplainNoQueue(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 
 	eng := NewEngine(Config{})
 	ex := eng.Explain(st, Victim{Comp: "nowhere", ArriveAt: 100})

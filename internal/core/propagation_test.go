@@ -65,7 +65,6 @@ func buildDAGStore(t *testing.T, interruptA1, interruptA2 bool) (*tracestore.Sto
 		},
 	}
 	st := tracestore.Build(col.Trace(meta))
-	st.Reconstruct()
 	return st, sim
 }
 

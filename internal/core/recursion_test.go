@@ -63,7 +63,6 @@ func TestTwoLevelRecursion(t *testing.T) {
 		},
 	}
 	st := tracestore.Build(col.Trace(meta))
-	st.Reconstruct()
 
 	eng := NewEngine(Config{})
 	// Victims: background packets queued at f after the interrupt ended.

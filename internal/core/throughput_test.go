@@ -49,7 +49,6 @@ func figure2Store(t *testing.T) (*tracestore.Store, packet.FiveTuple) {
 		},
 	}
 	st := tracestore.Build(col.Trace(meta))
-	st.Reconstruct()
 	return st, fa
 }
 
@@ -90,7 +89,6 @@ func TestThroughputVictimsQuietFlow(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 	victims := NewEngine(Config{}).ThroughputVictims(st, ThroughputConfig{DipStdDevs: 4})
 	if len(victims) != 0 {
 		t.Errorf("quiet flow produced %d throughput victims", len(victims))

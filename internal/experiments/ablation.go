@@ -132,7 +132,6 @@ func AblationQueueThreshold(cfg StandingQueueConfig) *AblationQueueThresholdResu
 		Edges: []collector.Edge{{From: collector.SourceName, To: "fw1"}},
 	}
 	st := tracestore.Build(col.Trace(meta))
-	st.Reconstruct()
 
 	res := &AblationQueueThresholdResult{
 		Series: &report.Series{Name: "accuracy vs queue threshold", XLabel: "threshold (packets)", YLabel: "onset-correct rate"},

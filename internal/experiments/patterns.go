@@ -127,7 +127,6 @@ func Figure14(cfg Figure14Config) *Figure14Result {
 	sim.Run(simtime.Time(cfg.Duration) + simtime.Time(50*simtime.Millisecond))
 
 	st := tracestore.Build(col.Trace(collector.MetaFor(topo)))
-	st.Reconstruct()
 	diags := core.NewEngine(core.Config{MaxVictims: 1500}).Diagnose(st)
 
 	pcfg := patterns.Config{Threshold: cfg.Threshold}

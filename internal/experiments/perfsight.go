@@ -76,7 +76,6 @@ func RunPerfSightComparison(seed int64) *PerfSightComparison {
 		}
 
 		st := tracestore.Build(tr)
-		st.Reconstruct()
 		diags := core.NewEngine(core.Config{MaxVictims: 200}).Diagnose(st)
 		msVerdict, fwBlamed := topCulprit(diags)
 		tbl.AddRow("persistent (undersized fw1)", psVerdict, msVerdict)
@@ -112,7 +111,6 @@ func RunPerfSightComparison(seed int64) *PerfSightComparison {
 		}
 
 		st := tracestore.Build(tr)
-		st.Reconstruct()
 		diags := core.NewEngine(core.Config{MaxVictims: 200}).Diagnose(st)
 		msVerdict, fwBlamed := topCulprit(diags)
 		tbl.AddRow("transient (900us interrupt at fw1)", psVerdict, msVerdict)

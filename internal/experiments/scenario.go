@@ -274,7 +274,6 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyRun {
 	sim.Run(simtime.Time(total) + simtime.Time(50*simtime.Millisecond))
 
 	st := tracestore.Build(col.Trace(collector.MetaFor(topo)))
-	st.Reconstruct()
 
 	eng := core.NewEngine(core.Config{MaxVictims: cfg.MaxVictims, Workers: cfg.Workers})
 	// Victim selection is per injection slot: each injected problem's

@@ -138,7 +138,6 @@ func RunWild(cfg WildConfig) *WildRun {
 	topo.Sim.Run(simtime.Time(cfg.Duration) + simtime.Time(50*simtime.Millisecond))
 
 	st := tracestore.Build(col.Trace(collector.MetaFor(topo)))
-	st.Reconstruct()
 
 	eng := core.NewEngine(core.Config{
 		VictimPercentile: cfg.VictimPercentile,

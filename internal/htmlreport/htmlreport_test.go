@@ -38,7 +38,6 @@ func buildInput(t *testing.T) Input {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(100 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1", "vpn1"})))
-	st.Reconstruct()
 
 	eng := core.NewEngine(core.Config{MaxVictims: 50})
 	diags := eng.Diagnose(st)

@@ -50,7 +50,6 @@ func runScenario(t *testing.T, withInterrupt bool) *tracestore.Store {
 	}
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1", "vpn1"})))
-	st.Reconstruct()
 	return st
 }
 
@@ -125,7 +124,6 @@ func TestDelayedImpactDegradesNetMedic(t *testing.T) {
 	sim.InjectInterrupt("nat1", intAt, simtime.Duration(500*simtime.Microsecond), "i")
 	sim.Run(simtime.Time(300 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"nat1", "vpn1"})))
-	st.Reconstruct()
 	e := New(st, Config{Window: 2 * simtime.Millisecond})
 
 	// A victim queued at the VPN several windows after the interrupt.

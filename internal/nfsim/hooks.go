@@ -47,34 +47,3 @@ func (NopHooks) Deliver(string, simtime.Time, []*packet.Packet) {}
 
 // Drop implements Hooks.
 func (NopHooks) Drop(string, simtime.Time, *Queue, []*packet.Packet) {}
-
-// MultiHooks fans events out to several hooks in order.
-type MultiHooks []Hooks
-
-// BatchRead implements Hooks.
-func (m MultiHooks) BatchRead(nf string, at simtime.Time, q *Queue, pkts []*packet.Packet) {
-	for _, h := range m {
-		h.BatchRead(nf, at, q, pkts)
-	}
-}
-
-// BatchWrite implements Hooks.
-func (m MultiHooks) BatchWrite(from string, at simtime.Time, q *Queue, pkts []*packet.Packet) {
-	for _, h := range m {
-		h.BatchWrite(from, at, q, pkts)
-	}
-}
-
-// Deliver implements Hooks.
-func (m MultiHooks) Deliver(nf string, at simtime.Time, pkts []*packet.Packet) {
-	for _, h := range m {
-		h.Deliver(nf, at, pkts)
-	}
-}
-
-// Drop implements Hooks.
-func (m MultiHooks) Drop(from string, at simtime.Time, q *Queue, pkts []*packet.Packet) {
-	for _, h := range m {
-		h.Drop(from, at, q, pkts)
-	}
-}

@@ -201,7 +201,6 @@ func TestEndToEndBugPatterns(t *testing.T) {
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
 
 	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw2", "vpn1"})))
-	st.Reconstruct()
 	diags := core.NewEngine(core.Config{}).Diagnose(st)
 	if len(diags) == 0 {
 		t.Fatal("no diagnoses")
@@ -250,7 +249,6 @@ func TestRelationsFromDiagnosesShares(t *testing.T) {
 	sim.LoadSchedule(&traffic.Schedule{Emissions: ems})
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	store := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	store.Reconstruct()
 
 	diags := []core.Diagnosis{{
 		Victim: core.Victim{Journey: 0, Comp: "fw1", Tuple: bgTuple(9), HasTuple: true},
@@ -291,7 +289,6 @@ func TestRelationsSubsampling(t *testing.T) {
 	sim.LoadSchedule(&traffic.Schedule{Emissions: ems})
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	store := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	store.Reconstruct()
 
 	many := make([]int, 1000)
 	for i := range many {

@@ -155,7 +155,7 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 // the stream seals it into its grid segment exactly once).
 //
 //	mode=full — the cold reference: every flush re-runs the whole
-//	            pipeline (sort, Build, Reconstruct, Index, fresh-engine
+//	            pipeline (sort, Build, Index, fresh-engine
 //	            diagnosis) over the pending window's records.
 //	mode=incr — StreamState.RunWindow over retained stream state (what the
 //	            online monitor runs): new records

@@ -5,10 +5,13 @@
 //
 //	reconstruct → index → victims → diagnose → patterns
 //
-// Stage 1 rebuilds packet journeys from the collected trace (§5). Stage 2
-// builds the shared immutable tracestore.Index: per-NF delay statistics,
-// the sorted delivered-latency distribution, and prewarmed queuing-period
-// interval indexes, computed once instead of per DiagnoseVictim call.
+// Stage 1 makes the store (tracestore.Build): it rebuilds packet journeys
+// from the collected trace (§5) and freezes the store's summaries — per-NF
+// delay statistics, the sorted delivered-latency distribution and the
+// queuing-period search arrays. Stage 2 hands out the shared immutable
+// tracestore.Index over them, warming the §7 queue-length timelines when a
+// queue threshold is set: everything computed once instead of per
+// DiagnoseVictim call.
 // Stage 3 selects victims (latency / loss). Stage 4 fans the per-victim
 // causal diagnosis (§4.1–§4.3) out over a bounded worker pool, sharing a
 // single-flight memo cache for recursive upstream queuing-period
@@ -136,7 +139,6 @@ func RunContext(ctx context.Context, tr *collector.Trace, cfg Config) (*Result, 
 	r := newRun(cfg)
 	if err := r.stage(ctx, "reconstruct", func() {
 		st := tracestore.Build(tr)
-		st.Reconstruct()
 		r.res.Store = st
 		r.res.Health = st.Health()
 		st.RecordObs(r.reg)

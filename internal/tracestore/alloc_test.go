@@ -7,7 +7,7 @@ import (
 )
 
 // TestReconstructAllocsPerRecord guards the count-then-fill layout: a
-// cold Build + Reconstruct carves every per-view table out of a few
+// cold Build carves every per-view table out of a few
 // exactly-sized slabs, so its allocation count depends on the number of
 // components (views, their interner entries, the meta tables), not on the
 // number of records. The ceiling is what that comes to for this 5-
@@ -26,8 +26,7 @@ func TestReconstructAllocsPerRecord(t *testing.T) {
 			t.Fatal("empty trace")
 		}
 		allocs[i] = testing.AllocsPerRun(5, func() {
-			s := Build(st.Trace)
-			s.Reconstruct()
+			Build(st.Trace)
 		})
 		if allocs[i] > 80 {
 			t.Errorf("reconstruction of %d records allocates %.0f objects (%.4f per record), budget 80 in all",

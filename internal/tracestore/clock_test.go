@@ -46,7 +46,6 @@ func TestAlignClocksRecoversOffsets(t *testing.T) {
 
 	// The corrected trace must reconstruct as well as the original.
 	st := Build(fixed)
-	st.Reconstruct()
 	delivered := 0
 	for i := range st.Journeys {
 		if st.Journeys[i].Delivered {
@@ -69,7 +68,6 @@ func TestSkewBreaksReconstructionAlignmentRepairs(t *testing.T) {
 	// Building directly would violate the encoder's time ordering only
 	// at encode time; Build consumes records as-is.
 	stBad := Build(skewed)
-	stBad.Reconstruct()
 	badDelivered := 0
 	for i := range stBad.Journeys {
 		if stBad.Journeys[i].Delivered {
@@ -79,7 +77,6 @@ func TestSkewBreaksReconstructionAlignmentRepairs(t *testing.T) {
 
 	_, fixed := AlignClocks(skewed)
 	stGood := Build(fixed)
-	stGood.Reconstruct()
 	goodDelivered := 0
 	for i := range stGood.Journeys {
 		if stGood.Journeys[i].Delivered {

@@ -3,6 +3,8 @@ package tracestore
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -43,9 +45,11 @@ func (s *Stream) WindowCapRatio(minRows int) float64 {
 	return worst
 }
 
-// VerifyWindow checks the window store Window last returned against the
-// other way to assemble it: a fresh window store with every retained
-// segment appended. The two must agree in every field of window, Store,
+// VerifyWindow checks the window store Window last returned two ways.
+// Its index and period search arrays must be what scanning its live rows
+// gives (checkByScan), and it must equal the other way to assemble it: a
+// fresh window store with every retained segment appended. The two must
+// agree in every field of window, Store,
 // CompView, periodIndex and Index — reached by reflection, so a field
 // added later is compared without anyone remembering to — in lengths and
 // values, not capacities. Row references are compared after moving the
@@ -66,14 +70,16 @@ func VerifyWindow(s *Stream) error {
 		return fmt.Errorf("in-place store: %w", err)
 	}
 
-	ref := &window{summaries: true}
+	if err := checkByScan(&w.ix); err != nil {
+		return fmt.Errorf("in-place store: %w", err)
+	}
+
+	ref := &window{}
 	ref.reset(s.meta, s.thr)
 	var traceEnd simtime.Time
 	for _, g := range s.segs {
-		ref.append(g.st, g)
-		if g.traceEnd > traceEnd {
-			traceEnd = g.traceEnd
-		}
+		ref.append(g.st)
+		traceEnd = max(traceEnd, g.st.traceEnd)
 	}
 	ref.publish(traceEnd)
 	ref.valid = true
@@ -91,6 +97,78 @@ func VerifyWindow(s *Stream) error {
 	c.equal(reflect.ValueOf(w).Elem(), reflect.ValueOf(ref).Elem())
 	if len(c.diffs) > 0 {
 		return fmt.Errorf("in-place window store differs from a fresh assembly in %d places, first: %v", len(c.diffs), c.diffs[:min(len(c.diffs), 8)])
+	}
+	return nil
+}
+
+// checkByScan holds an index, and its store's period search arrays, to
+// what the definitions give over the store's live rows, computed here by
+// scanning and sharing nothing with summarize or with the window store's
+// add and drop: per-component queue-delay moments over every hop that was
+// read or left, delivered-latency percentiles, the latest departure, and
+// per component the arrival times, read times, drain times (reads of
+// fewer packets than a full batch) and cumulative packets read.
+func checkByScan(ix *Index) error {
+	st := ix.Store()
+	moments := make([]stats.Moments, st.NumComps())
+	var lat []float64
+	var end simtime.Time
+	for i := range st.Journeys {
+		j := &st.Journeys[i]
+		for _, hop := range j.Hops {
+			if hop.ReadAt != 0 || hop.DepartAt != 0 {
+				moments[hop.Comp].Add(int64(hop.ReadAt - hop.ArriveAt))
+				end = max(end, hop.DepartAt)
+			}
+		}
+		if j.Delivered {
+			lat = append(lat, float64(j.Hops[len(j.Hops)-1].DepartAt-j.EmittedAt))
+		}
+	}
+	sort.Float64s(lat)
+	for id := range moments {
+		want, got := &moments[id], ix.DelayStatsID(CompID(id))
+		if got == nil {
+			got = &stats.Moments{}
+		}
+		if *got != *want {
+			return fmt.Errorf("%s: delay moments %+v, a scan gives %+v", st.CompName(CompID(id)), *got, *want)
+		}
+	}
+	for _, p := range []float64{50, 90, 99, 100} {
+		if got, want := ix.LatencyPercentile(p), stats.PercentileSorted(lat, p); got != want {
+			return fmt.Errorf("p%v latency %v, a scan gives %v", p, got, want)
+		}
+	}
+	if got := ix.TraceEnd(); got != end {
+		return fmt.Errorf("trace end %d, a scan gives %d", got, end)
+	}
+	for id := 0; id < st.NumComps(); id++ {
+		v := st.ViewID(CompID(id))
+		var want periodIndex
+		for _, a := range v.Arrivals {
+			want.arrivalTimes = append(want.arrivalTimes, a.At)
+		}
+		want.readCum = []int{0}
+		for _, r := range v.Reads {
+			want.readTimes = append(want.readTimes, r.At)
+			if r.N < st.MaxBatch {
+				want.drainTimes = append(want.drainTimes, r.At)
+			}
+			want.readCum = append(want.readCum, want.readCum[len(want.readCum)-1]+r.N)
+		}
+		got := v.pidx
+		// A window store counts packets read from when its column was
+		// last emptied; only the differences are the definition.
+		got.readCum = slices.Clone(got.readCum)
+		for i := len(got.readCum) - 1; i >= 0; i-- {
+			got.readCum[i] -= got.readCum[0]
+		}
+		if !slices.Equal(got.arrivalTimes, want.arrivalTimes) || !slices.Equal(got.readTimes, want.readTimes) ||
+			!slices.Equal(got.drainTimes, want.drainTimes) || !slices.Equal(got.readCum, want.readCum) {
+			return fmt.Errorf("%s: period search arrays differ from a scan of its %d arrivals and %d reads",
+				v.Name, len(v.Arrivals), len(v.Reads))
+		}
 	}
 	return nil
 }

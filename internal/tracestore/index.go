@@ -8,36 +8,19 @@ import (
 	"microscope/internal/stats"
 )
 
-// Index is the immutable per-store diagnosis index: everything the engine
-// used to recompute per DiagnoseVictim/FindVictims call, built exactly once
-// per (store, queue threshold) and then shared read-only. Building it also
-// warms every per-component lazy structure (queuing-period search index,
-// queue-length timeline), so any number of goroutines may afterwards query
-// queuing periods concurrently without synchronization — the contract the
-// parallel diagnosis stage relies on. A stream's window store keeps one
-// Index for its lifetime and brings it up to date, together with the
-// store, between windows (window.go); while a window is being diagnosed it
-// is as immutable as any other.
+// Index is the immutable per-store diagnosis index: the store's
+// threshold-independent summaries (summarize) plus the §7 queue-length
+// timelines warmed for its threshold, so that any number of goroutines may
+// query queuing periods concurrently without synchronization — the
+// contract the parallel diagnosis stage relies on. A stream's window store
+// keeps one Index for its lifetime and brings its summaries up to date,
+// together with the store, between windows (window.go); while a window is
+// being diagnosed it is as immutable as any other.
 type Index struct {
 	store *Store
 	// QueueThreshold is the §7 period threshold the timelines were warmed
 	// for (0 = the paper's base queuing-period definition).
 	QueueThreshold int
-
-	// delayStats holds per-NF queue-delay statistics for the §4.1
-	// abnormality test, indexed by CompID. Delays are kept as exact
-	// integer moments (stats.Moments) so the streaming path can merge
-	// per-epoch partial summaries and land on bit-identical values to a
-	// full sequential scan. An entry with N()==0 means the component had
-	// no read hops.
-	delayStats []stats.Moments
-	// latencies are delivered-journey latencies, ascending, for percentile
-	// thresholds. A cold index wraps the one sorted slice its scan produced;
-	// a stream's window index adds and removes a segment's sorted run per
-	// slide.
-	latencies stats.SortedBag
-	// traceEnd is the latest hop departure in the trace.
-	traceEnd simtime.Time
 }
 
 // Store returns the store the index was built over.
@@ -48,25 +31,23 @@ func (ix *Index) DelayStats(comp string) *stats.Moments {
 	return ix.DelayStatsID(ix.store.CompIDOf(comp))
 }
 
-// DelayStatsID is DelayStats for an interned component.
+// DelayStatsID is DelayStats for an interned component: its queue-delay
+// moments for the §4.1 abnormality test, nil when it had no read hops.
 func (ix *Index) DelayStatsID(comp CompID) *stats.Moments {
-	if comp < 0 || int(comp) >= len(ix.delayStats) {
+	ms := ix.store.moments
+	if comp < 0 || int(comp) >= len(ms) || ms[comp].N() == 0 {
 		return nil
 	}
-	w := &ix.delayStats[comp]
-	if w.N() == 0 {
-		return nil
-	}
-	return w
+	return &ms[comp]
 }
 
 // LatencyPercentile returns the p-th percentile of delivered latencies.
 func (ix *Index) LatencyPercentile(p float64) float64 {
-	return ix.latencies.Percentile(p)
+	return ix.store.latencies.Percentile(p)
 }
 
 // TraceEnd returns the latest hop departure observed in the trace.
-func (ix *Index) TraceEnd() simtime.Time { return ix.traceEnd }
+func (ix *Index) TraceEnd() simtime.Time { return ix.store.traceEnd }
 
 // Index returns the diagnosis index for the given queue threshold, building
 // it on first use. The returned index is immutable and safe to share across
@@ -80,7 +61,17 @@ func (s *Store) Index(queueThreshold int) *Index {
 	if ix, ok := s.indexes[queueThreshold]; ok {
 		return ix
 	}
-	ix := s.buildIndex(queueThreshold)
+	// derive keeps the latencies as an ascending run, wrapped as a bag on
+	// first use; a window store's bag is its only copy (its run is empty).
+	if s.latencies.Len() < len(s.latRun) {
+		s.latencies = stats.SortedBagOf(s.latRun)
+	}
+	if queueThreshold > 0 {
+		for _, v := range s.views {
+			s.timelineOf(v).lastLEFor(queueThreshold)
+		}
+	}
+	ix := &Index{store: s, QueueThreshold: queueThreshold}
 	if s.indexes == nil {
 		s.indexes = make(map[int]*Index)
 	}
@@ -88,13 +79,18 @@ func (s *Store) Index(queueThreshold int) *Index {
 	return ix
 }
 
-func (s *Store) buildIndex(queueThreshold int) *Index {
-	ix := &Index{
-		store:          s,
-		QueueThreshold: queueThreshold,
-		delayStats:     make([]stats.Moments, len(s.views)),
-	}
-	var latencies []float64
+// summarize freezes what every Index of the store reads, as the last step
+// of derive: one scan of the journeys gives the per-component queue-delay
+// moments, the delivered latencies (sorted) and the latest hop departure,
+// and every view's queuing-period search arrays are filled into the
+// store's slabs. Delays are kept as exact integer moments (stats.Moments)
+// so a window store adds and subtracts its segments' and lands on the
+// values this scan would give over the window.
+func (s *Store) summarize() {
+	s.moments = resize(s.moments, len(s.views))
+	clear(s.moments)
+	s.latRun = resize(s.latRun, len(s.Journeys))[:0] // room for every journey delivered
+	s.traceEnd = 0
 	for i := range s.Journeys {
 		j := &s.Journeys[i]
 		for h := range j.Hops {
@@ -102,30 +98,17 @@ func (s *Store) buildIndex(queueThreshold int) *Index {
 			if hop.ReadAt == 0 && hop.DepartAt == 0 {
 				continue
 			}
-			ix.delayStats[hop.Comp].Add(int64(hop.ReadAt.Sub(hop.ArriveAt)))
-			if hop.DepartAt > ix.traceEnd {
-				ix.traceEnd = hop.DepartAt
+			s.moments[hop.Comp].Add(int64(hop.ReadAt.Sub(hop.ArriveAt)))
+			if hop.DepartAt > s.traceEnd {
+				s.traceEnd = hop.DepartAt
 			}
 		}
 		if j.Delivered {
-			latencies = append(latencies, float64(j.Latency()))
+			s.latRun = append(s.latRun, float64(j.Latency()))
 		}
 	}
-	sort.Float64s(latencies)
-	ix.latencies = stats.SortedBagOf(latencies)
-
-	// Warm every lazy per-component structure so post-build queries are
-	// pure reads: the period search index always, and the queue-length
-	// timeline (plus its last-below-threshold table) when the threshold
-	// definition is in play.
-	for _, v := range s.views {
-		s.periodIndexOf(v)
-		if queueThreshold > 0 {
-			tl := s.timelineOf(v)
-			tl.lastLEFor(queueThreshold)
-		}
-	}
-	return ix
+	sort.Float64s(s.latRun)
+	s.warmPeriodIndexes()
 }
 
 // FlowDelivery is one delivered packet of a flow: the journey index and its

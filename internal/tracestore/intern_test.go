@@ -122,7 +122,6 @@ func TestInternUndeclaredComponent(t *testing.T) {
 	}
 	// Quarantined journeys (ambiguous matches) keep valid interned hops:
 	// every hop Comp of every journey resolves to a non-empty name.
-	st.Reconstruct()
 	for i := range st.Journeys {
 		for _, h := range st.Journeys[i].Hops {
 			if st.CompName(h.Comp) == "" {

@@ -41,7 +41,6 @@ func TestLookaheadResolvesIPIDCollision(t *testing.T) {
 		{Comp: "c", Queue: "c.in", At: 20, Dir: collector.DirRead, IPIDs: []uint16{5, 8, 5}},
 	}
 	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
 	if st.ReconStats().Unmatched != 0 {
 		t.Fatalf("unmatched: %+v", st.ReconStats())
 	}
@@ -70,7 +69,6 @@ func TestReorderSearchRecoversDeepMatch(t *testing.T) {
 		{Comp: "c", Queue: "c.in", At: 20, Dir: collector.DirRead, IPIDs: []uint16{7, 5, 6}},
 	}
 	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
 	if st.ReconStats().Reordered == 0 {
 		t.Fatalf("reorder path not exercised: %+v", st.ReconStats())
 	}
@@ -87,7 +85,6 @@ func TestUnmatchedDequeue(t *testing.T) {
 		{Comp: "c", Queue: "c.in", At: 20, Dir: collector.DirRead, IPIDs: []uint16{5, 99}},
 	}
 	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
 	if st.ReconStats().Unmatched != 1 {
 		t.Fatalf("want 1 unmatched: %+v", st.ReconStats())
 	}
@@ -102,7 +99,6 @@ func TestStoreStringAndAccessors(t *testing.T) {
 			Tuples: []packet.FiveTuple{{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}}},
 	}
 	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
 	if got := st.String(); got == "" {
 		t.Error("empty String")
 	}
@@ -144,8 +140,7 @@ func TestReconstructionSurvivesRecordLoss(t *testing.T) {
 			}
 			damaged = append(damaged, r)
 		}
-		st := Build(&collector.Trace{Meta: tr.Meta, Records: damaged})
-		st.Reconstruct() // must not panic
+		st := Build(&collector.Trace{Meta: tr.Meta, Records: damaged}) // must not panic
 		for i := range st.Journeys {
 			j := &st.Journeys[i]
 			prev := j.EmittedAt
@@ -184,8 +179,7 @@ func TestReconstructionSurvivesDuplicatedRecords(t *testing.T) {
 			damaged = append(damaged, r) // duplicate
 		}
 	}
-	st := Build(&collector.Trace{Meta: tr.Meta, Records: damaged})
-	st.Reconstruct() // must not panic
+	st := Build(&collector.Trace{Meta: tr.Meta, Records: damaged}) // must not panic
 	if len(st.Journeys) == 0 {
 		t.Fatal("no journeys after duplication")
 	}

@@ -57,20 +57,8 @@ type periodIndex struct {
 	readCum      []int // readCum[i] = packets read in events [0, i)
 }
 
-func (s *Store) periodIndexOf(v *CompView) *periodIndex {
-	if v.pidx != nil {
-		return v.pidx
-	}
-	nt, nc := periodIndexSize(v)
-	v.pidxBuf.fill(v, make([]simtime.Time, nt), make([]int, nc))
-	v.pidx = &v.pidxBuf
-	return v.pidx
-}
-
 // warmPeriodIndexes builds every view's period index out of the store's
-// own times/cums slabs — what a sealed stream segment does instead of the
-// lazy per-view allocation above, so a recycled store refills them in
-// place.
+// own times/cums slabs, so a recycled store refills them in place.
 func (s *Store) warmPeriodIndexes() {
 	nTimes, nCums := 0, 0
 	for _, v := range s.views {
@@ -83,8 +71,7 @@ func (s *Store) warmPeriodIndexes() {
 	times, cums := s.times, s.cums
 	for _, v := range s.views {
 		nt, nc := periodIndexSize(v)
-		v.pidxBuf.fill(v, times[:nt], cums[:nc])
-		v.pidx = &v.pidxBuf
+		v.pidx.fill(v, times[:nt], cums[:nc])
 		times, cums = times[nt:], cums[nc:]
 	}
 }
@@ -144,7 +131,7 @@ func (s *Store) QueuingPeriodAtID(comp CompID, t simtime.Time) *QueuingPeriod {
 	if v == nil || len(v.Arrivals) == 0 {
 		return nil
 	}
-	pi := s.periodIndexOf(v)
+	pi := &v.pidx
 
 	// Last drain strictly before t; the period begins with the first
 	// arrival after it.

@@ -124,21 +124,15 @@ const lookaheadDepth = 4
 // upstream head matches (same-instant write interleaving).
 const reorderSearchBound = 64
 
-// Reconstruct matches records across components and builds journeys. It
-// consumes the scratch Build left on the store; the views' build-only
-// tables stay readable, the matching tables are released.
-func (s *Store) Reconstruct() {
-	sc := s.sc
-	if sc == nil {
-		return
-	}
+// reconstruct matches records across components and builds journeys, from
+// the tables build left in sc.
+func (s *Store) reconstruct(sc *scratch) {
 	s.indexReads(sc)
 	for _, v := range s.views {
 		s.matchQueue(sc, v)
 		s.threadInternal(sc, v)
 	}
 	s.buildJourneys(sc)
-	s.sc = nil
 }
 
 // indexReads sizes the per-component match tables and builds the
@@ -152,19 +146,19 @@ func (s *Store) indexReads(sc *scratch) {
 	nArr, nReadPk := 0, 0
 	for _, v := range s.views {
 		nArr += len(v.Arrivals)
-		nReadPk += len(v.ReadEntries)
+		nReadPk += len(sc.views[v.ID].reads)
 	}
 	sc.arrIdx = resize(sc.arrIdx, nArr)
 	sc.readIdx = resize(sc.readIdx, 2*nReadPk)
 	arrIdx, readIdx := sc.arrIdx, sc.readIdx
 	for _, v := range s.views {
-		na, nr := len(v.Arrivals), len(v.ReadEntries)
+		na, nr := len(v.Arrivals), len(sc.views[v.ID].reads)
 		sc.deqOfArrival[v.ID], arrIdx = fillNeg(arrIdx[:na]), arrIdx[na:]
 		sc.outOfRead[v.ID], readIdx = fillNeg(readIdx[:nr]), readIdx[nr:]
 		ev := readIdx[:nr]
 		readIdx = readIdx[nr:]
 		for ei := range v.Reads {
-			end := len(v.ReadEntries)
+			end := nr
 			if ei+1 < len(v.Reads) {
 				end = v.Reads[ei+1].FirstEntry
 			}
@@ -186,7 +180,8 @@ func fillNeg(out []int32) []int32 {
 // matchQueue resolves which arrival each dequeued packet corresponds to,
 // using the three side channels of §5.
 func (s *Store) matchQueue(sc *scratch, v *CompView) {
-	if len(v.ReadEntries) == 0 || len(v.Arrivals) == 0 {
+	reads := sc.views[v.ID].reads
+	if len(reads) == 0 || len(v.Arrivals) == 0 {
 		return
 	}
 	// Per-upstream arrival streams, in first-appearance order of the
@@ -250,8 +245,8 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 			return false
 		}
 		score := 0
-		for step := 1; step <= lookaheadDepth && k+step < len(v.ReadEntries); step++ {
-			d := v.ReadEntries[k+step]
+		for step := 1; step <= lookaheadDepth && k+step < len(reads); step++ {
+			d := reads[k+step]
 			found := false
 			for u := range streams {
 				p := ptr[u]
@@ -277,8 +272,8 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 		return score
 	}
 
-	for k := range v.ReadEntries {
-		d := &v.ReadEntries[k]
+	for k := range reads {
+		d := &reads[k]
 		// Side channel 1 (paths): only immediate upstream heads are
 		// candidates. Side channel 2 (timing): arrival must precede
 		// the dequeue.
@@ -365,7 +360,8 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 // are already time-ordered, so that is their two-way merge with writes
 // first on equal times.
 func (s *Store) threadInternal(sc *scratch, v *CompView) {
-	reads, writes, delivers := v.ReadEntries, v.WriteEntries, v.DeliverEntries
+	c := &sc.views[v.ID]
+	reads, writes, delivers := c.reads, c.writes, c.delivers
 	if len(reads) == 0 || len(writes)+len(delivers) == 0 {
 		return
 	}
@@ -417,25 +413,25 @@ func (s *Store) threadInternal(sc *scratch, v *CompView) {
 // [start,end) span of it, so a million-packet trace costs one hop
 // allocation instead of a million.
 func (s *Store) buildJourneys(sc *scratch) {
-	src := s.ViewID(s.srcID)
-	if src == nil {
+	if s.ViewID(s.srcID) == nil {
 		return
 	}
+	src := &sc.views[s.srcID]
 	arena := resize(s.hopArena, len(s.arrivals))[:0]
 	// Journeys are built sequentially, so span i is
 	// [starts[i], starts[i+1]).
-	starts := append(resize(sc.starts, len(src.WriteEntries)+1)[:0], 0)
-	s.Journeys = resize(s.Journeys, len(src.WriteEntries))[:0]
-	for wi := range src.WriteEntries {
+	starts := append(resize(sc.starts, len(src.writes)+1)[:0], 0)
+	s.Journeys = resize(s.Journeys, len(src.writes))[:0]
+	for wi := range src.writes {
 		j := Journey{
-			IPID:      src.WriteEntries[wi].IPID,
-			EmittedAt: src.WriteEntries[wi].At,
+			IPID:      src.writes[wi].IPID,
+			EmittedAt: src.writes[wi].At,
 		}
-		comp := src.WriteDest[wi]
+		comp := src.dests[wi]
 		// Arrival index of this write entry at its destination.
 		ai := sc.arrivalIndexOf(src, wi)
 		for ai >= 0 && comp != NoComp {
-			v := s.views[comp]
+			v, c := s.views[comp], &sc.views[comp]
 			hop := JourneyHop{
 				Comp:      comp,
 				ArriveAt:  v.Arrivals[ai].At,
@@ -454,7 +450,7 @@ func (s *Store) buildJourneys(sc *scratch) {
 				arena = append(arena, hop)
 				break
 			}
-			hop.ReadAt = v.ReadEntries[k].At
+			hop.ReadAt = c.reads[k].At
 			hop.ReadEvent = int(sc.readEventIdx[comp][k])
 			out := sc.outOfRead[comp][k]
 			if out == noOut {
@@ -465,20 +461,20 @@ func (s *Store) buildJourneys(sc *scratch) {
 			}
 			if out < noOut {
 				di := deliverIndex(out)
-				hop.DepartAt = v.DeliverEntries[di].At
+				hop.DepartAt = c.delivers[di].At
 				arena = append(arena, hop)
 				j.Delivered = true
-				j.Tuple = v.Tuples[di]
+				j.Tuple = c.tuples[di]
 				// A zero tuple is the damaged-record pad, not real
 				// traffic: delivered, but with unknown five-tuple.
 				j.HasTuple = j.Tuple != (packet.FiveTuple{})
 				break
 			}
-			hop.DepartAt = v.WriteEntries[out].At
+			hop.DepartAt = c.writes[out].At
 			arena = append(arena, hop)
 			// Continue downstream.
-			comp = v.WriteDest[out]
-			ai = sc.arrivalIndexOf(v, int(out))
+			comp = c.dests[out]
+			ai = sc.arrivalIndexOf(c, int(out))
 		}
 		starts = append(starts, int32(len(arena)))
 		if j.Quarantined {
@@ -498,10 +494,10 @@ func (s *Store) buildJourneys(sc *scratch) {
 // arrivalIndexOf maps a component's write entry to the arrival index at the
 // destination view. Arrivals of one write record are contiguous at the
 // destination, so the record's base index plus the batch position suffices.
-func (sc *scratch) arrivalIndexOf(v *CompView, wi int) int {
-	base := sc.arrBase[v.WriteEntries[wi].Rec]
+func (sc *scratch) arrivalIndexOf(c *viewScratch, wi int) int {
+	base := sc.arrBase[c.writes[wi].Rec]
 	if base < 0 {
 		return -1
 	}
-	return int(base) + v.WriteEntries[wi].Pos
+	return int(base) + c.writes[wi].Pos
 }

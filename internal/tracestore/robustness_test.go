@@ -19,7 +19,6 @@ func TestBuildSortsUnorderedRecords(t *testing.T) {
 	}
 	tr := &collector.Trace{Meta: twoUpstreamMeta(), Records: recs}
 	st := Build(tr)
-	st.Reconstruct()
 	if st.Trace.Integrity.Resorted == 0 {
 		t.Fatalf("resort not counted: %+v", st.Trace.Integrity)
 	}
@@ -52,7 +51,6 @@ func TestDupCollisionQuarantine(t *testing.T) {
 		{Comp: "c", Queue: "c.in", At: 20, Dir: collector.DirRead, IPIDs: []uint16{5, 5}},
 	}
 	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
 	rs := st.ReconStats()
 	if rs.Unmatched != 0 {
 		t.Fatalf("ambiguity must not cause unmatched dequeues: %+v", rs)
@@ -88,7 +86,6 @@ func TestLookaheadCollisionNotQuarantined(t *testing.T) {
 		{Comp: "c", Queue: "c.in", At: 20, Dir: collector.DirRead, IPIDs: []uint16{5, 8, 5}},
 	}
 	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
 	rs := st.ReconStats()
 	if rs.LookaheadFix == 0 {
 		t.Fatalf("lookahead path not exercised: %+v", rs)
@@ -109,16 +106,17 @@ func TestDeliverRecordMissingTuples(t *testing.T) {
 		{Comp: "c", At: 25, Dir: collector.DirDeliver, IPIDs: []uint16{5, 6},
 			Tuples: []packet.FiveTuple{{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}}},
 	}
-	st := Build(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs})
-	st.Reconstruct()
-	// The journeys here start at u1's writes (no source in this
-	// hand-built trace), so inspect the view directly.
-	v := st.View("c")
-	if len(v.Tuples) != 2 {
-		t.Fatalf("want 2 padded tuples, got %d", len(v.Tuples))
+	// Build's step, with the scratch kept: the journeys here start at u1's
+	// writes (no source in this hand-built trace), so inspect the deliver
+	// tables the store was made through.
+	st, sc := &Store{}, &scratch{}
+	st.derive(&collector.Trace{Meta: twoUpstreamMeta(), Records: recs}, sc)
+	tuples := sc.views[st.CompIDOf("c")].tuples
+	if len(tuples) != 2 {
+		t.Fatalf("want 2 padded tuples, got %d", len(tuples))
 	}
-	if v.Tuples[1] != (packet.FiveTuple{}) {
-		t.Fatalf("missing tuple not padded: %+v", v.Tuples[1])
+	if tuples[1] != (packet.FiveTuple{}) {
+		t.Fatalf("missing tuple not padded: %+v", tuples[1])
 	}
 }
 
@@ -139,7 +137,6 @@ func TestDeliveredJourneyWithoutTuple(t *testing.T) {
 		Edges: []collector.Edge{{From: "source", To: "c"}},
 	}
 	st := Build(&collector.Trace{Meta: meta, Records: recs})
-	st.Reconstruct()
 	if len(st.Journeys) != 1 {
 		t.Fatalf("want 1 journey, got %d", len(st.Journeys))
 	}

@@ -6,27 +6,28 @@ import (
 	"microscope/internal/packet"
 )
 
-// scratch holds every table Build and Reconstruct need only while they
-// run. A cold Build allocates one and drops it when Reconstruct returns; a
-// Stream owns one for its lifetime and seals every segment through it, so
-// steady-state sealing allocates nothing here. Each use sizes what it
-// needs (resize) and fully rewrites what it reads, so nothing carries over
-// from one store to the next — not even after a contained panic mid-seal.
+// scratch holds every table a store is made through but does not keep
+// (derive: build, reconstruct, summarize). A cold Build allocates one and
+// drops it with derive's return; a Stream owns one for its lifetime and
+// seals every segment through it, so steady-state sealing allocates
+// nothing here. Each use sizes what it needs (resize) and fully rewrites
+// what it reads, so nothing carries over from one store to the next — not
+// even after a contained panic mid-seal.
 type scratch struct {
 	// Build. recComp/recDest hand each record's interned component and
 	// write destination from the count pass to the fill pass; arrBase[rec]
 	// is the arrival index, at its destination, of a write record's first
-	// packet (-1 for other records). The views' ReadEntries, WriteEntries
-	// and DeliverEntries are spans of entries, WriteDest of dests, Tuples
-	// of tuples.
+	// packet (-1 for other records). views are the per-component tables by
+	// CompID, spans of entries, dests and tuples.
 	recComp []CompID
 	recDest []CompID
 	arrBase []int32
+	views   []viewScratch
 	entries []Entry
 	dests   []CompID
 	tuples  []packet.FiveTuple
 
-	// Reconstruct, indexed by CompID; the inner slices are spans of
+	// reconstruct, indexed by CompID; the inner slices are spans of
 	// arrIdx and readIdx.
 	//
 	// deqOfArrival[comp][arrival] is the read entry that dequeued the
@@ -60,6 +61,30 @@ type scratch struct {
 
 	// buildJourneys: journey i's hops are arena[starts[i]:starts[i+1]].
 	starts []int32
+}
+
+// viewScratch is one component's build-only tables: its per-packet read
+// entries in dequeue order, its write entries in transmit order (merged
+// across destination queues by record order) with their interned
+// destinations in dests, and its deliver entries with their five-tuples in
+// tuples. The n* fields are build's count pass: how many read events,
+// read/write/deliver packet entries and arrivals the component is about
+// to hold, so that every table is carved at its exact size.
+type viewScratch struct {
+	reads, writes, delivers []Entry
+	dests                   []CompID
+	tuples                  []packet.FiveTuple
+
+	nReads, nReadPk, nWritePk, nDeliverPk, nArrivals int
+}
+
+// view returns component id's tables, first extending the list, zeroed,
+// to reach it.
+func (sc *scratch) view(id CompID) *viewScratch {
+	for int(id) >= len(sc.views) {
+		sc.views = append(sc.views, viewScratch{})
+	}
+	return &sc.views[id]
 }
 
 // outOfRead values: a write entry index (>= 0), a deliver entry encoded by

@@ -6,15 +6,18 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"microscope/internal/collector"
 	"microscope/internal/faults"
+	"microscope/internal/packet"
 	"microscope/internal/simtime"
+	"microscope/internal/stats"
 )
 
-// storeDiff names the first field in which two reconstructed stores
-// differ ("" when none): interner, arrivals, reads, period index,
-// journeys with their hops, reconstruction counters, health.
+// storeDiff names the first field in which two made stores differ (""
+// when none): interner, arrivals, reads, period index, journeys with their
+// hops, reconstruction counters, summaries, health.
 func storeDiff(a, b *Store) string {
 	if !slices.Equal(a.names, b.names) {
 		return fmt.Sprintf("names: %v vs %v", a.names, b.names)
@@ -27,7 +30,7 @@ func storeDiff(a, b *Store) string {
 		if !slices.Equal(va.Reads, vb.Reads) {
 			return fmt.Sprintf("%s: reads differ (%d vs %d)", va.Name, len(va.Reads), len(vb.Reads))
 		}
-		pa, pb := a.periodIndexOf(va), b.periodIndexOf(vb)
+		pa, pb := &va.pidx, &vb.pidx
 		if !slices.Equal(pa.arrivalTimes, pb.arrivalTimes) || !slices.Equal(pa.drainTimes, pb.drainTimes) ||
 			!slices.Equal(pa.readTimes, pb.readTimes) || !slices.Equal(pa.readCum, pb.readCum) {
 			return fmt.Sprintf("%s: period index differs", va.Name)
@@ -43,6 +46,9 @@ func storeDiff(a, b *Store) string {
 	}
 	if a.recon != b.recon {
 		return fmt.Sprintf("recon: %+v vs %+v", a.recon, b.recon)
+	}
+	if !slices.Equal(a.moments, b.moments) || !slices.Equal(a.latRun, b.latRun) || a.traceEnd != b.traceEnd {
+		return "summaries differ"
 	}
 	if ha, hb := a.Health(), b.Health(); ha != hb {
 		return fmt.Sprintf("health: %+v vs %+v", ha, hb)
@@ -73,11 +79,11 @@ func wrapTrace(packets int) *collector.Trace {
 
 // TestSealScratchReuseEquivalence: the stream seals every segment through
 // one long-lived scratch and recycled store shells; a cold Build gets a
-// fresh scratch and a fresh store. Both run the same code, and nothing may
-// carry over from one use to the next: traces of different shapes — clean,
-// with duplicated, reordered, truncated and lost records, an undeclared
-// component, IPIDs that wrap and recur — built in sequence through one
-// scratch come out field for field as each does built alone.
+// fresh scratch and a fresh store. Both are one call of derive, and
+// nothing may carry over from one call to the next: traces of different
+// shapes — clean, with duplicated, reordered, truncated and lost records,
+// an undeclared component, IPIDs that wrap and recur — made in sequence
+// through one scratch come out field for field as each does made alone.
 func TestSealScratchReuseEquivalence(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.4), simtime.Duration(2*simtime.Millisecond), 23)
 	_, chainSt := runChain(t, sched, simtime.MPPS(1), simtime.MPPS(0.9), simtime.MPPS(0.8))
@@ -128,12 +134,8 @@ func TestSealScratchReuseEquivalence(t *testing.T) {
 			sc.reserveIPIDs(0)
 			sc.ipidNext = math.MaxInt32 - 7
 		}
-		shell.build(sortedTrace(tr), sc)
-		shell.Reconstruct()
-		shell.warmPeriodIndexes()
-
+		shell.derive(sortedTrace(tr), sc)
 		cold := Build(tr)
-		cold.Reconstruct()
 		if d := storeDiff(shell, cold); d != "" {
 			t.Fatalf("trace %d (%d records): shared scratch vs fresh: %s", i, len(tr.Records), d)
 		}
@@ -149,13 +151,12 @@ func TestThreadInternalMatchesSort(t *testing.T) {
 		wrapTrace(600),
 		evalTrace(t, 9, simtime.MPPS(1.2), simtime.Duration(simtime.Millisecond)),
 	} {
-		s := &Store{}
-		s.build(sortedTrace(tr), &scratch{})
-		sc := s.sc
+		s, sc := &Store{}, &scratch{}
+		s.build(sortedTrace(tr), sc)
 		s.indexReads(sc)
 		for _, v := range s.views {
 			s.threadInternal(sc, v)
-			want := threadBySort(v)
+			want := threadBySort(&sc.views[v.ID])
 			if !slices.Equal(sc.outOfRead[v.ID], want) {
 				t.Fatalf("%s: outOfRead differs from the sort-based linking", v.Name)
 			}
@@ -165,17 +166,17 @@ func TestThreadInternalMatchesSort(t *testing.T) {
 
 // threadBySort is threadInternal as first written: sort.SliceStable over
 // writes-then-delivers, map-held FIFOs.
-func threadBySort(v *CompView) []int32 {
+func threadBySort(c *viewScratch) []int32 {
 	type out struct {
 		at   simtime.Time
 		ipid uint16
 		ref  int32
 	}
 	var outs []out
-	for i, e := range v.WriteEntries {
+	for i, e := range c.writes {
 		outs = append(outs, out{e.At, e.IPID, int32(i)})
 	}
-	for i, e := range v.DeliverEntries {
+	for i, e := range c.delivers {
 		outs = append(outs, out{e.At, e.IPID, deliverRef(i)})
 	}
 	// Insertion sort: stable, and independent of package sort.
@@ -185,14 +186,14 @@ func threadBySort(v *CompView) []int32 {
 		}
 	}
 	buckets := make(map[uint16][]int)
-	for k, e := range v.ReadEntries {
+	for k, e := range c.reads {
 		buckets[e.IPID] = append(buckets[e.IPID], k)
 	}
 	heads := make(map[uint16]int)
-	res := fillNeg(make([]int32, len(v.ReadEntries)))
+	res := fillNeg(make([]int32, len(c.reads)))
 	for _, o := range outs {
 		lst, h := buckets[o.ipid], heads[o.ipid]
-		if h < len(lst) && v.ReadEntries[lst[h]].At <= o.at {
+		if h < len(lst) && c.reads[lst[h]].At <= o.at {
 			res[lst[h]] = o.ref
 			heads[o.ipid] = h + 1
 		}
@@ -228,8 +229,8 @@ func segmentDiff(a, b *Stream) string {
 		if d := storeDiff(ga.st, gb.st); d != "" {
 			return fmt.Sprintf("segment %d: %s", i, d)
 		}
-		if !slices.Equal(ga.moments, gb.moments) || !slices.Equal(ga.latencies, gb.latencies) || ga.traceEnd != gb.traceEnd || ga.bytes != gb.bytes {
-			return fmt.Sprintf("segment %d: summaries differ", i)
+		if ga.bytes != gb.bytes {
+			return fmt.Sprintf("segment %d: size estimates %d vs %d", i, ga.bytes, gb.bytes)
 		}
 	}
 	return ""
@@ -327,5 +328,64 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	}
 	if perSegment[1] > perSegment[0]+1 {
 		t.Errorf("allocations grow with the segment: %.1f per segment at %d records, %.1f at %d", perSegment[0], records[0], perSegment[1], records[1])
+	}
+}
+
+// TestDeriveSummariesMatchScan holds the summaries derive freezes, and the
+// period search arrays it fills, to the test-only scan VerifyWindow also
+// holds every window store to (checkByScan) — here over cold Builds of
+// clean, damaged, unsorted, wrapping and empty traces, at the base
+// queuing-period definition and at a §7 threshold.
+func TestDeriveSummariesMatchScan(t *testing.T) {
+	eval := evalTrace(t, 6, simtime.MPPS(1.2), simtime.Duration(simtime.Millisecond))
+	damaged, _ := faults.Inject(eval, faults.Config{Seed: 8, DupRate: 0.02, ReorderRate: 0.05, TruncateRate: 0.02, DropRate: 0.01})
+	for i, tr := range []*collector.Trace{eval, damaged, wrapTrace(600), {Meta: eval.Meta}} {
+		for _, thr := range []int{0, 3} {
+			st := Build(tr)
+			if err := checkByScan(st.Index(thr)); err != nil {
+				t.Fatalf("trace %d, threshold %d: %v", i, thr, err)
+			}
+		}
+	}
+}
+
+// TestSegmentSizeBytes pins a sealed segment's retained-size estimate to
+// the sum, over every slice the segment retains, of its length times its
+// element size: the records and their IPID and tuple payloads, and each
+// table its store keeps.
+func TestSegmentSizeBytes(t *testing.T) {
+	tr := evalTrace(t, 2, simtime.MPPS(0.8), simtime.Duration(2*simtime.Millisecond))
+	s, err := NewStream(tr.Meta, StreamConfig{Window: simtime.Millisecond, Overlap: simtime.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Advance(simtime.Time(2*simtime.Millisecond), tr.Records)
+	if len(s.segs) < 2 {
+		t.Fatalf("%d segments retained; want several", len(s.segs))
+	}
+	var total int64
+	for i, g := range s.segs {
+		want := int64(len(g.records)) * int64(unsafe.Sizeof(collector.BatchRecord{}))
+		for _, r := range g.records {
+			want += int64(len(r.IPIDs))*int64(unsafe.Sizeof(uint16(0))) + int64(len(r.Tuples))*int64(unsafe.Sizeof(packet.FiveTuple{}))
+		}
+		gs := g.st
+		want += int64(len(gs.hopArena))*int64(unsafe.Sizeof(JourneyHop{})) +
+			int64(len(gs.Journeys))*int64(unsafe.Sizeof(Journey{})) +
+			int64(len(gs.moments))*int64(unsafe.Sizeof(stats.Moments{})) +
+			int64(len(gs.latRun))*int64(unsafe.Sizeof(float64(0)))
+		for _, v := range gs.views {
+			want += int64(len(v.Arrivals))*int64(unsafe.Sizeof(Arrival{})) +
+				int64(len(v.Reads))*int64(unsafe.Sizeof(ReadEvent{})) +
+				int64(len(v.pidx.arrivalTimes)+len(v.pidx.drainTimes)+len(v.pidx.readTimes))*int64(unsafe.Sizeof(simtime.Time(0))) +
+				int64(len(v.pidx.readCum))*int64(unsafe.Sizeof(int(0)))
+		}
+		if g.bytes != want {
+			t.Fatalf("segment %d: size estimate %d B, its slices hold %d B", i, g.bytes, want)
+		}
+		total += want
+	}
+	if st.RetainedBytes != total {
+		t.Fatalf("RetainedBytes %d, the segments hold %d", st.RetainedBytes, total)
 	}
 }

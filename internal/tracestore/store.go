@@ -16,7 +16,7 @@ package tracestore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +25,7 @@ import (
 	"microscope/internal/obs"
 	"microscope/internal/packet"
 	"microscope/internal/simtime"
+	"microscope/internal/stats"
 )
 
 // Entry is one packet-level event extracted from a batch record: one packet
@@ -72,20 +73,6 @@ type CompView struct {
 
 	// Reads are batch read events in time order.
 	Reads []ReadEvent
-	// ReadEntries, WriteEntries/WriteDest and DeliverEntries/Tuples are
-	// build-only: spans of the scratch the store was built through, needed
-	// until Reconstruct has run. A sealed stream segment drops them.
-	//
-	// ReadEntries are per-packet read entries in dequeue order.
-	ReadEntries []Entry
-	// WriteEntries are per-packet write entries in transmit order
-	// (merged across destination queues by record order); WriteDest is the
-	// parallel array of interned destination components.
-	WriteEntries []Entry
-	WriteDest    []CompID
-	// DeliverEntries are per-packet egress entries; Tuples parallel.
-	DeliverEntries []Entry
-	Tuples         []packet.FiveTuple
 	// Arrivals are packets entering this component's queue, in enqueue
 	// order as reconstructed (time-merged upstream writes).
 	Arrivals []Arrival
@@ -96,17 +83,12 @@ type CompView struct {
 	// window store, where rows leave from the front (window.go).
 	firstArrival, firstRead int
 
-	// pidx caches the queuing-period search index; pidxBuf is its storage.
-	pidx    *periodIndex
-	pidxBuf periodIndex
+	// pidx is the queuing-period search index: spans of the store's slabs,
+	// filled by summarize, or of a window store's columns.
+	pidx periodIndex
 	// tl caches the reconstructed queue-length timeline (§7 threshold
 	// periods).
 	tl *qlenTimeline
-
-	// Build's count pass: how many read events, read/write/deliver packet
-	// entries and arrivals this view is about to hold, so every table is
-	// carved at its exact size before the fill pass.
-	nReads, nReadPk, nWritePk, nDeliverPk, nArrivals int
 }
 
 // Store indexes a trace and holds the reconstructed journeys.
@@ -131,10 +113,6 @@ type Store struct {
 	nDecl   int
 	metaFor int
 
-	// sc holds the build-only tables (scratch.go) from Build until
-	// Reconstruct returns.
-	sc *scratch
-
 	// Journeys are the reconstructed packet traces, in source-emission
 	// order. Every Journey's Hops slice is a span of the shared hopArena.
 	Journeys []Journey
@@ -158,6 +136,16 @@ type Store struct {
 	traceBuf collector.Trace
 
 	recon ReconStats
+
+	// The summaries every Index of the store reads, frozen by summarize
+	// (a window store keeps its own by add and drop, window.go): moments
+	// are the queue-delay moments by CompID, latRun the delivered
+	// latencies ascending and latencies the same values as a bag (a window
+	// store's only copy), traceEnd the latest hop departure.
+	moments   []stats.Moments
+	latRun    []float64
+	latencies stats.SortedBag
+	traceEnd  simtime.Time
 
 	// recCount overrides the Health record count for a stream's window
 	// store, whose Trace carries no records of its own (the stream keeps
@@ -270,29 +258,38 @@ func (s *Store) view(name string) *CompView {
 	return v
 }
 
-// Build indexes the trace. Reconstruct must be called afterwards to
-// populate journeys and arrival links.
+// Build makes the store of a trace: it indexes the records, reconstructs
+// the packet journeys and freezes the diagnosis summaries. Records out of
+// time order are sorted into a copy first; the caller's trace is left
+// untouched.
 func Build(tr *collector.Trace) *Store {
 	s := &Store{}
-	s.build(sortedTrace(tr), &scratch{})
+	s.derive(sortedTrace(tr), &scratch{})
 	return s
 }
 
-// build indexes tr, whose records must be in time order, through sc. It is
-// the one implementation behind the cold Build (zero Store, fresh scratch)
-// and the stream's seal (the segment's recycled Store, the stream's
-// long-lived scratch); a recycled s must have been built for the same Meta.
-//
-// Two passes over the records: the first interns components and counts
-// what every view will hold, the second fills tables carved at exactly
-// that size — no table is ever grown.
+// derive makes s the store of tr, whose records must be in time order:
+// build, reconstruct, summarize. It is the one way a store is made — the
+// cold Build (zero Store, fresh scratch) and the stream's seal (the
+// segment's recycled Store, the stream's long-lived scratch) — and a
+// recycled s must have been made for the same Meta. The build-only tables
+// live in sc alone, so when derive returns nothing of s points into them
+// and the next use may overwrite them.
+func (s *Store) derive(tr *collector.Trace, sc *scratch) {
+	s.build(tr, sc)
+	s.reconstruct(sc)
+	s.summarize()
+}
+
+// build indexes tr through sc. Two passes over the records: the first
+// interns components and counts what every table will hold, the second
+// fills tables carved at exactly that size — no table is ever grown.
 func (s *Store) build(tr *collector.Trace, sc *scratch) {
 	s.Trace = tr
 	s.MaxBatch = tr.Meta.MaxBatch
 	if s.MaxBatch <= 0 {
 		s.MaxBatch = 32
 	}
-	s.sc = sc
 	if s.byName == nil {
 		s.byName = make(map[string]CompID, len(tr.Meta.Components)+1) //mslint:allow compid this IS the interner: the one sanctioned name-to-CompID map
 		s.srcID = NoComp
@@ -311,6 +308,7 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 	sc.recComp = resize(sc.recComp, len(recs))
 	sc.recDest = resize(sc.recDest, len(recs))
 	sc.arrBase = resize(sc.arrBase, len(recs))
+	sc.views = sc.views[:0]
 	for ri := range recs {
 		r := &recs[ri]
 		n := len(r.IPIDs)
@@ -318,18 +316,19 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 		case collector.DirRead:
 			v := s.view(r.Comp)
 			sc.recComp[ri] = v.ID
-			v.nReads++
-			v.nReadPk += n
+			c := sc.view(v.ID)
+			c.nReads++
+			c.nReadPk += n
 		case collector.DirWrite:
 			v := s.view(r.Comp)
 			dv := s.view(consumerOf(r.Queue))
 			sc.recComp[ri], sc.recDest[ri] = v.ID, dv.ID
-			v.nWritePk += n
-			dv.nArrivals += n
+			sc.view(v.ID).nWritePk += n
+			sc.view(dv.ID).nArrivals += n
 		case collector.DirDeliver:
 			v := s.view(r.Comp)
 			sc.recComp[ri] = v.ID
-			v.nDeliverPk += n
+			sc.view(v.ID).nDeliverPk += n
 		}
 	}
 	// Intern edge endpoints too, so the downstream adjacency can name
@@ -343,11 +342,12 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 
 	var nReads, nArr, nEntries, nWritePk, nDeliverPk int
 	for _, v := range s.views {
-		nReads += v.nReads
-		nArr += v.nArrivals
-		nEntries += v.nReadPk + v.nWritePk + v.nDeliverPk
-		nWritePk += v.nWritePk
-		nDeliverPk += v.nDeliverPk
+		c := sc.view(v.ID)
+		nReads += c.nReads
+		nArr += c.nArrivals
+		nEntries += c.nReadPk + c.nWritePk + c.nDeliverPk
+		nWritePk += c.nWritePk
+		nDeliverPk += c.nDeliverPk
 	}
 	s.reads = resize(s.reads, nReads)
 	s.arrivals = resize(s.arrivals, nArr)
@@ -356,13 +356,14 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 	sc.tuples = resize(sc.tuples, nDeliverPk)
 	reads, arrivals, entries, dests, tuples := s.reads, s.arrivals, sc.entries, sc.dests, sc.tuples
 	for _, v := range s.views {
-		v.Reads, reads = carve(reads, v.nReads)
-		v.Arrivals, arrivals = carve(arrivals, v.nArrivals)
-		v.ReadEntries, entries = carve(entries, v.nReadPk)
-		v.WriteEntries, entries = carve(entries, v.nWritePk)
-		v.DeliverEntries, entries = carve(entries, v.nDeliverPk)
-		v.WriteDest, dests = carve(dests, v.nWritePk)
-		v.Tuples, tuples = carve(tuples, v.nDeliverPk)
+		c := &sc.views[v.ID]
+		v.Reads, reads = carve(reads, c.nReads)
+		v.Arrivals, arrivals = carve(arrivals, c.nArrivals)
+		c.reads, entries = carve(entries, c.nReadPk)
+		c.writes, entries = carve(entries, c.nWritePk)
+		c.delivers, entries = carve(entries, c.nDeliverPk)
+		c.dests, dests = carve(dests, c.nWritePk)
+		c.tuples, tuples = carve(tuples, c.nDeliverPk)
 	}
 
 	for ri := range recs {
@@ -370,38 +371,38 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 		sc.arrBase[ri] = -1
 		switch r.Dir {
 		case collector.DirRead:
-			v := s.views[sc.recComp[ri]]
+			v, c := s.views[sc.recComp[ri]], &sc.views[sc.recComp[ri]]
 			v.Reads = append(v.Reads, ReadEvent{
 				At:         r.At,
 				N:          len(r.IPIDs),
 				Drained:    len(r.IPIDs) < s.MaxBatch,
-				FirstEntry: len(v.ReadEntries),
+				FirstEntry: len(c.reads),
 			})
 			for pos, id := range r.IPIDs {
-				v.ReadEntries = append(v.ReadEntries, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
+				c.reads = append(c.reads, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
 			}
 		case collector.DirWrite:
-			v, dv := s.views[sc.recComp[ri]], s.views[sc.recDest[ri]]
+			c, dv := &sc.views[sc.recComp[ri]], s.views[sc.recDest[ri]]
 			sc.arrBase[ri] = int32(len(dv.Arrivals))
 			for pos, id := range r.IPIDs {
-				v.WriteEntries = append(v.WriteEntries, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
-				v.WriteDest = append(v.WriteDest, dv.ID)
+				c.writes = append(c.writes, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
+				c.dests = append(c.dests, dv.ID)
 				// Arrival lists merge upstream writes per destination
 				// in (time, record order) — record order is already
 				// time order within the trace.
-				dv.Arrivals = append(dv.Arrivals, Arrival{At: r.At, IPID: id, From: v.ID, Journey: -1})
+				dv.Arrivals = append(dv.Arrivals, Arrival{At: r.At, IPID: id, From: sc.recComp[ri], Journey: -1})
 			}
 		case collector.DirDeliver:
-			v := s.views[sc.recComp[ri]]
+			c := &sc.views[sc.recComp[ri]]
 			for pos, id := range r.IPIDs {
-				v.DeliverEntries = append(v.DeliverEntries, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
+				c.delivers = append(c.delivers, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
 				// A damaged record can carry fewer five-tuples than
 				// IPIDs; pad with the zero tuple rather than panic.
 				var tup packet.FiveTuple
 				if pos < len(r.Tuples) {
 					tup = r.Tuples[pos]
 				}
-				v.Tuples = append(v.Tuples, tup)
+				c.tuples = append(c.tuples, tup)
 			}
 		}
 	}
@@ -425,6 +426,7 @@ func (s *Store) recycle() {
 	s.hopArena = s.hopArena[:0]
 	s.recon = ReconStats{}
 	s.recCount = 0
+	s.latencies = stats.SortedBag{}
 	s.indexes, s.flowIdx = nil, nil
 }
 
@@ -465,19 +467,12 @@ func (s *Store) buildMetaTables() {
 // record order being time order, so an unsorted trace must never reach
 // them; the caller's trace is left untouched.
 func sortedTrace(tr *collector.Trace) *collector.Trace {
-	n := 0
-	for i := 1; i < len(tr.Records); i++ {
-		if tr.Records[i].At < tr.Records[i-1].At {
-			n++
-		}
-	}
-	if n == 0 {
+	if collector.Inversions(tr.Records) == 0 {
 		return tr
 	}
 	cp := *tr
-	cp.Records = append([]collector.BatchRecord(nil), tr.Records...)
-	sort.SliceStable(cp.Records, func(i, j int) bool { return cp.Records[i].At < cp.Records[j].At })
-	cp.Integrity.Resorted += n
+	cp.Records = slices.Clone(tr.Records)
+	cp.Integrity.Resorted += collector.SortByTime(cp.Records)
 	return &cp
 }
 
@@ -501,8 +496,7 @@ func (s *Store) Components() []string {
 // ReconStats returns reconstruction accounting.
 func (s *Store) ReconStats() ReconStats { return s.recon }
 
-// Health returns the merged trace-quality summary. Meaningful after
-// Reconstruct (before it, the recon counters are zero).
+// Health returns the merged trace-quality summary.
 func (s *Store) Health() Health {
 	n := len(s.Trace.Records)
 	if n == 0 {

@@ -3,15 +3,14 @@ package tracestore
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"microscope/internal/collector"
 	"microscope/internal/simtime"
-	"microscope/internal/stats"
 )
 
 // This file is the incremental sliding-window trace index: the streaming
-// counterpart to Build+Reconstruct+Index that stops rebuilding the world
-// every window.
+// counterpart to Build+Index that stops rebuilding the world every window.
 //
 // The stream partitions time into *epoch segments* along a fixed grid
 // derived from the monitor's window geometry (window W, overlap O). Two
@@ -32,27 +31,28 @@ import (
 //
 // Each segment is sealed exactly once, when the watermark passes it: its
 // records are copied — the one copy a record gets between the monitor's
-// pending buffer and here — the same build+reconstruct a cold Build runs
-// goes over just those records, and mergeable summaries (exact per-NF delay
-// moments, sorted delivered latencies, trace end, queuing-period search
-// arrays) are computed and frozen. Everything a segment retains lives in
-// its shell and is refilled in place when the shell is recycled; everything
-// needed only while sealing lives in one stream-owned scratch, so sealing
-// allocates nothing once the shells and the scratch have grown to size. A
-// window is then assembled in the stream's one window store (window.go) by
-// appending the segments sealed since the last window and dropping the ones
-// evicted since — per-record work happens once when a record is sealed,
-// once when its segment enters the window and once when it leaves, not
-// once per window it slides through.
+// pending buffer and here — and the step a cold Build runs (derive: build,
+// reconstruct, summarize) goes over just those records, freezing the
+// store's mergeable summaries (exact per-NF delay moments, sorted
+// delivered latencies, trace end, queuing-period search arrays).
+// Everything a segment retains lives in its shell and is refilled in place
+// when the shell is recycled; everything needed only while sealing lives
+// in one stream-owned scratch, so sealing allocates nothing once the shells
+// and the scratch have grown to size. A window is then assembled in the
+// stream's one window store (window.go) by appending the segments sealed
+// since the last window and dropping the ones evicted since — per-record
+// work happens once when a record is sealed, once when its segment enters
+// the window and once when it leaves, not once per window it slides
+// through.
 //
 // Window-assembly semantics: journeys are reconstructed within a segment,
 // so a packet whose hops straddle a segment boundary contributes one
 // (partial) journey per segment, and its dequeue legs on the far side
 // count as unmatched. This is a *shared* semantic of both the incremental
 // path and the cold reference rebuild (RebuildWindow), which re-runs
-// Build+Reconstruct per segment from the same retained records — the
-// equivalence contract ("byte-identical reports to a full rebuild of the
-// same window") is over this common grid.
+// Build per segment from the same retained records — the equivalence
+// contract ("byte-identical reports to a full rebuild of the same window")
+// is over this common grid.
 
 // StreamConfig fixes a stream's window geometry and index threshold.
 type StreamConfig struct {
@@ -69,9 +69,9 @@ type StreamConfig struct {
 	QueueThreshold int
 }
 
-// Segment is one sealed grid segment: an owned copy of its records, the
-// per-segment reconstructed store, and the summaries the window store adds
-// when the segment enters the window and subtracts when it leaves. Shells
+// Segment is one sealed grid segment: an owned copy of its records and the
+// store made from them, whose summaries the window store adds when the
+// segment enters the window and subtracts when it leaves. Shells
 // are recycled through the stream's free list; reset restamps the epoch and
 // truncates every buffer before reuse.
 type Segment struct {
@@ -86,20 +86,15 @@ type Segment struct {
 
 	// records is the owned copy of the segment's records, time-sorted.
 	records []collector.BatchRecord
-	// st is the segment-local reconstructed store: journeys, arrivals,
-	// reads and the warmed period index, what the window store copies its
-	// rows from. The build-only tables belonged to the stream's scratch
-	// and are gone. It
-	// points at store while the segment is live and is nil on the free
-	// list; store keeps its arrays across recycling (Store.recycle).
+	// st is the segment-local store: journeys, arrivals, reads, period
+	// index and summaries, what the window store copies its rows from and
+	// adds its summaries from. It points at store while the segment is
+	// live and is nil on the free list; store keeps its arrays across
+	// recycling (Store.recycle).
 	st    *Store
 	store Store
 
-	// Summaries, frozen at seal time.
-	moments   []stats.Moments // per segment-local CompID queue-delay moments
-	latencies []float64       // delivered latencies, ascending
-	traceEnd  simtime.Time    // latest non-skipped hop departure
-	bytes     int64           // retained-size estimate
+	bytes int64 // retained-size estimate
 }
 
 // reset prepares a (possibly recycled) shell for reuse: restamp the
@@ -111,9 +106,6 @@ func (g *Segment) reset(epoch uint64) {
 	g.lo, g.hi, g.point = 0, 0, false
 	g.records = g.records[:0]
 	g.st = nil
-	g.moments = g.moments[:0]
-	g.latencies = g.latencies[:0]
-	g.traceEnd = 0
 	g.bytes = 0
 }
 
@@ -221,7 +213,6 @@ func NewStream(meta collector.Meta, cfg StreamConfig) (*Stream, error) {
 		// is boundary-typed (At <= sealedTo).
 		sealedTo: -1,
 		dirty:    make(map[string]struct{}), //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
-		win:      window{summaries: true},
 	}, nil
 }
 
@@ -306,7 +297,7 @@ func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamS
 	s.last.DirtyComps = 0
 	s.last.EvictedSegments = 0
 
-	if !timeOrdered(recs) {
+	if collector.Inversions(recs) > 0 {
 		recs = s.filterSorted(end, recs)
 	}
 	clear(s.dirty)
@@ -346,20 +337,10 @@ func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamS
 	return s.last
 }
 
-// timeOrdered reports whether recs is in non-decreasing time order.
-func timeOrdered(recs []collector.BatchRecord) bool {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].At < recs[i-1].At {
-			return false
-		}
-	}
-	return true
-}
-
 // filterSorted is Advance's path for input that is not time-ordered: copy
-// out the records in (sealedTo, end] and, mirroring sortedTrace, sort them
-// stably by At, counting inversions as resorts so the cumulative integrity
-// stays meaningful.
+// out the records in (sealedTo, end] and sort them stably by time,
+// counting inversions as resorts so the cumulative integrity stays
+// meaningful.
 func (s *Stream) filterSorted(end simtime.Time, recs []collector.BatchRecord) []collector.BatchRecord {
 	var live []collector.BatchRecord
 	for i := range recs {
@@ -367,16 +348,7 @@ func (s *Stream) filterSorted(end simtime.Time, recs []collector.BatchRecord) []
 			live = append(live, *r)
 		}
 	}
-	n := 0
-	for i := 1; i < len(live); i++ {
-		if live[i].At < live[i-1].At {
-			n++
-		}
-	}
-	if n > 0 {
-		sort.SliceStable(live, func(i, j int) bool { return live[i].At < live[j].At })
-		s.last.Integrity.Resorted += n
-	}
+	s.last.Integrity.Resorted += collector.SortByTime(live)
 	return live
 }
 
@@ -404,53 +376,19 @@ func (s *Stream) owns(g *Segment, t simtime.Time) bool {
 	return lo == g.lo && point == g.point
 }
 
-// seal reconstructs a segment from the records Advance copied into it and
-// freezes its mergeable summaries.
+// seal makes the segment's store from the records Advance copied into it:
+// derive, the step a cold Build runs, through the segment's recycled store
+// and the stream's scratch.
 func (s *Stream) seal(g *Segment) {
 	st := &g.store
 	st.traceBuf = collector.Trace{Meta: s.meta, Records: g.records}
-	st.build(&st.traceBuf, &s.sc)
-	st.Reconstruct()
+	st.derive(&st.traceBuf, &s.sc)
 	g.st = st
-
-	// Per-NF delay moments, delivered latencies, trace end — the same
-	// scan buildIndex performs, but once per record instead of once per
-	// window the record slides through.
-	for len(g.moments) < len(st.views) {
-		g.moments = append(g.moments, stats.Moments{})
-	}
-	for i := range st.Journeys {
-		j := &st.Journeys[i]
-		for h := range j.Hops {
-			hop := &j.Hops[h]
-			if hop.ReadAt == 0 && hop.DepartAt == 0 {
-				continue
-			}
-			g.moments[hop.Comp].Add(int64(hop.ReadAt.Sub(hop.ArriveAt)))
-			if hop.DepartAt > g.traceEnd {
-				g.traceEnd = hop.DepartAt
-			}
-		}
-		if j.Delivered {
-			g.latencies = append(g.latencies, float64(j.Latency()))
-		}
-	}
-	sort.Float64s(g.latencies)
-
-	// Warm the queuing-period search arrays, then let go of the scratch:
-	// the next seal overwrites the build-only tables the views point into.
-	st.warmPeriodIndexes()
 	for _, v := range st.views {
 		if len(v.Arrivals) > 0 || len(v.Reads) > 0 {
 			s.dirty[v.Name] = struct{}{}
 		}
-		v.ReadEntries = nil
-		v.WriteEntries = nil
-		v.WriteDest = nil
-		v.DeliverEntries = nil
-		v.Tuples = nil
 	}
-
 	g.bytes = g.sizeBytes()
 	s.segs = append(s.segs, g)
 	s.last.SealedSegments++
@@ -537,7 +475,7 @@ func (s *Stream) Window(end simtime.Time) (*Store, WindowRemap) {
 	w.valid = false
 	if rm.Compatible {
 		for _, g := range s.dropped {
-			w.drop(g)
+			w.drop(g.st)
 		}
 	} else {
 		w.reset(s.meta, s.thr)
@@ -551,11 +489,9 @@ func (s *Stream) Window(end simtime.Time) (*Store, WindowRemap) {
 	var traceEnd simtime.Time
 	for i, g := range s.segs {
 		if i >= s.applied {
-			w.append(g.st, g)
+			w.append(g.st)
 		}
-		if g.traceEnd > traceEnd {
-			traceEnd = g.traceEnd
-		}
+		traceEnd = max(traceEnd, g.st.traceEnd)
 	}
 	s.applied = len(s.segs)
 	st := w.publish(traceEnd)
@@ -594,42 +530,47 @@ func (s *Stream) internerIntact() bool {
 	return next == len(w.st.views)
 }
 
-// RebuildWindow is the cold reference path: re-run Build+Reconstruct over
-// every retained segment's records and append the stores to a fresh window
-// store, with no summary reuse — its diagnosis index and period search
-// arrays are derived by scanning, like any cold store's. The equivalence
-// suite holds the Window() output to byte-identical reports against this.
+// RebuildWindow is the cold reference path: Build every retained
+// segment's records afresh and append the stores to a fresh window store.
+// It shares no state with the stream's window store — not the segment
+// stores, nor the scratch they were sealed through — but it does share the
+// window store's append, so the equivalence suite holds the Window()
+// output to byte-identical reports against this, and the independent
+// check of the merged summaries is a test-only scan (VerifyWindow).
 func (s *Stream) RebuildWindow() *Store {
 	var w window
 	w.reset(s.meta, s.thr)
+	var traceEnd simtime.Time
 	for _, g := range s.segs {
 		st := Build(&collector.Trace{Meta: s.meta, Records: g.records})
-		st.Reconstruct()
-		w.append(st, nil)
+		w.append(st)
+		traceEnd = max(traceEnd, st.traceEnd)
 	}
-	return w.publish(0)
+	return w.publish(traceEnd)
 }
 
-// sizeBytes estimates the segment's retained footprint (records + the
-// surviving compacted store arrays). An estimate, not an accounting —
+// sizeBytes estimates the segment's retained footprint: its records with
+// their payloads, and every array its store keeps. An estimate, not an
+// accounting — the slices' lengths, not their capacities, and no headers —
 // used for the retained-bytes gauge and the steady-state heap bound.
 func (g *Segment) sizeBytes() int64 {
-	b := int64(len(g.records)) * 56
+	b := sizeOf(g.records)
 	for i := range g.records {
-		b += int64(len(g.records[i].IPIDs))*2 + int64(len(g.records[i].Tuples))*16
+		b += sizeOf(g.records[i].IPIDs) + sizeOf(g.records[i].Tuples)
 	}
-	if g.st != nil {
-		b += int64(len(g.st.hopArena)) * 56
-		b += int64(len(g.st.Journeys)) * 72
-		for _, v := range g.st.views {
-			b += int64(len(v.Arrivals)) * 24
-			b += int64(len(v.Reads)) * 32
-			if v.pidx != nil {
-				b += int64(len(v.pidx.arrivalTimes)+len(v.pidx.drainTimes)+len(v.pidx.readTimes))*8 + int64(len(v.pidx.readCum))*8
-			}
+	if st := g.st; st != nil {
+		b += sizeOf(st.hopArena) + sizeOf(st.Journeys) + sizeOf(st.moments) + sizeOf(st.latRun)
+		for _, v := range st.views {
+			pi := &v.pidx
+			b += sizeOf(v.Arrivals) + sizeOf(v.Reads) +
+				sizeOf(pi.arrivalTimes) + sizeOf(pi.drainTimes) + sizeOf(pi.readTimes) + sizeOf(pi.readCum)
 		}
 	}
-	b += int64(len(g.latencies)) * 8
-	b += int64(len(g.moments)) * 32
 	return b
+}
+
+// sizeOf is the size of s's elements.
+func sizeOf[T any](s []T) int64 {
+	var elem T
+	return int64(len(s)) * int64(unsafe.Sizeof(elem))
 }

@@ -113,7 +113,7 @@ func (s *Store) QueuingPeriodThresholdID(comp CompID, t simtime.Time, k int) *Qu
 	le := tl.lastLEFor(k)
 	anchor := le[pos]
 	// The period starts at the first arrival AFTER the anchor event.
-	pi := s.periodIndexOf(v)
+	pi := &v.pidx
 	var anchorTime simtime.Time = -1
 	if anchor >= 0 {
 		anchorTime = tl.times[anchor]

@@ -30,7 +30,6 @@ func standingQueueStore(t *testing.T) *Store {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
 	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 	return st
 }
 

@@ -35,7 +35,6 @@ func runChain(t *testing.T, sched *traffic.Schedule, rates ...simtime.Rate) (*nf
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
 	tr := col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1", "vpn1"}))
 	st := Build(tr)
-	st.Reconstruct()
 	return sim, st
 }
 
@@ -154,7 +153,6 @@ func TestJourneysOnDAGTopology(t *testing.T) {
 	topo.Sim.LoadSchedule(sched)
 	topo.Sim.Run(simtime.Time(100 * simtime.Millisecond))
 	st := Build(col.Trace(collector.MetaFor(topo)))
-	st.Reconstruct()
 
 	truth := topo.Sim.Packets()
 	if len(st.Journeys) != len(truth) {
@@ -202,7 +200,6 @@ func TestQueuingPeriodBasics(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 
 	// The victim: a packet arriving shortly after the burst.
 	victimAt := simtime.Time(simtime.Duration(1300) * simtime.Microsecond)
@@ -261,7 +258,6 @@ func TestQueuingPeriodInvariantAcrossVictims(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 
 	checked := 0
 	for _, p := range sim.Packets() {
@@ -313,7 +309,6 @@ func TestQueuingPeriodResetsAfterDrain(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
 	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 
 	qp := st.QueuingPeriodAt("fw1", simtime.Time(simtime.Duration(5100)*simtime.Microsecond))
 	if qp == nil {
@@ -331,7 +326,6 @@ func TestQueueLenAtIdle(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(10 * simtime.Millisecond))
 	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
-	st.Reconstruct()
 	// Long after the run, queue must be empty.
 	if got := st.QueueLenAt("fw1", simtime.Time(9*simtime.Millisecond)); got != 0 {
 		t.Errorf("idle queue length: got %d", got)
@@ -425,7 +419,6 @@ func TestLostPacketsTruncatedJourneys(t *testing.T) {
 	)
 	meta.Edges = append(meta.Edges, collector.Edge{From: "source", To: "a"}, collector.Edge{From: "a", To: "b"})
 	st := Build(col.Trace(meta))
-	st.Reconstruct()
 
 	truth := sim.Packets()
 	droppedTruth, truncated := 0, 0
@@ -488,7 +481,6 @@ func TestReconstructionBehindDynamicLB(t *testing.T) {
 		},
 	}
 	st := Build(col.Trace(meta))
-	st.Reconstruct()
 
 	truth := sim.Packets()
 	delivered, exactPath := 0, 0
@@ -550,7 +542,6 @@ func TestIPIDRewritingNFTruncatesJourneys(t *testing.T) {
 		Edges: []collector.Edge{{From: "source", To: "proxy"}, {From: "proxy", To: "vpn"}},
 	}
 	st := Build(col.Trace(meta))
-	st.Reconstruct()
 
 	// Every journey truncates at the proxy: read there, never linked on.
 	for i := range st.Journeys {

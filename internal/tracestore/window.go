@@ -22,14 +22,14 @@ import (
 // Journey's Hops, a slice of the hop column — is re-pointed only when the
 // hop column itself moves.
 //
-// The summaries the diagnosis index needs follow the same add/drop: per-NF
-// delay moments and the reconstruction and integrity counters are added
-// and subtracted exactly, the delivered latencies live in a sorted bag
-// that takes and gives back a segment's sorted run, and the queuing-period
-// search arrays are four more columns per component. What cannot be kept
-// by add and drop is rebuilt per window and costs what it did before: the
-// §7 queue-length timelines (only with a nonzero threshold) and the
-// lazily built flow index.
+// The summaries the diagnosis index reads follow the same add/drop. Every
+// appended store carries its own (summarize): per-NF delay moments and the
+// reconstruction and integrity counters are added and subtracted exactly,
+// the delivered latencies live in a sorted bag that takes and gives back a
+// segment's sorted run, and the queuing-period search arrays are four more
+// columns per component. What cannot be kept by add and drop is rebuilt
+// per window and costs what it did before: the §7 queue-length timelines
+// (only with a nonzero threshold) and the lazily built flow index.
 
 // col is one column of the window store. The live rows are buf[head:]. Rows
 // outside them are dead but not zeroed: a dead Journey still points into
@@ -98,13 +98,6 @@ type window struct {
 	st Store
 	ix Index
 
-	// summaries says the appended segments carry seal-time summaries (the
-	// stream's own window): the index and the period search arrays are
-	// maintained from them. Without (the reference rebuild, whose segments
-	// are bare stores) both are left for the store to derive by scanning,
-	// as for any cold store.
-	summaries bool
-
 	// valid is false while the columns are being changed: a panic
 	// contained half-way through an update leaves it false, and the next
 	// window is assembled from scratch instead of from a torn store.
@@ -159,6 +152,9 @@ func (w *window) reset(meta collector.Meta, thr int) {
 	}
 	w.nStatic = len(m.views)
 	m.recon, m.recCount, m.firstJourney = ReconStats{}, 0, 0
+	m.moments = m.moments[:0]
+	m.latencies.Reset()
+	m.traceEnd = 0
 	m.flowIdx = nil
 
 	w.journeys.reset()
@@ -167,12 +163,8 @@ func (w *window) reset(meta collector.Meta, thr int) {
 		w.views[i].reset()
 	}
 
-	w.ix = Index{store: m, QueueThreshold: thr, delayStats: w.ix.delayStats[:0], latencies: w.ix.latencies}
-	w.ix.latencies.Reset()
-	m.indexes = nil
-	if w.summaries {
-		m.indexes = map[int]*Index{thr: &w.ix}
-	}
+	w.ix = Index{store: m, QueueThreshold: thr}
+	m.indexes = map[int]*Index{thr: &w.ix}
 	w.interned()
 }
 
@@ -194,8 +186,8 @@ func (w *window) interned() {
 	n := len(m.views)
 	m.metaFor = -1
 	m.buildMetaTables()
-	for len(w.ix.delayStats) < n {
-		w.ix.delayStats = append(w.ix.delayStats, stats.Moments{})
+	for len(m.moments) < n {
+		m.moments = append(m.moments, stats.Moments{})
 	}
 	for len(w.views) < n {
 		w.views = append(w.views, viewCols{})
@@ -204,11 +196,9 @@ func (w *window) interned() {
 	w.views = w.views[:n]
 }
 
-// append adds one reconstructed segment behind the rows already in the
-// window: st is the segment's store and, for a sealed segment of the
-// stream, g carries its seal-time summaries (nil for the reference
-// rebuild).
-func (w *window) append(st *Store, g *Segment) {
+// append adds one segment's store behind the rows already in the window,
+// and its summaries to the window's.
+func (w *window) append(st *Store) {
 	m := &w.st
 	w.land = resize(w.land, len(st.views))
 	land := w.land
@@ -282,18 +272,12 @@ func (w *window) append(st *Store, g *Segment) {
 			entries += reads[i].N
 			vc.readCum.buf = append(vc.readCum.buf, entries)
 		}
-		if !w.summaries {
-			continue
-		}
-		pi := v.pidx // warmed at seal time
-		vc.arrivalTimes.add(pi.arrivalTimes)
-		vc.drainTimes.add(pi.drainTimes)
-		vc.readTimes.add(pi.readTimes)
-		w.ix.delayStats[l.id].Merge(g.moments[v.ID])
+		vc.arrivalTimes.add(v.pidx.arrivalTimes)
+		vc.drainTimes.add(v.pidx.drainTimes)
+		vc.readTimes.add(v.pidx.readTimes)
+		m.moments[l.id].Merge(st.moments[v.ID])
 	}
-	if w.summaries {
-		w.ix.latencies.Add(g.latencies)
-	}
+	m.latencies.Add(st.latRun)
 	addRecon(&m.recon, st.recon, +1)
 	addIntegrity(&m.Trace.Integrity, st.Trace.Integrity, +1)
 	m.recCount += len(st.Trace.Records)
@@ -311,11 +295,10 @@ func (w *window) repointHops() {
 	}
 }
 
-// drop removes the window's oldest segment, which must be the sealed
-// segment g: so many leading rows of every column, and its share of every
-// summary.
-func (w *window) drop(g *Segment) {
-	m, st := &w.st, g.st
+// drop removes the window's oldest segment, whose store st must be: so
+// many leading rows of every column, and its share of every summary.
+func (w *window) drop(st *Store) {
+	m := &w.st
 	nj := len(st.Journeys)
 	w.journeys.drop(nj)
 	m.firstJourney += nj
@@ -332,9 +315,9 @@ func (w *window) drop(g *Segment) {
 		vc.arrivalTimes.drop(na)
 		vc.drainTimes.drop(len(v.pidx.drainTimes))
 		vc.readTimes.drop(nr)
-		w.ix.delayStats[id].Unmerge(g.moments[v.ID])
+		m.moments[id].Unmerge(st.moments[v.ID])
 	}
-	w.ix.latencies.Remove(g.latencies)
+	m.latencies.Remove(st.latRun)
 	addRecon(&m.recon, st.recon, -1)
 	addIntegrity(&m.Trace.Integrity, st.Trace.Integrity, -1)
 	m.recCount -= len(st.Trace.Records)
@@ -351,17 +334,13 @@ func (w *window) publish(traceEnd simtime.Time) *Store {
 		vc := &w.views[id]
 		mv.Arrivals = vc.arrivals.rows()
 		mv.Reads = vc.reads.rows()
-		mv.tl = nil
-		if !w.summaries {
-			continue
-		}
-		mv.pidxBuf = periodIndex{
+		mv.pidx = periodIndex{
 			arrivalTimes: vc.arrivalTimes.rows(),
 			drainTimes:   vc.drainTimes.rows(),
 			readTimes:    vc.readTimes.rows(),
 			readCum:      vc.readCum.rows(),
 		}
-		mv.pidx = &mv.pidxBuf
+		mv.tl = nil
 		if w.ix.QueueThreshold > 0 {
 			m.timelineOf(mv).lastLEFor(w.ix.QueueThreshold)
 		}
@@ -372,7 +351,7 @@ func (w *window) publish(traceEnd simtime.Time) *Store {
 			delete(m.indexes, thr)
 		}
 	}
-	w.ix.traceEnd = traceEnd
+	m.traceEnd = traceEnd
 	m.gen++
 	return m
 }

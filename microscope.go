@@ -178,9 +178,7 @@ func DiagnoseContext(ctx context.Context, tr *Trace, opts ...Option) (*Report, e
 
 // Reconstruct indexes a trace and rebuilds packet journeys (§5).
 func Reconstruct(tr *Trace) *Store {
-	st := tracestore.Build(tr)
-	st.Reconstruct()
-	return st
+	return tracestore.Build(tr)
 }
 
 // DiagnoseStore runs the staged pipeline (index → victims → diagnose →
