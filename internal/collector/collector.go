@@ -7,11 +7,6 @@ import (
 	"microscope/internal/simtime"
 )
 
-// ringBytes sizes the shared-memory staging ring. When the encoded
-// stream would overflow the ring, the dumper drains it synchronously —
-// mirroring the paper's standalone dumper keeping up with the collector.
-const ringBytes = 1 << 20
-
 // Config tunes the collector.
 type Config struct {
 	// Obs receives ingest volume counters (batches, packets, encoded
@@ -19,22 +14,20 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Collector implements nfsim.Hooks, staging records through the encoding
-// ring and retaining the decoded stream for offline diagnosis.
+// Collector implements nfsim.Hooks, keeping one BatchRecord per hook call
+// for offline diagnosis.
 //
-// Per-packet critical-path cost is deliberately tiny: append IPIDs into a
-// reused scratch buffer, encode with the compact codec, copy into the ring.
-// CostModel documents the equivalent per-packet cost applied to NFs when
-// measuring the §6.2 overhead.
+// Per-packet critical-path cost is deliberately tiny: copy each packet's
+// IPID (and, on delivery, its five-tuple) into the record. Nothing is
+// encoded on the hook path; the compact codec runs when the records are
+// dumped (WriteTrace), and Stats sizes that dump. The §6.2 overhead
+// experiment charges NFs an equivalent per-packet cost
+// (experiments.OverheadConfig.CollectorCost).
 type Collector struct {
-	ring *Ring
-
 	records []BatchRecord
-	// scratch buffers reused across hook invocations
-	ipids  []uint16
-	tuples []packet.FiveTuple
-
-	stats Stats
+	stats   Stats
+	// booked is how many encoded bytes obsBytes has been given.
+	booked uint64
 
 	// Observability handles, resolved once at New (nil = disabled).
 	obsBatches *obs.Counter
@@ -42,7 +35,8 @@ type Collector struct {
 	obsBytes   *obs.Counter
 }
 
-// Stats reports collection volume, used by the overhead evaluation.
+// Stats reports collection volume: the batches and packet entries
+// recorded, and the MST2 size of the recorded stream's frames.
 type Stats struct {
 	Batches      uint64
 	PacketsSeen  uint64
@@ -59,7 +53,7 @@ func (s Stats) BytesPerPacket() float64 {
 
 // New creates a Collector.
 func New(cfg Config) *Collector {
-	c := &Collector{ring: NewRing(ringBytes)}
+	c := &Collector{}
 	if reg := obs.Or(cfg.Obs); reg != nil {
 		c.obsBatches = reg.Counter("microscope_collector_batches_total")
 		c.obsPackets = reg.Counter("microscope_collector_packets_total")
@@ -68,15 +62,34 @@ func New(cfg Config) *Collector {
 	return c
 }
 
-// Stats returns collection counters.
-func (c *Collector) Stats() Stats { return c.stats }
+// Stats returns collection counters. BytesEncoded comes from encoding the
+// records collected so far.
+func (c *Collector) Stats() Stats {
+	st := c.stats
+	st.BytesEncoded = c.encodedBytes()
+	return st
+}
+
+// encodedBytes is the size of the collected records' MST2 frames, the
+// stream without its header.
+func (c *Collector) encodedBytes() uint64 {
+	enc := NewEncoder()
+	for i := range c.records {
+		enc.Append(&c.records[i])
+	}
+	return uint64(len(enc.Bytes()) - len(magic))
+}
 
 // Trace finalizes collection and returns the trace with the given
-// deployment metadata attached. The staging ring is drained first (which
-// also flushes the encoder's reorder buffer, so flush bytes count toward
-// the overhead stats).
+// deployment metadata attached. With a registry attached it books the
+// encoded bytes not yet counted on microscope_collector_bytes_total.
 func (c *Collector) Trace(meta Meta) *Trace {
-	c.stats.BytesEncoded += uint64(c.ring.Drain())
+	//mslint:allow obssafe the branch guards an encode of every record
+	if c.obsBytes != nil {
+		n := c.encodedBytes()
+		c.obsBytes.Add(int64(n - c.booked))
+		c.booked = n
+	}
 	return &Trace{Meta: meta, Records: c.records}
 }
 
@@ -84,32 +97,26 @@ func (c *Collector) Trace(meta Meta) *Trace {
 func (c *Collector) Records() []BatchRecord { return c.records }
 
 func (c *Collector) add(comp, queue string, dir Dir, at simtime.Time, pkts []*packet.Packet) {
-	c.ipids = c.ipids[:0]
-	for _, p := range pkts {
-		c.ipids = append(c.ipids, p.IPID)
-	}
 	rec := BatchRecord{
 		Comp:  comp,
 		Queue: queue,
 		At:    at,
 		Dir:   dir,
-		IPIDs: append([]uint16(nil), c.ipids...),
+		IPIDs: make([]uint16, len(pkts)),
+	}
+	for i, p := range pkts {
+		rec.IPIDs[i] = p.IPID
 	}
 	if dir == DirDeliver {
-		c.tuples = c.tuples[:0]
-		for _, p := range pkts {
-			c.tuples = append(c.tuples, p.Flow)
+		rec.Tuples = make([]packet.FiveTuple, len(pkts))
+		for i, p := range pkts {
+			rec.Tuples[i] = p.Flow
 		}
-		rec.Tuples = append([]packet.FiveTuple(nil), c.tuples...)
 	}
-	// Stage through the ring: encode, write, and let the dumper drain.
-	n := c.ring.Put(&rec)
 	c.stats.Batches++
 	c.stats.PacketsSeen += uint64(len(pkts))
-	c.stats.BytesEncoded += uint64(n)
 	c.obsBatches.Inc()
 	c.obsPackets.Add(int64(len(pkts)))
-	c.obsBytes.Add(int64(n))
 	c.records = append(c.records, rec)
 }
 

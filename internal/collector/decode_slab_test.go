@@ -40,7 +40,6 @@ func slabBody(n int) ([]BatchRecord, []byte) {
 		recs[i] = r
 		enc.Append(&recs[i])
 	}
-	enc.Flush()
 	return recs, enc.Bytes()
 }
 

@@ -47,60 +47,34 @@ const frameMarker = 0xA5
 // record with fresh table strings stays well under this.
 const maxFrameBytes = 1 << 16
 
-// DefaultReorderWindow is how many records the Encoder buffers to absorb
+// reorderWindow is how many records the Encoder holds back to absorb
 // out-of-order appends (late hook deliveries, cross-core timestamp races).
-const DefaultReorderWindow = 32
-
-// EncodeStats counts how the encoder coped with imperfect input.
-type EncodeStats struct {
-	// Reordered records arrived out of order but were sorted within the
-	// reorder window.
-	Reordered int
-	// Late records arrived too late even for the window and were emitted
-	// out of stream order (the decoder re-sorts them).
-	Late int
-}
+const reorderWindow = 32
 
 // Encoder serializes BatchRecords into the compact stream. Records may
-// arrive slightly out of time order: a bounded reorder buffer sorts them
-// before encoding instead of panicking (production hosts deliver hook
-// callbacks with small timestamp races).
+// arrive slightly out of time order: the encoder holds back the newest
+// reorderWindow records sorted by time and writes the oldest once the
+// window is full. A record later than that is written out of order (the
+// format carries absolute times); every reader (AppendDecodeStream) stably
+// re-sorts and counts it in DecodeStats.Resorted.
 type Encoder struct {
 	buf    []byte
 	comps  map[string]uint64
 	queues map[string]uint64
-	lastT  simtime.Time // last encoded timestamp
-	n      int
-	window int
 	// pending is the reorder buffer, kept sorted by At.
 	pending []BatchRecord
-	stats   EncodeStats
 	scratch []byte
 }
 
-// NewEncoder returns an Encoder with the magic header written and the
-// default reorder window.
+// NewEncoder returns an Encoder with the magic header written.
 func NewEncoder() *Encoder {
 	e := &Encoder{
 		comps:  make(map[string]uint64),
 		queues: make(map[string]uint64),
-		window: DefaultReorderWindow,
 	}
 	e.buf = append(e.buf, magic[:]...)
 	return e
 }
-
-// SetReorderWindow resizes the reorder buffer (0 disables buffering and
-// encodes every record immediately). Call before the first Append.
-func (e *Encoder) SetReorderWindow(w int) {
-	if w < 0 {
-		w = 0
-	}
-	e.window = w
-}
-
-// Stats returns encoding tolerance counters.
-func (e *Encoder) Stats() EncodeStats { return e.stats }
 
 func putUvarint(dst []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
@@ -122,53 +96,28 @@ func putRef(dst []byte, table map[string]uint64, s string) []byte {
 	return putUvarint(dst, id<<1)
 }
 
-// Append stages one record, encoding the oldest buffered record once the
-// reorder window is full. It returns the number of bytes written to the
-// stream by this call (zero while the record is only buffered).
-func (e *Encoder) Append(r *BatchRecord) int {
-	e.n++
-	if e.window == 0 {
-		return e.encodeNow(r)
-	}
+// Append stages one record, encoding the oldest held-back record once the
+// reorder window is full.
+func (e *Encoder) Append(r *BatchRecord) {
 	// Insert sorted by At; in-order input appends at the tail.
 	i := len(e.pending)
 	for i > 0 && e.pending[i-1].At > r.At {
 		i--
 	}
-	if i != len(e.pending) {
-		e.stats.Reordered++
-	}
 	e.pending = append(e.pending, BatchRecord{})
 	copy(e.pending[i+1:], e.pending[i:])
 	e.pending[i] = *r
-	if len(e.pending) <= e.window {
-		return 0
+	if len(e.pending) <= reorderWindow {
+		return
 	}
 	head := e.pending[0]
 	copy(e.pending, e.pending[1:])
 	e.pending = e.pending[:len(e.pending)-1]
-	return e.encodeNow(&head)
+	e.encode(&head)
 }
 
-// Flush encodes every buffered record, returning the bytes written.
-func (e *Encoder) Flush() int {
-	written := 0
-	for i := range e.pending {
-		written += e.encodeNow(&e.pending[i])
-	}
-	e.pending = e.pending[:0]
-	return written
-}
-
-// encodeNow writes one frame. Records older than the last encoded
-// timestamp (beyond the reorder window) are still representable — the
-// format carries absolute times and the decoder re-sorts — but counted.
-func (e *Encoder) encodeNow(r *BatchRecord) int {
-	if r.At < e.lastT {
-		e.stats.Late++
-	} else {
-		e.lastT = r.At
-	}
+// encode writes one frame.
+func (e *Encoder) encode(r *BatchRecord) {
 	p := e.scratch[:0]
 	p = putRef(p, e.comps, r.Comp)
 	p = append(p, byte(r.Dir))
@@ -191,24 +140,19 @@ func (e *Encoder) encodeNow(r *BatchRecord) int {
 		}
 	}
 	e.scratch = p
-	start := len(e.buf)
 	e.buf = append(e.buf, frameMarker)
 	e.buf = putUvarint(e.buf, uint64(len(p)))
 	e.buf = append(e.buf, p...)
-	return len(e.buf) - start
 }
 
-// Bytes flushes the reorder buffer and returns the encoded stream so far.
+// Bytes encodes the held-back records and returns the stream so far.
 func (e *Encoder) Bytes() []byte {
-	e.Flush()
+	for i := range e.pending {
+		e.encode(&e.pending[i])
+	}
+	e.pending = e.pending[:0]
 	return e.buf
 }
-
-// size reports staged stream bytes without flushing the reorder buffer.
-func (e *Encoder) size() int { return len(e.buf) }
-
-// Len returns the number of records appended.
-func (e *Encoder) Len() int { return e.n }
 
 // DecodeStats reports how decoding went on a possibly damaged stream.
 type DecodeStats struct {
@@ -575,57 +519,3 @@ func SortByTime(recs []BatchRecord) int {
 	}
 	return n
 }
-
-// Ring emulates the shared-memory staging buffer between the collector's
-// critical path and the standalone dumper (§5). Put encodes a record into
-// the ring; when the ring cannot hold the next record the dumper drains it
-// (synchronously here — the simulator is single-threaded by design).
-type Ring struct {
-	enc       *Encoder
-	capBytes  int
-	drainMark int
-	// Dumped accumulates the flushed stream, i.e. the "on disk" bytes.
-	dumped []byte
-	drains int
-}
-
-// NewRing creates a ring of the given byte capacity.
-func NewRing(capBytes int) *Ring {
-	if capBytes <= 0 {
-		capBytes = 1 << 20
-	}
-	return &Ring{enc: NewEncoder(), capBytes: capBytes}
-}
-
-// Put stages one record, draining first if the ring is near capacity.
-// It returns the bytes written to the staging stream by this call (zero
-// while the record sits in the encoder's reorder buffer).
-func (r *Ring) Put(rec *BatchRecord) int {
-	if r.enc.size()-r.drainMark >= r.capBytes {
-		r.Drain()
-	}
-	return r.enc.Append(rec)
-}
-
-// Drain flushes the encoder's reorder buffer and the staged bytes to the
-// dumped stream, returning how many new bytes the flush encoded.
-func (r *Ring) Drain() int {
-	flushed := r.enc.Flush()
-	b := r.enc.buf
-	if len(b) > r.drainMark {
-		r.dumped = append(r.dumped, b[r.drainMark:]...)
-		r.drainMark = len(b)
-		r.drains++
-	}
-	return flushed
-}
-
-// Encoder exposes the ring's encoder (for tolerance counters).
-func (r *Ring) Encoder() *Encoder { return r.enc }
-
-// Dumped returns the flushed byte stream. Note the encoder writes one
-// contiguous stream; Dumped is its prefix up to the last drain.
-func (r *Ring) Dumped() []byte { return r.dumped }
-
-// Drains returns how many dumper flushes occurred.
-func (r *Ring) Drains() int { return r.drains }

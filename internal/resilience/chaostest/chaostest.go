@@ -14,7 +14,7 @@ package chaostest
 
 import (
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -294,10 +294,10 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 	mon := online.New(s.Meta, mcfg)
 
 	res := &Result{Fingerprints: make(map[int]string), Registry: reg}
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	sampleHeap := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if h := int64(ms.HeapAlloc); h > res.PeakHeap {
+		metrics.Read(heap)
+		if h := int64(heap[0].Value.Uint64()); h > res.PeakHeap {
 			res.PeakHeap = h
 		}
 	}
@@ -379,10 +379,8 @@ func (s *Stream) encode(records []collector.BatchRecord) (segs [][]byte, segWind
 		}
 		enc := collector.NewEncoder()
 		for j := i; j < end; j++ {
-			r := records[j]
-			enc.Append(&r)
+			enc.Append(&records[j])
 		}
-		enc.Flush()
 		segs = append(segs, enc.Bytes())
 		segWindows = append(segWindows, [2]int{
 			s.windowIndex(records[i].At), s.windowIndex(records[end-1].At),

@@ -1,10 +1,14 @@
 package resilience
 
 import (
-	"runtime"
+	"runtime/metrics"
 
 	"microscope/internal/obs"
 )
+
+// heapMetric is the live heap-object bytes, the quantity the stream's heap
+// gauge reads as well.
+const heapMetric = "/memory/classes/heap/objects:bytes"
 
 // MemWatcher samples the Go heap against soft/hard watermarks and turns
 // the reading into ladder escalation steps. Heap size is a wall-machine
@@ -13,23 +17,18 @@ import (
 // memory hog, not part of the determinism contract; both watermarks
 // default to off.
 //
-// ReadMemStats stops the world briefly, so samples are taken every Every
-// calls (default 8 — once per few windows) and the last reading is reused
-// in between.
+// Every call reads the heap through runtime/metrics, which does not stop
+// the world, so there is no sampling interval.
 type MemWatcher struct {
 	// SoftBytes escalates the degradation ladder by one step when the
 	// heap exceeds it (0 = off).
 	SoftBytes int64
 	// HardBytes escalates by two steps (0 = off).
 	HardBytes int64
-	// Every is the sampling interval in calls (default 8).
-	Every int
 	// Gauge, when non-nil, receives each heap sample.
 	Gauge *obs.Gauge
 
-	calls     int
-	lastSteps int
-	lastHeap  int64
+	sample [1]metrics.Sample
 }
 
 // Enabled reports whether any watermark is set.
@@ -43,32 +42,18 @@ func (w *MemWatcher) Steps() int {
 	if !w.Enabled() {
 		return 0
 	}
-	every := w.Every
-	if every <= 0 {
-		every = 8
+	w.sample[0].Name = heapMetric
+	metrics.Read(w.sample[:])
+	var heap int64
+	if v := w.sample[0].Value; v.Kind() == metrics.KindUint64 {
+		heap = int64(v.Uint64())
 	}
-	if w.calls%every == 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		w.lastHeap = int64(ms.HeapAlloc)
-		w.Gauge.Set(w.lastHeap)
-		switch {
-		case w.HardBytes > 0 && w.lastHeap >= w.HardBytes:
-			w.lastSteps = 2
-		case w.SoftBytes > 0 && w.lastHeap >= w.SoftBytes:
-			w.lastSteps = 1
-		default:
-			w.lastSteps = 0
-		}
+	w.Gauge.Set(heap)
+	switch {
+	case w.HardBytes > 0 && heap >= w.HardBytes:
+		return 2
+	case w.SoftBytes > 0 && heap >= w.SoftBytes:
+		return 1
 	}
-	w.calls++
-	return w.lastSteps
-}
-
-// HeapBytes returns the most recent heap sample (0 before the first).
-func (w *MemWatcher) HeapBytes() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.lastHeap
+	return 0
 }

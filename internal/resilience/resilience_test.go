@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"microscope/internal/leakcheck"
+	"microscope/internal/obs"
 )
 
 func TestLevelString(t *testing.T) {
@@ -204,7 +205,7 @@ func TestMemWatcherDisabled(t *testing.T) {
 		t.Error("zero watcher should be off")
 	}
 	var nilw *MemWatcher
-	if nilw.Enabled() || nilw.HeapBytes() != 0 {
+	if nilw.Enabled() || nilw.Steps() != 0 {
 		t.Error("nil watcher should be off")
 	}
 }
@@ -212,25 +213,18 @@ func TestMemWatcherDisabled(t *testing.T) {
 func TestMemWatcherWatermarks(t *testing.T) {
 	// A 1-byte soft watermark is always exceeded; a huge hard watermark
 	// never is: the watcher must report exactly one escalation step.
-	w := &MemWatcher{SoftBytes: 1, HardBytes: 1 << 50, Every: 1}
+	reg := obs.New()
+	g := reg.Gauge("heap")
+	w := &MemWatcher{SoftBytes: 1, HardBytes: 1 << 50, Gauge: g}
 	if got := w.Steps(); got != 1 {
 		t.Fatalf("soft watermark steps = %d, want 1", got)
 	}
-	if w.HeapBytes() <= 0 {
+	if g.Value() <= 0 {
 		t.Error("heap sample not recorded")
 	}
-	w2 := &MemWatcher{SoftBytes: 1, HardBytes: 1, Every: 1}
+	w2 := &MemWatcher{SoftBytes: 1, HardBytes: 1}
 	if got := w2.Steps(); got != 2 {
 		t.Fatalf("hard watermark steps = %d, want 2", got)
-	}
-	// Sampling interval: with Every=1000 the second call reuses the
-	// cached reading rather than re-sampling.
-	w3 := &MemWatcher{SoftBytes: 1, Every: 1000}
-	w3.Steps()
-	h := w3.HeapBytes()
-	w3.Steps()
-	if w3.HeapBytes() != h {
-		t.Error("watcher re-sampled inside its interval")
 	}
 }
 

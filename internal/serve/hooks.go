@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os/exec"
 	"time"
@@ -76,6 +77,9 @@ func httpPost(ctx context.Context, url string, body []byte) error {
 	if err != nil {
 		return err
 	}
+	// Read what is left of the body (bounded) before closing it: a body
+	// closed unread costs the keep-alive connection.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 	resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		return fmt.Errorf("webhook status %s", resp.Status)
