@@ -98,7 +98,7 @@ stream-check:
 	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestDerive|TestSegmentSize|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
 	$(GO) test -race -timeout 30m -run 'TestMonitorWindowsMatchRebuild|TestFeedRuns|TestShedAccounting|TestBacklogCountsUnsealed|TestLadderCountsWholeWindow' ./internal/online
 
-# One-iteration pipeline, segment-seal, window-assembly,
+# One-iteration pipeline, simulator, segment-seal, window-assembly,
 # pattern-aggregation, JSON-decode and ingest benchmarks: catches benchmark
 # bit-rot and gross perf/alloc regressions in the pre-submit gate without
 # the full run's cost. BenchmarkWindow gates itself: it fails when a
@@ -108,10 +108,14 @@ stream-check:
 # (unmarshal) and collector.DecodeJSON (decode) on the same bodies.
 # BenchmarkIngest prints ns/record, B/record and allocs/body for 2000-record
 # MST2 and JSON bodies posted through serve.Handler to a warm tenant.
+# BenchmarkSimulator prints ns/record and allocs/op for one fixed-seed 10 ms
+# eval-topology run and its Trace(); it runs before the tracestore line so a
+# red BenchmarkWindow does not hide it.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkDecodeJSON -benchtime=1x -benchmem ./internal/collector
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=1x ./internal/serve
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
+	$(GO) test -run '^$$' -bench '^BenchmarkSimulator$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSeal|BenchmarkWindow' -benchtime=1x -benchmem ./internal/tracestore
 	$(GO) test -run '^$$' -bench BenchmarkPatternAggregation -benchtime=1x -benchmem .
 

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"math"
+
 	"microscope/internal/nfsim"
 	"microscope/internal/obs"
 	"microscope/internal/packet"
@@ -23,9 +25,16 @@ type Config struct {
 // dumped (WriteTrace), and Stats sizes that dump. The §6.2 overhead
 // experiment charges NFs an equivalent per-packet cost
 // (experiments.OverheadConfig.CollectorCost).
+//
+// Nothing is allocated per record either: records go into fixed-size
+// chunks and their IPIDs and Tuples are carved from the collector's slab.
 type Collector struct {
+	// records is every record up to the last flush, at exact length;
+	// chunks holds the records added since, the last chunk filling.
 	records []BatchRecord
-	stats   Stats
+	chunks  [][]BatchRecord
+	slab
+	stats Stats
 	// booked is how many encoded bytes obsBytes has been given.
 	booked uint64
 
@@ -65,9 +74,30 @@ func New(cfg Config) *Collector {
 // Stats returns collection counters. BytesEncoded comes from encoding the
 // records collected so far.
 func (c *Collector) Stats() Stats {
+	c.flush()
 	st := c.stats
 	st.BytesEncoded = c.encodedBytes()
 	return st
+}
+
+// flush moves the records added since the last flush onto c.records, in
+// one allocation of exactly the new length.
+func (c *Collector) flush() {
+	if len(c.chunks) == 0 {
+		return
+	}
+	n := len(c.records)
+	for _, ch := range c.chunks {
+		n += len(ch)
+	}
+	all := make([]BatchRecord, 0, n)
+	all = append(all, c.records...)
+	for _, ch := range c.chunks {
+		all = append(all, ch...)
+	}
+	c.records = all
+	clear(c.chunks)
+	c.chunks = c.chunks[:0]
 }
 
 // encodedBytes is the size of the collected records' MST2 frames, the
@@ -84,6 +114,7 @@ func (c *Collector) encodedBytes() uint64 {
 // deployment metadata attached. With a registry attached it books the
 // encoded bytes not yet counted on microscope_collector_bytes_total.
 func (c *Collector) Trace(meta Meta) *Trace {
+	c.flush()
 	//mslint:allow obssafe the branch guards an encode of every record
 	if c.obsBytes != nil {
 		n := c.encodedBytes()
@@ -94,21 +125,34 @@ func (c *Collector) Trace(meta Meta) *Trace {
 }
 
 // Records exposes the collected records so far (primarily for tests).
-func (c *Collector) Records() []BatchRecord { return c.records }
+func (c *Collector) Records() []BatchRecord {
+	c.flush()
+	return c.records
+}
+
+// recordChunk is how many records one chunk holds.
+const recordChunk = 1024
 
 func (c *Collector) add(comp, queue string, dir Dir, at simtime.Time, pkts []*packet.Packet) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == recordChunk {
+		c.chunks = append(c.chunks, make([]BatchRecord, 0, recordChunk))
+		last++
+	}
+	// The slab's slices are capacity-clipped, so an append to one
+	// record's IPIDs or Tuples never writes into another's.
 	rec := BatchRecord{
 		Comp:  comp,
 		Queue: queue,
 		At:    at,
 		Dir:   dir,
-		IPIDs: make([]uint16, len(pkts)),
+		IPIDs: c.ipidsOf(len(pkts), math.MaxInt),
 	}
 	for i, p := range pkts {
 		rec.IPIDs[i] = p.IPID
 	}
 	if dir == DirDeliver {
-		rec.Tuples = make([]packet.FiveTuple, len(pkts))
+		rec.Tuples = c.tuplesOf(len(pkts), math.MaxInt)
 		for i, p := range pkts {
 			rec.Tuples[i] = p.Flow
 		}
@@ -117,7 +161,7 @@ func (c *Collector) add(comp, queue string, dir Dir, at simtime.Time, pkts []*pa
 	c.stats.PacketsSeen += uint64(len(pkts))
 	c.obsBatches.Inc()
 	c.obsPackets.Add(int64(len(pkts)))
-	c.records = append(c.records, rec)
+	c.chunks[last] = append(c.chunks[last], rec)
 }
 
 // BatchRead implements nfsim.Hooks.

@@ -281,7 +281,8 @@ const (
 )
 
 // slab hands out the IPIDs and Tuples of one body's records, carved from
-// shared chunks. Both decoders (MST2 frames and JSON) use it.
+// shared chunks. Both decoders (MST2 frames and JSON) and the Collector
+// use it.
 type slab struct {
 	// ipids and tuples are the unused tails of the current chunks. A
 	// record's slices are cut off the front; when a chunk cannot hold the

@@ -12,7 +12,6 @@
 package nfsim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"microscope/internal/simtime"
@@ -26,27 +25,61 @@ type event struct {
 	fn  func()
 }
 
+// before orders events by (at, seq), a total order since seq is unique.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events by (at, seq), typed so that
+// pushing and popping never box an event into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds ev and sifts it up.
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
 }
 
-// Engine is the simulation event loop. The zero value is not usable; create
-// one with NewEngine.
+// pop removes and returns the earliest event. The vacated slot is zeroed
+// so a callback that has run can be collected.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			return top
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+}
+
+// Engine is the simulation event loop. Create one with NewEngine.
 type Engine struct {
 	now    simtime.Time
 	seq    uint64
@@ -55,11 +88,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.events)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() simtime.Time { return e.now }
@@ -74,7 +103,7 @@ func (e *Engine) At(t simtime.Time, fn func()) {
 		panic(fmt.Sprintf("nfsim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
@@ -90,11 +119,10 @@ func (e *Engine) After(d simtime.Duration, fn func()) {
 // (or the current time if none ran).
 func (e *Engine) Run(until simtime.Time) simtime.Time {
 	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.at > until {
+		if e.events[0].at > until {
 			break
 		}
-		heap.Pop(&e.events)
+		next := e.events.pop()
 		e.now = next.at
 		e.nsteps++
 		next.fn()

@@ -111,3 +111,25 @@ func TestEngineAfterClampsNegative(t *testing.T) {
 		t.Error("After with negative duration should run at now")
 	}
 }
+
+// TestEngineDoesNotAllocate holds the event loop to zero allocations per
+// event once the heap has grown to its working size: events are stored by
+// value in a typed heap, and a pre-bound callback is not a new closure.
+func TestEngineDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	fn := func() { ran++ }
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			e.After(simtime.Duration(64-i), fn)
+		}
+		e.Run(e.Now().Add(1000))
+	}
+	cycle() // warm-up: grow the heap
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("%.1f allocations per 64 events, want 0", allocs)
+	}
+	if ran != 64*102 {
+		t.Errorf("ran %d events, want %d", ran, 64*102)
+	}
+}

@@ -2,6 +2,7 @@ package nfsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"microscope/internal/packet"
@@ -66,14 +67,29 @@ type Sim struct {
 	nextID     packet.ID
 	nextIPID   uint16
 	packets    []*packet.Packet
-	keepAll    bool
 	samplers   map[string][]QueueSample
 	sampleStep simtime.Duration
 
 	// hot-path scratch buffers (hooks must not retain slices)
 	okBuf, dropBuf []*packet.Packet
 	emitGroups     [][]*packet.Packet
+
+	// pktChunk and hopSlab are the unused tails of the chunks new packets
+	// and their first hops are cut from, so a packet costs no allocation
+	// of its own. Earlier packets alias the chunks: they are replaced
+	// when used up, never grown.
+	pktChunk []packet.Packet
+	hopSlab  []packet.Hop
 }
+
+const (
+	// packetChunk is how many packets one allocation holds.
+	packetChunk = 256
+	// initialHops is the hop capacity a new packet gets from the slab:
+	// the longest evaluation path (nat, fw, mon, vpn). A longer path
+	// reallocates the packet's hops on its own.
+	initialHops = 4
+)
 
 // New creates an empty simulation with the given instrumentation hooks
 // (use NopHooks{} for none).
@@ -82,10 +98,9 @@ func New(hooks Hooks) *Sim {
 		hooks = NopHooks{}
 	}
 	return &Sim{
-		eng:     NewEngine(),
-		hooks:   hooks,
-		nfs:     make(map[string]*NF),
-		keepAll: true,
+		eng:   NewEngine(),
+		hooks: hooks,
+		nfs:   make(map[string]*NF),
 	}
 }
 
@@ -198,21 +213,28 @@ func (s *Sim) LoadSchedule(sched *traffic.Schedule) {
 	if len(emissions) == 0 {
 		return
 	}
-	var replay func(i int)
-	replay = func(i int) {
+	s.packets = slices.Grow(s.packets, len(emissions))
+	// One callback replays every instant: it emits the group of
+	// emissions at the next index and reschedules itself for the one
+	// after, so replay allocates nothing per instant.
+	next := 0
+	var replay func()
+	replay = func() {
 		// Emit every packet scheduled for this instant as one batch per
 		// destination queue, like a paced generator draining its tx ring.
+		i := next
 		t := emissions[i].At
 		j := i
 		for j < len(emissions) && emissions[j].At == t {
 			j++
 		}
+		next = j
 		s.emit(emissions[i:j])
 		if j < len(emissions) {
-			s.eng.At(emissions[j].At, func() { replay(j) })
+			s.eng.At(emissions[j].At, replay)
 		}
 	}
-	s.eng.At(emissions[0].At, func() { replay(0) })
+	s.eng.At(emissions[0].At, replay)
 }
 
 // emit creates packets for a group of same-instant emissions and transmits
@@ -228,20 +250,28 @@ func (s *Sim) emit(ems []traffic.Emission) {
 		groups[i] = groups[i][:0]
 	}
 	for _, em := range ems {
-		p := &packet.Packet{
+		if len(s.pktChunk) == 0 {
+			// The hop slab runs out with the packet chunk.
+			s.pktChunk = make([]packet.Packet, packetChunk)
+			s.hopSlab = make([]packet.Hop, packetChunk*initialHops)
+		}
+		p := &s.pktChunk[0]
+		s.pktChunk = s.pktChunk[1:]
+		*p = packet.Packet{
 			ID:        s.nextID,
 			Flow:      em.Flow,
 			IPID:      s.nextIPID,
 			Size:      em.Size,
 			CreatedAt: now,
-			Hops:      make([]packet.Hop, 0, 4),
-			Burst:     em.Burst,
+			// Capacity-clipped, so a fifth hop reallocates rather
+			// than writing into the next packet's hops.
+			Hops:  s.hopSlab[:0:initialHops],
+			Burst: em.Burst,
 		}
+		s.hopSlab = s.hopSlab[initialHops:]
 		s.nextID++
 		s.nextIPID++ // wraps at 65536 by uint16 arithmetic
-		if s.keepAll {
-			s.packets = append(s.packets, p)
-		}
+		s.packets = append(s.packets, p)
 		out := 0
 		if s.srcRoute != nil {
 			out = s.srcRoute(p)

@@ -1,6 +1,7 @@
 package nfsim
 
 import (
+	"fmt"
 	"testing"
 
 	"microscope/internal/packet"
@@ -386,5 +387,36 @@ func TestDeterminism(t *testing.T) {
 	n2, t2 := run()
 	if n1 != n2 || t1 != t2 {
 		t.Errorf("non-deterministic: (%d,%v) vs (%d,%v)", n1, t1, n2, t2)
+	}
+}
+
+// TestLongPathKeepsEveryHop runs packets through more NFs than the hop
+// capacity a new packet starts with: each packet's hops must grow on
+// their own and never write into another packet's.
+func TestLongPathKeepsEveryHop(t *testing.T) {
+	var specs []ChainSpec
+	for i := 1; i <= 6; i++ {
+		specs = append(specs, ChainSpec{Name: fmt.Sprintf("nf%d", i), Kind: "fw", Rate: simtime.MPPS(2)})
+	}
+	sim := BuildChain(NopHooks{}, 5, specs...)
+	sim.LoadSchedule(cbrSchedule(simtime.MPPS(1), simtime.Duration(simtime.Millisecond), testFlow(1)))
+	sim.Run(simtime.Time(5 * simtime.Millisecond))
+	if len(sim.Packets()) == 0 {
+		t.Fatal("no packets")
+	}
+	for _, p := range sim.Packets() {
+		if len(p.Hops) != len(specs) {
+			t.Fatalf("packet %d: %d hops, want %d", p.ID, len(p.Hops), len(specs))
+		}
+		last := p.CreatedAt
+		for i, h := range p.Hops {
+			if h.Node != specs[i].Name {
+				t.Fatalf("packet %d: hop %d at %s, want %s", p.ID, i, h.Node, specs[i].Name)
+			}
+			if h.EnqueueAt < last || h.DequeueAt < h.EnqueueAt || h.DepartAt < h.DequeueAt {
+				t.Fatalf("packet %d: hop %d times out of order: %+v after %v", p.ID, i, h, last)
+			}
+			last = h.DepartAt
+		}
 	}
 }
