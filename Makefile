@@ -44,13 +44,15 @@ race-serve:
 
 # The decoders must survive adversarial bytes, and the JSON one must agree
 # with json.Unmarshal on every input; AutoFocus must agree with its oracle
-# on generated leaf tables; the spec parser must never panic, and what it
-# accepts must resolve and round-trip to a fixed point. Crashers land in
+# on generated leaf tables; the spec parser and the trace-metadata reader
+# must never panic, and what they accept must round-trip to a fixed point
+# (a spec after resolving). Crashers land in
 # the package's testdata/fuzz/ and become regression inputs. -fuzz must
 # match exactly one target, hence the anchors.
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/collector
 	$(GO) test -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/collector
+	$(GO) test -fuzz='^FuzzParseMeta$$' -fuzztime=10s ./internal/collector
 	$(GO) test -fuzz='^FuzzAggregate$$' -fuzztime=10s ./internal/autofocus
 	$(GO) test -fuzz='^FuzzParseSpec$$' -fuzztime=10s ./internal/spec
 

@@ -26,22 +26,20 @@ type Chooser func(FiveTuple) string
 // one bounded input queue per NF, flow-level routing between NFs, traffic
 // sources at the roots, egress at the leaves.
 type Builder struct {
-	seed     int64
-	specs    []NFSpec
-	srcTo    []string
-	srcPick  Chooser
-	links    map[string][]string
-	pickers  map[string]Chooser
-	explicit map[string]bool
+	seed    int64
+	specs   []NFSpec
+	srcTo   []string
+	srcPick Chooser
+	links   map[string][]string
+	pickers map[string]Chooser
 }
 
 // NewBuilder starts a custom deployment.
 func NewBuilder(seed int64) *Builder {
 	return &Builder{
-		seed:     seed,
-		links:    make(map[string][]string),
-		pickers:  make(map[string]Chooser),
-		explicit: make(map[string]bool),
+		seed:    seed,
+		links:   make(map[string][]string),
+		pickers: make(map[string]Chooser),
 	}
 }
 
@@ -64,7 +62,6 @@ func (b *Builder) Source(pick Chooser, to ...string) *Builder {
 func (b *Builder) Connect(from string, pick Chooser, to ...string) *Builder {
 	b.links[from] = to
 	b.pickers[from] = pick
-	b.explicit[from] = true
 	return b
 }
 
@@ -118,9 +115,7 @@ func (b *Builder) BuildE() (*Deployment, error) {
 	}
 	col := collector.New(collector.Config{})
 	sim := nfsim.New(col)
-	names := make([]string, len(b.specs))
 	for i, sp := range b.specs {
-		names[i] = sp.Name
 		sim.AddNF(nfsim.NFConfig{
 			Name:       sp.Name,
 			Kind:       sp.Kind,
@@ -141,27 +136,7 @@ func (b *Builder) BuildE() (*Deployment, error) {
 		sim.Connect(sp.Name, routeFunc(b.pickers[sp.Name], to), to...)
 	}
 
-	meta := collector.Meta{MaxBatch: nfsim.DefaultMaxBatch}
-	meta.Components = append(meta.Components, collector.ComponentMeta{
-		Name: collector.SourceName, Kind: "source",
-	})
-	for _, sp := range b.specs {
-		meta.Components = append(meta.Components, collector.ComponentMeta{
-			Name:     sp.Name,
-			Kind:     sp.Kind,
-			PeakRate: sp.Rate,
-			Egress:   len(b.links[sp.Name]) == 0,
-		})
-	}
-	for _, to := range b.srcTo {
-		meta.Edges = append(meta.Edges, collector.Edge{From: collector.SourceName, To: to})
-	}
-	for _, sp := range b.specs {
-		for _, to := range b.links[sp.Name] {
-			meta.Edges = append(meta.Edges, collector.Edge{From: sp.Name, To: to})
-		}
-	}
-	return &Deployment{sim: sim, col: col, names: names, meta: meta}, nil
+	return &Deployment{sim: sim, col: col}, nil
 }
 
 // routeFunc converts a name-based Chooser into the simulator's index-based

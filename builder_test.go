@@ -1,9 +1,11 @@
 package microscope
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"microscope/internal/collector"
 	"microscope/internal/simtime"
 )
 
@@ -231,4 +233,59 @@ func TestNewChainDeploymentE(t *testing.T) {
 		}
 	}()
 	NewChainDeployment(1)
+}
+
+// TestDeploymentMeta pins the trace metadata of a Builder DAG and of a
+// chain deployment against the descriptions written out by hand: the
+// source first, NFs in AddNF order, edges in declaration order whatever
+// order Connect was called in, egress where nothing is connected.
+func TestDeploymentMeta(t *testing.T) {
+	dag := NewBuilder(5).
+		AddNF(NFSpec{Name: "lb", Kind: "lb", Rate: MPPS(2)}).
+		AddNF(NFSpec{Name: "fw", Kind: "fw", Rate: MPPS(1)}).
+		AddNF(NFSpec{Name: "ids", Kind: "ids", Rate: MPPS(0.8), QueueCap: 256}).
+		AddNF(NFSpec{Name: "out", Kind: "vpn", Rate: MPPS(1.5)}).
+		Source(nil, "lb").
+		Connect("ids", nil, "out").
+		Connect("lb", nil, "fw", "ids").
+		Connect("fw", nil, "out").
+		Build()
+	wantDAG := collector.Meta{
+		MaxBatch: 32,
+		Components: []collector.ComponentMeta{
+			{Name: "source", Kind: "source"},
+			{Name: "lb", Kind: "lb", PeakRate: MPPS(2)},
+			{Name: "fw", Kind: "fw", PeakRate: MPPS(1)},
+			{Name: "ids", Kind: "ids", PeakRate: MPPS(0.8)},
+			{Name: "out", Kind: "vpn", PeakRate: MPPS(1.5), Egress: true},
+		},
+		Edges: []collector.Edge{
+			{From: "source", To: "lb"},
+			{From: "lb", To: "fw"}, {From: "lb", To: "ids"},
+			{From: "fw", To: "out"},
+			{From: "ids", To: "out"},
+		},
+	}
+	if got := dag.Trace().Meta; !reflect.DeepEqual(got, wantDAG) {
+		t.Errorf("Builder DAG meta =\n%+v\nwant\n%+v", got, wantDAG)
+	}
+
+	chain := NewChainDeployment(7,
+		ChainNF{Name: "nat1", Kind: "nat", Rate: MPPS(1)},
+		ChainNF{Name: "fw1", Kind: "fw", Rate: MPPS(0.5)})
+	wantChain := collector.Meta{
+		MaxBatch: 32,
+		Components: []collector.ComponentMeta{
+			{Name: "source", Kind: "source"},
+			{Name: "nat1", Kind: "nat", PeakRate: MPPS(1)},
+			{Name: "fw1", Kind: "fw", PeakRate: MPPS(0.5), Egress: true},
+		},
+		Edges: []collector.Edge{{From: "source", To: "nat1"}, {From: "nat1", To: "fw1"}},
+	}
+	if got := chain.Trace().Meta; !reflect.DeepEqual(got, wantChain) {
+		t.Errorf("chain meta =\n%+v\nwant\n%+v", got, wantChain)
+	}
+	if got := chain.NFs(); !reflect.DeepEqual(got, []string{"nat1", "fw1"}) {
+		t.Errorf("chain NFs = %v", got)
+	}
 }

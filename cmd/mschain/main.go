@@ -55,7 +55,6 @@ func main() {
 
 	col := collector.New(collector.Config{})
 	var sim *nfsim.Sim
-	var meta collector.Meta
 	var topo *nfsim.EvalTopology
 
 	switch *topoName {
@@ -65,11 +64,9 @@ func main() {
 			nfsim.ChainSpec{Name: "fw1", Kind: "fw", Rate: simtime.MPPS(0.8)},
 			nfsim.ChainSpec{Name: "vpn1", Kind: "vpn", Rate: simtime.MPPS(0.7)},
 		)
-		meta = collector.MetaForChain(sim, []string{"nat1", "fw1", "vpn1"})
 	case "eval":
 		topo = nfsim.BuildEvalTopology(col, nfsim.EvalTopologyConfig{Seed: *seed})
 		sim = topo.Sim
-		meta = collector.MetaFor(topo)
 	default:
 		log.Fatalf("unknown topology %q", *topoName)
 	}
@@ -140,7 +137,7 @@ func main() {
 	sim.LoadSchedule(sched)
 	start := time.Now() //mslint:allow nondet wall-clock progress banner, not diagnosis output
 	sim.Run(simtime.Time(simDur) + simtime.Time(50*simtime.Millisecond))
-	tr := col.Trace(meta)
+	tr := col.Trace(collector.MetaOf(sim))
 
 	if *skewSpec != "" {
 		parts := strings.SplitN(*skewSpec, ":", 2)

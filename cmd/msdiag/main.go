@@ -195,8 +195,10 @@ func main() {
 	}
 	diags := res.Diagnoses
 	var stages []string
-	for _, s := range res.Stages {
-		stages = append(stages, fmt.Sprintf("%s %v", s.Name, s.Elapsed.Round(time.Millisecond)))
+	for _, s := range res.Spans {
+		if s.Kind == "stage" {
+			stages = append(stages, fmt.Sprintf("%s %v", s.Name, s.Dur.Round(time.Millisecond)))
+		}
 	}
 	fmt.Printf("pipeline (%d workers): %s\n", par.Workers(pcfg.Diagnosis.Workers, len(res.Victims)), strings.Join(stages, " | "))
 	fmt.Printf("diagnosed %d victims\n", len(diags))

@@ -177,7 +177,7 @@ func simulate(st *settings, reg *obs.Registry, stdout io.Writer) *collector.Trac
 	sim.LoadSchedule(sched)
 	start := time.Now() //mslint:allow nondet wall-clock progress banner, not diagnosis output
 	sim.Run(simtime.Time(simDur) + simtime.Time(50*simtime.Millisecond))
-	tr := col.Trace(collector.MetaFor(topo))
+	tr := col.Trace(collector.MetaOf(topo.Sim))
 	elapsed := time.Since(start).Round(time.Millisecond) //mslint:allow nondet wall-clock progress banner, not diagnosis output
 	fmt.Fprintf(stdout, "\nsimulated %v with %d natural events (%d records) in %v\n\n",
 		simDur, events, len(tr.Records), elapsed)

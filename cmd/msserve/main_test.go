@@ -47,7 +47,7 @@ func smokeTrace(t *testing.T) *collector.Trace {
 	sim.LoadSchedule(&traffic.Schedule{Emissions: ems})
 	sim.InjectInterrupt("fw1", simtime.Time(100*simtime.Millisecond), 900*simtime.Microsecond, "smoke")
 	sim.Run(simtime.Time(400 * simtime.Millisecond))
-	return col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+	return col.Trace(collector.MetaOf(sim))
 }
 
 // TestServeSmoke boots the daemon with a boot-tenant spec file, drives

@@ -27,12 +27,10 @@ type SlowPathBug struct {
 // (1024-descriptor rings, 32-packet receive batches, tail drop), identical
 // collection points.
 type Deployment struct {
-	sim   *nfsim.Sim
-	col   *collector.Collector
-	topo  *nfsim.EvalTopology // nil for custom/chain deployments
-	names []string
-	meta  collector.Meta
-	ran   simtime.Time
+	sim  *nfsim.Sim
+	col  *collector.Collector
+	topo *nfsim.EvalTopology // nil for custom/chain deployments
+	ran  simtime.Time
 }
 
 // NewChainDeployment builds source → nf1 → … → nfN → egress. It panics on
@@ -46,38 +44,20 @@ func NewChainDeployment(seed int64, nfs ...ChainNF) *Deployment {
 }
 
 // NewChainDeploymentE builds the chain, returning an error instead of
-// panicking on invalid input.
+// panicking on invalid input. A chain is a Builder DAG whose every hop has
+// one downstream.
 func NewChainDeploymentE(seed int64, nfs ...ChainNF) (*Deployment, error) {
 	if len(nfs) == 0 {
 		return nil, fmt.Errorf("microscope: chain needs at least one NF")
 	}
-	seen := make(map[string]bool, len(nfs))
-	for _, nf := range nfs {
-		if nf.Name == "" {
-			return nil, fmt.Errorf("microscope: chain NF needs a name")
-		}
-		if seen[nf.Name] {
-			return nil, fmt.Errorf("microscope: chain NF %q declared twice", nf.Name)
-		}
-		seen[nf.Name] = true
-		if nf.Rate <= 0 {
-			return nil, fmt.Errorf("microscope: chain NF %q needs a positive rate", nf.Name)
-		}
-	}
-	col := collector.New(collector.Config{})
-	specs := make([]nfsim.ChainSpec, len(nfs))
-	names := make([]string, len(nfs))
+	b := NewBuilder(seed).Source(nil, nfs[0].Name)
 	for i, nf := range nfs {
-		specs[i] = nfsim.ChainSpec{Name: nf.Name, Kind: nf.Kind, Rate: nf.Rate}
-		names[i] = nf.Name
+		b.AddNF(NFSpec{Name: nf.Name, Kind: nf.Kind, Rate: nf.Rate})
+		if i > 0 {
+			b.Connect(nfs[i-1].Name, nil, nf.Name)
+		}
 	}
-	sim := nfsim.BuildChain(col, seed, specs...)
-	return &Deployment{
-		sim:   sim,
-		col:   col,
-		names: names,
-		meta:  collector.MetaForChain(sim, names),
-	}, nil
+	return b.BuildE()
 }
 
 // EvalTopologyConfig re-exports the Figure 10 topology knobs.
@@ -88,21 +68,11 @@ type EvalTopologyConfig = nfsim.EvalTopologyConfig
 func NewEvalDeployment(cfg EvalTopologyConfig) *Deployment {
 	col := collector.New(collector.Config{})
 	topo := nfsim.BuildEvalTopology(col, cfg)
-	return &Deployment{
-		sim:   topo.Sim,
-		col:   col,
-		topo:  topo,
-		names: topo.AllNFs(),
-		meta:  collector.MetaFor(topo),
-	}
+	return &Deployment{sim: topo.Sim, col: col, topo: topo}
 }
 
 // NFs returns the deployment's NF instance names in order.
-func (d *Deployment) NFs() []string {
-	out := make([]string, len(d.names))
-	copy(out, d.names)
-	return out
-}
+func (d *Deployment) NFs() []string { return d.sim.NFs() }
 
 // Firewalls returns the firewall instances of an evaluation deployment
 // (nil for chains).
@@ -117,7 +87,7 @@ func (d *Deployment) Firewalls() []string {
 // deployment.
 func (d *Deployment) PathOf(ft FiveTuple) []string {
 	if d.topo == nil {
-		return append([]string(nil), d.names...)
+		return d.sim.NFs()
 	}
 	return d.topo.PathOf(ft)
 }
@@ -145,7 +115,7 @@ func (d *Deployment) Run(until Duration) {
 
 // Trace finalizes collection and returns the runtime trace.
 func (d *Deployment) Trace() *Trace {
-	return d.col.Trace(d.meta)
+	return d.col.Trace(collector.MetaOf(d.sim))
 }
 
 // QueueSampling enables ground-truth queue-length sampling (for plots, not
@@ -189,7 +159,7 @@ func (d *Deployment) Stats() Stats {
 
 // String implements fmt.Stringer.
 func (d *Deployment) String() string {
-	return fmt.Sprintf("deployment(%d NFs)", len(d.names))
+	return fmt.Sprintf("deployment(%d NFs)", len(d.sim.NFs()))
 }
 
 // internal escape hatches used by cmd tools and benchmarks.

@@ -184,61 +184,30 @@ func (c *Collector) Deliver(nf string, at simtime.Time, pkts []*packet.Packet) {
 // and Microscope detects losses as packets whose records vanish.
 func (c *Collector) Drop(string, simtime.Time, *nfsim.Queue, []*packet.Packet) {}
 
-// MetaFor builds trace metadata from an evaluation topology. This is
-// deployment knowledge (who connects to whom; offline-measured r_i), not
-// runtime collection.
-func MetaFor(topo *nfsim.EvalTopology) Meta {
+// MetaOf describes a simulated deployment as the simulator was wired: the
+// source first, then every NF in AddNF order with its kind and peak rate;
+// the source's edges first, then each NF's, in the order its Connect call
+// named them; egress is an NF with no downstream. This is deployment
+// knowledge (who connects to whom; offline-measured r_i), not runtime
+// collection.
+func MetaOf(sim *nfsim.Sim) Meta {
 	m := Meta{MaxBatch: nfsim.DefaultMaxBatch}
-	m.Components = append(m.Components, ComponentMeta{Name: nfsim.SourceName, Kind: "source"})
-	for _, name := range topo.AllNFs() {
-		nf := topo.Sim.NF(name)
-		m.Components = append(m.Components, ComponentMeta{
-			Name:     name,
-			Kind:     nf.Kind(),
-			PeakRate: nf.PeakRate(),
-			Egress:   topo.KindOf(name) == "vpn",
-		})
+	m.Components = append(m.Components, ComponentMeta{Name: SourceName, Kind: "source"})
+	for _, to := range sim.Downstream(SourceName) {
+		m.Edges = append(m.Edges, Edge{From: SourceName, To: to})
 	}
-	for _, n := range topo.NATs {
-		m.Edges = append(m.Edges, Edge{From: nfsim.SourceName, To: n})
-	}
-	for _, n := range topo.NATs {
-		for _, f := range topo.Firewalls {
-			m.Edges = append(m.Edges, Edge{From: n, To: f})
-		}
-	}
-	for _, f := range topo.Firewalls {
-		for _, mo := range topo.Monitors {
-			m.Edges = append(m.Edges, Edge{From: f, To: mo})
-		}
-		for _, v := range topo.VPNs {
-			m.Edges = append(m.Edges, Edge{From: f, To: v})
-		}
-	}
-	for _, mo := range topo.Monitors {
-		for _, v := range topo.VPNs {
-			m.Edges = append(m.Edges, Edge{From: mo, To: v})
-		}
-	}
-	return m
-}
-
-// MetaForChain builds metadata for a linear chain built with
-// nfsim.BuildChain: source -> specs[0] -> ... -> specs[last] (egress).
-func MetaForChain(sim *nfsim.Sim, names []string) Meta {
-	m := Meta{MaxBatch: nfsim.DefaultMaxBatch}
-	m.Components = append(m.Components, ComponentMeta{Name: nfsim.SourceName, Kind: "source"})
-	prev := nfsim.SourceName
-	for i, name := range names {
+	for _, name := range sim.NFs() {
 		nf := sim.NF(name)
+		down := sim.Downstream(name)
 		m.Components = append(m.Components, ComponentMeta{
 			Name:     name,
 			Kind:     nf.Kind(),
 			PeakRate: nf.PeakRate(),
-			Egress:   i == len(names)-1,
+			Egress:   len(down) == 0,
 		})
-		m.Edges = append(m.Edges, Edge{From: prev, To: name})
-		prev = name
+		for _, to := range down {
+			m.Edges = append(m.Edges, Edge{From: name, To: to})
+		}
 	}
 	return m
 }

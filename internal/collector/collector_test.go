@@ -287,7 +287,7 @@ func TestCollectorOnChain(t *testing.T) {
 	sim.LoadSchedule(&traffic.Schedule{Emissions: ems})
 	sim.Run(simtime.Time(20 * simtime.Millisecond))
 
-	tr := col.Trace(MetaForChain(sim, []string{"fw1", "vpn1"}))
+	tr := col.Trace(MetaOf(sim))
 
 	// Each packet should appear once in: source write, fw1 read, fw1
 	// write, vpn1 read, vpn1 deliver.

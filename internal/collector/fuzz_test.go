@@ -1,10 +1,13 @@
 package collector
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"slices"
 	"testing"
 
+	"microscope/internal/nfsim"
 	"microscope/internal/packet"
 	"microscope/internal/simtime"
 )
@@ -123,4 +126,49 @@ func staleRecords() []BatchRecord {
 		panic(err)
 	}
 	return recs[:cap(recs)]
+}
+
+// FuzzParseMeta drives the trace-metadata boundary (meta.json decode plus
+// Check) with adversarial documents: it must never panic, and a meta it
+// accepts must marshal to a document it accepts again, describing the
+// same deployment and marshalling to the same bytes.
+func FuzzParseMeta(f *testing.F) {
+	sim := nfsim.BuildChain(nil, 1,
+		nfsim.ChainSpec{Name: "nat1", Kind: "nat", Rate: simtime.MPPS(1)},
+		nfsim.ChainSpec{Name: "fw1", Kind: "fw", Rate: simtime.MPPS(0.8)},
+	)
+	valid, err := json.MarshalIndent(MetaOf(sim), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"components":[{"name":"a"},{"name":"a"}]}`))
+	f.Add([]byte(`{"components":[{"name":"a"}],"edges":[{"from":"a","to":"ghost"}]}`))
+	f.Add([]byte(`{"components":[{"name":"a","peak_rate":-1}],"max_batch":-3,"edges":[]}`))
+	f.Add([]byte(`{"components":[{"name":"a","peak_pps":1}]}`))
+	f.Add([]byte(`{"components":[{"name":"a"}]} {}`))
+	f.Add([]byte(`{"components":[]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseMeta(data)
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatalf("accepted meta does not marshal: %v", err)
+		}
+		back, err := parseMeta(b)
+		if err != nil {
+			t.Fatalf("accepted meta %+v marshals to a rejected document %s: %v", m, b, err)
+		}
+		if !slices.Equal(back.Components, m.Components) || !slices.Equal(back.Edges, m.Edges) || back.MaxBatch != m.MaxBatch {
+			t.Fatalf("round trip changed the meta:\n%+v\n%+v", m, back)
+		}
+		if b2, _ := json.Marshal(&back); !bytes.Equal(b2, b) {
+			t.Fatalf("marshal is not a fixed point:\n%s\n%s", b, b2)
+		}
+	})
 }

@@ -1,12 +1,12 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"microscope/internal/simtime"
 )
 
 // Trace directory layout: deployment metadata as JSON next to the compact
@@ -17,32 +17,12 @@ const (
 	recordsFile = "records.mst"
 )
 
-// metaJSON is the serialized form of Meta (rates in pps for readability).
-type metaJSON struct {
-	MaxBatch   int             `json:"max_batch"`
-	Components []componentJSON `json:"components"`
-	Edges      []Edge          `json:"edges"`
-}
-
-type componentJSON struct {
-	Name    string  `json:"name"`
-	Kind    string  `json:"kind"`
-	PeakPPS float64 `json:"peak_pps"`
-	Egress  bool    `json:"egress,omitempty"`
-}
-
 // WriteTrace persists a trace to a directory (created if missing).
 func WriteTrace(dir string, tr *Trace) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("collector: create trace dir: %w", err)
 	}
-	mj := metaJSON{MaxBatch: tr.Meta.MaxBatch, Edges: tr.Meta.Edges}
-	for _, c := range tr.Meta.Components {
-		mj.Components = append(mj.Components, componentJSON{
-			Name: c.Name, Kind: c.Kind, PeakPPS: c.PeakRate.PPS(), Egress: c.Egress,
-		})
-	}
-	mb, err := json.MarshalIndent(&mj, "", "  ")
+	mb, err := json.MarshalIndent(&tr.Meta, "", "  ")
 	if err != nil {
 		return fmt.Errorf("collector: marshal meta: %w", err)
 	}
@@ -65,16 +45,11 @@ func ReadTrace(dir string) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collector: read meta: %w", err)
 	}
-	var mj metaJSON
-	if err := json.Unmarshal(mb, &mj); err != nil {
-		return nil, fmt.Errorf("collector: parse meta: %w", err)
+	meta, err := parseMeta(mb)
+	if err != nil {
+		return nil, err
 	}
-	tr := &Trace{Meta: Meta{MaxBatch: mj.MaxBatch, Edges: mj.Edges}}
-	for _, c := range mj.Components {
-		tr.Meta.Components = append(tr.Meta.Components, ComponentMeta{
-			Name: c.Name, Kind: c.Kind, PeakRate: simtime.PPS(c.PeakPPS), Egress: c.Egress,
-		})
-	}
+	tr := &Trace{Meta: meta}
 	rb, err := os.ReadFile(filepath.Join(dir, recordsFile))
 	if err != nil {
 		return nil, fmt.Errorf("collector: read records: %w", err)
@@ -91,4 +66,23 @@ func ReadTrace(dir string) (*Trace, error) {
 	tr.Integrity.DecodeResyncs = st.Resyncs
 	tr.Integrity.Resorted = st.Resorted
 	return tr, nil
+}
+
+// parseMeta decodes and checks a meta.json document. It is as strict as a
+// spec's topology section: an unknown key (a meta.json from an older
+// build, say) fails rather than reading as zero.
+func parseMeta(b []byte) (Meta, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var m Meta
+	if err := dec.Decode(&m); err != nil {
+		return Meta{}, fmt.Errorf("collector: parse meta: %w", err)
+	}
+	if dec.More() {
+		return Meta{}, errors.New("collector: parse meta: trailing data after meta document")
+	}
+	if bad := m.Check(); bad != nil {
+		return Meta{}, fmt.Errorf("collector: invalid meta: %w", bad)
+	}
+	return m, nil
 }

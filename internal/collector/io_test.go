@@ -1,8 +1,11 @@
 package collector
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"microscope/internal/packet"
@@ -78,7 +81,7 @@ func TestReadTraceErrors(t *testing.T) {
 		t.Error("corrupt meta accepted")
 	}
 	// Valid meta, missing records.
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"max_batch":32}`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"components":[{"name":"source"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadTrace(dir); err == nil {
@@ -100,5 +103,64 @@ func TestWriteTraceCreatesDir(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, recordsFile)); err != nil {
 		t.Error("records file missing")
+	}
+}
+
+// TestReadTraceRejectsBadMeta: meta.json is external input, held to the
+// same checks as a spec's topology section. A repeated component or an
+// edge to an undeclared one fails the read instead of reaching the store.
+func TestReadTraceRejectsBadMeta(t *testing.T) {
+	for _, c := range []struct {
+		name, meta, want string
+	}{
+		{"duplicate component",
+			`{"components":[{"name":"source","kind":"source"},{"name":"fw1","kind":"fw","peak_rate":1e6},{"name":"fw1","kind":"fw","peak_rate":1e6}],
+			"edges":[{"from":"source","to":"fw1"}]}`,
+			`components[2].name: duplicate component "fw1"`},
+		{"edge to a ghost",
+			`{"components":[{"name":"source","kind":"source"},{"name":"fw1","kind":"fw","peak_rate":1e6,"egress":true}],
+			"edges":[{"from":"source","to":"fw1"},{"from":"fw1","to":"ghost"}]}`,
+			`edges[1].to: unknown component "ghost"`},
+		{"key from an older build",
+			`{"components":[{"name":"source","kind":"source"},{"name":"fw1","kind":"fw","peak_pps":1e6}]}`,
+			`unknown field "peak_pps"`},
+	} {
+		dir := filepath.Join(t.TempDir(), "trace")
+		if err := WriteTrace(dir, sampleTrace()); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(c.meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadTrace(dir)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadTrace error = %v, want one naming %s", c.name, err, c.want)
+		}
+	}
+}
+
+// TestWriteTraceMetaIsMarshalled: meta.json is Meta's own JSON form, the
+// one a spec's topology section uses.
+func TestWriteTraceMetaIsMarshalled(t *testing.T) {
+	dir := t.TempDir()
+	tr := sampleTrace()
+	if err := WriteTrace(dir, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(&tr.Meta, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("meta.json =\n%s\nwant\n%s", got, want)
+	}
+	for _, key := range []string{`"peak_rate": 500000`, `"from": "source"`, `"max_batch": 32`, `"egress": true`} {
+		if !bytes.Contains(got, []byte(key)) {
+			t.Errorf("meta.json lacks %s:\n%s", key, got)
+		}
 	}
 }

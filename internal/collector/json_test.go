@@ -68,7 +68,7 @@ func evalTrace(seed int64, dur simtime.Duration) []BatchRecord {
 		Rate: simtime.MPPS(1.2), Duration: dur, Seed: seed + 2,
 	}))
 	topo.Sim.Run(simtime.Time(dur + 5*simtime.Millisecond))
-	return col.Trace(MetaFor(topo)).Records
+	return col.Trace(MetaOf(topo.Sim)).Records
 }
 
 // jsonBodies cuts recs into bodies of n records each (a short last body

@@ -13,6 +13,7 @@ package collector
 
 import (
 	"fmt"
+	"strings"
 
 	"microscope/internal/packet"
 	"microscope/internal/simtime"
@@ -78,30 +79,98 @@ func (r *BatchRecord) Size() int { return len(r.IPIDs) }
 // Meta describes the deployment to the offline diagnosis: the component
 // graph and per-NF peak rates. Operators know their topology and measure
 // r_i by offline stress testing (§4.1 footnote); neither is runtime
-// information.
+// information. Its JSON form is both a trace directory's meta.json and a
+// pipeline spec's topology section.
 type Meta struct {
 	// Components lists every component including the traffic source.
-	Components []ComponentMeta
+	Components []ComponentMeta `json:"components"`
 	// Edges lists directed links: traffic flows From -> To.
-	Edges []Edge
+	Edges []Edge `json:"edges,omitempty"`
 	// MaxBatch is the DPDK receive batch limit (32).
-	MaxBatch int
+	MaxBatch int `json:"max_batch,omitempty"`
 }
 
 // ComponentMeta describes one component.
 type ComponentMeta struct {
-	Name string
-	Kind string // "source", "nat", "fw", ...
-	// PeakRate is r_i, the offline-measured peak processing rate.
-	// Zero for the source.
-	PeakRate simtime.Rate
+	Name string `json:"name"`
+	Kind string `json:"kind,omitempty"` // "source", "nat", "fw", ...
+	// PeakRate is r_i, the offline-measured peak processing rate, in
+	// packets per second. Zero for the source.
+	PeakRate simtime.Rate `json:"peak_rate,omitempty"`
 	// Egress marks NFs at the end of the graph (five-tuples recorded).
-	Egress bool
+	Egress bool `json:"egress,omitempty"`
 }
 
 // Edge is a directed traffic link between components.
 type Edge struct {
-	From, To string
+	From string `json:"from"`
+	To   string `json:"to"`
+}
+
+// MetaError is one problem with a deployment description, at its JSON
+// field path within the Meta (e.g. "components[1].name").
+type MetaError struct {
+	Path, Msg string
+}
+
+func (e MetaError) Error() string { return e.Path + ": " + e.Msg }
+
+// MetaErrors is every problem Check found.
+type MetaErrors []MetaError
+
+func (es MetaErrors) Error() string {
+	s := make([]string, len(es))
+	for i, e := range es {
+		s[i] = e.Error()
+	}
+	return strings.Join(s, "; ")
+}
+
+// Check returns every problem that keeps m from describing a deployment:
+// no components, an empty or repeated name, an edge to or from an
+// undeclared component, a negative rate or batch limit. Nil means usable.
+func (m *Meta) Check() MetaErrors {
+	var es MetaErrors
+	add := func(path, format string, args ...any) {
+		es = append(es, MetaError{Path: path, Msg: fmt.Sprintf(format, args...)})
+	}
+	if len(m.Components) == 0 {
+		add("components", "must list at least one component")
+	}
+	names := make(map[string]bool, len(m.Components))
+	for i, c := range m.Components {
+		path := fmt.Sprintf("components[%d]", i)
+		if c.Name == "" {
+			add(path+".name", "must not be empty")
+		} else if names[c.Name] {
+			add(path+".name", "duplicate component %q", c.Name)
+		}
+		names[c.Name] = true
+		if c.PeakRate < 0 {
+			add(path+".peak_rate", "must be >= 0, got %g", c.PeakRate.PPS())
+		}
+	}
+	for i, e := range m.Edges {
+		path := fmt.Sprintf("edges[%d]", i)
+		if !names[e.From] {
+			add(path+".from", "unknown component %q", e.From)
+		}
+		if !names[e.To] {
+			add(path+".to", "unknown component %q", e.To)
+		}
+	}
+	if m.MaxBatch < 0 {
+		add("max_batch", "must be >= 0, got %d", m.MaxBatch)
+	}
+	return es
+}
+
+// Clone deep-copies the description.
+func (m *Meta) Clone() Meta {
+	c := *m
+	c.Components = append([]ComponentMeta(nil), m.Components...)
+	c.Edges = append([]Edge(nil), m.Edges...)
+	return c
 }
 
 // Upstreams returns the components that feed the named component.

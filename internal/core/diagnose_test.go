@@ -36,7 +36,7 @@ func cbr(rate simtime.Rate, dur simtime.Duration, nflows int) *traffic.Schedule 
 // buildStore runs a chain sim with the collector and reconstructs.
 func buildStore(sim *nfsim.Sim, col *collector.Collector, names []string, until simtime.Time) *tracestore.Store {
 	sim.Run(until)
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, names)))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 	return st
 }
 

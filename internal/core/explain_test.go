@@ -22,7 +22,7 @@ func TestExplainPropagatedVictim(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.InjectInterrupt("nat1", simtime.Time(simtime.Millisecond), 800*simtime.Microsecond, "x")
 	sim.Run(simtime.Time(100 * simtime.Millisecond))
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"nat1", "vpn1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 
 	// Find a vpn-queued victim after the interrupt.
 	var victim *Victim
@@ -89,7 +89,7 @@ func TestExplainNoQueue(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.05), simtime.Duration(simtime.Millisecond), 3)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 
 	eng := NewEngine(Config{})
 	ex := eng.Explain(st, Victim{Comp: "nowhere", ArriveAt: 100})

@@ -88,7 +88,7 @@ func TestThroughputVictimsQuietFlow(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.2), simtime.Duration(5*simtime.Millisecond), 1)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 	victims := NewEngine(Config{}).ThroughputVictims(st, ThroughputConfig{DipStdDevs: 4})
 	if len(victims) != 0 {
 		t.Errorf("quiet flow produced %d throughput victims", len(victims))

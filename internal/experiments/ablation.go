@@ -123,15 +123,7 @@ func AblationQueueThreshold(cfg StandingQueueConfig) *AblationQueueThresholdResu
 		sim.InjectInterrupt("fw1", at, 600*simtime.Microsecond, "ablation")
 	}
 	sim.Run(simtime.Time(dur) + simtime.Time(100*simtime.Millisecond))
-	meta := collector.Meta{
-		MaxBatch: nfsim.DefaultMaxBatch,
-		Components: []collector.ComponentMeta{
-			{Name: collector.SourceName, Kind: "source"},
-			{Name: "fw1", Kind: "fw", PeakRate: simtime.MPPS(0.5), Egress: true},
-		},
-		Edges: []collector.Edge{{From: collector.SourceName, To: "fw1"}},
-	}
-	st := tracestore.Build(col.Trace(meta))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 
 	res := &AblationQueueThresholdResult{
 		Series: &report.Series{Name: "accuracy vs queue threshold", XLabel: "threshold (packets)", YLabel: "onset-correct rate"},

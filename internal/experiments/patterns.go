@@ -126,7 +126,7 @@ func Figure14(cfg Figure14Config) *Figure14Result {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(cfg.Duration) + simtime.Time(50*simtime.Millisecond))
 
-	st := tracestore.Build(col.Trace(collector.MetaFor(topo)))
+	st := tracestore.Build(col.Trace(collector.MetaOf(topo.Sim)))
 	diags := core.NewEngine(core.Config{MaxVictims: 1500}).Diagnose(st)
 
 	pcfg := patterns.Config{Threshold: cfg.Threshold}

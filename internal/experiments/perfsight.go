@@ -57,16 +57,7 @@ func RunPerfSightComparison(seed int64) *PerfSightComparison {
 		sim.Connect("fw1", func(*packet.Packet) int { return nfsim.Egress })
 		sim.LoadSchedule(steadySchedule(simtime.MPPS(0.4), 20*simtime.Millisecond, seed))
 		sim.Run(simtime.Time(200 * simtime.Millisecond))
-		meta := collector.Meta{
-			MaxBatch: nfsim.DefaultMaxBatch,
-			Components: []collector.ComponentMeta{
-				{Name: "source", Kind: "source"},
-				{Name: "nat1", Kind: "nat", PeakRate: simtime.MPPS(1)},
-				{Name: "fw1", Kind: "fw", PeakRate: simtime.MPPS(0.2), Egress: true},
-			},
-			Edges: []collector.Edge{{From: "source", To: "nat1"}, {From: "nat1", To: "fw1"}},
-		}
-		tr := col.Trace(meta)
+		tr := col.Trace(collector.MetaOf(sim))
 
 		ps := perfsight.Diagnose(tr, perfsight.Config{})
 		res.PersistentReport = ps.Render()
@@ -101,7 +92,7 @@ func RunPerfSightComparison(seed int64) *PerfSightComparison {
 		sim.LoadSchedule(steadySchedule(simtime.MPPS(0.4), 20*simtime.Millisecond, seed+8))
 		sim.InjectInterrupt("fw1", simtime.Time(5*simtime.Millisecond), 900*simtime.Microsecond, "t")
 		sim.Run(simtime.Time(200 * simtime.Millisecond))
-		tr := col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+		tr := col.Trace(collector.MetaOf(sim))
 
 		ps := perfsight.Diagnose(tr, perfsight.Config{})
 		res.TransientReport = ps.Render()

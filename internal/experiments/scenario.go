@@ -273,7 +273,7 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyRun {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(total) + simtime.Time(50*simtime.Millisecond))
 
-	st := tracestore.Build(col.Trace(collector.MetaFor(topo)))
+	st := tracestore.Build(col.Trace(collector.MetaOf(topo.Sim)))
 
 	eng := core.NewEngine(core.Config{MaxVictims: cfg.MaxVictims, Workers: cfg.Workers})
 	// Victim selection is per injection slot: each injected problem's

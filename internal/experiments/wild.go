@@ -137,7 +137,7 @@ func RunWild(cfg WildConfig) *WildRun {
 	topo.Sim.LoadSchedule(sched)
 	topo.Sim.Run(simtime.Time(cfg.Duration) + simtime.Time(50*simtime.Millisecond))
 
-	st := tracestore.Build(col.Trace(collector.MetaFor(topo)))
+	st := tracestore.Build(col.Trace(collector.MetaOf(topo.Sim)))
 
 	eng := core.NewEngine(core.Config{
 		VictimPercentile: cfg.VictimPercentile,

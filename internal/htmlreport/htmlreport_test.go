@@ -37,7 +37,7 @@ func buildInput(t *testing.T) Input {
 	sched.InjectBurst(traffic.BurstSpec{ID: 1, At: simtime.Time(simtime.Millisecond), Flow: ems[0].Flow, Count: 400})
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(100 * simtime.Millisecond))
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1", "vpn1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 
 	eng := core.NewEngine(core.Config{MaxVictims: 50})
 	diags := eng.Diagnose(st)

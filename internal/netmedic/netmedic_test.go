@@ -49,7 +49,7 @@ func runScenario(t *testing.T, withInterrupt bool) *tracestore.Store {
 		sim.InjectInterrupt("nat1", simtime.Time(20*simtime.Millisecond), simtime.Duration(900*simtime.Microsecond), "i")
 	}
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1", "vpn1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 	return st
 }
 
@@ -123,7 +123,7 @@ func TestDelayedImpactDegradesNetMedic(t *testing.T) {
 	intAt := simtime.Time(19*simtime.Millisecond + 500*simtime.Microsecond)
 	sim.InjectInterrupt("nat1", intAt, simtime.Duration(500*simtime.Microsecond), "i")
 	sim.Run(simtime.Time(300 * simtime.Millisecond))
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"nat1", "vpn1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 	e := New(st, Config{Window: 2 * simtime.Millisecond})
 
 	// A victim queued at the VPN several windows after the interrupt.

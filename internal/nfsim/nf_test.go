@@ -142,8 +142,8 @@ func TestTopologyDefaults(t *testing.T) {
 		t.Errorf("default sizes: %d/%d/%d/%d",
 			len(topo.NATs), len(topo.Firewalls), len(topo.Monitors), len(topo.VPNs))
 	}
-	if topo.KindOf("fw3") != "fw" || topo.KindOf("missing") != "" {
-		t.Error("KindOf wrong")
+	if topo.Sim.NF("fw3").Kind() != "fw" || topo.Sim.NF("missing") != nil {
+		t.Error("NF lookup wrong")
 	}
 	// Duplicate NF names must panic.
 	defer func() {

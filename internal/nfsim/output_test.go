@@ -41,7 +41,7 @@ func runEval(sched *traffic.Schedule, dur simtime.Duration) (*nfsim.Sim, *collec
 	topo.Sim.InjectInterrupt("fw2", simtime.Time(dur/4), 300*simtime.Microsecond, "output-test")
 	topo.Sim.LoadSchedule(sched)
 	topo.Sim.Run(simtime.Time(dur + 5*simtime.Millisecond))
-	return topo.Sim, col.Trace(collector.MetaFor(topo))
+	return topo.Sim, col.Trace(collector.MetaOf(topo.Sim))
 }
 
 // TestOutputDigest pins the simulator's output: the MST2 bytes of the

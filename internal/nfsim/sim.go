@@ -127,6 +127,24 @@ func (s *Sim) AddNF(cfg NFConfig) *NF {
 // NF returns the named instance, or nil.
 func (s *Sim) NF(name string) *NF { return s.nfs[name] }
 
+// NFs returns the instance names in AddNF order.
+func (s *Sim) NFs() []string { return append([]string(nil), s.nfOrder...) }
+
+// Downstream returns the names an NF, or the source under SourceName, was
+// wired to, in the order its Connect or ConnectSource call named them;
+// none for an egress NF.
+func (s *Sim) Downstream(name string) []string {
+	outs := s.srcOuts
+	if name != SourceName {
+		outs = s.nfs[name].outs
+	}
+	names := make([]string, len(outs))
+	for i, q := range outs {
+		names[i] = q.owner
+	}
+	return names
+}
+
 // Connect wires an NF's outputs: route selects among the input queues of
 // the named downstream NFs (or returns Egress).
 func (s *Sim) Connect(name string, route RouteFunc, downstream ...string) {

@@ -313,9 +313,15 @@ func TestEvalTopologyEndToEnd(t *testing.T) {
 	if delivered < sched.Len()*9/10 {
 		t.Errorf("too many losses in nominal run: delivered %d of %d", delivered, sched.Len())
 	}
+	kindOf := func(name string) string {
+		if nf := topo.Sim.NF(name); nf != nil {
+			return nf.Kind()
+		}
+		return ""
+	}
 	// Deliveries must all come from VPNs.
 	for _, d := range hooks.delivers {
-		if topo.KindOf(d.who) != "vpn" {
+		if kindOf(d.who) != "vpn" {
 			t.Fatalf("delivery from non-VPN %q", d.who)
 		}
 	}
@@ -329,10 +335,10 @@ func TestEvalTopologyEndToEnd(t *testing.T) {
 		if len(path) < 3 || len(path) > 4 {
 			t.Fatalf("path length %d: %v", len(path), path)
 		}
-		if topo.KindOf(path[0]) != "nat" || topo.KindOf(path[1]) != "fw" || topo.KindOf(path[len(path)-1]) != "vpn" {
+		if kindOf(path[0]) != "nat" || kindOf(path[1]) != "fw" || kindOf(path[len(path)-1]) != "vpn" {
 			t.Fatalf("bad path: %v", path)
 		}
-		if len(path) == 4 && topo.KindOf(path[2]) != "mon" {
+		if len(path) == 4 && kindOf(path[2]) != "mon" {
 			t.Fatalf("bad 4-hop path: %v", path)
 		}
 		if len(path) == 4 && p.Flow.DstPort != 80 && p.Flow.DstPort != 443 {

@@ -106,15 +106,6 @@ func (t *EvalTopology) AllNFs() []string {
 	return out
 }
 
-// KindOf maps an instance name to its NF type, or "" for unknown names
-// ("source" included).
-func (t *EvalTopology) KindOf(name string) string {
-	if nf := t.Sim.NF(name); nf != nil {
-		return nf.Kind()
-	}
-	return ""
-}
-
 // BuildEvalTopology constructs the Figure 10 topology on a fresh Sim with
 // the given hooks.
 func BuildEvalTopology(hooks Hooks, cfg EvalTopologyConfig) *EvalTopology {

@@ -44,7 +44,7 @@ func monitoredRun(t *testing.T, interruptsAt []simtime.Time) *collector.Trace {
 		sim.InjectInterrupt("fw1", at, 900*simtime.Microsecond, "mon")
 	}
 	sim.Run(simtime.Time(600 * simtime.Millisecond))
-	return col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+	return col.Trace(collector.MetaOf(sim))
 }
 
 func TestMonitorAlertsOnInterrupts(t *testing.T) {

@@ -200,7 +200,7 @@ func TestEndToEndBugPatterns(t *testing.T) {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
 
-	st := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw2", "vpn1"})))
+	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 	diags := core.NewEngine(core.Config{}).Diagnose(st)
 	if len(diags) == 0 {
 		t.Fatal("no diagnoses")
@@ -248,7 +248,7 @@ func TestRelationsFromDiagnosesShares(t *testing.T) {
 	}
 	sim.LoadSchedule(&traffic.Schedule{Emissions: ems})
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	store := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	store := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 
 	diags := []core.Diagnosis{{
 		Victim: core.Victim{Journey: 0, Comp: "fw1", Tuple: bgTuple(9), HasTuple: true},
@@ -288,7 +288,7 @@ func TestRelationsSubsampling(t *testing.T) {
 	}
 	sim.LoadSchedule(&traffic.Schedule{Emissions: ems})
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	store := tracestore.Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	store := tracestore.Build(col.Trace(collector.MetaOf(sim)))
 
 	many := make([]int, 1000)
 	for i := range many {

@@ -61,7 +61,7 @@ func transientTrace(t *testing.T) *collector.Trace {
 	sim.LoadSchedule(cbr(simtime.MPPS(0.4), 20*simtime.Millisecond))
 	sim.InjectInterrupt("fw1", simtime.Time(5*simtime.Millisecond), 900*simtime.Microsecond, "x")
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
-	return col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+	return col.Trace(collector.MetaOf(sim))
 }
 
 func TestPerfSightFindsPersistentBottleneck(t *testing.T) {

@@ -45,7 +45,7 @@ func buildTrace(seed int64, dur simtime.Duration) *collector.Trace {
 	}
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(dur) + simtime.Time(20*simtime.Millisecond))
-	return col.Trace(collector.MetaFor(topo))
+	return col.Trace(collector.MetaOf(topo.Sim))
 }
 
 // fingerprint captures every observable output of a report: the rendered
@@ -221,15 +221,17 @@ func TestPipelineStages(t *testing.T) {
 	tr := buildTrace(3, dur)
 	rep := microscope.Diagnose(tr, microscope.WithMaxVictims(100))
 	want := []string{"reconstruct", "index", "victims", "diagnose", "patterns"}
-	if len(rep.Stages) != len(want) {
-		t.Fatalf("got %d stages, want %d: %+v", len(rep.Stages), len(want), rep.Stages)
+	stages := rep.Spans[1:]
+	if len(stages) != len(want) {
+		t.Fatalf("got %d stage spans, want %d: %+v", len(stages), len(want), stages)
 	}
 	for i, name := range want {
-		if rep.Stages[i].Name != name {
-			t.Errorf("stage %d = %q, want %q", i, rep.Stages[i].Name, name)
+		s := stages[i]
+		if s.Name != name || s.Kind != "stage" || s.Parent != 0 {
+			t.Errorf("span %d = %q (kind %q, parent %d), want stage %q under the root", i+1, s.Name, s.Kind, s.Parent, name)
 		}
-		if rep.Stages[i].Elapsed < 0 {
-			t.Errorf("stage %q has negative elapsed %v", name, rep.Stages[i].Elapsed)
+		if s.Dur < 0 {
+			t.Errorf("stage %q has negative duration %v", name, s.Dur)
 		}
 	}
 }
@@ -278,9 +280,11 @@ func TestPipelineDeterminismWithObserver(t *testing.T) {
 	if len(snap.Spans) == 0 || snap.SpansTotal == 0 {
 		t.Error("no spans recorded into the registry tracer")
 	}
-	// The report's own span tree mirrors the stages plus the root.
-	if len(seq.Spans) != len(seq.Stages)+1 {
-		t.Errorf("report has %d spans for %d stages", len(seq.Spans), len(seq.Stages))
+	// The report's own span tree is the root plus one span per stage.
+	for _, s := range seq.Spans[1:] {
+		if s.Kind != "stage" || s.Parent != 0 {
+			t.Errorf("non-root span %+v, want a stage under the root", s)
+		}
 	}
 	if seq.Spans[0].Name != "pipeline" || seq.Spans[0].Parent != -1 {
 		t.Errorf("root span = %+v, want pipeline/-1", seq.Spans[0])

@@ -75,12 +75,6 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// StageTiming is one stage's wall-clock cost.
-type StageTiming struct {
-	Name    string
-	Elapsed time.Duration
-}
-
 // Result is the full output of a pipeline run.
 type Result struct {
 	// Store is the reconstructed trace backing everything downstream.
@@ -114,10 +108,9 @@ type Result struct {
 	// ContainedPanics counts victims quarantined by the worker-task
 	// containment boundary during this run (0 unless ContainPanics).
 	ContainedPanics int64
-	// Stages records per-stage wall-clock timings, in execution order.
-	Stages []StageTiming
 	// Spans is the run's span tree: a root "pipeline" span (ID 0,
-	// Parent -1) with one child per executed stage. It is always
+	// Parent -1) with one child of Kind "stage" per executed stage, in
+	// execution order, carrying its wall-clock cost. It is always
 	// populated, registry or not, so callers introspect stage structure
 	// without opting into metrics; with a registry attached the same spans
 	// are also recorded into its bounded tracer.
@@ -205,7 +198,7 @@ func newRun(cfg Config) *run {
 }
 
 // stage runs one named stage unless ctx is already done, recording its
-// wall-clock cost as a StageTiming, a child span, and (when a registry is
+// wall-clock cost as a child span and (when a registry is
 // attached) a per-stage latency histogram sample. The error, if any, is
 // "pipeline canceled during <name> stage" wrapping ctx.Err().
 func (r *run) stage(ctx context.Context, name string, fn func()) error {
@@ -229,7 +222,6 @@ func (r *run) stage(ctx context.Context, name string, fn func()) error {
 		body()
 	}
 	elapsed := time.Since(t) //mslint:allow nondet stage timing is observability metadata, not diagnosis output
-	r.res.Stages = append(r.res.Stages, StageTiming{Name: name, Elapsed: elapsed})
 	r.res.Spans = append(r.res.Spans, obs.Span{
 		ID:     int32(len(r.res.Spans)) + 1,
 		Parent: 0,

@@ -117,7 +117,7 @@ func BuildStream(cfg Config) *Stream {
 		sim.InjectInterrupt("fw1", at, simtime.Duration(4*cfg.Window/5), "chaos")
 	}
 	sim.Run(simtime.Time(dur) + simtime.Time(20*cfg.Window))
-	tr := col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+	tr := col.Trace(collector.MetaOf(sim))
 	return &Stream{
 		Meta:     tr.Meta,
 		Records:  tr.Records,

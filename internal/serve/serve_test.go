@@ -55,7 +55,7 @@ func chainTrace(t testing.TB, seed int64, interrupts []simtime.Time) *collector.
 		sim.InjectInterrupt("fw1", at, 900*simtime.Microsecond, "serve")
 	}
 	sim.Run(simtime.Time(600 * simtime.Millisecond))
-	return col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+	return col.Trace(collector.MetaOf(sim))
 }
 
 // tenantSpec builds a valid spec whose topology matches chainTrace's

@@ -12,7 +12,6 @@ import (
 	"microscope/internal/patterns"
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
-	"microscope/internal/simtime"
 )
 
 // Rung returns the degradation ceiling the stages section selects.
@@ -112,46 +111,23 @@ func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 	}
 }
 
-// Meta converts the topology section to the collector's deployment
-// description, or false when the spec carries none.
+// Meta returns a copy of the topology section with the receive batch
+// limit defaulted, or false when the spec carries none.
 func (s *PipelineSpec) Meta() (collector.Meta, bool) {
 	if s.Topology == nil {
 		return collector.Meta{}, false
 	}
-	t := s.Topology
-	m := collector.Meta{MaxBatch: t.MaxBatch}
+	m := s.Topology.Clone()
 	if m.MaxBatch == 0 {
 		m.MaxBatch = 32
-	}
-	for _, c := range t.Components {
-		m.Components = append(m.Components, collector.ComponentMeta{
-			Name:     c.Name,
-			Kind:     c.Kind,
-			PeakRate: simtime.Rate(c.PeakRate),
-			Egress:   c.Egress,
-		})
-	}
-	for _, e := range t.Edges {
-		m.Edges = append(m.Edges, collector.Edge{From: e.From, To: e.To})
 	}
 	return m, true
 }
 
-// FromMeta builds a topology section from a collector deployment
-// description (msdiag -dump-spec reads the trace's meta back into spec
-// form).
-func FromMeta(m collector.Meta) *TopologySpec {
-	t := &TopologySpec{MaxBatch: m.MaxBatch}
-	for _, c := range m.Components {
-		t.Components = append(t.Components, ComponentSpec{
-			Name:     c.Name,
-			Kind:     c.Kind,
-			PeakRate: float64(c.PeakRate),
-			Egress:   c.Egress,
-		})
-	}
-	for _, e := range m.Edges {
-		t.Edges = append(t.Edges, EdgeSpec{From: e.From, To: e.To})
-	}
-	return t
+// FromMeta returns a copy of a deployment description to use as a spec's
+// topology section (mslive and the benchmark give their tenants a
+// simulated trace's meta).
+func FromMeta(m collector.Meta) *collector.Meta {
+	m = m.Clone()
+	return &m
 }

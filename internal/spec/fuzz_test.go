@@ -14,8 +14,8 @@ const readmeTenant = `{
   "resilience": {"ring_capacity": 200000, "shed_policy": "drop-oldest"},
   "topology": {
     "components": [
-      {"name": "nat1", "kind": "nat", "peak_rate": 1},
-      {"name": "fw1", "kind": "fw", "peak_rate": 0.8, "egress": true}
+      {"name": "nat1", "kind": "nat", "peak_rate": 1e6},
+      {"name": "fw1", "kind": "fw", "peak_rate": 8e5, "egress": true}
     ],
     "edges": [{"from": "nat1", "to": "fw1"}]
   },

@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"microscope/internal/collector"
 	"microscope/internal/core"
 	"microscope/internal/online"
 	"microscope/internal/patterns"
@@ -106,8 +107,9 @@ type PipelineSpec struct {
 	Resilience ResilienceSpec `json:"resilience"`
 	// Topology describes the NF graph and peak rates. Required by the
 	// serving tier (reconstruction needs it before the first record);
-	// batch CLIs read it from the trace instead.
-	Topology *TopologySpec `json:"topology,omitempty"`
+	// batch CLIs read it from the trace instead. Its form is a trace's
+	// meta.json.
+	Topology *collector.Meta `json:"topology,omitempty"`
 	// Hooks lists remediation hooks fired on ranked-culprit changes.
 	Hooks []HookSpec `json:"hooks,omitempty"`
 }
@@ -209,30 +211,6 @@ type RetrySpec struct {
 	Max         Duration `json:"max,omitempty"`
 	Jitter      float64  `json:"jitter,omitempty"`
 	Seed        int64    `json:"seed,omitempty"`
-}
-
-// TopologySpec describes the NF deployment: the component graph and
-// offline-measured peak rates (§4.1).
-type TopologySpec struct {
-	Components []ComponentSpec `json:"components"`
-	Edges      []EdgeSpec      `json:"edges,omitempty"`
-	// MaxBatch is the receive batch limit (default 32).
-	MaxBatch int `json:"max_batch,omitempty"`
-}
-
-// ComponentSpec is one NF (or the traffic source).
-type ComponentSpec struct {
-	Name string `json:"name"`
-	Kind string `json:"kind,omitempty"`
-	// PeakRate is r_i in packets/second (0 for the source).
-	PeakRate float64 `json:"peak_rate,omitempty"`
-	Egress   bool    `json:"egress,omitempty"`
-}
-
-// EdgeSpec is a directed traffic link.
-type EdgeSpec struct {
-	From string `json:"from"`
-	To   string `json:"to"`
 }
 
 // HookSpec is one remediation hook: when a window's ranked culprit set
@@ -400,11 +378,7 @@ func (s *PipelineSpec) Clone() *PipelineSpec {
 		c.Resilience.Retry = &r
 	}
 	if s.Topology != nil {
-		t := TopologySpec{
-			Components: append([]ComponentSpec(nil), s.Topology.Components...),
-			Edges:      append([]EdgeSpec(nil), s.Topology.Edges...),
-			MaxBatch:   s.Topology.MaxBatch,
-		}
+		t := s.Topology.Clone()
 		c.Topology = &t
 	}
 	if s.Hooks != nil {
@@ -543,34 +517,8 @@ func (s *PipelineSpec) Validate() error {
 	}
 
 	if s.Topology != nil {
-		t := s.Topology
-		if len(t.Components) == 0 {
-			v.addf("topology.components", "must list at least one component")
-		}
-		names := make(map[string]bool, len(t.Components))
-		for i, c := range t.Components {
-			path := fmt.Sprintf("topology.components[%d]", i)
-			if c.Name == "" {
-				v.addf(path+".name", "must not be empty")
-			} else if names[c.Name] {
-				v.addf(path+".name", "duplicate component %q", c.Name)
-			}
-			names[c.Name] = true
-			if c.PeakRate < 0 {
-				v.addf(path+".peak_rate", "must be >= 0, got %g", c.PeakRate)
-			}
-		}
-		for i, e := range t.Edges {
-			path := fmt.Sprintf("topology.edges[%d]", i)
-			if !names[e.From] {
-				v.addf(path+".from", "unknown component %q", e.From)
-			}
-			if !names[e.To] {
-				v.addf(path+".to", "unknown component %q", e.To)
-			}
-		}
-		if t.MaxBatch < 0 {
-			v.addf("topology.max_batch", "must be >= 0, got %d", t.MaxBatch)
+		for _, e := range s.Topology.Check() {
+			v.addf("topology."+e.Path, "%s", e.Msg)
 		}
 	}
 

@@ -3,12 +3,15 @@ package spec
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"microscope/internal/collector"
 	"microscope/internal/core"
 	"microscope/internal/online"
 	"microscope/internal/pipeline"
@@ -55,9 +58,9 @@ func TestValidateFieldPaths(t *testing.T) {
 			MaxMemBytes:  10,
 			SoftMemBytes: 20,
 		},
-		Topology: &TopologySpec{
-			Components: []ComponentSpec{{Name: "a"}, {Name: "a"}},
-			Edges:      []EdgeSpec{{From: "a", To: "ghost"}},
+		Topology: &collector.Meta{
+			Components: []collector.ComponentMeta{{Name: "a"}, {Name: "a"}},
+			Edges:      []collector.Edge{{From: "a", To: "ghost"}},
 		},
 		Hooks: []HookSpec{
 			{Name: "", Type: "carrier-pigeon"},
@@ -129,9 +132,9 @@ func TestResolvedIdempotent(t *testing.T) {
 		Tenant:     "t1",
 		Diagnosis:  DiagnosisSpec{MaxVictims: 50},
 		Resilience: ResilienceSpec{RingCapacity: 4096, MaxMemBytes: 1 << 20},
-		Topology: &TopologySpec{
-			Components: []ComponentSpec{{Name: "src", Kind: "source"}, {Name: "fw", Kind: "fw", PeakRate: 1e6, Egress: true}},
-			Edges:      []EdgeSpec{{From: "src", To: "fw"}},
+		Topology: &collector.Meta{
+			Components: []collector.ComponentMeta{{Name: "src", Kind: "source"}, {Name: "fw", Kind: "fw", PeakRate: 1e6, Egress: true}},
+			Edges:      []collector.Edge{{From: "src", To: "fw"}},
 		},
 		Hooks: []HookSpec{{Name: "page", Type: "webhook", URL: "http://localhost:0/x"}},
 	}
@@ -311,12 +314,12 @@ func randSpec(rng *rand.Rand) *PipelineSpec {
 		s.Resilience.Retry = &RetrySpec{MaxAttempts: rng.Intn(5), Seed: rng.Int63n(100)}
 	}
 	if rng.Intn(2) == 0 {
-		s.Topology = &TopologySpec{
-			Components: []ComponentSpec{
+		s.Topology = &collector.Meta{
+			Components: []collector.ComponentMeta{
 				{Name: "src", Kind: "source"},
-				{Name: "fw", Kind: "fw", PeakRate: float64(rng.Intn(5)+1) * 1e5, Egress: true},
+				{Name: "fw", Kind: "fw", PeakRate: simtime.Rate(rng.Intn(5)+1) * 1e5, Egress: true},
 			},
-			Edges: []EdgeSpec{{From: "src", To: "fw"}},
+			Edges: []collector.Edge{{From: "src", To: "fw"}},
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -512,6 +515,48 @@ func TestEverySpecFieldIsLowered(t *testing.T) {
 	for path := range table {
 		if !seen[path] {
 			t.Errorf("%s: table names a field the spec does not have", path)
+		}
+	}
+}
+
+// TestTopologyIsTraceMeta: a trace directory's meta.json is a topology
+// section as it stands, and a topology the spec rejects is a meta.json
+// ReadTrace rejects, at the same field path.
+func TestTopologyIsTraceMeta(t *testing.T) {
+	m := collector.Meta{
+		MaxBatch: 32,
+		Components: []collector.ComponentMeta{
+			{Name: "source", Kind: "source"},
+			{Name: "nat1", Kind: "nat", PeakRate: 1e6},
+			{Name: "fw1", Kind: "fw", PeakRate: 8e5, Egress: true},
+		},
+		Edges: []collector.Edge{{From: "source", To: "nat1"}, {From: "nat1", To: "fw1"}},
+	}
+	dir := t.TempDir()
+	if err := collector.WriteTrace(dir, &collector.Trace{Meta: m}); err != nil {
+		t.Fatal(err)
+	}
+	mb, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustParse(t, `{"topology":`+string(mb)+`}`)
+	if !reflect.DeepEqual(*s.Topology, m) {
+		t.Errorf("meta.json as topology = %+v, want %+v", *s.Topology, m)
+	}
+
+	bad := `{"components":[{"name":"a"},{"name":"a"}],"edges":[{"from":"a","to":"ghost"}]}`
+	_, specErr := Parse([]byte(`{"topology":` + bad + `}`))
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, traceErr := collector.ReadTrace(dir)
+	for _, want := range []string{`components[1].name: duplicate component "a"`, `edges[0].to: unknown component "ghost"`} {
+		if specErr == nil || !strings.Contains(specErr.Error(), "topology."+want) {
+			t.Errorf("spec error %v lacks topology.%s", specErr, want)
+		}
+		if traceErr == nil || !strings.Contains(traceErr.Error(), want) {
+			t.Errorf("ReadTrace error %v lacks %s", traceErr, want)
 		}
 	}
 }

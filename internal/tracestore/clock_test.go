@@ -21,7 +21,7 @@ func chainTrace(t *testing.T) *collector.Trace {
 	sched := cbr(simtime.MPPS(0.3), simtime.Duration(3*simtime.Millisecond), 7)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	return col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1", "vpn1"}))
+	return col.Trace(collector.MetaOf(sim))
 }
 
 func TestAlignClocksRecoversOffsets(t *testing.T) {
@@ -112,7 +112,7 @@ func TestAlignClocksDAG(t *testing.T) {
 	})
 	topo.Sim.LoadSchedule(sched)
 	topo.Sim.Run(simtime.Time(50 * simtime.Millisecond))
-	tr := col.Trace(collector.MetaFor(topo))
+	tr := col.Trace(collector.MetaOf(topo.Sim))
 
 	skewed := SkewTrace(tr, "vpn1", 250*simtime.Microsecond)
 	offsets, _ := AlignClocks(skewed)

@@ -129,7 +129,7 @@ func TestReconstructionSurvivesRecordLoss(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.3), simtime.Duration(3*simtime.Millisecond), 9)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	tr := col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1"}))
+	tr := col.Trace(collector.MetaOf(sim))
 
 	rng := rand.New(rand.NewSource(7))
 	for _, dropFrac := range []float64{0.01, 0.1, 0.3} {
@@ -169,7 +169,7 @@ func TestReconstructionSurvivesDuplicatedRecords(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.3), simtime.Duration(2*simtime.Millisecond), 5)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	tr := col.Trace(collector.MetaForChain(sim, []string{"fw1"}))
+	tr := col.Trace(collector.MetaOf(sim))
 
 	rng := rand.New(rand.NewSource(9))
 	var damaged []collector.BatchRecord

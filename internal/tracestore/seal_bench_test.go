@@ -18,7 +18,7 @@ func evalTrace(tb testing.TB, seed int64, rate simtime.Rate, dur simtime.Duratio
 	mix := traffic.NewMix(traffic.MixConfig{Seed: seed + 1})
 	topo.Sim.LoadSchedule(traffic.Generate(mix, traffic.ScheduleConfig{Rate: rate, Duration: dur, Seed: seed + 2}))
 	topo.Sim.Run(simtime.Time(dur + 2*simtime.Millisecond))
-	return col.Trace(collector.MetaFor(topo))
+	return col.Trace(collector.MetaOf(topo.Sim))
 }
 
 // shiftedRecords copies recs into dst with every timestamp moved on by d;

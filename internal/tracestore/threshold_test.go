@@ -29,7 +29,7 @@ func standingQueueStore(t *testing.T) *Store {
 	sched.InjectBurst(traffic.BurstSpec{ID: 2, At: simtime.Time(20 * simtime.Millisecond), Flow: flow(3), Count: 300})
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
-	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := Build(col.Trace(collector.MetaOf(sim)))
 	return st
 }
 

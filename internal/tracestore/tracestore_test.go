@@ -33,7 +33,7 @@ func runChain(t *testing.T, sched *traffic.Schedule, rates ...simtime.Rate) (*nf
 	sim := nfsim.BuildChain(col, 17, specs...)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(200 * simtime.Millisecond))
-	tr := col.Trace(collector.MetaForChain(sim, []string{"nat1", "fw1", "vpn1"}))
+	tr := col.Trace(collector.MetaOf(sim))
 	st := Build(tr)
 	return sim, st
 }
@@ -152,7 +152,7 @@ func TestJourneysOnDAGTopology(t *testing.T) {
 	})
 	topo.Sim.LoadSchedule(sched)
 	topo.Sim.Run(simtime.Time(100 * simtime.Millisecond))
-	st := Build(col.Trace(collector.MetaFor(topo)))
+	st := Build(col.Trace(collector.MetaOf(topo.Sim)))
 
 	truth := topo.Sim.Packets()
 	if len(st.Journeys) != len(truth) {
@@ -199,7 +199,7 @@ func TestQueuingPeriodBasics(t *testing.T) {
 	})
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := Build(col.Trace(collector.MetaOf(sim)))
 
 	// The victim: a packet arriving shortly after the burst.
 	victimAt := simtime.Time(simtime.Duration(1300) * simtime.Microsecond)
@@ -257,7 +257,7 @@ func TestQueuingPeriodInvariantAcrossVictims(t *testing.T) {
 	sched.InjectBurst(traffic.BurstSpec{ID: 1, At: simtime.Time(500 * simtime.Microsecond), Flow: flow(1), Count: 300})
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := Build(col.Trace(collector.MetaOf(sim)))
 
 	checked := 0
 	for _, p := range sim.Packets() {
@@ -308,7 +308,7 @@ func TestQueuingPeriodResetsAfterDrain(t *testing.T) {
 	sched.InjectBurst(traffic.BurstSpec{ID: 2, At: simtime.Time(5 * simtime.Millisecond), Flow: flow(2), Count: 200})
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(50 * simtime.Millisecond))
-	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := Build(col.Trace(collector.MetaOf(sim)))
 
 	qp := st.QueuingPeriodAt("fw1", simtime.Time(simtime.Duration(5100)*simtime.Microsecond))
 	if qp == nil {
@@ -325,7 +325,7 @@ func TestQueueLenAtIdle(t *testing.T) {
 	sched := cbr(simtime.MPPS(0.1), simtime.Duration(simtime.Millisecond), 3)
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(10 * simtime.Millisecond))
-	st := Build(col.Trace(collector.MetaForChain(sim, []string{"fw1"})))
+	st := Build(col.Trace(collector.MetaOf(sim)))
 	// Long after the run, queue must be empty.
 	if got := st.QueueLenAt("fw1", simtime.Time(9*simtime.Millisecond)); got != 0 {
 		t.Errorf("idle queue length: got %d", got)

@@ -57,7 +57,7 @@ func chainRecords(t testing.TB, seed int64, dur simtime.Duration) (collector.Met
 		sim.InjectInterrupt("fw", at, 500*simtime.Microsecond, "window-test")
 	}
 	sim.Run(simtime.Time(dur) + simtime.Time(2*winMs))
-	tr := col.Trace(collector.MetaForChain(sim, []string{"nat", "fw"}))
+	tr := col.Trace(collector.MetaOf(sim))
 	for ri := range tr.Records {
 		ids := append([]uint16(nil), tr.Records[ri].IPIDs...)
 		for k := range ids {

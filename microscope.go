@@ -147,16 +147,12 @@ type Report struct {
 	// ContainedPanics counts victims quarantined by crash containment
 	// (always 0 without WithPanicContainment).
 	ContainedPanics int64
-	// Stages records the pipeline's per-stage wall-clock timings.
-	Stages []PipelineStage
 	// Spans is the run's span tree: a root "pipeline" span (Parent -1)
-	// with one child per executed stage. Always populated, with or
-	// without a registry attached.
+	// with one child of Kind "stage" per executed stage, carrying its
+	// wall-clock cost. Always populated, with or without a registry
+	// attached.
 	Spans []Span
 }
-
-// PipelineStage is one pipeline stage's wall-clock timing.
-type PipelineStage = pipeline.StageTiming
 
 // Diagnose reconstructs a trace and runs the complete Microscope pipeline.
 // It accepts functional options (WithWorkers, WithObserver, WithSpec,
@@ -206,7 +202,6 @@ func reportFrom(res *pipeline.Result) *Report {
 		Health:          res.Health,
 		Degradation:     res.Degradation,
 		ContainedPanics: res.ContainedPanics,
-		Stages:          res.Stages,
 		Spans:           res.Spans,
 	}
 }
