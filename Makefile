@@ -107,7 +107,10 @@ stream-check:
 # window's cost moves with its span (1.5, 20 and 80 slides at one slide); so does
 # BenchmarkDiagnosePipeline's scaling gate (see bench).
 # BenchmarkDecodeJSON prints ns/record and allocs/record for json.Unmarshal
-# (unmarshal) and collector.DecodeJSON (decode) on the same bodies.
+# (unmarshal) and collector.DecodeJSON (decode) on the same bodies, and
+# BenchmarkDecodeStream the same for collector.AppendDecodeStream on
+# 2000-record MST2 bodies of the 16-NF trace, each decoded into the
+# previous one's storage as msserve does.
 # BenchmarkIngest prints ns/record, B/record and allocs/body for 2000-record
 # MST2 and JSON bodies posted through serve.Handler to a warm tenant.
 # BenchmarkSimulator prints ns/record and allocs/op for one fixed-seed 10 ms
@@ -115,6 +118,7 @@ stream-check:
 # red BenchmarkWindow does not hide it.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkDecodeJSON -benchtime=1x -benchmem ./internal/collector
+	$(GO) test -run '^$$' -bench BenchmarkDecodeStream -benchtime=1x -benchmem ./internal/collector
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=1x ./internal/serve
 	$(GO) test -run '^$$' -bench BenchmarkDiagnosePipeline -benchtime=1x -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench '^BenchmarkSimulator$$' -benchtime=1x -benchmem .

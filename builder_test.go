@@ -2,6 +2,7 @@ package microscope
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,9 +32,15 @@ func TestBuilderDAGRouting(t *testing.T) {
 	dep.Replay(wl)
 	dep.Run(50 * simtime.Millisecond)
 
+	if got := dep.PathOf(flowA); len(got) != 1 || got[0] != "vpn" {
+		t.Fatalf("PathOf(flow A) = %v, want [vpn]", got)
+	}
 	sawDirect, sawChain := false, false
 	for _, p := range dep.Sim().Packets() {
 		path := p.Path()
+		if pred := dep.PathOf(p.Flow); !slices.Equal(pred, path) {
+			t.Fatalf("flow %v: PathOf %v, actual path %v", p.Flow, pred, path)
+		}
 		if p.Flow == flowA {
 			if len(path) != 1 || path[0] != "vpn" {
 				t.Fatalf("flow A path: %v", path)

@@ -83,14 +83,10 @@ func (d *Deployment) Firewalls() []string {
 	return append([]string(nil), d.topo.Firewalls...)
 }
 
-// PathOf predicts the component path a flow takes through an evaluation
-// deployment.
-func (d *Deployment) PathOf(ft FiveTuple) []string {
-	if d.topo == nil {
-		return d.sim.NFs()
-	}
-	return d.topo.PathOf(ft)
-}
+// PathOf predicts the NFs a flow's packets visit, in order, from the
+// routes the deployment installed: the Builder's Choosers, a chain's single
+// path, or the evaluation topology's flow hashing.
+func (d *Deployment) PathOf(ft FiveTuple) []string { return d.sim.PathOf(ft) }
 
 // InjectInterrupt stalls an NF for dur starting at t (a CPU interrupt).
 func (d *Deployment) InjectInterrupt(nf string, at Time, dur Duration) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"microscope/internal/packet"
@@ -163,4 +164,36 @@ func TestDecodedRecordsOutliveTheBody(t *testing.T) {
 	if !reflect.DeepEqual(gotJSON, wantJSON) {
 		t.Error("JSON records changed when the body they were decoded from was overwritten")
 	}
+}
+
+// BenchmarkDecodeStream decodes 2000-record MST2 bodies of the 16-NF trace,
+// each into the storage the previous one was decoded into, as msserve's
+// binary ingest does. ns/record and allocs/record are the figures to watch.
+func BenchmarkDecodeStream(b *testing.B) {
+	recs := evalTrace(1, 6*simtime.Millisecond)
+	var bodies [][]byte
+	for i := 0; i+2000 <= len(recs); i += 2000 {
+		enc := NewEncoder()
+		for k := i; k < i+2000; k++ {
+			enc.Append(&recs[k])
+		}
+		bodies = append(bodies, enc.Bytes())
+	}
+	var dst []BatchRecord
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			var err error
+			if dst, _, err = AppendDecodeStream(dst[:0], body); err != nil || len(dst) != 2000 {
+				b.Fatalf("decode: %d records, %v", len(dst), err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(bodies) * 2000)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
 }

@@ -1,11 +1,12 @@
 package collector
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"microscope/internal/packet"
 	"microscope/internal/simtime"
@@ -210,12 +211,15 @@ func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeSt
 		return dst, st, errors.New("collector: bad magic")
 	}
 
+	data = slices.Clip(data) // timeVarint reads ahead within the stream, never past it
 	d := &frameDecoder{}
 	start := len(dst)
 	dst = slices.Grow(dst, countFrames(data))
 	if dst == nil {
 		dst = []BatchRecord{} // a stream with a header decodes to a non-nil slice
 	}
+	// Each record is checked against the one before it as it lands, so
+	// the time order needs no second scan of the records.
 	pos := 4
 	for pos < len(data) {
 		if data[pos] != frameMarker {
@@ -242,10 +246,15 @@ func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeSt
 			continue
 		}
 		dst = dst[:n+1]
+		if n > start && dst[n].At < dst[n-1].At {
+			st.Resorted++
+		}
 		pos = end
 	}
 	st.Records = len(dst) - start
-	st.Resorted = SortByTime(dst[start:])
+	if st.Resorted > 0 {
+		sortByTime(dst[start:])
+	}
 	return dst, st, nil
 }
 
@@ -262,11 +271,11 @@ const minPayloadBytes = 4
 func countFrames(data []byte) int {
 	n := 0
 	for pos := 4; pos < len(data) && data[pos] == frameMarker; n++ {
-		plen, k := binary.Uvarint(data[pos+1:])
-		if k <= 0 || plen < minPayloadBytes || plen > maxFrameBytes {
+		plen, next, ok := uvarint(data, pos+1)
+		if !ok || plen < minPayloadBytes || plen > maxFrameBytes {
 			break
 		}
-		pos += 1 + k + int(plen)
+		pos = next + int(plen)
 	}
 	return n
 }
@@ -338,12 +347,10 @@ type frameDecoder struct {
 // parse only validates: it builds no IPIDs or tuples and leaves the
 // decoder as it found it.
 func (d *frameDecoder) frame(data []byte, pos int, rec *BatchRecord, dry bool) (int, bool) {
-	p := pos + 1 // skip marker
-	plen, n := binary.Uvarint(data[p:])
-	if n <= 0 || plen > maxFrameBytes {
+	plen, p, ok := uvarint(data, pos+1) // past the marker
+	if !ok || plen > maxFrameBytes {
 		return 0, false
 	}
-	p += n
 	end := p + int(plen)
 	if end > len(data) {
 		return 0, false
@@ -351,7 +358,7 @@ func (d *frameDecoder) frame(data []byte, pos int, rec *BatchRecord, dry bool) (
 	// Table mutations must not survive a failed parse: stage and commit.
 	compsLen, queuesLen := len(d.comps), len(d.queues)
 	d.left = len(data) - p
-	ok := d.payload(data[p:end], rec, dry)
+	ok = d.payload(data[p:end], rec, dry)
 	if !ok || dry {
 		d.comps = d.comps[:compsLen]
 		d.queues = d.queues[:queuesLen]
@@ -365,65 +372,93 @@ func (d *frameDecoder) frame(data []byte, pos int, rec *BatchRecord, dry bool) (
 	return end, true
 }
 
-// wire reads the fields of one payload.
-type wire struct {
-	b   []byte
-	pos int
-}
+// The payload's fields are read by position: each reader takes the buffer
+// and where the field starts, and returns the value and where the next
+// field starts. A payload's capacity may run on into the rest of the
+// stream (see timeVarint).
 
-func (w *wire) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(w.b[w.pos:])
-	if n <= 0 {
-		return 0, false
-	}
-	w.pos += n
-	return v, true
-}
-
-// ref resolves a flagged table reference to its index, appending a new
-// string to the table when the reference defines one.
-func (w *wire) ref(table *[]string) (int, bool) {
-	v, ok := w.uvarint()
-	if !ok {
-		return 0, false
-	}
-	id := v >> 1
-	if v&1 == 0 {
-		if id >= uint64(len(*table)) {
-			return 0, false
+// uvarint reads the varint at b[pos:], accepting exactly what
+// binary.Uvarint does. It is written out rather than calling
+// binary.Uvarint so that it inlines: lengths, table references and batch
+// sizes nearly always fit in one byte, and a call would cost more than
+// reading it.
+func uvarint(b []byte, pos int) (uint64, int, bool) {
+	var x uint64
+	for s := uint(0); pos < len(b) && s < 64; s += 7 {
+		c := b[pos]
+		pos++
+		if c < 0x80 {
+			return x | uint64(c)<<s, pos, s < 63 || c <= 1
 		}
-		return int(id), true
+		x |= uint64(c&0x7f) << s
 	}
-	if id != uint64(len(*table)) {
-		return 0, false
+	return 0, pos, false
+}
+
+// timeVarint reads the timestamp, a varint of several bytes, eight at a
+// time: the first byte without a continuation bit ends it, and the 7-bit
+// groups before it are packed together. The eight bytes may run on past
+// the payload into the rest of the stream (b's capacity, which
+// AppendDecodeStream clips to the stream), but the varint must end within
+// the payload. A longer varint, or one too near the end of the stream,
+// goes through uvarint.
+func timeVarint(b []byte, pos int) (uint64, int, bool) {
+	if pos+8 <= cap(b) {
+		u := binary.LittleEndian.Uint64(b[pos : pos+8])
+		if stop := ^u & 0x8080808080808080; stop != 0 {
+			if n := bits.TrailingZeros64(stop)>>3 + 1; pos+n <= len(b) {
+				u &= stop ^ (stop - 1)
+				return u&0x7f | u>>1&(0x7f<<7) | u>>2&(0x7f<<14) | u>>3&(0x7f<<21) |
+					u>>4&(0x7f<<28) | u>>5&(0x7f<<35) | u>>6&(0x7f<<42) | u>>7&(0x7f<<49), pos + n, true
+			}
+		}
 	}
-	l, ok := w.uvarint()
-	if !ok || l > uint64(len(w.b)) || w.pos+int(l) > len(w.b) {
-		return 0, false
+	return uvarint(b, pos)
+}
+
+// define is the slow half of a flagged table reference — known strings
+// encode as (id<<1), new ones as (id<<1)|1 followed by len + bytes — for a
+// reference v, read with ok, that does not name a string the table holds:
+// it appends the string a new reference defines, and rejects a malformed
+// or dangling one. payload resolves a known reference, the usual case,
+// inline.
+func define(table *[]string, b []byte, pos int, v uint64, ok bool) (uint64, int, bool) {
+	if !ok || v&1 == 0 || v>>1 != uint64(len(*table)) {
+		return 0, pos, false
 	}
-	*table = append(*table, string(w.b[w.pos:w.pos+int(l)]))
-	w.pos += int(l)
-	return int(id), true
+	l, pos, ok := uvarint(b, pos)
+	if !ok || l > uint64(len(b)-pos) {
+		return 0, pos, false
+	}
+	*table = append(*table, string(b[pos:pos+int(l)]))
+	return v, pos + int(l), true
 }
 
 // payload parses one record body into *rec, setting every field; it must
 // consume the slice exactly. A dry parse leaves IPIDs and Tuples unset.
 func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
-	w := wire{b: b}
-	comp, ok := w.ref(&d.comps)
-	if !ok || w.pos >= len(b) {
+	v, pos, ok := uvarint(b, 0)
+	if !ok || v&1 == 1 || v>>1 >= uint64(len(d.comps)) {
+		if v, pos, ok = define(&d.comps, b, pos, v, ok); !ok {
+			return false
+		}
+	}
+	comp := int(v >> 1)
+	if pos >= len(b) {
 		return false
 	}
 	rec.Comp = d.comps[comp]
-	rec.Dir = Dir(b[w.pos])
-	w.pos++
+	rec.Dir = Dir(b[pos])
+	pos++
 	switch rec.Dir {
 	case DirWrite:
-		q, ok := w.ref(&d.queues)
-		if !ok {
-			return false
+		v, pos, ok = uvarint(b, pos)
+		if !ok || v&1 == 1 || v>>1 >= uint64(len(d.queues)) {
+			if v, pos, ok = define(&d.queues, b, pos, v, ok); !ok {
+				return false
+			}
 		}
-		rec.Queue = d.queues[q]
+		rec.Queue = d.queues[v>>1]
 	case DirRead:
 		for len(d.inQueues) <= comp {
 			d.inQueues = append(d.inQueues, "")
@@ -433,20 +468,21 @@ func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
 		}
 		rec.Queue = d.inQueues[comp]
 	case DirDeliver:
-		rec.Queue = ""
+		if rec.Queue != "" { // a slot reused from an earlier record
+			rec.Queue = ""
+		}
 	default:
 		return false
 	}
-	at, ok := w.uvarint()
+	at, pos, ok := timeVarint(b, pos)
 	if !ok {
 		return false
 	}
 	rec.At = simtime.Time(at)
-	n, ok := w.uvarint()
+	n, pos, ok := uvarint(b, pos)
 	if !ok {
 		return false
 	}
-	pos := w.pos
 	need := int(n) * 2
 	if rec.Dir == DirDeliver {
 		need = int(n) * 15
@@ -460,11 +496,14 @@ func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
 		return true
 	}
 	rec.IPIDs = d.ipidsOf(int(n), d.left/2)
+	src := b[pos : pos+2*len(rec.IPIDs)]
 	for i := range rec.IPIDs {
-		rec.IPIDs[i] = uint16(b[pos]) | uint16(b[pos+1])<<8
-		pos += 2
+		rec.IPIDs[i] = uint16(src[2*i]) | uint16(src[2*i+1])<<8
 	}
-	rec.Tuples = nil
+	pos += len(src)
+	if rec.Tuples != nil { // a slot reused from an earlier record
+		rec.Tuples = nil
+	}
 	if rec.Dir == DirDeliver {
 		rec.Tuples = d.tuplesOf(int(n), d.left/15)
 		for i := range rec.Tuples {
@@ -516,7 +555,13 @@ func Inversions(recs []BatchRecord) int {
 func SortByTime(recs []BatchRecord) int {
 	n := Inversions(recs)
 	if n > 0 {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
+		sortByTime(recs)
 	}
 	return n
+}
+
+// sortByTime is SortByTime's stable sort, for a caller that counted the
+// inversions itself.
+func sortByTime(recs []BatchRecord) {
+	slices.SortStableFunc(recs, func(a, b BatchRecord) int { return cmp.Compare(a.At, b.At) })
 }

@@ -1,9 +1,11 @@
 // Package collector implements Microscope's runtime information collection
 // (paper §5): instrumentation of the NF receive and transmit paths that
 // records, per batch, a timestamp, the batch size, and the IPID of each
-// packet — plus full five-tuples only at the egress of the NF graph. The
-// records are staged in a shared-memory-style ring drained by a dumper, and
-// a compact binary encoding keeps the cost near two bytes per packet.
+// packet — plus full five-tuples only at the egress of the NF graph. A
+// Collector keeps the records in chunks, their IPIDs and tuples on shared
+// slabs, until Trace hands them over; the compact MST2 encoding (Encoder,
+// AppendDecodeStream) keeps a stored or shipped trace near two bytes per
+// packet.
 //
 // The collector deliberately observes nothing else: no packet IDs, no
 // ground truth, no NF internals. Everything downstream (trace

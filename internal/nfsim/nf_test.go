@@ -113,7 +113,7 @@ func TestEvalTopologyPathOfPredicts(t *testing.T) {
 		if p.Dropped != "" {
 			continue
 		}
-		want := topo.PathOf(p.Flow)
+		want := topo.Sim.PathOf(p.Flow)
 		got := p.Path()
 		if len(want) != len(got) {
 			t.Fatalf("len: %v vs %v", want, got)
@@ -130,7 +130,7 @@ func TestEvalTopologyPathOfPredicts(t *testing.T) {
 	}
 	// NATOf/FirewallOf agree with PathOf.
 	ft := mix.Flows[0].Tuple
-	path := topo.PathOf(ft)
+	path := topo.Sim.PathOf(ft)
 	if topo.NATOf(ft) != path[0] || topo.FirewallOf(ft) != path[1] {
 		t.Error("NATOf/FirewallOf inconsistent with PathOf")
 	}

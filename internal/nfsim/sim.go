@@ -145,6 +145,39 @@ func (s *Sim) Downstream(name string) []string {
 	return names
 }
 
+// PathOf returns the NFs a packet of flow ft visits, in order, by asking
+// the installed routes — the source's, then each NF's — where it goes. It
+// predicts the path for routes that depend on the flow alone, as every
+// route this package and the Builder install does. It stops at egress, or
+// after as many hops as there are NFs should the routes loop.
+func (s *Sim) PathOf(ft packet.FiveTuple) []string {
+	if len(s.srcOuts) == 0 {
+		return nil
+	}
+	p := &packet.Packet{Flow: ft}
+	out := 0
+	if s.srcRoute != nil {
+		out = s.srcRoute(p)
+	}
+	if out < 0 || out >= len(s.srcOuts) {
+		out = 0
+	}
+	var path []string
+	for q := s.srcOuts[out]; len(path) < len(s.nfOrder); {
+		nf := s.nfs[q.owner]
+		path = append(path, q.owner)
+		if nf.route == nil {
+			break
+		}
+		out := nf.route(p)
+		if out == Egress || out < 0 || out >= len(nf.outs) {
+			break
+		}
+		q = nf.outs[out]
+	}
+	return path
+}
+
 // Connect wires an NF's outputs: route selects among the input queues of
 // the named downstream NFs (or returns Egress).
 func (s *Sim) Connect(name string, route RouteFunc, downstream ...string) {

@@ -199,26 +199,6 @@ func (t *EvalTopology) FirewallOf(ft packet.FiveTuple) string {
 	return t.Firewalls[(ft.Hash()*natStageSalt)%uint64(len(t.Firewalls))]
 }
 
-// PathOf returns the full component path a flow takes through the
-// evaluation topology (NAT, firewall, optional monitor, VPN).
-func (t *EvalTopology) PathOf(ft packet.FiveTuple) []string {
-	out := []string{t.NATOf(ft), t.FirewallOf(ft)}
-	h := ft.Hash() * fwStageSalt
-	web := false
-	for _, p := range t.Config.RulePorts {
-		if p == ft.DstPort {
-			web = true
-			break
-		}
-	}
-	if web {
-		out = append(out, t.Monitors[h%uint64(len(t.Monitors))])
-		h = ft.Hash() * monStageSalt
-	}
-	out = append(out, t.VPNs[h%uint64(len(t.VPNs))])
-	return out
-}
-
 // ChainSpec describes one NF in a simple linear chain.
 type ChainSpec struct {
 	Name string

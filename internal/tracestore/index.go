@@ -85,11 +85,13 @@ func (s *Store) Index(queueThreshold int) *Index {
 // and every view's queuing-period search arrays are filled into the
 // store's slabs. Delays are kept as exact integer moments (stats.Moments)
 // so a window store adds and subtracts its segments' and lands on the
-// values this scan would give over the window.
-func (s *Store) summarize() {
+// values this scan would give over the window. Latencies are sorted as the
+// integers they are and only then widened: the conversion is monotone, so
+// the run is the one a float sort would give.
+func (s *Store) summarize(sc *scratch) {
 	s.moments = resize(s.moments, len(s.views))
 	clear(s.moments)
-	s.latRun = resize(s.latRun, len(s.Journeys))[:0] // room for every journey delivered
+	lats := resize(sc.lats, len(s.Journeys))[:0] // room for every journey delivered
 	s.traceEnd = 0
 	for i := range s.Journeys {
 		j := &s.Journeys[i]
@@ -104,11 +106,50 @@ func (s *Store) summarize() {
 			}
 		}
 		if j.Delivered {
-			s.latRun = append(s.latRun, float64(j.Latency()))
+			lats = append(lats, int64(j.Latency()))
 		}
 	}
-	sort.Float64s(s.latRun)
+	sc.lats, sc.latsTmp = lats, resize(sc.latsTmp, len(lats))
+	sorted := sortInts(lats, sc.latsTmp)
+	s.latRun = resize(s.latRun, len(sorted))
+	for i, l := range sorted {
+		s.latRun[i] = float64(l)
+	}
 	s.warmPeriodIndexes()
+}
+
+// sortInts sorts a into ascending order by a least-significant-digit radix
+// sort over the span of its values, one byte per pass, back and forth
+// between a and tmp (as long as a). It returns whichever holds the result.
+func sortInts(a, tmp []int64) []int64 {
+	if len(a) < 2 {
+		return a
+	}
+	lo, hi := a[0], a[0]
+	for _, x := range a {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	// Offsets from lo, in unsigned arithmetic: exact for any two int64s.
+	span := uint64(hi) - uint64(lo)
+	var count [256]int
+	for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+		clear(count[:])
+		for _, x := range a {
+			count[(uint64(x)-uint64(lo))>>shift&0xff]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, x := range a {
+			d := (uint64(x) - uint64(lo)) >> shift & 0xff
+			tmp[count[d]] = x
+			count[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // FlowDelivery is one delivered packet of a flow: the journey index and its

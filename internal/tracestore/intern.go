@@ -1,6 +1,10 @@
 package tracestore
 
-import "microscope/internal/simtime"
+import (
+	"unsafe"
+
+	"microscope/internal/simtime"
+)
 
 // CompID is a dense interned handle for a component name. IDs are assigned
 // at Build in a deterministic order (declared meta components first, then
@@ -74,4 +78,90 @@ func (s *Store) DownstreamsID(id CompID) []CompID {
 		return nil
 	}
 	return s.downs[id]
+}
+
+// nameMemo is a small open-addressing table in front of the interner for
+// build's per-record lookups, keyed by the identity of a name's bytes
+// instead of their hash: the records decoded from one body share that
+// body's component and queue strings, and the records a simulator collects
+// share its NFs'. An entry holds its string, so while it is cached those
+// bytes cannot be freed and reused for a different string. An empty name
+// is never cached, and a full table is emptied before the next insert.
+type nameMemo struct {
+	slots [1 << memoBits]memoEntry
+	n     int
+}
+
+type memoEntry struct {
+	name string // "" marks an empty slot
+	id   CompID
+}
+
+// The table is kept at most a quarter full, so that a lookup seldom
+// probes past the home slot: 64 names, the component and queue strings of
+// two or three decoded bodies.
+const (
+	memoBits = 8
+	memoCap  = 1 << memoBits / 4
+)
+
+// lookup returns name's entry and true, or the slot to cache it in (nil
+// for an empty name) and false.
+func (m *nameMemo) lookup(name string) (*memoEntry, bool) {
+	if len(name) == 0 {
+		return nil, false
+	}
+	p := unsafe.StringData(name)
+	home := uint64(uintptr(unsafe.Pointer(p))) * 0x9E3779B97F4A7C15 >> (64 - memoBits) // Fibonacci hashing
+	for i := home; ; i = (i + 1) % uint64(len(m.slots)) {
+		e := &m.slots[i]
+		if len(e.name) == 0 {
+			if m.n == memoCap {
+				*m = nameMemo{}
+				e = &m.slots[home]
+			}
+			return e, false
+		}
+		if unsafe.StringData(e.name) == p && len(e.name) == len(name) {
+			return e, true
+		}
+	}
+}
+
+// forget empties the table if it holds components from on, which the
+// interner is about to drop (recycle).
+func (m *nameMemo) forget(from CompID) {
+	for i := range m.slots {
+		if len(m.slots[i].name) > 0 && m.slots[i].id >= from {
+			*m = nameMemo{}
+			return
+		}
+	}
+}
+
+// remember caches name as id in the slot lookup returned.
+func (m *nameMemo) remember(e *memoEntry, name string, id CompID) CompID {
+	if e != nil {
+		*e = memoEntry{name: name, id: id}
+		m.n++
+	}
+	return id
+}
+
+// compID interns a record's component.
+func (s *Store) compID(name string) CompID {
+	e, ok := s.compMemo.lookup(name)
+	if !ok {
+		return s.compMemo.remember(e, name, s.view(name).ID)
+	}
+	return e.id
+}
+
+// queueID interns the component that consumes a write record's queue.
+func (s *Store) queueID(queue string) CompID {
+	e, ok := s.queueMemo.lookup(queue)
+	if !ok {
+		return s.queueMemo.remember(e, queue, s.view(consumerOf(queue)).ID)
+	}
+	return e.id
 }

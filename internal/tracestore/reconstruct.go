@@ -135,38 +135,24 @@ func (s *Store) reconstruct(sc *scratch) {
 	s.buildJourneys(sc)
 }
 
-// indexReads sizes the per-component match tables and builds the
-// read-entry→read-event index.
+// indexReads sizes the per-component match tables.
 func (s *Store) indexReads(sc *scratch) {
 	n := len(s.views)
 	sc.deqOfArrival = resize(sc.deqOfArrival, n)
 	sc.outOfRead = resize(sc.outOfRead, n)
-	sc.readEventIdx = resize(sc.readEventIdx, n)
 	sc.upSlot = resize(sc.upSlot, n)
 	nArr, nReadPk := 0, 0
 	for _, v := range s.views {
 		nArr += len(v.Arrivals)
 		nReadPk += len(sc.views[v.ID].reads)
 	}
-	sc.arrIdx = resize(sc.arrIdx, nArr)
-	sc.readIdx = resize(sc.readIdx, 2*nReadPk)
+	sc.arrIdx = fillNeg(resize(sc.arrIdx, nArr))
+	sc.readIdx = fillNeg(resize(sc.readIdx, nReadPk))
 	arrIdx, readIdx := sc.arrIdx, sc.readIdx
 	for _, v := range s.views {
 		na, nr := len(v.Arrivals), len(sc.views[v.ID].reads)
-		sc.deqOfArrival[v.ID], arrIdx = fillNeg(arrIdx[:na]), arrIdx[na:]
-		sc.outOfRead[v.ID], readIdx = fillNeg(readIdx[:nr]), readIdx[nr:]
-		ev := readIdx[:nr]
-		readIdx = readIdx[nr:]
-		for ei := range v.Reads {
-			end := nr
-			if ei+1 < len(v.Reads) {
-				end = v.Reads[ei+1].FirstEntry
-			}
-			for k := v.Reads[ei].FirstEntry; k < end; k++ {
-				ev[k] = int32(ei)
-			}
-		}
-		sc.readEventIdx[v.ID] = ev
+		sc.deqOfArrival[v.ID], arrIdx = arrIdx[:na], arrIdx[na:]
+		sc.outOfRead[v.ID], readIdx = readIdx[:nr], readIdx[nr:]
 	}
 }
 
@@ -175,6 +161,14 @@ func fillNeg(out []int32) []int32 {
 		out[i] = -1
 	}
 	return out
+}
+
+// head is what matching reads of an upstream stream's first unconsumed
+// arrival: its index (-1 once the stream is used up), time and IPID.
+type head struct {
+	at   simtime.Time
+	ai   int32
+	ipid uint16
 }
 
 // matchQueue resolves which arrival each dequeued packet corresponds to,
@@ -202,30 +196,130 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 	}
 	sc.ptr = ptr
 	sc.streamIdx = resize(sc.streamIdx, len(v.Arrivals))
+	sc.skipIdx = resize(sc.skipIdx, len(v.Arrivals))
+	clear(sc.skipIdx)
 	streams := resize(sc.streams, len(ptr))
-	sc.streams = streams
-	rest := sc.streamIdx
+	skips := resize(sc.skips, len(ptr))
+	sc.streams, sc.skips = streams, skips
+	rest, skipRest := sc.streamIdx, sc.skipIdx
 	for k := range streams {
 		streams[k], rest = carve(rest, ptr[k])
+		skips[k], skipRest = skipRest[:ptr[k]], skipRest[ptr[k]:]
 		ptr[k] = 0
 	}
+	sc.posOf = resize(sc.posOf, len(v.Arrivals))
+	posOf := sc.posOf
 	for ai := range v.Arrivals {
 		k := sc.upSlot[v.Arrivals[ai].From]
+		posOf[ai] = int32(len(streams[k]))
 		streams[k] = append(streams[k], int32(ai))
 	}
-	sc.consumed = resize(sc.consumed, len(v.Arrivals))
-	consumed := sc.consumed
-	clear(consumed)
 	deqMatch := sc.deqOfArrival[v.ID]
 
-	advance := func(u int) int {
-		for ptr[u] < len(streams[u]) && consumed[streams[u][ptr[u]]] {
-			ptr[u]++
+	// An arrival is consumed once a dequeue has taken it (deqMatch). next
+	// returns the position of stream u's first unconsumed arrival at or
+	// after p: skips[u][q] is 0 for an unconsumed arrival, and for a
+	// consumed one how far on the next unconsumed one may be; each walk
+	// points the positions it passed at where it ended, so a run of
+	// consumed arrivals is crossed once, not by every search behind it.
+	next := func(u, p int) int {
+		sk := skips[u]
+		q := p
+		for q < len(sk) && sk[q] != 0 {
+			q += int(sk[q])
 		}
-		if ptr[u] >= len(streams[u]) {
-			return -1
+		for p < q {
+			n := p + int(sk[p])
+			sk[p] = int32(q - p)
+			p = n
 		}
-		return int(streams[u][ptr[u]])
+		return q
+	}
+
+	// Every stream's head is kept at its first unconsumed arrival: a
+	// stream moves only when its head is taken.
+	sc.heads = resize(sc.heads, len(streams))
+	heads := sc.heads
+	advance := func(u int) {
+		p := next(u, ptr[u])
+		ptr[u] = p
+		if p == len(streams[u]) {
+			heads[u] = head{ai: -1}
+			return
+		}
+		ai := streams[u][p]
+		heads[u] = head{at: v.Arrivals[ai].At, ai: ai, ipid: v.Arrivals[ai].IPID}
+	}
+	for u := range streams {
+		advance(u)
+	}
+	// The reorder search's per-IPID chains of arrivals, in time order, are
+	// built the first time a dequeue needs the search: chain[ipid] − base
+	// is the first arrival carrying ipid that may be unconsumed (stamps
+	// below base are dead, see reserveIPIDs), chainNext[a] the one after
+	// arrival a.
+	var chain *[1 << 16]int32
+	var base int32
+	var chainNext []int32
+	take := func(ai, k int) {
+		deqMatch[ai] = int32(k)
+		u := sc.upSlot[v.Arrivals[ai].From]
+		skips[u][posOf[ai]] = 1
+		if heads[u].ai == int32(ai) {
+			advance(int(u))
+		}
+	}
+	// search is the bounded reorder search for dequeue k: over each
+	// upstream's first reorderSearchBound unconsumed arrivals, up to the
+	// first one later than the dequeue or carrying its IPID, the earliest
+	// arrival carrying the IPID (the earlier upstream on a tie), or -1. It
+	// walks the IPID's chain instead of the upstreams: each upstream's
+	// first unconsumed arrival with the IPID no later than the dequeue is
+	// the one its scan would reach, if fewer than reorderSearchBound
+	// unconsumed arrivals come before it.
+	search := func(k int) int {
+		d := &reads[k]
+		if chain == nil {
+			base = sc.reserveIPIDs(len(v.Arrivals))
+			chain = sc.ipidHead
+			sc.chainNext = resize(sc.chainNext, len(v.Arrivals))
+			chainNext = sc.chainNext
+			for ai := len(v.Arrivals) - 1; ai >= 0; ai-- {
+				id := v.Arrivals[ai].IPID
+				chainNext[ai] = -1
+				if h := chain[id]; h >= base {
+					chainNext[ai] = h - base
+				}
+				chain[id] = base + int32(ai)
+			}
+		}
+		a := int32(-1)
+		if h := chain[d.IPID]; h >= base {
+			a = h - base
+		}
+		for a >= 0 && deqMatch[a] >= 0 { // consumed arrivals leave the front for good
+			a = chainNext[a]
+		}
+		chain[d.IPID] = base + a // below base once the chain is used up
+		best, bestU := -1, 0
+		for ; a >= 0 && v.Arrivals[a].At <= d.At; a = chainNext[a] {
+			if deqMatch[a] >= 0 {
+				continue
+			}
+			u := int(sc.upSlot[v.Arrivals[a].From])
+			// Count the unconsumed arrivals before a, up to the bound. A
+			// later arrival of the same upstream is never nearer, nor
+			// earlier, so it cannot displace this one.
+			n, pa := 0, int(posOf[a])
+			for p := ptr[u]; p < pa && n < reorderSearchBound; p = next(u, p+1) {
+				n++
+			}
+			if n < reorderSearchBound && (best < 0 || v.Arrivals[a].At < v.Arrivals[best].At ||
+				v.Arrivals[a].At == v.Arrivals[best].At && u < bestU) {
+				best, bestU = int(a), u
+			}
+		}
+		return best
 	}
 
 	// greedyOK reports whether, in a tentative world where extraConsumed
@@ -250,8 +344,8 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 			found := false
 			for u := range streams {
 				p := ptr[u]
-				for p < len(streams[u]) && (consumed[streams[u][p]] || isTaken(int(streams[u][p]))) {
-					p++
+				for p < len(streams[u]) && isTaken(int(streams[u][p])) {
+					p = next(u, p+1)
 				}
 				if p >= len(streams[u]) {
 					continue
@@ -278,17 +372,15 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 		// candidates. Side channel 2 (timing): arrival must precede
 		// the dequeue.
 		cands := sc.cands[:0] // arrival indices, at most one per upstream
-		for u := range streams {
-			ai := advance(u)
-			if ai >= 0 && v.Arrivals[ai].At <= d.At && v.Arrivals[ai].IPID == d.IPID {
-				cands = append(cands, ai)
+		for u := range heads {
+			if h := &heads[u]; h.ipid == d.IPID && h.ai >= 0 && h.at <= d.At {
+				cands = append(cands, int(h.ai))
 			}
 		}
 		sc.cands = cands
 		switch {
 		case len(cands) == 1:
-			consumed[cands[0]] = true
-			deqMatch[cands[0]] = int32(k)
+			take(cands[0], k)
 			s.recon.Matched++
 		case len(cands) > 1:
 			// Side channel 3 (order): pick the candidate whose
@@ -314,38 +406,15 @@ func (s *Store) matchQueue(sc *scratch, v *CompView) {
 				v.Arrivals[best].Quarantined = true
 				s.recon.DupCollisions++
 			}
-			consumed[best] = true
-			deqMatch[best] = int32(k)
+			take(best, k)
 			s.recon.LookaheadFix++
 		default:
 			// No head matches: same-instant interleavings can put
 			// the true arrival slightly deeper; search a bounded
 			// window.
-			best := -1
-			for u := range streams {
-				p := ptr[u]
-				scanned := 0
-				for p < len(streams[u]) && scanned < reorderSearchBound {
-					ai := int(streams[u][p])
-					p++
-					if consumed[ai] {
-						continue
-					}
-					scanned++
-					if v.Arrivals[ai].At > d.At {
-						break
-					}
-					if v.Arrivals[ai].IPID == d.IPID {
-						if best < 0 || v.Arrivals[ai].At < v.Arrivals[best].At {
-							best = ai
-						}
-						break
-					}
-				}
-			}
+			best := search(k)
 			if best >= 0 {
-				consumed[best] = true
-				deqMatch[best] = int32(k)
+				take(best, k)
 				s.recon.Reordered++
 			} else {
 				s.recon.Unmatched++
@@ -427,10 +496,8 @@ func (s *Store) buildJourneys(sc *scratch) {
 			IPID:      src.writes[wi].IPID,
 			EmittedAt: src.writes[wi].At,
 		}
-		comp := src.dests[wi]
-		// Arrival index of this write entry at its destination.
-		ai := sc.arrivalIndexOf(src, wi)
-		for ai >= 0 && comp != NoComp {
+		comp, ai := src.dests[wi], int(src.writes[wi].Ref)
+		for comp != NoComp {
 			v, c := s.views[comp], &sc.views[comp]
 			hop := JourneyHop{
 				Comp:      comp,
@@ -451,7 +518,7 @@ func (s *Store) buildJourneys(sc *scratch) {
 				break
 			}
 			hop.ReadAt = c.reads[k].At
-			hop.ReadEvent = int(sc.readEventIdx[comp][k])
+			hop.ReadEvent = int(c.reads[k].Ref)
 			out := sc.outOfRead[comp][k]
 			if out == noOut {
 				// Read but never emitted: dropped at a
@@ -473,8 +540,7 @@ func (s *Store) buildJourneys(sc *scratch) {
 			hop.DepartAt = c.writes[out].At
 			arena = append(arena, hop)
 			// Continue downstream.
-			comp = c.dests[out]
-			ai = sc.arrivalIndexOf(c, int(out))
+			comp, ai = c.dests[out], int(c.writes[out].Ref)
 		}
 		starts = append(starts, int32(len(arena)))
 		if j.Quarantined {
@@ -489,15 +555,4 @@ func (s *Store) buildJourneys(sc *scratch) {
 	for i := range s.Journeys {
 		s.Journeys[i].Hops = arena[starts[i]:starts[i+1]:starts[i+1]]
 	}
-}
-
-// arrivalIndexOf maps a component's write entry to the arrival index at the
-// destination view. Arrivals of one write record are contiguous at the
-// destination, so the record's base index plus the batch position suffices.
-func (sc *scratch) arrivalIndexOf(c *viewScratch, wi int) int {
-	base := sc.arrBase[c.writes[wi].Rec]
-	if base < 0 {
-		return -1
-	}
-	return int(base) + c.writes[wi].Pos
 }

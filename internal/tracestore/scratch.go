@@ -15,13 +15,11 @@ import (
 // even after a contained panic mid-seal.
 type scratch struct {
 	// Build. recComp/recDest hand each record's interned component and
-	// write destination from the count pass to the fill pass; arrBase[rec]
-	// is the arrival index, at its destination, of a write record's first
-	// packet (-1 for other records). views are the per-component tables by
-	// CompID, spans of entries, dests and tuples.
+	// write destination from the count pass to the fill pass. views are
+	// the per-component tables by CompID, spans of entries, dests and
+	// tuples.
 	recComp []CompID
 	recDest []CompID
-	arrBase []int32
 	views   []viewScratch
 	entries []Entry
 	dests   []CompID
@@ -32,29 +30,41 @@ type scratch struct {
 	//
 	// deqOfArrival[comp][arrival] is the read entry that dequeued the
 	// arrival, or -1. outOfRead[comp][readEntry] is what the packet left
-	// as (see noOut). readEventIdx[comp][readEntry] indexes Reads.
+	// as (see noOut).
 	deqOfArrival [][]int32
 	outOfRead    [][]int32
-	readEventIdx [][]int32
 	arrIdx       []int32
 	readIdx      []int32
 
 	// matchQueue: upSlot maps an upstream CompID to its stream; streams[k]
 	// lists, in order, the arrival indices written by upstream k (spans of
-	// streamIdx); ptr[k] is stream k's head; consumed marks matched
-	// arrivals; cands collects the heads matching one dequeue.
+	// streamIdx), and posOf[arrival] is the arrival's position in its
+	// stream; skips[k] (spans of skipIdx) leads past stream k's consumed
+	// arrivals; ptr[k] is stream k's first unconsumed arrival and heads[k]
+	// a copy of what matching reads of it; cands collects the heads
+	// matching one dequeue.
 	upSlot    []int32
 	streams   [][]int32
 	streamIdx []int32
+	posOf     []int32
+	skips     [][]int32
+	skipIdx   []int32
 	ptr       []int
-	consumed  []bool
+	heads     []head
 	cands     []int
+	// chainNext links a view's arrivals carrying one IPID, for the reorder
+	// search (matchQueue), whose chain heads live in ipidHead.
+	chainNext []int32
+
+	// summarize: the delivered latencies, and sortInts' second buffer.
+	lats, latsTmp []int64
 
 	// threadInternal's per-IPID FIFOs of read entries: ipidHead[ipid] is
 	// the first unconsumed read entry carrying that IPID, next[k] the one
 	// after read entry k. Heads are stored offset by a base that only
-	// grows (reserveIPIDs), so entries left by an earlier view or store are
-	// recognisably dead and the 64 Ki table is never cleared between uses.
+	// grows (reserveIPIDs), so entries left by an earlier view, store or
+	// use (matchQueue's arrival chains share the table) are recognisably
+	// dead and the 64 Ki table is never cleared between uses.
 	ipidHead *[1 << 16]int32
 	ipidNext int32
 	next     []int32

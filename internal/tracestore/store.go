@@ -29,12 +29,15 @@ import (
 )
 
 // Entry is one packet-level event extracted from a batch record: one packet
-// read, written, or delivered by a component.
+// read, written, or delivered by a component. It is 16 bytes: build fills
+// one per packet per direction, the most numerous scratch rows.
 type Entry struct {
-	At   simtime.Time
+	At simtime.Time
+	// Ref is, for a read entry, the index of its batch in the component's
+	// Reads; for a write entry, the packet's index in the destination's
+	// Arrivals; unused for a deliver entry.
+	Ref  int32
 	IPID uint16
-	Rec  int // index into Trace.Records
-	Pos  int // position within the batch
 }
 
 // ReadEvent is one batch read: the unit of the queuing-period signal.
@@ -100,12 +103,16 @@ type Store struct {
 	// is the reverse map. peaks/kinds/downs are the per-component meta
 	// tables the hot paths read by ID instead of rescanning Meta.
 	byName map[string]CompID //mslint:allow compid this IS the interner: the one sanctioned name-to-CompID map
-	names  []string
-	views  []*CompView
-	peaks  []simtime.Rate
-	kinds  []string
-	downs  [][]CompID
-	srcID  CompID
+	// compMemo and queueMemo cache build's record lookups in front of
+	// byName: a record's component, and a write record's queue to the
+	// component consuming it.
+	compMemo, queueMemo nameMemo
+	names               []string
+	views               []*CompView
+	peaks               []simtime.Rate
+	kinds               []string
+	downs               [][]CompID
+	srcID               CompID
 
 	// nDecl is how many leading views are the declared components: the
 	// part of the interner a recycled segment store keeps. metaFor is the
@@ -134,6 +141,9 @@ type Store struct {
 	cums     []int
 	// traceBuf is Trace's storage for segment stores.
 	traceBuf collector.Trace
+	// payload is the bytes of the records' IPIDs and Tuples, counted by
+	// build for a segment's size estimate.
+	payload int64
 
 	recon ReconStats
 
@@ -278,7 +288,7 @@ func Build(tr *collector.Trace) *Store {
 func (s *Store) derive(tr *collector.Trace, sc *scratch) {
 	s.build(tr, sc)
 	s.reconstruct(sc)
-	s.summarize()
+	s.summarize(sc)
 }
 
 // build indexes tr through sc. Two passes over the records: the first
@@ -307,28 +317,28 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 	recs := tr.Records
 	sc.recComp = resize(sc.recComp, len(recs))
 	sc.recDest = resize(sc.recDest, len(recs))
-	sc.arrBase = resize(sc.arrBase, len(recs))
 	sc.views = sc.views[:0]
+	s.payload = 0
 	for ri := range recs {
 		r := &recs[ri]
 		n := len(r.IPIDs)
+		s.payload += sizeOf(r.IPIDs) + sizeOf(r.Tuples)
 		switch r.Dir {
 		case collector.DirRead:
-			v := s.view(r.Comp)
-			sc.recComp[ri] = v.ID
-			c := sc.view(v.ID)
+			id := s.compID(r.Comp)
+			sc.recComp[ri] = id
+			c := sc.view(id)
 			c.nReads++
 			c.nReadPk += n
 		case collector.DirWrite:
-			v := s.view(r.Comp)
-			dv := s.view(consumerOf(r.Queue))
-			sc.recComp[ri], sc.recDest[ri] = v.ID, dv.ID
-			sc.view(v.ID).nWritePk += n
-			sc.view(dv.ID).nArrivals += n
+			id, dest := s.compID(r.Comp), s.queueID(r.Queue)
+			sc.recComp[ri], sc.recDest[ri] = id, dest
+			sc.view(id).nWritePk += n
+			sc.view(dest).nArrivals += n
 		case collector.DirDeliver:
-			v := s.view(r.Comp)
-			sc.recComp[ri] = v.ID
-			sc.view(v.ID).nDeliverPk += n
+			id := s.compID(r.Comp)
+			sc.recComp[ri] = id
+			sc.view(id).nDeliverPk += n
 		}
 	}
 	// Intern edge endpoints too, so the downstream adjacency can name
@@ -366,43 +376,53 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 		c.tuples, tuples = carve(tuples, c.nDeliverPk)
 	}
 
+	// The fill pass writes each record's rows by index into spans the
+	// count pass sized exactly.
 	for ri := range recs {
 		r := &recs[ri]
-		sc.arrBase[ri] = -1
+		n := len(r.IPIDs)
 		switch r.Dir {
 		case collector.DirRead:
 			v, c := s.views[sc.recComp[ri]], &sc.views[sc.recComp[ri]]
+			ev, e0 := int32(len(v.Reads)), len(c.reads)
 			v.Reads = append(v.Reads, ReadEvent{
 				At:         r.At,
-				N:          len(r.IPIDs),
-				Drained:    len(r.IPIDs) < s.MaxBatch,
-				FirstEntry: len(c.reads),
+				N:          n,
+				Drained:    n < s.MaxBatch,
+				FirstEntry: e0,
 			})
-			for pos, id := range r.IPIDs {
-				c.reads = append(c.reads, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
+			c.reads = c.reads[:e0+n]
+			for i, id := range r.IPIDs {
+				c.reads[e0+i] = Entry{At: r.At, Ref: ev, IPID: id}
 			}
 		case collector.DirWrite:
-			c, dv := &sc.views[sc.recComp[ri]], s.views[sc.recDest[ri]]
-			sc.arrBase[ri] = int32(len(dv.Arrivals))
-			for pos, id := range r.IPIDs {
-				c.writes = append(c.writes, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
-				c.dests = append(c.dests, dv.ID)
-				// Arrival lists merge upstream writes per destination
-				// in (time, record order) — record order is already
-				// time order within the trace.
-				dv.Arrivals = append(dv.Arrivals, Arrival{At: r.At, IPID: id, From: sc.recComp[ri], Journey: -1})
+			from := sc.recComp[ri]
+			c, dv := &sc.views[from], s.views[sc.recDest[ri]]
+			a0, w0 := len(dv.Arrivals), len(c.writes)
+			// Arrival lists merge upstream writes per destination in
+			// (time, record order) — record order is already time order
+			// within the trace.
+			arrivals := dv.Arrivals[a0 : a0+n]
+			writes, dests := c.writes[w0:w0+n], c.dests[w0:w0+n]
+			dv.Arrivals, c.writes, c.dests = dv.Arrivals[:a0+n], c.writes[:w0+n], c.dests[:w0+n]
+			for i, id := range r.IPIDs {
+				writes[i] = Entry{At: r.At, Ref: int32(a0 + i), IPID: id}
+				dests[i] = dv.ID
+				arrivals[i] = Arrival{At: r.At, IPID: id, From: from, Journey: -1}
 			}
 		case collector.DirDeliver:
 			c := &sc.views[sc.recComp[ri]]
-			for pos, id := range r.IPIDs {
-				c.delivers = append(c.delivers, Entry{At: r.At, IPID: id, Rec: ri, Pos: pos})
+			e0 := len(c.delivers)
+			c.delivers, c.tuples = c.delivers[:e0+n], c.tuples[:e0+n]
+			for i, id := range r.IPIDs {
+				c.delivers[e0+i] = Entry{At: r.At, IPID: id}
 				// A damaged record can carry fewer five-tuples than
 				// IPIDs; pad with the zero tuple rather than panic.
 				var tup packet.FiveTuple
-				if pos < len(r.Tuples) {
-					tup = r.Tuples[pos]
+				if i < len(r.Tuples) {
+					tup = r.Tuples[i]
 				}
-				c.tuples = append(c.tuples, tup)
+				c.tuples[e0+i] = tup
 			}
 		}
 	}
@@ -417,6 +437,8 @@ func (s *Store) recycle() {
 	for _, name := range s.names[s.nDecl:] {
 		delete(s.byName, name)
 	}
+	s.compMemo.forget(CompID(s.nDecl))
+	s.queueMemo.forget(CompID(s.nDecl))
 	s.names = s.names[:s.nDecl]
 	s.views = s.views[:s.nDecl]
 	for _, v := range s.views {

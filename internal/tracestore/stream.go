@@ -549,22 +549,19 @@ func (s *Stream) RebuildWindow() *Store {
 	return w.publish(traceEnd)
 }
 
-// sizeBytes estimates the segment's retained footprint: its records with
-// their payloads, and every array its store keeps. An estimate, not an
-// accounting — the slices' lengths, not their capacities, and no headers —
-// used for the retained-bytes gauge and the steady-state heap bound.
+// sizeBytes estimates a sealed segment's retained footprint: its records
+// with their payloads (counted by build), and every array its store keeps.
+// An estimate, not an accounting — the slices' lengths, not their
+// capacities, and no headers — used for the retained-bytes gauge and the
+// steady-state heap bound.
 func (g *Segment) sizeBytes() int64 {
-	b := sizeOf(g.records)
-	for i := range g.records {
-		b += sizeOf(g.records[i].IPIDs) + sizeOf(g.records[i].Tuples)
-	}
-	if st := g.st; st != nil {
-		b += sizeOf(st.hopArena) + sizeOf(st.Journeys) + sizeOf(st.moments) + sizeOf(st.latRun)
-		for _, v := range st.views {
-			pi := &v.pidx
-			b += sizeOf(v.Arrivals) + sizeOf(v.Reads) +
-				sizeOf(pi.arrivalTimes) + sizeOf(pi.drainTimes) + sizeOf(pi.readTimes) + sizeOf(pi.readCum)
-		}
+	st := g.st
+	b := sizeOf(g.records) + st.payload +
+		sizeOf(st.hopArena) + sizeOf(st.Journeys) + sizeOf(st.moments) + sizeOf(st.latRun)
+	for _, v := range st.views {
+		pi := &v.pidx
+		b += sizeOf(v.Arrivals) + sizeOf(v.Reads) +
+			sizeOf(pi.arrivalTimes) + sizeOf(pi.drainTimes) + sizeOf(pi.readTimes) + sizeOf(pi.readCum)
 	}
 	return b
 }
