@@ -13,8 +13,11 @@
 package autofocus
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"microscope/internal/packet"
 )
@@ -221,6 +224,29 @@ var nodesByLevel = func() (by [][]node) {
 	return by
 }()
 
+// nodeSet is a set of nodes of one level, by index: a level has at most
+// 256 nodes (the widest has 203).
+type nodeSet [4]uint64
+
+// joinable[g][d][r] is the set of level-g nodes whose rung on dimension d
+// is at least r: ANDed over a leaf's floors, the nodes it can join.
+var joinable = func() [][dims][maxRungs]nodeSet {
+	by := make([][dims][maxRungs]nodeSet, len(nodesByLevel))
+	for g, nodes := range nodesByLevel {
+		if len(nodes) > len(nodeSet{})*64 {
+			panic("autofocus: a lattice level outgrows nodeSet")
+		}
+		for ni, nd := range nodes {
+			for d, rung := range nd {
+				for r := 0; r <= int(rung); r++ {
+					by[g][d][r][ni/64] |= 1 << (ni % 64)
+				}
+			}
+		}
+	}
+	return by
+}()
+
 // noLevel marks an NF rung a leaf has no cell on (empty NF or Kind).
 const noLevel = ^uint32(0)
 
@@ -271,16 +297,37 @@ type leafKey struct {
 	nf   string
 }
 
+// Scratch is the reusable working memory of AggregateStats: the maps it
+// groups leaves, interns NFs, sums one-dimensional aggregates and indexes
+// cells with, and the slices of the level search. A worker that runs many
+// small searches keeps one; its maps are cleared, not remade, so a warm
+// search allocates only the patterns it returns. The zero value is ready;
+// a Scratch must not be used by two searches at once.
+type Scratch struct {
+	leafIdx map[leafKey]int32
+	leaves  []leaf
+	nfIDs   map[NFAgg]uint32
+	nfByID  []NFAgg
+	sums    map[uint64]float64
+	live    []int32
+	index   map[cellKey]int32
+	cells   []cell
+	links   []link
+	heavy   []heavyCell
+	out     []Pattern
+}
+
 // Aggregate runs the hierarchical heavy-hitter search and returns patterns
 // sorted by descending residual weight (most significant first), most
 // specific first among equals.
 func Aggregate(items []Item, cfg Config) []Pattern {
-	out, _ := AggregateStats(items, cfg)
+	var s Scratch
+	out, _ := s.AggregateStats(items, cfg)
 	return out
 }
 
 // AggregateStats is Aggregate that also reports how much of the lattice the
-// search touched.
+// search touched, in s's working memory.
 //
 // The search walks generality levels in order over the leaves no reported
 // pattern has consumed yet. It is the exhaustive search (expand every leaf's
@@ -290,51 +337,10 @@ func Aggregate(items []Item, cfg Config) []Pattern {
 // of its level is never reported; a consumed member adds an exact 0.0; and
 // once the unconsumed weight is below the threshold no cell at any level can
 // reach it.
-func AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
+func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 	cfg.setDefaults()
-
-	// Group identical observations into leaves, interning NF instances
-	// and types to per-call ids (0 is "any").
-	var total float64
-	leafIdx := make(map[leafKey]int32)
-	var leaves []leaf
-	nfIDs, nfByID := map[NFAgg]uint32{}, []NFAgg{{}}
-	nfID := func(a NFAgg) uint32 {
-		if a.Name == "" && a.Kind == "" {
-			return noLevel
-		}
-		id, ok := nfIDs[a]
-		if !ok {
-			id = uint32(len(nfByID))
-			nfIDs[a], nfByID = id, append(nfByID, a)
-		}
-		return id
-	}
-	for _, it := range items {
-		total += it.Weight
-		k := leafKey{it.Flow, it.NF}
-		if i, ok := leafIdx[k]; ok {
-			leaves[i].weight += it.Weight
-			continue
-		}
-		leafIdx[k] = int32(len(leaves))
-		lf := leaf{weight: it.Weight}
-		for r, l := range prefixLens {
-			lf.at[dimSrc][r], lf.at[dimDst][r] = maskPrefix(it.Flow.SrcIP, l), maskPrefix(it.Flow.DstIP, l)
-		}
-		sp, dp := portRangesFor(it.Flow.SrcPort), portRangesFor(it.Flow.DstPort)
-		for r := range sp {
-			lf.at[dimSport][r], lf.at[dimDport][r] = uint32(sp[r].Lo), uint32(dp[r].Lo)
-		}
-		lf.at[dimProto][0] = uint32(it.Flow.Proto)
-		// An empty name or kind has no rung of its own: its cell
-		// would be the next rung's.
-		lf.at[dimNF][0], lf.at[dimNF][1] = noLevel, nfID(NFAgg{Kind: it.Kind})
-		if it.NF != "" {
-			lf.at[dimNF][0] = nfID(NFAgg{Name: it.NF, Kind: it.Kind})
-		}
-		leaves = append(leaves, lf)
-	}
+	total := s.group(items)
+	leaves := s.leaves
 	st := Stats{Leaves: len(leaves)}
 	if total <= 0 {
 		return nil, st
@@ -344,18 +350,11 @@ func AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 	// live lists the unconsumed leaves in leaf order. Consuming a leaf
 	// zeroes its weight: it adds 0.0 to every sum from then on and no
 	// longer counts as contributing, as a leaf without weight never does.
-	live := make([]int32, 0, len(leaves))
+	live := s.live[:0]
 	for li := range leaves {
 		live = append(live, int32(li))
 	}
-	var (
-		out   []Pattern
-		sums  = make(map[uint64]float64)
-		index = make(map[cellKey]int32)
-		cells []cell
-		links []link
-		heavy []heavyCell
-	)
+	out := s.out[:0]
 	stale := true // live has leaves to drop, floors are out of date
 	for level, nodes := range nodesByLevel {
 		if stale {
@@ -369,57 +368,66 @@ func AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 				break // no cell of this or any later level can reach minW
 			}
 			if level > 0 { // level 0 is one node: nothing to prune
-				setFloors(leaves, live, minW, sums)
+				s.setFloors(live, minW)
 				stale = false
 			}
 		}
 
-		// Project the leaves onto the nodes of the level, summing each
-		// cell's live weight in leaf order.
-		clear(index)
-		cells, links = cells[:0], links[:0]
-		for ni, nd := range nodes {
-		nextLeaf:
-			for _, li := range live {
-				lf := &leaves[li]
-				k := cellKey{node: uint32(ni)}
-				for d, r := range nd {
-					if r < lf.floor[d] {
-						continue nextLeaf
+		// Project each live leaf onto the nodes of the level it can
+		// join, leaf by leaf, so every cell sums its live weight and
+		// chains its members in leaf order.
+		clear(s.index)
+		cells, links := s.cells[:0], s.links[:0]
+		sets := &joinable[level]
+		for _, li := range live {
+			lf := &leaves[li]
+			set := sets[0][lf.floor[0]]
+			for d := 1; d < dims; d++ {
+				for w, word := range sets[d][lf.floor[d]] {
+					set[w] &= word
+				}
+			}
+			for w, word := range set {
+				for ; word != 0; word &= word - 1 {
+					ni := w*64 + bits.TrailingZeros64(word)
+					k := cellKey{node: uint32(ni)}
+					for d, r := range nodes[ni] {
+						k.at[d] = lf.at[d][r]
 					}
-					k.at[d] = lf.at[d][r]
+					if k.at[dimNF] == noLevel {
+						continue
+					}
+					ci, ok := s.index[k]
+					if !ok {
+						ci = int32(len(cells))
+						s.index[k] = ci
+						cells = append(cells, cell{key: k, head: -1, tail: -1})
+					}
+					c := &cells[ci]
+					c.weight += lf.weight
+					if c.tail < 0 {
+						c.head = int32(len(links))
+					} else {
+						links[c.tail].next = int32(len(links))
+					}
+					c.tail = int32(len(links))
+					links = append(links, link{leaf: li, next: -1})
 				}
-				if k.at[dimNF] == noLevel {
-					continue
-				}
-				ci, ok := index[k]
-				if !ok {
-					ci = int32(len(cells))
-					index[k] = ci
-					cells = append(cells, cell{key: k, head: -1, tail: -1})
-				}
-				c := &cells[ci]
-				c.weight += lf.weight
-				if c.tail < 0 {
-					c.head = int32(len(links))
-				} else {
-					links[c.tail].next = int32(len(links))
-				}
-				c.tail = int32(len(links))
-				links = append(links, link{leaf: li, next: -1})
 			}
 		}
+		s.cells, s.links = cells, links
 		st.Cells += len(links)
 
 		// Only cells that reach minW now can be reported; visit them in
 		// the canonical aggregate order.
-		heavy = heavy[:0]
+		heavy := s.heavy[:0]
 		for ci := range cells {
 			if c := &cells[ci]; c.weight >= minW {
-				heavy = append(heavy, heavyCell{key: aggKeyOf(c.key, nodes[c.key.node], nfByID), head: c.head})
+				heavy = append(heavy, heavyCell{key: aggKeyOf(&c.key, nodes[c.key.node], s.nfByID), head: c.head})
 			}
 		}
-		sort.Slice(heavy, func(i, j int) bool { return aggKeyLess(heavy[i].key, heavy[j].key) })
+		slices.SortFunc(heavy, func(a, b heavyCell) int { return aggKeyCmp(&a.key, &b.key) })
+		s.heavy = heavy
 
 		// Greedy residual reporting: a cell is reported when its
 		// unconsumed member weight crosses the threshold; reporting
@@ -443,19 +451,78 @@ func AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 			stale = true
 		}
 	}
+	s.live, s.out = live, out
 
 	// Total order: weight desc, then the canonical aggregate-key order, so
 	// the ranking never depends on the level traversal above.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
+	slices.SortStableFunc(out, func(a, b Pattern) int {
+		if a.Weight != b.Weight {
+			if a.Weight > b.Weight {
+				return -1
+			}
+			return 1
 		}
-		return aggKeyLess(aggKey{flow: out[i].Flow, nf: out[i].NF}, aggKey{flow: out[j].Flow, nf: out[j].NF})
+		return aggKeyCmp(&aggKey{flow: a.Flow, nf: a.NF}, &aggKey{flow: b.Flow, nf: b.NF})
 	})
 	if cfg.MaxPatterns > 0 && len(out) > cfg.MaxPatterns {
 		out = out[:cfg.MaxPatterns]
 	}
-	return out, st
+	if len(out) == 0 {
+		return nil, st
+	}
+	return slices.Clone(out), st
+}
+
+// group turns the items into s.leaves, one per distinct <flow, NF>, and
+// returns their total weight. NF instances and types get per-call ids
+// (0 is "any").
+func (s *Scratch) group(items []Item) float64 {
+	if s.leafIdx == nil {
+		s.leafIdx, s.nfIDs = make(map[leafKey]int32), make(map[NFAgg]uint32)
+		s.sums, s.index = make(map[uint64]float64), make(map[cellKey]int32)
+	}
+	clear(s.leafIdx)
+	clear(s.nfIDs)
+	s.leaves = s.leaves[:0]
+	s.nfByID = append(s.nfByID[:0], NFAgg{})
+	nfID := func(a NFAgg) uint32 {
+		if a.Name == "" && a.Kind == "" {
+			return noLevel
+		}
+		id, ok := s.nfIDs[a]
+		if !ok {
+			id = uint32(len(s.nfByID))
+			s.nfIDs[a], s.nfByID = id, append(s.nfByID, a)
+		}
+		return id
+	}
+	var total float64
+	for _, it := range items {
+		total += it.Weight
+		k := leafKey{it.Flow, it.NF}
+		if i, ok := s.leafIdx[k]; ok {
+			s.leaves[i].weight += it.Weight
+			continue
+		}
+		s.leafIdx[k] = int32(len(s.leaves))
+		lf := leaf{weight: it.Weight}
+		for r, l := range prefixLens {
+			lf.at[dimSrc][r], lf.at[dimDst][r] = maskPrefix(it.Flow.SrcIP, l), maskPrefix(it.Flow.DstIP, l)
+		}
+		sp, dp := portRangesFor(it.Flow.SrcPort), portRangesFor(it.Flow.DstPort)
+		for r := range sp {
+			lf.at[dimSport][r], lf.at[dimDport][r] = uint32(sp[r].Lo), uint32(dp[r].Lo)
+		}
+		lf.at[dimProto][0] = uint32(it.Flow.Proto)
+		// An empty name or kind has no rung of its own: its cell
+		// would be the next rung's.
+		lf.at[dimNF][0], lf.at[dimNF][1] = noLevel, nfID(NFAgg{Kind: it.Kind})
+		if it.NF != "" {
+			lf.at[dimNF][0] = nfID(NFAgg{Name: it.NF, Kind: it.Kind})
+		}
+		s.leaves = append(s.leaves, lf)
+	}
+	return total
 }
 
 // setFloors sets, for every live leaf and dimension, the first rung on which
@@ -465,22 +532,22 @@ func AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 // non-negative weights in leaf order never exceed the same sum over a
 // superset, so the leaf can be left out of such cells without changing which
 // cells reach minW.
-func setFloors(leaves []leaf, live []int32, minW float64, sums map[uint64]float64) {
+func (s *Scratch) setFloors(live []int32, minW float64) {
 	key := func(d, r int, v uint32) uint64 { return uint64(d*maxRungs+r)<<32 | uint64(v) }
-	clear(sums)
+	clear(s.sums)
 	for _, li := range live {
-		lf := &leaves[li]
+		lf := &s.leaves[li]
 		for d := range lf.at {
 			for r := 0; r < rungs[d]-1; r++ { // the last rung is every live leaf
-				sums[key(d, r, lf.at[d][r])] += lf.weight
+				s.sums[key(d, r, lf.at[d][r])] += lf.weight
 			}
 		}
 	}
 	for _, li := range live {
-		lf := &leaves[li]
+		lf := &s.leaves[li]
 		for d := range lf.at {
 			r := 0
-			for r < rungs[d]-1 && !(sums[key(d, r, lf.at[d][r])] >= minW) {
+			for r < rungs[d]-1 && !(s.sums[key(d, r, lf.at[d][r])] >= minW) {
 				r++
 			}
 			lf.floor[d] = uint8(r)
@@ -489,7 +556,7 @@ func setFloors(leaves []leaf, live []int32, minW float64, sums map[uint64]float6
 }
 
 // aggKeyOf rebuilds the aggregate a cell key stands for at node nd.
-func aggKeyOf(k cellKey, nd node, nfByID []NFAgg) aggKey {
+func aggKeyOf(k *cellKey, nd node, nfByID []NFAgg) aggKey {
 	proto := int16(-1)
 	if nd[dimProto] == 0 {
 		proto = int16(k.at[dimProto])
@@ -506,26 +573,36 @@ func aggKeyOf(k cellKey, nd node, nfByID []NFAgg) aggKey {
 	}
 }
 
-func aggKeyLess(a, b aggKey) bool {
-	af, bf := a.flow, b.flow
+// aggKeyCmp is the canonical aggregate order: by source prefix then the
+// longer prefix, the same for the destination, port ranges by (Lo, Hi),
+// protocol, then NF name and kind. Distinct aggregates never compare equal.
+func aggKeyCmp(a, b *aggKey) int {
+	af, bf := &a.flow, &b.flow
 	switch {
 	case af.SrcPrefix != bf.SrcPrefix:
-		return af.SrcPrefix < bf.SrcPrefix
+		return cmp.Compare(af.SrcPrefix, bf.SrcPrefix)
 	case af.SrcLen != bf.SrcLen:
-		return af.SrcLen > bf.SrcLen
+		return cmp.Compare(bf.SrcLen, af.SrcLen)
 	case af.DstPrefix != bf.DstPrefix:
-		return af.DstPrefix < bf.DstPrefix
+		return cmp.Compare(af.DstPrefix, bf.DstPrefix)
 	case af.DstLen != bf.DstLen:
-		return af.DstLen > bf.DstLen
+		return cmp.Compare(bf.DstLen, af.DstLen)
 	case af.SrcPort != bf.SrcPort:
-		return af.SrcPort.Lo < bf.SrcPort.Lo || (af.SrcPort.Lo == bf.SrcPort.Lo && af.SrcPort.Hi < bf.SrcPort.Hi)
+		return portCmp(af.SrcPort, bf.SrcPort)
 	case af.DstPort != bf.DstPort:
-		return af.DstPort.Lo < bf.DstPort.Lo || (af.DstPort.Lo == bf.DstPort.Lo && af.DstPort.Hi < bf.DstPort.Hi)
+		return portCmp(af.DstPort, bf.DstPort)
 	case af.Proto != bf.Proto:
-		return af.Proto < bf.Proto
+		return cmp.Compare(af.Proto, bf.Proto)
 	case a.nf.Name != b.nf.Name:
-		return a.nf.Name < b.nf.Name
+		return strings.Compare(a.nf.Name, b.nf.Name)
 	default:
-		return a.nf.Kind < b.nf.Kind
+		return strings.Compare(a.nf.Kind, b.nf.Kind)
 	}
+}
+
+func portCmp(a, b PortRange) int {
+	if a.Lo != b.Lo {
+		return cmp.Compare(a.Lo, b.Lo)
+	}
+	return cmp.Compare(a.Hi, b.Hi)
 }

@@ -214,7 +214,13 @@ func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeSt
 	data = slices.Clip(data) // timeVarint reads ahead within the stream, never past it
 	d := &frameDecoder{}
 	start := len(dst)
-	dst = slices.Grow(dst, countFrames(data))
+	// One make and a copy, not slices.Grow: under the race detector the
+	// compiler does not fuse Grow's append(make), and it allocates twice.
+	if need := countFrames(data); cap(dst)-len(dst) < need {
+		grown := make([]BatchRecord, len(dst), len(dst)+need)
+		copy(grown, dst)
+		dst = grown
+	}
 	if dst == nil {
 		dst = []BatchRecord{} // a stream with a header decodes to a non-nil slice
 	}

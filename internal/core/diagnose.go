@@ -51,12 +51,16 @@ type diagnoser struct {
 	memo *diagMemo
 	// src is the interned traffic source (NoComp when the trace has none).
 	src tracestore.CompID
+	// walkedN counts the arrivals this run added to the memo's
+	// busy-period walks (walk.go).
+	walkedN atomic.Int64
 
 	// Observability handles, all nil (zero-cost no-ops) when neither the
 	// config nor the process default carries a registry.
 	victims       *obs.Counter
 	victimNS      *obs.Histogram
 	victimPanics  *obs.Counter
+	walked        *obs.Counter
 	memoHits      *obs.Counter
 	memoMisses    *obs.Counter
 	memoReused    *obs.Counter
@@ -79,6 +83,7 @@ func (e *Engine) newDiagnoser(st *tracestore.Store) *diagnoser {
 		d.victims = reg.Counter("microscope_diag_victims_total")
 		d.victimNS = reg.Histogram("microscope_diag_victim_ns")
 		d.victimPanics = reg.Counter("microscope_diag_victim_panics_total")
+		d.walked = reg.Counter("microscope_diag_arrivals_walked_total")
 		d.memoHits = reg.Counter("microscope_diag_memo_hits_total")
 		d.memoMisses = reg.Counter("microscope_diag_memo_misses_total")
 		d.memoReused = reg.Counter("microscope_stream_memo_reused_hits_total")
@@ -87,6 +92,12 @@ func (e *Engine) newDiagnoser(st *tracestore.Store) *diagnoser {
 		d.tracer = reg.Tracer()
 	}
 	return d
+}
+
+// bookWalks counts, once a run's workers have joined, the arrivals the
+// run walked.
+func (d *diagnoser) bookWalks() {
+	d.walked.Add(d.walkedN.Load())
 }
 
 // takeArena lends a caller a scratch arena for the length of a run (or a
@@ -164,6 +175,7 @@ func (e *Engine) diagnoseAll(ctx context.Context, d *diagnoser, victims []Victim
 	err := par.DoWorkersCtx(ctx, len(victims), len(arenas), func(w, i int) {
 		out[i] = e.diagnoseContained(d, victims, i, arenas[w])
 	})
+	d.bookWalks()
 	return out, err
 }
 
@@ -239,6 +251,7 @@ func (e *Engine) DiagnoseVictim(st *tracestore.Store, v Victim) Diagnosis {
 	d := e.newDiagnoser(st)
 	a := e.takeArena(d)
 	defer e.putArenas(a)
+	defer d.bookWalks()
 	return e.diagnoseContained(d, []Victim{v}, 0, a)
 }
 
@@ -696,17 +709,15 @@ func (d *diagnoser) diagnoseAtPeriod(comp tracestore.CompID, qp *tracestore.Queu
 }
 
 // periodJourneys lists the journeys of a queuing period's arrivals (as
-// journey references), memoized per (NF, period). Callers treat the result
-// as read-only.
+// journey references), memoized per (NF, period): a prefix of its busy
+// period's walk. Callers treat the result as read-only.
 func (d *diagnoser) periodJourneys(comp tracestore.CompID, qp *tracestore.QueuingPeriod) []int {
 	return d.memo.periodJ.do(periodKey{comp: comp, start: qp.Start, end: qp.End}, d.memoHits, d.memoMisses, d.memoReused, func() []int {
-		var out []int
-		for _, arr := range d.st.PeriodArrivals(qp) {
-			if arr.Journey >= 0 {
-				out = append(out, arr.Journey)
-			}
+		arrivals := d.st.PeriodArrivals(qp)
+		if arrivals == nil {
+			return nil
 		}
-		return out
+		return d.walkOf(comp, qp).journeysOf(arrivals)
 	})
 }
 

@@ -55,6 +55,7 @@ func (e *Engine) Explain(st *tracestore.Store, v Victim) *Explanation {
 	d := e.newDiagnoser(st)
 	a := e.takeArena(d)
 	defer e.putArenas(a)
+	defer d.bookWalks()
 	ex := &Explanation{Victim: v}
 	e.contain(d, "victim", func() {
 		e.chaos("victim:0")

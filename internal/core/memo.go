@@ -163,11 +163,13 @@ type splitResult struct {
 	total float64
 }
 
-// diagMemo is the per-(store, threshold) diagnosis cache.
+// diagMemo is the per-(store, threshold) diagnosis cache, with the walks
+// its prop and periodJ entries are answered from.
 type diagMemo struct {
 	prop    flight[[]propPath]
 	split   flight[*splitResult]
 	periodJ flight[[]int]
+	walks   walkTable
 }
 
 // memoFor returns the engine's diagnosis cache for st, creating it when the
@@ -230,6 +232,9 @@ func (e *Engine) CarryMemo(st *tracestore.Store, newStart simtime.Time) int {
 	}
 	e.bindMemo(st, memo)
 	e.mu.Unlock()
+	// Walks are not carried: the argument below covers the memo's
+	// answers, one period at a time, not a walk's state past them.
+	memo.walks.reset()
 	kept := memo.prop.rebind(func(k periodKey, _ []propPath) bool {
 		return k.start >= newStart
 	})

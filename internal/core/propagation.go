@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strings"
 
 	"microscope/internal/simtime"
@@ -9,10 +8,9 @@ import (
 )
 
 // pathStats aggregates the PreSet subset that traversed one upstream path.
+// It is a prefix of a busy period's walk (walk.go): its slices alias the
+// walk's append-only rows and are read-only.
 type pathStats struct {
-	// key is the path's interned encoding (big-endian CompID bytes) —
-	// an opaque map/sort key, not for display; see diagnoser.pathLabel.
-	key   string
 	comps []tracestore.CompID // upstream components in order, comps[0] is the source
 	// journeys of the subset (journey references), for culprit reporting.
 	journeys []int
@@ -33,10 +31,6 @@ type pathStats struct {
 	// that built up during the subset's own sojourn (an interrupt
 	// stalling the NF while the subset waits).
 	lastArrive []simtime.Time
-
-	// running bounds used while accumulating packets
-	departMin, departMax   []simtime.Time
-	arriveFMin, arriveFMax simtime.Time
 }
 
 // propagate implements the §4.2 timespan analysis: it splits budget (the
@@ -120,11 +114,12 @@ func (d *diagnoser) decomposePeriod(f tracestore.CompID, qp *tracestore.QueuingP
 	texp := simtime.Duration(float64(qp.NIn) / rf.PPS() * float64(simtime.Second))
 
 	total := 0
-	for _, p := range paths {
-		total += p.n
+	for i := range paths {
+		total += paths[i].n
 	}
 	pps := make([]propPath, 0, len(paths))
-	for _, p := range paths {
+	for i := range paths {
+		p := &paths[i]
 		shares, srcShare := timespanShares(texp, p)
 		var sum simtime.Duration
 		for _, s := range shares {
@@ -165,11 +160,11 @@ func timespanShares(texp simtime.Duration, p *pathStats) (nfShares []simtime.Dur
 	return nfShares, srcShare
 }
 
-// collectScratch is the per-arrival workspace of collectPaths: the hop walk
-// and the path-key encoding reuse these buffers, so grouping a
+// collectScratch is the per-arrival workspace of the busy-period walk: the
+// hop walk and the path-key encoding reuse these buffers, so grouping a
 // thousand-packet PreSet allocates only when a new path appears. It lives
-// inside the worker arena (diagnose.go) and is reused across every
-// collectPaths call a worker makes during a run.
+// inside the worker arena (diagnose.go) and is reused across every walk a
+// worker extends during a run.
 type collectScratch struct {
 	key     []byte
 	comps   []tracestore.CompID
@@ -178,65 +173,16 @@ type collectScratch struct {
 }
 
 // collectPaths groups the PreSet(p) arrivals of the queuing period by the
-// upstream path their journeys took to f, and computes per-path timespans.
-func (d *diagnoser) collectPaths(f tracestore.CompID, qp *tracestore.QueuingPeriod, cs *collectScratch) []*pathStats {
+// upstream path their journeys took to f, and computes per-path timespans,
+// in the order of the paths' CompID sequences (a total deterministic
+// order, so every worker sees the same decomposition). The period is a
+// prefix of its busy period, whose walk answers it.
+func (d *diagnoser) collectPaths(f tracestore.CompID, qp *tracestore.QueuingPeriod, cs *collectScratch) []pathStats {
 	arrivals := d.st.PeriodArrivals(qp)
 	if arrivals == nil {
 		return nil
 	}
-	//mslint:allow compid the key is a byte-encoded CompID sequence (allocation-free lookup), not a component name
-	byKey := make(map[string]*pathStats)
-	for ai := range arrivals {
-		arr := &arrivals[ai]
-		j := d.st.JourneyAt(arr.Journey)
-		if j == nil {
-			continue
-		}
-		// Upstream path: source plus the journey's hops before f.
-		cs.comps = append(cs.comps[:0], d.src)
-		cs.departs = append(cs.departs[:0], j.EmittedAt)
-		cs.arrives = append(cs.arrives[:0], j.EmittedAt)
-		for h := range j.Hops {
-			if j.Hops[h].Comp == f {
-				break
-			}
-			cs.comps = append(cs.comps, j.Hops[h].Comp)
-			cs.departs = append(cs.departs, j.Hops[h].DepartAt)
-			cs.arrives = append(cs.arrives, j.Hops[h].ArriveAt)
-		}
-		cs.key = cs.key[:0]
-		for _, c := range cs.comps {
-			cs.key = append(cs.key, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-		}
-		// map[string(bytes)] compiles to a no-allocation lookup; the key
-		// string is materialized only when a new path appears.
-		ps := byKey[string(cs.key)]
-		if ps == nil {
-			ps = &pathStats{
-				key:         string(cs.key),
-				comps:       append([]tracestore.CompID(nil), cs.comps...),
-				spans:       make([]simtime.Duration, len(cs.comps)),
-				firstArrive: make([]simtime.Time, len(cs.comps)),
-				lastArrive:  make([]simtime.Time, len(cs.comps)),
-			}
-			for i := range ps.spans {
-				ps.spans[i] = -1 // marks "unset"
-			}
-			byKey[ps.key] = ps
-		}
-		ps.n++
-		ps.journeys = append(ps.journeys, arr.Journey)
-		ps.accumulate(cs.departs, cs.arrives, arr.At)
-	}
-	out := make([]*pathStats, 0, len(byKey))
-	for _, ps := range byKey {
-		ps.finish()
-		out = append(out, ps)
-	}
-	// The encoded key orders paths by (CompID sequence, length): a total
-	// deterministic order, so every worker sees the same decomposition.
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+	return d.walkOf(f, qp).pathsOf(d, f, arrivals, cs)
 }
 
 // pathLabel renders a path's human-readable form ("source>a>b") for
@@ -250,56 +196,4 @@ func (d *diagnoser) pathLabel(p *pathStats) string {
 		b.WriteString(d.st.CompName(c))
 	}
 	return b.String()
-}
-
-// accumulate folds one packet's per-hop depart times and its arrival time
-// at the victim NF into the path's running bounds.
-func (p *pathStats) accumulate(departs, arrives []simtime.Time, arriveAtF simtime.Time) {
-	if p.departMin == nil {
-		p.departMin = make([]simtime.Time, len(p.comps))
-		p.departMax = make([]simtime.Time, len(p.comps))
-		for i := range p.departMin {
-			p.departMin[i] = simtime.Never
-			p.departMax[i] = -1
-			p.firstArrive[i] = simtime.Never
-			p.lastArrive[i] = -1
-		}
-		p.arriveFMin = simtime.Never
-		p.arriveFMax = -1
-	}
-	for i := range p.comps {
-		if i < len(departs) {
-			if departs[i] < p.departMin[i] {
-				p.departMin[i] = departs[i]
-			}
-			if departs[i] > p.departMax[i] {
-				p.departMax[i] = departs[i]
-			}
-			if arrives[i] < p.firstArrive[i] {
-				p.firstArrive[i] = arrives[i]
-			}
-			if arrives[i] > p.lastArrive[i] {
-				p.lastArrive[i] = arrives[i]
-			}
-		}
-	}
-	if arriveAtF < p.arriveFMin {
-		p.arriveFMin = arriveAtF
-	}
-	if arriveAtF > p.arriveFMax {
-		p.arriveFMax = arriveAtF
-	}
-}
-
-func (p *pathStats) finish() {
-	for i := range p.comps {
-		if p.departMax[i] >= 0 {
-			p.spans[i] = p.departMax[i].Sub(p.departMin[i])
-		} else {
-			p.spans[i] = 0
-		}
-	}
-	if p.arriveFMax >= 0 {
-		p.lastSpan = p.arriveFMax.Sub(p.arriveFMin)
-	}
 }

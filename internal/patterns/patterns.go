@@ -15,11 +15,11 @@
 package patterns
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -85,7 +85,7 @@ func (c *Config) setDefaults() {
 
 // Relations is the packet-level causal relation set of a diagnosis set,
 // the §4.4 input, held the way phase 1 of the aggregation reads it: one
-// group per exact culprit <packet flow, NF>, the groups in culpritLess
+// group per exact culprit <packet flow, NF>, the groups in culpritCmp
 // order, each group's victim sides in relation order. RelationsFromDiagnoses
 // is its only constructor; no relation is ever a row of its own.
 type Relations struct {
@@ -246,7 +246,7 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 
 	// Carve every group's items out of one array at its exact size, deal
 	// each relation's victim side into its group's next slot, then put the
-	// groups in culpritLess order.
+	// groups in culpritCmp order.
 	groups := make([]culpritGroup, len(keys))
 	items := make([]autofocus.Item, len(groupOf))
 	next := counts // by group id, from here on: the group's next free slot
@@ -274,7 +274,7 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 			r++
 		}
 	}
-	sort.Slice(groups, func(a, b int) bool { return culpritLess(&groups[a], &groups[b]) })
+	slices.SortFunc(groups, func(a, b culpritGroup) int { return culpritCmp(&a, &b) })
 	return &Relations{groups: groups, n: len(groupOf), grand: grand}
 }
 
@@ -337,7 +337,7 @@ func permPrefix(rng *rand.Rand, n, k int) []int {
 			p[j] = i
 		}
 	}
-	sort.Ints(p)
+	slices.Sort(p)
 	return p
 }
 
@@ -380,17 +380,19 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 
 	// Phase 1: aggregate the victim dimensions within each culprit group.
 	// The groups are independent; results land in group-order slots so
-	// the phase-2 assembly below sees exactly the sequential order.
+	// the phase-2 assembly below sees exactly the sequential order. Each
+	// worker keeps one AutoFocus scratch for both phases.
 	phase1 := make([][]autofocus.Pattern, len(groups))
+	scratch := make([]autofocus.Scratch, par.Workers(cfg.Workers, len(groups)))
 	var leaves, cells atomic.Int64 // AutoFocus work of both phases, for obs
-	focus := func(items []autofocus.Item, threshold float64) []autofocus.Pattern {
-		pats, st := autofocus.AggregateStats(items, autofocus.Config{Threshold: threshold})
+	focus := func(w int, items []autofocus.Item, threshold float64) []autofocus.Pattern {
+		pats, st := scratch[w].AggregateStats(items, autofocus.Config{Threshold: threshold})
 		leaves.Add(int64(st.Leaves))
 		cells.Add(int64(st.Cells))
 		return pats
 	}
-	err := par.DoCtx(ctx, len(groups), cfg.Workers, func(gi int) {
-		phase1[gi] = focus(groups[gi].items, phase1Threshold)
+	err := par.DoWorkersCtx(ctx, len(groups), len(scratch), func(w, gi int) {
+		phase1[gi] = focus(w, groups[gi].items, phase1Threshold)
 	})
 	if err != nil {
 		return nil, err
@@ -430,7 +432,10 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 	// Phase 2 fan-out: aggregate culprit dimensions per victim aggregate;
 	// apply the global significance threshold. Same slot merge as phase 1.
 	phase2Out := make([][]autofocus.Pattern, len(vaOrder))
-	err = par.DoCtx(ctx, len(vaOrder), cfg.Workers, func(vi int) {
+	if w := par.Workers(cfg.Workers, len(vaOrder)); w > len(scratch) {
+		scratch = append(scratch, make([]autofocus.Scratch, w-len(scratch))...)
+	}
+	err = par.DoWorkersCtx(ctx, len(vaOrder), len(scratch), func(w, vi int) {
 		items := phase2[vi]
 		var groupW float64
 		for i := range items {
@@ -445,7 +450,7 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 		if local > 1 {
 			return // group too light to ever matter
 		}
-		phase2Out[vi] = focus(items, local)
+		phase2Out[vi] = focus(w, items, local)
 	})
 	if err != nil {
 		return nil, err
@@ -472,11 +477,14 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 		}
 		return texts[p]
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortStableFunc(out, func(a, b Pattern) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return text(out[i]) < text(out[j])
+		return strings.Compare(text(a), text(b))
 	})
 	if reg != nil {
 		reg.Counter("microscope_patterns_groups_total{phase=\"culprits\"}").Add(int64(len(vaOrder)))
@@ -488,28 +496,30 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 	return out, nil
 }
 
-// culpritLess orders culprit groups by NF name, then flow, then a group
+// culpritCmp orders culprit groups by NF name, then flow, then a group
 // without a known flow before one with it.
-func culpritLess(a, b *culpritGroup) bool {
-	if a.nf != b.nf {
-		return a.nf < b.nf
+func culpritCmp(a, b *culpritGroup) int {
+	af, bf := &a.flow, &b.flow
+	switch {
+	case a.nf != b.nf:
+		return strings.Compare(a.nf, b.nf)
+	case af.SrcIP != bf.SrcIP:
+		return cmp.Compare(af.SrcIP, bf.SrcIP)
+	case af.DstIP != bf.DstIP:
+		return cmp.Compare(af.DstIP, bf.DstIP)
+	case af.SrcPort != bf.SrcPort:
+		return cmp.Compare(af.SrcPort, bf.SrcPort)
+	case af.DstPort != bf.DstPort:
+		return cmp.Compare(af.DstPort, bf.DstPort)
+	case af.Proto != bf.Proto:
+		return cmp.Compare(af.Proto, bf.Proto)
+	case a.has != b.has:
+		if a.has {
+			return 1
+		}
+		return -1
 	}
-	if a.flow.SrcIP != b.flow.SrcIP {
-		return a.flow.SrcIP < b.flow.SrcIP
-	}
-	if a.flow.DstIP != b.flow.DstIP {
-		return a.flow.DstIP < b.flow.DstIP
-	}
-	if a.flow.SrcPort != b.flow.SrcPort {
-		return a.flow.SrcPort < b.flow.SrcPort
-	}
-	if a.flow.DstPort != b.flow.DstPort {
-		return a.flow.DstPort < b.flow.DstPort
-	}
-	if a.flow.Proto != b.flow.Proto {
-		return a.flow.Proto < b.flow.Proto
-	}
-	return !a.has && b.has
+	return 0
 }
 
 // Render formats patterns as a Figure 14 style listing.
