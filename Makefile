@@ -91,14 +91,18 @@ bench-stream:
 # (TestWindow*): updated in place against assembled from scratch, column by
 # column, and its index against the same scan, over generated schedules —
 # skipped rungs, gaps, undeclared components coming and going, contained
-# faults half-way through an update — and the
-# monitor's handoff of its pending buffer to the stream: every reported
-# window against a cold rebuild, runs against one record at a time, every
-# offered record accounted for once, the backlog gauge, and the ladder's
-# whole-window count.
+# faults half-way through an update — that nothing outlives its seal
+# (TestPoisonedInputAfterSeal: input overwritten after Advance changes no
+# report; TestSealedPayloadReleased: a body's payload slab is collected once
+# its window settles), the seal-boundary pin (TestSealBoundaryUnmatched),
+# and the monitor's handoff of its pending buffer to the stream: every
+# reported window against a cold rebuild, runs against one record at a
+# time, every offered record accounted for once, the backlog gauge, and the
+# ladder's whole-window count. The cold rebuilds are tracestore.Recorder's,
+# from its own copies of the sealed runs.
 stream-check:
-	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestDerive|TestSegmentSize|TestAdvance|TestThreadInternal|TestWindow' ./internal/pipeline ./internal/tracestore
-	$(GO) test -race -timeout 30m -run 'TestMonitorWindowsMatchRebuild|TestFeedRuns|TestShedAccounting|TestBacklogCountsUnsealed|TestLadderCountsWholeWindow' ./internal/online
+	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf|TestSeal|TestDerive|TestSegmentSize|TestAdvance|TestThreadInternal|TestWindow|TestPoisonedInputAfterSeal' ./internal/pipeline ./internal/tracestore
+	$(GO) test -race -timeout 30m -run 'TestMonitorWindowsMatchRebuild|TestFeedRuns|TestShedAccounting|TestBacklogCountsUnsealed|TestLadderCountsWholeWindow|TestSealedPayloadReleased' ./internal/online
 
 # One-iteration pipeline, simulator, segment-seal, window-assembly,
 # pattern-aggregation, JSON-decode and ingest benchmarks: catches benchmark

@@ -212,7 +212,10 @@ func BenchmarkReconstruction(b *testing.B) {
 	b.ReportMetric(float64(journeys)/1000, "kjourneys")
 }
 
-// BenchmarkDiagnosis measures per-victim diagnosis cost.
+// BenchmarkDiagnosis measures the cost of one cold victim diagnosis: the
+// memo is emptied before every op, so each runs the §4.2 walk of its
+// victim's queuing period and the recursion over its culprits afresh
+// instead of reading what an earlier op cached.
 func BenchmarkDiagnosis(b *testing.B) {
 	tr := benchTrace(22)
 	st := tracestore.Build(tr)
@@ -223,6 +226,7 @@ func BenchmarkDiagnosis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng.ResetMemo(st)
 		eng.DiagnoseVictim(st, victims[i%len(victims)])
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
+	"microscope/internal/tracestore"
 )
 
 // geometries are the two window shapes the serving workloads run: a fine
@@ -158,12 +159,13 @@ func TestLadderCountsWholeWindow(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			// The reference runs every window and notes the size of its
 			// cold rebuild.
-			var ref *Monitor
+			var rec *tracestore.Recorder
 			size := make(map[simtime.Time]int)
-			ref = New(tr.Meta, Config{Window: g.w, Overlap: g.o,
+			ref := New(tr.Meta, Config{Window: g.w, Overlap: g.o,
 				OnWindow: func(end simtime.Time, _ *pipeline.Result) {
-					size[end] = ref.stream.Stream().RebuildWindow().Health().Records
+					size[end] = rec.Rebuild().Health().Records
 				}})
+			rec = tracestore.NewRecorder(ref.stream.Stream())
 			ref.Feed(recs)
 			ref.Flush()
 			var sizes []int

@@ -174,7 +174,9 @@ type Monitor struct {
 	// pending holds, in time order, the accepted records the stream has not
 	// sealed: the open window's, plus — after a window whose ingest never
 	// ran — that window's unsealed overlap tail. Each flush hands it to the
-	// stream whole and keeps only what the stream did not seal.
+	// stream whole and keeps only what the stream did not seal. It is the
+	// only copy of a record: the stream seals from it in place and keeps no
+	// records, so clearing a slot releases the record's payload.
 	pending []collector.BatchRecord
 	// held is how many records the stream has sealed in the open window's
 	// span [nextFlush−Window−Overlap, nextFlush]: held+len(pending) is the

@@ -14,6 +14,7 @@ import (
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
+	"microscope/internal/tracestore"
 	"microscope/internal/traffic"
 )
 
@@ -427,6 +428,7 @@ func TestNewOverlapValidation(t *testing.T) {
 // its span [end−Window−Overlap, end].
 type rebuildWatch struct {
 	m        *Monitor
+	rec      *tracestore.Recorder
 	tally    bool
 	accepted []collector.BatchRecord
 	ends     []simtime.Time
@@ -438,7 +440,7 @@ func watchRebuild(t *testing.T, meta collector.Meta, cfg Config, tally bool) *re
 	wt := &rebuildWatch{tally: tally}
 	cfg.OnWindow = func(end simtime.Time, res *pipeline.Result) {
 		m := wt.m
-		ref, err := pipeline.RunStoreContext(context.Background(), m.stream.Stream().RebuildWindow(),
+		ref, err := pipeline.RunStoreContext(context.Background(), wt.rec.Rebuild(),
 			pipeline.Config{Diagnosis: m.cfg.Diagnosis, SkipPatterns: true, Degrade: res.Degradation})
 		if err != nil {
 			t.Fatalf("window ending %v: rebuild: %v", end, err)
@@ -461,6 +463,7 @@ func watchRebuild(t *testing.T, meta collector.Meta, cfg Config, tally bool) *re
 		wt.victims += len(res.Diagnoses)
 	}
 	wt.m = New(meta, cfg)
+	wt.rec = tracestore.NewRecorder(wt.m.stream.Stream())
 	return wt
 }
 

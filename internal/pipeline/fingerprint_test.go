@@ -133,6 +133,7 @@ func TestAppendFingerprintOnPipelineResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := tracestore.NewRecorder(ss.Stream())
 	ctx := context.Background()
 	last := tr.Records[len(tr.Records)-1].At
 	from := 0
@@ -147,7 +148,7 @@ func TestAppendFingerprintOnPipelineResults(t *testing.T) {
 		}
 		from = to
 		checkFingerprint(t, fmt.Sprintf("window %v", end), inc)
-		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), cfg)
+		ref, err := pipeline.RunStoreContext(ctx, rec.Rebuild(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

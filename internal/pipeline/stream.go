@@ -26,8 +26,9 @@
 //
 // Equivalence contract: for every window, the Result here is byte-
 // identical (Fingerprint) to a cold full rebuild of the same window
-// (Stream.RebuildWindow + RunStoreContext with a fresh engine), at every
-// worker count, under -race, across degradation rungs and chaos faults.
+// (tracestore.Recorder.Rebuild + RunStoreContext with a fresh engine), at
+// every worker count, under -race, across degradation rungs and chaos
+// faults.
 // The degradation ladder, panic containment, and chaos hooks thread
 // through unchanged — stages run inside the same containment boundaries.
 package pipeline
@@ -120,9 +121,10 @@ func (ss *StreamState) Stats() tracestore.StreamStats { return ss.str.Stats() }
 // window's new records, time-ordered (the monitor passes its pending
 // buffer); records at or before the seal watermark or beyond end are
 // ignored, so a caller may also pass its whole history. recs is only read,
-// and nothing retains it past the call: the stream copies each record
-// once, into the segment that owns it. The returned Result matches a cold
-// full rebuild of the same window byte for byte.
+// and nothing retains it past the call: the stream seals each segment from
+// its run of recs where it lies and keeps what it derived, not the
+// records. The returned Result matches a cold full rebuild of the same
+// window byte for byte.
 //
 // At resilience.Skipped the window is still ingested and evicted (stream
 // state must track the watermark through overload) but nothing is

@@ -11,6 +11,7 @@ import (
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
+	"microscope/internal/tracestore"
 )
 
 // The incremental-vs-full-rebuild equivalence suite: for every window, the
@@ -32,6 +33,7 @@ func slideWindows(t *testing.T, tr *collector.Trace, w, o simtime.Duration, work
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := tracestore.NewRecorder(ss.Stream())
 	var last simtime.Time
 	for _, r := range tr.Records {
 		if r.At > last {
@@ -60,7 +62,7 @@ func slideWindows(t *testing.T, tr *collector.Trace, w, o simtime.Duration, work
 			}
 			continue
 		}
-		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), pipeline.Config{
+		ref, err := pipeline.RunStoreContext(ctx, rec.Rebuild(), pipeline.Config{
 			Diagnosis: core.Config{MaxVictims: 200, Workers: workers},
 			Patterns:  patterns.Config{Workers: workers},
 			Degrade:   rung,
@@ -155,6 +157,7 @@ func runEdgeCase(t *testing.T, recs []collector.BatchRecord, ends []simtime.Time
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := tracestore.NewRecorder(ss.Stream())
 	ctx := context.Background()
 	for _, end := range ends {
 		var pend []collector.BatchRecord
@@ -167,7 +170,7 @@ func runEdgeCase(t *testing.T, recs []collector.BatchRecord, ends []simtime.Time
 		if err != nil {
 			t.Fatalf("end=%d incremental: %v", end, err)
 		}
-		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), cfg)
+		ref, err := pipeline.RunStoreContext(ctx, rec.Rebuild(), cfg)
 		if err != nil {
 			t.Fatalf("end=%d reference: %v", end, err)
 		}
@@ -234,6 +237,7 @@ func TestStreamGapLargerThanHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := tracestore.NewRecorder(ss.Stream())
 	ctx := context.Background()
 	for _, end := range ends {
 		var pend []collector.BatchRecord
@@ -246,7 +250,7 @@ func TestStreamGapLargerThanHorizon(t *testing.T) {
 		if err != nil {
 			t.Fatalf("end=%d: %v", end, err)
 		}
-		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), cfg)
+		ref, err := pipeline.RunStoreContext(ctx, rec.Rebuild(), cfg)
 		if err != nil {
 			t.Fatalf("end=%d reference: %v", end, err)
 		}

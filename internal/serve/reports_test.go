@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"microscope/internal/collector"
@@ -24,9 +25,10 @@ func encoded(v any) string {
 }
 
 // TestReportRepliesMatchWriteJSON: /reports and /report are served from
-// bytes encoded when each window closed; they must be, byte for byte, what
-// encoding the reports on every poll produced — for every n, before the
-// first window, and across the wrap of the 256-report ring.
+// bytes encoded once when each window closed; they must be, byte for byte,
+// what encoding the reports on every poll produced — for every n, before the
+// first window, across the wrap of the 256-report ring, and for degraded
+// windows as well as clean ones.
 func TestReportRepliesMatchWriteJSON(t *testing.T) {
 	tr := chainTrace(t, 3, nil)
 	srv := NewServer(ServerConfig{})
@@ -90,6 +92,15 @@ func TestReportRepliesMatchWriteJSON(t *testing.T) {
 			maxRetainedReports + 4, 2 * maxRetainedReports, 2*maxRetainedReports + 5:
 			check(w)
 		}
+	}
+	degraded := 0
+	for _, rep := range tn.Reports(0) {
+		if strings.HasSuffix(rep.Health, "[degraded]") {
+			degraded++
+		}
+	}
+	if degraded == 0 || degraded == maxRetainedReports {
+		t.Fatalf("%d of the %d retained reports are degraded; want some of each", degraded, maxRetainedReports)
 	}
 	if reps := tn.Reports(3); len(reps) != 3 || reps[2].End != simtime.Time(2*maxRetainedReports+5)*simtime.Time(simtime.Millisecond) {
 		t.Fatalf("Reports(3) after the wrap = %+v", reps)

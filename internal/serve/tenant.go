@@ -221,16 +221,31 @@ func (t *Tenant) onWindow(end simtime.Time, res *pipeline.Result) {
 		Patterns:    len(res.Patterns),
 		Health:      res.Health.String(),
 	}
-	// The array form of one report is "[\n" + element + "\n]\n".
-	arr := encodeJSON([]WindowReport{rep})
+	doc := encodeJSON(rep)
 	t.mu.Lock()
 	slot := &t.reports[t.nReports%maxRetainedReports]
 	slot.rep = rep
-	slot.elem = append(slot.elem[:0], arr[2:len(arr)-3]...)
-	t.latestDoc = append(t.latestDoc[:0], encodeJSON(rep)...)
+	slot.elem = appendElement(slot.elem[:0], doc)
+	t.latestDoc = append(t.latestDoc[:0], doc...)
 	t.nReports++
 	t.health, t.hasHealth = res.Health, true
 	t.mu.Unlock()
+}
+
+// appendElement appends to dst the form an encodeJSON document takes as an
+// element of an encoded array: one more indent on every line, and no
+// trailing newline. The array form of one report is "[\n" + element +
+// "\n]\n". Every newline in doc is between tokens, since a JSON string
+// never holds a raw one.
+func appendElement(dst, doc []byte) []byte {
+	dst = append(dst, "  "...)
+	for _, b := range doc[:len(doc)-1] {
+		dst = append(dst, b)
+		if b == '\n' {
+			dst = append(dst, "  "...)
+		}
+	}
+	return dst
 }
 
 // retained returns how many reports the ring holds; reportAt(i) is the

@@ -199,11 +199,11 @@ func TestBuildDigest(t *testing.T) {
 // the stream's cumulative stats.
 func TestSealDigest(t *testing.T) {
 	want := map[string]string{
-		"clean":   "80886fda1bfb5621",
-		"reorder": "bd217cfe97dcff33",
-		"drop":    "4c546e82ac9de394",
-		"dup":     "3fc9fd642c55f5da",
-		"narrow":  "bcfa171e60433719",
+		"clean":   "9a6eb2a5fbbf7680",
+		"reorder": "b165144c75f1ac78",
+		"drop":    "b8b7f1e05b2893c1",
+		"dup":     "63edd19549909715",
+		"narrow":  "e3656ee5edec8d22",
 	}
 	const w, o = 500 * simtime.Microsecond, 250 * simtime.Microsecond
 	for _, c := range digestTraces(t) {
@@ -218,7 +218,7 @@ func TestSealDigest(t *testing.T) {
 				d.int(int64(g.lo))
 				d.int(int64(g.hi))
 				d.bool(g.point)
-				d.int(int64(len(g.records)))
+				d.int(int64(g.st.recCount))
 				d.int(g.bytes)
 				d.store(g.st)
 			}

@@ -10,7 +10,6 @@ import (
 
 	"microscope/internal/collector"
 	"microscope/internal/faults"
-	"microscope/internal/packet"
 	"microscope/internal/simtime"
 	"microscope/internal/stats"
 )
@@ -223,8 +222,8 @@ func segmentDiff(a, b *Stream) string {
 		if ga.lo != gb.lo || ga.hi != gb.hi || ga.point != gb.point {
 			return fmt.Sprintf("segment %d: [%d,%d] point=%v vs [%d,%d] point=%v", i, ga.lo, ga.hi, ga.point, gb.lo, gb.hi, gb.point)
 		}
-		if !reflect.DeepEqual(ga.records, gb.records) {
-			return fmt.Sprintf("segment %d: records differ (%d vs %d)", i, len(ga.records), len(gb.records))
+		if na, nb := ga.st.Health().Records, gb.st.Health().Records; na != nb {
+			return fmt.Sprintf("segment %d: sealed from %d vs %d records", i, na, nb)
 		}
 		if d := storeDiff(ga.st, gb.st); d != "" {
 			return fmt.Sprintf("segment %d: %s", i, d)
@@ -255,28 +254,32 @@ func TestAdvanceSpansEqualFlat(t *testing.T) {
 	edge := first[len(first)-1]
 	edge.At = simtime.Time(w)
 	first = append(first, edge)
-	newStream := func() *Stream {
+	newStream := func() (*Stream, *Recorder) {
 		s, err := NewStream(tr.Meta, StreamConfig{Window: w, Overlap: o})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := NewRecorder(s)
 		s.Advance(simtime.Time(w), first)
-		return s
+		return s, rec
 	}
-	flat := newStream()
+	flat, flatRec := newStream()
 	flatStats := flat.Advance(simtime.Time(2*w), second)
 	if flatStats.SealedSegments < 2 {
 		t.Fatalf("window sealed %d segments; want a grid boundary inside it", flatStats.SealedSegments)
 	}
 	flatWin, _ := flat.Window(simtime.Time(2 * w))
 	for i := 0; i <= len(first); i++ {
-		fed := newStream()
+		fed, fedRec := newStream()
 		stats := fed.Advance(simtime.Time(2*w), append(slices.Clip(first[i:]), second...))
 		if !reflect.DeepEqual(stats, flatStats) {
 			t.Fatalf("sealed tail from %d: stats %+v, flat %+v", i, stats, flatStats)
 		}
 		if d := segmentDiff(fed, flat); d != "" {
 			t.Fatalf("sealed tail from %d: %s", i, d)
+		}
+		if !reflect.DeepEqual(fedRec.runs, flatRec.runs) {
+			t.Fatalf("sealed tail from %d: the segments were sealed from different records", i)
 		}
 		win, _ := fed.Window(simtime.Time(2 * w))
 		if d := storeDiff(win, flatWin); d != "" {
@@ -351,8 +354,8 @@ func TestDeriveSummariesMatchScan(t *testing.T) {
 
 // TestSegmentSizeBytes pins a sealed segment's retained-size estimate to
 // the sum, over every slice the segment retains, of its length times its
-// element size: the records and their IPID and tuple payloads, and each
-// table its store keeps.
+// element size: each table its store keeps. The records it was sealed from,
+// and their IPID and tuple payloads, are not retained and not counted.
 func TestSegmentSizeBytes(t *testing.T) {
 	tr := evalTrace(t, 2, simtime.MPPS(0.8), simtime.Duration(2*simtime.Millisecond))
 	s, err := NewStream(tr.Meta, StreamConfig{Window: simtime.Millisecond, Overlap: simtime.Millisecond})
@@ -365,12 +368,8 @@ func TestSegmentSizeBytes(t *testing.T) {
 	}
 	var total int64
 	for i, g := range s.segs {
-		want := int64(len(g.records)) * int64(unsafe.Sizeof(collector.BatchRecord{}))
-		for _, r := range g.records {
-			want += int64(len(r.IPIDs))*int64(unsafe.Sizeof(uint16(0))) + int64(len(r.Tuples))*int64(unsafe.Sizeof(packet.FiveTuple{}))
-		}
 		gs := g.st
-		want += int64(len(gs.hopArena))*int64(unsafe.Sizeof(JourneyHop{})) +
+		want := int64(len(gs.hopArena))*int64(unsafe.Sizeof(JourneyHop{})) +
 			int64(len(gs.Journeys))*int64(unsafe.Sizeof(Journey{})) +
 			int64(len(gs.moments))*int64(unsafe.Sizeof(stats.Moments{})) +
 			int64(len(gs.latRun))*int64(unsafe.Sizeof(float64(0)))

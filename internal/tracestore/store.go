@@ -139,11 +139,13 @@ type Store struct {
 	reads    []ReadEvent
 	times    []simtime.Time
 	cums     []int
-	// traceBuf is Trace's storage for segment stores.
+	// traceBuf is Trace's storage for segment stores; its Records are the
+	// segment's run only while derive runs.
 	traceBuf collector.Trace
-	// payload is the bytes of the records' IPIDs and Tuples, counted by
-	// build for a segment's size estimate.
-	payload int64
+	// recCount is the number of records the store was made from (the
+	// Health record count): set by build, and summed by a stream's window
+	// store, which holds no records of its own.
+	recCount int
 
 	recon ReconStats
 
@@ -156,11 +158,6 @@ type Store struct {
 	latRun    []float64
 	latencies stats.SortedBag
 	traceEnd  simtime.Time
-
-	// recCount overrides the Health record count for a stream's window
-	// store, whose Trace carries no records of its own (the stream keeps
-	// records per segment; the window store only sums their counts).
-	recCount int
 
 	// mu guards the lazily built shared indexes below. The per-threshold
 	// diagnosis indexes and the flow index are built once and immutable
@@ -315,14 +312,13 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 	}
 
 	recs := tr.Records
+	s.recCount = len(recs)
 	sc.recComp = resize(sc.recComp, len(recs))
 	sc.recDest = resize(sc.recDest, len(recs))
 	sc.views = sc.views[:0]
-	s.payload = 0
 	for ri := range recs {
 		r := &recs[ri]
 		n := len(r.IPIDs)
-		s.payload += sizeOf(r.IPIDs) + sizeOf(r.Tuples)
 		switch r.Dir {
 		case collector.DirRead:
 			id := s.compID(r.Comp)
@@ -447,7 +443,6 @@ func (s *Store) recycle() {
 	s.Journeys = s.Journeys[:0]
 	s.hopArena = s.hopArena[:0]
 	s.recon = ReconStats{}
-	s.recCount = 0
 	s.latencies = stats.SortedBag{}
 	s.indexes, s.flowIdx = nil, nil
 }
@@ -520,12 +515,8 @@ func (s *Store) ReconStats() ReconStats { return s.recon }
 
 // Health returns the merged trace-quality summary.
 func (s *Store) Health() Health {
-	n := len(s.Trace.Records)
-	if n == 0 {
-		n = s.recCount
-	}
 	return Health{
-		Records:   n,
+		Records:   s.recCount,
 		Journeys:  len(s.Journeys),
 		Integrity: s.Trace.Integrity,
 		Recon:     s.recon,
@@ -584,13 +575,9 @@ func (s *Store) RecordObs(reg *obs.Registry) {
 
 // String renders a short summary.
 func (s *Store) String() string {
-	n := len(s.Trace.Records)
-	if n == 0 {
-		n = s.recCount
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "tracestore: %d records, %d journeys (%d matched, %d reordered, %d lookahead, %d unmatched)",
-		n, len(s.Journeys),
+		s.recCount, len(s.Journeys),
 		s.recon.Matched, s.recon.Reordered, s.recon.LookaheadFix, s.recon.Unmatched)
 	return b.String()
 }

@@ -2,7 +2,7 @@ package tracestore
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"unsafe"
 
 	"microscope/internal/collector"
@@ -29,30 +29,33 @@ import (
 // and the eviction horizon end−W−O is always a boundary, so advancing the
 // window retires whole segments in O(1) — no survivor copying, ever.
 //
-// Each segment is sealed exactly once, when the watermark passes it: its
-// records are copied — the one copy a record gets between the monitor's
-// pending buffer and here — and the step a cold Build runs (derive: build,
-// reconstruct, summarize) goes over just those records, freezing the
-// store's mergeable summaries (exact per-NF delay moments, sorted
-// delivered latencies, trace end, queuing-period search arrays).
-// Everything a segment retains lives in its shell and is refilled in place
-// when the shell is recycled; everything needed only while sealing lives
-// in one stream-owned scratch, so sealing allocates nothing once the shells
-// and the scratch have grown to size. A window is then assembled in the
-// stream's one window store (window.go) by appending the segments sealed
-// since the last window and dropping the ones evicted since — per-record
-// work happens once when a record is sealed, once when its segment enters
-// the window and once when it leaves, not once per window it slides
-// through.
+// Each segment is sealed exactly once, when the watermark passes it: the
+// step a cold Build runs (derive: build, reconstruct, summarize) goes over
+// the segment's run of records where it lies in the caller's input — the
+// monitor's pending buffer, where each record got its one copy — freezing
+// the store's mergeable summaries (exact per-NF delay moments, sorted
+// delivered latencies, trace end, queuing-period search arrays). The
+// segment keeps what it derived and the run's length, never the records:
+// when derive returns nothing of the stream points into the run, so a
+// record's IPID and tuple payload is released as soon as its caller lets go
+// of it. Everything a segment retains lives in its shell and is refilled in
+// place when the shell is recycled; everything needed only while sealing
+// lives in one stream-owned scratch, so sealing allocates nothing once the
+// shells and the scratch have grown to size. A window is then assembled in
+// the stream's one window store (window.go) by appending the segments
+// sealed since the last window and dropping the ones evicted since —
+// per-record work happens once when a record is sealed, once when its
+// segment enters the window and once when it leaves, not once per window it
+// slides through.
 //
 // Window-assembly semantics: journeys are reconstructed within a segment,
 // so a packet whose hops straddle a segment boundary contributes one
 // (partial) journey per segment, and its dequeue legs on the far side
 // count as unmatched. This is a *shared* semantic of both the incremental
-// path and the cold reference rebuild (RebuildWindow), which re-runs
-// Build per segment from the same retained records — the equivalence
-// contract ("byte-identical reports to a full rebuild of the same window")
-// is over this common grid.
+// path and the cold reference rebuild (Recorder.Rebuild), which re-runs
+// Build per segment over its own copies of the sealed runs — the
+// equivalence contract ("byte-identical reports to a full rebuild of the
+// same window") is over this common grid.
 
 // StreamConfig fixes a stream's window geometry and index threshold.
 type StreamConfig struct {
@@ -69,11 +72,11 @@ type StreamConfig struct {
 	QueueThreshold int
 }
 
-// Segment is one sealed grid segment: an owned copy of its records and the
-// store made from them, whose summaries the window store adds when the
-// segment enters the window and subtracts when it leaves. Shells
-// are recycled through the stream's free list; reset restamps the epoch and
-// truncates every buffer before reuse.
+// Segment is one sealed grid segment: the store made from its records,
+// whose summaries the window store adds when the segment enters the window
+// and subtracts when it leaves. The records themselves are not kept, only
+// their count (the store's Health().Records). Shells are recycled through
+// the stream's free list; reset restamps the epoch before reuse.
 type Segment struct {
 	// epoch is the generation stamp: monotonically increasing across the
 	// stream's lifetime, rewritten on every reuse so a stale reference to
@@ -84,8 +87,6 @@ type Segment struct {
 	lo, hi simtime.Time
 	point  bool
 
-	// records is the owned copy of the segment's records, time-sorted.
-	records []collector.BatchRecord
 	// st is the segment-local store: journeys, arrivals, reads, period
 	// index and summaries, what the window store copies its rows from and
 	// adds its summaries from. It points at store while the segment is
@@ -98,13 +99,13 @@ type Segment struct {
 }
 
 // reset prepares a (possibly recycled) shell for reuse: restamp the
-// generation epoch and truncate every buffer. Reuse without this reset
-// leaks the previous occupant's rows into the next window, which the
-// incremental-vs-rebuild equivalence suites (make stream-check) catch.
+// generation epoch and forget the previous occupant's span and store.
+// Reuse without this reset leaks the previous occupant's rows into the next
+// window, which the incremental-vs-rebuild equivalence suites (make
+// stream-check) catch.
 func (g *Segment) reset(epoch uint64) {
 	g.epoch = epoch
 	g.lo, g.hi, g.point = 0, 0, false
-	g.records = g.records[:0]
 	g.st = nil
 	g.bytes = 0
 }
@@ -168,9 +169,15 @@ type Stream struct {
 	epoch uint64
 
 	// sc is the build scratch every seal runs through; dirty is Advance's
-	// reused set of component names that received records.
+	// reused set of component names that received records; cuts is its
+	// reused list of the input's runs, one per grid segment.
 	sc    scratch
 	dirty map[string]struct{} //mslint:allow compid dirty set spans segments whose CompIDs are per-segment; names are the stable identity
+	cuts  []cut
+
+	// sealHook, when non-nil, sees every run as it is sealed: the Recorder
+	// the equivalence suites rebuild from. Never set in production paths.
+	sealHook func(g *Segment, run []collector.BatchRecord)
 
 	// sealedTo is the high watermark: records at or before it are sealed
 	// (flush-boundary typed: At == sealedTo belongs to sealed history).
@@ -286,48 +293,33 @@ func nextBoundary(tt, w, o int64) int64 {
 // Advance seals every record with sealedTo < At ≤ end into grid segments,
 // moves the watermark to end, and retires segments that fell wholly below
 // the retention horizon end − W − O. end must be a flush boundary (a
-// multiple of W). recs is only read, and each record is copied once, into
-// the segment that owns it. Time-ordered input is sealed in place; records
-// at or before the watermark (sealed by an earlier Advance) or beyond end
-// (a later window's) are ignored. Input that is not time-ordered is first
-// filtered and stably sorted into a copy, and the inversions counted as
-// resorts.
+// multiple of W). recs is only read, and only during the call: each
+// segment is derived from its run of recs where it lies, and keeps nothing
+// that points into it. Records at or before the watermark (sealed by an
+// earlier Advance) or beyond end (a later window's) are ignored. Input that
+// is not time-ordered is first filtered and stably sorted into a copy, and
+// the inversions counted as resorts.
 func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamStats {
 	s.last.SealedSegments = 0
 	s.last.DirtyComps = 0
 	s.last.EvictedSegments = 0
 
-	if collector.Inversions(recs) > 0 {
+	if !s.split(end, recs) {
 		recs = s.filterSorted(end, recs)
+		s.split(end, recs)
 	}
 	clear(s.dirty)
-	var g *Segment // the segment being filled
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].At > s.sealedTo })
-	for i < len(recs) && recs[i].At <= end {
-		at := recs[i].At
-		if g == nil || !s.owns(g, at) {
-			if g != nil {
-				s.seal(g)
-			}
-			g = s.takeSegment()
-			g.lo, g.hi, g.point = s.segOf(at)
-		}
-		j := i + 1
-		for j < len(recs) && recs[j].At <= end && s.owns(g, recs[j].At) {
-			j++
-		}
-		g.records = append(g.records, recs[i:j]...)
-		i = j
-	}
-	if g != nil {
-		s.seal(g)
+	for _, c := range s.cuts {
+		g := s.takeSegment()
+		g.lo, g.hi, g.point = c.lo, c.hi, c.point
+		s.seal(g, recs[c.from:c.to])
 	}
 	s.last.DirtyComps = len(s.dirty)
 
 	if end > s.sealedTo {
 		s.sealedTo = end
 	}
-	s.evict(s.sealedTo - simtime.Time(s.w+s.o))
+	s.evict(s.horizon())
 
 	s.last.RetainedSegments = len(s.segs)
 	s.last.RetainedBytes = 0
@@ -335,6 +327,39 @@ func (s *Stream) Advance(end simtime.Time, recs []collector.BatchRecord) StreamS
 		s.last.RetainedBytes += g.bytes
 	}
 	return s.last
+}
+
+// cut is one grid segment's run of Advance's input, recs[from:to].
+type cut struct {
+	lo, hi   simtime.Time
+	point    bool
+	from, to int
+}
+
+// split cuts the records of recs in (sealedTo, end] into one run per grid
+// segment, in s.cuts, reading each record's time once. It reports false,
+// before anything is sealed, if recs is not in time order.
+func (s *Stream) split(end simtime.Time, recs []collector.BatchRecord) bool {
+	s.cuts = s.cuts[:0]
+	var c *cut
+	prev := simtime.Time(math.MinInt64)
+	for i := range recs {
+		at := recs[i].At
+		if at < prev {
+			return false
+		}
+		prev = at
+		if at <= s.sealedTo || at > end {
+			continue
+		}
+		if c == nil || !s.owns(c, at) {
+			lo, hi, point := s.segOf(at)
+			s.cuts = append(s.cuts, cut{lo: lo, hi: hi, point: point, from: i})
+			c = &s.cuts[len(s.cuts)-1]
+		}
+		c.to = i + 1
+	}
+	return true
 }
 
 // filterSorted is Advance's path for input that is not time-ordered: copy
@@ -360,29 +385,34 @@ func (s *Stream) RecordsFrom(t simtime.Time) int {
 	n := 0
 	for _, g := range s.segs {
 		if g.lo >= t {
-			n += len(g.records)
+			n += g.st.recCount
 		}
 	}
 	return n
 }
 
-// owns reports whether grid segment g owns time t. Anything strictly
-// inside (lo, hi) does; a boundary instant goes by segOf's typing.
-func (s *Stream) owns(g *Segment, t simtime.Time) bool {
-	if t > g.lo && t < g.hi {
+// owns reports whether the grid segment of run c owns time t. Anything
+// strictly inside (lo, hi) does; a boundary instant goes by segOf's typing.
+func (s *Stream) owns(c *cut, t simtime.Time) bool {
+	if t > c.lo && t < c.hi {
 		return true
 	}
 	lo, _, point := s.segOf(t)
-	return lo == g.lo && point == g.point
+	return lo == c.lo && point == c.point
 }
 
-// seal makes the segment's store from the records Advance copied into it:
-// derive, the step a cold Build runs, through the segment's recycled store
-// and the stream's scratch.
-func (s *Stream) seal(g *Segment) {
+// seal makes the segment's store from its run of Advance's input: derive,
+// the step a cold Build runs, through the segment's recycled store and the
+// stream's scratch, over the run where it lies. Nothing of the store points
+// into the run afterwards.
+func (s *Stream) seal(g *Segment, run []collector.BatchRecord) {
 	st := &g.store
-	st.traceBuf = collector.Trace{Meta: s.meta, Records: g.records}
+	st.traceBuf = collector.Trace{Meta: s.meta, Records: run}
 	st.derive(&st.traceBuf, &s.sc)
+	st.traceBuf.Records = nil
+	if s.sealHook != nil {
+		s.sealHook(g, run)
+	}
 	g.st = st
 	for _, v := range st.views {
 		if len(v.Arrivals) > 0 || len(v.Reads) > 0 {
@@ -392,7 +422,7 @@ func (s *Stream) seal(g *Segment) {
 	g.bytes = g.sizeBytes()
 	s.segs = append(s.segs, g)
 	s.last.SealedSegments++
-	s.last.Records += int64(len(g.records))
+	s.last.Records += int64(st.recCount)
 	s.last.Journeys += int64(len(st.Journeys))
 	addRecon(&s.last.Recon, st.recon, +1)
 	addIntegrity(&s.last.Integrity, st.Trace.Integrity, +1)
@@ -424,11 +454,7 @@ func (s *Stream) evict(start simtime.Time) {
 	n := 0
 	for n < len(s.segs) {
 		g := s.segs[n]
-		keep := g.hi > start
-		if g.point {
-			keep = g.lo >= start
-		}
-		if keep {
+		if kept(g.lo, g.hi, g.point, start) {
 			break
 		}
 		if s.applied > 0 {
@@ -446,12 +472,24 @@ func (s *Stream) evict(start simtime.Time) {
 	}
 }
 
-// retire parks the shell on the free list. Its store's arrays wait there
-// for the next seal; its records are zeroed so the IPID and tuple payloads
-// they point to are released now, not when the shell is next filled.
+// horizon is the retention horizon at the current watermark, sealedTo − W
+// − O: the start of the latest window.
+func (s *Stream) horizon() simtime.Time { return s.sealedTo - simtime.Time(s.w+s.o) }
+
+// kept reports whether the grid segment [lo, hi] survives eviction to
+// start: a non-point segment iff any of it lies strictly above start, a
+// point segment iff its instant is at or after start.
+func kept(lo, hi simtime.Time, point bool, start simtime.Time) bool {
+	if point {
+		return lo >= start
+	}
+	return hi > start
+}
+
+// retire parks the shell on the free list, where its store's arrays wait
+// for the next seal.
 func (s *Stream) retire(g *Segment) {
 	g.st = nil
-	clear(g.records)
 	s.free = append(s.free, g)
 }
 
@@ -530,34 +568,14 @@ func (s *Stream) internerIntact() bool {
 	return next == len(w.st.views)
 }
 
-// RebuildWindow is the cold reference path: Build every retained
-// segment's records afresh and append the stores to a fresh window store.
-// It shares no state with the stream's window store — not the segment
-// stores, nor the scratch they were sealed through — but it does share the
-// window store's append, so the equivalence suite holds the Window()
-// output to byte-identical reports against this, and the independent
-// check of the merged summaries is a test-only scan (VerifyWindow).
-func (s *Stream) RebuildWindow() *Store {
-	var w window
-	w.reset(s.meta, s.thr)
-	var traceEnd simtime.Time
-	for _, g := range s.segs {
-		st := Build(&collector.Trace{Meta: s.meta, Records: g.records})
-		w.append(st)
-		traceEnd = max(traceEnd, st.traceEnd)
-	}
-	return w.publish(traceEnd)
-}
-
-// sizeBytes estimates a sealed segment's retained footprint: its records
-// with their payloads (counted by build), and every array its store keeps.
+// sizeBytes estimates a sealed segment's retained footprint: every array
+// its store keeps.
 // An estimate, not an accounting — the slices' lengths, not their
 // capacities, and no headers — used for the retained-bytes gauge and the
 // steady-state heap bound.
 func (g *Segment) sizeBytes() int64 {
 	st := g.st
-	b := sizeOf(g.records) + st.payload +
-		sizeOf(st.hopArena) + sizeOf(st.Journeys) + sizeOf(st.moments) + sizeOf(st.latRun)
+	b := sizeOf(st.hopArena) + sizeOf(st.Journeys) + sizeOf(st.moments) + sizeOf(st.latRun)
 	for _, v := range st.views {
 		pi := &v.pidx
 		b += sizeOf(v.Arrivals) + sizeOf(v.Reads) +

@@ -128,12 +128,13 @@ func TestSegOfGridLongOverlap(t *testing.T) {
 }
 
 // TestStreamLongOverlapRetention: with O=4W+O' the retained horizon spans
-// 5+ windows and Window/RebuildWindow still agree.
+// 5+ windows and Window and the recorder's rebuild still agree.
 func TestStreamLongOverlapRetention(t *testing.T) {
 	s, err := NewStream(chainMetaTS(), StreamConfig{Window: segW, Overlap: 4*segW + segO})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := NewRecorder(s)
 	var recs []collector.BatchRecord
 	for i := simtime.Time(0); i < 100; i++ {
 		recs = append(recs, chainRecs(i*100+3, uint16(i+1))...)
@@ -153,7 +154,7 @@ func TestStreamLongOverlapRetention(t *testing.T) {
 			}
 		}
 		merged, _ := s.Window(end)
-		cold := s.RebuildWindow()
+		cold := rec.Rebuild()
 		if mh, ch := merged.Health(), cold.Health(); mh != ch {
 			t.Fatalf("end=%d: health diverged: %+v vs %+v", end, mh, ch)
 		}
@@ -273,8 +274,8 @@ func TestStreamSegmentReuseResetsEpoch(t *testing.T) {
 				if g.epoch <= lastEpoch[g] {
 					t.Fatalf("recycled shell kept stale epoch %d (was %d)", g.epoch, lastEpoch[g])
 				}
-				if len(g.records) != 2 {
-					t.Fatalf("recycled shell holds %d records, want 2 (stale data?)", len(g.records))
+				if n := g.st.Health().Records; n != 2 {
+					t.Fatalf("recycled shell holds a store of %d records, want 2 (stale data?)", n)
 				}
 				delete(freed, g)
 				reused++
@@ -302,6 +303,7 @@ func TestStreamWindowMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := NewRecorder(s)
 	var recs []collector.BatchRecord
 	for i := simtime.Time(0); i < 40; i++ {
 		recs = append(recs, chainRecs(i*100+3, uint16(i+1))...)
@@ -315,7 +317,7 @@ func TestStreamWindowMatchesRebuild(t *testing.T) {
 		}
 		s.Advance(end, pend)
 		merged, _ := s.Window(end)
-		cold := s.RebuildWindow()
+		cold := rec.Rebuild()
 
 		if mh, ch := merged.Health(), cold.Health(); mh != ch {
 			t.Fatalf("end=%d: health diverged: %+v vs %+v", end, mh, ch)

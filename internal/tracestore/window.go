@@ -93,7 +93,7 @@ type viewCols struct {
 
 // window is a window store under assembly. A Stream owns one for its
 // lifetime and keeps it current by drop and append; the cold reference
-// rebuild (RebuildWindow) makes a fresh one and only appends.
+// rebuild (Recorder.Rebuild) makes a fresh one and only appends.
 type window struct {
 	st Store
 	ix Index
@@ -280,7 +280,7 @@ func (w *window) append(st *Store) {
 	m.latencies.Add(st.latRun)
 	addRecon(&m.recon, st.recon, +1)
 	addIntegrity(&m.Trace.Integrity, st.Trace.Integrity, +1)
-	m.recCount += len(st.Trace.Records)
+	m.recCount += st.recCount
 }
 
 // repointHops re-slices every live journey's Hops after the hop column
@@ -320,7 +320,7 @@ func (w *window) drop(st *Store) {
 	m.latencies.Remove(st.latRun)
 	addRecon(&m.recon, st.recon, -1)
 	addIntegrity(&m.Trace.Integrity, st.Trace.Integrity, -1)
-	m.recCount -= len(st.Trace.Records)
+	m.recCount -= st.recCount
 }
 
 // publish points the store's exported tables at the live rows and starts a

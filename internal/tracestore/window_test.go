@@ -170,6 +170,7 @@ func runSchedule(t *testing.T, sc schedule, meta collector.Meta, base []collecto
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := tracestore.NewRecorder(ss.Stream())
 	rng := rand.New(rand.NewSource(int64(len(sc.name)) + 17))
 	ctx := context.Background()
 	last := recs[len(recs)-1].At
@@ -214,7 +215,7 @@ func runSchedule(t *testing.T, sc schedule, meta collector.Meta, base []collecto
 		}
 		refCfg := cfg
 		refCfg.Diagnosis.ChaosHook, refCfg.Diagnosis.ContainPanics = nil, false
-		ref, err := pipeline.RunStoreContext(ctx, ss.Stream().RebuildWindow(), refCfg)
+		ref, err := pipeline.RunStoreContext(ctx, rec.Rebuild(), refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
