@@ -46,6 +46,107 @@ func percentileIndex(n int, p float64) int {
 	return rank - 1
 }
 
+// PercentileRuns is PercentileSorted over ascending runs merged into one
+// sorted slice — the same value, found without merging them. It walks in
+// from the end of the merged order nearer the rank, through a heap of the
+// runs keyed by their next value, and takes from the leading run at once
+// every value that comes no later than the runner-up's next one. So it
+// costs a heap of the runs plus a heap step per change of leading run, at
+// most min(rank, n−rank) of them; one run costs one index. It allocates
+// nothing for up to len(runFronts) non-empty runs.
+func PercentileRuns(runs [][]float64, p float64) float64 {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	if n == 0 {
+		return 0
+	}
+	// The value is the k-th in walk order: up from the smallest, or down
+	// from the largest with every key negated.
+	k, sign := percentileIndex(n, p)+1, 1.0
+	if n-k+1 < k {
+		k, sign = n-k+1, -1
+	}
+	down := sign < 0
+	var fronts runFronts
+	h := fronts[:0]
+	for _, r := range runs {
+		if len(r) > 0 {
+			h = append(h, runFront{key: sign * nth(r, 0, down), rest: r})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for {
+		f := &h[0]
+		if len(h) == 1 {
+			return nth(f.rest, k-1, down)
+		}
+		next := h[1].key
+		if len(h) > 2 {
+			next = min(next, h[2].key)
+		}
+		j := 1
+		for j < k && j < len(f.rest) && sign*nth(f.rest, j, down) <= next {
+			j++
+		}
+		if j == k {
+			return nth(f.rest, k-1, down)
+		}
+		k -= j
+		switch {
+		case j == len(f.rest):
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		case down:
+			f.rest = f.rest[:len(f.rest)-j]
+		default:
+			f.rest = f.rest[j:]
+		}
+		h[0].key = sign * nth(h[0].rest, 0, down)
+		siftDown(h, 0)
+	}
+}
+
+// runFronts is the heap PercentileRuns keeps on the stack.
+type runFronts [128]runFront
+
+// runFront is one run in PercentileRuns' heap: the values not yet walked
+// past, and the next of them as the key.
+type runFront struct {
+	key  float64
+	rest []float64
+}
+
+// nth is the i-th value of rest in walk order: from the front, or from the
+// back when walking down.
+func nth(rest []float64, i int, down bool) float64 {
+	if down {
+		return rest[len(rest)-1-i]
+	}
+	return rest[i]
+}
+
+// siftDown restores the min-heap order of h below i.
+func siftDown(h []runFront, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].key < h[c].key {
+			c++
+		}
+		if h[i].key <= h[c].key {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

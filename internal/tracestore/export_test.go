@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"microscope/internal/simtime"
 	"microscope/internal/stats"
@@ -297,22 +296,6 @@ func (c *comparer) equal(a, b reflect.Value) {
 	}
 	switch a.Type() {
 	case reflect.TypeOf((*sync.Mutex)(nil)).Elem():
-		return
-	case reflect.TypeOf((*stats.SortedBag)(nil)).Elem():
-		// Same multiset; how it is cut into blocks depends on history. The
-		// bags sit in unexported fields, which reflection will not hand out
-		// as interfaces.
-		ab, bb := (*stats.SortedBag)(unsafe.Pointer(a.UnsafeAddr())), (*stats.SortedBag)(unsafe.Pointer(b.UnsafeAddr()))
-		if ab.Len() != bb.Len() {
-			c.diff("%d values against %d", ab.Len(), bb.Len())
-			return
-		}
-		for i := 0; i < ab.Len(); i++ {
-			if ab.At(i) != bb.At(i) {
-				c.diff("value %d: %v against %v", i, ab.At(i), bb.At(i))
-				return
-			}
-		}
 		return
 	}
 	switch a.Kind() {

@@ -41,9 +41,12 @@ func (ix *Index) DelayStatsID(comp CompID) *stats.Moments {
 	return &ms[comp]
 }
 
-// LatencyPercentile returns the p-th percentile of delivered latencies.
+// LatencyPercentile returns the p-th percentile of delivered latencies by
+// nearest rank, selected from the store's sorted latency runs without
+// merging them (stats.PercentileRuns): a cold or segment store's one run,
+// or a window store's segments' runs.
 func (ix *Index) LatencyPercentile(p float64) float64 {
-	return ix.store.latencies.Percentile(p)
+	return stats.PercentileRuns(ix.store.latRuns, p)
 }
 
 // TraceEnd returns the latest hop departure observed in the trace.
@@ -60,11 +63,6 @@ func (s *Store) Index(queueThreshold int) *Index {
 	defer s.mu.Unlock()
 	if ix, ok := s.indexes[queueThreshold]; ok {
 		return ix
-	}
-	// derive keeps the latencies as an ascending run, wrapped as a bag on
-	// first use; a window store's bag is its only copy (its run is empty).
-	if s.latencies.Len() < len(s.latRun) {
-		s.latencies = stats.SortedBagOf(s.latRun)
 	}
 	if queueThreshold > 0 {
 		for _, v := range s.views {
@@ -115,6 +113,7 @@ func (s *Store) summarize(sc *scratch) {
 	for i, l := range sorted {
 		s.latRun[i] = float64(l)
 	}
+	s.latRuns = append(s.latRuns[:0], s.latRun)
 	s.warmPeriodIndexes()
 }
 

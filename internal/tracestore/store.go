@@ -152,12 +152,13 @@ type Store struct {
 	// The summaries every Index of the store reads, frozen by summarize
 	// (a window store keeps its own by add and drop, window.go): moments
 	// are the queue-delay moments by CompID, latRun the delivered
-	// latencies ascending and latencies the same values as a bag (a window
-	// store's only copy), traceEnd the latest hop departure.
-	moments   []stats.Moments
-	latRun    []float64
-	latencies stats.SortedBag
-	traceEnd  simtime.Time
+	// latencies ascending, latRuns the ascending runs the latency
+	// percentile is selected from — latRun alone, or a window store's
+	// segments' runs — and traceEnd the latest hop departure.
+	moments  []stats.Moments
+	latRun   []float64
+	latRuns  [][]float64
+	traceEnd simtime.Time
 
 	// mu guards the lazily built shared indexes below. The per-threshold
 	// diagnosis indexes and the flow index are built once and immutable
@@ -443,7 +444,6 @@ func (s *Store) recycle() {
 	s.Journeys = s.Journeys[:0]
 	s.hopArena = s.hopArena[:0]
 	s.recon = ReconStats{}
-	s.latencies = stats.SortedBag{}
 	s.indexes, s.flowIdx = nil, nil
 }
 

@@ -135,6 +135,20 @@ type StreamStats struct {
 	Journeys  int64
 	Recon     ReconStats
 	Integrity collector.Integrity
+
+	// WindowRows is the cumulative work of every Window call, in rows of
+	// the window store's columns: a count, not a time, so it is the same
+	// on any host and in any run.
+	WindowRows WindowRows
+}
+
+// WindowRows counts window-assembly work in rows, summed over every column
+// the window store keeps (window.go): rows appended behind the live ones,
+// rows dropped from the front, and live rows moved to make room for
+// appends (col.reserve, which pays for each row it moves with a row
+// appended after the move).
+type WindowRows struct {
+	Appended, Dropped, Moved int64
 }
 
 // WindowRemap tells a memo holder whether state cached against the
@@ -511,9 +525,10 @@ func (s *Stream) Window(end simtime.Time) (*Store, WindowRemap) {
 		NewStart:   end - simtime.Time(s.w+s.o),
 	}
 	w.valid = false
+	var wr WindowRows
 	if rm.Compatible {
 		for _, g := range s.dropped {
-			w.drop(g.st)
+			wr.add(w.drop(g.st))
 		}
 	} else {
 		w.reset(s.meta, s.thr)
@@ -527,13 +542,14 @@ func (s *Stream) Window(end simtime.Time) (*Store, WindowRemap) {
 	var traceEnd simtime.Time
 	for i, g := range s.segs {
 		if i >= s.applied {
-			w.append(g.st)
+			wr.add(w.append(g.st))
 		}
 		traceEnd = max(traceEnd, g.st.traceEnd)
 	}
 	s.applied = len(s.segs)
 	st := w.publish(traceEnd)
 	w.valid = true
+	s.last.WindowRows.add(wr)
 	return st, rm
 }
 

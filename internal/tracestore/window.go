@@ -25,11 +25,12 @@ import (
 // The summaries the diagnosis index reads follow the same add/drop. Every
 // appended store carries its own (summarize): per-NF delay moments and the
 // reconstruction and integrity counters are added and subtracted exactly,
-// the delivered latencies live in a sorted bag that takes and gives back a
-// segment's sorted run, and the queuing-period search arrays are four more
-// columns per component. What cannot be kept by add and drop is rebuilt
-// per window and costs what it did before: the §7 queue-length timelines
-// (only with a nonzero threshold) and the lazily built flow index.
+// the delivered latencies stay in the segments' sorted runs — the window
+// keeps a column of their headers, and the latency percentile is selected
+// across them — and the queuing-period search arrays are four more columns
+// per component. What cannot be kept by add and drop is rebuilt per window
+// and costs what it did before: the §7 queue-length timelines (only with a
+// nonzero threshold) and the lazily built flow index.
 
 // col is one column of the window store. The live rows are buf[head:]. Rows
 // outside them are dead but not zeroed: a dead Journey still points into
@@ -41,10 +42,15 @@ type col[T any] struct {
 	head int
 }
 
-func (c *col[T]) rows() []T  { return c.buf[c.head:] }
-func (c *col[T]) len() int   { return len(c.buf) - c.head }
-func (c *col[T]) drop(n int) { c.head += n }
-func (c *col[T]) reset()     { c.buf, c.head = c.buf[:0], 0 }
+func (c *col[T]) rows() []T { return c.buf[c.head:] }
+func (c *col[T]) len() int  { return len(c.buf) - c.head }
+func (c *col[T]) reset()    { c.buf, c.head = c.buf[:0], 0 }
+
+// drop removes the n oldest live rows.
+func (c *col[T]) drop(n int, wr *WindowRows) {
+	c.head += n
+	wr.Dropped += int64(n)
+}
 
 // reserve makes room for n more rows, so that appending them to buf does
 // not reallocate, and reports whether the live rows moved to make it. When
@@ -54,7 +60,7 @@ func (c *col[T]) reset()     { c.buf, c.head = c.buf[:0], 0 }
 // with that much room otherwise. Either way a column's capacity is at most
 // twice the rows of its largest window, and nearer once when most of each
 // window is new.
-func (c *col[T]) reserve(n int) (moved bool) {
+func (c *col[T]) reserve(n int, wr *WindowRows) (moved bool) {
 	if len(c.buf)+n <= cap(c.buf) {
 		return false
 	}
@@ -65,15 +71,17 @@ func (c *col[T]) reserve(n int) (moved bool) {
 		c.buf = append(make([]T, 0, room), live...)
 	}
 	c.head = 0
+	wr.Moved += int64(len(live))
 	return true
 }
 
 // add appends rows in one copy and returns them where they now are, for the
 // caller to adjust in place, and whether the live rows moved to make room.
-func (c *col[T]) add(rows []T) (added []T, moved bool) {
-	moved = c.reserve(len(rows))
+func (c *col[T]) add(rows []T, wr *WindowRows) (added []T, moved bool) {
+	moved = c.reserve(len(rows), wr)
 	n := len(c.buf)
 	c.buf = append(c.buf, rows...)
+	wr.Appended += int64(len(rows))
 	return c.buf[n:], moved
 }
 
@@ -110,6 +118,13 @@ type window struct {
 	journeys col[Journey]
 	hops     col[JourneyHop]
 	views    []viewCols // by window CompID
+
+	// runs are the appended segments' sorted latency runs (each segment
+	// store's latRuns, its own latRun), which the latency percentile is
+	// selected from. They alias the segments' arrays, so a run must leave
+	// before its segment's shell is sealed into again: Stream.Window drops
+	// the evicted segments before retire hands their shells back.
+	runs col[[]float64]
 
 	// land is where the segment being appended lands, by segment CompID.
 	land []landing
@@ -153,12 +168,12 @@ func (w *window) reset(meta collector.Meta, thr int) {
 	w.nStatic = len(m.views)
 	m.recon, m.recCount, m.firstJourney = ReconStats{}, 0, 0
 	m.moments = m.moments[:0]
-	m.latencies.Reset()
 	m.traceEnd = 0
 	m.flowIdx = nil
 
 	w.journeys.reset()
 	w.hops.reset()
+	w.runs.reset()
 	for i := range w.views {
 		w.views[i].reset()
 	}
@@ -197,8 +212,8 @@ func (w *window) interned() {
 }
 
 // append adds one segment's store behind the rows already in the window,
-// and its summaries to the window's.
-func (w *window) append(st *Store) {
+// and its summaries to the window's, and returns the rows it wrote.
+func (w *window) append(st *Store) (wr WindowRows) {
 	m := &w.st
 	w.land = resize(w.land, len(st.views))
 	land := w.land
@@ -226,7 +241,7 @@ func (w *window) append(st *Store) {
 	// laid end to end, so the hops copy across in one run and each journey
 	// takes the next len(Hops) of them.
 	jOff := m.firstJourney + w.journeys.len()
-	hops, moved := w.hops.add(st.hopArena)
+	hops, moved := w.hops.add(st.hopArena, &wr)
 	if moved {
 		w.repointHops()
 	}
@@ -239,7 +254,7 @@ func (w *window) append(st *Store) {
 			hop.ReadEvent += l.read
 		}
 	}
-	journeys, _ := w.journeys.add(st.Journeys)
+	journeys, _ := w.journeys.add(st.Journeys, &wr)
 	pos := 0
 	for i := range journeys {
 		end := pos + len(journeys[i].Hops)
@@ -254,7 +269,7 @@ func (w *window) append(st *Store) {
 	for _, v := range st.views {
 		l := &land[v.ID]
 		vc := &w.views[l.id]
-		arrivals, _ := vc.arrivals.add(v.Arrivals)
+		arrivals, _ := vc.arrivals.add(v.Arrivals, &wr)
 		for i := range arrivals {
 			a := &arrivals[i]
 			if a.From >= 0 {
@@ -264,23 +279,25 @@ func (w *window) append(st *Store) {
 				a.Journey += jOff
 			}
 		}
-		reads, _ := vc.reads.add(v.Reads)
-		vc.readCum.reserve(len(reads))
+		reads, _ := vc.reads.add(v.Reads, &wr)
+		vc.readCum.reserve(len(reads), &wr)
 		entries := l.entry
 		for i := range reads {
 			reads[i].FirstEntry = entries
 			entries += reads[i].N
 			vc.readCum.buf = append(vc.readCum.buf, entries)
 		}
-		vc.arrivalTimes.add(v.pidx.arrivalTimes)
-		vc.drainTimes.add(v.pidx.drainTimes)
-		vc.readTimes.add(v.pidx.readTimes)
+		wr.Appended += int64(len(reads))
+		vc.arrivalTimes.add(v.pidx.arrivalTimes, &wr)
+		vc.drainTimes.add(v.pidx.drainTimes, &wr)
+		vc.readTimes.add(v.pidx.readTimes, &wr)
 		m.moments[l.id].Merge(st.moments[v.ID])
 	}
-	m.latencies.Add(st.latRun)
+	w.runs.add(st.latRuns, &wr)
 	addRecon(&m.recon, st.recon, +1)
 	addIntegrity(&m.Trace.Integrity, st.Trace.Integrity, +1)
 	m.recCount += st.recCount
+	return wr
 }
 
 // repointHops re-slices every live journey's Hops after the hop column
@@ -296,31 +313,33 @@ func (w *window) repointHops() {
 }
 
 // drop removes the window's oldest segment, whose store st must be: so
-// many leading rows of every column, and its share of every summary.
-func (w *window) drop(st *Store) {
+// many leading rows of every column, and its share of every summary. It
+// returns the rows it took out.
+func (w *window) drop(st *Store) (wr WindowRows) {
 	m := &w.st
 	nj := len(st.Journeys)
-	w.journeys.drop(nj)
+	w.journeys.drop(nj, &wr)
 	m.firstJourney += nj
-	w.hops.drop(len(st.hopArena))
+	w.hops.drop(len(st.hopArena), &wr)
 	for _, v := range st.views {
 		id := m.byName[v.Name]
 		mv, vc := m.views[id], &w.views[id]
 		na, nr := len(v.Arrivals), len(v.Reads)
-		vc.arrivals.drop(na)
+		vc.arrivals.drop(na, &wr)
 		mv.firstArrival += na
-		vc.reads.drop(nr)
+		vc.reads.drop(nr, &wr)
 		mv.firstRead += nr
-		vc.readCum.drop(nr)
-		vc.arrivalTimes.drop(na)
-		vc.drainTimes.drop(len(v.pidx.drainTimes))
-		vc.readTimes.drop(nr)
+		vc.readCum.drop(nr, &wr)
+		vc.arrivalTimes.drop(na, &wr)
+		vc.drainTimes.drop(len(v.pidx.drainTimes), &wr)
+		vc.readTimes.drop(nr, &wr)
 		m.moments[id].Unmerge(st.moments[v.ID])
 	}
-	m.latencies.Remove(st.latRun)
+	w.runs.drop(len(st.latRuns), &wr)
 	addRecon(&m.recon, st.recon, -1)
 	addIntegrity(&m.Trace.Integrity, st.Trace.Integrity, -1)
 	m.recCount -= st.recCount
+	return wr
 }
 
 // publish points the store's exported tables at the live rows and starts a
@@ -330,6 +349,7 @@ func (w *window) publish(traceEnd simtime.Time) *Store {
 	m := &w.st
 	m.Journeys = w.journeys.rows()
 	m.hopArena = w.hops.rows()
+	m.latRuns = w.runs.rows()
 	for id, mv := range m.views {
 		vc := &w.views[id]
 		mv.Arrivals = vc.arrivals.rows()
@@ -363,6 +383,13 @@ func (w *window) publish(traceEnd simtime.Time) *Store {
 // kept the pointer can tell it has gone stale by comparing the generation
 // it saw with the current one.
 func (s *Store) Generation() uint64 { return s.gen }
+
+// add books o's rows into r.
+func (r *WindowRows) add(o WindowRows) {
+	r.Appended += o.Appended
+	r.Dropped += o.Dropped
+	r.Moved += o.Moved
+}
 
 // addRecon adds sign times src to dst.
 func addRecon(dst *ReconStats, src ReconStats, sign int) {
