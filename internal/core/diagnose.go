@@ -41,13 +41,11 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
-// diagnoser is per-run state: the engine config bound to one store's
-// immutable index and memo. Its methods are safe to call from many
-// goroutines at once.
+// diagnoser is per-run state: the engine config bound to one store and
+// memo. Its methods are safe to call from many goroutines at once.
 type diagnoser struct {
 	cfg  Config
 	st   *tracestore.Store
-	idx  *tracestore.Index
 	memo *diagMemo
 	// src is the interned traffic source (NoComp when the trace has none).
 	src tracestore.CompID
@@ -69,13 +67,13 @@ type diagnoser struct {
 	tracer        *obs.Tracer
 }
 
-// newDiagnoser binds the engine to a store: the shared index is built (or
-// fetched) once, so repeated single-victim calls stop being O(trace) each.
+// newDiagnoser binds the engine to a store, warming its §7 timelines for
+// the engine's queue threshold before any goroutine queries them.
 func (e *Engine) newDiagnoser(st *tracestore.Store) *diagnoser {
+	st.WarmQueueThreshold(e.cfg.QueueThreshold)
 	d := &diagnoser{
 		cfg:  e.cfg,
 		st:   st,
-		idx:  st.Index(e.cfg.QueueThreshold),
 		memo: e.memoFor(st),
 		src:  st.SourceID(),
 	}
@@ -159,7 +157,7 @@ func (e *Engine) DiagnoseVictimsContext(ctx context.Context, st *tracestore.Stor
 // time, each worker reusing one engine-owned scratch arena for its whole
 // share of the run, and every result lands in its victim's slot. Output is
 // byte-identical for every worker count: each victim's diagnosis is a pure
-// function of the victim over the immutable index and memo, and the slot
+// function of the victim over the immutable store and memo, and the slot
 // it is written to is the victim's index, whichever worker computed it.
 // At one worker the loop runs inline, in victim order.
 func (e *Engine) diagnoseAll(ctx context.Context, d *diagnoser, victims []Victim) ([]Diagnosis, error) {
@@ -266,10 +264,10 @@ func (d *diagnoser) findVictims() []Victim {
 		return nil
 	}
 	// Per-NF queue-delay statistics, the latency threshold, and the trace
-	// end come from the shared immutable index instead of an O(trace)
+	// end come from the store's frozen summaries instead of an O(trace)
 	// rescan per call.
-	threshold := d.idx.LatencyPercentile(d.cfg.VictimPercentile)
-	traceEnd := d.idx.TraceEnd()
+	threshold := d.st.LatencyPercentile(d.cfg.VictimPercentile)
+	traceEnd := d.st.TraceEnd()
 
 	// Degraded trace health means vanished records are more likely
 	// telemetry loss than packet loss; classifying them as loss victims
@@ -359,7 +357,7 @@ func (d *diagnoser) victimHops(out []Victim, idx int, j *tracestore.Journey, kin
 			maxDelay = delay
 			maxHop = hop
 		}
-		w := d.idx.DelayStatsID(hop.Comp)
+		w := d.st.DelayStatsID(hop.Comp)
 		if w != nil && w.Abnormal(float64(delay), abnormalStdDevs, 32) {
 			out = append(out, Victim{
 				Journey:    idx,

@@ -99,7 +99,7 @@ func (d *diagnoser) propagate(f tracestore.CompID, qp *tracestore.QueuingPeriod,
 
 // decomposePeriod computes the budget-independent half of the §4.2
 // analysis: the PreSet path subsets of the period with their timespan
-// shares. Pure over the immutable index, so safe to cache and share.
+// shares. Pure over the immutable store, so safe to cache and share.
 func (d *diagnoser) decomposePeriod(f tracestore.CompID, qp *tracestore.QueuingPeriod, cs *collectScratch) []propPath {
 	paths := d.collectPaths(f, qp, cs)
 	if len(paths) == 0 {

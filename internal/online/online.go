@@ -87,10 +87,10 @@ type Config struct {
 	// alert merging. Called synchronously from the feed goroutine — the
 	// serving tier captures per-window reports (and their fingerprints)
 	// here. Skipped and quarantined windows never fire it; they produce
-	// no Result. res.Store and res.Index are the stream's window store,
-	// lent for the duration of the call (pipeline.Result.Store): the next
-	// window overwrites them in place, so the callback must take what it
-	// wants to keep and not the pointers.
+	// no Result. res.Store is the stream's window store, lent for the
+	// duration of the call (pipeline.Result.Store): the next window
+	// overwrites it in place, so the callback must take what it wants to
+	// keep and not the pointer.
 	OnWindow func(end simtime.Time, res *pipeline.Result)
 	// ChaosHook, when non-nil, fires with scope "window:<n>" before each
 	// window's analysis and is forwarded into the per-window pipeline

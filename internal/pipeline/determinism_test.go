@@ -72,7 +72,8 @@ func fingerprint(r *microscope.Report) string {
 // evaluation workload, a fully sequential run (Workers=1) and parallel
 // runs (Workers=2, Workers=8, and GOMAXPROCS) must produce byte-for-byte
 // identical reports — rendered output, per-victim causes at full float
-// precision, culprit journey lists, and patterns — across several seeds.
+// precision, culprit journey lists, and patterns — across several seeds,
+// at the base queuing-period definition and at a §7 queue threshold.
 func TestPipelineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 16-NF topology; skipped in -short")
@@ -97,6 +98,25 @@ func TestPipelineDeterminism(t *testing.T) {
 				if fpar := fingerprint(microscope.Diagnose(tr, microscope.WithMaxVictims(300), microscope.WithWorkers(w))); fpar != fseq {
 					t.Fatalf("Workers=1 and Workers=%d reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s", w, fseq, fpar)
 				}
+			}
+
+			// A §7 queue threshold on a cold store: the index stage warms
+			// the store's queue-length timelines before the diagnosis fans
+			// out over them.
+			thr := func(workers int) string {
+				res, err := pipeline.RunContext(context.Background(), tr, pipeline.Config{
+					Diagnosis: core.Config{MaxVictims: 300, QueueThreshold: 3, Workers: workers},
+				})
+				if err != nil {
+					t.Fatalf("queue_threshold 3, workers=%d: %v", workers, err)
+				}
+				if len(res.Diagnoses) == 0 {
+					t.Fatalf("queue_threshold 3: no victims; the determinism check is vacuous")
+				}
+				return resultFingerprint(res)
+			}
+			if fseq, fpar := thr(1), thr(8); fseq != fpar {
+				t.Fatalf("queue_threshold 3: Workers=1 and Workers=8 differ:\n--- sequential ---\n%s\n--- parallel ---\n%s", fseq, fpar)
 			}
 		})
 	}

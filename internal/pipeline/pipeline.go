@@ -8,9 +8,9 @@
 // Stage 1 makes the store (tracestore.Build): it rebuilds packet journeys
 // from the collected trace (§5) and freezes the store's summaries — per-NF
 // delay statistics, the sorted delivered-latency distribution and the
-// queuing-period search arrays. Stage 2 hands out the shared immutable
-// tracestore.Index over them, warming the §7 queue-length timelines when a
-// queue threshold is set: everything computed once instead of per
+// drain times queuing periods search. Stage 2 warms the store's §7
+// queue-length timelines when a queue threshold is set, before any
+// goroutine reads them: everything computed once instead of per
 // DiagnoseVictim call.
 // Stage 3 selects victims (latency / loss). Stage 4 fans the per-victim
 // causal diagnosis (§4.1–§4.3) out over a bounded worker pool, sharing a
@@ -80,17 +80,14 @@ type Result struct {
 	// Store is the reconstructed trace backing everything downstream.
 	//
 	// In a Result from StreamState.RunWindow (every online monitor
-	// window) Store and Index are lent, not given: they are the
-	// stream's own window store, the same pointers every window, updated in
-	// place when the next RunWindow on that stream starts. Read them until
-	// then; keep what must outlive that — a count, a hash, a copied journey
-	// — not the pointers. Store.Generation tells a stale holder apart. The
-	// rest of the Result (Victims, Diagnoses, Patterns, Health, ...) is the
-	// caller's to keep. Results of Run/RunStore own their Store outright.
+	// window) Store is lent, not given: it is the stream's own window
+	// store, the same pointer every window, updated in place when the next
+	// RunWindow on that stream starts. Read it until then; keep what must
+	// outlive that — a count, a hash, a copied journey — not the pointer.
+	// Store.Generation tells a stale holder apart. The rest of the Result
+	// (Victims, Diagnoses, Patterns, Health, ...) is the caller's to keep.
+	// Results of Run/RunStore own their Store outright.
 	Store *tracestore.Store
-	// Index is the shared trace index the diagnosis ran over (immutable
-	// while the run's Store is valid).
-	Index *tracestore.Index
 	// Victims is the stage-3 selection, in canonical victim order.
 	Victims []core.Victim
 	// Diagnoses holds per-victim ranked causes, parallel to Victims.
@@ -294,7 +291,7 @@ func (r *run) runStoreWith(ctx context.Context, eng *core.Engine) (*Result, erro
 	}
 	st := r.res.Store
 	if err := r.stage(ctx, "index", func() {
-		r.res.Index = st.Index(r.cfg.Diagnosis.QueueThreshold)
+		st.WarmQueueThreshold(r.cfg.Diagnosis.QueueThreshold)
 	}); err != nil {
 		return r.finish(), err
 	}

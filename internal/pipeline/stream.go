@@ -12,16 +12,15 @@
 // ingest seals the window's new records into grid segments and evicts
 // expired ones (O(new records)); merge brings the stream's one window store
 // up to date in place — evicted segments' rows leave, newly sealed
-// segments' rows are appended, and the diagnosis index follows from their
-// summaries (O(rows entering and leaving)); the remaining stages are the
+// segments' rows are appended, and the store's summaries follow from
+// theirs (O(rows entering and leaving)); the remaining stages are the
 // classic tail, running over an engine whose memoized upstream
 // decompositions survive from the previous window wherever eviction left
 // them valid.
 //
-// Lifetime: Result.Store and Result.Index of a window run are lent. They
-// are the stream's own window store, the same pointers every window, and
-// describe this window only until the next RunWindow on the same
-// StreamState begins. Whatever outlives that — a summary, a hash, a copied
+// Lifetime: Result.Store of a window run is lent. It is the stream's own
+// window store, the same pointer every window, and describes this window
+// only until the next RunWindow on the same StreamState begins. Whatever outlives that — a summary, a hash, a copied
 // journey — must be taken before then.
 //
 // Equivalence contract: for every window, the Result here is byte-

@@ -151,7 +151,6 @@ func TestOnWindowConsumersRetainNothing(t *testing.T) {
 		lentPtrs := map[uintptr]string{
 			reflect.ValueOf(res).Pointer():       "the Result",
 			reflect.ValueOf(res.Store).Pointer(): "Result.Store",
-			reflect.ValueOf(res.Index).Pointer(): "Result.Index",
 		}
 		if len(res.Store.Journeys) > 0 {
 			lentPtrs[reflect.ValueOf(res.Store.Journeys).Pointer()] = "Store.Journeys"

@@ -17,9 +17,10 @@ import (
 )
 
 // storeDump feeds a canonical binary dump of a made store to a hash: the
-// interner, every view's arrivals, reads and period search arrays, the
-// journeys with their hops, the delay moments, the sorted delivered
-// latencies, the trace end, the reconstruction counters and the health.
+// interner, every view's arrivals, reads and what its period searches
+// read, the journeys with their hops, the delay moments, the sorted
+// delivered latencies, the trace end, the reconstruction counters and the
+// health.
 // The digests below were taken from the code before derive's hot loops
 // were rewritten, and hold every rewrite since to the same stores.
 type storeDump struct {
@@ -74,13 +75,21 @@ func (d *storeDump) store(s *Store) {
 			d.bool(r.Drained)
 			d.int(int64(r.FirstEntry))
 		}
-		pi := &v.pidx
-		d.times(pi.arrivalTimes)
-		d.times(pi.drainTimes)
-		d.times(pi.readTimes)
-		d.int(int64(len(pi.readCum)))
-		for _, c := range pi.readCum {
-			d.int(int64(c))
+		// What the queuing-period searches read, laid out as when the
+		// digests below were taken: arrival times, drain times, read
+		// times, and the packets read before each read and then in all.
+		d.int(int64(len(v.Arrivals)))
+		for _, a := range v.Arrivals {
+			d.int(int64(a.At))
+		}
+		d.times(v.pidx.drainTimes)
+		d.int(int64(len(v.Reads)))
+		for _, r := range v.Reads {
+			d.int(int64(r.At))
+		}
+		d.int(int64(len(v.Reads) + 1))
+		for i := range len(v.Reads) + 1 {
+			d.int(int64(v.readBefore(i)))
 		}
 	}
 	d.int(int64(len(s.Journeys)))
@@ -199,11 +208,11 @@ func TestBuildDigest(t *testing.T) {
 // the stream's cumulative stats.
 func TestSealDigest(t *testing.T) {
 	want := map[string]string{
-		"clean":   "9a6eb2a5fbbf7680",
-		"reorder": "b165144c75f1ac78",
-		"drop":    "b8b7f1e05b2893c1",
-		"dup":     "63edd19549909715",
-		"narrow":  "e3656ee5edec8d22",
+		"clean":   "44e3e9138ae35bec",
+		"reorder": "bcd16693ba77ab0a",
+		"drop":    "7f6f77535e1cf682",
+		"dup":     "3cca895e7de09600",
+		"narrow":  "868dab6601bd7ccc",
 	}
 	const w, o = 500 * simtime.Microsecond, 250 * simtime.Microsecond
 	for _, c := range digestTraces(t) {

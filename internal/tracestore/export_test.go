@@ -3,7 +3,6 @@ package tracestore
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 	"sync"
 
@@ -38,20 +37,17 @@ func (s *Stream) WindowCapRatio(minRows int) float64 {
 		vc := &w.views[i]
 		note(vc.arrivals.len(), cap(vc.arrivals.buf))
 		note(vc.reads.len(), cap(vc.reads.buf))
-		note(vc.arrivalTimes.len(), cap(vc.arrivalTimes.buf))
-		note(vc.readTimes.len(), cap(vc.readTimes.buf))
 	}
 	return worst
 }
 
 // VerifyWindow checks the window store Window last returned two ways.
-// Its index and period search arrays must be what scanning its live rows
-// gives (checkByScan), and it must equal the other way to assemble it: a
-// fresh window store with every retained segment appended. The two must
-// agree in every field of window, Store,
-// CompView, periodIndex and Index — reached by reflection, so a field
-// added later is compared without anyone remembering to — in lengths and
-// values, not capacities. Row references are compared after moving the
+// Its summaries must be what scanning its live rows gives (checkByScan),
+// and it must equal the other way to assemble it: a fresh window store
+// with every retained segment appended. The two must agree in every field
+// of window, Store, CompView and periodIndex — reached by reflection, so a
+// field added later is compared without anyone remembering to — in lengths
+// and values, not capacities. Row references are compared after moving the
 // fresh store's (which count from zero) onto the in-place store's bases.
 // It also checks what value equality cannot see: that every journey's Hops
 // is the right span of the live hop column, and that every row reference
@@ -69,7 +65,7 @@ func VerifyWindow(s *Stream) error {
 		return fmt.Errorf("in-place store: %w", err)
 	}
 
-	if err := checkByScan(&w.ix); err != nil {
+	if err := checkByScan(&w.st); err != nil {
 		return fmt.Errorf("in-place store: %w", err)
 	}
 
@@ -100,15 +96,13 @@ func VerifyWindow(s *Stream) error {
 	return nil
 }
 
-// checkByScan holds an index, and its store's period search arrays, to
-// what the definitions give over the store's live rows, computed here by
-// scanning and sharing nothing with summarize or with the window store's
-// add and drop: per-component queue-delay moments over every hop that was
-// read or left, delivered-latency percentiles, the latest departure, and
-// per component the arrival times, read times, drain times (reads of
-// fewer packets than a full batch) and cumulative packets read.
-func checkByScan(ix *Index) error {
-	st := ix.Store()
+// checkByScan holds a store's summaries to what the definitions give over
+// its live rows, computed here by scanning and sharing nothing with
+// summarize or with the window store's add and drop: per-component
+// queue-delay moments over every hop that was read or left,
+// delivered-latency percentiles and the latest departure. Its queuing
+// periods are held to theirs by TestWindowQueuingPeriodMatchesScan.
+func checkByScan(st *Store) error {
 	moments := make([]stats.Moments, st.NumComps())
 	var lat []float64
 	var end simtime.Time
@@ -126,7 +120,7 @@ func checkByScan(ix *Index) error {
 	}
 	sort.Float64s(lat)
 	for id := range moments {
-		want, got := &moments[id], ix.DelayStatsID(CompID(id))
+		want, got := &moments[id], st.DelayStatsID(CompID(id))
 		if got == nil {
 			got = &stats.Moments{}
 		}
@@ -135,45 +129,19 @@ func checkByScan(ix *Index) error {
 		}
 	}
 	for _, p := range []float64{50, 90, 99, 100} {
-		if got, want := ix.LatencyPercentile(p), stats.PercentileSorted(lat, p); got != want {
+		if got, want := st.LatencyPercentile(p), stats.PercentileSorted(lat, p); got != want {
 			return fmt.Errorf("p%v latency %v, a scan gives %v", p, got, want)
 		}
 	}
-	if got := ix.TraceEnd(); got != end {
+	if got := st.TraceEnd(); got != end {
 		return fmt.Errorf("trace end %d, a scan gives %d", got, end)
-	}
-	for id := 0; id < st.NumComps(); id++ {
-		v := st.ViewID(CompID(id))
-		var want periodIndex
-		for _, a := range v.Arrivals {
-			want.arrivalTimes = append(want.arrivalTimes, a.At)
-		}
-		want.readCum = []int{0}
-		for _, r := range v.Reads {
-			want.readTimes = append(want.readTimes, r.At)
-			if r.N < st.MaxBatch {
-				want.drainTimes = append(want.drainTimes, r.At)
-			}
-			want.readCum = append(want.readCum, want.readCum[len(want.readCum)-1]+r.N)
-		}
-		got := v.pidx
-		// A window store counts packets read from when its column was
-		// last emptied; only the differences are the definition.
-		got.readCum = slices.Clone(got.readCum)
-		for i := len(got.readCum) - 1; i >= 0; i-- {
-			got.readCum[i] -= got.readCum[0]
-		}
-		if !slices.Equal(got.arrivalTimes, want.arrivalTimes) || !slices.Equal(got.readTimes, want.readTimes) ||
-			!slices.Equal(got.drainTimes, want.drainTimes) || !slices.Equal(got.readCum, want.readCum) {
-			return fmt.Errorf("%s: period search arrays differ from a scan of its %d arrivals and %d reads",
-				v.Name, len(v.Arrivals), len(v.Reads))
-		}
 	}
 	return nil
 }
 
 // rebase moves ref's row references (which count from a freshly emptied
-// store) onto w's bases.
+// store) onto w's bases. Both count packets read from when their columns
+// were emptied, so the difference of their totals is the base.
 func rebase(ref, w *window) {
 	dj := w.st.firstJourney
 	ref.st.firstJourney += dj
@@ -182,7 +150,8 @@ func rebase(ref, w *window) {
 	for id, mv := range ref.st.views {
 		wv := w.st.views[id]
 		da[id], dr[id] = wv.firstArrival, wv.firstRead
-		de[id] = w.views[id].readCum.rows()[0]
+		de[id] = w.views[id].entries - ref.views[id].entries
+		ref.views[id].entries += de[id]
 		mv.firstArrival += da[id]
 		mv.firstRead += dr[id]
 		for i := range mv.Arrivals {
@@ -192,10 +161,6 @@ func rebase(ref, w *window) {
 		}
 		for i := range mv.Reads {
 			mv.Reads[i].FirstEntry += de[id]
-		}
-		cum := ref.views[id].readCum.rows()
-		for i := range cum {
-			cum[i] += de[id]
 		}
 	}
 	hops := ref.hops.rows()
@@ -236,14 +201,15 @@ func checkReferences(w *window) error {
 		return fmt.Errorf("%d live hops, journeys account for %d", len(hops), pos)
 	}
 	for id, mv := range m.views {
-		cum := w.views[id].readCum.rows()
-		if len(cum) != len(mv.Reads)+1 {
-			return fmt.Errorf("%s: %d reads, %d cumulative counts", mv.Name, len(mv.Reads), len(cum))
-		}
-		for i, r := range mv.Reads {
-			if r.FirstEntry != cum[i] || cum[i+1]-cum[i] != r.N {
-				return fmt.Errorf("%s read %d: FirstEntry %d N %d against cumulative %d..%d", mv.Name, i, r.FirstEntry, r.N, cum[i], cum[i+1])
+		// Each read's packets start where the previous read's end, and
+		// the last read's end where the column's count stands.
+		next := w.views[id].entries
+		for i := len(mv.Reads) - 1; i >= 0; i-- {
+			r := &mv.Reads[i]
+			if r.FirstEntry+r.N != next {
+				return fmt.Errorf("%s read %d: FirstEntry %d N %d, the next packet is %d", mv.Name, i, r.FirstEntry, r.N, next)
 			}
+			next = r.FirstEntry
 		}
 		for i, a := range mv.Arrivals {
 			if a.Journey >= 0 && m.JourneyAt(a.Journey) == nil {

@@ -8,33 +8,15 @@ import (
 	"microscope/internal/stats"
 )
 
-// Index is the immutable per-store diagnosis index: the store's
-// threshold-independent summaries (summarize) plus the §7 queue-length
-// timelines warmed for its threshold, so that any number of goroutines may
-// query queuing periods concurrently without synchronization — the
-// contract the parallel diagnosis stage relies on. A stream's window store
-// keeps one Index for its lifetime and brings its summaries up to date,
-// together with the store, between windows (window.go); while a window is
-// being diagnosed it is as immutable as any other.
-type Index struct {
-	store *Store
-	// QueueThreshold is the §7 period threshold the timelines were warmed
-	// for (0 = the paper's base queuing-period definition).
-	QueueThreshold int
-}
-
-// Store returns the store the index was built over.
-func (ix *Index) Store() *Store { return ix.store }
-
 // DelayStats returns the per-NF queue-delay statistics for comp, or nil.
-func (ix *Index) DelayStats(comp string) *stats.Moments {
-	return ix.DelayStatsID(ix.store.CompIDOf(comp))
+func (s *Store) DelayStats(comp string) *stats.Moments {
+	return s.DelayStatsID(s.CompIDOf(comp))
 }
 
 // DelayStatsID is DelayStats for an interned component: its queue-delay
 // moments for the §4.1 abnormality test, nil when it had no read hops.
-func (ix *Index) DelayStatsID(comp CompID) *stats.Moments {
-	ms := ix.store.moments
+func (s *Store) DelayStatsID(comp CompID) *stats.Moments {
+	ms := s.moments
 	if comp < 0 || int(comp) >= len(ms) || ms[comp].N() == 0 {
 		return nil
 	}
@@ -45,43 +27,33 @@ func (ix *Index) DelayStatsID(comp CompID) *stats.Moments {
 // nearest rank, selected from the store's sorted latency runs without
 // merging them (stats.PercentileRuns): a cold or segment store's one run,
 // or a window store's segments' runs.
-func (ix *Index) LatencyPercentile(p float64) float64 {
-	return stats.PercentileRuns(ix.store.latRuns, p)
+func (s *Store) LatencyPercentile(p float64) float64 {
+	return stats.PercentileRuns(s.latRuns, p)
 }
 
 // TraceEnd returns the latest hop departure observed in the trace.
-func (ix *Index) TraceEnd() simtime.Time { return ix.store.traceEnd }
+func (s *Store) TraceEnd() simtime.Time { return s.traceEnd }
 
-// Index returns the diagnosis index for the given queue threshold, building
-// it on first use. The returned index is immutable and safe to share across
-// goroutines; repeated calls are O(1).
-func (s *Store) Index(queueThreshold int) *Index {
-	if queueThreshold < 0 {
-		queueThreshold = 0
+// WarmQueueThreshold builds every view's §7 queue-length timeline for
+// threshold k (nothing at k ≤ 0), so that QueuingPeriodThresholdID at k
+// only reads afterwards: the diagnosis runs it before its goroutines fan
+// out over the store. It is idempotent and safe to call concurrently.
+func (s *Store) WarmQueueThreshold(k int) {
+	if k <= 0 {
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ix, ok := s.indexes[queueThreshold]; ok {
-		return ix
+	for _, v := range s.views {
+		s.timelineOf(v).lastLEFor(k)
 	}
-	if queueThreshold > 0 {
-		for _, v := range s.views {
-			s.timelineOf(v).lastLEFor(queueThreshold)
-		}
-	}
-	ix := &Index{store: s, QueueThreshold: queueThreshold}
-	if s.indexes == nil {
-		s.indexes = make(map[int]*Index)
-	}
-	s.indexes[queueThreshold] = ix
-	return ix
 }
 
-// summarize freezes what every Index of the store reads, as the last step
-// of derive: one scan of the journeys gives the per-component queue-delay
-// moments, the delivered latencies (sorted) and the latest hop departure,
-// and every view's queuing-period search arrays are filled into the
-// store's slabs. Delays are kept as exact integer moments (stats.Moments)
+// summarize freezes what the diagnosis reads of the store, as the last
+// step of derive: one scan of the journeys gives the per-component
+// queue-delay moments, the delivered latencies (sorted) and the latest hop
+// departure, and every view's drain times are filled into the store's
+// drains slab. Delays are kept as exact integer moments (stats.Moments)
 // so a window store adds and subtracts its segments' and lands on the
 // values this scan would give over the window. Latencies are sorted as the
 // integers they are and only then widened: the conversion is monotone, so

@@ -36,9 +36,8 @@ func checkLatencyPercentile(t *testing.T, what string, st *Store) {
 	if len(lat) == 0 {
 		t.Fatalf("%s: no delivered journeys; the check would compare nothing", what)
 	}
-	ix := st.Index(0)
 	for _, p := range []float64{0, 1, 50, 90, 99, 99.9, 99.99} {
-		if got, want := ix.LatencyPercentile(p), stats.PercentileSorted(lat, p); got != want {
+		if got, want := st.LatencyPercentile(p), stats.PercentileSorted(lat, p); got != want {
 			t.Fatalf("%s (%d latencies): p%v = %v, the journeys give %v", what, len(lat), p, got, want)
 		}
 	}
@@ -56,8 +55,7 @@ func TestWindowLatencyPercentileMatchesJourneys(t *testing.T) {
 			st = d.slide()
 			checkLatencyPercentile(t, fmt.Sprintf("span %gx, window %d", span, i), st)
 		}
-		ix := st.Index(0)
-		if a := testing.AllocsPerRun(20, func() { ix.LatencyPercentile(99) }); a != 0 {
+		if a := testing.AllocsPerRun(20, func() { st.LatencyPercentile(99) }); a != 0 {
 			t.Errorf("span %gx: %v allocations per percentile, want 0", span, a)
 		}
 	}
@@ -66,11 +64,11 @@ func TestWindowLatencyPercentileMatchesJourneys(t *testing.T) {
 
 // segmentRows is the rows window.append writes for a sealed segment's
 // store: journeys, hops and its latency run, and per component its
-// arrivals, reads and the four queuing-period search columns.
+// arrivals, reads and drain times.
 func segmentRows(st *Store) int64 {
 	n := len(st.Journeys) + len(st.hopArena) + len(st.latRuns)
 	for _, v := range st.views {
-		n += 2*len(v.Arrivals) + 3*len(v.Reads) + len(v.pidx.drainTimes)
+		n += len(v.Arrivals) + len(v.Reads) + len(v.pidx.drainTimes)
 	}
 	return int64(n)
 }
@@ -136,10 +134,10 @@ func BenchmarkWindowLatencyPercentile(b *testing.B) {
 		d := newSlidingStream(b, span)
 		var ns float64
 		for i := 0; i < windows; i++ {
-			ix := d.slide().Index(0)
+			st := d.slide()
 			t := time.Now()
 			for r := 0; r < reps; r++ {
-				percentileSink = ix.LatencyPercentile(99)
+				percentileSink = st.LatencyPercentile(99)
 			}
 			ns += float64(time.Since(t).Nanoseconds())
 		}

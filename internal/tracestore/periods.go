@@ -49,66 +49,35 @@ func (s *Store) PeriodArrivals(qp *QueuingPeriod) []Arrival {
 	return v.Arrivals[lo:hi]
 }
 
-// periodIndex caches per-component arrays for O(log n) period queries.
+// periodIndex is what a queuing-period query cannot read off the rows by
+// binary search: the times of the reads that left the queue empty, without
+// which finding the last drain before t would mean walking back through a
+// busy period.
 type periodIndex struct {
-	arrivalTimes []simtime.Time
-	drainTimes   []simtime.Time // read events that left the queue empty
-	readTimes    []simtime.Time
-	readCum      []int // readCum[i] = packets read in events [0, i)
+	drainTimes []simtime.Time
 }
 
-// warmPeriodIndexes builds every view's period index out of the store's
-// own times/cums slabs, so a recycled store refills them in place.
+// warmPeriodIndexes fills every view's drain times into the store's drains
+// slab, so a recycled store refills it in place.
 func (s *Store) warmPeriodIndexes() {
-	nTimes, nCums := 0, 0
+	n := 0
 	for _, v := range s.views {
-		nt, nc := periodIndexSize(v)
-		nTimes += nt
-		nCums += nc
-	}
-	s.times = resize(s.times, nTimes)
-	s.cums = resize(s.cums, nCums)
-	times, cums := s.times, s.cums
-	for _, v := range s.views {
-		nt, nc := periodIndexSize(v)
-		v.pidx.fill(v, times[:nt], cums[:nc])
-		times, cums = times[nt:], cums[nc:]
-	}
-}
-
-// periodIndexSize is how many times and cumulative counts v's period
-// index holds.
-func periodIndexSize(v *CompView) (times, cums int) {
-	drained := 0
-	for i := range v.Reads {
-		if v.Reads[i].Drained {
-			drained++
+		for i := range v.Reads {
+			if v.Reads[i].Drained {
+				n++
+			}
 		}
 	}
-	return len(v.Arrivals) + len(v.Reads) + drained, len(v.Reads) + 1
-}
-
-// fill builds the index over v in the given storage, which must have
-// exactly periodIndexSize(v) elements.
-func (pi *periodIndex) fill(v *CompView, times []simtime.Time, cums []int) {
-	na, nr := len(v.Arrivals), len(v.Reads)
-	pi.arrivalTimes, times = times[:na:na], times[na:]
-	pi.readTimes, times = times[:nr:nr], times[nr:]
-	pi.drainTimes = nil
-	if len(times) > 0 {
-		pi.drainTimes = times[:0]
-	}
-	pi.readCum = cums
-	for i := range v.Arrivals {
-		pi.arrivalTimes[i] = v.Arrivals[i].At
-	}
-	pi.readCum[0] = 0
-	for i := range v.Reads {
-		pi.readTimes[i] = v.Reads[i].At
-		pi.readCum[i+1] = pi.readCum[i] + v.Reads[i].N
-		if v.Reads[i].Drained {
-			pi.drainTimes = append(pi.drainTimes, v.Reads[i].At)
+	s.drains = resize(s.drains, n)
+	drains := s.drains[:0]
+	for _, v := range s.views {
+		from := len(drains)
+		for i := range v.Reads {
+			if v.Reads[i].Drained {
+				drains = append(drains, v.Reads[i].At)
+			}
 		}
+		v.pidx.drainTimes = drains[from:len(drains):len(drains)]
 	}
 }
 
@@ -131,35 +100,52 @@ func (s *Store) QueuingPeriodAtID(comp CompID, t simtime.Time) *QueuingPeriod {
 	if v == nil || len(v.Arrivals) == 0 {
 		return nil
 	}
-	pi := &v.pidx
-
 	// Last drain strictly before t; the period begins with the first
 	// arrival after it.
 	var lastDrain simtime.Time = -1
-	if i := searchTimes(pi.drainTimes, t-1); i > 0 {
-		lastDrain = pi.drainTimes[i-1]
+	if i := searchTimes(v.pidx.drainTimes, t-1); i > 0 {
+		lastDrain = v.pidx.drainTimes[i-1]
 	}
-	first := searchTimes(pi.arrivalTimes, lastDrain) // first arrival with At > lastDrain
-	last := searchTimes(pi.arrivalTimes, t) - 1      // last arrival with At <= t
+	return v.periodAfter(lastDrain, t)
+}
+
+// periodAfter is the queuing period at v for a packet arriving at t that
+// began with the first arrival after anchor, or nil when no arrival lies
+// in (anchor, t]. Its arrivals and reads are binary-searched in the rows.
+func (v *CompView) periodAfter(anchor, t simtime.Time) *QueuingPeriod {
+	arr, reads := v.Arrivals, v.Reads
+	first := sort.Search(len(arr), func(i int) bool { return arr[i].At > anchor })
+	last := sort.Search(len(arr), func(i int) bool { return arr[i].At > t }) - 1
 	if last < first {
 		return nil
 	}
-	start := pi.arrivalTimes[first]
-
+	start := arr[first].At
 	// Packets dequeued during [start, t].
-	lo := sort.Search(len(pi.readTimes), func(i int) bool { return pi.readTimes[i] >= start })
-	hi := searchTimes(pi.readTimes, t)
-	nProc := pi.readCum[hi] - pi.readCum[lo]
-
+	lo := sort.Search(len(reads), func(i int) bool { return reads[i].At >= start })
+	hi := sort.Search(len(reads), func(i int) bool { return reads[i].At > t })
 	return &QueuingPeriod{
-		Comp:         comp,
+		Comp:         v.ID,
 		Start:        start,
 		End:          t,
 		ArrivalFirst: v.firstArrival + first,
 		ArrivalLast:  v.firstArrival + last,
 		NIn:          last - first + 1,
-		NProc:        nProc,
+		NProc:        v.readBefore(hi) - v.readBefore(lo),
 	}
+}
+
+// readBefore is how many packets the reads before Reads[i] dequeued, for
+// 0 ≤ i ≤ len(Reads), counted from where ReadEvent.FirstEntry counts: only
+// differences are meaningful.
+func (v *CompView) readBefore(i int) int {
+	if i < len(v.Reads) {
+		return v.Reads[i].FirstEntry
+	}
+	if i == 0 {
+		return 0
+	}
+	r := &v.Reads[i-1]
+	return r.FirstEntry + r.N
 }
 
 // QueueLenAt estimates the queue length at comp at time t from the record

@@ -15,7 +15,7 @@ import (
 )
 
 // storeDiff names the first field in which two made stores differ (""
-// when none): interner, arrivals, reads, period index, journeys with their
+// when none): interner, arrivals, reads, drain times, journeys with their
 // hops, reconstruction counters, summaries, health.
 func storeDiff(a, b *Store) string {
 	if !slices.Equal(a.names, b.names) {
@@ -29,10 +29,8 @@ func storeDiff(a, b *Store) string {
 		if !slices.Equal(va.Reads, vb.Reads) {
 			return fmt.Sprintf("%s: reads differ (%d vs %d)", va.Name, len(va.Reads), len(vb.Reads))
 		}
-		pa, pb := &va.pidx, &vb.pidx
-		if !slices.Equal(pa.arrivalTimes, pb.arrivalTimes) || !slices.Equal(pa.drainTimes, pb.drainTimes) ||
-			!slices.Equal(pa.readTimes, pb.readTimes) || !slices.Equal(pa.readCum, pb.readCum) {
-			return fmt.Sprintf("%s: period index differs", va.Name)
+		if !slices.Equal(va.pidx.drainTimes, vb.pidx.drainTimes) {
+			return fmt.Sprintf("%s: drain times differ", va.Name)
 		}
 	}
 	if len(a.Journeys) != len(b.Journeys) {
@@ -334,20 +332,16 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDeriveSummariesMatchScan holds the summaries derive freezes, and the
-// period search arrays it fills, to the test-only scan VerifyWindow also
-// holds every window store to (checkByScan) — here over cold Builds of
-// clean, damaged, unsorted, wrapping and empty traces, at the base
-// queuing-period definition and at a §7 threshold.
+// TestDeriveSummariesMatchScan holds the summaries derive freezes to the
+// test-only scan VerifyWindow also holds every window store to
+// (checkByScan) — here over cold Builds of clean, damaged, unsorted,
+// wrapping and empty traces.
 func TestDeriveSummariesMatchScan(t *testing.T) {
 	eval := evalTrace(t, 6, simtime.MPPS(1.2), simtime.Duration(simtime.Millisecond))
 	damaged, _ := faults.Inject(eval, faults.Config{Seed: 8, DupRate: 0.02, ReorderRate: 0.05, TruncateRate: 0.02, DropRate: 0.01})
 	for i, tr := range []*collector.Trace{eval, damaged, wrapTrace(600), {Meta: eval.Meta}} {
-		for _, thr := range []int{0, 3} {
-			st := Build(tr)
-			if err := checkByScan(st.Index(thr)); err != nil {
-				t.Fatalf("trace %d, threshold %d: %v", i, thr, err)
-			}
+		if err := checkByScan(Build(tr)); err != nil {
+			t.Fatalf("trace %d: %v", i, err)
 		}
 	}
 }
@@ -376,8 +370,7 @@ func TestSegmentSizeBytes(t *testing.T) {
 		for _, v := range gs.views {
 			want += int64(len(v.Arrivals))*int64(unsafe.Sizeof(Arrival{})) +
 				int64(len(v.Reads))*int64(unsafe.Sizeof(ReadEvent{})) +
-				int64(len(v.pidx.arrivalTimes)+len(v.pidx.drainTimes)+len(v.pidx.readTimes))*int64(unsafe.Sizeof(simtime.Time(0))) +
-				int64(len(v.pidx.readCum))*int64(unsafe.Sizeof(int(0)))
+				int64(len(v.pidx.drainTimes))*int64(unsafe.Sizeof(simtime.Time(0)))
 		}
 		if g.bytes != want {
 			t.Fatalf("segment %d: size estimate %d B, its slices hold %d B", i, g.bytes, want)

@@ -49,7 +49,9 @@ type ReadEvent struct {
 	Drained bool
 	// FirstEntry indexes the first packet of this batch in the
 	// component's flattened read entries (stream-absolute, like every row
-	// reference; see reconstruct.go).
+	// reference; see reconstruct.go). It counts the packets the
+	// component's earlier reads dequeued, so a queuing period's n_p is the
+	// difference of two (CompView.readBefore).
 	FirstEntry int
 }
 
@@ -86,8 +88,9 @@ type CompView struct {
 	// window store, where rows leave from the front (window.go).
 	firstArrival, firstRead int
 
-	// pidx is the queuing-period search index: spans of the store's slabs,
-	// filled by summarize, or of a window store's columns.
+	// pidx holds the drain times queuing-period queries search: a span of
+	// the store's drains slab, filled by summarize, or of a window store's
+	// column.
 	pidx periodIndex
 	// tl caches the reconstructed queue-length timeline (§7 threshold
 	// periods).
@@ -131,14 +134,13 @@ type Store struct {
 	// to date for (Generation); zero for every other store.
 	gen uint64
 
-	// The retained slabs: every view's Arrivals, Reads and period-index
-	// arrays are exact-size spans of these, so a store costs a handful of
+	// The retained slabs: every view's Arrivals, Reads and drain times
+	// are exact-size spans of these, so a store costs a handful of
 	// allocations whatever its component count, and a recycled segment
 	// store (Stream) refills them in place.
 	arrivals []Arrival
 	reads    []ReadEvent
-	times    []simtime.Time
-	cums     []int
+	drains   []simtime.Time
 	// traceBuf is Trace's storage for segment stores; its Records are the
 	// segment's run only while derive runs.
 	traceBuf collector.Trace
@@ -149,8 +151,8 @@ type Store struct {
 
 	recon ReconStats
 
-	// The summaries every Index of the store reads, frozen by summarize
-	// (a window store keeps its own by add and drop, window.go): moments
+	// The summaries the diagnosis reads, frozen by summarize (a window
+	// store keeps its own by add and drop, window.go): moments
 	// are the queue-delay moments by CompID, latRun the delivered
 	// latencies ascending, latRuns the ascending runs the latency
 	// percentile is selected from — latRun alone, or a window store's
@@ -160,11 +162,10 @@ type Store struct {
 	latRuns  [][]float64
 	traceEnd simtime.Time
 
-	// mu guards the lazily built shared indexes below. The per-threshold
-	// diagnosis indexes and the flow index are built once and immutable
-	// afterwards, so holders never need the lock to read them.
+	// mu guards what is built lazily for readers on many goroutines: the
+	// flow index and the §7 timelines (WarmQueueThreshold). Both are
+	// immutable once built, so readers never need the lock.
 	mu      sync.Mutex
-	indexes map[int]*Index
 	flowIdx *FlowIndex
 }
 
@@ -444,7 +445,7 @@ func (s *Store) recycle() {
 	s.Journeys = s.Journeys[:0]
 	s.hopArena = s.hopArena[:0]
 	s.recon = ReconStats{}
-	s.indexes, s.flowIdx = nil, nil
+	s.flowIdx = nil
 }
 
 // buildMetaTables freezes peaks/kinds/downs/srcID for the interned

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the incremental sliding-window trace index: the streaming
-// counterpart to Build+Index that stops rebuilding the world every window.
+// counterpart to Build that stops rebuilding the world every window.
 //
 // The stream partitions time into *epoch segments* along a fixed grid
 // derived from the monitor's window geometry (window W, overlap O). Two
@@ -34,11 +34,10 @@ import (
 // the segment's run of records where it lies in the caller's input — the
 // monitor's pending buffer, where each record got its one copy — freezing
 // the store's mergeable summaries (exact per-NF delay moments, sorted
-// delivered latencies, trace end, queuing-period search arrays). The
-// segment keeps what it derived and the run's length, never the records:
-// when derive returns nothing of the stream points into the run, so a
-// record's IPID and tuple payload is released as soon as its caller lets go
-// of it. Everything a segment retains lives in its shell and is refilled in
+// delivered latencies, trace end, drain times). The segment keeps what it
+// derived and the run's length, never the records: when derive returns
+// nothing of the stream points into the run, so a record's IPID and tuple
+// payload is released as soon as its caller lets go of it. Everything a segment retains lives in its shell and is refilled in
 // place when the shell is recycled; everything needed only while sealing
 // lives in one stream-owned scratch, so sealing allocates nothing once the
 // shells and the scratch have grown to size. A window is then assembled in
@@ -57,7 +56,7 @@ import (
 // equivalence contract ("byte-identical reports to a full rebuild of the
 // same window") is over this common grid.
 
-// StreamConfig fixes a stream's window geometry and index threshold.
+// StreamConfig fixes a stream's window geometry and queue threshold.
 type StreamConfig struct {
 	// Window is the flush period W; window ends are multiples of it.
 	Window simtime.Duration
@@ -67,8 +66,9 @@ type StreamConfig struct {
 	// short reporting cadence (e.g. 1 ms alerts over 5 ms of context) is
 	// the same grid with a deeper retention horizon.
 	Overlap simtime.Duration
-	// QueueThreshold is the §7 period threshold the per-window index is
-	// assembled for (0 = the paper's base definition).
+	// QueueThreshold is the §7 period threshold every window store's
+	// queue-length timelines are warmed for (0 = the paper's base
+	// definition, which needs none).
 	QueueThreshold int
 }
 
@@ -510,7 +510,7 @@ func (s *Stream) retire(g *Segment) {
 // Window brings the stream's window store up to date for the window ending
 // at end — the rows of the segments evicted since the last call leave from
 // the front, the rows of the segments sealed since are appended, and the
-// diagnosis index follows from their seal-time summaries, so the work is
+// store's summaries follow from their seal-time ones, so the work is
 // proportional to what entered and left, not to the span — and reports
 // whether state cached against the previous window carries over.
 //
@@ -593,9 +593,7 @@ func (g *Segment) sizeBytes() int64 {
 	st := g.st
 	b := sizeOf(st.hopArena) + sizeOf(st.Journeys) + sizeOf(st.moments) + sizeOf(st.latRun)
 	for _, v := range st.views {
-		pi := &v.pidx
-		b += sizeOf(v.Arrivals) + sizeOf(v.Reads) +
-			sizeOf(pi.arrivalTimes) + sizeOf(pi.drainTimes) + sizeOf(pi.readTimes) + sizeOf(pi.readCum)
+		b += sizeOf(v.Arrivals) + sizeOf(v.Reads) + sizeOf(v.pidx.drainTimes)
 	}
 	return b
 }

@@ -322,16 +322,15 @@ func TestStreamWindowMatchesRebuild(t *testing.T) {
 		if mh, ch := merged.Health(), cold.Health(); mh != ch {
 			t.Fatalf("end=%d: health diverged: %+v vs %+v", end, mh, ch)
 		}
-		mi, ci := merged.Index(0), cold.Index(0)
-		if mi.TraceEnd() != ci.TraceEnd() {
-			t.Fatalf("end=%d: trace end %d vs %d", end, mi.TraceEnd(), ci.TraceEnd())
+		if merged.TraceEnd() != cold.TraceEnd() {
+			t.Fatalf("end=%d: trace end %d vs %d", end, merged.TraceEnd(), cold.TraceEnd())
 		}
 		for _, p := range []float64{50, 90, 99} {
-			if mp, cp := mi.LatencyPercentile(p), ci.LatencyPercentile(p); mp != cp {
+			if mp, cp := merged.LatencyPercentile(p), cold.LatencyPercentile(p); mp != cp {
 				t.Fatalf("end=%d: p%v latency %v vs %v", end, p, mp, cp)
 			}
 		}
-		ms, cs := mi.DelayStats("nf"), ci.DelayStats("nf")
+		ms, cs := merged.DelayStats("nf"), cold.DelayStats("nf")
 		if *ms != *cs {
 			t.Fatalf("end=%d: delay moments diverged: %+v vs %+v", end, *ms, *cs)
 		}

@@ -94,8 +94,10 @@ func (s *Store) QueuingPeriodThreshold(comp string, t simtime.Time, k int) *Queu
 }
 
 // QueuingPeriodThresholdID is QueuingPeriodThreshold for an interned
-// component (k = 0 reduces to the paper's base definition, computed from
-// the same reconstructed timeline).
+// component; k ≤ 0 is the paper's base definition (QueuingPeriodAtID). At
+// k > 0 it reads the queue-length timelines warmed for k, and builds them
+// on first use: a store that goroutines query concurrently at k > 0 must
+// have been warmed for k first (WarmQueueThreshold).
 func (s *Store) QueuingPeriodThresholdID(comp CompID, t simtime.Time, k int) *QueuingPeriod {
 	if k <= 0 {
 		return s.QueuingPeriodAtID(comp, t)
@@ -110,30 +112,11 @@ func (s *Store) QueuingPeriodThresholdID(comp CompID, t simtime.Time, k int) *Qu
 	if pos < 0 {
 		return nil
 	}
-	le := tl.lastLEFor(k)
-	anchor := le[pos]
-	// The period starts at the first arrival AFTER the anchor event.
-	pi := &v.pidx
+	// The period starts at the first arrival after the last event at or
+	// before t that left at most k packets queued.
 	var anchorTime simtime.Time = -1
-	if anchor >= 0 {
+	if anchor := tl.lastLEFor(k)[pos]; anchor >= 0 {
 		anchorTime = tl.times[anchor]
 	}
-	first := searchTimes(pi.arrivalTimes, anchorTime)
-	last := searchTimes(pi.arrivalTimes, t) - 1
-	if last < first {
-		return nil
-	}
-	start := pi.arrivalTimes[first]
-	lo := sort.Search(len(pi.readTimes), func(i int) bool { return pi.readTimes[i] >= start })
-	hi := searchTimes(pi.readTimes, t)
-	nProc := pi.readCum[hi] - pi.readCum[lo]
-	return &QueuingPeriod{
-		Comp:         comp,
-		Start:        start,
-		End:          t,
-		ArrivalFirst: v.firstArrival + first,
-		ArrivalLast:  v.firstArrival + last,
-		NIn:          last - first + 1,
-		NProc:        nProc,
-	}
+	return v.periodAfter(anchorTime, t)
 }

@@ -22,15 +22,16 @@ import (
 // Journey's Hops, a slice of the hop column — is re-pointed only when the
 // hop column itself moves.
 //
-// The summaries the diagnosis index reads follow the same add/drop. Every
+// The summaries the diagnosis reads follow the same add/drop. Every
 // appended store carries its own (summarize): per-NF delay moments and the
 // reconstruction and integrity counters are added and subtracted exactly,
 // the delivered latencies stay in the segments' sorted runs — the window
 // keeps a column of their headers, and the latency percentile is selected
-// across them — and the queuing-period search arrays are four more columns
-// per component. What cannot be kept by add and drop is rebuilt per window
-// and costs what it did before: the §7 queue-length timelines (only with a
-// nonzero threshold) and the lazily built flow index.
+// across them — and the drain times queuing periods search are one more
+// column per component; the rest of a period is searched in the arrival
+// and read rows themselves. What cannot be kept by add and drop is rebuilt
+// per window and costs what it did before: the §7 queue-length timelines
+// (only with a nonzero threshold) and the lazily built flow index.
 
 // col is one column of the window store. The live rows are buf[head:]. Rows
 // outside them are dead but not zeroed: a dead Journey still points into
@@ -85,18 +86,15 @@ func (c *col[T]) add(rows []T, wr *WindowRows) (added []T, moved bool) {
 	return c.buf[n:], moved
 }
 
-// viewCols are one component's columns: its arrivals and reads, and the
-// four arrays of its queuing-period search index (periodIndex).
+// viewCols are one component's columns: its arrivals, reads and drain
+// times (periodIndex), and the packets its reads have dequeued since the
+// columns were emptied, which the next appended read's FirstEntry counts
+// from.
 type viewCols struct {
-	arrivals col[Arrival]
-	reads    col[ReadEvent]
-
-	arrivalTimes col[simtime.Time]
-	drainTimes   col[simtime.Time]
-	readTimes    col[simtime.Time]
-	// readCum holds one value more than reads: the packets read before
-	// each event, counted since the column was emptied, then the total.
-	readCum col[int]
+	arrivals   col[Arrival]
+	reads      col[ReadEvent]
+	drainTimes col[simtime.Time]
+	entries    int
 }
 
 // window is a window store under assembly. A Stream owns one for its
@@ -104,7 +102,8 @@ type viewCols struct {
 // rebuild (Recorder.Rebuild) makes a fresh one and only appends.
 type window struct {
 	st Store
-	ix Index
+	// thr is the §7 queue threshold publish warms the timelines for.
+	thr int
 
 	// valid is false while the columns are being changed: a panic
 	// contained half-way through an update leaves it false, and the next
@@ -136,11 +135,11 @@ type window struct {
 }
 
 // landing is where one component's rows of an appended segment go: its
-// window CompID, and the references the segment's first arrival, read event
-// and read packet at that component get.
+// window CompID, and the references the segment's first arrival and read
+// event at that component get.
 type landing struct {
-	id                   CompID
-	arrival, read, entry int
+	id            CompID
+	arrival, read int
 }
 
 // reset empties the window store and interns the deployment's components,
@@ -178,19 +177,15 @@ func (w *window) reset(meta collector.Meta, thr int) {
 		w.views[i].reset()
 	}
 
-	w.ix = Index{store: m, QueueThreshold: thr}
-	m.indexes = map[int]*Index{thr: &w.ix}
+	w.thr = thr
 	w.interned()
 }
 
 func (vc *viewCols) reset() {
 	vc.arrivals.reset()
 	vc.reads.reset()
-	vc.arrivalTimes.reset()
 	vc.drainTimes.reset()
-	vc.readTimes.reset()
-	vc.readCum.reset()
-	vc.readCum.buf = append(vc.readCum.buf, 0)
+	vc.entries = 0
 }
 
 // interned brings everything sized by the component count up to date
@@ -233,8 +228,6 @@ func (w *window) append(st *Store) (wr WindowRows) {
 		mv, vc := m.views[l.id], &w.views[l.id]
 		l.arrival = mv.firstArrival + vc.arrivals.len()
 		l.read = mv.firstRead + vc.reads.len()
-		cum := vc.readCum.rows()
-		l.entry = cum[len(cum)-1]
 	}
 
 	// Journeys and their hops. A segment's hop arena is its journeys' hops
@@ -280,17 +273,12 @@ func (w *window) append(st *Store) (wr WindowRows) {
 			}
 		}
 		reads, _ := vc.reads.add(v.Reads, &wr)
-		vc.readCum.reserve(len(reads), &wr)
-		entries := l.entry
+		entries := vc.entries
 		for i := range reads {
-			reads[i].FirstEntry = entries
-			entries += reads[i].N
-			vc.readCum.buf = append(vc.readCum.buf, entries)
+			reads[i].FirstEntry += entries
+			vc.entries += reads[i].N
 		}
-		wr.Appended += int64(len(reads))
-		vc.arrivalTimes.add(v.pidx.arrivalTimes, &wr)
 		vc.drainTimes.add(v.pidx.drainTimes, &wr)
-		vc.readTimes.add(v.pidx.readTimes, &wr)
 		m.moments[l.id].Merge(st.moments[v.ID])
 	}
 	w.runs.add(st.latRuns, &wr)
@@ -329,10 +317,7 @@ func (w *window) drop(st *Store) (wr WindowRows) {
 		mv.firstArrival += na
 		vc.reads.drop(nr, &wr)
 		mv.firstRead += nr
-		vc.readCum.drop(nr, &wr)
-		vc.arrivalTimes.drop(na, &wr)
 		vc.drainTimes.drop(len(v.pidx.drainTimes), &wr)
-		vc.readTimes.drop(nr, &wr)
 		m.moments[id].Unmerge(st.moments[v.ID])
 	}
 	w.runs.drop(len(st.latRuns), &wr)
@@ -354,23 +339,13 @@ func (w *window) publish(traceEnd simtime.Time) *Store {
 		vc := &w.views[id]
 		mv.Arrivals = vc.arrivals.rows()
 		mv.Reads = vc.reads.rows()
-		mv.pidx = periodIndex{
-			arrivalTimes: vc.arrivalTimes.rows(),
-			drainTimes:   vc.drainTimes.rows(),
-			readTimes:    vc.readTimes.rows(),
-			readCum:      vc.readCum.rows(),
-		}
+		mv.pidx.drainTimes = vc.drainTimes.rows()
 		mv.tl = nil
-		if w.ix.QueueThreshold > 0 {
-			m.timelineOf(mv).lastLEFor(w.ix.QueueThreshold)
+		if w.thr > 0 {
+			m.timelineOf(mv).lastLEFor(w.thr)
 		}
 	}
 	m.flowIdx = nil
-	for thr := range m.indexes {
-		if thr != w.ix.QueueThreshold {
-			delete(m.indexes, thr)
-		}
-	}
 	m.traceEnd = traceEnd
 	m.gen++
 	return m
