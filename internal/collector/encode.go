@@ -470,7 +470,7 @@ func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
 			d.inQueues = append(d.inQueues, "")
 		}
 		if d.inQueues[comp] == "" {
-			d.inQueues[comp] = rec.Comp + ".in"
+			d.inQueues[comp] = QueueOf(rec.Comp)
 		}
 		rec.Queue = d.inQueues[comp]
 	case DirDeliver:

@@ -25,6 +25,18 @@ import (
 // matching nfsim.SourceName.
 const SourceName = "source"
 
+// inSuffix names a component's input queue: component "fw1" reads from
+// queue "fw1.in". The simulator names its queues so (nfsim.newNF), and
+// every reader of a trace maps queues and components through QueueOf and
+// ConsumerOf.
+const inSuffix = ".in"
+
+// QueueOf returns the name of comp's input queue.
+func QueueOf(comp string) string { return comp + inSuffix }
+
+// ConsumerOf returns the component that reads queue.
+func ConsumerOf(queue string) string { return strings.TrimSuffix(queue, inSuffix) }
+
 // Dir is the direction of a batch operation relative to the component that
 // performed it.
 type Dir uint8

@@ -531,7 +531,7 @@ func (d *diagnoser) diagnoseVictim(v Victim, a *workerArena) Diagnosis {
 	}
 	sc := &a.sc
 	sc.reset()
-	d.diagnoseAt(d.st.CompIDOf(v.Comp), v.ArriveAt, 1.0, 0, a)
+	d.diagnoseAt(d.st.CompIDOf(v.Comp), v.ArriveAt, a, false)
 
 	causes := make([]Cause, 0, len(sc.accs))
 	for i := range sc.accs {
@@ -579,47 +579,64 @@ func (d *diagnoser) diagnoseVictim(v Victim, a *workerArena) Diagnosis {
 	return Diagnosis{Victim: v, Causes: causes}
 }
 
-// diagnoseAt analyses the queuing period at comp ending at t, scaling all
-// scores by weight (recursive shares), and accumulates causes into the
-// arena's scratch.
-func (d *diagnoser) diagnoseAt(comp tracestore.CompID, t simtime.Time, weight float64, depth int, a *workerArena) {
-	if depth > d.cfg.MaxRecursionDepth || weight <= 0 {
-		return
+// diagnoseAt analyses the victim's queuing period at comp ending at t and
+// accumulates its causes into the arena's scratch: local processing at comp
+// (Sp) and, through the §4.2 propagation and §4.3 recursion, its input
+// (Si). With explain set it also records the walk and returns it as the
+// root of an Explanation tree; the scoring path passes false and gets nil.
+func (d *diagnoser) diagnoseAt(comp tracestore.CompID, t simtime.Time, a *workerArena, explain bool) *ExplainNode {
+	if d.cfg.MaxRecursionDepth < 0 { // the victim's own period is depth 0
+		return nil
 	}
 	qp := d.st.QueuingPeriodThresholdID(comp, t, d.cfg.QueueThreshold)
 	if qp == nil || qp.NIn == 0 {
-		return
+		return nil
 	}
 	r := d.st.PeakRateID(comp)
 	if r <= 0 {
-		return
+		return nil
 	}
 	ls := localDiagnose(qp, r)
-	totalQ := ls.Si + ls.Sp
-	if totalQ <= 0 {
-		return
+	var node *ExplainNode
+	if explain {
+		node = d.explainNode(comp, t, qp, ls, 1.0)
 	}
-
 	if ls.Sp > 0 {
 		// Local slow processing at comp. Culprit packets are the
 		// period's arrivals: the packets the NF was slow on (§6.4
 		// uses these to surface bug-triggering flows).
-		a.sc.add(causeKey{comp, CulpritLocalProcessing}, weight*ls.Sp, qp.Start, d.periodJourneys(comp, qp))
+		a.sc.add(causeKey{comp, CulpritLocalProcessing}, ls.Sp, qp.Start, d.periodJourneys(comp, qp))
 	}
 	if ls.Si > 0 {
-		// Upstream pressure: split across the source and upstream NFs
-		// by timespan analysis, then recurse into reducing NFs (§4.3).
-		budget := weight * ls.Si
-		for _, pr := range d.propagate(comp, qp, budget, a) {
-			d.attribute(pr, depth, a)
-		}
+		d.spread(comp, qp, ls.Si, 0, a, node)
+	}
+	return node
+}
+
+// spread splits budget, the input score a queuing period at comp passes
+// on, across the source and upstream NFs by timespan analysis (§4.2), and
+// attributes each share. A non-nil node records the shares and the
+// recursion below them.
+func (d *diagnoser) spread(comp tracestore.CompID, qp *tracestore.QueuingPeriod, budget float64, depth int, a *workerArena, node *ExplainNode) {
+	for _, pr := range d.propagate(comp, qp, budget, a) {
+		d.attribute(pr, depth, a, node)
 	}
 }
 
 // attribute folds one propagated share into the accumulator: source shares
 // become traffic causes, upstream shares either recurse (Figure 7 split) or
-// land as local processing at the squeezing NF.
-func (d *diagnoser) attribute(pr propagated, depth int, a *workerArena) {
+// land as local processing at the squeezing NF. A non-nil node records the
+// share, and the NF's queuing period as a child when the recursion reaches
+// it.
+func (d *diagnoser) attribute(pr propagated, depth int, a *workerArena, node *ExplainNode) {
+	if node != nil {
+		node.Shares = append(node.Shares, ExplainShare{
+			Comp:    d.st.CompName(pr.comp),
+			Score:   pr.score,
+			PathKey: d.pathLabel(pr.path),
+			Packets: pr.path.n,
+		})
+	}
 	if pr.comp == d.src {
 		a.sc.add(causeKey{pr.comp, CulpritSourceTraffic}, pr.score, d.firstEmit(pr.path), pr.path.journeys)
 		return
@@ -639,8 +656,24 @@ func (d *diagnoser) attribute(pr propagated, depth int, a *workerArena) {
 	if sub.localShare > 0 {
 		a.sc.add(causeKey{pr.comp, CulpritLocalProcessing}, sub.localShare, sub.qp.Start, d.periodJourneys(pr.comp, sub.qp))
 	}
+	// The child's weight scales its period so the budget it passes on is
+	// the input share: weight·Si = inputShare. An all-Sp child (no input
+	// share) weighs 0 and passes nothing on.
+	weight := 0.0
 	if sub.inputShare > 0 {
-		d.diagnoseAtPeriod(pr.comp, sub.qp, sub.inputShare/maxf(sub.ls.Si, 1e-9), depth+1, a)
+		weight = sub.inputShare / maxf(sub.ls.Si, 1e-9)
+	}
+	depth++
+	if depth > d.cfg.MaxRecursionDepth {
+		return
+	}
+	var child *ExplainNode
+	if node != nil {
+		child = d.explainNode(pr.comp, anchor, sub.qp, sub.ls, weight)
+		node.Children = append(node.Children, child)
+	}
+	if weight > 0 {
+		d.spread(pr.comp, sub.qp, weight*sub.ls.Si, depth, a, child)
 	}
 }
 
@@ -682,27 +715,6 @@ func (d *diagnoser) splitAtNF(comp tracestore.CompID, anchor simtime.Time, score
 		ls:         sr.ls,
 		localShare: score * sr.ls.Sp / sr.total,
 		inputShare: score * sr.ls.Si / sr.total,
-	}
-}
-
-// diagnoseAtPeriod recurses the §4.2 propagation over an already-computed
-// queuing period, with scores scaled so the propagated budget equals
-// weightFrac * Si(qp).
-func (d *diagnoser) diagnoseAtPeriod(comp tracestore.CompID, qp *tracestore.QueuingPeriod, weightFrac float64, depth int, a *workerArena) {
-	if depth > d.cfg.MaxRecursionDepth || weightFrac <= 0 {
-		return
-	}
-	r := d.st.PeakRateID(comp)
-	if r <= 0 {
-		return
-	}
-	ls := localDiagnose(qp, r)
-	if ls.Si <= 0 {
-		return
-	}
-	budget := weightFrac * ls.Si
-	for _, pr := range d.propagate(comp, qp, budget, a) {
-		d.attribute(pr, depth, a)
 	}
 }
 

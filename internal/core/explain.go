@@ -47,10 +47,11 @@ type ExplainShare struct {
 	Packets int
 }
 
-// Explain reproduces the diagnosis of one victim while recording every
-// intermediate quantity. It mirrors DiagnoseVictim's recursion exactly,
-// containment included: with ContainPanics a panic in it is contained and
-// counted, and the explanation comes back with no tree.
+// Explain diagnoses one victim and records the walk: the tree is the
+// recursion DiagnoseVictim takes, with every queuing period it analyses
+// and every share it attributes. Containment is DiagnoseVictim's: with
+// ContainPanics a panic in it is contained and counted, and the
+// explanation comes back with no tree.
 func (e *Engine) Explain(st *tracestore.Store, v Victim) *Explanation {
 	d := e.newDiagnoser(st)
 	a := e.takeArena(d)
@@ -59,28 +60,17 @@ func (e *Engine) Explain(st *tracestore.Store, v Victim) *Explanation {
 	ex := &Explanation{Victim: v}
 	e.contain(d, "victim", func() {
 		e.chaos("victim:0")
-		ex.Root = d.explainAt(st.CompIDOf(v.Comp), v.ArriveAt, 1.0, 0, a)
+		a.sc.reset()
+		ex.Root = d.diagnoseAt(st.CompIDOf(v.Comp), v.ArriveAt, a, true)
 	})
 	return ex
 }
 
-func (d *diagnoser) explainAt(comp tracestore.CompID, t simtime.Time, weight float64, depth int, a *workerArena) *ExplainNode {
-	// Unlike the scoring recursion, the explanation keeps zero-weight
-	// nodes: a culprit whose blame is purely local (Sp) still deserves
-	// its queuing-period line in the tree.
-	if depth > d.cfg.MaxRecursionDepth || weight < 0 {
-		return nil
-	}
-	qp := d.st.QueuingPeriodThresholdID(comp, t, d.cfg.QueueThreshold)
-	if qp == nil || qp.NIn == 0 {
-		return nil
-	}
-	r := d.st.PeakRateID(comp)
-	if r <= 0 {
-		return nil
-	}
-	ls := localDiagnose(qp, r)
-	node := &ExplainNode{
+// explainNode records the queuing period qp at comp, anchored at t, with
+// its §4.1 scores and the weight the recursion gives it. A node whose
+// period has no input score (Si ≤ 0) keeps its line: its blame is local.
+func (d *diagnoser) explainNode(comp tracestore.CompID, t simtime.Time, qp *tracestore.QueuingPeriod, ls LocalScores, weight float64) *ExplainNode {
+	return &ExplainNode{
 		Comp:   d.st.CompName(comp),
 		Anchor: t,
 		Start:  qp.Start,
@@ -91,34 +81,6 @@ func (d *diagnoser) explainAt(comp tracestore.CompID, t simtime.Time, weight flo
 		Sp:     ls.Sp,
 		Weight: weight,
 	}
-	if ls.Si <= 0 {
-		return node
-	}
-	budget := weight * ls.Si
-	for _, pr := range d.propagate(comp, qp, budget, a) {
-		node.Shares = append(node.Shares, ExplainShare{
-			Comp:    d.st.CompName(pr.comp),
-			Score:   pr.score,
-			PathKey: d.pathLabel(pr.path),
-			Packets: pr.path.n,
-		})
-		if pr.comp == d.src {
-			continue
-		}
-		anchor := pr.path.lastArrive[pr.compIdx]
-		sub := d.splitAtNF(pr.comp, anchor, pr.score)
-		if sub == nil {
-			continue
-		}
-		childWeight := 0.0
-		if sub.inputShare > 0 {
-			childWeight = sub.inputShare / maxf(sub.ls.Si, 1e-9)
-		}
-		if child := d.explainAt(pr.comp, anchor, childWeight, depth+1, a); child != nil {
-			node.Children = append(node.Children, child)
-		}
-	}
-	return node
 }
 
 // Render prints the tree with indentation, one queuing period per line

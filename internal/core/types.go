@@ -50,9 +50,6 @@ const (
 	VictimLatency VictimKind = iota
 	// VictimLoss marks packets whose records vanish mid-graph.
 	VictimLoss
-	// VictimThroughput marks packets of flows whose delivery rate dipped
-	// below their own recent history.
-	VictimThroughput
 )
 
 // String implements fmt.Stringer.
@@ -60,8 +57,6 @@ func (k VictimKind) String() string {
 	switch k {
 	case VictimLoss:
 		return "loss"
-	case VictimThroughput:
-		return "throughput"
 	default:
 		return "latency"
 	}

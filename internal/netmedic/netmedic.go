@@ -165,11 +165,7 @@ func (e *Engine) computeVars() {
 			if vs := e.vars[r.Comp]; vs != nil && r.Comp == collector.SourceName {
 				vs[w].procRate += float64(len(r.IPIDs))
 			}
-			dest := r.Queue
-			if n := len(dest); n > 3 && dest[n-3:] == ".in" {
-				dest = dest[:n-3]
-			}
-			if vs := e.vars[dest]; vs != nil {
+			if vs := e.vars[collector.ConsumerOf(r.Queue)]; vs != nil {
 				vs[w].inRate += float64(len(r.IPIDs))
 			}
 		case collector.DirDeliver:

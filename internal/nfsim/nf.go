@@ -148,7 +148,7 @@ func newNF(sim *Sim, cfg NFConfig) *NF {
 	nf := &NF{
 		cfg:          cfg,
 		sim:          sim,
-		in:           NewQueue(cfg.Name+".in", cfg.QueueCap),
+		in:           NewQueue(cfg.Name+".in", cfg.QueueCap), // collector.QueueOf, which nfsim cannot import
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		baseInterval: cfg.PeakRate.Interval(),
 		batchBuf:     make([]*packet.Packet, 0, cfg.MaxBatch),

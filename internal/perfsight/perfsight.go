@@ -109,7 +109,7 @@ func Diagnose(tr *collector.Trace, cfg Config) *Result {
 		n := len(r.IPIDs)
 		switch r.Dir {
 		case collector.DirWrite:
-			dest := strings.TrimSuffix(r.Queue, ".in")
+			dest := collector.ConsumerOf(r.Queue)
 			a := get(dest)
 			a.in += n
 			if !a.seenIn {

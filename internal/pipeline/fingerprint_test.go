@@ -92,7 +92,7 @@ func TestAppendFingerprintMatchesFmt(t *testing.T) {
 		Victims: []core.Victim{
 			{Journey: 0, Comp: "fw1", Kind: core.VictimLatency, ArriveAt: 12345, QueueDelay: 678},
 			{Journey: 41, Comp: "", Kind: core.VictimLoss, ArriveAt: -1, QueueDelay: 0},
-			{Journey: 7, Comp: "nat", Kind: core.VictimThroughput, ArriveAt: math.MaxInt64, QueueDelay: math.MinInt64},
+			{Journey: 7, Comp: "nat", Kind: core.VictimKind(2), ArriveAt: math.MaxInt64, QueueDelay: math.MinInt64},
 		},
 		Diagnoses: []core.Diagnosis{{Causes: causes[:5]}, {}, {Causes: causes[5:]}},
 		Patterns: []patterns.Pattern{

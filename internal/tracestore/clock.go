@@ -46,7 +46,7 @@ func AlignClocks(tr *collector.Trace) (map[string]simtime.Duration, *collector.T
 		r := &tr.Records[i]
 		switch r.Dir {
 		case collector.DirWrite:
-			dest := consumerOf(r.Queue)
+			dest := collector.ConsumerOf(r.Queue)
 			m := writeSeq[dest]
 			if m == nil {
 				//mslint:allow compid clock alignment runs on the raw collector trace before the interner exists

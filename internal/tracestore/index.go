@@ -1,9 +1,6 @@
 package tracestore
 
 import (
-	"sort"
-
-	"microscope/internal/packet"
 	"microscope/internal/simtime"
 	"microscope/internal/stats"
 )
@@ -121,60 +118,4 @@ func sortInts(a, tmp []int64) []int64 {
 		a, tmp = tmp, a
 	}
 	return a
-}
-
-// FlowDelivery is one delivered packet of a flow: the journey index and its
-// egress departure time.
-type FlowDelivery struct {
-	Journey int
-	At      simtime.Time
-}
-
-// FlowIndex is the store-wide per-flow journey index: for every egress
-// five-tuple, the delivered journeys in delivery order. It is threshold-
-// independent, built once per store, and immutable afterwards.
-type FlowIndex struct {
-	// Flows lists every tuple with at least one delivered packet, in
-	// canonical tuple order.
-	Flows []packet.FiveTuple
-	// Deliveries maps a tuple to its delivered journeys sorted by
-	// (delivery time, journey index).
-	Deliveries map[packet.FiveTuple][]FlowDelivery
-	// End is the latest delivery time across all flows.
-	End simtime.Time
-}
-
-// FlowIndex returns the per-flow journey index, building it on first use.
-func (s *Store) FlowIndex() *FlowIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.flowIdx != nil {
-		return s.flowIdx
-	}
-	fi := &FlowIndex{Deliveries: make(map[packet.FiveTuple][]FlowDelivery)}
-	for i := range s.Journeys {
-		j := &s.Journeys[i]
-		if !j.Delivered || len(j.Hops) == 0 {
-			continue
-		}
-		at := j.Hops[len(j.Hops)-1].DepartAt
-		if _, ok := fi.Deliveries[j.Tuple]; !ok {
-			fi.Flows = append(fi.Flows, j.Tuple)
-		}
-		fi.Deliveries[j.Tuple] = append(fi.Deliveries[j.Tuple], FlowDelivery{Journey: i, At: at})
-		if at > fi.End {
-			fi.End = at
-		}
-	}
-	sort.Slice(fi.Flows, func(i, j int) bool { return fi.Flows[i].Less(fi.Flows[j]) })
-	for _, ds := range fi.Deliveries {
-		sort.Slice(ds, func(i, j int) bool {
-			if ds[i].At != ds[j].At {
-				return ds[i].At < ds[j].At
-			}
-			return ds[i].Journey < ds[j].Journey
-		})
-	}
-	s.flowIdx = fi
-	return fi
 }

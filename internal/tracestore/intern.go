@@ -3,6 +3,7 @@ package tracestore
 import (
 	"unsafe"
 
+	"microscope/internal/collector"
 	"microscope/internal/simtime"
 )
 
@@ -161,7 +162,7 @@ func (s *Store) compID(name string) CompID {
 func (s *Store) queueID(queue string) CompID {
 	e, ok := s.queueMemo.lookup(queue)
 	if !ok {
-		return s.queueMemo.remember(e, queue, s.view(consumerOf(queue)).ID)
+		return s.queueMemo.remember(e, queue, s.view(collector.ConsumerOf(queue)).ID)
 	}
 	return e.id
 }

@@ -44,19 +44,26 @@ func checkLatencyPercentile(t *testing.T, what string, st *Store) {
 }
 
 // TestWindowLatencyPercentileMatchesJourneys: on every window of a stream
-// sliding at each span, and on a cold store, the latency percentile is the
-// nearest-rank percentile of the latencies recomputed from the store's
-// journeys — and selecting it allocates nothing.
+// sliding at each span and each load, and on a cold store, the latency
+// percentile is the nearest-rank percentile of the latencies recomputed
+// from the store's journeys — and selecting it allocates nothing.
 func TestWindowLatencyPercentileMatchesJourneys(t *testing.T) {
-	for _, span := range windowSpans {
-		d := newSlidingStream(t, span)
-		var st *Store
-		for i := 0; i < int(2*span)+8; i++ {
-			st = d.slide()
-			checkLatencyPercentile(t, fmt.Sprintf("span %gx, window %d", span, i), st)
+	for _, rate := range windowRates {
+		queued := false
+		for _, span := range windowSpans {
+			d := newSlidingStream(t, rate, span)
+			var st *Store
+			for i := 0; i < int(2*span)+8; i++ {
+				st = d.slide()
+				checkLatencyPercentile(t, fmt.Sprintf("%v, span %gx, window %d", rate, span, i), st)
+			}
+			queued = queued || queues(st)
+			if a := testing.AllocsPerRun(20, func() { st.LatencyPercentile(99) }); a != 0 {
+				t.Errorf("%v, span %gx: %v allocations per percentile, want 0", rate, span, a)
+			}
 		}
-		if a := testing.AllocsPerRun(20, func() { st.LatencyPercentile(99) }); a != 0 {
-			t.Errorf("span %gx: %v allocations per percentile, want 0", span, a)
+		if rate == simtime.MPPS(1.2) && !queued {
+			t.Errorf("%v: no window holds a queuing period of more than one arrival", rate)
 		}
 	}
 	checkLatencyPercentile(t, "cold store", Build(evalTrace(t, 2, simtime.MPPS(0.3), 5*simtime.Millisecond)))
@@ -88,7 +95,7 @@ func segmentRows(st *Store) int64 {
 func TestWindowRowsPerSlide(t *testing.T) {
 	const slides = 240
 	count := func(span float64) (WindowRows, *slidingStream, int) {
-		d := newSlidingStream(t, span)
+		d := newSlidingStream(t, simtime.MPPS(0.3), span)
 		for i := 0; i < slides; i++ {
 			d.slide()
 		}
@@ -131,7 +138,7 @@ var percentileSink float64
 func BenchmarkWindowLatencyPercentile(b *testing.B) {
 	const windows, reps = 240, 64
 	for _, span := range windowSpans {
-		d := newSlidingStream(b, span)
+		d := newSlidingStream(b, simtime.MPPS(0.3), span)
 		var ns float64
 		for i := 0; i < windows; i++ {
 			st := d.slide()

@@ -169,7 +169,7 @@ func TestWindowQueuingPeriodMatchesScan(t *testing.T) {
 		cold.check(t, fmt.Sprintf("cold store %d", i), Build(tr), 1, 0)
 	}
 	for _, span := range windowSpans {
-		d := newSlidingStream(t, span)
+		d := newSlidingStream(t, simtime.MPPS(0.3), span)
 		for i := 0; i < int(2*span)+8; i++ {
 			win.check(t, fmt.Sprintf("span %gx, window %d", span, i), d.slide(), 16, i)
 		}

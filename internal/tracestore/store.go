@@ -162,11 +162,10 @@ type Store struct {
 	latRuns  [][]float64
 	traceEnd simtime.Time
 
-	// mu guards what is built lazily for readers on many goroutines: the
-	// flow index and the §7 timelines (WarmQueueThreshold). Both are
-	// immutable once built, so readers never need the lock.
-	mu      sync.Mutex
-	flowIdx *FlowIndex
+	// mu guards the §7 timelines while WarmQueueThreshold builds them for
+	// readers on many goroutines. They are immutable once built, so
+	// readers never need the lock.
+	mu sync.Mutex
 }
 
 // ReconStats summarizes how reconstruction went.
@@ -445,7 +444,6 @@ func (s *Store) recycle() {
 	s.Journeys = s.Journeys[:0]
 	s.hopArena = s.hopArena[:0]
 	s.recon = ReconStats{}
-	s.flowIdx = nil
 }
 
 // buildMetaTables freezes peaks/kinds/downs/srcID for the interned
@@ -492,12 +490,6 @@ func sortedTrace(tr *collector.Trace) *collector.Trace {
 	cp.Records = slices.Clone(tr.Records)
 	cp.Integrity.Resorted += collector.SortByTime(cp.Records)
 	return &cp
-}
-
-// consumerOf maps a queue name to its consuming component, relying on the
-// "<nf>.in" convention the simulator and collector share.
-func consumerOf(queue string) string {
-	return strings.TrimSuffix(queue, ".in")
 }
 
 // View returns the per-component index, or nil.

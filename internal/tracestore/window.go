@@ -168,7 +168,6 @@ func (w *window) reset(meta collector.Meta, thr int) {
 	m.recon, m.recCount, m.firstJourney = ReconStats{}, 0, 0
 	m.moments = m.moments[:0]
 	m.traceEnd = 0
-	m.flowIdx = nil
 
 	w.journeys.reset()
 	w.hops.reset()
@@ -345,7 +344,6 @@ func (w *window) publish(traceEnd simtime.Time) *Store {
 			m.timelineOf(mv).lastLEFor(w.thr)
 		}
 	}
-	m.flowIdx = nil
 	m.traceEnd = traceEnd
 	m.gen++
 	return m

@@ -15,9 +15,8 @@ import (
 // they vary the span: the serving tier's fine-paced cadence.
 const windowSlide = 250 * simtime.Microsecond
 
-// slidingStream feeds one slide of the 16-NF topology at 1.2 Mpps to a
-// stream over and over, each time one slide later, at a span of spanSlides
-// slides.
+// slidingStream feeds one slide of the 16-NF topology to a stream over and
+// over, each time one slide later, at a span of spanSlides slides.
 type slidingStream struct {
 	s    *Stream
 	seg  []collector.BatchRecord
@@ -25,9 +24,12 @@ type slidingStream struct {
 	k    simtime.Time
 }
 
-func newSlidingStream(tb testing.TB, spanSlides float64) *slidingStream {
+// newSlidingStream slides a trace taken at rate. The benchmarks feed
+// 0.3 Mpps, at which no queue builds; the tests also feed 1.2 Mpps, at
+// which queues do.
+func newSlidingStream(tb testing.TB, rate simtime.Rate, spanSlides float64) *slidingStream {
 	tb.Helper()
-	tr := evalTrace(tb, 1, simtime.MPPS(0.3), windowSlide)
+	tr := evalTrace(tb, 1, rate, windowSlide)
 	d := &slidingStream{}
 	for _, r := range tr.Records {
 		if r.At > 0 && r.At < simtime.Time(windowSlide) {
@@ -91,30 +93,55 @@ func (d *slidingStream) measure(n int) windowCost {
 	return c
 }
 
+// windowRates are the loads the window tests slide at: one at which no
+// queue builds, and one at which queues do.
+var windowRates = []simtime.Rate{simtime.MPPS(0.3), simtime.MPPS(1.2)}
+
+// queues reports whether a journey of st arrived in a queuing period that
+// holds more than one arrival.
+func queues(st *Store) bool {
+	for i := range st.Journeys {
+		for _, h := range st.Journeys[i].Hops {
+			if qp := st.QueuingPeriodAtID(h.Comp, h.ArriveAt); qp != nil && qp.NIn > 1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestWindowSteadyStateAllocs: once a stream's window store has grown to
 // its window, assembling the next window allocates next to nothing, and
 // the same next-to-nothing whether the window spans 20 slides or 80 — what
-// it allocates cannot be proportional to the span.
+// it allocates cannot be proportional to the span. It holds at a load that
+// queues as at one that does not.
 func TestWindowSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement; skipped in -short mode")
 	}
-	var cost [2]windowCost
-	for i, span := range []float64{20, 80} {
-		cost[i] = newSlidingStream(t, span).measure(60)
-		t.Logf("span %gx slide: %d journeys, %.2f allocs and %.0f B per window", span, cost[i].rows, cost[i].allocs, cost[i].bytes)
-		if cost[i].allocs > 2 || cost[i].bytes > 2048 {
-			t.Errorf("span %gx slide: a window allocates %.2f objects, %.0f B; budget 2 objects, 2 KiB", span, cost[i].allocs, cost[i].bytes)
+	for _, rate := range windowRates {
+		var cost [2]windowCost
+		for i, span := range []float64{20, 80} {
+			d := newSlidingStream(t, rate, span)
+			cost[i] = d.measure(60)
+			q := queues(d.slide())
+			t.Logf("%v, span %gx slide: %d journeys, %.2f allocs and %.0f B per window; queues: %v", rate, span, cost[i].rows, cost[i].allocs, cost[i].bytes, q)
+			if cost[i].allocs > 2 || cost[i].bytes > 2048 {
+				t.Errorf("%v, span %gx slide: a window allocates %.2f objects, %.0f B; budget 2 objects, 2 KiB", rate, span, cost[i].allocs, cost[i].bytes)
+			}
+			if rate == simtime.MPPS(1.2) && !q {
+				t.Errorf("%v, span %gx slide: no queuing period holds more than one arrival", rate, span)
+			}
 		}
-	}
-	if cost[1].rows < 3*cost[0].rows {
-		t.Fatalf("the wide window holds %d journeys, the narrow one %d: not a span comparison", cost[1].rows, cost[0].rows)
-	}
-	if d := cost[1].allocs - cost[0].allocs; d > 0.5 || d < -0.5 {
-		t.Errorf("allocations per window move with the span: %.2f at 20x, %.2f at 80x", cost[0].allocs, cost[1].allocs)
-	}
-	if d := cost[1].bytes - cost[0].bytes; d > 512 || d < -512 {
-		t.Errorf("bytes per window move with the span: %.0f at 20x, %.0f at 80x", cost[0].bytes, cost[1].bytes)
+		if cost[1].rows < 3*cost[0].rows {
+			t.Fatalf("%v: the wide window holds %d journeys, the narrow one %d: not a span comparison", rate, cost[1].rows, cost[0].rows)
+		}
+		if d := cost[1].allocs - cost[0].allocs; d > 0.5 || d < -0.5 {
+			t.Errorf("%v: allocations per window move with the span: %.2f at 20x, %.2f at 80x", rate, cost[0].allocs, cost[1].allocs)
+		}
+		if d := cost[1].bytes - cost[0].bytes; d > 512 || d < -512 {
+			t.Errorf("%v: bytes per window move with the span: %.0f at 20x, %.0f at 80x", rate, cost[0].bytes, cost[1].bytes)
+		}
 	}
 }
 
@@ -139,7 +166,7 @@ func BenchmarkWindow(b *testing.B) {
 	spans := []float64{1.5, 20, 80}
 	streams := make([]*slidingStream, len(spans))
 	for i, span := range spans {
-		streams[i] = newSlidingStream(b, span)
+		streams[i] = newSlidingStream(b, simtime.MPPS(0.3), span)
 	}
 	cost := make([]windowCost, len(spans))
 	runtime.GC() // the streams' construction garbage, as before any benchmark

@@ -106,9 +106,8 @@ const (
 
 // Victim kinds, re-exported.
 const (
-	VictimLatency    = core.VictimLatency
-	VictimLoss       = core.VictimLoss
-	VictimThroughput = core.VictimThroughput
+	VictimLatency = core.VictimLatency
+	VictimLoss    = core.VictimLoss
 )
 
 // Simulated-time units, re-exported so API users never need the internal
@@ -272,9 +271,10 @@ func DiagnoseOne(st *Store, v Victim, opts ...Option) Diagnosis {
 // Explanation re-exports the causal-tree explanation of one diagnosis.
 type Explanation = core.Explanation
 
-// Explain reproduces one victim's diagnosis as a readable recursion tree
-// (the Figure 7 decomposition): every queuing period, its Si/Sp split, and
-// the timespan attribution of each upstream share.
+// Explain diagnoses one victim and records the walk as a readable
+// recursion tree (the Figure 7 decomposition): every queuing period the
+// diagnosis analyses, its Si/Sp split, and the timespan attribution of
+// each upstream share.
 func Explain(st *Store, v Victim, opts ...Option) *Explanation {
 	c := resolve(opts)
 	return core.NewEngine(c.coreConfig()).Explain(st, v)
@@ -285,16 +285,6 @@ func Explain(st *Store, v Victim, opts ...Option) *Explanation {
 // corrected trace ready for Reconstruct.
 func AlignClocks(tr *Trace) (map[string]Duration, *Trace) {
 	return tracestore.AlignClocks(tr)
-}
-
-// ThroughputVictimConfig re-exports the per-flow throughput-dip victim
-// selection knobs.
-type ThroughputVictimConfig = core.ThroughputConfig
-
-// ThroughputVictims selects victims from per-flow delivery-rate dips — the
-// paper's third victim class besides latency and loss (Figure 2's flow A).
-func ThroughputVictims(st *Store, cfg ThroughputVictimConfig) []Victim {
-	return core.NewEngine(core.Config{}).ThroughputVictims(st, cfg)
 }
 
 // NewMonitor creates an online monitor: feed it collector records in time

@@ -185,28 +185,3 @@ func TestOnlineMonitorViaAPI(t *testing.T) {
 		t.Errorf("monitor missed the interrupt: %v", alerts)
 	}
 }
-
-func TestThroughputVictimsViaAPI(t *testing.T) {
-	flowA := FiveTuple{SrcIP: IP(9, 9, 9, 9), DstIP: IP(8, 8, 8, 8), SrcPort: 1, DstPort: 2, Proto: 17}
-	dep := figure2DAG(flowA)
-	wl := NewWorkload(WorkloadConfig{Rate: MPPS(0.45), Duration: 8 * simtime.Millisecond, Flows: 256, Seed: 9})
-	wl.InjectFlow(flowA, 0, 400, 20*simtime.Microsecond)
-	dep.InjectInterrupt("nat", Time(2*simtime.Millisecond), 800*simtime.Microsecond)
-	dep.Replay(wl)
-	dep.Run(100 * simtime.Millisecond)
-
-	st := Reconstruct(dep.Trace())
-	victims := ThroughputVictims(st, ThroughputVictimConfig{})
-	if len(victims) == 0 {
-		t.Fatal("no throughput victims")
-	}
-	foundA := false
-	for _, v := range victims {
-		if v.HasTuple && v.Tuple == flowA {
-			foundA = true
-		}
-	}
-	if !foundA {
-		t.Error("flow A's throughput dip not detected")
-	}
-}
