@@ -43,14 +43,20 @@ race-serve:
 	$(GO) test -race -timeout 30m -cpu=1,4,8 ./internal/serve/...
 
 # The decoders must survive adversarial bytes, and the JSON one must agree
-# with json.Unmarshal on every input; AutoFocus must agree with its oracle
+# with json.Unmarshal on every input; the MST2 frame reader must see the
+# frames AppendDecodeStream decodes, and the store tracestore.Load builds
+# from them must be the one Build makes from the decoded records;
+# AutoFocus must agree with its oracle
 # on generated leaf tables; the spec parser and the trace-metadata reader
 # must never panic, and what they accept must round-trip to a fixed point
 # (a spec after resolving). Crashers land in
 # the package's testdata/fuzz/ and become regression inputs. -fuzz must
-# match exactly one target, hence the anchors.
+# match exactly one target, hence the anchors. FuzzLoad builds two stores
+# an input, so minimizing each new input for the default minute would
+# take the whole run: it is capped at 100 executions.
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/collector
+	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/tracestore
 	$(GO) test -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/collector
 	$(GO) test -fuzz='^FuzzParseMeta$$' -fuzztime=10s ./internal/collector
 	$(GO) test -fuzz='^FuzzAggregate$$' -fuzztime=10s ./internal/autofocus

@@ -237,7 +237,7 @@ func BenchmarkNetMedicBuild(b *testing.B) {
 	st := tracestore.Build(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		netmedic.New(st, netmedic.Config{})
+		netmedic.New(tr, st, netmedic.Config{})
 	}
 }
 

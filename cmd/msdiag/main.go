@@ -15,11 +15,19 @@
 //
 // With -netmedic it additionally prints the baseline's per-victim ranking
 // for comparison.
+//
+// The store is built straight from the trace file's frames
+// (tracestore.Load), never holding the records as an array; only the flags
+// that need the records themselves (-faults, -align, -netmedic) decode them
+// first (collector.ReadTrace, then tracestore.Build). Both paths print the
+// same diagnosis.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -43,38 +51,48 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("msdiag: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run parses args, diagnoses the trace they name and prints the report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("msdiag", flag.ContinueOnError)
 	var (
-		traceDir   = flag.String("trace", "trace", "trace directory")
-		threshold  = flag.Float64("threshold", 0.01, "pattern aggregation threshold")
-		percentile = flag.Float64("percentile", 99, "victim latency percentile")
-		maxVictims = flag.Int("max-victims", 1000, "cap on diagnosed victims (0 = all)")
-		showPats   = flag.Int("patterns", 15, "patterns to print")
-		showDiags  = flag.Int("victims", 5, "sample victim diagnoses to print")
-		explain    = flag.Int("explain", -1, "print the full causal tree for this victim index")
-		alignClk   = flag.Bool("align", false, "estimate and correct per-component clock offsets before diagnosis (§7)")
-		faultSpec  = flag.String("faults", "", "corrupt the loaded trace before diagnosis: drop=0.05,seed=7,... (measures degradation under telemetry loss)")
-		forceLoss  = flag.Bool("force-loss", false, "keep loss diagnosis even when trace health is degraded")
-		withNM     = flag.Bool("netmedic", false, "also run the NetMedic baseline")
-		nmWindow   = flag.Duration("netmedic-window", 10*time.Millisecond, "NetMedic window")
-		workers    = flag.Int("workers", 0, "parallel diagnosis workers (0 = GOMAXPROCS, 1 = sequential; output is identical)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, spans) to this file on exit")
-		specPath   = flag.String("spec", "", "load engine knobs from this pipeline spec (explicit flags override it)")
-		dumpSpec   = flag.Bool("dump-spec", false, "print the resolved pipeline spec for the effective configuration and exit")
+		traceDir   = fs.String("trace", "trace", "trace directory")
+		threshold  = fs.Float64("threshold", 0.01, "pattern aggregation threshold")
+		percentile = fs.Float64("percentile", 99, "victim latency percentile")
+		maxVictims = fs.Int("max-victims", 1000, "cap on diagnosed victims (0 = all)")
+		showPats   = fs.Int("patterns", 15, "patterns to print")
+		showDiags  = fs.Int("victims", 5, "sample victim diagnoses to print")
+		explain    = fs.Int("explain", -1, "print the full causal tree for this victim index")
+		alignClk   = fs.Bool("align", false, "estimate and correct per-component clock offsets before diagnosis (§7)")
+		faultSpec  = fs.String("faults", "", "corrupt the loaded trace before diagnosis: drop=0.05,seed=7,... (measures degradation under telemetry loss)")
+		forceLoss  = fs.Bool("force-loss", false, "keep loss diagnosis even when trace health is degraded")
+		withNM     = fs.Bool("netmedic", false, "also run the NetMedic baseline")
+		nmWindow   = fs.Duration("netmedic-window", 10*time.Millisecond, "NetMedic window")
+		workers    = fs.Int("workers", 0, "parallel diagnosis workers (0 = GOMAXPROCS, 1 = sequential; output is identical)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		metricsOut = fs.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, spans) to this file on exit")
+		specPath   = fs.String("spec", "", "load engine knobs from this pipeline spec (explicit flags override it)")
+		dumpSpec   = fs.Bool("dump-spec", false, "print the resolved pipeline spec for the effective configuration and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Every engine flag fills an empty spec; over a -spec file only the
-	// flags the user typed (flag.Visit) override it.
-	sp, visit := &spec.PipelineSpec{}, flag.VisitAll
+	// flags the user typed (fs.Visit) override it.
+	sp, visit := &spec.PipelineSpec{}, fs.VisitAll
 	if *specPath != "" {
 		var err error
 		if sp, err = spec.Load(*specPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		visit = flag.Visit
+		visit = fs.Visit
 	}
 	d := &sp.Diagnosis
 	visit(func(f *flag.Flag) {
@@ -92,25 +110,25 @@ func main() {
 		}
 	})
 	if err := sp.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sp = sp.Resolved()
 	if *dumpSpec {
 		doc, err := sp.Encode()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		os.Stdout.Write(doc)
-		return
+		_, err = stdout.Write(doc)
+		return err
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -129,47 +147,53 @@ func main() {
 		}()
 	}
 
-	tr, err := collector.ReadTrace(*traceDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("loaded %d records from %s\n", len(tr.Records), *traceDir)
-	if tr.Integrity.Damaged() {
-		fmt.Printf("trace damage: %d skipped in decode, %d resyncs, %d dropped, %d truncated\n",
-			tr.Integrity.DecodeSkipped, tr.Integrity.DecodeResyncs,
-			tr.Integrity.DroppedRecords, tr.Integrity.TruncatedRecords)
-	}
-
-	if *faultSpec != "" {
-		fcfg, ferr := faults.ParseSpec(*faultSpec)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		var fst faults.Stats
-		tr, fst = faults.Inject(tr, fcfg)
-		fmt.Println(fst)
-	}
-
-	if *alignClk {
-		offsets, fixed := tracestore.AlignClocks(tr)
-		tr = fixed
-		fmt.Print("clock offsets:")
-		for comp, off := range offsets {
-			if off > simtime.Duration(simtime.Microsecond) || off < -simtime.Duration(simtime.Microsecond) {
-				fmt.Printf(" %s=%v", comp, off)
-			}
-		}
-		fmt.Println()
-	}
-
 	start := time.Now() //mslint:allow nondet wall-clock progress banner, not diagnosis output
-	st := tracestore.Build(tr)
+	var (
+		tr *collector.Trace // the records, only when a flag needs them
+		st *tracestore.Store
+	)
+	if *faultSpec == "" && !*alignClk && !*withNM {
+		var err error
+		if st, err = tracestore.Load(*traceDir); err != nil {
+			return err
+		}
+		h := st.Health()
+		printLoaded(stdout, h.Records, *traceDir, h.Integrity)
+	} else {
+		var err error
+		if tr, err = collector.ReadTrace(*traceDir); err != nil {
+			return err
+		}
+		printLoaded(stdout, len(tr.Records), *traceDir, tr.Integrity)
+		if *faultSpec != "" {
+			fcfg, err := faults.ParseSpec(*faultSpec)
+			if err != nil {
+				return err
+			}
+			var fst faults.Stats
+			tr, fst = faults.Inject(tr, fcfg)
+			fmt.Fprintln(stdout, fst)
+		}
+		if *alignClk {
+			offsets, fixed := tracestore.AlignClocks(tr)
+			tr = fixed
+			fmt.Fprint(stdout, "clock offsets:")
+			for comp, off := range offsets {
+				if off > simtime.Duration(simtime.Microsecond) || off < -simtime.Duration(simtime.Microsecond) {
+					fmt.Fprintf(stdout, " %s=%v", comp, off)
+				}
+			}
+			fmt.Fprintln(stdout)
+		}
+		start = time.Now() //mslint:allow nondet wall-clock progress banner, not diagnosis output
+		st = tracestore.Build(tr)
+	}
 	//mslint:allow nondet wall-clock progress banner, not diagnosis output
-	fmt.Printf("%s (%v)\n", st.String(), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "%s (%v)\n", st.String(), time.Since(start).Round(time.Millisecond))
 	health := st.Health()
-	fmt.Println(health)
+	fmt.Fprintln(stdout, health)
 	if health.Degraded() && !sp.Diagnosis.LossVictimsWhenDegraded {
-		fmt.Println("trace degraded: loss diagnosis suppressed (use -force-loss to keep it)")
+		fmt.Fprintln(stdout, "trace degraded: loss diagnosis suppressed (use -force-loss to keep it)")
 	}
 
 	var reg *obs.Registry
@@ -190,7 +214,7 @@ func main() {
 				log.Printf("metrics-out: %v", err)
 				return
 			}
-			fmt.Printf("(metrics snapshot written to %s)\n", *metricsOut)
+			fmt.Fprintf(stdout, "(metrics snapshot written to %s)\n", *metricsOut)
 		}()
 	}
 	diags := res.Diagnoses
@@ -200,8 +224,8 @@ func main() {
 			stages = append(stages, fmt.Sprintf("%s %v", s.Name, s.Dur.Round(time.Millisecond)))
 		}
 	}
-	fmt.Printf("pipeline (%d workers): %s\n", par.Workers(pcfg.Diagnosis.Workers, len(res.Victims)), strings.Join(stages, " | "))
-	fmt.Printf("diagnosed %d victims\n", len(diags))
+	fmt.Fprintf(stdout, "pipeline (%d workers): %s\n", par.Workers(pcfg.Diagnosis.Workers, len(res.Victims)), strings.Join(stages, " | "))
+	fmt.Fprintf(stdout, "diagnosed %d victims\n", len(diags))
 
 	for i := 0; i < len(diags) && i < *showDiags; i++ {
 		d := &diags[i]
@@ -209,49 +233,59 @@ func main() {
 		if d.Victim.HasTuple {
 			flow = d.Victim.Tuple.String()
 		}
-		fmt.Printf("\nvictim #%d: %s at %s flow %s (t=%v, queue delay %v)\n",
+		fmt.Fprintf(stdout, "\nvictim #%d: %s at %s flow %s (t=%v, queue delay %v)\n",
 			i, d.Victim.Kind, d.Victim.Comp, flow, d.Victim.ArriveAt, d.Victim.QueueDelay)
 		for r, c := range d.Causes {
 			if r >= 4 {
 				break
 			}
-			fmt.Printf("  rank %d: %s/%s score=%.1f onset=%v\n", r+1, c.Comp, c.Kind, c.Score, c.At)
+			fmt.Fprintf(stdout, "  rank %d: %s/%s score=%.1f onset=%v\n", r+1, c.Comp, c.Kind, c.Score, c.At)
 		}
 	}
 
 	if *explain >= 0 && *explain < len(diags) {
-		fmt.Printf("\ncausal tree for victim #%d:\n", *explain)
+		fmt.Fprintf(stdout, "\ncausal tree for victim #%d:\n", *explain)
 		// The engine shares the store's cached index, so this costs one
 		// victim's recursion, not a trace rescan.
-		fmt.Print(core.NewEngine(pcfg.Diagnosis).Explain(st, diags[*explain].Victim).Render())
+		fmt.Fprint(stdout, core.NewEngine(pcfg.Diagnosis).Explain(st, diags[*explain].Victim).Render())
 	}
 
 	pats := res.Patterns
-	fmt.Printf("\naggregated %d causal relations into %d patterns\n",
+	fmt.Fprintf(stdout, "\naggregated %d causal relations into %d patterns\n",
 		res.Relations, len(pats))
 	limit := len(pats)
 	if limit > *showPats {
 		limit = *showPats
 	}
-	fmt.Print(patterns.Render(pats[:limit]))
+	fmt.Fprint(stdout, patterns.Render(pats[:limit]))
 
 	if *withNM {
 		victims := make([]core.Victim, len(diags))
 		for i := range diags {
 			victims[i] = diags[i].Victim
 		}
-		nm := netmedic.New(st, netmedic.Config{Window: simtime.Duration(nmWindow.Nanoseconds())})
+		nm := netmedic.New(tr, st, netmedic.Config{Window: simtime.Duration(nmWindow.Nanoseconds())})
 		res := nm.Diagnose(victims)
-		fmt.Printf("\nNetMedic baseline (window %v), first victims:\n", *nmWindow)
+		fmt.Fprintf(stdout, "\nNetMedic baseline (window %v), first victims:\n", *nmWindow)
 		for i := 0; i < len(res) && i < *showDiags; i++ {
-			fmt.Printf("  victim #%d:", i)
+			fmt.Fprintf(stdout, "  victim #%d:", i)
 			for r, rc := range res[i].Ranked {
 				if r >= 4 {
 					break
 				}
-				fmt.Printf(" %d:%s(%.2g)", r+1, rc.Comp, rc.Score)
+				fmt.Fprintf(stdout, " %d:%s(%.2g)", r+1, rc.Comp, rc.Score)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
+	}
+	return nil
+}
+
+// printLoaded prints the trace's record count and what decoding it lost.
+func printLoaded(stdout io.Writer, records int, dir string, g collector.Integrity) {
+	fmt.Fprintf(stdout, "loaded %d records from %s\n", records, dir)
+	if g.Damaged() {
+		fmt.Fprintf(stdout, "trace damage: %d skipped in decode, %d resyncs, %d dropped, %d truncated\n",
+			g.DecodeSkipped, g.DecodeResyncs, g.DroppedRecords, g.TruncatedRecords)
 	}
 }

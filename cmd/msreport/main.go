@@ -7,6 +7,10 @@
 // The engine flags are fields of a pipeline spec (the document msdiag
 // and msserve tenants are configured with), lowered by
 // PipelineSpec.PipelineConfig.
+//
+// As in msdiag, the store is built straight from the trace file's frames
+// (tracestore.Load); only -align, which rewrites the records' clocks,
+// decodes them first.
 package main
 
 import (
@@ -58,14 +62,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	pcfg := sp.Resolved().PipelineConfig(nil)
 
-	tr, err := collector.ReadTrace(*traceDir)
+	st, err := loadStore(*traceDir, *align)
 	if err != nil {
 		return err
 	}
-	if *align {
-		_, tr = tracestore.AlignClocks(tr)
-	}
-	st := tracestore.Build(tr)
 	res := pipeline.RunStore(st, pcfg)
 	diags := res.Diagnoses
 
@@ -93,4 +93,18 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "report: %d victims, %d patterns -> %s (%d bytes)\n",
 		len(diags), len(res.Patterns), *out, len(page))
 	return nil
+}
+
+// loadStore makes the store of the trace directory dir, its per-component
+// clock offsets corrected first when align is set.
+func loadStore(dir string, align bool) (*tracestore.Store, error) {
+	if !align {
+		return tracestore.Load(dir)
+	}
+	tr, err := collector.ReadTrace(dir)
+	if err != nil {
+		return nil, err
+	}
+	_, tr = tracestore.AlignClocks(tr)
+	return tracestore.Build(tr), nil
 }

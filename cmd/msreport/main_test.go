@@ -10,6 +10,8 @@ import (
 
 	"microscope"
 	"microscope/internal/collector"
+	"microscope/internal/core"
+	"microscope/internal/htmlreport"
 	"microscope/internal/pipeline"
 	"microscope/internal/spec"
 	"microscope/internal/tracestore"
@@ -18,7 +20,9 @@ import (
 // TestReportMatchesPipeline: msreport over a small eval-topology trace
 // with an injected interrupt writes a page whose summary names the victim
 // and pattern counts, and those counts are what pipeline.RunStore reports
-// for the spec msreport's flags describe.
+// for the spec msreport's flags describe. The page msreport makes from the
+// trace file's frames is, byte for byte, the page of the store Build makes
+// from the decoded records.
 func TestReportMatchesPipeline(t *testing.T) {
 	dep := microscope.NewEvalDeployment(microscope.EvalTopologyConfig{Seed: 3})
 	wl := microscope.NewWorkload(microscope.WorkloadConfig{
@@ -66,5 +70,17 @@ func TestReportMatchesPipeline(t *testing.T) {
 	}
 	if !strings.Contains(string(html), "<td>fw2</td>") {
 		t.Error("page does not name the interrupted NF among its culprits")
+	}
+
+	in := htmlreport.Input{Store: st, Diagnoses: res.Diagnoses, Patterns: res.Patterns}
+	worst := 0
+	for i := range res.Diagnoses {
+		if res.Diagnoses[i].Victim.QueueDelay > res.Diagnoses[worst].Victim.QueueDelay {
+			worst = i
+		}
+	}
+	in.Explanation = core.NewEngine(sp.Resolved().PipelineConfig(nil).Diagnosis).Explain(st, res.Diagnoses[worst].Victim)
+	if want := htmlreport.Render(in); string(html) != want {
+		t.Errorf("the page (%d bytes) is not the one rendered from Build(ReadTrace) (%d bytes)", len(html), len(want))
 	}
 }

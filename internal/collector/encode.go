@@ -56,8 +56,9 @@ const reorderWindow = 32
 // arrive slightly out of time order: the encoder holds back the newest
 // reorderWindow records sorted by time and writes the oldest once the
 // window is full. A record later than that is written out of order (the
-// format carries absolute times); every reader (AppendDecodeStream) stably
-// re-sorts and counts it in DecodeStats.Resorted.
+// format carries absolute times); every reader stably re-sorts it
+// (AppendDecodeStream; a FrameReader's caller) and counts it in
+// DecodeStats.Resorted.
 type Encoder struct {
 	buf    []byte
 	comps  map[string]uint64
@@ -173,6 +174,12 @@ type DecodeStats struct {
 // Damaged reports whether the stream lost anything in decoding.
 func (s DecodeStats) Damaged() bool { return s.Skipped > 0 }
 
+// Integrity is what a trace decoded from the stream knows it lost and
+// resorted.
+func (s DecodeStats) Integrity() Integrity {
+	return Integrity{DecodeSkipped: s.Skipped, DecodeResyncs: s.Resyncs, Resorted: s.Resorted}
+}
+
 // Decode parses a stream produced by Encoder back into records, strictly:
 // any corruption is returned as an error. Use DecodeStream to salvage the
 // intact records of a damaged stream instead.
@@ -203,65 +210,118 @@ func DecodeStream(data []byte) ([]BatchRecord, DecodeStats, error) {
 // contents never leak into a record. The stats count this stream only; on
 // an error dst is returned as it was given.
 func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeStats, error) {
-	var st DecodeStats
-	if len(data) < 4 {
-		return dst, st, errors.New("collector: short stream")
+	r, err := NewFrameReader(data)
+	if err != nil {
+		return dst, DecodeStats{}, err
 	}
-	if [4]byte(data[:4]) != magic {
-		return dst, st, errors.New("collector: bad magic")
-	}
-
-	data = slices.Clip(data) // timeVarint reads ahead within the stream, never past it
-	d := &frameDecoder{}
 	start := len(dst)
-	// One make and a copy, not slices.Grow: under the race detector the
-	// compiler does not fuse Grow's append(make), and it allocates twice.
-	if need := countFrames(data); cap(dst)-len(dst) < need {
-		grown := make([]BatchRecord, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
 	if dst == nil {
 		dst = []BatchRecord{} // a stream with a header decodes to a non-nil slice
 	}
-	// Each record is checked against the one before it as it lands, so
-	// the time order needs no second scan of the records.
-	pos := 4
-	for pos < len(data) {
-		if data[pos] != frameMarker {
-			// Lost framing: scan for the next marker that parses.
-			next := d.resync(data, pos)
-			st.Resyncs++
-			st.Skipped++
-			st.BytesSkipped += next - pos
-			pos = next
-			continue
-		}
-		// Decode into the next slot; it joins dst only if the frame parses.
+	for r.pos < len(r.data) {
+		// Decode into the next slot; it joins dst only if a frame parses.
+		// Out of room, dst grows once for every frame still to come, so a
+		// destination that already has the room never counts them.
 		n := len(dst)
 		if n == cap(dst) {
-			dst = slices.Grow(dst, 1)
+			// At least a quarter more, so that growing a frame at a time
+			// through a damaged stream stays linear. One make and a copy,
+			// not slices.Grow: under the race detector the compiler does
+			// not fuse Grow's append(make), and it allocates twice.
+			grown := make([]BatchRecord, n, n+max(countFrames(r.data, r.pos), n/4, 1))
+			copy(grown, dst)
+			dst = grown
 		}
-		end, ok := d.frame(data, pos, &dst[:n+1][n], false)
-		if !ok {
-			next := d.resync(data, pos+1)
-			st.Resyncs++
-			st.Skipped++
-			st.BytesSkipped += next - pos
-			pos = next
-			continue
+		// An intact frame is taken here; next resynchronizes.
+		slot := &dst[:n+1][n]
+		if r.data[r.pos] != frameMarker || !r.frame(r.pos, slot, carvePackets) {
+			if !r.next(slot, carvePackets) {
+				break
+			}
 		}
 		dst = dst[:n+1]
-		if n > start && dst[n].At < dst[n-1].At {
-			st.Resorted++
-		}
-		pos = end
 	}
-	st.Records = len(dst) - start
+	st := r.Stats()
 	if st.Resorted > 0 {
 		sortByTime(dst[start:])
 	}
 	return dst, st, nil
+}
+
+// FrameReader reads an MST2 stream one frame at a time, with
+// AppendDecodeStream's tolerance: a frame that does not parse is skipped,
+// the reader resynchronizes on the next frame marker whose frame parses,
+// and the loss is counted in Stats. Records come out in stream order,
+// which it does not sort: Stats().Resorted counts the adjacent pairs out
+// of time order. Two readers over the same stream see the same records.
+type FrameReader struct {
+	data []byte
+	// pos is where the next frame is looked for; prev is the time of the
+	// last record read.
+	pos  int
+	st   DecodeStats
+	prev simtime.Time
+
+	// The string tables frames refer to. inQueues[i] is comps[i] + ".in",
+	// the read queue name, built the first time component i reads.
+	comps, queues, inQueues []string
+	// slab is what the records' IPIDs and Tuples are carved from
+	// (AppendDecodeStream).
+	slab
+	// n is the batch size of the last frame read.
+	n int
+}
+
+// NewFrameReader returns a reader positioned at the first frame of data.
+// The error is non-nil only when data has no MST2 header.
+func NewFrameReader(data []byte) (*FrameReader, error) {
+	if len(data) < 4 {
+		return nil, errors.New("collector: short stream")
+	}
+	if [4]byte(data[:4]) != magic {
+		return nil, errors.New("collector: bad magic")
+	}
+	// timeVarint reads ahead within the stream, never past it.
+	return &FrameReader{data: slices.Clip(data), pos: 4}, nil
+}
+
+// Next decodes the next intact frame into *rec, every field, with its
+// IPIDs and Tuples in rec's own storage (grown when short), and reports
+// false at the end of the stream. A caller that passes one record
+// throughout decodes without allocating once that storage has grown to
+// the largest batch; the record's strings are the reader's, shared by
+// every record that names them.
+func (r *FrameReader) Next(rec *BatchRecord) bool { return r.next(rec, reusePackets) }
+
+// NextHeader is Next without the packets: it sets rec's Comp, Queue, At and
+// Dir, returns the batch size, and leaves IPIDs and Tuples as they were.
+func (r *FrameReader) NextHeader(rec *BatchRecord) (n int, ok bool) {
+	ok = r.next(rec, headerOnly)
+	return r.n, ok
+}
+
+// Stats returns the accounting of the frames read so far.
+func (r *FrameReader) Stats() DecodeStats { return r.st }
+
+// next decodes the next frame that parses into *rec as mode says,
+// resynchronizing past the bytes before it.
+func (r *FrameReader) next(rec *BatchRecord, mode frameMode) bool {
+	for r.pos < len(r.data) {
+		from := r.pos
+		if r.data[from] == frameMarker {
+			if r.frame(from, rec, mode) {
+				return true
+			}
+			from++
+		}
+		// Lost framing: scan for the next marker that parses.
+		next := r.resync(from)
+		r.st.Resyncs++
+		r.st.Skipped++
+		r.st.BytesSkipped += next - r.pos
+		r.pos = next
+	}
+	return false
 }
 
 // minPayloadBytes is the shortest payload that can parse: a one-byte
@@ -269,14 +329,14 @@ func AppendDecodeStream(dst []BatchRecord, data []byte) ([]BatchRecord, DecodeSt
 // packet count.
 const minPayloadBytes = 4
 
-// countFrames walks the frame headers of an MST2 stream without parsing
-// the payloads: the exact record count of an intact stream, a lower bound
-// for a damaged one (the walk stops at the first bad header). A payload too
-// short to hold a record is a bad header: the count sizes an allocation, and
-// must not be inflated by a body of empty frames.
-func countFrames(data []byte) int {
+// countFrames walks the frame headers of an MST2 stream from pos on without
+// parsing the payloads: the exact record count of an intact stream, a lower
+// bound for a damaged one (the walk stops at the first bad header). A
+// payload too short to hold a record is a bad header: the count sizes an
+// allocation, and must not be inflated by a body of empty frames.
+func countFrames(data []byte, pos int) int {
 	n := 0
-	for pos := 4; pos < len(data) && data[pos] == frameMarker; n++ {
+	for ; pos < len(data) && data[pos] == frameMarker; n++ {
 		plen, next, ok := uvarint(data, pos+1)
 		if !ok || plen < minPayloadBytes || plen > maxFrameBytes {
 			break
@@ -319,6 +379,15 @@ func (s *slab) tuplesOf(n, bound int) []packet.FiveTuple {
 	return carve(&s.tuples, n, min(tupleChunk, bound))
 }
 
+// grown returns s resized to n entries, reallocated only when its capacity
+// falls short; the contents are for the caller to overwrite.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // carve cuts n entries off the front of *chunk, first starting a new chunk
 // of max(n, size) entries when the current one is too short.
 func carve[T any](chunk *[]T, n, size int) []T {
@@ -331,52 +400,23 @@ func carve[T any](chunk *[]T, n, size int) []T {
 	return out
 }
 
-// frameDecoder carries one stream's decode state across its frames: the
-// string tables, and the slab the records' IPIDs and Tuples are carved
-// from.
-type frameDecoder struct {
-	comps  []string
-	queues []string
-	// inQueues[i] is comps[i] + ".in", the read queue name, built the
-	// first time component i reads.
-	inQueues []string
-	slab
-	// left is how many stream bytes remain from the current payload on: an
-	// upper bound on what is still to be carved, so a short stream gets
-	// short chunks.
-	left int
-}
+// frameMode is what parsing a frame builds besides its header fields (Comp,
+// Queue, At, Dir) and where it puts the packets.
+type frameMode uint8
 
-// frame parses one frame starting at the marker byte into *rec. It
-// returns the position after the frame and whether the payload parsed
-// exactly; a frame that does not parse leaves *rec partly written. A dry
-// parse only validates: it builds no IPIDs or tuples and leaves the
-// decoder as it found it.
-func (d *frameDecoder) frame(data []byte, pos int, rec *BatchRecord, dry bool) (int, bool) {
-	plen, p, ok := uvarint(data, pos+1) // past the marker
-	if !ok || plen > maxFrameBytes {
-		return 0, false
-	}
-	end := p + int(plen)
-	if end > len(data) {
-		return 0, false
-	}
-	// Table mutations must not survive a failed parse: stage and commit.
-	compsLen, queuesLen := len(d.comps), len(d.queues)
-	d.left = len(data) - p
-	ok = d.payload(data[p:end], rec, dry)
-	if !ok || dry {
-		d.comps = d.comps[:compsLen]
-		d.queues = d.queues[:queuesLen]
-		if len(d.inQueues) > compsLen {
-			d.inQueues = d.inQueues[:compsLen]
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return end, true
-}
+const (
+	// carvePackets carves the IPIDs and Tuples off the decoder's slab, so
+	// that every record keeps its own (AppendDecodeStream).
+	carvePackets frameMode = iota
+	// reusePackets decodes them into the record's own storage
+	// (FrameReader.Next).
+	reusePackets
+	// headerOnly builds no IPIDs or Tuples; the batch size is left in n.
+	headerOnly
+	// dryRun is headerOnly that leaves the string tables as it found them:
+	// it only checks that a frame parses (resync).
+	dryRun
+)
 
 // The payload's fields are read by position: each reader takes the buffer
 // and where the field starts, and returns the value and where the next
@@ -424,55 +464,70 @@ func timeVarint(b []byte, pos int) (uint64, int, bool) {
 
 // define is the slow half of a flagged table reference — known strings
 // encode as (id<<1), new ones as (id<<1)|1 followed by len + bytes — for a
-// reference v, read with ok, that does not name a string the table holds:
-// it appends the string a new reference defines, and rejects a malformed
-// or dangling one. payload resolves a known reference, the usual case,
-// inline.
-func define(table *[]string, b []byte, pos int, v uint64, ok bool) (uint64, int, bool) {
-	if !ok || v&1 == 0 || v>>1 != uint64(len(*table)) {
-		return 0, pos, false
+// reference v, read with ok, that does not name one of the table's n
+// strings: it returns the string a new reference defines, and rejects a
+// malformed or dangling one. frame resolves a known reference, the usual
+// case, inline.
+func define(n int, b []byte, pos int, v uint64, ok bool) (string, int, bool) {
+	if !ok || v&1 == 0 || v>>1 != uint64(n) {
+		return "", pos, false
 	}
 	l, pos, ok := uvarint(b, pos)
 	if !ok || l > uint64(len(b)-pos) {
-		return 0, pos, false
+		return "", pos, false
 	}
-	*table = append(*table, string(b[pos:pos+int(l)]))
-	return v, pos + int(l), true
+	return string(b[pos : pos+int(l)]), pos + int(l), true
 }
 
-// payload parses one record body into *rec, setting every field; it must
-// consume the slice exactly. A dry parse leaves IPIDs and Tuples unset.
-func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
+// frame parses the frame whose marker is at mark into *rec, setting every
+// field that mode builds; the payload must parse exactly. A frame that
+// parses is read: the reader moves past it and counts its record, and a
+// string it defines joins its table. A dry run only reports whether the
+// frame parses, and a frame that does not parse leaves *rec partly written
+// and the reader as it was.
+func (r *FrameReader) frame(mark int, rec *BatchRecord, mode frameMode) bool {
+	data := r.data
+	plen, p, ok := uvarint(data, mark+1)
+	if !ok || plen > maxFrameBytes || plen > uint64(len(data)-p) {
+		return false
+	}
+	end := p + int(plen)
+	b := data[p:end]
+
 	v, pos, ok := uvarint(b, 0)
-	if !ok || v&1 == 1 || v>>1 >= uint64(len(d.comps)) {
-		if v, pos, ok = define(&d.comps, b, pos, v, ok); !ok {
+	comp, newComp := int(v>>1), false
+	if !ok || v&1 == 1 || v>>1 >= uint64(len(r.comps)) {
+		if rec.Comp, pos, ok = define(len(r.comps), b, pos, v, ok); !ok {
 			return false
 		}
+		comp, newComp = len(r.comps), true
+	} else {
+		rec.Comp = r.comps[comp]
 	}
-	comp := int(v >> 1)
 	if pos >= len(b) {
 		return false
 	}
-	rec.Comp = d.comps[comp]
 	rec.Dir = Dir(b[pos])
 	pos++
+	newQueue, newInQueue := false, false
 	switch rec.Dir {
 	case DirWrite:
 		v, pos, ok = uvarint(b, pos)
-		if !ok || v&1 == 1 || v>>1 >= uint64(len(d.queues)) {
-			if v, pos, ok = define(&d.queues, b, pos, v, ok); !ok {
+		if !ok || v&1 == 1 || v>>1 >= uint64(len(r.queues)) {
+			if rec.Queue, pos, ok = define(len(r.queues), b, pos, v, ok); !ok {
 				return false
 			}
+			newQueue = true
+		} else {
+			rec.Queue = r.queues[v>>1]
 		}
-		rec.Queue = d.queues[v>>1]
 	case DirRead:
-		for len(d.inQueues) <= comp {
-			d.inQueues = append(d.inQueues, "")
+		// inQueues[comp] is built the first time component comp reads.
+		if comp < len(r.inQueues) && r.inQueues[comp] != "" {
+			rec.Queue = r.inQueues[comp]
+		} else {
+			newInQueue = true
 		}
-		if d.inQueues[comp] == "" {
-			d.inQueues[comp] = QueueOf(rec.Comp)
-		}
-		rec.Queue = d.inQueues[comp]
 	case DirDeliver:
 		if rec.Queue != "" { // a slot reused from an earlier record
 			rec.Queue = ""
@@ -494,53 +549,82 @@ func (d *frameDecoder) payload(b []byte, rec *BatchRecord, dry bool) bool {
 		need = int(n) * 15
 	}
 	// Exact consumption is checked before anything is carved off the
-	// slabs, so a frame that fails to parse never uses them.
+	// slabs or added to the tables, so a frame that fails to parse changes
+	// neither.
 	if n > maxFrameBytes || pos+need != len(b) {
 		return false
 	}
-	if dry {
+	if mode == dryRun {
 		return true
 	}
-	rec.IPIDs = d.ipidsOf(int(n), d.left/2)
+	r.pos = end
+	if r.st.Records > 0 && rec.At < r.prev {
+		r.st.Resorted++
+	}
+	r.st.Records++
+	r.prev = rec.At
+	if newComp {
+		r.comps = append(r.comps, rec.Comp)
+	}
+	if newQueue {
+		r.queues = append(r.queues, rec.Queue)
+	}
+	if newInQueue {
+		for len(r.inQueues) <= comp {
+			r.inQueues = append(r.inQueues, "")
+		}
+		r.inQueues[comp] = QueueOf(rec.Comp)
+		rec.Queue = r.inQueues[comp]
+	}
+	r.n = int(n)
+	if mode == headerOnly {
+		return true
+	}
+	left := len(data) - p // an upper bound on what is still to be carved
+	if mode == reusePackets {
+		rec.IPIDs = grown(rec.IPIDs, int(n))
+	} else {
+		rec.IPIDs = r.ipidsOf(int(n), left/2)
+	}
 	src := b[pos : pos+2*len(rec.IPIDs)]
 	for i := range rec.IPIDs {
 		rec.IPIDs[i] = uint16(src[2*i]) | uint16(src[2*i+1])<<8
 	}
 	pos += len(src)
-	if rec.Tuples != nil { // a slot reused from an earlier record
+	switch {
+	case rec.Dir == DirDeliver && mode == reusePackets:
+		rec.Tuples = grown(rec.Tuples, int(n))
+	case rec.Dir == DirDeliver:
+		rec.Tuples = r.tuplesOf(int(n), left/15)
+	case mode == reusePackets:
+		rec.Tuples = rec.Tuples[:0] // kept for the next deliver
+	case rec.Tuples != nil: // a slot reused from an earlier record
 		rec.Tuples = nil
 	}
-	if rec.Dir == DirDeliver {
-		rec.Tuples = d.tuplesOf(int(n), d.left/15)
-		for i := range rec.Tuples {
-			t := b[pos : pos+13]
-			rec.Tuples[i] = packet.FiveTuple{
-				SrcIP:   uint32(t[0]) | uint32(t[1])<<8 | uint32(t[2])<<16 | uint32(t[3])<<24,
-				DstIP:   uint32(t[4]) | uint32(t[5])<<8 | uint32(t[6])<<16 | uint32(t[7])<<24,
-				SrcPort: uint16(t[8]) | uint16(t[9])<<8,
-				DstPort: uint16(t[10]) | uint16(t[11])<<8,
-				Proto:   t[12],
-			}
-			pos += 13
+	for i := range rec.Tuples {
+		t := b[pos : pos+13]
+		rec.Tuples[i] = packet.FiveTuple{
+			SrcIP:   uint32(t[0]) | uint32(t[1])<<8 | uint32(t[2])<<16 | uint32(t[3])<<24,
+			DstIP:   uint32(t[4]) | uint32(t[5])<<8 | uint32(t[6])<<16 | uint32(t[7])<<24,
+			SrcPort: uint16(t[8]) | uint16(t[9])<<8,
+			DstPort: uint16(t[10]) | uint16(t[11])<<8,
+			Proto:   t[12],
 		}
+		pos += 13
 	}
 	return true
 }
 
 // resync finds the next frame marker at or after pos whose frame parses
-// against the decoder's current tables (a dry parse, which leaves them
-// untouched), or len(data).
-func (d *frameDecoder) resync(data []byte, pos int) int {
+// against the reader's current tables (a dry run), or len(data).
+func (r *FrameReader) resync(pos int) int {
 	var scratch BatchRecord
-	for ; pos < len(data); pos++ {
-		if data[pos] != frameMarker {
-			continue
-		}
-		if _, ok := d.frame(data, pos, &scratch, true); ok {
+	for ; pos < len(r.data); pos++ {
+		if r.data[pos] == frameMarker && r.frame(pos, &scratch, dryRun) {
 			return pos
 		}
 	}
-	return len(data)
+	return len(r.data)
 }
 
 // Inversions counts the adjacent pairs of recs that are out of time order:

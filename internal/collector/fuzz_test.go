@@ -39,7 +39,10 @@ func fuzzSeedStream() []byte {
 
 // FuzzDecode drives the tolerant decoder with adversarial input: it must
 // never panic, never over-allocate relative to the input size, and always
-// report internally consistent stats.
+// report internally consistent stats. A FrameReader over the same input
+// must see the same frames: Next decodes the records AppendDecodeStream
+// returns, in stream order, NextHeader their headers and batch sizes, and
+// both end with the same stats.
 func FuzzDecode(f *testing.F) {
 	valid := fuzzSeedStream()
 	f.Add(valid)
@@ -70,6 +73,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			if len(recs) != 0 {
 				t.Fatalf("records returned alongside error: %d", len(recs))
+			}
+			if _, rerr := NewFrameReader(data); rerr == nil {
+				t.Fatalf("frame reader takes a stream DecodeStream refused: %v", err)
 			}
 			return
 		}
@@ -115,7 +121,62 @@ func FuzzDecode(f *testing.F) {
 		if err3 != nil || st3 != st || !reflect.DeepEqual(got[:keep], prefix) || !reflect.DeepEqual(got[keep:], recs) {
 			t.Fatalf("decode into reused storage differs from a fresh decode: %+v vs %+v, %v", st3, st, err3)
 		}
+		checkFrameReader(t, data, recs, st)
 	})
+}
+
+// checkFrameReader holds a FrameReader over data to what DecodeStream made
+// of it: recs (time-sorted) and st.
+func checkFrameReader(t *testing.T, data []byte, recs []BatchRecord, st DecodeStats) {
+	t.Helper()
+	r, err := NewFrameReader(data)
+	if err != nil {
+		t.Fatalf("frame reader refuses a stream DecodeStream took: %v", err)
+	}
+	// One record reused throughout, as a reader's caller does; each
+	// decode is copied out.
+	var rec BatchRecord
+	var seq []BatchRecord
+	for r.Next(&rec) {
+		seq = append(seq, BatchRecord{
+			Comp: rec.Comp, Queue: rec.Queue, At: rec.At, Dir: rec.Dir,
+			IPIDs: slices.Clone(rec.IPIDs), Tuples: slices.Clone(rec.Tuples),
+		})
+	}
+	if r.Stats() != st {
+		t.Fatalf("frame reader stats %+v, DecodeStream's %+v", r.Stats(), st)
+	}
+	h, _ := NewFrameReader(data)
+	for i := 0; ; i++ {
+		n, ok := h.NextHeader(&rec)
+		if !ok {
+			if i != len(seq) {
+				t.Fatalf("NextHeader read %d frames, Next %d", i, len(seq))
+			}
+			break
+		}
+		if i >= len(seq) {
+			t.Fatalf("NextHeader read more frames than Next's %d", len(seq))
+		}
+		if s := &seq[i]; rec.Comp != s.Comp || rec.Queue != s.Queue || rec.At != s.At || rec.Dir != s.Dir || n != len(s.IPIDs) {
+			t.Fatalf("frame %d: header %s %s %v %v n=%d, Next decoded %s %s %v %v n=%d",
+				i, rec.Comp, rec.Queue, rec.At, rec.Dir, n, s.Comp, s.Queue, s.At, s.Dir, len(s.IPIDs))
+		}
+	}
+	if h.Stats() != st {
+		t.Fatalf("header pass stats %+v, DecodeStream's %+v", h.Stats(), st)
+	}
+	sortByTime(seq)
+	if len(seq) != len(recs) {
+		t.Fatalf("frame reader decoded %d records, DecodeStream %d", len(seq), len(recs))
+	}
+	for i := range seq {
+		a, b := &seq[i], &recs[i]
+		if a.Comp != b.Comp || a.Queue != b.Queue || a.At != b.At || a.Dir != b.Dir ||
+			!slices.Equal(a.IPIDs, b.IPIDs) || !slices.Equal(a.Tuples, b.Tuples) {
+			t.Fatalf("record %d: frame reader %+v, DecodeStream %+v", i, *a, *b)
+		}
+	}
 }
 
 // staleRecords returns decoded records with spare capacity behind them, as

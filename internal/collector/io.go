@@ -39,8 +39,28 @@ func WriteTrace(dir string, tr *Trace) error {
 	return nil
 }
 
-// ReadTrace loads a trace directory written by WriteTrace.
+// ReadTrace loads a trace directory written by WriteTrace, its records
+// decoded tolerantly (TraceFile.Decode).
 func ReadTrace(dir string) (*Trace, error) {
+	f, err := OpenTrace(dir)
+	if err != nil {
+		return nil, err
+	}
+	return f.Decode()
+}
+
+// TraceFile is a trace directory read but not decoded: its checked
+// deployment metadata and its raw MST2 record stream, about two bytes a
+// packet. A reader that goes over the frames itself (FrameReader) never
+// holds the records as BatchRecords.
+type TraceFile struct {
+	Meta   Meta
+	Stream []byte
+}
+
+// OpenTrace reads a trace directory written by WriteTrace without decoding
+// its records.
+func OpenTrace(dir string) (*TraceFile, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
 		return nil, fmt.Errorf("collector: read meta: %w", err)
@@ -49,23 +69,32 @@ func ReadTrace(dir string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &Trace{Meta: meta}
 	rb, err := os.ReadFile(filepath.Join(dir, recordsFile))
 	if err != nil {
 		return nil, fmt.Errorf("collector: read records: %w", err)
 	}
-	// Tolerant decode: a damaged record stream still yields every intact
-	// record, with the loss accounted in the trace's Integrity so the
-	// diagnosis can qualify its confidence.
-	recs, st, err := DecodeStream(rb)
+	return &TraceFile{Meta: meta, Stream: rb}, nil
+}
+
+// Frames returns a reader over the record stream's frames.
+func (f *TraceFile) Frames() (*FrameReader, error) {
+	r, err := NewFrameReader(f.Stream)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decode records: %w", err)
 	}
-	tr.Records = recs
-	tr.Integrity.DecodeSkipped = st.Skipped
-	tr.Integrity.DecodeResyncs = st.Resyncs
-	tr.Integrity.Resorted = st.Resorted
-	return tr, nil
+	return r, nil
+}
+
+// Decode decodes the records into a Trace. The decode is tolerant: a
+// damaged record stream still yields every intact record, with the loss
+// accounted in the trace's Integrity so the diagnosis can qualify its
+// confidence.
+func (f *TraceFile) Decode() (*Trace, error) {
+	recs, st, err := DecodeStream(f.Stream)
+	if err != nil {
+		return nil, fmt.Errorf("collector: decode records: %w", err)
+	}
+	return &Trace{Meta: f.Meta, Records: recs, Integrity: st.Integrity()}, nil
 }
 
 // parseMeta decodes and checks a meta.json document. It is as strict as a

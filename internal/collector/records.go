@@ -4,8 +4,8 @@
 // packet — plus full five-tuples only at the egress of the NF graph. A
 // Collector keeps the records in chunks, their IPIDs and tuples on shared
 // slabs, until Trace hands them over; the compact MST2 encoding (Encoder,
-// AppendDecodeStream) keeps a stored or shipped trace near two bytes per
-// packet.
+// AppendDecodeStream, FrameReader) keeps a stored or shipped trace near
+// two bytes per packet.
 //
 // The collector deliberately observes nothing else: no packet IDs, no
 // ground truth, no NF internals. Everything downstream (trace

@@ -146,6 +146,28 @@ func closeRel(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
+// checkFold holds the fold of ex's tree to d's causes above minScore,
+// adding what it walked to fs.
+func checkFold(t *testing.T, name string, ex *Explanation, d Diagnosis, fs *foldStats) {
+	t.Helper()
+	folded := map[causeName]float64{}
+	if ex.Root != nil {
+		foldExplanation(t, ex.Root, 0, folded, fs)
+	}
+	for _, c := range d.Causes {
+		k := causeName{c.Comp, c.Kind}
+		if got, ok := folded[k]; !ok || !closeRel(got, c.Score) {
+			t.Errorf("%s: %s/%s scores %v in the diagnosis, %v in the tree", name, c.Comp, c.Kind, c.Score, got)
+		}
+		delete(folded, k)
+	}
+	for k, sc := range folded {
+		if sc >= minScore*(1+1e-9) {
+			t.Errorf("%s: the tree scores %s/%s %v, the diagnosis has no such cause", name, k.comp, k.kind, sc)
+		}
+	}
+}
+
 // TestExplainAccountsForDiagnosis: every victim's explanation tree folds
 // into exactly DiagnoseVictim's causes above minScore. The tree is the
 // walk the diagnosis takes, so its nodes and shares account for every
@@ -159,24 +181,7 @@ func TestExplainAccountsForDiagnosis(t *testing.T) {
 			t.Fatalf("%s: no victims", s.name)
 		}
 		for i, v := range victims {
-			ex := eng.Explain(s.st, v)
-			d := eng.DiagnoseVictim(s.st, v)
-			folded := map[causeName]float64{}
-			if ex.Root != nil {
-				foldExplanation(t, ex.Root, 0, folded, &total)
-			}
-			for _, c := range d.Causes {
-				k := causeName{c.Comp, c.Kind}
-				if got, ok := folded[k]; !ok || !closeRel(got, c.Score) {
-					t.Errorf("%s victim %d: %s/%s scores %v in the diagnosis, %v in the tree", s.name, i, c.Comp, c.Kind, c.Score, got)
-				}
-				delete(folded, k)
-			}
-			for k, sc := range folded {
-				if sc >= minScore*(1+1e-9) {
-					t.Errorf("%s victim %d: the tree scores %s/%s %v, the diagnosis has no such cause", s.name, i, k.comp, k.kind, sc)
-				}
-			}
+			checkFold(t, fmt.Sprintf("%s victim %d", s.name, i), eng.Explain(s.st, v), eng.DiagnoseVictim(s.st, v), &total)
 		}
 	}
 	t.Logf("folded %d nodes: %d recursing shares, %d all-Sp children, %d shares with no child, depth up to %d",

@@ -147,7 +147,7 @@ func Figure13From(run *AccuracyRun, windows []simtime.Duration) *Figure13Result 
 	var best simtime.Duration
 	bestRate := -1.0
 	for _, w := range windows {
-		nm := netmedic.New(run.Store, netmedic.Config{Window: w})
+		nm := netmedic.New(run.Trace, run.Store, netmedic.Config{Window: w})
 		res := nm.Diagnose(run.Victims)
 		var ranks []int
 		for i := range run.Victims {

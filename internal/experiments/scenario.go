@@ -180,10 +180,11 @@ type AccuracyRun struct {
 	Config     AccuracyConfig
 	Injections []Injection
 	Outcomes   []VictimOutcome
-	// Victims/Diags/Store are retained for follow-on analyses
+	// Victims/Diags/Trace/Store are retained for follow-on analyses
 	// (window sweeps re-rank the same victims).
 	Victims []core.Victim
 	Diags   []core.Diagnosis
+	Trace   *collector.Trace
 	Store   *tracestore.Store
 }
 
@@ -273,7 +274,8 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyRun {
 	sim.LoadSchedule(sched)
 	sim.Run(simtime.Time(total) + simtime.Time(50*simtime.Millisecond))
 
-	st := tracestore.Build(col.Trace(collector.MetaOf(topo.Sim)))
+	tr := col.Trace(collector.MetaOf(topo.Sim))
+	st := tracestore.Build(tr)
 
 	eng := core.NewEngine(core.Config{MaxVictims: cfg.MaxVictims, Workers: cfg.Workers})
 	// Victim selection is per injection slot: each injected problem's
@@ -290,7 +292,7 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyRun {
 	victims := selectSlotVictims(st, injections, cfg.SlotDur, perSlot)
 	diags := eng.DiagnoseVictims(st, victims)
 
-	nm := netmedic.New(st, netmedic.Config{Window: cfg.NetMedicWindow})
+	nm := netmedic.New(tr, st, netmedic.Config{Window: cfg.NetMedicWindow})
 	nmRes := nm.Diagnose(victims)
 
 	run := &AccuracyRun{
@@ -298,6 +300,7 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyRun {
 		Injections: injections,
 		Victims:    victims,
 		Diags:      diags,
+		Trace:      tr,
 		Store:      st,
 	}
 	for i := range victims {

@@ -103,8 +103,11 @@ type stateVec struct {
 // queueMax, mirroring a monitoring agent sampling ring occupancy.
 const queuePollsPerWindow = 16
 
-// New builds the windowed model from a reconstructed trace store.
-func New(st *tracestore.Store, cfg Config) *Engine {
+// New builds the windowed model from a trace and the store reconstructed
+// from it: the monitored rates are counted from tr's records (a store keeps
+// none of its own; see tracestore.Load), the queue occupancies read from
+// st.
+func New(tr *collector.Trace, st *tracestore.Store, cfg Config) *Engine {
 	cfg.setDefaults()
 	e := &Engine{
 		cfg:    cfg,
@@ -118,18 +121,18 @@ func New(st *tracestore.Store, cfg Config) *Engine {
 	}
 	// Trace horizon.
 	var end simtime.Time
-	for i := range st.Trace.Records {
-		if at := st.Trace.Records[i].At; at > end {
+	for i := range tr.Records {
+		if at := tr.Records[i].At; at > end {
 			end = at
 		}
 	}
 	e.nWin = int(end/simtime.Time(cfg.Window)) + 1
-	for _, cm := range st.Trace.Meta.Components {
+	for _, cm := range tr.Meta.Components {
 		e.comps = append(e.comps, cm.Name)
 		e.kindOf[cm.Name] = cm.Kind
-		e.ups[cm.Name] = st.Trace.Meta.Upstreams(cm.Name)
+		e.ups[cm.Name] = tr.Meta.Upstreams(cm.Name)
 	}
-	e.computeVars()
+	e.computeVars(tr.Records)
 	e.computeAbnormality()
 	e.computeEdgeWeights()
 	return e
@@ -148,12 +151,12 @@ func (e *Engine) winOf(t simtime.Time) int {
 
 // computeVars fills per-window monitored variables from the record stream.
 // The source's "processing rate" is its emission rate.
-func (e *Engine) computeVars() {
+func (e *Engine) computeVars(recs []collector.BatchRecord) {
 	for _, c := range e.comps {
 		e.vars[c] = make([]stateVec, e.nWin)
 	}
-	for i := range e.st.Trace.Records {
-		r := &e.st.Trace.Records[i]
+	for i := range recs {
+		r := &recs[i]
 		w := e.winOf(r.At)
 		switch r.Dir {
 		case collector.DirRead:

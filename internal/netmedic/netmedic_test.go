@@ -55,7 +55,7 @@ func runScenario(t *testing.T, withInterrupt bool) *tracestore.Store {
 
 func TestEngineBuilds(t *testing.T) {
 	st := runScenario(t, false)
-	e := New(st, Config{})
+	e := New(st.Trace, st, Config{})
 	if e.nWin < 5 {
 		t.Errorf("windows: %d", e.nWin)
 	}
@@ -72,7 +72,7 @@ func TestEngineBuilds(t *testing.T) {
 
 func TestInterruptWindowIsAbnormal(t *testing.T) {
 	st := runScenario(t, true)
-	e := New(st, Config{})
+	e := New(st.Trace, st, Config{})
 	w := e.winOf(simtime.Time(20 * simtime.Millisecond))
 	if e.z["nat1"][w] < 1 {
 		t.Errorf("nat1 abnormality in interrupt window: %v", e.z["nat1"][w])
@@ -86,7 +86,7 @@ func TestInterruptWindowIsAbnormal(t *testing.T) {
 
 func TestDiagnoseRanksEveryComponent(t *testing.T) {
 	st := runScenario(t, true)
-	e := New(st, Config{})
+	e := New(st.Trace, st, Config{})
 	victims := []core.Victim{{
 		Journey: 0, Comp: "nat1",
 		ArriveAt: simtime.Time(20*simtime.Millisecond) + simtime.Time(200*simtime.Microsecond),
@@ -124,7 +124,7 @@ func TestDelayedImpactDegradesNetMedic(t *testing.T) {
 	sim.InjectInterrupt("nat1", intAt, simtime.Duration(500*simtime.Microsecond), "i")
 	sim.Run(simtime.Time(300 * simtime.Millisecond))
 	st := tracestore.Build(col.Trace(collector.MetaOf(sim)))
-	e := New(st, Config{Window: 2 * simtime.Millisecond})
+	e := New(st.Trace, st, Config{Window: 2 * simtime.Millisecond})
 
 	// A victim queued at the VPN several windows after the interrupt.
 	v := core.Victim{
@@ -146,8 +146,8 @@ func TestDelayedImpactDegradesNetMedic(t *testing.T) {
 
 func TestWindowSweepChangesBehaviour(t *testing.T) {
 	st := runScenario(t, true)
-	small := New(st, Config{Window: simtime.Duration(simtime.Millisecond)})
-	large := New(st, Config{Window: 50 * simtime.Millisecond})
+	small := New(st.Trace, st, Config{Window: simtime.Duration(simtime.Millisecond)})
+	large := New(st.Trace, st, Config{Window: 50 * simtime.Millisecond})
 	if small.nWin <= large.nWin {
 		t.Error("window sizing broken")
 	}

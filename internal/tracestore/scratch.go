@@ -15,7 +15,8 @@ import (
 // even after a contained panic mid-seal.
 type scratch struct {
 	// Build. recComp/recDest hand each record's interned component and
-	// write destination from the count pass to the fill pass. views are
+	// write destination from the count pass to the fill pass (a store
+	// built from records; buildFrames looks them up again). views are
 	// the per-component tables by CompID, spans of entries, dests and
 	// tuples.
 	recComp []CompID

@@ -99,6 +99,9 @@ type CompView struct {
 
 // Store indexes a trace and holds the reconstructed journeys.
 type Store struct {
+	// Trace is the trace the store was made from: its meta and integrity,
+	// and its records only when they were held as records (Build; not
+	// Load, nor a stream's segment or window store).
 	Trace    *collector.Trace
 	MaxBatch int
 
@@ -277,9 +280,10 @@ func Build(tr *collector.Trace) *Store {
 }
 
 // derive makes s the store of tr, whose records must be in time order:
-// build, reconstruct, summarize. It is the one way a store is made — the
-// cold Build (zero Store, fresh scratch) and the stream's seal (the
-// segment's recycled Store, the stream's long-lived scratch) — and a
+// build, reconstruct, summarize. It is the one way a store is made from
+// records — the cold Build (zero Store, fresh scratch) and the stream's
+// seal (the segment's recycled Store, the stream's long-lived scratch);
+// buildFrames runs the same steps over a trace file's frames — and a
 // recycled s must have been made for the same Meta. The build-only tables
 // live in sc alone, so when derive returns nothing of s points into them
 // and the next use may overwrite them.
@@ -290,9 +294,26 @@ func (s *Store) derive(tr *collector.Trace, sc *scratch) {
 }
 
 // build indexes tr through sc. Two passes over the records: the first
-// interns components and counts what every table will hold, the second
-// fills tables carved at exactly that size — no table is ever grown.
+// (count) interns components and counts what every table will hold, the
+// second (fill) writes the tables carved at exactly that size by layout —
+// no table is ever grown. buildFrames runs the same passes over a trace
+// file's frames.
 func (s *Store) build(tr *collector.Trace, sc *scratch) {
+	s.begin(tr, sc)
+	recs := tr.Records
+	sc.recComp = resize(sc.recComp, len(recs))
+	sc.recDest = resize(sc.recDest, len(recs))
+	for ri := range recs {
+		sc.recComp[ri], sc.recDest[ri] = s.count(&recs[ri], len(recs[ri].IPIDs), sc)
+	}
+	s.layout(sc)
+	s.fill(recs, sc.recComp, sc.recDest, sc)
+}
+
+// begin readies s to index the records of tr, which it keeps as the
+// store's Trace: the interner holds the declared components, and nothing
+// is counted yet.
+func (s *Store) begin(tr *collector.Trace, sc *scratch) {
 	s.Trace = tr
 	s.MaxBatch = tr.Meta.MaxBatch
 	if s.MaxBatch <= 0 {
@@ -311,37 +332,40 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 	} else {
 		s.recycle()
 	}
-
-	recs := tr.Records
-	s.recCount = len(recs)
-	sc.recComp = resize(sc.recComp, len(recs))
-	sc.recDest = resize(sc.recDest, len(recs))
+	s.recCount = 0
 	sc.views = sc.views[:0]
-	for ri := range recs {
-		r := &recs[ri]
-		n := len(r.IPIDs)
-		switch r.Dir {
-		case collector.DirRead:
-			id := s.compID(r.Comp)
-			sc.recComp[ri] = id
-			c := sc.view(id)
-			c.nReads++
-			c.nReadPk += n
-		case collector.DirWrite:
-			id, dest := s.compID(r.Comp), s.queueID(r.Queue)
-			sc.recComp[ri], sc.recDest[ri] = id, dest
-			sc.view(id).nWritePk += n
-			sc.view(dest).nArrivals += n
-		case collector.DirDeliver:
-			id := s.compID(r.Comp)
-			sc.recComp[ri] = id
-			sc.view(id).nDeliverPk += n
-		}
+}
+
+// count is the first pass's step for one record carrying n packets: it
+// interns the record's component and, for a write, its destination, which
+// it returns for fill, and counts the rows the record will fill. It reads
+// no IPIDs or tuples.
+func (s *Store) count(r *collector.BatchRecord, n int, sc *scratch) (id, dest CompID) {
+	s.recCount++
+	switch r.Dir {
+	case collector.DirRead:
+		id = s.compID(r.Comp)
+		c := sc.view(id)
+		c.nReads++
+		c.nReadPk += n
+	case collector.DirWrite:
+		id, dest = s.compID(r.Comp), s.queueID(r.Queue)
+		sc.view(id).nWritePk += n
+		sc.view(dest).nArrivals += n
+	case collector.DirDeliver:
+		id = s.compID(r.Comp)
+		sc.view(id).nDeliverPk += n
 	}
+	return id, dest
+}
+
+// layout ends the count pass: it interns the edge endpoints, freezes the
+// meta tables and carves every table at the size counted.
+func (s *Store) layout(sc *scratch) {
 	// Intern edge endpoints too, so the downstream adjacency can name
 	// declared-but-silent neighbours, then freeze the per-component meta
 	// tables the diagnosis reads by ID.
-	for _, e := range tr.Meta.Edges {
+	for _, e := range s.Trace.Meta.Edges {
 		s.view(e.From)
 		s.view(e.To)
 	}
@@ -372,15 +396,19 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 		c.dests, dests = carve(dests, c.nWritePk)
 		c.tuples, tuples = carve(tuples, c.nDeliverPk)
 	}
+}
 
-	// The fill pass writes each record's rows by index into spans the
-	// count pass sized exactly.
+// fill is the second pass over recs, whose components and write
+// destinations count returned in comp and dest: it writes each record's
+// rows by index into the spans layout carved. The records must be the ones
+// counted, in the same order.
+func (s *Store) fill(recs []collector.BatchRecord, comp, dest []CompID, sc *scratch) {
 	for ri := range recs {
 		r := &recs[ri]
 		n := len(r.IPIDs)
 		switch r.Dir {
 		case collector.DirRead:
-			v, c := s.views[sc.recComp[ri]], &sc.views[sc.recComp[ri]]
+			v, c := s.views[comp[ri]], &sc.views[comp[ri]]
 			ev, e0 := int32(len(v.Reads)), len(c.reads)
 			v.Reads = append(v.Reads, ReadEvent{
 				At:         r.At,
@@ -393,8 +421,8 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 				c.reads[e0+i] = Entry{At: r.At, Ref: ev, IPID: id}
 			}
 		case collector.DirWrite:
-			from := sc.recComp[ri]
-			c, dv := &sc.views[from], s.views[sc.recDest[ri]]
+			from := comp[ri]
+			c, dv := &sc.views[from], s.views[dest[ri]]
 			a0, w0 := len(dv.Arrivals), len(c.writes)
 			// Arrival lists merge upstream writes per destination in
 			// (time, record order) — record order is already time order
@@ -408,7 +436,7 @@ func (s *Store) build(tr *collector.Trace, sc *scratch) {
 				arrivals[i] = Arrival{At: r.At, IPID: id, From: from, Journey: -1}
 			}
 		case collector.DirDeliver:
-			c := &sc.views[sc.recComp[ri]]
+			c := &sc.views[comp[ri]]
 			e0 := len(c.delivers)
 			c.delivers, c.tuples = c.delivers[:e0+n], c.tuples[:e0+n]
 			for i, id := range r.IPIDs {

@@ -255,9 +255,10 @@ func (r *Report) Render() string {
 
 // NetMedicRank runs the NetMedic baseline over the same victims and
 // returns, per victim, the ranked component list — for side-by-side
-// comparisons like the paper's Figure 11.
-func NetMedicRank(st *Store, victims []Victim, window Duration) []netmedic.Result {
-	nm := netmedic.New(st, netmedic.Config{Window: window})
+// comparisons like the paper's Figure 11. st is the store reconstructed
+// from tr; the baseline counts its rates from tr's records.
+func NetMedicRank(tr *Trace, st *Store, victims []Victim, window Duration) []netmedic.Result {
+	nm := netmedic.New(tr, st, netmedic.Config{Window: window})
 	return nm.Diagnose(victims)
 }
 

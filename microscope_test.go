@@ -67,12 +67,13 @@ func TestEvalDeploymentAndNetMedic(t *testing.T) {
 	dep.Replay(wl)
 	dep.Run(100 * simtime.Millisecond)
 
-	st := Reconstruct(dep.Trace())
+	tr := dep.Trace()
+	st := Reconstruct(tr)
 	victims := Victims(st)
 	if len(victims) == 0 {
 		t.Fatal("no victims")
 	}
-	res := NetMedicRank(st, victims, 10*simtime.Millisecond)
+	res := NetMedicRank(tr, st, victims, 10*simtime.Millisecond)
 	if len(res) != len(victims) {
 		t.Fatalf("netmedic results: %d", len(res))
 	}
