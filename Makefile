@@ -117,7 +117,9 @@ stream-check:
 # window's cost moves with its span (1.5, 20 and 80 slides at one slide); so does
 # BenchmarkDiagnosePipeline's scaling gate (see bench).
 # BenchmarkDecodeJSON prints ns/record and allocs/record for json.Unmarshal
-# (unmarshal) and collector.DecodeJSON (decode) on the same bodies, and
+# (unmarshal) and collector.DecodeJSON (decode) on the same bodies, and for
+# DecodeJSON on those records indented with lower-cased keys
+# (decode-general: the general key loop's cost, no straight pass), and
 # BenchmarkDecodeStream the same for collector.AppendDecodeStream on
 # 2000-record MST2 bodies of the 16-NF trace, each decoded into the
 # previous one's storage as msserve does.

@@ -2,13 +2,16 @@ package collector
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unicode/utf8"
 
 	"microscope/internal/packet"
+	"microscope/internal/simtime"
 )
 
 // The JSON ingest form: an array of BatchRecord objects, exactly what
@@ -16,7 +19,9 @@ import (
 //
 //	[{"Comp":"fw1","Queue":"fw1.in","At":1200,"IPIDs":[7,9],"Tuples":null,"Dir":0}, ...]
 //
-// DecodeJSON reads it without reflection. Its contract is parity with
+// DecodeJSON reads it without reflection: each record in one straight pass
+// over that layout (marshalled), and a record that departs from it at any
+// byte again from its '{' in a general key loop. Its contract is parity with
 // json.Unmarshal into a []BatchRecord on every input: it fails exactly
 // when Unmarshal fails, and otherwise returns a reflect.DeepEqual result. That includes Unmarshal's less obvious rules — keys matched
 // case-insensitively, the last of duplicate keys winning, unknown keys
@@ -108,7 +113,7 @@ type jsonDecoder struct {
 	// names interns Comp and Queue strings; recent caches its hits by a
 	// hash of the spelling.
 	names  map[string]string
-	recent [64]string
+	recent [1 << recentBits]string
 	slab
 	// ipids and tuples stand in for the backing arrays of the current
 	// record's IPIDs and Tuples while its keys are read: a duplicate key
@@ -215,6 +220,9 @@ func (d *jsonDecoder) record(rec *BatchRecord, i int) error {
 	default:
 		return d.fail("record %d is not a JSON object", i)
 	}
+	if d.marshalled(rec) {
+		return nil
+	}
 	d.pos++
 	d.ipids, d.tuples = d.ipids[:0], d.tuples[:0]
 	nIPIDs, nTuples := -1, -1 // -1: nil
@@ -255,6 +263,17 @@ func (d *jsonDecoder) record(rec *BatchRecord, i int) error {
 			break
 		}
 	}
+	d.payload(rec, nIPIDs, nTuples)
+	if rec.Dir > DirDeliver {
+		return d.fail("record %d: Dir %d is not read (0), write (1) or deliver (2)", i, rec.Dir)
+	}
+	return nil
+}
+
+// payload carves rec's IPIDs and Tuples from the slab and copies in the
+// first nIPIDs and nTuples elements of d.ipids and d.tuples; a count of -1
+// leaves the slice nil.
+func (d *jsonDecoder) payload(rec *BatchRecord, nIPIDs, nTuples int) {
 	rest := len(d.data) - d.pos
 	if nIPIDs >= 0 {
 		rec.IPIDs = d.ipidsOf(nIPIDs, nIPIDs+rest/2)
@@ -264,10 +283,222 @@ func (d *jsonDecoder) record(rec *BatchRecord, i int) error {
 		rec.Tuples = d.tuplesOf(nTuples, nTuples+rest/3)
 		copy(rec.Tuples, d.tuples)
 	}
-	if rec.Dir > DirDeliver {
-		return d.fail("record %d: Dir %d is not read (0), write (1) or deliver (2)", i, rec.Dir)
+}
+
+// marshalled decodes the record whose '{' is at d.pos in one straight pass
+// when it is laid out as json.Marshal writes a BatchRecord: every key in
+// struct order and spelling, no space, strings of printable ASCII with no
+// escape, integers in their shortest form, Dir at most 2. It matches each
+// key token in place and parses each value inline. At the first byte that
+// departs from that layout it returns false having changed neither rec nor
+// d.pos, and the general key loop, which holds the parity contract, reads
+// the record again from its '{'. What the pass left in the interning cache
+// and the ipids and tuples scratch does not change what that loop reads.
+func (d *jsonDecoder) marshalled(rec *BatchRecord) bool {
+	data, i := d.data, d.pos
+	if string(peek(data, i, len(compTok))) != compTok {
+		return false
 	}
-	return nil
+	i += len(compTok)
+	end, ok := plainEnd(data, i)
+	if !ok || string(peek(data, end, len(queueTok))) != queueTok {
+		return false
+	}
+	comp := d.intern(data[i:end])
+	i = end + len(queueTok)
+	if end, ok = plainEnd(data, i); !ok || string(peek(data, end, len(atTok))) != atTok {
+		return false
+	}
+	queue := d.intern(data[i:end])
+	i = end + len(atTok)
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	// -1<<63 is the one magnitude past MaxInt64 that At holds.
+	mag, i, ok := digits(data, i)
+	if !ok || mag > 1<<63 || mag == 1<<63 && !neg || string(peek(data, i, len(ipidsTok))) != ipidsTok {
+		return false
+	}
+	at := simtime.Time(mag)
+	if neg {
+		at = -at
+	}
+	i += len(ipidsTok)
+
+	more, nIPIDs := false, -1
+	if string(peek(data, i, len("null"))) == "null" {
+		i += len("null")
+	} else {
+		ipids := d.ipids[:0]
+		for i, more, ok = arrayStart(data, i); ok && more; i, more, ok = arrayNext(data, i) {
+			if mag, i, ok = digits(data, i); !ok || mag > math.MaxUint16 {
+				return false
+			}
+			ipids = append(ipids, uint16(mag))
+		}
+		if !ok {
+			return false
+		}
+		d.ipids, nIPIDs = ipids, len(ipids)
+	}
+	if string(peek(data, i, len(tuplesTok))) != tuplesTok {
+		return false
+	}
+	i += len(tuplesTok)
+
+	nTuples := -1
+	if string(peek(data, i, len("null"))) == "null" {
+		i += len("null")
+	} else {
+		tuples := d.tuples[:0]
+		for i, more, ok = arrayStart(data, i); ok && more; i, more, ok = arrayNext(data, i) {
+			tuples = append(tuples, packet.FiveTuple{})
+			if i, ok = marshalledTuple(data, i, &tuples[len(tuples)-1]); !ok {
+				return false
+			}
+		}
+		if !ok {
+			return false
+		}
+		d.tuples, nTuples = tuples, len(tuples)
+	}
+
+	// Dir is one digit, 0 to 2, and closes the record.
+	dir := peek(data, i, len(dirTok)+2)
+	if dir == nil || string(dir[:len(dirTok)]) != dirTok || Dir(dir[len(dirTok)]-'0') > DirDeliver || dir[len(dirTok)+1] != '}' {
+		return false
+	}
+	rec.Comp, rec.Queue, rec.At, rec.Dir = comp, queue, at, Dir(dir[len(dirTok)]-'0')
+	d.pos = i + len(dir)
+	d.payload(rec, nIPIDs, nTuples)
+	return true
+}
+
+// marshalledTuple is marshalled for the five-tuple object at data[i],
+// returning the index past its '}'.
+func marshalledTuple(data []byte, i int, t *packet.FiveTuple) (int, bool) {
+	var src, dst, sport, dport, proto uint64
+	ok := false
+	if string(peek(data, i, len(srcIPTok))) != srcIPTok {
+		return i, false
+	}
+	if src, i, ok = digits(data, i+len(srcIPTok)); !ok || string(peek(data, i, len(dstIPTok))) != dstIPTok {
+		return i, false
+	}
+	if dst, i, ok = digits(data, i+len(dstIPTok)); !ok || string(peek(data, i, len(srcPortTok))) != srcPortTok {
+		return i, false
+	}
+	if sport, i, ok = digits(data, i+len(srcPortTok)); !ok || string(peek(data, i, len(dstPortTok))) != dstPortTok {
+		return i, false
+	}
+	if dport, i, ok = digits(data, i+len(dstPortTok)); !ok || string(peek(data, i, len(protoTok))) != protoTok {
+		return i, false
+	}
+	if proto, i, ok = digits(data, i+len(protoTok)); !ok || i == len(data) || data[i] != '}' ||
+		src > math.MaxUint32 || dst > math.MaxUint32 || sport > math.MaxUint16 || dport > math.MaxUint16 || proto > math.MaxUint8 {
+		return i, false
+	}
+	*t = packet.FiveTuple{SrcIP: uint32(src), DstIP: uint32(dst), SrcPort: uint16(sport), DstPort: uint16(dport), Proto: uint8(proto)}
+	return i + 1, true
+}
+
+// What json.Marshal writes between a BatchRecord's values, each token
+// running from the end of one value to the start of the next. Comparing a
+// peek with one of these constants compiles to a few word compares.
+const (
+	compTok    = `{"Comp":"`
+	queueTok   = `","Queue":"`
+	atTok      = `","At":`
+	ipidsTok   = `,"IPIDs":`
+	tuplesTok  = `,"Tuples":`
+	dirTok     = `,"Dir":`
+	srcIPTok   = `{"SrcIP":`
+	dstIPTok   = `,"DstIP":`
+	srcPortTok = `,"SrcPort":`
+	dstPortTok = `,"DstPort":`
+	protoTok   = `,"Proto":`
+)
+
+// peek returns the n bytes at data[i:], or nil when fewer are left.
+func peek(data []byte, i, n int) []byte {
+	if len(data)-i < n {
+		return nil
+	}
+	return data[i : i+n]
+}
+
+// arrayStart matches the '[' opening an array at data[i] and reports
+// whether an element follows it, or a ']' closing the array at once.
+func arrayStart(data []byte, i int) (next int, more, ok bool) {
+	if len(data)-i < 2 || data[i] != '[' {
+		return i, false, false
+	}
+	if data[i+1] == ']' {
+		return i + 2, false, true
+	}
+	return i + 1, true, true
+}
+
+// arrayNext matches the ',' or ']' after an array element at data[i] and
+// reports whether another element follows.
+func arrayNext(data []byte, i int) (next int, more, ok bool) {
+	if i == len(data) {
+		return i, false, false
+	}
+	switch data[i] {
+	case ',':
+		return i + 1, true, true
+	case ']':
+		return i + 1, false, true
+	}
+	return i, false, false
+}
+
+// digits parses the unsigned integer json.Marshal writes at data[i:]: 0,
+// or up to 19 digits not starting with 0. It returns the index past them;
+// the byte there, which the caller matches, must not be a digit.
+func digits(data []byte, i int) (mag uint64, end int, ok bool) {
+	if i == len(data) || data[i]-'0' > 9 {
+		return 0, i, false
+	}
+	if data[i] == '0' {
+		return 0, i + 1, true
+	}
+	end = min(len(data), i+19) // 19 digits always fit
+	for j := i; j < end; j++ {
+		c := data[j] - '0'
+		if c > 9 {
+			return mag, j, true
+		}
+		mag = mag*10 + uint64(c)
+	}
+	return mag, end, end == len(data) || data[end]-'0' > 9
+}
+
+// Masks for testing the eight bytes of a word at once.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// plainEnd returns the index of the quote closing the string whose content
+// starts at data[i], eight bytes at a time. It fails on the first byte that
+// is a backslash, a control character or outside ASCII, and once fewer than
+// eight bytes are left: they cannot hold the rest of the string and the
+// record after it.
+func plainEnd(data []byte, i int) (int, bool) {
+	for ; len(data)-i >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		q, bs := w^('"'*lsbs), w^('\\'*lsbs)
+		// The lowest byte flagged is exact: a false flag needs a borrow
+		// from a true one below it.
+		if m := ((q-lsbs)&^q | (bs-lsbs)&^bs | (w - ' '*lsbs) | w) & msbs; m != 0 {
+			j := i + bits.TrailingZeros64(m)/8
+			return j, data[j] == '"'
+		}
+	}
+	return i, false
 }
 
 // arrayField decodes a slice value over *backing, which stands in for the
@@ -420,11 +651,7 @@ func (d *jsonDecoder) stringField(s *string) error {
 
 // intern returns the body's one copy of the string b spells.
 func (d *jsonDecoder) intern(b []byte) string {
-	h := uint32(2166136261) // FNV-1a
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	slot := &d.recent[h%uint32(len(d.recent))]
+	slot := &d.recent[nameHash(b)>>(64-recentBits)]
 	if *slot == string(b) {
 		return *slot
 	}
@@ -438,6 +665,27 @@ func (d *jsonDecoder) intern(b []byte) string {
 	}
 	*slot = s
 	return s
+}
+
+// recentBits sizes jsonDecoder.recent: 256 slots keep a deployment's
+// component and queue names apart.
+const recentBits = 8
+
+// nameHash hashes b eight bytes at a time; its top recentBits bits pick a
+// slot of jsonDecoder.recent.
+func nameHash(b []byte) uint64 {
+	const prime = 0x9E3779B97F4A7C15
+	h := uint64(len(b)) * prime
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+	}
+	switch n := len(b); {
+	case n >= 4:
+		h = (h ^ uint64(binary.LittleEndian.Uint32(b)) ^ uint64(binary.LittleEndian.Uint32(b[n-4:]))<<32) * prime
+	case n > 0:
+		h = (h ^ uint64(b[0]) ^ uint64(b[n/2])<<8 ^ uint64(b[n-1])<<16) * prime
+	}
+	return h
 }
 
 // unquote decodes one validated string token, escapes and invalid UTF-8

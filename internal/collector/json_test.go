@@ -1,10 +1,12 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -101,13 +103,17 @@ func edgeRecords() []BatchRecord {
 	return recs
 }
 
-// jsonEdgeCases is a table of inputs exercising each rule of the parity
-// contract; ok is what json.Unmarshal (plus the Dir check) makes of it.
-var jsonEdgeCases = []struct {
+// jsonEdgeCase is one input and what json.Unmarshal (plus the Dir check)
+// makes of it.
+type jsonEdgeCase struct {
 	name string
 	body string
 	ok   bool
-}{
+}
+
+// jsonEdgeCases is a table of inputs exercising each rule of the parity
+// contract, then the handover cases.
+var jsonEdgeCases = append([]jsonEdgeCase{
 	{"whitespace everywhere", " \t\n[ {\r\n\"Comp\" : \"a\" , \"Dir\" :\t1 } ,null , {\n} ]\n ", true},
 	{"keys in any order", `[{"Dir":2,"Tuples":[{"Proto":6,"SrcIP":1}],"IPIDs":[5],"At":7,"Queue":"","Comp":"x"}]`, true},
 	{"duplicate keys, last wins", `[{"Comp":"a","Comp":"b","At":1,"At":2,"Dir":0,"Dir":2,"Tuples":[{"Proto":1,"Proto":17}]}]`, true},
@@ -217,6 +223,176 @@ var jsonEdgeCases = []struct {
 	{"single-quoted string", `[{"Comp":'a'}]`, false},
 	{"nullx", `[nullx]`, false},
 	{"truncated null", `[nul]`, false},
+}, handoverCases()...)
+
+// field is one key and its value as JSON text.
+type field struct{ key, val string }
+
+func object(fields []field) string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, f := range fields {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`"` + f.key + `":` + f.val)
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// marshalledTupleFields and marshalledRecordFields are a record with every
+// field set, key by key, as json.Marshal writes it: the straight pass reads
+// every token of its layout.
+var (
+	marshalledTupleFields = []field{
+		{"SrcIP", "1"}, {"DstIP", "2"}, {"SrcPort", "3"}, {"DstPort", "4"}, {"Proto", "6"},
+	}
+	marshalledRecordFields = []field{
+		{"Comp", `"fw1"`}, {"Queue", `"fw2.in"`}, {"At", "1200"}, {"IPIDs", "[7,9]"},
+		{"Tuples", "[" + object(marshalledTupleFields) + "]"}, {"Dir", "1"},
+	}
+)
+
+// handoverCases leave DecodeJSON's straight pass at each token of
+// json.Marshal's record layout, or keep it to a string or number boundary.
+// Each body is the changed record between two marshalled ones, so the pass
+// must also pick up again after the general loop read a record.
+func handoverCases() []jsonEdgeCase {
+	rec := object(marshalledRecordFields)
+	var out []jsonEdgeCase
+	add := func(name, variant string, ok bool) {
+		out = append(out, jsonEdgeCase{"handover: " + name, "[" + rec + "," + variant + "," + rec + "]", ok})
+	}
+	// with returns fields with field i replaced by fs, or dropped when fs
+	// is empty.
+	with := func(fields []field, i int, fs ...field) []field {
+		return slices.Concat(fields[:i], fs, fields[i+1:])
+	}
+	recordWith := func(i int, val string) string {
+		return object(with(marshalledRecordFields, i, field{marshalledRecordFields[i].key, val}))
+	}
+	inTuple := func(fields []field) string { return recordWith(fieldTuples, "["+object(fields)+"]") }
+
+	// Each key of a record and of a tuple out of place.
+	alt := map[string]string{
+		"Comp": `"b"`, "Queue": `"q.in"`, "At": "-5", "IPIDs": "[3]", "Tuples": "[null]", "Dir": "2",
+		"SrcIP": "9", "DstIP": "8", "SrcPort": "7", "DstPort": "6", "Proto": "17",
+	}
+	for _, obj := range []struct {
+		fields []field
+		render func([]field) string
+	}{{marshalledRecordFields, object}, {marshalledTupleFields, inTuple}} {
+		for i, f := range obj.fields {
+			add(f.key+" key lower-cased", obj.render(with(obj.fields, i, field{strings.ToLower(f.key), f.val})), true)
+			add(f.key+" key escaped", obj.render(with(obj.fields, i, field{fmt.Sprintf(`\u%04x`, f.key[0]) + f.key[1:], f.val})), true)
+			add("unknown key before "+f.key, obj.render(with(obj.fields, i, field{"x", `[1,{"y":null}]`}, f)), true)
+			add(f.key+" key duplicated", obj.render(with(obj.fields, i, f, field{f.key, alt[f.key]})), true)
+			add(f.key+" key missing", obj.render(with(obj.fields, i)), true)
+			add(f.key+" null", obj.render(with(obj.fields, i, field{f.key, "null"})), true)
+			if i+1 < len(obj.fields) {
+				swapped := slices.Clone(obj.fields)
+				swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+				add(f.key+" key after the next", obj.render(swapped), true)
+			}
+		}
+	}
+
+	// Names that end at, before and past a word of the eight-byte scan, and
+	// names the pass hands over.
+	for _, name := range []struct {
+		name, val string
+		ok        bool
+	}{
+		{"0 bytes", `""`, true},
+		{"7 bytes", `"fw1.in7"`, true},
+		{"8 bytes", `"nat10.in"`, true},
+		{"9 bytes", `"nat10.in9"`, true},
+		{"15 bytes", `"abcdefghijklmno"`, true},
+		{"16 bytes", `"abcdefghijklmnop"`, true},
+		{"17 bytes", `"abcdefghijklmnopq"`, true},
+		{"escaped at byte 0", `"\u0066w1"`, true},
+		{"escaped at byte 8", `"nat10.in\n"`, true},
+		{"escaped quote", `"a\"b"`, true},
+		{"non-ASCII at byte 0", `"éfw"`, true},
+		{"non-ASCII at byte 9", `"nat10.in9é"`, true},
+		{"invalid UTF-8", "\"fw\xff1\"", true},
+		{"control character", "\"fw\x011\"", false},
+		{"DEL", "\"fw\x7f\"", true},
+		{"unterminated at byte 8", `"nat10.in`, false},
+	} {
+		add("Comp of "+name.name, recordWith(fieldComp, name.val), name.ok)
+		add("Queue of "+name.name, recordWith(fieldQueue, name.val), name.ok)
+	}
+
+	// Numbers in every form, at every integer field.
+	type number struct {
+		val string
+		ok  bool
+	}
+	forms := func(max, over string, signed bool) []number {
+		return []number{
+			{"0", true}, {max, true}, {over, false}, {"-0", signed}, {"-1", signed},
+			{"00", false}, {"01", false}, {"1.5", false}, {"1.0", false}, {"1e2", false}, {"1E2", false},
+			{"+1", false}, {"-", false}, {"99999999999999999999", false}, {"123456789012345678901", false},
+		}
+	}
+	addNumbers := func(key string, forms []number, at func(string) string) {
+		for _, form := range forms {
+			add(key+" "+form.val, at(form.val), form.ok)
+		}
+	}
+	addNumbers("At", append(forms("9223372036854775807", "9223372036854775808", true),
+		number{"-9223372036854775808", true}, number{"-9223372036854775809", false},
+		number{"1000000000000000000", true}, number{"10000000000000000000", false}),
+		func(v string) string { return recordWith(fieldAt, v) })
+	addNumbers("first IPID", forms("65535", "65536", false), func(v string) string { return recordWith(fieldIPIDs, "["+v+",9]") })
+	addNumbers("last IPID", forms("65535", "65536", false), func(v string) string { return recordWith(fieldIPIDs, "[7,"+v+"]") })
+	addNumbers("Dir", append(forms("2", "3", false), number{"255", false}, number{"256", false}),
+		func(v string) string { return recordWith(fieldDir, v) })
+	for i, f := range marshalledTupleFields {
+		max, over := "65535", "65536"
+		switch i {
+		case fieldSrcIP, fieldDstIP:
+			max, over = "4294967295", "4294967296"
+		case fieldProto:
+			max, over = "255", "256"
+		}
+		addNumbers(f.key, forms(max, over, false), func(v string) string {
+			return inTuple(with(marshalledTupleFields, i, field{f.key, v}))
+		})
+	}
+
+	// Arrays in every form.
+	for _, a := range []struct {
+		field int
+		val   string
+		ok    bool
+	}{
+		{fieldIPIDs, "null", true}, {fieldIPIDs, "[]", true}, {fieldIPIDs, "[null]", true}, {fieldIPIDs, "[7,null]", true},
+		{fieldTuples, "null", true}, {fieldTuples, "[]", true}, {fieldTuples, "[null]", true}, {fieldTuples, "[{},{}]", true},
+		{fieldTuples, "[" + object(marshalledTupleFields) + ",null]", true},
+		{fieldIPIDs, "[7,]", false}, {fieldIPIDs, "[,7]", false}, {fieldIPIDs, "[7 9]", false},
+		{fieldIPIDs, "{}", false}, {fieldIPIDs, `"7"`, false}, {fieldIPIDs, "nul", false},
+		{fieldTuples, "[{}", false}, {fieldTuples, "[1]", false}, {fieldTuples, "{}", false}, {fieldTuples, "nulll", false},
+	} {
+		add(marshalledRecordFields[a.field].key+" "+a.val, recordWith(a.field, a.val), a.ok)
+	}
+
+	// Whitespace between any two tokens, and the body cut at every byte.
+	spaces := []string{" ", "\t", "\n", "\r", " \n\t "}
+	word := func(c byte) bool { return c == '-' || c == '.' || isDigit(c) || 'a' <= c && c <= 'z' }
+	inString := false
+	for i := 0; i <= len(rec); i++ {
+		out = append(out, jsonEdgeCase{fmt.Sprintf("handover: body cut at byte %d", i), "[" + rec + "," + rec[:i], false})
+		if !inString && (i == 0 || i == len(rec) || !word(rec[i-1]) || !word(rec[i])) {
+			add(fmt.Sprintf("space at byte %d", i), rec[:i]+spaces[i%len(spaces)]+rec[i:], true)
+		}
+		if i < len(rec) && rec[i] == '"' {
+			inString = !inString
+		}
+	}
+	return out
 }
 
 // TestDecodeJSONMatchesUnmarshal: DecodeJSON and json.Unmarshal agree on
@@ -339,11 +515,59 @@ func FuzzDecodeJSON(f *testing.F) {
 	})
 }
 
+// TestDecodeJSONStraightPass: the straight pass reads the whole of every
+// record json.Marshal writes, of the 16-NF trace and of every record shape,
+// into the record json.Unmarshal makes of it; so the general key loop runs
+// only for input laid out otherwise.
+func TestDecodeJSONStraightPass(t *testing.T) {
+	for _, rec := range append(evalTrace(3, 2*simtime.Millisecond), edgeRecords()...) {
+		body, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := jsonDecoder{data: body}
+		var got, want BatchRecord
+		if !d.marshalled(&got) || d.pos != len(body) {
+			t.Fatalf("the straight pass left %s at offset %d", body, d.pos)
+		}
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the straight pass read %s as %+v, want %+v", body, got, want)
+		}
+	}
+}
+
+// generalLayout re-encodes a marshalled body as a client other than
+// json.Marshal might: indented, with lower-cased keys. No record of it
+// takes DecodeJSON's straight pass.
+func generalLayout(t testing.TB, body []byte) []byte {
+	var recs []BatchRecord
+	if err := json.Unmarshal(body, &recs); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.MarshalIndent(recs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range slices.Concat(recordFields.names, tupleFields.names) {
+		out = bytes.ReplaceAll(out, []byte(`"`+name+`":`), []byte(`"`+strings.ToLower(name)+`":`))
+	}
+	return out
+}
+
 // BenchmarkDecodeJSON compares json.Unmarshal with DecodeJSON on the same
-// 2000-record bodies of the 16-NF trace, per record.
+// 2000-record bodies of the 16-NF trace, per record: decode on the bodies
+// json.Marshal wrote, decode-general on the same records in generalLayout,
+// which the general key loop reads.
 func BenchmarkDecodeJSON(b *testing.B) {
 	bodies := jsonBodies(b, evalTrace(1, 6*simtime.Millisecond), 2000)
-	perRecord := func(b *testing.B, decode func([]byte) error) {
+	general := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		general[i] = generalLayout(b, body)
+	}
+	perRecord := func(b *testing.B, bodies [][]byte, decode func([]byte) error) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
@@ -360,16 +584,16 @@ func BenchmarkDecodeJSON(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
 	}
+	decode := func(body []byte) error {
+		_, err := DecodeJSON(body)
+		return err
+	}
 	b.Run("unmarshal", func(b *testing.B) {
-		perRecord(b, func(body []byte) error {
+		perRecord(b, bodies, func(body []byte) error {
 			var recs []BatchRecord
 			return json.Unmarshal(body, &recs)
 		})
 	})
-	b.Run("decode", func(b *testing.B) {
-		perRecord(b, func(body []byte) error {
-			_, err := DecodeJSON(body)
-			return err
-		})
-	})
+	b.Run("decode", func(b *testing.B) { perRecord(b, bodies, decode) })
+	b.Run("decode-general", func(b *testing.B) { perRecord(b, general, decode) })
 }

@@ -645,11 +645,14 @@ func (d *diagnoser) attribute(pr propagated, depth int, a *workerArena, node *Ex
 	// period when the subset's first packet arrived explains whether the
 	// squeeze was local processing or its own input (Figure 7).
 	anchor := pr.path.lastArrive[pr.compIdx]
-	sub := d.splitAtNF(pr.comp, anchor, pr.score)
+	var sub *nfSplit
+	if depth < d.cfg.MaxRecursionDepth {
+		sub = d.splitAtNF(pr.comp, anchor, pr.score)
+	}
 	if sub == nil {
-		// No queuing there — attribute the squeeze to local behaviour
-		// at that NF (e.g. an interrupt that buffered packets arrives
-		// as pure processing).
+		// No queuing there, or the recursion is capped — attribute the
+		// squeeze to local behaviour at that NF (e.g. an interrupt that
+		// buffered packets arrives as pure processing), whole.
 		a.sc.add(causeKey{pr.comp, CulpritLocalProcessing}, pr.score, anchor, pr.path.journeys)
 		return
 	}
@@ -663,17 +666,13 @@ func (d *diagnoser) attribute(pr propagated, depth int, a *workerArena, node *Ex
 	if sub.inputShare > 0 {
 		weight = sub.inputShare / maxf(sub.ls.Si, 1e-9)
 	}
-	depth++
-	if depth > d.cfg.MaxRecursionDepth {
-		return
-	}
 	var child *ExplainNode
 	if node != nil {
 		child = d.explainNode(pr.comp, anchor, sub.qp, sub.ls, weight)
 		node.Children = append(node.Children, child)
 	}
 	if weight > 0 {
-		d.spread(pr.comp, sub.qp, weight*sub.ls.Si, depth, a, child)
+		d.spread(pr.comp, sub.qp, weight*sub.ls.Si, depth+1, a, child)
 	}
 }
 

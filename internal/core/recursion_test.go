@@ -231,3 +231,52 @@ func TestExplainDepthTwo(t *testing.T) {
 		t.Fatalf("no explanation reaches depth 2 (%d victims at f)", victims)
 	}
 }
+
+// TestExplainCappedRecursion: a share the recursion may not follow past
+// MaxRecursionDepth is booked whole as local processing at the NF it
+// reached, as a share to an NF with no queue is. So at depths 0 and 1
+// every victim at f of the deep store still folds into its capped
+// diagnosis, and its tree accounts for the same total score as the
+// uncapped one.
+func TestExplainCappedRecursion(t *testing.T) {
+	st := deepRecursionStore()
+	full := NewEngine(Config{})
+	total := func(ex *Explanation) float64 {
+		folded := map[causeName]float64{}
+		if ex.Root != nil {
+			foldExplanation(t, ex.Root, 0, folded, &foldStats{})
+		}
+		sum := 0.0
+		for _, sc := range folded {
+			sum += sc
+		}
+		return sum
+	}
+	for _, depth := range []int{0, 1} {
+		// A zero Config field means the default depth, so depth 0 is set
+		// on the engine.
+		capped := NewEngine(Config{})
+		capped.cfg.MaxRecursionDepth = depth
+		var fs foldStats
+		victims := 0
+		for i := range st.Journeys {
+			j := &st.Journeys[i]
+			hop := st.HopAt(j, "f")
+			if hop == nil || hop.ReadAt == 0 || hop.ReadAt.Sub(hop.ArriveAt) < 20*simtime.Microsecond {
+				continue
+			}
+			victims++
+			v := Victim{Journey: i, Comp: "f", ArriveAt: hop.ArriveAt, QueueDelay: hop.ReadAt.Sub(hop.ArriveAt)}
+			name := fmt.Sprintf("depth %d, victim at f, journey %d", depth, i)
+			ex := capped.Explain(st, v)
+			checkFold(t, name, ex, capped.DiagnoseVictim(st, v), &fs)
+			if got, want := total(ex), total(full.Explain(st, v)); !closeRel(got, want) {
+				t.Errorf("%s: the capped tree scores %v in total, the uncapped one %v", name, got, want)
+			}
+		}
+		t.Logf("depth %d: %d victims at f; folded %+v", depth, victims, fs)
+		if fs.maxDepth > depth || fs.noChild == 0 {
+			t.Errorf("depth %d: the trees reach depth %d with %d shares cut", depth, fs.maxDepth, fs.noChild)
+		}
+	}
+}

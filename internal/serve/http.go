@@ -41,6 +41,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"time"
 
 	"microscope/internal/collector"
 	"microscope/internal/online"
@@ -176,7 +177,8 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		chunk := t.takeChunk()
-		recs, stats, err := readRecords(r, chunk[:0])
+		recs, dec, err := readRecords(r, chunk[:0])
+		t.observeDecode(dec)
 		if err != nil || len(recs) == 0 {
 			t.putChunk(chunk)
 			t.release()
@@ -192,7 +194,7 @@ func Handler(s *Server) http.Handler {
 		writeJSON(w, http.StatusAccepted, struct {
 			Accepted int `json:"accepted"`
 			Resyncs  int `json:"decode_resyncs,omitempty"`
-		}{len(recs), stats.Resyncs})
+		}{len(recs), dec.Resyncs})
 	})
 
 	mux.HandleFunc("POST /tenants/{id}/flush", func(w http.ResponseWriter, r *http.Request) {
@@ -294,29 +296,42 @@ func readSpec(w http.ResponseWriter, r *http.Request) (*spec.PipelineSpec, error
 	return sp, nil
 }
 
+// bodyDecode is what decoding one ingest body found and took.
+type bodyDecode struct {
+	collector.DecodeStats
+	// format is the body's wire format, "json" or "mst2", or "" when the
+	// body was not read and nothing was decoded.
+	format string
+	// took is the decode's wall time, the body's read excluded.
+	took time.Duration
+}
+
 // readRecords decodes an ingest body into dst: the collector's binary
 // stream framing when the media type is application/octet-stream
 // (resilient to torn frames), a JSON record array otherwise. The body is
 // read into a pooled buffer and is dead once decoded: both decoders copy
 // out the strings and payloads they keep.
-func readRecords(r *http.Request, dst []collector.BatchRecord) ([]collector.BatchRecord, collector.DecodeStats, error) {
+func readRecords(r *http.Request, dst []collector.BatchRecord) ([]collector.BatchRecord, bodyDecode, error) {
 	buf := bodyPool.Get().(*[]byte)
 	defer putBody(buf)
 	body, err := readBodyInto(r, (*buf)[:0])
 	*buf = body
 	if err != nil {
-		return dst, collector.DecodeStats{}, err
+		return dst, bodyDecode{}, err
 	}
+	began := time.Now() //mslint:allow determinism decode timing feeds a metric, never a diagnosis
+	var recs []collector.BatchRecord
+	dec := bodyDecode{format: "json"}
 	// A malformed parameter still yields the media type; any other parse
 	// failure yields "", which is JSON.
 	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
-		return collector.AppendDecodeStream(dst, body)
+		dec.format = "mst2"
+		recs, dec.DecodeStats, err = collector.AppendDecodeStream(dst, body)
+	} else if recs, err = collector.AppendDecodeJSON(dst, body); err != nil {
+		err = fmt.Errorf("records body: %w", err)
 	}
-	recs, err := collector.AppendDecodeJSON(dst, body)
-	if err != nil {
-		return dst, collector.DecodeStats{}, fmt.Errorf("records body: %w", err)
-	}
-	return recs, collector.DecodeStats{}, nil
+	dec.took = time.Since(began) //mslint:allow determinism decode timing feeds a metric, never a diagnosis
+	return recs, dec, err
 }
 
 // maxPooledBody is the largest body buffer bodyPool keeps: a buffer that

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"microscope/internal/collector"
@@ -240,5 +241,30 @@ func BenchmarkIngest(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc-lapBytes)/n, "B/record")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs-lapMallocs)/float64(b.N), "allocs/body")
 		})
+	}
+}
+
+// TestIngestDecodeHistogram: each ingest body's decode is observed once,
+// under its wire format, in the tenant's microscope_ingest_decode_ns.
+func TestIngestDecodeHistogram(t *testing.T) {
+	tr := chainTrace(t, 5, nil)
+	ih := newIngestHarness(t, tr, nil)
+	body, err := json.Marshal(tr.Records[:ingestBodyRecs])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := ih.post(body, "application/json"); code != http.StatusAccepted {
+		t.Fatalf("JSON body: status %d", code)
+	}
+	if code := ih.post(encodeMST2(tr.Records[ingestBodyRecs:2*ingestBodyRecs]), "application/octet-stream"); code != http.StatusAccepted {
+		t.Fatalf("MST2 body: status %d", code)
+	}
+	rec := httptest.NewRecorder()
+	ih.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, format := range []string{"json", "mst2"} {
+		want := `microscope_ingest_decode_ns_count{tenant="ingest",format="` + format + `"} 1`
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("/metrics has no %q:\n%s", want, rec.Body.String())
+		}
 	}
 }

@@ -129,6 +129,10 @@ type Tenant struct {
 	Spec *spec.PipelineSpec // resolved
 	Reg  *obs.Registry      // labeled tenant=<ID>
 
+	// decodeJSON and decodeMST2 time each ingest body's decode, one
+	// observation a body.
+	decodeJSON, decodeMST2 *obs.Histogram
+
 	mon   *online.Monitor
 	hooks *hookRunner
 	in    chan feedMsg
@@ -183,6 +187,9 @@ func newTenant(id string, rs *spec.PipelineSpec, hookEnv hookEnv) (*Tenant, erro
 		in:     make(chan feedMsg, feedQueueCap),
 		done:   make(chan struct{}),
 		budget: rs.Resilience.MaxMemBytes,
+
+		decodeJSON: reg.Histogram(`microscope_ingest_decode_ns{format="json"}`),
+		decodeMST2: reg.Histogram(`microscope_ingest_decode_ns{format="mst2"}`),
 	}
 	t.hooks = newHookRunner(id, rs.Hooks, rs.RetryPolicy(), reg, hookEnv)
 
@@ -344,6 +351,16 @@ func (t *Tenant) release() {
 	t.mu.Lock()
 	t.queued--
 	t.mu.Unlock()
+}
+
+// observeDecode books one body's decode time under its format.
+func (t *Tenant) observeDecode(dec bodyDecode) {
+	switch dec.format {
+	case "json":
+		t.decodeJSON.Observe(dec.took)
+	case "mst2":
+		t.decodeMST2.Observe(dec.took)
+	}
 }
 
 // takeChunk returns a record chunk from the free list for a body to be
