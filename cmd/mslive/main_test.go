@@ -7,11 +7,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"microscope/internal/core"
 	"microscope/internal/online"
+	"microscope/internal/patterns"
+	"microscope/internal/pipeline"
+	"microscope/internal/resilience"
+	"microscope/internal/simtime"
 )
 
 // alertLines returns the ALERT lines of an mslive run's output.
@@ -113,5 +119,46 @@ func TestLiveMatchesMonitor(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), fmt.Sprintf("monitor: %d windows,", mon.Stats().Windows)) {
 		t.Errorf("monitor line disagrees with the bare monitor's %d windows:\n%s", mon.Stats().Windows, out.String())
+	}
+}
+
+// TestLoweredConfigsUnchanged pins what mslive's flags lower to: its
+// defaults, and a bounded window with a heap watermark.
+func TestLoweredConfigsUnchanged(t *testing.T) {
+	ms := simtime.Millisecond
+	cases := []struct {
+		args []string
+		res  resilience.Config
+	}{
+		{nil, resilience.Config{Policy: resilience.ShedDropOldest}},
+		{[]string{"-ring-cap", "200000", "-max-mem", "512"}, resilience.Config{
+			RingCapacity: 200000,
+			Policy:       resilience.ShedDropOldest,
+			Ladder:       resilience.LadderConfig{SoftRecords: 25000, HardRecords: 50000, MaxRecords: 100000, SoftBacklog: 2, HardBacklog: 4},
+			MemSoftBytes: 256 << 20,
+			MemHardBytes: 512 << 20,
+		}},
+	}
+	diag := core.Config{VictimPercentile: 99, MaxRecursionDepth: 5}
+	for _, c := range cases {
+		_, sp, err := parse(c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sp.Resolved()
+		mon := online.Config{
+			Window: 100 * ms, Overlap: 20 * ms, MaxLookahead: 409600 * ms, ResyncAfter: 8,
+			MinScore: 100, Diagnosis: diag, HoldOff: 100 * ms, Resilience: c.res,
+		}
+		pipe := pipeline.Config{Diagnosis: diag, Patterns: patterns.Config{Threshold: 0.01}}
+		if got := r.MonitorConfig(nil); !reflect.DeepEqual(got, mon) {
+			t.Errorf("%q: MonitorConfig =\n%+v\nwant\n%+v", c.args, got, mon)
+		}
+		if got := r.PipelineConfig(nil); !reflect.DeepEqual(got, pipe) {
+			t.Errorf("%q: PipelineConfig =\n%+v\nwant\n%+v", c.args, got, pipe)
+		}
+		if got := r.ResilienceConfig(); !reflect.DeepEqual(got, c.res) {
+			t.Errorf("%q: ResilienceConfig =\n%+v\nwant\n%+v", c.args, got, c.res)
+		}
 	}
 }
