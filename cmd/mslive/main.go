@@ -117,23 +117,20 @@ func parse(args []string) (*settings, *spec.PipelineSpec, error) {
 	visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "window":
-			// The monitor's analysis window is the spec's flush cadence;
-			// the spec's overlap, however it was stated, is kept.
-			sp.Stream.Overlap = sp.Resolved().Stream.Overlap
-			sp.Stream.Slide, sp.Stream.Window = spec.D(*window), 0
+			// The monitor's analysis window is the spec's flush cadence.
+			sp.Stream.Slide = spec.D(*window)
 		case "min-score":
 			sp.Stream.MinScore = *minScore
 		case "workers":
 			sp.Diagnosis.Workers = *workers
 		case "ring-cap":
-			// A bounded window arms the ladder derived from its capacity.
-			sp.Resilience.RingCapacity, sp.Resilience.Ladder = *ringCap, nil
+			sp.Resilience.RingCapacity = *ringCap
 		case "shed-policy":
 			sp.Resilience.ShedPolicy = *shedPol
 		case "window-deadline":
 			sp.Resilience.WindowDeadline = spec.D(*deadline)
 		case "max-mem":
-			sp.Resilience.MaxMemBytes, sp.Resilience.SoftMemBytes = *maxMem<<20, 0
+			sp.Resilience.MaxMemBytes = *maxMem << 20
 		}
 	})
 	if err := sp.Validate(); err != nil {

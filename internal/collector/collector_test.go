@@ -37,9 +37,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for i := range recs {
 		enc.Append(&recs[i])
 	}
-	got, err := Decode(enc.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	got, st, err := DecodeStream(enc.Bytes())
+	if err != nil || st.Damaged() {
+		t.Fatalf("DecodeStream: %v, %+v", err, st)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("record count: got %d", len(got))
@@ -156,10 +156,6 @@ func TestDecodeStreamResyncs(t *testing.T) {
 	if len(got)+st.Skipped < total-2 {
 		t.Errorf("accounting inconsistent: %d decoded + %d skipped (%+v)", len(got), st.Skipped, st)
 	}
-	// Strict Decode must refuse the damaged stream.
-	if _, err := Decode(mutated); err == nil {
-		t.Error("strict Decode accepted damaged stream")
-	}
 }
 
 // TestDecodeStreamTruncated: a stream cut mid-record returns every record
@@ -192,7 +188,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	enc := NewEncoder()
 	enc.Append(&BatchRecord{Comp: "a", At: 1, Dir: DirRead, IPIDs: []uint16{1, 2}})
 	b := enc.Bytes()
-	if _, err := Decode(b[:len(b)-1]); err == nil {
+	if _, st, err := DecodeStream(b[:len(b)-1]); err == nil && !st.Damaged() {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -229,8 +225,8 @@ func TestEncodeRoundTripProperty(t *testing.T) {
 			enc.Append(&r)
 			want = append(want, r)
 		}
-		got, err := Decode(enc.Bytes())
-		if err != nil {
+		got, st, err := DecodeStream(enc.Bytes())
+		if err != nil || st.Damaged() {
 			return false
 		}
 		slices.SortStableFunc(want, func(a, b BatchRecord) int { return cmp.Compare(a.At, b.At) })
@@ -378,7 +374,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 					t.Fatalf("decode panicked on mutation: %v", r)
 				}
 			}()
-			_, _ = Decode(mutated)
+			_, _, _ = DecodeStream(mutated)
 		}()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -178,21 +177,6 @@ func (s DecodeStats) Damaged() bool { return s.Skipped > 0 }
 // resorted.
 func (s DecodeStats) Integrity() Integrity {
 	return Integrity{DecodeSkipped: s.Skipped, DecodeResyncs: s.Resyncs, Resorted: s.Resorted}
-}
-
-// Decode parses a stream produced by Encoder back into records, strictly:
-// any corruption is returned as an error. Use DecodeStream to salvage the
-// intact records of a damaged stream instead.
-func Decode(data []byte) ([]BatchRecord, error) {
-	recs, st, err := DecodeStream(data)
-	if err != nil {
-		return nil, err
-	}
-	if st.Damaged() {
-		return nil, fmt.Errorf("collector: stream damaged: %d records skipped (%d resyncs, %d bytes lost)",
-			st.Skipped, st.Resyncs, st.BytesSkipped)
-	}
-	return recs, nil
 }
 
 // DecodeStream parses a stream tolerantly: corrupt frames are skipped, the

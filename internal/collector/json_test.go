@@ -560,7 +560,8 @@ func generalLayout(t testing.TB, body []byte) []byte {
 // BenchmarkDecodeJSON compares json.Unmarshal with DecodeJSON on the same
 // 2000-record bodies of the 16-NF trace, per record: decode on the bodies
 // json.Marshal wrote, decode-general on the same records in generalLayout,
-// which the general key loop reads.
+// which the general key loop reads. Both decode into one reused record
+// slice (AppendDecodeJSON), as msserve decodes into a recycled chunk.
 func BenchmarkDecodeJSON(b *testing.B) {
 	bodies := jsonBodies(b, evalTrace(1, 6*simtime.Millisecond), 2000)
 	general := make([][]byte, len(bodies))
@@ -584,8 +585,9 @@ func BenchmarkDecodeJSON(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
 	}
-	decode := func(body []byte) error {
-		_, err := DecodeJSON(body)
+	var dst []BatchRecord
+	decode := func(body []byte) (err error) {
+		dst, err = AppendDecodeJSON(dst[:0], body)
 		return err
 	}
 	b.Run("unmarshal", func(b *testing.B) {

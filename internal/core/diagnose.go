@@ -272,10 +272,7 @@ func (d *diagnoser) findVictims() []Victim {
 	// Degraded trace health means vanished records are more likely
 	// telemetry loss than packet loss; classifying them as loss victims
 	// would blame phantom drops, so suppress that class unless forced.
-	lossOK := !d.cfg.SkipLossVictims
-	if lossOK && !d.cfg.LossVictimsWhenDegraded && d.st.Health().Degraded() {
-		lossOK = false
-	}
+	lossOK := d.cfg.LossVictimsWhenDegraded || !d.st.Health().Degraded()
 
 	var victims []Victim
 	for i := range js {

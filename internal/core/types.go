@@ -178,8 +178,6 @@ type Config struct {
 	MaxRecursionDepth int
 	// MaxVictims caps how many victims are diagnosed, 0 = no cap.
 	MaxVictims int
-	// SkipLossVictims disables diagnosis of lost packets.
-	SkipLossVictims bool
 	// LossVictimsWhenDegraded keeps loss-victim classification active
 	// even when the store's health is degraded. By default a
 	// known-damaged trace suppresses loss victims: a journey whose

@@ -31,8 +31,11 @@ func sourceToFW(*packet.Packet) int  { return 0 }
 func egressRoute(*packet.Packet) int { return nfsim.Egress }
 
 // AblationRecursionDepth measures Figure 11 rank-1 accuracy as the §4.3
-// recursion depth cap varies. Depth 0 disables upstream recursion entirely
-// (propagated shares are attributed but never decomposed further).
+// recursion depth cap varies. The smallest cap a core.Config reaches is 1,
+// because its defaults turn a depth of 0 into the default 5. At cap 1 each
+// NF a victim's input share propagates to is decomposed once, and what it
+// passes further upstream is booked whole as local processing at the NF
+// it reaches.
 func AblationRecursionDepth(base AccuracyConfig, depths []int) *AblationResult {
 	if len(depths) == 0 {
 		depths = []int{1, 2, 3, 5}

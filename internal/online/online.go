@@ -40,8 +40,8 @@ type Config struct {
 	// timestamp (a truncated or bit-flipped record that survived decode
 	// resync) and is dropped and counted, because advancing the watermark
 	// to it would fast-forward the flush boundary and silently discard
-	// every genuine record behind it as late. Default 4096 windows;
-	// negative disables the guard. See ResyncAfter for how the monitor
+	// every genuine record behind it as late. Default 4096 windows; New
+	// panics on a negative value. See ResyncAfter for how the monitor
 	// recovers when the stream itself genuinely jumps past the horizon.
 	MaxLookahead simtime.Duration
 	// ResyncAfter is the recovery path for the MaxLookahead guard: after
@@ -51,9 +51,8 @@ type Config struct {
 	// real gap, e.g. a collector outage longer than MaxLookahead), accepts
 	// the record, and jumps the watermark forward. Corrupt timestamps are
 	// independent bit-patterns and practically never form a consistent
-	// run, so the guard still catches them. Default 8; negative disables
-	// resync (beyond-horizon records are then dropped forever, the
-	// pre-resync behaviour).
+	// run, so the guard still catches them. Default 8; New panics on a
+	// negative value.
 	ResyncAfter int
 	// MinScore is the alert threshold on a window's merged culprit
 	// score, in packets (default 100).
@@ -285,8 +284,9 @@ type Stats struct {
 // a negative Config.Overlap, or a window geometry the stream grid cannot
 // express: a misconfiguration, not a runtime condition.
 func New(meta collector.Meta, cfg Config) *Monitor {
-	if cfg.Overlap < 0 {
-		panic(fmt.Sprintf("online: Config.Overlap must be >= 0, got %v", cfg.Overlap))
+	if cfg.Overlap < 0 || cfg.MaxLookahead < 0 || cfg.ResyncAfter < 0 {
+		panic(fmt.Sprintf("online: Config.Overlap, MaxLookahead and ResyncAfter must be >= 0, got %v, %v and %d",
+			cfg.Overlap, cfg.MaxLookahead, cfg.ResyncAfter))
 	}
 	cfg.setDefaults()
 	// The per-window pipeline reads containment and the chaos hook from
@@ -403,7 +403,7 @@ func (m *Monitor) runLen(recs []collector.BatchRecord) int {
 	for ; k < room; k++ {
 		at := recs[k].At
 		if at < tail || at > m.nextFlush || m.closed(at) ||
-			ahead > 0 && wm > 0 && at > wm.Add(ahead) {
+			wm > 0 && at > wm.Add(ahead) {
 			break
 		}
 		tail = at
@@ -444,8 +444,7 @@ func (m *Monitor) feedOne(r *collector.BatchRecord, out []Alert) []Alert {
 		}
 		return out
 	}
-	if m.cfg.MaxLookahead > 0 && m.lastWatermark > 0 &&
-		r.At > m.lastWatermark.Add(m.cfg.MaxLookahead) {
+	if m.lastWatermark > 0 && r.At > m.lastWatermark.Add(m.cfg.MaxLookahead) {
 		if !m.noteImplausible(r.At) {
 			m.stats.ImplausibleDropped++
 			m.obsImplausible.Inc()
@@ -544,9 +543,6 @@ func (m *Monitor) closed(at simtime.Time) bool {
 // records were already dropped and counted; only the completing record is
 // recovered, and the stream flows again from there.
 func (m *Monitor) noteImplausible(at simtime.Time) (resync bool) {
-	if m.cfg.ResyncAfter < 0 {
-		return false
-	}
 	d := at.Sub(m.implausibleAt)
 	if d < 0 {
 		d = -d

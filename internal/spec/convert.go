@@ -21,14 +21,14 @@ func (s *PipelineSpec) Rung() resilience.Level {
 	return l
 }
 
-// CoreConfig converts the diagnosis section to the engine config.
+// CoreConfig converts the diagnosis section to the engine config. Every
+// spec runs the §4.3 recursion to the engine's default depth.
 func (s *PipelineSpec) CoreConfig(reg *obs.Registry) core.Config {
 	d := s.Diagnosis
 	return core.Config{
 		VictimPercentile:        d.VictimPercentile,
-		MaxRecursionDepth:       d.MaxRecursionDepth,
+		MaxRecursionDepth:       core.DefaultMaxRecursionDepth,
 		MaxVictims:              d.MaxVictims,
-		SkipLossVictims:         d.SkipLossVictims,
 		LossVictimsWhenDegraded: d.LossVictimsWhenDegraded,
 		QueueThreshold:          d.QueueThreshold,
 		Workers:                 d.Workers,
@@ -64,47 +64,36 @@ func (s *PipelineSpec) RetryPolicy() resilience.RetryPolicy {
 }
 
 // ResilienceConfig converts the resilience section to the overload
-// defenses. Panic containment follows the stages section — one knob, not
-// two.
+// defenses: the ladder derives from the capacity and the soft heap
+// watermark is half the hard one. Panic containment follows the stages
+// section — one knob, not two.
 func (s *PipelineSpec) ResilienceConfig() resilience.Config {
 	r := s.Resilience
 	policy, _ := resilience.ParseShedPolicy(r.ShedPolicy)
-	cfg := resilience.Config{
+	return resilience.Config{
 		RingCapacity:   r.RingCapacity,
 		Policy:         policy,
+		Ladder:         resilience.AutoLadder(r.RingCapacity),
 		WindowDeadline: r.WindowDeadline.Std(),
-		MemSoftBytes:   r.SoftMemBytes,
+		MemSoftBytes:   r.MaxMemBytes / 2,
 		MemHardBytes:   r.MaxMemBytes,
 		ContainPanics:  s.Stages.ContainPanics,
 	}
-	switch {
-	case r.Ladder != nil:
-		cfg.Ladder = resilience.LadderConfig{
-			SoftRecords: r.Ladder.SoftRecords,
-			HardRecords: r.Ladder.HardRecords,
-			MaxRecords:  r.Ladder.MaxRecords,
-			SoftBacklog: r.Ladder.SoftBacklog,
-			HardBacklog: r.Ladder.HardBacklog,
-		}
-	case r.RingCapacity > 0:
-		cfg.Ladder = resilience.AutoLadder(r.RingCapacity)
-	}
-	return cfg
 }
 
 // MonitorConfig converts the spec to the online monitor's config. The
 // stream section's slide is the monitor's flush cadence (its Window
-// field); the spec's window = slide + overlap is the analysis span.
+// field), and the hold-off and plausibility horizon are counted in it.
 func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
-	st := s.Stream
+	slide := s.Stream.Slide.Sim()
 	return online.Config{
-		Window:       st.Slide.Sim(),
-		Overlap:      st.Overlap.Sim(),
-		MaxLookahead: st.MaxLookahead.Sim(),
-		ResyncAfter:  st.ResyncAfter,
-		MinScore:     st.MinScore,
+		Window:       slide,
+		Overlap:      s.Stream.Overlap.Sim(),
+		MaxLookahead: online.DefaultLookaheadWindows * slide,
+		ResyncAfter:  online.DefaultResyncAfter,
+		MinScore:     s.Stream.MinScore,
 		Diagnosis:    s.CoreConfig(reg),
-		HoldOff:      st.HoldOff.Sim(),
+		HoldOff:      slide,
 		Obs:          reg,
 		Resilience:   s.ResilienceConfig(),
 		Degrade:      s.Rung(),

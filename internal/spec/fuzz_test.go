@@ -29,6 +29,9 @@ const readmeTenant = `{
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(readmeTenant))
 	f.Add([]byte(`{}`))
+	for _, doc := range removedFields {
+		f.Add([]byte(doc.json))
+	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
 		b, err := randSpec(rng).Encode()

@@ -10,11 +10,16 @@
 // and the facade's functional options edit a spec that its entry points
 // lower through the same converters (convert.go) every other caller uses.
 //
-// Parsing is strict: unknown fields, malformed durations, out-of-range
-// knobs, and inconsistent window geometry are rejected with field-path
-// errors ("stream.window: ..."), never silently defaulted. Defaulting is
-// a separate, explicit step (Resolved) so a stored spec always states the
-// configuration it runs with.
+// Parsing is strict: unknown fields, malformed durations and out-of-range
+// knobs are rejected with field-path errors ("stream.slide: ..."), never
+// silently defaulted. Defaulting is a separate, explicit step (Resolved)
+// so a stored spec always states the configuration it runs with.
+//
+// The spec holds only what a deployment sets. A value a run can work out
+// from these (the window span, the alert hold-off, the soft heap
+// watermark, the degradation ladder) or that never varies (the §4.3
+// recursion depth) is not a field; the section docs and the converters
+// say what it is.
 package spec
 
 import (
@@ -128,19 +133,16 @@ type StagesSpec struct {
 
 // DiagnosisSpec tunes the diagnosis engine (§4).
 type DiagnosisSpec struct {
-	// VictimPercentile selects latency victims (default 99).
+	// VictimPercentile selects latency victims (0 = the default 99).
 	VictimPercentile float64 `json:"victim_percentile,omitempty"`
-	// MaxRecursionDepth caps the §4.3 recursion (default 5).
-	MaxRecursionDepth int `json:"max_recursion_depth,omitempty"`
-	// MaxVictims caps diagnosed victims per run/window (0 = all in a batch
-	// run, the online monitor's default of 200 per window).
+	// MaxVictims caps diagnosed victims per run/window. Its 0 means all
+	// victims in a batch run, but 200 per window in the online monitor.
 	MaxVictims int `json:"max_victims,omitempty"`
-	// PatternThreshold is the §4.4 significance fraction (default 0.01).
+	// PatternThreshold is the §4.4 significance fraction (0 = the
+	// default 0.01).
 	PatternThreshold float64 `json:"pattern_threshold,omitempty"`
 	// QueueThreshold enables the §7 non-empty-queue extension.
 	QueueThreshold int `json:"queue_threshold,omitempty"`
-	// SkipLossVictims disables loss diagnosis.
-	SkipLossVictims bool `json:"skip_loss_victims,omitempty"`
 	// LossVictimsWhenDegraded keeps loss diagnosis on degraded traces.
 	LossVictimsWhenDegraded bool `json:"loss_victims_when_degraded,omitempty"`
 	// Workers bounds the parallel fan-out (0 = GOMAXPROCS). Output is
@@ -148,60 +150,41 @@ type DiagnosisSpec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// StreamSpec is the sliding-window geometry: slide is the flush cadence,
-// overlap the carried tail, window the total analysis span
-// (window = slide + overlap). Any two determine the third; specifying all
-// three inconsistently is an error.
+// StreamSpec is the sliding-window geometry and alerting of the online
+// monitor: slide is the flush cadence and overlap the carried tail, so
+// each window analyses slide + overlap. The monitor holds off a repeat
+// alert for one slide, drops a record more than 4096 slides beyond its
+// watermark, and resyncs the watermark after 8 such records in a row that
+// agree with each other.
 type StreamSpec struct {
-	// Window is the total analysis span per flush (default 120ms).
-	Window Duration `json:"window,omitempty"`
-	// Slide is the flush cadence (default 100ms).
+	// Slide is the flush cadence (0 = the default 100ms).
 	Slide Duration `json:"slide,omitempty"`
-	// Overlap is the carried tail (default 20ms).
+	// Overlap is the carried tail (0 = the default 20ms, so a window
+	// cannot carry no overlap).
 	Overlap Duration `json:"overlap,omitempty"`
-	// MinScore is the alert threshold in packets (default 100).
+	// MinScore is the alert threshold in packets (0 = the default 100).
 	MinScore float64 `json:"min_score,omitempty"`
-	// HoldOff suppresses repeat alerts for the same culprit within this
-	// span (default one slide).
-	HoldOff Duration `json:"hold_off,omitempty"`
-	// MaxLookahead bounds plausible timestamps beyond the watermark
-	// (default 4096 slides; negative disables).
-	MaxLookahead Duration `json:"max_lookahead,omitempty"`
-	// ResyncAfter is the watermark-jump recovery run length (default 8;
-	// negative disables).
-	ResyncAfter int `json:"resync_after,omitempty"`
 }
 
 // ResilienceSpec arms the overload defenses.
 type ResilienceSpec struct {
 	// RingCapacity bounds a window's records — the sealed overlap it
-	// carries plus the records buffered until its seal — (0 = unbounded).
+	// carries plus the records buffered until its seal — (0 = unbounded),
+	// and arms the degradation ladder resilience.AutoLadder derives from
+	// it.
 	RingCapacity int `json:"ring_capacity,omitempty"`
 	// ShedPolicy selects what a full window sheds: "drop-oldest" (default)
 	// or "reject-new".
 	ShedPolicy string `json:"shed_policy,omitempty"`
 	// WindowDeadline is the wall-clock budget per window (0 = none).
 	WindowDeadline Duration `json:"window_deadline,omitempty"`
-	// MaxMemBytes is the hard heap watermark (0 = off). The serving tier
-	// also treats it as the tenant's memory budget.
+	// MaxMemBytes is the hard heap watermark (0 = off); half of it is the
+	// soft one. The serving tier also treats it as the tenant's memory
+	// budget.
 	MaxMemBytes int64 `json:"max_mem_bytes,omitempty"`
-	// SoftMemBytes is the soft watermark (default MaxMemBytes/2).
-	SoftMemBytes int64 `json:"soft_mem_bytes,omitempty"`
-	// Ladder overrides the degradation thresholds; nil derives
-	// AutoLadder(ring_capacity).
-	Ladder *LadderSpec `json:"ladder,omitempty"`
 	// Retry shapes the backoff for retrying a remediation hook's
 	// transiently failed deliveries (the serving tier's hook runner).
 	Retry *RetrySpec `json:"retry,omitempty"`
-}
-
-// LadderSpec sets the deterministic degradation thresholds.
-type LadderSpec struct {
-	SoftRecords int `json:"soft_records,omitempty"`
-	HardRecords int `json:"hard_records,omitempty"`
-	MaxRecords  int `json:"max_records,omitempty"`
-	SoftBacklog int `json:"soft_backlog,omitempty"`
-	HardBacklog int `json:"hard_backlog,omitempty"`
 }
 
 // RetrySpec shapes a capped exponential backoff.
@@ -304,6 +287,8 @@ func Parse(data []byte) (*PipelineSpec, error) {
 
 // unknownField returns the JSON path of the first key in doc (in sorted
 // key order) that type t has no field for, or "" when every key is known.
+// An unknown key holding an object is named down to that object's first
+// leaf, the value that would not be read ("resilience.ladder.soft_records").
 // Keys match json names case-insensitively, as encoding/json does.
 func unknownField(doc any, t reflect.Type, path string) string {
 	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
@@ -333,7 +318,7 @@ func unknownField(doc any, t reflect.Type, path string) string {
 				return strings.EqualFold(cmp.Or(tag, f.Name), k)
 			})
 			if i < 0 {
-				return p
+				return cmp.Or(unknownField(v[k], reflect.TypeOf(struct{}{}), p), p)
 			}
 			if q := unknownField(v[k], fields[i].Type, p); q != "" {
 				return q
@@ -369,10 +354,6 @@ func (s *PipelineSpec) Encode() ([]byte, error) {
 // Clone deep-copies the spec.
 func (s *PipelineSpec) Clone() *PipelineSpec {
 	c := *s
-	if s.Resilience.Ladder != nil {
-		l := *s.Resilience.Ladder
-		c.Resilience.Ladder = &l
-	}
 	if s.Resilience.Retry != nil {
 		r := *s.Resilience.Retry
 		c.Resilience.Retry = &r
@@ -421,9 +402,6 @@ func (s *PipelineSpec) Validate() error {
 	if d.VictimPercentile < 0 || d.VictimPercentile >= 100 {
 		v.addf("diagnosis.victim_percentile", "must be in [0,100), got %g", d.VictimPercentile)
 	}
-	if d.MaxRecursionDepth < 0 {
-		v.addf("diagnosis.max_recursion_depth", "must be >= 0, got %d", d.MaxRecursionDepth)
-	}
 	if d.MaxVictims < 0 {
 		v.addf("diagnosis.max_victims", "must be >= 0, got %d", d.MaxVictims)
 	}
@@ -438,30 +416,14 @@ func (s *PipelineSpec) Validate() error {
 	}
 
 	st := &s.Stream
-	if st.Window < 0 {
-		v.addf("stream.window", "must be >= 0, got %v", st.Window)
-	}
 	if st.Slide < 0 {
 		v.addf("stream.slide", "must be >= 0, got %v", st.Slide)
 	}
 	if st.Overlap < 0 {
 		v.addf("stream.overlap", "must be >= 0, got %v", st.Overlap)
 	}
-	if st.Window > 0 && st.Slide > 0 && st.Overlap > 0 && st.Window != st.Slide+st.Overlap {
-		v.addf("stream.window", "inconsistent geometry: window (%v) != slide (%v) + overlap (%v)",
-			st.Window, st.Slide, st.Overlap)
-	}
-	if st.Window > 0 && st.Slide > 0 && st.Overlap == 0 && st.Window < st.Slide {
-		v.addf("stream.window", "window (%v) must be >= slide (%v)", st.Window, st.Slide)
-	}
-	if st.Window > 0 && st.Slide == 0 && st.Overlap > 0 && st.Overlap >= st.Window {
-		v.addf("stream.overlap", "overlap (%v) must be < window (%v)", st.Overlap, st.Window)
-	}
 	if st.MinScore < 0 {
 		v.addf("stream.min_score", "must be >= 0, got %g", st.MinScore)
-	}
-	if st.HoldOff < 0 {
-		v.addf("stream.hold_off", "must be >= 0, got %v", st.HoldOff)
 	}
 
 	r := &s.Resilience
@@ -476,30 +438,6 @@ func (s *PipelineSpec) Validate() error {
 	}
 	if r.MaxMemBytes < 0 {
 		v.addf("resilience.max_mem_bytes", "must be >= 0, got %d", r.MaxMemBytes)
-	}
-	if r.SoftMemBytes < 0 {
-		v.addf("resilience.soft_mem_bytes", "must be >= 0, got %d", r.SoftMemBytes)
-	}
-	if r.MaxMemBytes > 0 && r.SoftMemBytes > r.MaxMemBytes {
-		v.addf("resilience.soft_mem_bytes", "soft watermark (%d) exceeds max_mem_bytes (%d)",
-			r.SoftMemBytes, r.MaxMemBytes)
-	}
-	if r.Ladder != nil {
-		l := r.Ladder
-		for _, f := range []struct {
-			path string
-			val  int
-		}{
-			{"resilience.ladder.soft_records", l.SoftRecords},
-			{"resilience.ladder.hard_records", l.HardRecords},
-			{"resilience.ladder.max_records", l.MaxRecords},
-			{"resilience.ladder.soft_backlog", l.SoftBacklog},
-			{"resilience.ladder.hard_backlog", l.HardBacklog},
-		} {
-			if f.val < 0 {
-				v.addf(f.path, "must be >= 0, got %d", f.val)
-			}
-		}
 	}
 	if r.Retry != nil {
 		if r.Retry.MaxAttempts < 0 {
@@ -596,51 +534,19 @@ func (s *PipelineSpec) Resolved() *PipelineSpec {
 	if d.VictimPercentile == 0 {
 		d.VictimPercentile = core.DefaultVictimPercentile
 	}
-	if d.MaxRecursionDepth == 0 {
-		d.MaxRecursionDepth = core.DefaultMaxRecursionDepth
-	}
 	if d.PatternThreshold == 0 {
 		d.PatternThreshold = patterns.DefaultThreshold
 	}
 
 	st := &r.Stream
-	// Any two of window/slide/overlap determine the third; absent all
-	// three, the monitor defaults apply.
-	slide, overlap := Duration(online.DefaultWindow), Duration(online.DefaultOverlap)
-	switch {
-	case st.Slide > 0 && st.Overlap > 0:
-		// window derived (or validated consistent already).
-	case st.Window > 0 && st.Slide > 0:
-		st.Overlap = st.Window - st.Slide
-	case st.Window > 0 && st.Overlap > 0:
-		st.Slide = st.Window - st.Overlap
-	case st.Slide > 0:
-		st.Overlap = overlap
-	case st.Overlap > 0:
-		st.Slide = slide
-	case st.Window > 0:
-		// Window alone: keep the default overlap fraction.
-		st.Overlap = overlap
-		if st.Overlap >= st.Window {
-			st.Overlap = st.Window / 5
-		}
-		st.Slide = st.Window - st.Overlap
-	default:
-		st.Slide = slide
-		st.Overlap = overlap
+	if st.Slide == 0 {
+		st.Slide = Duration(online.DefaultWindow)
 	}
-	st.Window = st.Slide + st.Overlap
+	if st.Overlap == 0 {
+		st.Overlap = Duration(online.DefaultOverlap)
+	}
 	if st.MinScore == 0 {
 		st.MinScore = online.DefaultMinScore
-	}
-	if st.HoldOff == 0 {
-		st.HoldOff = st.Slide
-	}
-	if st.MaxLookahead == 0 {
-		st.MaxLookahead = online.DefaultLookaheadWindows * st.Slide
-	}
-	if st.ResyncAfter == 0 {
-		st.ResyncAfter = online.DefaultResyncAfter
 	}
 
 	re := &r.Resilience
@@ -648,19 +554,6 @@ func (s *PipelineSpec) Resolved() *PipelineSpec {
 		re.ShedPolicy = resilience.ShedDropOldest.String()
 	} else if p, err := resilience.ParseShedPolicy(re.ShedPolicy); err == nil {
 		re.ShedPolicy = p.String()
-	}
-	if re.MaxMemBytes > 0 && re.SoftMemBytes == 0 {
-		re.SoftMemBytes = re.MaxMemBytes / 2
-	}
-	if re.Ladder == nil && re.RingCapacity > 0 {
-		l := resilience.AutoLadder(re.RingCapacity)
-		re.Ladder = &LadderSpec{
-			SoftRecords: l.SoftRecords,
-			HardRecords: l.HardRecords,
-			MaxRecords:  l.MaxRecords,
-			SoftBacklog: l.SoftBacklog,
-			HardBacklog: l.HardBacklog,
-		}
 	}
 
 	if r.Topology != nil && r.Topology.MaxBatch == 0 {

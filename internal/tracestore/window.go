@@ -29,9 +29,9 @@ import (
 // keeps a column of their headers, and the latency percentile is selected
 // across them — and the drain times queuing periods search are one more
 // column per component; the rest of a period is searched in the arrival
-// and read rows themselves. What cannot be kept by add and drop is rebuilt
-// per window and costs what it did before: the §7 queue-length timelines
-// (only with a nonzero threshold) and the lazily built flow index.
+// and read rows themselves. What cannot be kept by add and drop, the §7
+// queue-length timelines (only with a nonzero threshold), is rebuilt per
+// window and costs what it did before.
 
 // col is one column of the window store. The live rows are buf[head:]. Rows
 // outside them are dead but not zeroed: a dead Journey still points into
