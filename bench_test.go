@@ -11,12 +11,14 @@
 package microscope
 
 import (
+	"runtime"
 	"testing"
 
 	"microscope/internal/collector"
 	"microscope/internal/core"
 	"microscope/internal/experiments"
 	"microscope/internal/netmedic"
+	"microscope/internal/obs"
 	"microscope/internal/patterns"
 	"microscope/internal/simtime"
 	"microscope/internal/tracestore"
@@ -241,26 +243,79 @@ func BenchmarkNetMedicBuild(b *testing.B) {
 	}
 }
 
+// patternInput is the diagnosis set BenchmarkPatternAggregation and
+// TestPatternWorkPinned aggregate.
+func patternInput() (*tracestore.Store, []core.Diagnosis) {
+	st := tracestore.Build(benchTrace(24))
+	return st, core.NewEngine(core.Config{MaxVictims: 300}).Diagnose(st)
+}
+
 // BenchmarkPatternAggregation measures the §4.4 tail on a realistic
 // diagnosis set: relations, their grouping by culprit and both AutoFocus
-// phases, which is everything the patterns stage runs.
+// phases, which is everything the patterns stage runs. Beside ns/relation
+// it reports the AutoFocus leaves of both phases (one uncounted run with
+// a registry reads them) and the bytes allocated per relation.
 func BenchmarkPatternAggregation(b *testing.B) {
-	tr := benchTrace(24)
-	st := tracestore.Build(tr)
-	eng := core.NewEngine(core.Config{MaxVictims: 300})
-	diags := eng.Diagnose(st)
+	st, diags := patternInput()
+	reg := obs.New()
+	patterns.Aggregate(patterns.RelationsFromDiagnoses(st, diags, patterns.Config{Obs: reg}), patterns.Config{Obs: reg})
 	pcfg := patterns.Config{}
+	var before, after runtime.MemStats
 	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	var rels, pats int
 	for i := 0; i < b.N; i++ {
 		r := patterns.RelationsFromDiagnoses(st, diags, pcfg)
 		rels, pats = r.Len(), len(patterns.Aggregate(r, pcfg))
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(rels), "relations")
 	b.ReportMetric(float64(pats), "patterns")
+	b.ReportMetric(float64(reg.Counter("microscope_patterns_leaves_total").Value()), "leaves")
 	if rels > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rels), "ns/relation")
+		perRel := float64(b.N) * float64(rels)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRel, "ns/relation")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perRel, "B/relation")
+	}
+}
+
+// TestPatternWorkPinned pins the work of the patterns stage on
+// BenchmarkPatternAggregation's input, from the stage's own counters: the
+// relations, the culprit groups (phase 1's searches), the victim
+// aggregates (phase 2's), the AutoFocus leaves of both phases and the
+// lattice cells their searches visit. All are exact functions of the
+// input. The leaves are those grouping one item per relation found; the
+// cells may exceed the 93,490 that re-summing the floors at every level
+// gave, because floors updated by subtraction may come out lower, but by
+// no more than 1 %.
+func TestPatternWorkPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scenario test; skipped in -short mode")
+	}
+	st, diags := patternInput()
+	reg := obs.New()
+	pcfg := patterns.Config{Obs: reg}
+	patterns.Aggregate(patterns.RelationsFromDiagnoses(st, diags, pcfg), pcfg)
+	for _, c := range []struct {
+		counter string
+		want    int64
+	}{
+		{"microscope_patterns_relations_total", 42248},
+		{`microscope_patterns_groups_total{phase="victims"}`, 307},
+		{`microscope_patterns_groups_total{phase="culprits"}`, 152},
+		{"microscope_patterns_leaves_total", 16835},
+		{"microscope_patterns_cells_total", 93490},
+		{"microscope_patterns_emitted_total", 63},
+	} {
+		if got := reg.Counter(c.counter).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.counter, got, c.want)
+		}
+	}
+	const resummedCells = 93490
+	if cells := reg.Counter("microscope_patterns_cells_total").Value(); cells < resummedCells || cells > resummedCells*101/100 {
+		t.Errorf("%d cells, want within 1 %% above the %d of re-summed floors", cells, resummedCells)
 	}
 }
 

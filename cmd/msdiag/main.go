@@ -73,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 		forceLoss  = fs.Bool("force-loss", false, "keep loss diagnosis even when trace health is degraded")
 		withNM     = fs.Bool("netmedic", false, "also run the NetMedic baseline")
 		nmWindow   = fs.Duration("netmedic-window", 10*time.Millisecond, "NetMedic window")
-		workers    = fs.Int("workers", 0, "parallel diagnosis workers (0 = GOMAXPROCS, 1 = sequential; output is identical)")
+		workers    = fs.Int("workers", 0, "parallel workers of diagnosis and of pattern aggregation (0 = GOMAXPROCS, 1 = sequential; output is identical)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsOut = fs.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, spans) to this file on exit")

@@ -87,7 +87,7 @@ func parse(args []string) (*settings, *spec.PipelineSpec, error) {
 	fs := flag.NewFlagSet("mslive", flag.ContinueOnError)
 	st := &settings{}
 	fs.DurationVar(&st.dur, "dur", 500*time.Millisecond, "simulated duration")
-	window := fs.Duration("window", 100*time.Millisecond, "monitor analysis window")
+	window := fs.Duration("window", 100*time.Millisecond, "window slide: how often a window is analysed; each window covers the slide plus the stream overlap (20 ms unless -spec sets it)")
 	fs.Float64Var(&st.rateMpps, "rate", 1.2, "offered load in Mpps")
 	fs.Int64Var(&st.seed, "seed", 1, "random seed")
 	minScore := fs.Float64("min-score", 100, "alert threshold (packets of blame)")

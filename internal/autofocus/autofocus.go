@@ -15,6 +15,7 @@ package autofocus
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 	"strings"
@@ -250,13 +251,18 @@ var joinable = func() [][dims][maxRungs]nodeSet {
 // noLevel marks an NF rung a leaf has no cell on (empty NF or Kind).
 const noLevel = ^uint32(0)
 
-// leaf is a grouped exact item. at[d][r] is its projection on rung r of
-// dimension d as an integer: the masked prefix, the port range's Lo, the
-// protocol, the per-call id of the NF instance or type; 0 on every "any"
-// rung.
+// leaf is one distinct item of a search. at[d][r] is its projection on rung
+// r of dimension d as an integer: the masked prefix, the port range's Lo,
+// the protocol, the per-call id of the NF instance or type; 0 on every
+// "any" rung.
 type leaf struct {
 	weight float64
 	at     [dims][maxRungs]uint32
+	// agg[d][r] is the id of the leaf's one-dimensional aggregate on rung r
+	// of dimension d (that rung's projection, every other dimension "any")
+	// for the rungs below the last, which every leaf shares; -1 on an NF
+	// rung the leaf has no level on. Set when the search first needs floors.
+	agg [dims][maxRungs - 1]int32
 	// floor[d] is the first rung of d on which the leaf can still be part
 	// of a cell that reaches the threshold (see setFloors).
 	floor node
@@ -269,10 +275,23 @@ type cellKey struct {
 	node uint32
 }
 
+// hashMul is the odd multiplier of the tables' hashes: the top bits of a
+// product depend on every bit of the multiplicand, and idTable probes from
+// the top bits.
+const hashMul = 0x9e3779b97f4a7c15
+
+func (k *cellKey) hash(seed uint64) uint64 {
+	h := seed ^ uint64(k.node)
+	for _, v := range k.at {
+		h = (h ^ uint64(v)) * hashMul
+	}
+	return h
+}
+
 // cell is one lattice cell of the level being searched; its members are the
-// chain of links from head, in leaf order.
+// chain of links from head, in leaf order. Its key is s.index's key of the
+// same id.
 type cell struct {
-	key        cellKey
 	weight     float64
 	head, tail int32
 }
@@ -297,24 +316,95 @@ type leafKey struct {
 	nf   string
 }
 
-// Scratch is the reusable working memory of AggregateStats: the maps it
-// groups leaves, interns NFs, sums one-dimensional aggregates and indexes
-// cells with, and the slices of the level search. A worker that runs many
-// small searches keeps one; its maps are cleared, not remade, so a warm
-// search allocates only the patterns it returns. The zero value is ready;
-// a Scratch must not be used by two searches at once.
+// idTable numbers distinct keys 0, 1, 2, … in the order they are first
+// seen: open addressing over a power-of-two slot array that reset sizes for
+// the search at hand and that doubles when its keys outrun it. Clearing it
+// costs the size the search asked for, where clearing a Go map costs the
+// most the map ever held. The numbering never depends on the hashes.
+type idTable[K comparable] struct {
+	slots  []int32  // id+1 of the key that probed to this slot, 0 when empty
+	keys   []K      // by id
+	hashes []uint64 // by id
+	shift  uint     // 64 - log2(len(slots)): a hash's top bits pick its first slot
+}
+
+// reset empties the table, sized for about n keys.
+func (t *idTable[K]) reset(n int) {
+	t.keys, t.hashes = slices.Grow(t.keys[:0], n), slices.Grow(t.hashes[:0], n)
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	t.resize(size)
+}
+
+// resize makes the slot array size long, a power of two, and puts every
+// key back in it.
+func (t *idTable[K]) resize(size int) {
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for id, h := range t.hashes {
+		i := h >> t.shift
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(id + 1)
+	}
+}
+
+// id returns the id of k, whose hash is h, numbering k if it is new.
+func (t *idTable[K]) id(k K, h uint64) (id int32, seen bool) {
+	mask := uint64(len(t.slots) - 1)
+	i := h >> t.shift
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if id := t.slots[i] - 1; t.hashes[id] == h && t.keys[id] == k {
+			return id, true
+		}
+	}
+	id = int32(len(t.keys))
+	t.slots[i] = id + 1
+	t.keys, t.hashes = append(t.keys, k), append(t.hashes, h)
+	if 2*len(t.keys) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	return id, false
+}
+
+// Scratch is the reusable working memory of a search: the map
+// AggregateStats groups items with, the NF ids, the leaves, the tables of
+// one-dimensional aggregates and of cells, and the slices of the level
+// search. A worker that runs many small searches keeps one; nothing is
+// remade, and a reset costs what the search at hand uses, so a warm search
+// allocates only the patterns it returns. The zero value is ready; a
+// Scratch must not be used by two searches at once.
 type Scratch struct {
 	leafIdx map[leafKey]int32
-	leaves  []leaf
+	items   []Item // AggregateStats' leaves
 	nfIDs   map[NFAgg]uint32
 	nfByID  []NFAgg
-	sums    map[uint64]float64
+	leaves  []leaf
+	// aggs numbers the one-dimensional aggregates of the live leaves;
+	// parents and sums are by aggregate id: the aggregate on the next rung
+	// up (-1 for none) and the live weight.
+	aggs    idTable[uint64]
+	parents []int32
+	sums    []float64
+	summed  bool // sums hold the live weight: a consumed leaf is subtracted
 	live    []int32
-	index   map[cellKey]int32
+	index   idTable[cellKey]
 	cells   []cell
 	links   []link
 	heavy   []heavyCell
 	out     []Pattern
+	// seed varies the tables' hashes from one Scratch to the next, so no
+	// input is slow on every run.
+	seed uint64
 }
 
 // Aggregate runs the hierarchical heavy-hitter search and returns patterns
@@ -327,7 +417,37 @@ func Aggregate(items []Item, cfg Config) []Pattern {
 }
 
 // AggregateStats is Aggregate that also reports how much of the lattice the
-// search touched, in s's working memory.
+// search touched, in s's working memory. It groups the items into leaves,
+// one per distinct <flow, NF> in first-seen order with the first item's
+// Kind, each weighing its items summed in item order, and searches them
+// with AggregateLeaves.
+func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
+	if s.leafIdx == nil {
+		s.leafIdx = make(map[leafKey]int32)
+	}
+	leaves := s.items[:0]
+	var total float64
+	for _, it := range items {
+		total += it.Weight
+		k := leafKey{it.Flow, it.NF}
+		if i, ok := s.leafIdx[k]; ok {
+			leaves[i].Weight += it.Weight
+			continue
+		}
+		s.leafIdx[k] = int32(len(leaves))
+		leaves = append(leaves, it)
+	}
+	for i := range leaves { // empty the map at the cost of what it held
+		delete(s.leafIdx, leafKey{leaves[i].Flow, leaves[i].NF})
+	}
+	s.items = leaves
+	return s.AggregateLeaves(leaves, total, cfg)
+}
+
+// AggregateLeaves is AggregateStats over items that are already leaves: no
+// two share a <Flow, NF>. total is the weight the threshold is a fraction
+// of: the sum of the items the leaves were grouped from, which in floating
+// point need not equal the sum of the leaves.
 //
 // The search walks generality levels in order over the leaves no reported
 // pattern has consumed yet. It is the exhaustive search (expand every leaf's
@@ -337,15 +457,19 @@ func Aggregate(items []Item, cfg Config) []Pattern {
 // of its level is never reported; a consumed member adds an exact 0.0; and
 // once the unconsumed weight is below the threshold no cell at any level can
 // reach it.
-func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
+func (s *Scratch) AggregateLeaves(items []Item, total float64, cfg Config) ([]Pattern, Stats) {
 	cfg.setDefaults()
-	total := s.group(items)
+	if s.seed == 0 {
+		s.seed = maphash.Bytes(maphash.MakeSeed(), nil) | 1
+	}
+	s.load(items)
 	leaves := s.leaves
 	st := Stats{Leaves: len(leaves)}
 	if total <= 0 {
 		return nil, st
 	}
 	minW := cfg.Threshold * total
+	s.summed = false
 
 	// live lists the unconsumed leaves in leaf order. Consuming a leaf
 	// zeroes its weight: it adds 0.0 to every sum from then on and no
@@ -355,6 +479,7 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 		live = append(live, int32(li))
 	}
 	out := s.out[:0]
+	cells := s.cells[:0]
 	stale := true // live has leaves to drop, floors are out of date
 	for level, nodes := range nodesByLevel {
 		if stale {
@@ -368,16 +493,18 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 				break // no cell of this or any later level can reach minW
 			}
 			if level > 0 { // level 0 is one node: nothing to prune
-				s.setFloors(live, minW)
+				s.setFloors(live, minW, total)
 				stale = false
 			}
 		}
 
 		// Project each live leaf onto the nodes of the level it can
 		// join, leaf by leaf, so every cell sums its live weight and
-		// chains its members in leaf order.
-		clear(s.index)
-		cells, links := s.cells[:0], s.links[:0]
+		// chains its members in leaf order. The last level's cell count
+		// sizes the index.
+		s.index.reset(max(len(live), len(cells)))
+		cells = cells[:0]
+		links := s.links[:0]
 		sets := &joinable[level]
 		for _, li := range live {
 			lf := &leaves[li]
@@ -397,11 +524,9 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 					if k.at[dimNF] == noLevel {
 						continue
 					}
-					ci, ok := s.index[k]
-					if !ok {
-						ci = int32(len(cells))
-						s.index[k] = ci
-						cells = append(cells, cell{key: k, head: -1, tail: -1})
+					ci, seen := s.index.id(k, k.hash(s.seed))
+					if !seen {
+						cells = append(cells, cell{head: -1, tail: -1})
 					}
 					c := &cells[ci]
 					c.weight += lf.weight
@@ -415,7 +540,7 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 				}
 			}
 		}
-		s.cells, s.links = cells, links
+		s.links = links
 		st.Cells += len(links)
 
 		// Only cells that reach minW now can be reported; visit them in
@@ -423,7 +548,8 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 		heavy := s.heavy[:0]
 		for ci := range cells {
 			if c := &cells[ci]; c.weight >= minW {
-				heavy = append(heavy, heavyCell{key: aggKeyOf(&c.key, nodes[c.key.node], s.nfByID), head: c.head})
+				k := &s.index.keys[ci]
+				heavy = append(heavy, heavyCell{key: aggKeyOf(k, nodes[k.node], s.nfByID), head: c.head})
 			}
 		}
 		slices.SortFunc(heavy, func(a, b heavyCell) int { return aggKeyCmp(&a.key, &b.key) })
@@ -445,13 +571,13 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 				continue
 			}
 			for e := h.head; e >= 0; e = links[e].next {
-				leaves[links[e].leaf].weight = 0
+				s.consume(&leaves[links[e].leaf])
 			}
 			out = append(out, Pattern{Flow: h.key.flow, NF: h.key.nf, Weight: residual, Leaves: contributing})
 			stale = true
 		}
 	}
-	s.live, s.out = live, out
+	s.live, s.out, s.cells = live, out, cells
 
 	// Total order: weight desc, then the canonical aggregate-key order, so
 	// the ranking never depends on the level traversal above.
@@ -473,17 +599,13 @@ func (s *Scratch) AggregateStats(items []Item, cfg Config) ([]Pattern, Stats) {
 	return slices.Clone(out), st
 }
 
-// group turns the items into s.leaves, one per distinct <flow, NF>, and
-// returns their total weight. NF instances and types get per-call ids
-// (0 is "any").
-func (s *Scratch) group(items []Item) float64 {
-	if s.leafIdx == nil {
-		s.leafIdx, s.nfIDs = make(map[leafKey]int32), make(map[NFAgg]uint32)
-		s.sums, s.index = make(map[uint64]float64), make(map[cellKey]int32)
+// load turns the items into s.leaves. NF instances and types get per-call
+// ids (0 is "any"); consecutive items of one NF share one lookup.
+func (s *Scratch) load(items []Item) {
+	if s.nfIDs == nil {
+		s.nfIDs = make(map[NFAgg]uint32)
 	}
-	clear(s.leafIdx)
 	clear(s.nfIDs)
-	s.leaves = s.leaves[:0]
 	s.nfByID = append(s.nfByID[:0], NFAgg{})
 	nfID := func(a NFAgg) uint32 {
 		if a.Name == "" && a.Kind == "" {
@@ -496,16 +618,13 @@ func (s *Scratch) group(items []Item) float64 {
 		}
 		return id
 	}
-	var total float64
-	for _, it := range items {
-		total += it.Weight
-		k := leafKey{it.Flow, it.NF}
-		if i, ok := s.leafIdx[k]; ok {
-			s.leaves[i].weight += it.Weight
-			continue
-		}
-		s.leafIdx[k] = int32(len(s.leaves))
-		lf := leaf{weight: it.Weight}
+	leaves := slices.Grow(s.leaves[:0], len(items))
+	var nf NFAgg
+	var nfAt [2]uint32
+	for i := range items {
+		it := &items[i]
+		leaves = append(leaves, leaf{weight: it.Weight})
+		lf := &leaves[len(leaves)-1]
 		for r, l := range prefixLens {
 			lf.at[dimSrc][r], lf.at[dimDst][r] = maskPrefix(it.Flow.SrcIP, l), maskPrefix(it.Flow.DstIP, l)
 		}
@@ -514,45 +633,118 @@ func (s *Scratch) group(items []Item) float64 {
 			lf.at[dimSport][r], lf.at[dimDport][r] = uint32(sp[r].Lo), uint32(dp[r].Lo)
 		}
 		lf.at[dimProto][0] = uint32(it.Flow.Proto)
-		// An empty name or kind has no rung of its own: its cell
-		// would be the next rung's.
-		lf.at[dimNF][0], lf.at[dimNF][1] = noLevel, nfID(NFAgg{Kind: it.Kind})
-		if it.NF != "" {
-			lf.at[dimNF][0] = nfID(NFAgg{Name: it.NF, Kind: it.Kind})
-		}
-		s.leaves = append(s.leaves, lf)
-	}
-	return total
-}
-
-// setFloors sets, for every live leaf and dimension, the first rung on which
-// the leaf's one-dimensional aggregate (that rung's projection, every other
-// dimension "any") reaches minW over the live leaves. A cell on a lower rung
-// of that dimension is a subset of an aggregate below minW, and sums of
-// non-negative weights in leaf order never exceed the same sum over a
-// superset, so the leaf can be left out of such cells without changing which
-// cells reach minW.
-func (s *Scratch) setFloors(live []int32, minW float64) {
-	key := func(d, r int, v uint32) uint64 { return uint64(d*maxRungs+r)<<32 | uint64(v) }
-	clear(s.sums)
-	for _, li := range live {
-		lf := &s.leaves[li]
-		for d := range lf.at {
-			for r := 0; r < rungs[d]-1; r++ { // the last rung is every live leaf
-				s.sums[key(d, r, lf.at[d][r])] += lf.weight
+		if i == 0 || it.NF != nf.Name || it.Kind != nf.Kind {
+			// An empty name or kind has no rung of its own: its cell
+			// would be the next rung's.
+			nf, nfAt = NFAgg{Name: it.NF, Kind: it.Kind}, [2]uint32{noLevel, nfID(NFAgg{Kind: it.Kind})}
+			if it.NF != "" {
+				nfAt[0] = nfID(nf)
 			}
 		}
+		lf.at[dimNF][0], lf.at[dimNF][1] = nfAt[0], nfAt[1]
 	}
+	s.leaves = leaves
+}
+
+// setFloors raises, for every live leaf and dimension, the floor to the
+// first rung on which the leaf's one-dimensional aggregate reaches minW over
+// the live leaves. A cell on a lower rung of that dimension is a subset of
+// an aggregate below minW, and sums of non-negative weights in leaf order
+// never exceed the same sum over a superset, so the leaf can be left out of
+// such cells without changing which cells reach minW.
+//
+// The aggregates are numbered and summed once per search, the first time
+// floors are needed; from then on consume subtracts each leaf a reported
+// pattern takes, so a sum is no longer the one re-summing the live leaves
+// would give, only within a few rounding errors of it. The comparison
+// allows for that: each of the at most 3·n additions and subtractions over
+// n leaves errs by at most 2⁻⁵³ of total, so an aggregate counts as below
+// minW only when its sum is below by more than n·2⁻⁵¹·total. A floor can
+// come out lower than the re-summed one, never higher; lower only prunes
+// less, and floors never fall, so the walk resumes at the last one.
+func (s *Scratch) setFloors(live []int32, minW, total float64) {
+	if !s.summed {
+		s.sumAggs(live)
+	}
+	slack := float64(len(s.leaves)) * 0x1p-51 * total
 	for _, li := range live {
 		lf := &s.leaves[li]
-		for d := range lf.at {
-			r := 0
-			for r < rungs[d]-1 && !(s.sums[key(d, r, lf.at[d][r])] >= minW) {
-				r++
+		for d := range lf.agg {
+			r := int(lf.floor[d])
+			for ; r < rungs[d]-1; r++ {
+				if id := lf.agg[d][r]; id >= 0 && s.sums[id]+slack >= minW {
+					break
+				}
 			}
 			lf.floor[d] = uint8(r)
 		}
 	}
+}
+
+// sumAggs numbers the live leaves' one-dimensional aggregates and sums
+// their weight in leaf order. Only a leaf's lowest rung is looked up: an
+// aggregate seen before knows its ancestors, and a new one looks up the
+// next rung, so each aggregate is hashed once per leaf that creates it.
+func (s *Scratch) sumAggs(live []int32) {
+	n := 4 * len(live) // up to 15 per leaf; 3 to 5 in practice
+	s.aggs.reset(n)
+	s.parents, s.sums = slices.Grow(s.parents[:0], n), slices.Grow(s.sums[:0], n)
+	for _, li := range live {
+		lf := &s.leaves[li]
+		for d := range lf.agg {
+			child := int32(-1) // a new aggregate on the rung below
+			for r := 0; r < rungs[d]-1; r++ {
+				v := lf.at[d][r]
+				if d == dimNF && v == noLevel {
+					lf.agg[d][r], child = -1, -1
+					continue
+				}
+				k := uint64(d*maxRungs+r)<<32 | uint64(v)
+				id, seen := s.aggs.id(k, (k^s.seed)*hashMul)
+				if !seen {
+					s.parents, s.sums = append(s.parents, -1), append(s.sums, 0)
+				}
+				if child >= 0 {
+					s.parents[child] = id
+				}
+				lf.agg[d][r] = id
+				if seen {
+					for r++; r < rungs[d]-1; r++ {
+						if id >= 0 {
+							id = s.parents[id]
+						}
+						lf.agg[d][r] = id
+					}
+					break
+				}
+				child = id
+			}
+			for _, id := range lf.agg[d][:rungs[d]-1] {
+				if id >= 0 {
+					s.sums[id] += lf.weight
+				}
+			}
+		}
+	}
+	s.summed = true
+}
+
+// consume takes a leaf's weight out of the search: out of its aggregates'
+// sums, once they exist, and out of every cell from now on.
+func (s *Scratch) consume(lf *leaf) {
+	if lf.weight == 0 {
+		return
+	}
+	if s.summed {
+		for d := range lf.agg {
+			for _, id := range lf.agg[d][:rungs[d]-1] {
+				if id >= 0 {
+					s.sums[id] -= lf.weight
+				}
+			}
+		}
+	}
+	lf.weight = 0
 }
 
 // aggKeyOf rebuilds the aggregate a cell key stands for at node nd.

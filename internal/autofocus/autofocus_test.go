@@ -460,7 +460,9 @@ func TestAggregateMatchesOracle(t *testing.T) {
 
 // FuzzAggregate lets the fuzzer pick the generator's seed and mutate the
 // first item, so it also reaches empty NF names and kinds, zero weights and
-// ports and addresses outside the generator's universes.
+// ports and addresses outside the generator's universes. Both entry points
+// are checked: the items against the oracle, their leaves against the
+// items.
 func FuzzAggregate(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint32(0), uint16(0), "fw1", "fw", 1.0)
@@ -475,6 +477,7 @@ func FuzzAggregate(f *testing.F) {
 		items[0].Flow.SrcIP, items[0].Flow.SrcPort = src, sport
 		items[0].NF, items[0].Kind, items[0].Weight = nf, kind, w
 		diffAgainstOracle(t, items, cfg)
+		diffLeavesAgainstItems(t, new(Scratch), items, cfg)
 	})
 }
 

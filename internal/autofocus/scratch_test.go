@@ -115,3 +115,77 @@ func TestScratchAllocatesOnlyItsResult(t *testing.T) {
 		}
 	}
 }
+
+// groupItems is the grouping AggregateLeaves expects of its caller, written
+// with a plain map: one leaf per distinct <Flow, NF> in first-seen order,
+// with the first item's Kind and the items' weights summed in item order,
+// and the total of every item in item order.
+func groupItems(items []Item) ([]Item, float64) {
+	at := map[leafKey]int{}
+	var leaves []Item
+	var total float64
+	for _, it := range items {
+		total += it.Weight
+		k := leafKey{it.Flow, it.NF}
+		if i, ok := at[k]; ok {
+			leaves[i].Weight += it.Weight
+			continue
+		}
+		at[k] = len(leaves)
+		leaves = append(leaves, it)
+	}
+	return leaves, total
+}
+
+// diffLeavesAgainstItems fails t unless AggregateLeaves over the grouped
+// items answers what AggregateStats over the items does: the same
+// aggregates and leaf counts, weights to the bit, and the same work.
+func diffLeavesAgainstItems(t *testing.T, s *Scratch, items []Item, cfg Config) {
+	t.Helper()
+	want, wantSt := new(Scratch).AggregateStats(items, cfg)
+	leaves, total := groupItems(items)
+	got, gotSt := s.AggregateLeaves(leaves, total, cfg)
+	if gotSt != wantSt || len(got) != len(want) {
+		t.Fatalf("%d items, %d leaves th=%g: leaves gave %d patterns %+v, items %d %+v", len(items), len(leaves), cfg.Threshold, len(got), gotSt, len(want), wantSt)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Flow != w.Flow || g.NF != w.NF || g.Leaves != w.Leaves || math.Float64bits(g.Weight) != math.Float64bits(w.Weight) {
+			t.Fatalf("%d items th=%g: pattern %d from leaves is %v (%d leaves, %x), from items %v (%d leaves, %x)", len(items), cfg.Threshold,
+				i, g, g.Leaves, math.Float64bits(g.Weight), w, w.Leaves, math.Float64bits(w.Weight))
+		}
+	}
+}
+
+// TestLeavesMatchItems holds the leaves entry point to the items one on
+// reuseCases (empty NF names and kinds, integer weights that tie, repeated
+// leaves, an all-zero case), on weights whose sum in leaf order differs
+// from their sum in item order, and on cells that weigh exactly the
+// threshold, with one Scratch reused throughout.
+func TestLeavesMatchItems(t *testing.T) {
+	var s Scratch
+	for _, c := range reuseCases() {
+		diffLeavesAgainstItems(t, &s, c.items, c.cfg)
+	}
+	// Repeats of one leaf interleaved with others, in weights that round:
+	// the leaf's sum and the total depend on the order of the additions.
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 40; c++ {
+		items, cfg := genCase(int64(200+c), c%10 == 9)
+		for i := range items {
+			if rng.Intn(3) == 0 {
+				items[i] = items[rng.Intn(i+1)]
+			}
+			items[i].Weight = 0.1 + rng.Float64()/3
+		}
+		diffLeavesAgainstItems(t, &s, items, cfg)
+	}
+	// Ties: twenty items of weight 1 at threshold 0.25 make minW exactly
+	// 5, and the /24s of five items each weigh exactly that.
+	var items []Item
+	for i := 0; i < 20; i++ {
+		items = append(items, Item{Flow: ft(byte(i), uint16(3000+i), 80), NF: "fw1", Kind: "fw", Weight: 1})
+		items[i].Flow.SrcIP = uint32(i/5)<<24 | uint32(i)
+	}
+	diffLeavesAgainstItems(t, &s, items, Config{Threshold: 0.25})
+}

@@ -18,6 +18,8 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -86,8 +88,9 @@ func (c *Config) setDefaults() {
 // Relations is the packet-level causal relation set of a diagnosis set,
 // the §4.4 input, held the way phase 1 of the aggregation reads it: one
 // group per exact culprit <packet flow, NF>, the groups in culpritCmp
-// order, each group's victim sides in relation order. RelationsFromDiagnoses
-// is its only constructor; no relation is ever a row of its own.
+// order, each group's relations already added into its distinct victim
+// sides. RelationsFromDiagnoses is its only constructor; no relation is
+// ever a row of its own.
 type Relations struct {
 	groups []culpritGroup
 	// n counts the relations and grand sums their scores, added in
@@ -97,8 +100,7 @@ type Relations struct {
 }
 
 // culpritGroup is the relations that share one exact culprit <packet
-// flow, NF>: their victim sides, as AutoFocus items weighted by the
-// relation's score.
+// flow, NF>, as phase 1's AutoFocus leaves.
 type culpritGroup struct {
 	flow packet.FiveTuple
 	// has is false when the culprit packets never reached egress, so
@@ -106,7 +108,12 @@ type culpritGroup struct {
 	// the graph).
 	has      bool
 	nf, kind string
-	items    []autofocus.Item
+	// leaves are the group's distinct victim sides in the order of their
+	// first relation, each weighing its relations' scores summed in
+	// relation order, and total sums every relation's score in relation
+	// order: the additions grouping one item per relation would make.
+	leaves []autofocus.Item
+	total  float64
 }
 
 // Len returns the number of packet-level relations.
@@ -123,11 +130,18 @@ type flowKey struct {
 	flow packet.FiveTuple
 }
 
+// victimKey is what makes two diagnoses' victim sides one AutoFocus leaf.
+type victimKey struct {
+	flow packet.FiveTuple
+	nf   string
+}
+
 // causeRun is one cause's relations: consecutive relations that share a
-// victim side and a score.
+// victim side (its number) and a score.
 type causeRun struct {
-	item autofocus.Item
-	n    int
+	victim int32
+	n      int32
+	weight float64
 }
 
 // RelationsFromDiagnoses explodes per-victim diagnoses into packet-level
@@ -137,10 +151,11 @@ type causeRun struct {
 // relation with an unknown culprit flow; a culprit journey index outside
 // the store makes no relation, and its share goes to no other culprit.
 //
-// The relations are grouped as they are made. A first pass gives each
-// relation its group, keyed by integers, and counts the groups; a second
-// carves every group's items out of one array at exact size and fills
-// them in relation order.
+// The relations are grouped as they are made. A first pass numbers each
+// diagnosis's victim side and gives each relation its group through
+// arrays, and counts the groups; a second deals every relation's cause
+// into its group's slots of one array at exact size; a third adds each
+// group's relations into its leaves, one per victim side, found by number.
 func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Config) *Relations {
 	cfg.setDefaults()
 	maxCulprits := cfg.MaxCulpritsPerCause
@@ -154,20 +169,22 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 	// A group is keyed by two numbers: its NF's CompID (names the store
 	// does not know are numbered after its components) and its flow's
 	// number, given the first time the flow is seen. flowOf remembers each
-	// journey's flow number, so most relations find their group without
-	// hashing a tuple.
+	// journey's flow number and groupAt each NF's group of each flow
+	// number, so a relation finds its group without hashing anything.
 	var (
-		groupOf = make([]int32, 0, nRel) // each relation's group id
-		runs    = make([]causeRun, 0, nCause)
-		flowOf  = make([]int32, len(st.Journeys)) // by journey: flow number + 1, 0 until seen
-		flowIDs = make(map[flowKey]int32)
-		flows   []flowKey // by flow number
-		ids     = make(map[uint64]int32)
-		keys    []uint64 // by group id: NF << 32 | flow number
-		counts  []int    // by group id
-		unknown []string // NF names the store does not know
-		picks   = samplePicks(diags, maxCulprits, cfg.Workers)
-		grand   float64
+		groupOf   = make([]int32, 0, nRel) // each relation's group id
+		runs      = make([]causeRun, 0, nCause)
+		victimIDs = make(map[victimKey]int32)
+		victims   []autofocus.Item                  // by victim number
+		flowOf    = make([]int32, len(st.Journeys)) // by journey: flow number + 1, 0 until seen
+		flowIDs   = make(map[flowKey]int32)
+		flows     []flowKey // by flow number
+		groupAt   [][]int32 // by NF, then flow number: group id + 1, 0 until seen
+		keys      []uint64  // by group id: NF << 32 | flow number
+		counts    []int32   // by group id
+		unknown   []string  // NF names the store does not know
+		picks     = samplePicks(diags, maxCulprits, cfg.Workers)
+		grand     float64
 	)
 	flowNum := func(k flowKey) int32 {
 		f, ok := flowIDs[k]
@@ -179,23 +196,34 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 		return f
 	}
 	group := func(nf, flow int32) int32 {
-		k := uint64(nf)<<32 | uint64(flow)
-		id, ok := ids[k]
-		if !ok {
+		at := groupAt[nf]
+		if int(flow) >= len(at) {
+			at = slices.Grow(at, len(flows)-len(at))[:len(flows)]
+			groupAt[nf] = at
+		}
+		id := at[flow] - 1
+		if id < 0 {
 			id = int32(len(keys))
-			ids[k] = id
-			keys = append(keys, k)
+			at[flow] = id + 1
+			keys = append(keys, uint64(nf)<<32|uint64(flow))
 			counts = append(counts, 0)
 		}
 		counts[id]++
 		return id
 	}
 	nComps := st.NumComps()
+	groupAt = make([][]int32, nComps)
 	for di := range diags {
 		d := &diags[di]
-		victim := autofocus.Item{NF: d.Victim.Comp, Kind: st.KindOf(d.Victim.Comp)}
+		vk := victimKey{nf: d.Victim.Comp}
 		if d.Victim.HasTuple {
-			victim.Flow = d.Victim.Tuple // else the zero tuple, which aggregates to * buckets
+			vk.flow = d.Victim.Tuple // else the zero tuple, which aggregates to * buckets
+		}
+		victim, ok := victimIDs[vk]
+		if !ok {
+			victim = int32(len(victims))
+			victimIDs[vk] = victim
+			victims = append(victims, autofocus.Item{Flow: vk.flow, NF: vk.nf, Kind: st.KindOf(vk.nf)})
 		}
 		for ci := range d.Causes {
 			c := &d.Causes[ci]
@@ -205,23 +233,24 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 				if i < 0 {
 					i = len(unknown)
 					unknown = append(unknown, c.Comp)
+					groupAt = append(groupAt, nil)
 				}
 				nf = int32(nComps + i)
 			}
-			run := causeRun{item: victim}
+			run := causeRun{victim: victim}
 			culprits, sampled := c.CulpritJourneys, []int(nil)
 			count := len(culprits)
 			if count > maxCulprits {
 				sampled, count = picks[count], maxCulprits
 			}
 			if count == 0 {
-				run.item.Weight, run.n = c.Score, 1
+				run.weight, run.n = c.Score, 1
 				groupOf = append(groupOf, group(nf, flowNum(flowKey{})))
 				grand += c.Score
 				runs = append(runs, run)
 				continue
 			}
-			run.item.Weight = c.Score / float64(count)
+			run.weight = c.Score / float64(count)
 			for i := 0; i < count; i++ {
 				jIdx := culprits[i]
 				if sampled != nil {
@@ -237,20 +266,50 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 					flowOf[jIdx] = f + 1
 				}
 				groupOf = append(groupOf, group(nf, f))
-				grand += run.item.Weight
+				grand += run.weight
 				run.n++
 			}
 			runs = append(runs, run)
 		}
 	}
 
-	// Carve every group's items out of one array at its exact size, deal
-	// each relation's victim side into its group's next slot, then put the
-	// groups in culpritCmp order.
+	// Deal each relation's cause into its group's next slot, so every
+	// group's relations lie together in relation order.
+	next := make([]int32, len(keys)) // by group id: the group's next free slot
+	off := int32(0)
+	for id, n := range counts {
+		next[id], off = off, off+n
+	}
+	slot := make([]int32, len(groupOf)) // by slot: the relation's run
+	r := 0
+	for ri, run := range runs {
+		for range run.n {
+			id := groupOf[r]
+			slot[next[id]] = int32(ri)
+			next[id]++
+			r++
+		}
+	}
+
+	// Count each group's victim sides, then add its relations into its
+	// leaves, carved from one array at exact size: leafOf[v] is victim
+	// side v's leaf in the group stamp[v] names (group id + 1).
+	stamp := make([]int32, len(victims))
+	nLeaves, end := 0, int32(0)
+	for id, n := range counts {
+		for _, ri := range slot[end : end+n] {
+			if v := runs[ri].victim; stamp[v] != int32(id)+1 {
+				stamp[v] = int32(id) + 1
+				nLeaves++
+			}
+		}
+		end += n
+	}
+	clear(stamp)
 	groups := make([]culpritGroup, len(keys))
-	items := make([]autofocus.Item, len(groupOf))
-	next := counts // by group id, from here on: the group's next free slot
-	off := 0
+	leaves := make([]autofocus.Item, 0, nLeaves)
+	leafOf := make([]int32, len(victims))
+	end = 0
 	for id, k := range keys {
 		g := &groups[id]
 		nf, fk := int(k>>32), flows[uint32(k)]
@@ -262,17 +321,20 @@ func RelationsFromDiagnoses(st *tracestore.Store, diags []core.Diagnosis, cfg Co
 			g.nf = unknown[nf-nComps]
 			g.kind = g.nf // what KindOf answers for a name it does not know
 		}
-		end := off + counts[id]
-		g.items, next[id], off = items[off:end:end], off, end
-	}
-	r := 0
-	for _, run := range runs {
-		for range run.n {
-			id := groupOf[r]
-			items[next[id]] = run.item
-			next[id]++
-			r++
+		first := len(leaves)
+		for _, ri := range slot[end : end+counts[id]] {
+			run := &runs[ri]
+			g.total += run.weight
+			if v := run.victim; stamp[v] != int32(id)+1 {
+				stamp[v], leafOf[v] = int32(id)+1, int32(len(leaves))
+				leaves = append(leaves, victims[v])
+				leaves[len(leaves)-1].Weight = run.weight
+			} else {
+				leaves[leafOf[v]].Weight += run.weight
+			}
 		}
+		end += counts[id]
+		g.leaves = leaves[first:len(leaves):len(leaves)]
 	}
 	slices.SortFunc(groups, func(a, b culpritGroup) int { return culpritCmp(&a, &b) })
 	return &Relations{groups: groups, n: len(groupOf), grand: grand}
@@ -302,15 +364,16 @@ func samplePicks(diags []core.Diagnosis, k, workers int) map[int][]int {
 	drawn := make([][]int, len(ns))
 	w := par.Workers(workers, len(ns))
 	par.Do(w, w, func(wi int) {
-		var rng *rand.Rand
+		var src rand.Source
+		var picked []uint64
 		for i := wi; i < len(ns); i += w {
 			seed := int64(ns[i])*2654435761 + 12345
-			if rng == nil {
-				rng = rand.New(rand.NewSource(seed))
+			if src == nil {
+				src = rand.NewSource(seed)
 			} else {
-				rng.Seed(seed)
+				src.Seed(seed)
 			}
-			drawn[i] = permPrefix(rng, ns[i], k)
+			drawn[i], picked = permPrefix(src, ns[i], k, picked)
 		}
 	})
 	for i, n := range ns {
@@ -319,26 +382,56 @@ func samplePicks(diags []core.Diagnosis, k, workers int) map[int][]int {
 	return picks
 }
 
-// permPrefix returns rng.Perm(n)[:k], sorted, without Perm's n-slot array.
-// Perm sets m[i], m[j] = m[j], i with j = Intn(i+1) for each i in turn.
-// While i < k that touches the kept slots only; after it, a kept slot
-// j < k can only receive the value i, and nothing moves out of a slot past
-// k into one below it. So the draws are the same and the rest of the
-// array is never needed.
-func permPrefix(rng *rand.Rand, n, k int) []int {
+// permPrefix returns rand.New(src).Perm(n)[:k], sorted, without Perm's
+// n-slot array; picked is a bit set it reuses. Perm sets m[i], m[j] =
+// m[j], i with j = Intn(i+1) for each i in turn. While i < k that touches
+// the kept slots only; after it, a kept slot j < k can only receive the
+// value i, and nothing moves out of a slot past k into one below it. So
+// the draws are the same and the rest of the array is never needed. The
+// kept values are marked in picked and read back in order, which sorts
+// them.
+func permPrefix(src rand.Source, n, k int, picked []uint64) ([]int, []uint64) {
 	p := make([]int, k)
 	for i := 0; i < k; i++ {
-		j := rng.Intn(i + 1)
+		j := int31n(src, int32(i+1))
 		p[i] = p[j]
 		p[j] = i
 	}
 	for i := k; i < n; i++ {
-		if j := rng.Intn(i + 1); j < k {
+		if j := int(int31n(src, int32(i+1))); j < k {
 			p[j] = i
 		}
 	}
-	slices.Sort(p)
-	return p
+	words := (n + 63) / 64
+	picked = slices.Grow(picked[:0], words)[:words]
+	clear(picked)
+	for _, v := range p {
+		picked[v/64] |= 1 << (v % 64)
+	}
+	p = p[:0]
+	for w, word := range picked {
+		for ; word != 0; word &= word - 1 {
+			p = append(p, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return p, picked
+}
+
+// int31n is rand.New(src).Int31n(n): the same draws and the same value,
+// for 0 < n. Int31n rejects a draw above 2³¹-1 - 2³¹%n; that bound is
+// greater than 2³¹-1 - n, so it needs its division only when a draw lands
+// in the top n values, and a draw costs the one division of v % n.
+func int31n(src rand.Source, n int32) int32 {
+	v := int32(src.Int63() >> 32)
+	if n&(n-1) == 0 {
+		return v & (n - 1)
+	}
+	if v > math.MaxInt32-n {
+		for bound := int32(math.MaxInt32 - (1<<31)%uint32(n)); v > bound; {
+			v = int32(src.Int63() >> 32)
+		}
+	}
+	return v % n
 }
 
 // victimAggKey identifies an intermediate victim aggregate.
@@ -385,14 +478,14 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 	phase1 := make([][]autofocus.Pattern, len(groups))
 	scratch := make([]autofocus.Scratch, par.Workers(cfg.Workers, len(groups)))
 	var leaves, cells atomic.Int64 // AutoFocus work of both phases, for obs
-	focus := func(w int, items []autofocus.Item, threshold float64) []autofocus.Pattern {
-		pats, st := scratch[w].AggregateStats(items, autofocus.Config{Threshold: threshold})
+	count := func(pats []autofocus.Pattern, st autofocus.Stats) []autofocus.Pattern {
 		leaves.Add(int64(st.Leaves))
 		cells.Add(int64(st.Cells))
 		return pats
 	}
 	err := par.DoWorkersCtx(ctx, len(groups), len(scratch), func(w, gi int) {
-		phase1[gi] = focus(w, groups[gi].items, phase1Threshold)
+		g := &groups[gi]
+		phase1[gi] = count(scratch[w].AggregateLeaves(g.leaves, g.total, autofocus.Config{Threshold: phase1Threshold}))
 	})
 	if err != nil {
 		return nil, err
@@ -404,18 +497,24 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 	}
 
 	// Phase 2 input: per victim aggregate, in first-seen order, the
-	// culprit-side items in group order.
+	// culprit sides as AutoFocus leaves in group order, and their total
+	// summed in the same order. A first pass numbers the aggregates and
+	// counts their patterns, so a second carves the leaves from one array.
+	// A group gives an aggregate at most one pattern, and groups differ in
+	// their culprit side unless it is the zero tuple: every group of
+	// unknown flow at an NF shows it, whatever tuple its journeys carry.
+	// Such a side is looked up, and a repeat adds into its first leaf.
+	nPhase1 := 0
+	for _, pats := range phase1 {
+		nPhase1 += len(pats)
+	}
 	vaIDs := make(map[victimAggKey]int)
 	var (
 		vaOrder []victimAggKey
-		phase2  [][]autofocus.Item
+		sizes   []int                     // by victim aggregate
+		vaOf    = make([]int, 0, nPhase1) // by phase-1 pattern, in group order
 	)
 	for gi := range groups {
-		g := &groups[gi]
-		cf := g.flow
-		if !g.has {
-			cf = packet.FiveTuple{}
-		}
 		for _, va := range phase1[gi] {
 			vk := victimAggKey{flow: va.Flow, nf: va.NF}
 			id, seen := vaIDs[vk]
@@ -423,7 +522,42 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 				id = len(vaOrder)
 				vaIDs[vk] = id
 				vaOrder = append(vaOrder, vk)
-				phase2 = append(phase2, nil)
+				sizes = append(sizes, 0)
+			}
+			sizes[id]++
+			vaOf = append(vaOf, id)
+		}
+	}
+	phase2 := make([][]autofocus.Item, len(vaOrder))
+	totals := make([]float64, len(vaOrder))
+	culprits := make([]autofocus.Item, nPhase1)
+	off := 0
+	for id, n := range sizes {
+		phase2[id], off = culprits[off:off:off+n], off+n
+	}
+	type zeroSide struct {
+		va int
+		nf string
+	}
+	zeroAt := make(map[zeroSide]int) // a zero-tuple culprit side's leaf in its aggregate's list
+	p := 0
+	for gi := range groups {
+		g := &groups[gi]
+		cf := g.flow
+		if !g.has {
+			cf = packet.FiveTuple{}
+		}
+		for _, va := range phase1[gi] {
+			id := vaOf[p]
+			p++
+			totals[id] += va.Weight
+			if cf == (packet.FiveTuple{}) {
+				k := zeroSide{id, g.nf}
+				if i, ok := zeroAt[k]; ok {
+					phase2[id][i].Weight += va.Weight
+					continue
+				}
+				zeroAt[k] = len(phase2[id])
 			}
 			phase2[id] = append(phase2[id], autofocus.Item{Flow: cf, NF: g.nf, Kind: g.kind, Weight: va.Weight})
 		}
@@ -436,11 +570,7 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 		scratch = append(scratch, make([]autofocus.Scratch, w-len(scratch))...)
 	}
 	err = par.DoWorkersCtx(ctx, len(vaOrder), len(scratch), func(w, vi int) {
-		items := phase2[vi]
-		var groupW float64
-		for i := range items {
-			groupW += items[i].Weight
-		}
+		groupW := totals[vi]
 		if groupW <= 0 {
 			return
 		}
@@ -450,7 +580,7 @@ func AggregateContext(ctx context.Context, rels *Relations, cfg Config) ([]Patte
 		if local > 1 {
 			return // group too light to ever matter
 		}
-		phase2Out[vi] = focus(w, items, local)
+		phase2Out[vi] = count(scratch[w].AggregateLeaves(phase2[vi], groupW, autofocus.Config{Threshold: local}))
 	})
 	if err != nil {
 		return nil, err

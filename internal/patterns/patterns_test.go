@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -266,7 +267,7 @@ func TestRelationsFromDiagnosesShares(t *testing.T) {
 		if g.nf != "fw1" || g.kind != "fw" {
 			t.Errorf("culprit NF, kind: %q, %q", g.nf, g.kind)
 		}
-		for _, it := range g.items {
+		for _, it := range g.leaves {
 			sum += it.Weight
 			if it.NF != "fw1" || it.Kind != "fw" {
 				t.Errorf("victim NF, kind: %q, %q", it.NF, it.Kind)
@@ -304,7 +305,7 @@ func TestRelationsSubsampling(t *testing.T) {
 	}
 	var sum float64
 	for _, g := range rels.groups {
-		for _, it := range g.items {
+		for _, it := range g.leaves {
 			sum += it.Weight
 		}
 	}
@@ -350,6 +351,53 @@ func TestSamplerMatchesPerm(t *testing.T) {
 	}
 }
 
+// TestSamplerExhaustive holds the sampler to Perm at the default k = 256
+// (MaxCulpritsPerCause) for every n up to 4096, the most culprit journeys
+// a cause keeps, and at small k and power-of-two n.
+func TestSamplerExhaustive(t *testing.T) {
+	check := func(k int, ns []int) {
+		t.Helper()
+		culprits := make([]int, slices.Max(ns))
+		var d core.Diagnosis
+		for _, n := range ns {
+			d.Causes = append(d.Causes, core.Cause{CulpritJourneys: culprits[:n]})
+		}
+		picks := samplePicks([]core.Diagnosis{d}, k, 2)
+		for _, n := range ns {
+			want := rand.New(rand.NewSource(int64(n)*2654435761 + 12345)).Perm(n)[:k]
+			sort.Ints(want)
+			if got := picks[n]; !slices.Equal(got, want) {
+				t.Fatalf("k=%d n=%d: picks %v, Perm gives %v", k, n, got, want)
+			}
+		}
+	}
+	var ns []int
+	for n := 257; n <= 4096; n++ {
+		ns = append(ns, n)
+	}
+	check(256, ns)
+	check(1, []int{2, 3, 4, 5, 8, 64, 1 << 16})
+	check(2, []int{3, 4, 5, 6, 7, 8, 9})
+	check(3, []int{4, 8})
+	check(15, []int{16})
+	check(64, []int{65, 128, 1 << 16})
+}
+
+// TestInt31nMatchesRand holds int31n to math/rand's Int31n, draw for draw,
+// at bounds where the rejection bound's division is and is not needed:
+// near 2³¹ most draws land in the top n values, and half are rejected.
+func TestInt31nMatchesRand(t *testing.T) {
+	for _, n := range []int32{1, 2, 3, 7, 256, 4096, 4097, 1<<30 + 1, 3 << 29, 1<<31 - 1} {
+		src := rand.NewSource(int64(n))
+		ref := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < 2000; i++ {
+			if got, want := int31n(src, n), ref.Int31n(n); got != want {
+				t.Fatalf("n=%d draw %d: %d, rand gives %d", n, i, got, want)
+			}
+		}
+	}
+}
+
 // TestRelationsAllocsBounded is the allocation budget of relation
 // building: its arrays and maps as they grow with the group count, and one
 // pick list per distinct sampled culprit count, but nothing per relation
@@ -385,5 +433,101 @@ func TestRelationsAllocsBounded(t *testing.T) {
 	}
 	if allocs > budget {
 		t.Errorf("RelationsFromDiagnoses made %.0f allocations for %d relations, budget %d", allocs, rels.Len(), budget)
+	}
+}
+
+// TestRelationsLeavesMatchItems holds the leaves RelationsFromDiagnoses
+// adds its relations into to the grouping they replace: one item per
+// relation, built here from the same diagnoses with Perm's sample, grouped
+// by culprit in relation order, then regrouped into leaves in first-seen
+// order. Leaves, their weights and the group totals must agree to the bit.
+// Victim sides repeat across diagnoses, with and without a tuple; causes
+// name an NF the store does not know, have no culprits, more than
+// MaxCulpritsPerCause of them or journeys outside the store.
+func TestRelationsLeavesMatchItems(t *testing.T) {
+	f := newFixture(fixtureComps...)
+	for i := 0; i < 3000; i++ {
+		f.journey(bgTuple(i%700), i%5 != 0)
+	}
+	nfs := []string{"source", "fw2", "nat1", "vpn1", "ghost"}
+	rng := rand.New(rand.NewSource(5))
+	var diags []core.Diagnosis
+	for v := 0; v < 150; v++ {
+		side := rng.Intn(40) // repeats victim sides
+		d := core.Diagnosis{Victim: core.Victim{Comp: nfs[side%4], Tuple: bgTuple(side), HasTuple: side%7 != 0}}
+		for c := rng.Intn(5); c >= 0; c-- {
+			culprits := make([]int, []int{0, 1, 3, 40, 255, 256, 257, 600}[rng.Intn(8)])
+			for i := range culprits {
+				culprits[i] = rng.Intn(3100) - 50 // some outside the store
+			}
+			d.Causes = append(d.Causes, core.Cause{Comp: nfs[rng.Intn(len(nfs))], Score: 0.1 + rng.Float64()*10, CulpritJourneys: culprits})
+		}
+		diags = append(diags, d)
+	}
+
+	type culprit struct {
+		nf   string
+		has  bool
+		flow packet.FiveTuple
+	}
+	items := map[culprit][]autofocus.Item{}
+	n := 0
+	for _, d := range diags {
+		victim := autofocus.Item{NF: d.Victim.Comp, Kind: f.st.KindOf(d.Victim.Comp)}
+		if d.Victim.HasTuple {
+			victim.Flow = d.Victim.Tuple
+		}
+		for _, c := range d.Causes {
+			culprits := c.CulpritJourneys
+			if len(culprits) > 256 {
+				perm := rand.New(rand.NewSource(int64(len(culprits))*2654435761 + 12345)).Perm(len(culprits))[:256]
+				sort.Ints(perm)
+				culprits = make([]int, len(perm))
+				for i, p := range perm {
+					culprits[i] = c.CulpritJourneys[p]
+				}
+			}
+			if len(culprits) == 0 {
+				it := victim
+				it.Weight = c.Score
+				items[culprit{nf: c.Comp}] = append(items[culprit{nf: c.Comp}], it)
+				n++
+				continue
+			}
+			for _, j := range culprits {
+				if j < 0 || j >= len(f.st.Journeys) {
+					continue
+				}
+				k := culprit{c.Comp, f.st.Journeys[j].HasTuple, f.st.Journeys[j].Tuple}
+				it := victim
+				it.Weight = c.Score / float64(len(culprits))
+				items[k] = append(items[k], it)
+				n++
+			}
+		}
+	}
+
+	rels := RelationsFromDiagnoses(f.st, diags, Config{})
+	if rels.Len() != n || len(rels.groups) != len(items) {
+		t.Fatalf("%d relations in %d groups, want %d in %d", rels.Len(), len(rels.groups), n, len(items))
+	}
+	for _, g := range rels.groups {
+		want := items[culprit{g.nf, g.has, g.flow}]
+		var total float64
+		var leaves []autofocus.Item
+		for _, it := range want {
+			total += it.Weight
+			i := slices.IndexFunc(leaves, func(l autofocus.Item) bool { return l.Flow == it.Flow && l.NF == it.NF })
+			if i < 0 {
+				leaves = append(leaves, it)
+				continue
+			}
+			leaves[i].Weight += it.Weight
+		}
+		if math.Float64bits(g.total) != math.Float64bits(total) || !slices.EqualFunc(g.leaves, leaves, func(a, b autofocus.Item) bool {
+			return a.Flow == b.Flow && a.NF == b.NF && a.Kind == b.Kind && math.Float64bits(a.Weight) == math.Float64bits(b.Weight)
+		}) {
+			t.Fatalf("group %s %v: leaves %v total %v, regrouped items give %v total %v", g.nf, g.flow, g.leaves, g.total, leaves, total)
+		}
 	}
 }
