@@ -134,8 +134,6 @@ func TestLoweredConfigsUnchanged(t *testing.T) {
 		{[]string{"-ring-cap", "200000", "-max-mem", "512"}, resilience.Config{
 			RingCapacity: 200000,
 			Policy:       resilience.ShedDropOldest,
-			Ladder:       resilience.LadderConfig{SoftRecords: 25000, HardRecords: 50000, MaxRecords: 100000, SoftBacklog: 2, HardBacklog: 4},
-			MemSoftBytes: 256 << 20,
 			MemHardBytes: 512 << 20,
 		}},
 	}
@@ -147,8 +145,8 @@ func TestLoweredConfigsUnchanged(t *testing.T) {
 		}
 		r := sp.Resolved()
 		mon := online.Config{
-			Window: 100 * ms, Overlap: 20 * ms, MaxLookahead: 409600 * ms, ResyncAfter: 8,
-			MinScore: 100, Diagnosis: diag, HoldOff: 100 * ms, Resilience: c.res,
+			Window: 100 * ms, Overlap: 20 * ms, MaxLookahead: 409600 * ms,
+			MinScore: 100, Diagnosis: diag, Resilience: c.res,
 		}
 		pipe := pipeline.Config{Diagnosis: diag, Patterns: patterns.Config{Threshold: 0.01}}
 		if got := r.MonitorConfig(nil); !reflect.DeepEqual(got, mon) {

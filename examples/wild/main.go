@@ -41,9 +41,9 @@ func main() {
 	fmt.Printf("replayed %d packets at 1.6 Mpps; %d delivered, %d dropped\n",
 		st.Emitted, st.Delivered, st.Dropped)
 
-	rep := microscope.Diagnose(dep.Trace(),
-		microscope.WithVictimPercentile(99.9),
-		microscope.WithMaxVictims(500))
+	s := &microscope.PipelineSpec{}
+	s.Diagnosis.VictimPercentile, s.Diagnosis.MaxVictims = 99.9, 500
+	rep := microscope.Diagnose(dep.Trace(), microscope.WithSpec(s))
 	fmt.Printf("\ndiagnosed %d tail-latency victims\n", len(rep.Diagnoses))
 
 	// How many victims were hurt by a different NF than the one where

@@ -45,9 +45,6 @@ func NewQueue(name string, capacity int) *Queue {
 // Name returns the queue's identifier (by convention "<nf>.in").
 func (q *Queue) Name() string { return q.name }
 
-// Owner returns the name of the NF that consumes this queue.
-func (q *Queue) Owner() string { return q.owner }
-
 // Cap returns the queue capacity.
 func (q *Queue) Cap() int { return q.capacity }
 

@@ -75,8 +75,8 @@ func TestShedAccounting(t *testing.T) {
 // TestBacklogCountsUnsealed: after every Feed, Backlog() and the
 // microscope_monitor_pending_records gauge both equal the records the
 // monitor accepted above the stream's seal watermark and has not dropped —
-// through late inserts, ladder skips (every window's, unbounded), and both
-// shed policies at both geometries.
+// through late inserts, ladder skips, and both shed policies at both
+// geometries.
 func TestBacklogCountsUnsealed(t *testing.T) {
 	tr := monitoredRun(t, nil)
 	for _, g := range geometries {
@@ -86,8 +86,12 @@ func TestBacklogCountsUnsealed(t *testing.T) {
 			recs[i-1], recs[i] = recs[i], recs[i-1]
 		}
 		perSlide := int(int64(len(recs)) * int64(g.w) / int64(g.until))
+		// A ring of 3/2 of a full-size window skips every window above
+		// 3/4 of that — all but the first, which carry less overlap — and
+		// sheds none.
+		perWindow := int(int64(perSlide) * int64(g.w+g.o) / int64(g.w))
 		configs := map[string]resilience.Config{
-			"unbounded":   {Ladder: resilience.LadderConfig{MaxRecords: perSlide}},
+			"skip":        {RingCapacity: perWindow * 3 / 2},
 			"reject-new":  {RingCapacity: g.capSlides * perSlide, Policy: resilience.ShedRejectNew},
 			"drop-oldest": {RingCapacity: g.capSlides * perSlide, Policy: resilience.ShedDropOldest},
 		}
@@ -125,8 +129,8 @@ func TestBacklogCountsUnsealed(t *testing.T) {
 				if st.LateAccepted == 0 || st.Windows < 5 || peak == 0 {
 					t.Fatalf("vacuous: %d windows, peak backlog %d, %+v", st.Windows, peak, st)
 				}
-				if rc.RingCapacity > 0 && st.RecordsShed == 0 || rc.RingCapacity == 0 && st.WindowsSkipped == 0 {
-					t.Fatalf("bounded monitor shed nothing, or the ladder skipped nothing: %+v", st)
+				if name == "skip" && st.WindowsSkipped == 0 || name != "skip" && st.RecordsShed == 0 {
+					t.Fatalf("the ladder skipped nothing, or a ring the windows outgrow shed nothing: %+v", st)
 				}
 			})
 		}
@@ -135,9 +139,10 @@ func TestBacklogCountsUnsealed(t *testing.T) {
 
 // TestLadderCountsWholeWindow: the ladder's record count is the whole
 // window's — the sealed overlap it carries as well as the records it
-// brings — so with MaxRecords at the median window size a window is
-// skipped exactly when a cold rebuild of it holds more records than that,
-// at O < W and at O > W.
+// brings — so with the skip rung at half the ring a window is skipped
+// exactly when a cold rebuild of it holds more records than that, at
+// O < W and at O > W. The ring is one more than the largest window, so
+// nothing is shed.
 func TestLadderCountsWholeWindow(t *testing.T) {
 	ms := func(v int) simtime.Time { return simtime.Time(simtime.Duration(v) * simtime.Millisecond) }
 	tr := monitoredRun(t, nil)
@@ -172,26 +177,26 @@ func TestLadderCountsWholeWindow(t *testing.T) {
 			for _, n := range size {
 				sizes = append(sizes, n)
 			}
-			slices.Sort(sizes)
-			k := sizes[len(sizes)/2]
+			ring := slices.Max(sizes) + 1
+			k := ring / 2
 
 			ran := make(map[simtime.Time]bool)
 			m := New(tr.Meta, Config{Window: g.w, Overlap: g.o,
-				Resilience: resilience.Config{Ladder: resilience.LadderConfig{MaxRecords: k}},
+				Resilience: resilience.Config{RingCapacity: ring},
 				OnWindow:   func(end simtime.Time, _ *pipeline.Result) { ran[end] = true }})
 			m.Feed(recs)
 			m.Flush()
 			skipped := 0
 			for end, n := range size {
 				if ran[end] == (n > k) {
-					t.Errorf("window ending %v holds %d records against MaxRecords %d, ran=%v", end, n, k, ran[end])
+					t.Errorf("window ending %v holds %d records against a skip rung at %d, ran=%v", end, n, k, ran[end])
 				}
 				if n > k {
 					skipped++
 				}
 			}
-			if st := m.Stats(); st.WindowsSkipped != skipped || skipped == 0 || skipped == len(size) {
-				t.Fatalf("%d windows skipped, %d of %d over %d records", st.WindowsSkipped, skipped, len(size), k)
+			if st := m.Stats(); st.WindowsSkipped != skipped || skipped == 0 || skipped == len(size) || st.RecordsShed != 0 {
+				t.Fatalf("%d windows skipped, %d of %d over %d records, %d shed", st.WindowsSkipped, skipped, len(size), k, st.RecordsShed)
 			}
 		})
 	}

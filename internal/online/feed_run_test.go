@@ -77,6 +77,13 @@ func TestFeedRunsMatchOneAtATime(t *testing.T) {
 				r.At += ms(300) // a genuine gap past MaxLookahead: resync
 			}
 			recs = append(recs, r)
+			if r.At > ms(20) && r.At <= ms(25) {
+				// A burst: the slide (20,25] comes eight times, enough to
+				// fill a ring that every other window fits in at a fourth.
+				for range 7 {
+					recs = append(recs, r)
+				}
+			}
 			switch x := rng.Intn(4000); {
 			case x < 10: // late into a window long closed
 				late := r
@@ -114,8 +121,8 @@ func TestFeedRunsMatchOneAtATime(t *testing.T) {
 			newest = r.At
 			if rng.Intn(4000) == 0 {
 				far := r
-				for k := range 4 {
-					if k == 3 {
+				for k := range resyncAfter {
+					if k == resyncAfter-1 {
 						out = append(out, r)
 					}
 					far.At = r.At + ms(1000) + simtime.Time(k)
@@ -132,12 +139,12 @@ func TestFeedRunsMatchOneAtATime(t *testing.T) {
 		// still close no window.
 		"short-horizon": {MaxLookahead: w / 16},
 		"reject-new": {Resilience: resilience.Config{
-			RingCapacity: perWindow, Policy: resilience.ShedRejectNew}},
+			RingCapacity: 6 * perWindow, Policy: resilience.ShedRejectNew}},
 		"drop-oldest": {Resilience: resilience.Config{
-			RingCapacity: perWindow, Policy: resilience.ShedDropOldest}},
+			RingCapacity: 6 * perWindow, Policy: resilience.ShedDropOldest}},
 	}
 	for name, cfg := range configs {
-		cfg.Window, cfg.Overlap, cfg.ResyncAfter = w, o, 4
+		cfg.Window, cfg.Overlap = w, o
 		if cfg.MaxLookahead == 0 {
 			cfg.MaxLookahead = 8 * w
 		}

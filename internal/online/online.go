@@ -29,7 +29,11 @@ import (
 
 // Config tunes the monitor.
 type Config struct {
-	// Window is the analysis chunk length (default 100 ms).
+	// Window is the slide: the flush cadence, how far each window's end
+	// moves past the last one's (default 100 ms). Each window analyses
+	// Window + Overlap of the stream, 120 ms at the defaults. An alert
+	// repeating an already-alerted onset of the same culprit within one
+	// Window is held off.
 	Window simtime.Duration
 	// Overlap is carried from the previous window so queuing periods
 	// that straddle the boundary stay intact (default 20 ms). Must be
@@ -40,32 +44,29 @@ type Config struct {
 	// timestamp (a truncated or bit-flipped record that survived decode
 	// resync) and is dropped and counted, because advancing the watermark
 	// to it would fast-forward the flush boundary and silently discard
-	// every genuine record behind it as late. Default 4096 windows; New
-	// panics on a negative value. See ResyncAfter for how the monitor
-	// recovers when the stream itself genuinely jumps past the horizon.
+	// every genuine record behind it as late. Default 4096 windows, the
+	// value every spec lowers; New panics on a negative value. After
+	// resyncAfter (8) beyond-horizon records in a row, each within
+	// MaxLookahead of the one before, the monitor concludes the stream
+	// genuinely jumped and resyncs (noteImplausible).
+	//
+	// It is the one field no spec value sets apart from the slide, kept
+	// for the chaos soak: its corrupt timestamps land only a few windows
+	// ahead, so the soak tightens the horizon to 8 windows to catch them
+	// and keep each one's watermark jump inside its comparison margin. A
+	// deployment keeps 4096: at 8, any silence longer than 8 slides —
+	// such as a drain between bursts — would be taken for a jump.
 	MaxLookahead simtime.Duration
-	// ResyncAfter is the recovery path for the MaxLookahead guard: after
-	// this many consecutive beyond-horizon records whose timestamps are
-	// mutually consistent (each within MaxLookahead of the previous one),
-	// the monitor concludes the stream — not the watermark — is right (a
-	// real gap, e.g. a collector outage longer than MaxLookahead), accepts
-	// the record, and jumps the watermark forward. Corrupt timestamps are
-	// independent bit-patterns and practically never form a consistent
-	// run, so the guard still catches them. Default 8; New panics on a
-	// negative value.
-	ResyncAfter int
 	// MinScore is the alert threshold on a window's merged culprit
 	// score, in packets (default 100).
 	MinScore float64
 	// Diagnosis passes through engine knobs (victim percentile, the
 	// per-victim fan-out's Workers, etc.). Its MaxVictims caps diagnosis
-	// work per window (default 200). Its ContainPanics and ChaosHook are
-	// ignored: Resilience.ContainPanics and ChaosHook below set them.
+	// work per window (default 200). Its ContainPanics is ignored:
+	// Resilience.ContainPanics sets it. Its ChaosHook, when non-nil, also
+	// fires with scope "window:<n>" before each window's analysis; the
+	// chaos harness injects deterministic faults through it.
 	Diagnosis core.Config
-	// HoldOff suppresses repeated alerts for the same <comp, kind> with
-	// onsets within this duration of an already-alerted onset
-	// (default: one Window).
-	HoldOff simtime.Duration
 	// Obs receives monitor metrics: ingest and alert counters plus
 	// watermark gauges, and is pushed into the per-window pipelines.
 	// nil falls back to the process default registry.
@@ -91,11 +92,6 @@ type Config struct {
 	// overwrites it in place, so the callback must take what it wants to
 	// keep and not the pointer.
 	OnWindow func(end simtime.Time, res *pipeline.Result)
-	// ChaosHook, when non-nil, fires with scope "window:<n>" before each
-	// window's analysis and is forwarded into the per-window pipeline
-	// (scopes "stage:<name>" and "victim:<i>"). The chaos harness injects
-	// deterministic faults through it; never set in production.
-	ChaosHook func(scope string)
 }
 
 // Monitor defaults for the Config knobs left zero.
@@ -106,11 +102,14 @@ const (
 	DefaultOverlap = 20 * simtime.Millisecond
 	// DefaultLookaheadWindows is MaxLookahead's default, in windows.
 	DefaultLookaheadWindows = 4096
-	// DefaultResyncAfter is the watermark-jump recovery run length.
-	DefaultResyncAfter = 8
 	// DefaultMinScore is the alert threshold, in packets.
 	DefaultMinScore = 100
 )
+
+// resyncAfter is the watermark-jump recovery run length: how many
+// consecutive, mutually consistent beyond-horizon records prove a genuine
+// stream gap.
+const resyncAfter = 8
 
 func (c *Config) setDefaults() {
 	if c.Window == 0 {
@@ -122,17 +121,11 @@ func (c *Config) setDefaults() {
 	if c.MaxLookahead == 0 {
 		c.MaxLookahead = DefaultLookaheadWindows * c.Window
 	}
-	if c.ResyncAfter == 0 {
-		c.ResyncAfter = DefaultResyncAfter
-	}
 	if c.MinScore == 0 {
 		c.MinScore = DefaultMinScore
 	}
 	if c.Diagnosis.MaxVictims == 0 {
 		c.Diagnosis.MaxVictims = 200
-	}
-	if c.HoldOff == 0 {
-		c.HoldOff = c.Window
 	}
 }
 
@@ -195,7 +188,7 @@ type Monitor struct {
 	lastAlert     map[alertKey]simtime.Time
 	lastWatermark simtime.Time
 	// implausibleAt / implausibleRun track the current run of
-	// beyond-horizon timestamps for ResyncAfter: implausibleAt is the most
+	// beyond-horizon timestamps for resyncAfter: implausibleAt is the most
 	// recent one, implausibleRun how many mutually-consistent ones in a
 	// row. Any accepted in-horizon record resets the run.
 	implausibleAt  simtime.Time
@@ -274,25 +267,24 @@ type Stats struct {
 	// follows as late).
 	ImplausibleDropped int
 	// WatermarkResyncs counts the times the guard's recovery path fired:
-	// ResyncAfter mutually-consistent beyond-horizon timestamps in a row
+	// resyncAfter mutually-consistent beyond-horizon timestamps in a row
 	// proved a genuine stream gap, and the watermark jumped forward to
 	// follow the stream instead of dropping it forever.
 	WatermarkResyncs int
 }
 
 // New creates a monitor for a deployment described by meta. It panics on
-// a negative Config.Overlap, or a window geometry the stream grid cannot
-// express: a misconfiguration, not a runtime condition.
+// a negative Config.Overlap or MaxLookahead, or a window geometry the
+// stream grid cannot express: a misconfiguration, not a runtime condition.
 func New(meta collector.Meta, cfg Config) *Monitor {
-	if cfg.Overlap < 0 || cfg.MaxLookahead < 0 || cfg.ResyncAfter < 0 {
-		panic(fmt.Sprintf("online: Config.Overlap, MaxLookahead and ResyncAfter must be >= 0, got %v, %v and %d",
-			cfg.Overlap, cfg.MaxLookahead, cfg.ResyncAfter))
+	if cfg.Overlap < 0 || cfg.MaxLookahead < 0 {
+		panic(fmt.Sprintf("online: Config.Overlap and MaxLookahead must be >= 0, got %v and %v",
+			cfg.Overlap, cfg.MaxLookahead))
 	}
 	cfg.setDefaults()
-	// The per-window pipeline reads containment and the chaos hook from
-	// its diagnosis config; the monitor's own switches set them.
+	// The per-window pipeline reads containment from its diagnosis
+	// config; the monitor's own switch sets it.
 	cfg.Diagnosis.ContainPanics = cfg.Resilience.ContainPanics
-	cfg.Diagnosis.ChaosHook = cfg.ChaosHook
 	// Each window runs the shared staged pipeline with patterns skipped:
 	// the monitor merges raw causes itself.
 	ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, pipeline.Config{
@@ -310,11 +302,8 @@ func New(meta collector.Meta, cfg Config) *Monitor {
 		nextFlush: simtime.Time(cfg.Window),
 	}
 	reg := obs.Or(cfg.Obs)
-	if cfg.Resilience.MemSoftBytes > 0 || cfg.Resilience.MemHardBytes > 0 {
-		m.mem = &resilience.MemWatcher{
-			SoftBytes: cfg.Resilience.MemSoftBytes,
-			HardBytes: cfg.Resilience.MemHardBytes,
-		}
+	if cfg.Resilience.MemHardBytes > 0 {
+		m.mem = &resilience.MemWatcher{Limit: cfg.Resilience.MemHardBytes}
 		if reg != nil {
 			m.mem.Gauge = reg.Gauge("microscope_resilience_heap_bytes")
 		}
@@ -535,7 +524,7 @@ func (m *Monitor) closed(at simtime.Time) bool {
 // it completes a resync run. A corrupt timestamp is an independent
 // bit-pattern that almost never lands near another one, but a genuine
 // stream gap (collector outage, transport stall longer than MaxLookahead)
-// resumes with timestamps that are mutually consistent. After ResyncAfter
+// resumes with timestamps that are mutually consistent. After resyncAfter
 // consecutive beyond-horizon records each within MaxLookahead of the
 // previous one — bounded reordering in the resumed stream is tolerated by
 // comparing absolute distance — the stream wins: the caller accepts the
@@ -553,7 +542,7 @@ func (m *Monitor) noteImplausible(at simtime.Time) (resync bool) {
 		m.implausibleRun++
 	}
 	m.implausibleAt = at
-	if m.implausibleRun < m.cfg.ResyncAfter {
+	if m.implausibleRun < resyncAfter {
 		return false
 	}
 	m.implausibleRun = 0
@@ -643,7 +632,7 @@ func (m *Monitor) flushWindow() []Alert {
 	if m.mem != nil {
 		memSteps = m.mem.Steps()
 	}
-	level := max(m.cfg.Resilience.Ladder.Decide(n, backlog, memSteps), m.cfg.Degrade)
+	level := max(resilience.Decide(m.cfg.Resilience.RingCapacity, n, backlog, memSteps), m.cfg.Degrade)
 	m.setDegradation(level)
 	if level > resilience.Full {
 		m.stats.Degraded++
@@ -667,8 +656,8 @@ func (m *Monitor) flushWindow() []Alert {
 	var res *pipeline.Result
 	var runErr error
 	analyse := func() {
-		if m.cfg.ChaosHook != nil {
-			m.cfg.ChaosHook("window:" + strconv.Itoa(m.stats.Windows-1))
+		if hook := m.cfg.Diagnosis.ChaosHook; hook != nil {
+			hook("window:" + strconv.Itoa(m.stats.Windows-1))
 		}
 		res, runErr = m.stream.RunWindow(ctx, end, level, m.pending)
 	}
@@ -751,7 +740,7 @@ func (m *Monitor) flushWindow() []Alert {
 			if d < 0 {
 				d = -d
 			}
-			if d < m.cfg.HoldOff {
+			if d < m.cfg.Window {
 				continue // the same episode, already alerted
 			}
 		}

@@ -240,7 +240,7 @@ func TestWindowBoundaryRecord(t *testing.T) {
 
 // TestWatermarkResyncAfterGap: a stream gap longer than MaxLookahead must
 // not poison the monitor forever. The guard drops the first beyond-horizon
-// records — indistinguishable from corruption — but once ResyncAfter
+// records — indistinguishable from corruption — but once resyncAfter (8)
 // mutually-consistent timestamps arrive in a row, the watermark jumps
 // forward and the stream flows again. Lone corrupt timestamps still die at
 // the guard, and any in-horizon record resets the run.
@@ -250,7 +250,6 @@ func TestWatermarkResyncAfterGap(t *testing.T) {
 		Window:       w,
 		Overlap:      w / 5,
 		MaxLookahead: 4 * w,
-		ResyncAfter:  5,
 		Resilience:   resilience.Config{ContainPanics: true},
 	})
 	rec := func(i int, at simtime.Time) collector.BatchRecord {
@@ -274,12 +273,13 @@ func TestWatermarkResyncAfterGap(t *testing.T) {
 	// even though it happens to land near it.
 	m.Feed([]collector.BatchRecord{rec(101, simtime.Time(2*w)+1)})
 	// The stream resumes 100 windows out — far beyond MaxLookahead. The
-	// first ResyncAfter-1 resumed records are still dropped; the run's
+	// first resyncAfter-1 resumed records are still dropped; the run's
 	// completing record is accepted, the watermark jumps, and everything
 	// after flows normally.
 	gap := simtime.Time(100 * w)
+	const resumedN = resyncAfter + 2
 	var resumed []collector.BatchRecord
-	for i := 0; i < 10; i++ {
+	for i := 0; i < resumedN; i++ {
 		resumed = append(resumed, rec(200+i, gap+simtime.Time(i)*simtime.Time(w)/10))
 	}
 	before := m.Stats().Records
@@ -288,12 +288,12 @@ func TestWatermarkResyncAfterGap(t *testing.T) {
 	if st.WatermarkResyncs != 1 {
 		t.Fatalf("gap did not resync the watermark: %+v", st)
 	}
-	// 1 lone corrupt + the 4 run records before the resync completed.
-	if st.ImplausibleDropped != 5 {
-		t.Fatalf("implausible drops = %d, want 5: %+v", st.ImplausibleDropped, st)
+	// 1 lone corrupt + the run records before the resync completed.
+	if want := resyncAfter; st.ImplausibleDropped != want {
+		t.Fatalf("implausible drops = %d, want %d: %+v", st.ImplausibleDropped, want, st)
 	}
-	if got := st.Records - before; got != 6 {
-		t.Fatalf("post-gap records accepted = %d, want 6 — the stream is still poisoned: %+v", got, st)
+	if got, want := st.Records-before, resumedN-(resyncAfter-1); got != want {
+		t.Fatalf("post-gap records accepted = %d, want %d — the stream is still poisoned: %+v", got, want, st)
 	}
 }
 
@@ -340,7 +340,6 @@ func TestMonitorMonotoneCounters(t *testing.T) {
 		Window:       w,
 		Overlap:      w / 5,
 		MaxLookahead: 4 * w,
-		ResyncAfter:  2,
 	})
 	// Each burst leaves one unmatched read (dequeue IPID matches no
 	// arrival), straddling flush boundaries via the overlap.
@@ -362,14 +361,14 @@ func TestMonitorMonotoneCounters(t *testing.T) {
 		m.Feed(burst(simtime.Time(i)*simtime.Time(w)+simtime.Time(w)/2, uint16(i+1)))
 		check()
 	}
-	// Resync jump: the stream gap exceeds MaxLookahead; after ResyncAfter
-	// consistent records the watermark leaps. Counters must not replay.
+	// Resync jump: the stream gap exceeds MaxLookahead; after resyncAfter
+	// consistent records (four bursts) the watermark leaps, and the bursts
+	// after it close windows past the jump. Counters must not replay.
 	far := simtime.Time(200 * w)
-	m.Feed(burst(far, 50))
-	m.Feed(burst(far+simtime.Time(w)/4, 51))
-	m.Feed(burst(far+simtime.Time(w), 52))
-	m.Feed(burst(far+2*simtime.Time(w), 53))
-	check()
+	for i := 0; i < 8; i++ {
+		m.Feed(burst(far+simtime.Time(i)*simtime.Time(w)/2, uint16(50+i)))
+		check()
+	}
 	if m.Stats().WatermarkResyncs == 0 {
 		t.Fatalf("gap did not resync: %+v", m.Stats())
 	}
@@ -492,14 +491,17 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 	ms := func(v int) simtime.Time { return simtime.Time(simtime.Duration(v) * simtime.Millisecond) }
 	tr := monitoredRun(t, []simtime.Time{ms(12), ms(60)})
 	// base is the first 80 ms with the window (15,20] carrying every
-	// record twice: past the ladder's MaxRecords and the RingCapacity
-	// below, where every other window fits.
+	// record eight times: more than three times as many records as any
+	// other window, so one ring can skip or shed it while every other
+	// window runs.
 	var base []collector.BatchRecord
 	for _, r := range tr.Records {
 		if r.At < ms(80) {
 			base = append(base, r)
 			if r.At > ms(15) && r.At <= ms(20) {
-				base = append(base, r)
+				for range 7 {
+					base = append(base, r)
+				}
 			}
 		}
 	}
@@ -528,7 +530,9 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 	})
 
 	t.Run("late/skip/gap/resync", func(t *testing.T) {
-		// The doubled window (15,20] is skipped by the ladder. (25,42) is a
+		// The burst window (15,20] is skipped by the ladder a ring of four
+		// times limit derives (it skips above half the ring), and no
+		// window reaches the ring. (25,42) is a
 		// stream gap: the windows ending at 35 and 40 ms are empty. From
 		// 50 ms on the stream jumps 200 ms ahead, past MaxLookahead, and
 		// resyncs.
@@ -550,12 +554,11 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 			Window:       w,
 			Overlap:      o,
 			MaxLookahead: 8 * w,
-			ResyncAfter:  4,
-			Resilience:   resilience.Config{Ladder: resilience.LadderConfig{MaxRecords: limit}},
+			Resilience:   resilience.Config{RingCapacity: 4 * limit},
 		}, true)
 		wt.feed(recs)
 		st := wt.m.Stats()
-		if st.LateAccepted == 0 || st.WindowsSkipped == 0 || st.WatermarkResyncs == 0 {
+		if st.LateAccepted == 0 || st.WindowsSkipped == 0 || st.WatermarkResyncs == 0 || st.RecordsShed != 0 {
 			t.Fatalf("schedule did not exercise late inserts, a skip and a resync: %+v", st)
 		}
 		reported := make(map[simtime.Time]bool)
@@ -572,16 +575,18 @@ func TestMonitorWindowsMatchRebuild(t *testing.T) {
 
 	for _, policy := range []resilience.ShedPolicy{resilience.ShedDropOldest, resilience.ShedRejectNew} {
 		t.Run(policy.String(), func(t *testing.T) {
-			// Drop-oldest discards records it had accepted (a shed window's
-			// buffered ones), so only reject-new keeps the tally.
+			// A ring of twice limit: the burst window fills it, every other
+			// window runs. Drop-oldest discards records it had accepted (a
+			// shed window's buffered ones), so only reject-new keeps the
+			// tally.
 			wt := watchRebuild(t, tr.Meta, Config{
 				Window:     w,
 				Overlap:    o,
-				Resilience: resilience.Config{RingCapacity: limit, Policy: policy},
+				Resilience: resilience.Config{RingCapacity: 2 * limit, Policy: policy},
 			}, policy == resilience.ShedRejectNew)
 			wt.feed(base)
 			if st := wt.m.Stats(); st.RecordsShed == 0 || len(wt.ends) < 10 {
-				t.Fatalf("the doubled window shed nothing, or too few windows checked: %d windows, %+v", len(wt.ends), st)
+				t.Fatalf("the burst window shed nothing, or too few windows checked: %d windows, %+v", len(wt.ends), st)
 			}
 		})
 	}

@@ -38,24 +38,6 @@ func (ft FiveTuple) String() string {
 		IPString(ft.SrcIP), ft.SrcPort, IPString(ft.DstIP), ft.DstPort, ft.Proto)
 }
 
-// Less imposes the canonical total order on tuples (field-by-field), shared
-// by every sort that must be reproducible across runs and worker counts.
-func (ft FiveTuple) Less(o FiveTuple) bool {
-	if ft.SrcIP != o.SrcIP {
-		return ft.SrcIP < o.SrcIP
-	}
-	if ft.DstIP != o.DstIP {
-		return ft.DstIP < o.DstIP
-	}
-	if ft.SrcPort != o.SrcPort {
-		return ft.SrcPort < o.SrcPort
-	}
-	if ft.DstPort != o.DstPort {
-		return ft.DstPort < o.DstPort
-	}
-	return ft.Proto < o.Proto
-}
-
 // Hash returns a stable non-cryptographic hash of the tuple, used for
 // flow-level load balancing (the paper's NFV entry point hashes header
 // fields). FNV-1a over the 13 tuple bytes.

@@ -106,7 +106,7 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 			b.ReportAllocs() // bytes/op and allocs/op always, -benchmem or not
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep := microscope.DiagnoseStore(st, microscope.WithMaxVictims(300), microscope.WithWorkers(w))
+				rep := microscope.DiagnoseStore(st, withSpec(300, w))
 				victims = len(rep.Diagnoses)
 			}
 			b.ReportMetric(float64(victims)*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
@@ -124,10 +124,7 @@ func BenchmarkDiagnosePipeline(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				reg := microscope.NewRegistry()
-				rep := microscope.DiagnoseStore(st,
-					microscope.WithMaxVictims(300),
-					microscope.WithWorkers(w),
-					microscope.WithObserver(reg))
+				rep := microscope.DiagnoseStore(st, withSpec(300, w), microscope.WithObserver(reg))
 				victims = len(rep.Diagnoses)
 			}
 			b.ReportMetric(float64(victims)*float64(b.N)/b.Elapsed().Seconds(), "victims/s")

@@ -14,8 +14,17 @@ import (
 	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
+	"microscope/internal/spec"
 	"microscope/internal/traffic"
 )
+
+// withSpec configures a facade entry point through a spec: at most
+// maxVictims victims diagnosed on workers workers (0 = GOMAXPROCS).
+func withSpec(maxVictims, workers int) microscope.Option {
+	s := &microscope.PipelineSpec{}
+	s.Diagnosis.MaxVictims, s.Diagnosis.Workers = maxVictims, workers
+	return microscope.WithSpec(s)
+}
 
 // buildTrace runs the 16-NF evaluation topology under bursty load with
 // injected interrupts and microbursts — the same problem mix mslive
@@ -88,14 +97,14 @@ func TestPipelineDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			tr := buildTrace(seed, dur)
 
-			seq := microscope.Diagnose(tr, microscope.WithMaxVictims(300), microscope.WithWorkers(1))
+			seq := microscope.Diagnose(tr, withSpec(300, 1))
 			if len(seq.Diagnoses) == 0 {
 				t.Fatalf("workload produced no victims; the determinism check is vacuous")
 			}
 			fseq := fingerprint(seq)
 			// Workers=0 resolves to GOMAXPROCS, whatever this host has.
 			for _, w := range []int{2, 8, 0} {
-				if fpar := fingerprint(microscope.Diagnose(tr, microscope.WithMaxVictims(300), microscope.WithWorkers(w))); fpar != fseq {
+				if fpar := fingerprint(microscope.Diagnose(tr, withSpec(300, w))); fpar != fseq {
 					t.Fatalf("Workers=1 and Workers=%d reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s", w, fseq, fpar)
 				}
 			}
@@ -215,10 +224,11 @@ func TestPipelineDeterminismDegraded(t *testing.T) {
 	})
 
 	t.Run("facade", func(t *testing.T) {
-		// The options surface maps the rung through to the report.
-		rep := microscope.Diagnose(tr, microscope.WithMaxVictims(300),
-			microscope.WithDegradation(microscope.DegradeNoPatterns),
-			microscope.WithPanicContainment())
+		// The spec's stages section maps the rung through to the report.
+		s := &microscope.PipelineSpec{}
+		s.Diagnosis.MaxVictims = 300
+		s.Stages.Run, s.Stages.ContainPanics = spec.RungNoPatterns, true
+		rep := microscope.Diagnose(tr, microscope.WithSpec(s))
 		if rep.Degradation != microscope.DegradeNoPatterns {
 			t.Errorf("report degradation = %v, want no-patterns", rep.Degradation)
 		}
@@ -239,7 +249,7 @@ func TestPipelineStages(t *testing.T) {
 		dur = 8 * simtime.Millisecond
 	}
 	tr := buildTrace(3, dur)
-	rep := microscope.Diagnose(tr, microscope.WithMaxVictims(100))
+	rep := microscope.Diagnose(tr, withSpec(100, 0))
 	want := []string{"reconstruct", "index", "victims", "diagnose", "patterns"}
 	stages := rep.Spans[1:]
 	if len(stages) != len(want) {
@@ -271,12 +281,10 @@ func TestPipelineDeterminismWithObserver(t *testing.T) {
 	}
 	tr := buildTrace(5, dur)
 
-	plain := microscope.Diagnose(tr, microscope.WithMaxVictims(200))
+	plain := microscope.Diagnose(tr, withSpec(200, 0))
 	regSeq, regPar := microscope.NewRegistry(), microscope.NewRegistry()
-	seq := microscope.Diagnose(tr, microscope.WithMaxVictims(200),
-		microscope.WithWorkers(1), microscope.WithObserver(regSeq))
-	par := microscope.Diagnose(tr, microscope.WithMaxVictims(200),
-		microscope.WithWorkers(8), microscope.WithObserver(regPar))
+	seq := microscope.Diagnose(tr, withSpec(200, 1), microscope.WithObserver(regSeq))
+	par := microscope.Diagnose(tr, withSpec(200, 8), microscope.WithObserver(regPar))
 
 	fp, fs, fpar := fingerprint(plain), fingerprint(seq), fingerprint(par)
 	if fs != fp {

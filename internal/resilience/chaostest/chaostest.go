@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"microscope/internal/collector"
-	"microscope/internal/core"
 	"microscope/internal/faults"
 	"microscope/internal/nfsim"
 	"microscope/internal/obs"
@@ -28,6 +27,7 @@ import (
 	"microscope/internal/packet"
 	"microscope/internal/resilience"
 	"microscope/internal/simtime"
+	"microscope/internal/spec"
 	"microscope/internal/traffic"
 )
 
@@ -234,63 +234,30 @@ type Result struct {
 }
 
 // Run drives the stream through a monitor. chaos may be nil for the
-// fault-free baseline; the monitor configuration (ladder, containment) is
-// identical either way, so the only difference between a baseline and a
-// chaos run is the adversary itself.
+// fault-free baseline; the monitor configuration is identical either way,
+// so the only difference between a baseline and a chaos run is the
+// adversary itself. The configuration is what a tenant's spec lowers to
+// (Spec), with one exception: MaxLookahead.
 func (s *Stream) Run(chaos *Chaos) *Result {
-	cfg := s.cfg
 	reg := obs.New()
-
-	// Ladder rungs from the fault-free geometry: no clean window may
-	// degrade, and the blast-radius duplication must push past Soft.
-	clean := FlushCounts(s.Records, cfg)
-	soft := 0
-	for w, n := range clean {
-		if (w < s.MidStart || w >= s.MidEnd) && n > soft {
-			soft = n
-		}
-	}
-	ladder := resilience.LadderConfig{
-		SoftRecords: soft + soft/10,
-		HardRecords: 5 * soft,
-		MaxRecords:  10 * soft,
-	}
+	mcfg := s.Spec().Resolved().MonitorConfig(reg)
+	// Corrupt timestamps that survive decode resync may point a little
+	// into the future; a tight plausibility bound caps how far any one of
+	// them can drag the watermark (and hence how many genuine
+	// post-corruption windows can be mistaken for late). The comparison
+	// margin in CompareOutside must cover this many windows. Every spec
+	// lowers 4096 windows, which lets those timestamps through.
+	mcfg.MaxLookahead = 8 * s.cfg.Window
 
 	records := s.Records
-	var chaosHook func(string)
 	if chaos != nil {
 		records = s.corruptRecords(chaos)
 	}
-
-	mcfg := online.Config{
-		Window:   cfg.Window,
-		Overlap:  cfg.Overlap,
-		MinScore: 5,
-		// Corrupt timestamps that survive decode resync may point a little
-		// into the future; a tight plausibility bound caps how far any one
-		// of them can drag the watermark (and hence how many genuine
-		// post-corruption windows can be mistaken for late). The
-		// comparison margin in CompareOutside must cover this many
-		// windows.
-		MaxLookahead: 8 * cfg.Window,
-		// A 500us window holds only ~75 packets; the default 99th
-		// percentile would select a single victim. 90 gives each interrupt
-		// episode enough victims to clear MinScore.
-		Diagnosis: core.Config{VictimPercentile: 90, Workers: cfg.Workers},
-		HoldOff:   1, // suppress only identical onsets: no cross-window state to diverge
-		Obs:       reg,
-		Resilience: resilience.Config{
-			Ladder:        ladder,
-			ContainPanics: true,
-		},
-	}
-
 	segments, segWindows := s.encode(records)
 	if chaos != nil {
 		s.corruptSegments(segments, segWindows, chaos)
-		chaosHook = s.panicHook(chaos)
+		mcfg.Diagnosis.ChaosHook = s.panicHook(chaos)
 	}
-	mcfg.ChaosHook = chaosHook
 	mon := online.New(s.Meta, mcfg)
 
 	res := &Result{Fingerprints: make(map[int]string), Registry: reg}
@@ -332,6 +299,30 @@ func (s *Stream) Run(chaos *Chaos) *Result {
 	res.Stats = mon.Stats()
 	res.LastDegradation = mon.LastDegradation()
 	return res
+}
+
+// Spec is the tenant spec the soak's monitor lowers from. Its ring holds
+// eight times the largest fault-free window outside the blast radius plus
+// a tenth, so the derived ladder leaves every clean window at Full (its
+// first rung is an eighth of the ring) while the blast radius's
+// duplication and overload climb every rung and fill the ring. A 500µs
+// window holds only ~75 packets, and the default 99th percentile would
+// select a single victim: 90 gives each interrupt episode enough victims
+// to clear a min_score of 5.
+func (s *Stream) Spec() *spec.PipelineSpec {
+	soft := 0
+	for w, n := range FlushCounts(s.Records, s.cfg) {
+		if (w < s.MidStart || w >= s.MidEnd) && n > soft {
+			soft = n
+		}
+	}
+	return &spec.PipelineSpec{
+		Version:    spec.Version,
+		Stages:     spec.StagesSpec{ContainPanics: true},
+		Diagnosis:  spec.DiagnosisSpec{VictimPercentile: 90, Workers: s.cfg.Workers},
+		Stream:     spec.StreamSpec{Slide: spec.Duration(s.cfg.Window), Overlap: spec.Duration(s.cfg.Overlap), MinScore: 5},
+		Resilience: spec.ResilienceSpec{RingCapacity: 8 * (soft + soft/10)},
+	}
 }
 
 // corruptRecords applies the record-level adversary to the blast radius

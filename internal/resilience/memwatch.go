@@ -10,34 +10,31 @@ import (
 // gauge reads as well.
 const heapMetric = "/memory/classes/heap/objects:bytes"
 
-// MemWatcher samples the Go heap against soft/hard watermarks and turns
-// the reading into ladder escalation steps. Heap size is a wall-machine
-// signal — the same trace can sit at different heap sizes across runs —
-// so the watcher is a safety net against the monitor itself becoming the
-// memory hog, not part of the determinism contract; both watermarks
-// default to off.
+// MemWatcher samples the Go heap against a limit and turns the reading
+// into ladder escalation steps: half the limit is the soft watermark, the
+// limit itself the hard one. Heap size is a wall-machine signal — the same
+// trace can sit at different heap sizes across runs — so the watcher is a
+// safety net against the monitor itself becoming the memory hog, not part
+// of the determinism contract; the limit defaults to off.
 //
 // Every call reads the heap through runtime/metrics, which does not stop
 // the world, so there is no sampling interval.
 type MemWatcher struct {
-	// SoftBytes escalates the degradation ladder by one step when the
-	// heap exceeds it (0 = off).
-	SoftBytes int64
-	// HardBytes escalates by two steps (0 = off).
-	HardBytes int64
+	// Limit is the hard watermark in bytes (0 = off).
+	Limit int64
 	// Gauge, when non-nil, receives each heap sample.
 	Gauge *obs.Gauge
 
 	sample [1]metrics.Sample
 }
 
-// Enabled reports whether any watermark is set.
+// Enabled reports whether a limit is set.
 func (w *MemWatcher) Enabled() bool {
-	return w != nil && (w.SoftBytes > 0 || w.HardBytes > 0)
+	return w != nil && w.Limit > 0
 }
 
 // Steps returns the ladder escalation the current heap demands: 0 below
-// the soft watermark, 1 between soft and hard, 2 at or beyond hard.
+// half the limit, 1 from there to the limit, 2 at or beyond it.
 func (w *MemWatcher) Steps() int {
 	if !w.Enabled() {
 		return 0
@@ -50,9 +47,9 @@ func (w *MemWatcher) Steps() int {
 	}
 	w.Gauge.Set(heap)
 	switch {
-	case w.HardBytes > 0 && heap >= w.HardBytes:
+	case heap >= w.Limit:
 		return 2
-	case w.SoftBytes > 0 && heap >= w.SoftBytes:
+	case heap >= w.Limit/2:
 		return 1
 	}
 	return 0

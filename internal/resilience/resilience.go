@@ -117,70 +117,52 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 	}
 }
 
-// LadderConfig sets the deterministic thresholds of the degradation
-// ladder. Zero-valued fields disable their rung; a zero LadderConfig never
-// degrades.
-type LadderConfig struct {
-	// SoftRecords: a window holding more records than this runs at
-	// NoPatterns.
-	SoftRecords int
-	// HardRecords: above this, VictimsOnly.
-	HardRecords int
-	// MaxRecords: above this, the window is Skipped outright.
-	MaxRecords int
-	// SoftBacklog escalates the base rung by one step when at least this
-	// many whole windows are queued behind the one being diagnosed.
-	SoftBacklog int
-	// HardBacklog escalates by two steps.
-	HardBacklog int
-}
-
-// Enabled reports whether any rung can trigger.
-func (c LadderConfig) Enabled() bool {
-	return c.SoftRecords > 0 || c.HardRecords > 0 || c.MaxRecords > 0 ||
-		c.SoftBacklog > 0 || c.HardBacklog > 0
-}
+// The ladder's backlog rungs, in whole windows queued behind the one
+// being diagnosed: the soft one escalates the base rung by one step, the
+// hard one by two.
+const (
+	softBacklog = 2
+	hardBacklog = 4
+)
 
 // Decide picks the rung for one window from deterministic pressure
 // signals: the window's record count, how many whole windows of backlog
 // are queued behind it, and the memory-watcher escalation (0 = none,
-// 1 = soft watermark crossed, 2 = hard). Given the same fed records the
-// decision is identical on every machine and for every worker count;
-// only memSteps (a wall-machine signal, usually 0) can vary.
-func (c LadderConfig) Decide(records, backlogWindows int, memSteps int) Level {
+// 1 = soft watermark crossed, 2 = hard). The record rungs are fractions
+// of the ring capacity — above 1/8 NoPatterns, above 1/4 VictimsOnly,
+// above 1/2 Skipped — so degradation begins well before shedding does and
+// scales with whatever bound the operator chose; an unbounded ring
+// (capacity 0) arms neither the record nor the backlog rungs. Given the
+// same fed records the decision is identical on every machine and for
+// every worker count; only memSteps (a wall-machine signal, usually 0) can
+// vary.
+func Decide(ringCapacity, records, backlogWindows, memSteps int) Level {
+	if ringCapacity <= 0 {
+		return Full.escalate(memSteps)
+	}
+	// over reports whether records exceed capacity/div; a fraction that
+	// rounds to zero arms no rung.
+	over := func(div int) bool {
+		t := ringCapacity / div
+		return t > 0 && records > t
+	}
 	base := Full
 	switch {
-	case c.MaxRecords > 0 && records > c.MaxRecords:
+	case over(2):
 		base = Skipped
-	case c.HardRecords > 0 && records > c.HardRecords:
+	case over(4):
 		base = VictimsOnly
-	case c.SoftRecords > 0 && records > c.SoftRecords:
+	case over(8):
 		base = NoPatterns
 	}
 	steps := memSteps
 	switch {
-	case c.HardBacklog > 0 && backlogWindows >= c.HardBacklog:
+	case backlogWindows >= hardBacklog:
 		steps += 2
-	case c.SoftBacklog > 0 && backlogWindows >= c.SoftBacklog:
+	case backlogWindows >= softBacklog:
 		steps++
 	}
 	return base.escalate(steps)
-}
-
-// AutoLadder derives a ladder from a RingCapacity: the rungs are fractions
-// of it, so degradation begins well before shedding does and the ladder
-// scales with whatever bound the operator chose.
-func AutoLadder(ringCapacity int) LadderConfig {
-	if ringCapacity <= 0 {
-		return LadderConfig{}
-	}
-	return LadderConfig{
-		SoftRecords: ringCapacity / 8,
-		HardRecords: ringCapacity / 4,
-		MaxRecords:  ringCapacity / 2,
-		SoftBacklog: 2,
-		HardBacklog: 4,
-	}
 }
 
 // Config bundles the overload defenses the online monitor threads through
@@ -190,22 +172,21 @@ func AutoLadder(ringCapacity int) LadderConfig {
 type Config struct {
 	// RingCapacity bounds a window's records (0 = unbounded): the sealed
 	// overlap the window carries plus the records the monitor buffers
-	// until its seal — the count the ladder reads. The name is the spec's
+	// until its seal — the count the ladder reads. It also sets the
+	// degradation ladder's rungs (Decide). The name is the spec's
 	// ring_capacity.
 	RingCapacity int
 	// Policy selects what a full window sheds.
 	Policy ShedPolicy
-	// Ladder sets the degradation thresholds (zero = never degrade).
-	Ladder LadderConfig
 	// WindowDeadline is the wall-clock budget for one window's diagnosis
 	// (0 = none). A window that overruns is cut off via context
 	// cancellation, counted, and reported as skipped — a machine-dependent
 	// safety net outside the determinism contract.
 	WindowDeadline time.Duration
-	// MemSoftBytes and MemHardBytes are heap watermarks (0 = off): crossing
-	// the soft watermark escalates the ladder one step, the hard watermark
-	// two. Heap size is a wall-machine signal; see the package comment.
-	MemSoftBytes int64
+	// MemHardBytes is the heap limit (0 = off): a heap at half of it
+	// escalates the ladder one step, at the limit two (MemWatcher). Heap
+	// size is a wall-machine signal; see the package comment. The spec's
+	// max_mem_bytes sets it.
 	MemHardBytes int64
 	// ContainPanics converts panics inside a window's pipeline — per
 	// stage and per worker task — into a quarantined window instead of a
@@ -215,6 +196,5 @@ type Config struct {
 
 // Enabled reports whether any defense is active.
 func (c Config) Enabled() bool {
-	return c.RingCapacity > 0 || c.Ladder.Enabled() || c.WindowDeadline > 0 ||
-		c.MemSoftBytes > 0 || c.MemHardBytes > 0 || c.ContainPanics
+	return c.RingCapacity > 0 || c.WindowDeadline > 0 || c.MemHardBytes > 0 || c.ContainPanics
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -27,18 +28,18 @@ func TestLevelString(t *testing.T) {
 }
 
 func TestLadderDecide(t *testing.T) {
-	lc := LadderConfig{
-		SoftRecords: 100, HardRecords: 200, MaxRecords: 400,
-		SoftBacklog: 2, HardBacklog: 4,
-	}
+	// A ring of 800 puts the record rungs at 100, 200 and 400.
+	const ring = 800
 	cases := []struct {
 		records, backlog, mem int
 		want                  Level
 	}{
 		{50, 0, 0, Full},
+		{100, 0, 0, Full}, // a rung fires above its threshold, not at it
 		{150, 0, 0, NoPatterns},
 		{250, 0, 0, VictimsOnly},
 		{500, 0, 0, Skipped},
+		{50, 1, 0, Full},
 		{50, 2, 0, NoPatterns},   // backlog escalates one step
 		{50, 4, 0, VictimsOnly},  // two steps
 		{150, 4, 0, Skipped},     // clamped at the top rung
@@ -47,34 +48,31 @@ func TestLadderDecide(t *testing.T) {
 		{1 << 20, 0, 0, Skipped}, // absurd window always sheds
 	}
 	for _, c := range cases {
-		if got := lc.Decide(c.records, c.backlog, c.mem); got != c.want {
-			t.Errorf("Decide(%d, %d, %d) = %v, want %v", c.records, c.backlog, c.mem, got, c.want)
+		if got := Decide(ring, c.records, c.backlog, c.mem); got != c.want {
+			t.Errorf("Decide(%d, %d, %d, %d) = %v, want %v", ring, c.records, c.backlog, c.mem, got, c.want)
 		}
 	}
-	// Zero config never degrades, whatever the pressure.
-	var off LadderConfig
-	if off.Enabled() {
-		t.Error("zero ladder reports enabled")
+	// The rungs scale with the ring.
+	if got := Decide(8000, 1001, 0, 0); got != NoPatterns {
+		t.Errorf("Decide(8000, 1001) = %v, want no-patterns", got)
 	}
-	if got := off.Decide(1<<30, 100, 0); got != Full {
-		t.Errorf("disabled ladder degraded to %v", got)
+	if got := Decide(8000, 4001, 0, 0); got != Skipped {
+		t.Errorf("Decide(8000, 4001) = %v, want skipped", got)
 	}
-	// But memory escalation still applies when the watcher reports steps.
-	if got := off.Decide(10, 0, 2); got != VictimsOnly {
-		t.Errorf("mem steps on disabled ladder = %v, want victims-only", got)
+	// An unbounded ring never degrades on records or backlog...
+	if got := Decide(0, 1<<30, 100, 0); got != Full {
+		t.Errorf("unbounded ring degraded to %v", got)
 	}
-}
-
-func TestAutoLadderScalesWithRing(t *testing.T) {
-	lc := AutoLadder(8000)
-	if lc.SoftRecords != 1000 || lc.HardRecords != 2000 || lc.MaxRecords != 4000 {
-		t.Errorf("AutoLadder rungs: %+v", lc)
+	// ...but memory escalation still applies when the watcher reports steps.
+	if got := Decide(0, 10, 0, 2); got != VictimsOnly {
+		t.Errorf("mem steps on an unbounded ring = %v, want victims-only", got)
 	}
-	if !lc.Enabled() {
-		t.Error("auto ladder disabled")
-	}
-	if AutoLadder(0).Enabled() {
-		t.Error("AutoLadder(0) should be disabled")
+	// A fraction of a small ring that rounds to zero arms no rung: a ring
+	// of 4 skips above 2 records and has no no-patterns rung.
+	for records, want := range map[int]Level{1: Full, 2: VictimsOnly, 3: Skipped} {
+		if got := Decide(4, records, 0, 0); got != want {
+			t.Errorf("Decide(4, %d) = %v, want %v", records, got, want)
+		}
 	}
 }
 
@@ -211,33 +209,37 @@ func TestMemWatcherDisabled(t *testing.T) {
 }
 
 func TestMemWatcherWatermarks(t *testing.T) {
-	// A 1-byte soft watermark is always exceeded; a huge hard watermark
-	// never is: the watcher must report exactly one escalation step.
+	// A heap held at least 32 MiB by a live ballast sits between half of
+	// a limit of 4/3 of it and the limit: exactly one escalation step.
+	ballast := make([]byte, 32<<20)
 	reg := obs.New()
 	g := reg.Gauge("heap")
-	w := &MemWatcher{SoftBytes: 1, HardBytes: 1 << 50, Gauge: g}
+	probe := &MemWatcher{Limit: 1 << 50, Gauge: g}
+	if got := probe.Steps(); got != 0 {
+		t.Fatalf("steps under a huge limit = %d, want 0", got)
+	}
+	if g.Value() < int64(len(ballast)) {
+		t.Fatalf("heap sample %d below the live ballast", g.Value())
+	}
+	w := &MemWatcher{Limit: g.Value() * 4 / 3}
 	if got := w.Steps(); got != 1 {
-		t.Fatalf("soft watermark steps = %d, want 1", got)
+		t.Fatalf("steps between half the limit and the limit = %d, want 1", got)
 	}
-	if g.Value() <= 0 {
-		t.Error("heap sample not recorded")
+	// A 1-byte limit is always reached: two steps.
+	if got := (&MemWatcher{Limit: 1}).Steps(); got != 2 {
+		t.Fatalf("limit steps = %d, want 2", got)
 	}
-	w2 := &MemWatcher{SoftBytes: 1, HardBytes: 1}
-	if got := w2.Steps(); got != 2 {
-		t.Fatalf("hard watermark steps = %d, want 2", got)
-	}
+	runtime.KeepAlive(ballast)
 }
 
-func TestConfigEnabledAndAuto(t *testing.T) {
+func TestConfigEnabled(t *testing.T) {
 	var zero Config
 	if zero.Enabled() {
 		t.Error("zero config reports enabled")
 	}
-	if !(Config{Ladder: AutoLadder(1 << 16)}).Enabled() || (Config{Ladder: AutoLadder(0)}).Enabled() {
-		t.Error("an AutoLadder enables exactly when the ring is bounded")
-	}
-	if !(Config{ContainPanics: true}).Enabled() || !(Config{RingCapacity: 1}).Enabled() {
-		t.Error("containment or a bounded ring alone should enable")
+	if !(Config{ContainPanics: true}).Enabled() || !(Config{RingCapacity: 1}).Enabled() ||
+		!(Config{MemHardBytes: 1}).Enabled() {
+		t.Error("containment, a bounded ring or a heap limit alone should enable")
 	}
 	if (Config{WindowDeadline: time.Second}).Enabled() == false {
 		t.Error("deadline alone should enable")

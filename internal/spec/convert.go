@@ -64,18 +64,16 @@ func (s *PipelineSpec) RetryPolicy() resilience.RetryPolicy {
 }
 
 // ResilienceConfig converts the resilience section to the overload
-// defenses: the ladder derives from the capacity and the soft heap
-// watermark is half the hard one. Panic containment follows the stages
-// section — one knob, not two.
+// defenses (the ladder derives from the capacity inside
+// resilience.Decide). Panic containment follows the stages section — one
+// knob, not two.
 func (s *PipelineSpec) ResilienceConfig() resilience.Config {
 	r := s.Resilience
 	policy, _ := resilience.ParseShedPolicy(r.ShedPolicy)
 	return resilience.Config{
 		RingCapacity:   r.RingCapacity,
 		Policy:         policy,
-		Ladder:         resilience.AutoLadder(r.RingCapacity),
 		WindowDeadline: r.WindowDeadline.Std(),
-		MemSoftBytes:   r.MaxMemBytes / 2,
 		MemHardBytes:   r.MaxMemBytes,
 		ContainPanics:  s.Stages.ContainPanics,
 	}
@@ -83,17 +81,15 @@ func (s *PipelineSpec) ResilienceConfig() resilience.Config {
 
 // MonitorConfig converts the spec to the online monitor's config. The
 // stream section's slide is the monitor's flush cadence (its Window
-// field), and the hold-off and plausibility horizon are counted in it.
+// field), and the plausibility horizon is counted in it.
 func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 	slide := s.Stream.Slide.Sim()
 	return online.Config{
 		Window:       slide,
 		Overlap:      s.Stream.Overlap.Sim(),
 		MaxLookahead: online.DefaultLookaheadWindows * slide,
-		ResyncAfter:  online.DefaultResyncAfter,
 		MinScore:     s.Stream.MinScore,
 		Diagnosis:    s.CoreConfig(reg),
-		HoldOff:      slide,
 		Obs:          reg,
 		Resilience:   s.ResilienceConfig(),
 		Degrade:      s.Rung(),

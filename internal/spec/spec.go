@@ -7,7 +7,7 @@
 // The spec is the library's one configuration form. Every flag
 // combination of the CLIs is expressible (and reproducible) as a spec
 // (`msdiag -dump-spec`), the serving tier (msserve) accepts nothing else,
-// and the facade's functional options edit a spec that its entry points
+// and the facade's WithSpec hands its entry points a spec that they
 // lower through the same converters (convert.go) every other caller uses.
 //
 // Parsing is strict: unknown fields, malformed durations and out-of-range
@@ -170,8 +170,7 @@ type StreamSpec struct {
 type ResilienceSpec struct {
 	// RingCapacity bounds a window's records — the sealed overlap it
 	// carries plus the records buffered until its seal — (0 = unbounded),
-	// and arms the degradation ladder resilience.AutoLadder derives from
-	// it.
+	// and arms the degradation ladder resilience.Decide derives from it.
 	RingCapacity int `json:"ring_capacity,omitempty"`
 	// ShedPolicy selects what a full window sheds: "drop-oldest" (default)
 	// or "reject-new".

@@ -176,11 +176,8 @@ func TestResolvedIdempotent(t *testing.T) {
 	}
 	// Defaults landed.
 	rc := r1.ResilienceConfig()
-	if r1.Stream.Slide != Duration(online.DefaultWindow) || rc.MemSoftBytes != 1<<19 {
-		t.Errorf("defaults not applied: slide=%v soft=%d", r1.Stream.Slide, rc.MemSoftBytes)
-	}
-	if rc.Ladder.SoftRecords != 4096/8 {
-		t.Errorf("auto ladder not derived: %+v", rc.Ladder)
+	if r1.Stream.Slide != Duration(online.DefaultWindow) || rc.MemHardBytes != 1<<20 || rc.RingCapacity != 4096 {
+		t.Errorf("defaults not applied: slide=%v resilience=%+v", r1.Stream.Slide, rc)
 	}
 	if r1.Hooks[0].Timeout != D(DefaultHookTimeout) || r1.Hooks[0].MaxFailures != DefaultHookMaxFailures {
 		t.Errorf("hook defaults not applied: %+v", r1.Hooks[0])
@@ -227,9 +224,6 @@ func TestMonitorConfigConversion(t *testing.T) {
 	if rc.RingCapacity != 1024 || rc.Policy != resilience.ShedRejectNew ||
 		rc.WindowDeadline != 2*time.Second || !rc.ContainPanics {
 		t.Errorf("resilience: %+v", rc)
-	}
-	if rc.Ladder != resilience.AutoLadder(1024) {
-		t.Errorf("ladder = %+v, want auto(1024)", rc.Ladder)
 	}
 	if s.Rung() != resilience.NoPatterns {
 		t.Errorf("rung = %v", s.Rung())
@@ -522,6 +516,95 @@ func TestEverySpecFieldIsLowered(t *testing.T) {
 	}
 }
 
+// TestEveryConfigFieldIsLowered is TestEverySpecFieldIsLowered's reverse:
+// every field of the monitor's and the resilience layer's configs is set
+// from its own spec value. Each field must be set when every spec leaf is
+// set, must change when some leaf is set alone, and must not change under
+// exactly the same leaves as another field (one value, two fields). The
+// few fields no spec value sets on its own are listed with the reason, so
+// a knob only a test sets cannot creep back in.
+func TestEveryConfigFieldIsLowered(t *testing.T) {
+	allowed := map[string]string{
+		"MaxLookahead": "a fixed multiple of the slide that Window carries; the chaos soak tightens it",
+		"OnWindow":     "a runtime callback, set by the serving tier",
+		"Obs":          "a runtime registry, passed to MonitorConfig",
+	}
+	leaves := map[string]any{
+		"stages.run":                           RungVictimsOnly,
+		"stages.contain_panics":                true,
+		"diagnosis.victim_percentile":          95.0,
+		"diagnosis.max_victims":                7,
+		"diagnosis.pattern_threshold":          0.2,
+		"diagnosis.queue_threshold":            4,
+		"diagnosis.loss_victims_when_degraded": true,
+		"diagnosis.workers":                    3,
+		"stream.slide":                         D(50 * time.Millisecond),
+		"stream.overlap":                       D(5 * time.Millisecond),
+		"stream.min_score":                     7.0,
+		"resilience.ring_capacity":             1024,
+		"resilience.shed_policy":               "reject-new",
+		"resilience.window_deadline":           D(time.Second),
+		"resilience.max_mem_bytes":             int64(1 << 20),
+	}
+	// fields flattens the monitor config, with its resilience config's
+	// fields inlined, into name → value.
+	fields := func(s *PipelineSpec) map[string]any {
+		out := make(map[string]any)
+		add := func(v reflect.Value, prefix string) {
+			for i := 0; i < v.NumField(); i++ {
+				out[prefix+v.Type().Field(i).Name] = v.Field(i).Interface()
+			}
+		}
+		mc := s.Resolved().MonitorConfig(nil)
+		add(reflect.ValueOf(mc), "")
+		delete(out, "Resilience")
+		add(reflect.ValueOf(mc.Resilience), "Resilience.")
+		return out
+	}
+	var all PipelineSpec
+	for path, val := range leaves {
+		specField(reflect.ValueOf(&all).Elem(), path).Set(reflect.ValueOf(val))
+	}
+	if err := all.Validate(); err != nil {
+		t.Fatalf("spec with every leaf set is invalid: %v", err)
+	}
+	base := fields(&PipelineSpec{})
+	setBy := make(map[string][]string)
+	for path, val := range leaves {
+		var s PipelineSpec
+		specField(reflect.ValueOf(&s).Elem(), path).Set(reflect.ValueOf(val))
+		for name, v := range fields(&s) {
+			if !reflect.DeepEqual(v, base[name]) {
+				setBy[name] = append(setBy[name], path)
+			}
+		}
+	}
+	owner := make(map[string]string)
+	for name, v := range fields(&all) {
+		if _, ok := allowed[name]; ok {
+			continue
+		}
+		if reflect.ValueOf(v).IsZero() {
+			t.Errorf("%s: not set by a spec with every value set", name)
+		}
+		if len(setBy[name]) == 0 {
+			t.Errorf("%s: no spec value sets it", name)
+			continue
+		}
+		slices.Sort(setBy[name])
+		key := strings.Join(setBy[name], ",")
+		if other, ok := owner[key]; ok {
+			t.Errorf("%s and %s are both set by exactly %s: one value in two fields", name, other, key)
+		}
+		owner[key] = name
+	}
+	for name := range allowed {
+		if _, ok := base[name]; !ok {
+			t.Errorf("%s: allowed, but no such config field", name)
+		}
+	}
+}
+
 // TestTopologyIsTraceMeta: a trace directory's meta.json is a topology
 // section as it stands, and a topology the spec rejects is a meta.json
 // ReadTrace rejects, at the same field path.
@@ -582,14 +665,12 @@ func TestLoweredConfigsUnchanged(t *testing.T) {
 	bounded := resilience.Config{
 		RingCapacity: 200000,
 		Policy:       resilience.ShedDropOldest,
-		Ladder:       resilience.LadderConfig{SoftRecords: 25000, HardRecords: 50000, MaxRecords: 100000, SoftBacklog: 2, HardBacklog: 4},
-		MemSoftBytes: 256 << 20,
 		MemHardBytes: 512 << 20,
 	}
 	defaultMonitor := func(d core.Config, r resilience.Config) online.Config {
 		return online.Config{
-			Window: ms(100), Overlap: ms(20), MaxLookahead: ms(409600), ResyncAfter: 8,
-			MinScore: 100, Diagnosis: d, HoldOff: ms(100), Resilience: r,
+			Window: ms(100), Overlap: ms(20), MaxLookahead: ms(409600),
+			MinScore: 100, Diagnosis: d, Resilience: r,
 		}
 	}
 	stream := func(slide, overlap time.Duration) StreamSpec {
@@ -607,8 +688,8 @@ func TestLoweredConfigsUnchanged(t *testing.T) {
 			name: "bench-bulk",
 			spec: PipelineSpec{Version: Version, Tenant: "bench", Stream: stream(2*time.Millisecond, time.Millisecond), Diagnosis: DiagnosisSpec{Workers: 1}},
 			mon: online.Config{
-				Window: ms(2), Overlap: ms(1), MaxLookahead: ms(8192), ResyncAfter: 8,
-				MinScore: 100, Diagnosis: diag(1, 0), HoldOff: ms(2), Resilience: plain,
+				Window: ms(2), Overlap: ms(1), MaxLookahead: ms(8192),
+				MinScore: 100, Diagnosis: diag(1, 0), Resilience: plain,
 			},
 			pipe: pipe(1, 0),
 			res:  plain,
@@ -618,8 +699,8 @@ func TestLoweredConfigsUnchanged(t *testing.T) {
 			name: "bench-fine",
 			spec: PipelineSpec{Version: Version, Tenant: "bench", Stream: stream(250*time.Microsecond, 4750*time.Microsecond), Diagnosis: DiagnosisSpec{Workers: 1}},
 			mon: online.Config{
-				Window: ms(0.25), Overlap: ms(4.75), MaxLookahead: ms(1024), ResyncAfter: 8,
-				MinScore: 100, Diagnosis: diag(1, 0), HoldOff: ms(0.25), Resilience: plain,
+				Window: ms(0.25), Overlap: ms(4.75), MaxLookahead: ms(1024),
+				MinScore: 100, Diagnosis: diag(1, 0), Resilience: plain,
 			},
 			pipe: pipe(1, 0),
 			res:  plain,

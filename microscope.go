@@ -33,8 +33,9 @@
 //	rep := microscope.Diagnose(dep.Trace())
 //	fmt.Print(rep.Render())
 //
-// Entry points take functional options (WithWorkers, WithMaxVictims, ...)
-// or a declarative PipelineSpec via WithSpec; see options.go and spec.go.
+// Entry points are configured by a declarative PipelineSpec via WithSpec,
+// and observed through a registry via WithObserver; see options.go and
+// spec.go.
 package microscope
 
 import (
@@ -141,10 +142,10 @@ type Report struct {
 	// suppressed (unless forced) and scores deserve skepticism.
 	Health Health
 	// Degradation is the degradation-ladder rung the run executed at:
-	// DegradeFull unless the caller asked for less (WithDegradation).
+	// DegradeFull unless the spec's stages.run asked for less.
 	Degradation DegradationLevel
 	// ContainedPanics counts victims quarantined by crash containment
-	// (always 0 without WithPanicContainment).
+	// (always 0 unless the spec sets stages.contain_panics).
 	ContainedPanics int64
 	// Spans is the run's span tree: a root "pipeline" span (Parent -1)
 	// with one child of Kind "stage" per executed stage, carrying its
@@ -154,8 +155,8 @@ type Report struct {
 }
 
 // Diagnose reconstructs a trace and runs the complete Microscope pipeline.
-// It accepts functional options (WithWorkers, WithObserver, WithSpec,
-// ...); with no options every knob takes its documented default.
+// It accepts functional options (WithSpec, WithObserver); with no options
+// every knob takes its documented default.
 func Diagnose(tr *Trace, opts ...Option) *Report {
 	//mslint:allow ctxflow non-ctx convenience wrapper; cancellable path is DiagnoseContext
 	rep, _ := DiagnoseContext(context.Background(), tr, opts...)

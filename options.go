@@ -40,9 +40,9 @@ type Span = obs.Span
 func NewRegistry() *Registry { return obs.New() }
 
 // Option configures a diagnosis entry point (Diagnose, DiagnoseStore,
-// DiagnoseOne, Explain, Victims and their Context variants). Options
-// apply in order, later ones winning; with none every knob takes its
-// documented default.
+// DiagnoseOne, Explain, Victims and their Context variants): WithSpec sets
+// the knobs, WithObserver attaches a registry. Options apply in order,
+// later ones winning; with none every knob takes its documented default.
 type Option func(*config)
 
 // config is what an Option list resolves to: the spec sections the batch
@@ -53,47 +53,11 @@ type config struct {
 	reg  *Registry
 }
 
-// WithWorkers bounds the parallel fan-out of every pipeline stage
-// (0 = GOMAXPROCS, 1 = fully sequential). Any value produces
-// byte-identical reports.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.spec.Diagnosis.Workers = n }
-}
-
 // WithObserver attaches a metrics registry: stage latencies, victim
 // counts, memo effectiveness, and spans land in reg. Attaching a registry
 // never changes diagnosis output.
 func WithObserver(reg *Registry) Option {
 	return func(c *config) { c.reg = reg }
-}
-
-// WithMaxVictims caps how many victims are diagnosed (0 = all). The cap
-// samples evenly across the run rather than truncating.
-func WithMaxVictims(n int) Option {
-	return func(c *config) { c.spec.Diagnosis.MaxVictims = n }
-}
-
-// WithVictimPercentile selects latency victims above this percentile of
-// delivered latency (default 99).
-func WithVictimPercentile(p float64) Option {
-	return func(c *config) { c.spec.Diagnosis.VictimPercentile = p }
-}
-
-// WithDegradation runs the pipeline at a reduced degradation-ladder rung —
-// what the online monitor does on its own under overload, exposed here so
-// batch callers (and tests) can reproduce a degraded window exactly. The
-// report's Degradation field echoes the rung.
-func WithDegradation(l DegradationLevel) Option {
-	return func(c *config) { c.spec.Stages.Run = spec.RungString(l) }
-}
-
-// WithPanicContainment arms crash containment: a panic inside one
-// victim's diagnosis quarantines that victim (its Diagnosis keeps the
-// Victim, no causes) and a panic inside a stage surfaces as an error with
-// the partial report, instead of killing the process. Off by default —
-// batch tools prefer a loud crash with a full stack.
-func WithPanicContainment() Option {
-	return func(c *config) { c.spec.Stages.ContainPanics = true }
 }
 
 // coreConfig lowers c to the diagnosis-engine configuration DiagnoseOne,

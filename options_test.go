@@ -44,27 +44,12 @@ func reportText(r *Report) string {
 	return b.String()
 }
 
-// TestOptionsEquivalence is the facade contract: the functional options
-// and the spec document they edit are one configuration, so both forms
-// produce byte-identical reports and victim selections, and the
-// zero-argument call equals the empty spec.
+// TestOptionsEquivalence is the facade contract: the zero-argument call
+// equals the empty spec, options apply in order with the last spec
+// winning, and an attached registry changes nothing — for reports and for
+// victim selection alike.
 func TestOptionsEquivalence(t *testing.T) {
 	tr := optionsTrace(t)
-
-	s := &PipelineSpec{}
-	s.Diagnosis.VictimPercentile, s.Diagnosis.MaxVictims, s.Diagnosis.Workers = 95, 150, 4
-	specRep := Diagnose(tr, WithSpec(s))
-	optRep := Diagnose(tr,
-		WithVictimPercentile(95),
-		WithMaxVictims(150),
-		WithWorkers(4),
-	)
-	if len(specRep.Diagnoses) == 0 {
-		t.Fatal("no victims diagnosed; equivalence check is vacuous")
-	}
-	if a, b := reportText(specRep), reportText(optRep); a != b {
-		t.Fatalf("spec-form and option-form reports differ:\n--- spec ---\n%s\n--- options ---\n%s", a, b)
-	}
 
 	bare := Diagnose(tr)
 	zero := Diagnose(tr, WithSpec(&PipelineSpec{}))
@@ -72,28 +57,42 @@ func TestOptionsEquivalence(t *testing.T) {
 		t.Fatal("Diagnose(tr) and Diagnose(tr, WithSpec(&PipelineSpec{})) reports differ")
 	}
 
+	s, other := &PipelineSpec{}, &PipelineSpec{}
+	s.Diagnosis.VictimPercentile, s.Diagnosis.MaxVictims, s.Diagnosis.Workers = 95, 150, 4
+	other.Diagnosis.VictimPercentile, other.Stages.Run = 90, "victims-only"
+	specRep := Diagnose(tr, WithSpec(s))
+	lastRep := Diagnose(tr, WithSpec(other), WithObserver(NewRegistry()), WithSpec(s))
+	if len(specRep.Diagnoses) == 0 {
+		t.Fatal("no victims diagnosed; equivalence check is vacuous")
+	}
+	if a, b := reportText(specRep), reportText(lastRep); a != b {
+		t.Fatalf("the last spec does not win:\n--- spec ---\n%s\n--- after another spec ---\n%s", a, b)
+	}
+
 	// Victim selection routes through the same resolver.
 	st := Reconstruct(tr)
 	v1 := Victims(st, WithSpec(s))
-	v2 := Victims(st, WithVictimPercentile(95), WithMaxVictims(150), WithWorkers(4))
-	if len(v1) == 0 || len(v1) != len(v2) {
-		t.Fatalf("Victims spec-form selected %d, option-form %d", len(v1), len(v2))
+	v2 := Victims(st, WithSpec(other), WithSpec(s))
+	if len(v1) == 0 || len(v1) != len(v2) || len(Victims(st, WithSpec(other))) == len(v1) {
+		t.Fatalf("Victims selected %d with the spec, %d with it last; the other spec must select a different count", len(v1), len(v2))
 	}
 }
 
-// TestPanicContainmentReachesEngine: WithPanicContainment arms the engine
-// configuration DiagnoseOne, Explain and Victims run with, not only the
-// pipeline's.
+// TestPanicContainmentReachesEngine: a spec's stages.contain_panics arms
+// the engine configuration DiagnoseOne, Explain and Victims run with, not
+// only the pipeline's.
 func TestPanicContainmentReachesEngine(t *testing.T) {
-	c := resolve([]Option{WithPanicContainment()})
+	s := &PipelineSpec{}
+	s.Stages.ContainPanics = true
+	c := resolve([]Option{WithSpec(s)})
 	if !c.coreConfig().ContainPanics {
-		t.Error("WithPanicContainment did not reach the engine config")
+		t.Error("stages.contain_panics did not reach the engine config")
 	}
 	if !c.pipelineConfig().Diagnosis.ContainPanics {
-		t.Error("WithPanicContainment did not reach the pipeline config")
+		t.Error("stages.contain_panics did not reach the pipeline config")
 	}
 	if c := resolve(nil); c.coreConfig().ContainPanics || c.pipelineConfig().Diagnosis.ContainPanics {
-		t.Error("containment armed without WithPanicContainment")
+		t.Error("containment armed without stages.contain_panics")
 	}
 }
 
@@ -131,7 +130,9 @@ func TestDiagnoseContextCancelled(t *testing.T) {
 func TestWithObserverPopulatesRegistry(t *testing.T) {
 	tr := optionsTrace(t)
 	reg := NewRegistry()
-	rep := Diagnose(tr, WithObserver(reg), WithMaxVictims(100))
+	s := &PipelineSpec{}
+	s.Diagnosis.MaxVictims = 100
+	rep := Diagnose(tr, WithObserver(reg), WithSpec(s))
 	if len(rep.Diagnoses) == 0 {
 		t.Fatal("no diagnoses")
 	}

@@ -3,17 +3,19 @@ package microscope
 import (
 	"testing"
 
+	"microscope/internal/pipeline"
 	"microscope/internal/resilience"
 )
 
-// TestWithSpec: the spec option replaces every spec-expressible field,
-// preserves an attached registry, and produces reports byte-identical to
-// the equivalent explicit options.
+// TestWithSpec: the spec option replaces every spec-expressible field an
+// earlier spec set, preserves an attached registry, and produces reports
+// byte-identical to the pipeline run on the spec's own lowering.
 func TestWithSpec(t *testing.T) {
-	s := &PipelineSpec{}
+	s, earlier := &PipelineSpec{}, &PipelineSpec{}
 	s.Diagnosis.VictimPercentile, s.Diagnosis.MaxVictims, s.Diagnosis.Workers = 95, 150, 4
+	earlier.Diagnosis.MaxVictims, earlier.Stages.ContainPanics = 7, true
 	reg := NewRegistry()
-	c := resolve([]Option{WithObserver(reg), WithMaxVictims(7), WithPanicContainment(), WithSpec(s)})
+	c := resolve([]Option{WithObserver(reg), WithSpec(earlier), WithSpec(s)})
 	if c.reg != reg {
 		t.Fatal("WithSpec dropped the attached registry")
 	}
@@ -23,12 +25,12 @@ func TestWithSpec(t *testing.T) {
 
 	tr := optionsTrace(t)
 	specRep := Diagnose(tr, WithSpec(s))
-	optRep := Diagnose(tr, WithVictimPercentile(95), WithMaxVictims(150), WithWorkers(4))
+	lowered := reportFrom(pipeline.Run(tr, s.PipelineConfig(nil)))
 	if len(specRep.Diagnoses) == 0 {
 		t.Fatal("no victims diagnosed; equivalence check is vacuous")
 	}
-	if a, b := reportText(specRep), reportText(optRep); a != b {
-		t.Fatalf("WithSpec and explicit options reports differ:\n--- spec ---\n%s\n--- options ---\n%s", a, b)
+	if a, b := reportText(specRep), reportText(lowered); a != b {
+		t.Fatalf("WithSpec and the spec's own lowering differ:\n--- WithSpec ---\n%s\n--- lowered ---\n%s", a, b)
 	}
 }
 
