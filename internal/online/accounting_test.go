@@ -75,8 +75,8 @@ func TestShedAccounting(t *testing.T) {
 // TestBacklogCountsUnsealed: after every Feed, Backlog() and the
 // microscope_monitor_pending_records gauge both equal the records the
 // monitor accepted above the stream's seal watermark and has not dropped —
-// through late inserts, ladder skips, and both shed policies at both
-// geometries.
+// through late inserts, an unbounded ring, ladder skips, and both shed
+// policies at both geometries.
 func TestBacklogCountsUnsealed(t *testing.T) {
 	tr := monitoredRun(t, nil)
 	for _, g := range geometries {
@@ -91,6 +91,7 @@ func TestBacklogCountsUnsealed(t *testing.T) {
 		// sheds none.
 		perWindow := int(int64(perSlide) * int64(g.w+g.o) / int64(g.w))
 		configs := map[string]resilience.Config{
+			"unbounded":   {},
 			"skip":        {RingCapacity: perWindow * 3 / 2},
 			"reject-new":  {RingCapacity: g.capSlides * perSlide, Policy: resilience.ShedRejectNew},
 			"drop-oldest": {RingCapacity: g.capSlides * perSlide, Policy: resilience.ShedDropOldest},
@@ -129,8 +130,19 @@ func TestBacklogCountsUnsealed(t *testing.T) {
 				if st.LateAccepted == 0 || st.Windows < 5 || peak == 0 {
 					t.Fatalf("vacuous: %d windows, peak backlog %d, %+v", st.Windows, peak, st)
 				}
-				if name == "skip" && st.WindowsSkipped == 0 || name != "skip" && st.RecordsShed == 0 {
-					t.Fatalf("the ladder skipped nothing, or a ring the windows outgrow shed nothing: %+v", st)
+				switch name {
+				case "unbounded":
+					if st.WindowsSkipped != 0 || st.RecordsShed != 0 {
+						t.Fatalf("an unbounded ring skipped or shed: %+v", st)
+					}
+				case "skip":
+					if st.WindowsSkipped == 0 {
+						t.Fatalf("the ladder skipped nothing: %+v", st)
+					}
+				default:
+					if st.RecordsShed == 0 {
+						t.Fatalf("a ring the windows outgrow shed nothing: %+v", st)
+					}
 				}
 			})
 		}

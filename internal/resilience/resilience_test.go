@@ -52,13 +52,6 @@ func TestLadderDecide(t *testing.T) {
 			t.Errorf("Decide(%d, %d, %d, %d) = %v, want %v", ring, c.records, c.backlog, c.mem, got, c.want)
 		}
 	}
-	// The rungs scale with the ring.
-	if got := Decide(8000, 1001, 0, 0); got != NoPatterns {
-		t.Errorf("Decide(8000, 1001) = %v, want no-patterns", got)
-	}
-	if got := Decide(8000, 4001, 0, 0); got != Skipped {
-		t.Errorf("Decide(8000, 4001) = %v, want skipped", got)
-	}
 	// An unbounded ring never degrades on records or backlog...
 	if got := Decide(0, 1<<30, 100, 0); got != Full {
 		t.Errorf("unbounded ring degraded to %v", got)
@@ -72,6 +65,27 @@ func TestLadderDecide(t *testing.T) {
 	for records, want := range map[int]Level{1: Full, 2: VictimsOnly, 3: Skipped} {
 		if got := Decide(4, records, 0, 0); got != want {
 			t.Errorf("Decide(4, %d) = %v, want %v", records, got, want)
+		}
+	}
+}
+
+// TestAutoLadderScalesWithRing: the ladder is derived from the ring alone —
+// its record rungs sit at 1/8, 1/4 and 1/2 of whatever capacity the
+// operator chose.
+func TestAutoLadderScalesWithRing(t *testing.T) {
+	for _, ring := range []int{800, 8000, 80000} {
+		for _, c := range []struct {
+			records int
+			want    Level
+		}{
+			{ring / 8, Full},
+			{ring/8 + 1, NoPatterns},
+			{ring/4 + 1, VictimsOnly},
+			{ring/2 + 1, Skipped},
+		} {
+			if got := Decide(ring, c.records, 0, 0); got != c.want {
+				t.Errorf("Decide(%d, %d) = %v, want %v", ring, c.records, got, c.want)
+			}
 		}
 	}
 }
